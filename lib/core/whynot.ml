@@ -1,12 +1,16 @@
 open Whynot_relational
 
 type t = {
-  schema : Schema.t option;
   instance : Instance.t;
   query : Cq.t;
   answers : Relation.t;
   missing : Tuple.t;
 }
+
+let legality schema instance =
+  match Schema.satisfies schema instance with
+  | Ok () -> Ok ()
+  | Error msg -> Error (`Schema_violation ("instance violates schema: " ^ msg))
 
 let make ?schema ?answers ~instance ~query ~missing () =
   let missing = Tuple.of_list missing in
@@ -25,13 +29,10 @@ let make ?schema ?answers ~instance ~query ~missing () =
     if Relation.mem missing answers then
       Error (`Invalid_whynot "tuple is not missing: it belongs to the answer set")
     else
-      match schema with
-      | None -> Ok { schema; instance; query; answers; missing }
-      | Some s ->
-        (match Schema.satisfies s instance with
-         | Ok () -> Ok { schema; instance; query; answers; missing }
-         | Error msg ->
-           Error (`Schema_violation ("instance violates schema: " ^ msg)))
+      let legal =
+        match schema with None -> Ok () | Some s -> legality s instance
+      in
+      Result.map (fun () -> { instance; query; answers; missing }) legal
 
 let make_exn ?schema ?answers ~instance ~query ~missing () =
   match make ?schema ?answers ~instance ~query ~missing () with

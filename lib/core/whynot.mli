@@ -6,12 +6,15 @@
 open Whynot_relational
 
 type t = private {
-  schema : Schema.t option;
   instance : Instance.t;
   query : Cq.t;
   answers : Relation.t;
   missing : Tuple.t;
 }
+
+val legality : Schema.t -> Instance.t -> (unit, Whynot_error.t) result
+(** [Ok ()] when the instance is legal for the schema ({!Schema.satisfies}),
+    otherwise the [`Schema_violation] that {!make} reports. *)
 
 val make :
   ?schema:Schema.t ->

@@ -10,6 +10,7 @@ module Irredundant = Whynot_concept.Irredundant
 (* Bind the facade's JSON codec before [Whynot] is rebound to the core
    question module below. *)
 module Wire_json = Whynot.Json
+module Engine = Whynot.Engine
 module Whynot = Whynot_core.Whynot
 module Explanation = Whynot_core.Explanation
 module Exhaustive = Whynot_core.Exhaustive
@@ -541,6 +542,70 @@ let ext_indexed_equals_scan =
       Semantics.ext_equal indexed scan && Semantics.ext_equal replayed scan)
 
 (* ------------------------------------------------------------------ *)
+(* The engine's once-per-instance question vs a fresh one              *)
+(* ------------------------------------------------------------------ *)
+
+(* A legal instance, or (one time in three) one with an extra random fact
+   that may break an FD, an IND or a view; two queries over it, each with
+   a missing tuple of its arity (rarely a wrong one). *)
+let gen_question_case =
+  let* cls = Gen.schema_class in
+  let* s = Gen.schema ~max_arity:2 cls in
+  let* legal = Gen.legal_instance s in
+  let* inst =
+    QG.frequency
+      [
+        (2, QG.return legal);
+        ( 1,
+          let* rel = QG.oneofl (Schema.relation_names s) in
+          let* t = Gen.tuple ~arity:(Option.get (Schema.arity s rel)) in
+          QG.return (Instance.add_fact rel (Tuple.to_list t) legal) );
+      ]
+  in
+  let query_with_missing =
+    let* q = Gen.cq s in
+    let* arity =
+      QG.frequency [ (8, QG.return (Cq.arity q)); (1, QG.return (Cq.arity q + 1)) ]
+    in
+    let* m = Gen.tuple ~arity in
+    QG.return (q, Tuple.to_list m)
+  in
+  let* q1 = query_with_missing in
+  let* q2 = query_with_missing in
+  QG.return (s, inst, q1, q2)
+
+let str_question_case (s, inst, (q1, m1), (q2, m2)) =
+  let str_missing m = Tuple.to_string (Tuple.of_list m) in
+  Printf.sprintf "%s%s\n%s  missing %s\n%s  missing %s" (str_schema s)
+    (str_instance inst) (str_cq q1) (str_missing m1) (str_cq q2)
+    (str_missing m2)
+
+(* [Engine.question] checks legality once per engine and keeps Ans = q(I)
+   for the last query; neither may show. Each answer must match a fresh
+   [Whynot.make ~schema]: the same error class, or equal answers and the
+   same missing tuple. Asking q1 twice hits the cached slot, q2 replaces
+   it, and q1 again replaces it back. *)
+let engine_question_equals_fresh =
+  prop "engine/question-equals-fresh" 200 str_question_case gen_question_case
+    (fun (s, inst, (q1, m1), (q2, m2)) ->
+      match Engine.create ~schema:s ~instance:inst () with
+      | Error _ -> false
+      | Ok engine ->
+        Fun.protect ~finally:(fun () -> ignore (Engine.close engine))
+        @@ fun () ->
+        let agrees (query, missing) =
+          let fresh = Whynot.make ~schema:s ~instance:inst ~query ~missing () in
+          match (Engine.question engine ~query ~missing (), fresh) with
+          | Ok a, Ok b ->
+            Relation.equal a.Whynot.answers b.Whynot.answers
+            && Tuple.equal a.Whynot.missing b.Whynot.missing
+          | Error a, Error b ->
+            Whynot_error.code a = Whynot_error.code b
+          | Ok _, Error _ | Error _, Ok _ -> false
+        in
+        List.for_all agrees [ (q1, m1); (q1, m1); (q2, m2); (q1, m1) ])
+
+(* ------------------------------------------------------------------ *)
 (* The wire codec vs itself                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -585,6 +650,7 @@ let all =
     eval_planned_equals_naive;
     ext_indexed_equals_scan;
     wire_envelope_roundtrip;
+    engine_question_equals_fresh;
   ]
 
 let names = List.map (fun p -> p.name) all

@@ -282,6 +282,10 @@ let accept_loop t =
          match Unix.accept ~cloexec:true t.lsock with
          | fd, peer_addr ->
            Obs.incr c_conns_accepted;
+           (* Each reply is one [write], so Nagle has nothing to coalesce;
+              left on, it holds a reply behind the previous one's ACK. *)
+           (try Unix.setsockopt fd Unix.TCP_NODELAY true
+            with Unix.Unix_error (_, _, _) -> ());
            let peer = peer_string peer_addr in
            let admitted =
              Mutex.protect t.conn_mutex (fun () ->

@@ -20,6 +20,13 @@ type t = {
   inst_handles : Subsume_memo.inst array;
   schema_handles : Subsume_memo.schema array option;
   mutable closed : bool;
+  (* Definition 5.1 takes the legality of I and Ans = q(I) as inputs of a
+     why-not instance. Legality is checked on the first [question] and
+     kept; Ans is kept for the last query asked, keyed by [Cq.id]. Plain
+     fields, not [Lazy.t]: engines serve one domain at a time, and a
+     racing recomputation is harmless where a racing [Lazy.force] raises. *)
+  mutable legality : (unit, Whynot_error.t) result option;
+  mutable answers : (int * Relation.t) option;
 }
 
 let create ?schema ?(domains = 1) ~instance () =
@@ -49,6 +56,8 @@ let create ?schema ?(domains = 1) ~instance () =
         inst_handles;
         schema_handles;
         closed = false;
+        legality = None;
+        answers = None;
       }
 
 let domains e = Pool.size e.pool
@@ -105,9 +114,36 @@ let set_deadline e d =
     (Array.iter (fun h -> Subsume_memo.set_schema_deadline h d))
     e.schema_handles
 
+let legality e =
+  match (e.legality, e.schema) with
+  | Some r, _ -> r
+  | None, None -> Ok ()
+  | None, Some s ->
+    let r = W.legality s e.instance in
+    e.legality <- Some r;
+    r
+
+(* [None] for an unsafe query, which [Whynot.make] then reports. *)
+let cached_answers e query =
+  let id = Cq.id query in
+  match e.answers with
+  | Some (id', r) when id' = id -> Some r
+  | _ when not (Cq.is_safe query) -> None
+  | _ ->
+    let r = Cq.eval query e.instance in
+    e.answers <- Some (id, r);
+    Some r
+
+(* The checks run in [Whynot.make ~schema]'s order: the question's own
+   [`Invalid_whynot] errors win over a [`Schema_violation]. *)
 let question ?answers e ~query ~missing () =
   guard e (fun () ->
-      W.make ?schema:e.schema ?answers ~instance:e.instance ~query ~missing ())
+      let answers =
+        match answers with Some _ -> answers | None -> cached_answers e query
+      in
+      Result.bind
+        (W.make ?answers ~instance:e.instance ~query ~missing ())
+        (fun wn -> Result.map (fun () -> wn) (legality e)))
 
 let pool_of ?values wn =
   match values with Some v -> v | None -> W.constant_pool wn

@@ -38,7 +38,8 @@ val create :
   (t, Whynot_error.t) result
 (** [domains] defaults to [1]; [`Invalid_config] when [domains < 1].
     Supplying a schema enables {!all_mges_schema} and makes {!question}
-    check the instance against it. *)
+    check the instance against it (once per engine). An illegal instance
+    is accepted here; {!question} reports it. *)
 
 val domains : t -> int
 val schema : t -> Schema.t option
@@ -69,7 +70,16 @@ val question :
 (** Build a why-not question over the engine's instance (and schema):
     [`Invalid_whynot] on an unsafe query, an arity mismatch, or a missing
     tuple that is in fact an answer; [`Schema_violation] when the engine
-    has a schema the instance violates. *)
+    has a schema the instance violates. The result equals
+    [Whynot.make ?schema ?answers ~instance ~query ~missing ()].
+
+    Following Definition 5.1, the engine computes the two inputs of a
+    why-not instance once instead of per question: legality of the
+    instance is checked on the first [question] (not in {!create}) and the
+    verdict, [Ok] or [`Schema_violation], is returned by every later one;
+    [Ans = q(I)] is kept for the last query asked (keyed by {!Cq.id}), so
+    repeated questions over one query evaluate it once. A caller-supplied
+    [answers] is used as is and not kept. *)
 
 (** {1 Algorithm 2 — incremental search w.r.t. [O_I]} *)
 

@@ -204,6 +204,53 @@ let test_counters_aggregate_across_domains () =
        domains before after)
     true (after > before)
 
+(* --- the why-not instance is built once per engine --- *)
+
+let budget_counters =
+  [ "eval.index.handles"; "eval.plans.built"; "eval.index.flushes" ]
+
+let read_budget () =
+  List.map (fun n -> (n, Obs.value (Obs.counter n))) budget_counters
+
+(* Definition 5.1 fixes the legality of I and Ans = q(I) per instance, so
+   once the engine is warm a repeated question + search over Figure 2
+   creates no eval handle, compiles no plan and flushes no registry. *)
+let test_warm_question_counter_budget () =
+  with_engine ~schema:Cities.schema @@ fun engine ->
+  let round () =
+    let wn = cities_question engine in
+    ignore (get (Engine.one_mge engine wn))
+  in
+  round ();
+  let before = read_budget () in
+  for _ = 1 to 50 do
+    round ()
+  done;
+  List.iter2
+    (fun (n, v0) (_, v1) ->
+      Alcotest.(check int) (n ^ " added by 50 warm rounds") 0 (v1 - v0))
+    before (read_budget ())
+
+let test_question_reports_schema_violation () =
+  (* Two cities of one country on different continents break the FD
+     country -> continent. *)
+  let instance =
+    Instance.add_fact "Cities"
+      Value.[ str "Utrecht"; int 361924; str "Netherlands"; str "Asia" ]
+      Cities.instance
+  in
+  let engine =
+    get (Engine.create ~schema:Cities.schema ~domains:env_domains ~instance ())
+  in
+  Fun.protect ~finally:(fun () -> ignore (Engine.close engine)) @@ fun () ->
+  let ask () =
+    code
+      (Engine.question engine ~query:Cities.two_hop_query
+         ~missing:Cities.missing_tuple ())
+  in
+  Alcotest.(check string) "first question" "schema-violation" (ask ());
+  Alcotest.(check string) "second question" "schema-violation" (ask ())
+
 (* --- shutdown --- *)
 
 let test_close_flushes_and_bricks () =
@@ -286,6 +333,13 @@ let () =
         [
           Alcotest.test_case "counters aggregate across domains" `Quick
             test_counters_aggregate_across_domains;
+        ] );
+      ( "question",
+        [
+          Alcotest.test_case "warm question + one_mge counter budget" `Quick
+            test_warm_question_counter_budget;
+          Alcotest.test_case "illegal instance reported on every question"
+            `Quick test_question_reports_schema_violation;
         ] );
       ( "shutdown",
         [

@@ -274,6 +274,118 @@ let test_sigterm_drains () =
   Alcotest.(check int) "SIGTERM drained the server" 0 (Server.session_count server);
   disconnect c
 
+(* Two requests in one write: the second reply must follow the first at
+   once, not wait for the client's delayed ACK of the first (~40 ms when
+   Nagle's algorithm is left on for accepted sockets). *)
+let test_pipelined_replies_not_held () =
+  with_server @@ fun server ->
+  let c = connect (Server.port server) in
+  Fun.protect ~finally:(fun () -> disconnect c) @@ fun () ->
+  ignore (check_ok "warm-up" (rpc c "{\"op\":\"ping\"}"));
+  let gap () =
+    send_raw c "{\"op\":\"ping\"}\n{\"op\":\"ping\"}\n";
+    let next () =
+      match recv_line c with
+      | Some _ -> Whynot_obs.Obs.now_s ()
+      | None -> Alcotest.fail "connection closed mid-pair"
+    in
+    let t1 = next () in
+    next () -. t1
+  in
+  let gaps = List.sort compare (List.init 5 (fun _ -> gap ())) in
+  let median_ms = List.nth gaps 2 *. 1000. in
+  Alcotest.(check bool)
+    (Printf.sprintf "median second-reply gap %.2f ms < 20 ms" median_ms)
+    true (median_ms < 20.)
+
+(* --- the why-not instance is built once per session --- *)
+
+module Handlers = Whynot_server.Handlers
+module Registry = Whynot_server.Registry
+module Obs = Whynot_obs.Obs
+
+(* Warm requests on a session reuse its legality verdict and answer set,
+   so they create no eval handle, compile no plan and flush no registry. *)
+let test_warm_session_counter_budget () =
+  let deps =
+    {
+      Handlers.registry = Registry.create ~max_sessions:4;
+      domains_default = 1;
+      domains_max = 4;
+      default_deadline_ms = 0;
+      max_deadline_ms = 0;
+      debug_ops = false;
+      started_at_s = Obs.now_s ();
+    }
+  in
+  let ok line =
+    match Whynot_server.Protocol.parse_request line with
+    | Error m -> Alcotest.failf "unparsable request %s: %s" line m
+    | Ok req -> (
+      match Handlers.handle deps req with
+      | Ok _ -> ()
+      | Error (code, m) -> Alcotest.failf "%s: %s: %s" line code m)
+  in
+  ok "{\"op\":\"create\",\"session\":\"b\",\"workload\":\"cities\"}";
+  Fun.protect ~finally:(fun () -> ok "{\"op\":\"close\",\"session\":\"b\"}")
+  @@ fun () ->
+  let round () =
+    ok "{\"op\":\"question\",\"session\":\"b\"}";
+    ok "{\"op\":\"one_mge\",\"session\":\"b\"}"
+  in
+  round ();
+  let read () =
+    List.map
+      (fun n -> (n, Obs.value (Obs.counter n)))
+      [ "eval.index.handles"; "eval.plans.built"; "eval.index.flushes" ]
+  in
+  let before = read () in
+  for _ = 1 to 50 do
+    round ()
+  done;
+  List.iter2
+    (fun (n, v0) (_, v1) ->
+      Alcotest.(check int) (n ^ " added by 50 warm rounds") 0 (v1 - v0))
+    before (read ())
+
+let fd_document ~legal =
+  String.concat "\n"
+    ([
+       "relation Cities(name, population, country, continent)";
+       "fd Cities: country -> continent";
+       "fact Cities(\"Amsterdam\", 779808, \"Netherlands\", \"Europe\")";
+     ]
+     @ (if legal then []
+        else [ "fact Cities(\"Utrecht\", 361924, \"Netherlands\", \"Asia\")" ])
+     @ [ "query q(x) := Cities(x, y, z, w)"; "whynot (\"Rome\")" ])
+
+let test_illegal_document_reports_schema_violation () =
+  with_server @@ fun server ->
+  let c = connect (Server.port server) in
+  Fun.protect ~finally:(fun () -> disconnect c) @@ fun () ->
+  let create name ~legal =
+    check_ok ("create " ^ name)
+      (rpc c
+         (Json.to_string
+            (Json.Obj
+               [
+                 ("op", Json.String "create");
+                 ("session", Json.String name);
+                 ("document", Json.String (fd_document ~legal));
+               ])))
+    |> ignore
+  in
+  let question name =
+    rpc c (Printf.sprintf "{\"op\":\"question\",\"session\":\"%s\"}" name)
+  in
+  create "legal" ~legal:true;
+  ignore (check_ok "legal document" (question "legal"));
+  create "illegal" ~legal:false;
+  check_error "first question" "schema-violation" (question "illegal");
+  check_error "second question" "schema-violation" (question "illegal");
+  check_error "one_mge" "schema-violation"
+    (rpc c "{\"op\":\"one_mge\",\"session\":\"illegal\"}")
+
 (* --- protocol unit checks (no sockets) --- *)
 
 module Protocol = Whynot_server.Protocol
@@ -312,6 +424,10 @@ let () =
           Alcotest.test_case "concurrent clients, independent sessions" `Quick
             test_concurrent_sessions;
           Alcotest.test_case "idle TTL evicts" `Quick test_idle_ttl_evicts;
+          Alcotest.test_case "warm session counter budget" `Quick
+            test_warm_session_counter_budget;
+          Alcotest.test_case "illegal document replies schema-violation"
+            `Quick test_illegal_document_reports_schema_violation;
         ] );
       ( "robustness",
         [
@@ -322,6 +438,8 @@ let () =
             test_malformed_input_keeps_serving;
           Alcotest.test_case "request cap closes the connection" `Quick
             test_request_cap_closes_connection;
+          Alcotest.test_case "pipelined replies are not held" `Quick
+            test_pipelined_replies_not_held;
         ] );
       ( "shutdown",
         [
