@@ -485,10 +485,13 @@ let alg2_sigma () =
   let x =
     Value_set.of_list [ Value.int 0; Value.int 2; Value.int 4 ]
   in
-  timed "ALG2s" "lub_sigma pruned" (fun () ->
-      Whynot_concept.Lub.lub_sigma ~prune:true wn.Whynot.instance x);
-  timed "ALG2s" "lub_sigma unpruned" (fun () ->
-      Whynot_concept.Lub.lub_sigma ~prune:false wn.Whynot.instance x)
+  (* A fresh handle per call: a kept one would answer from its lub cache. *)
+  let lub_sigma ~prune x =
+    let h = Whynot_concept.Subsume_memo.inst wn.Whynot.instance in
+    Whynot_concept.Lub.lub_sigma ~prune h x
+  in
+  timed "ALG2s" "lub_sigma pruned" (fun () -> lub_sigma ~prune:true x);
+  timed "ALG2s" "lub_sigma unpruned" (fun () -> lub_sigma ~prune:false x)
 
 (* ================================================================== *)
 (* P4.2: concept counting                                              *)
@@ -541,7 +544,7 @@ let p6_2 () =
        in
        timed ~params:[ ("conjuncts", float_of_int conjuncts) ] "P6.2"
          (Printf.sprintf "minimise / conjuncts<=%d" conjuncts)
-         (fun () -> Irredundant.minimise Cities.instance c))
+         (fun () -> Irredundant.minimise (Subsume_memo.inst Cities.instance) c))
     (sweep [ 4; 8; 16 ])
 
 let p6_4 () =
@@ -713,11 +716,10 @@ let datalog_bench () =
 
 let memo_bench () =
   header "MEMO" "Memoised subsumption: cold vs warm Incremental Search";
-  (* Cold: every measured call starts from empty memo tables
-     ([Subsume_memo.clear] inside the thunk), so extensions, columns and
-     lubs are recomputed from scratch — the pre-memoisation behaviour.
-     Warm: the handles persist across calls, so the sweep exercises the
-     steady state the algorithms actually run in. *)
+  (* Cold: every measured call creates a fresh memo handle, so extensions,
+     columns and lubs are recomputed from scratch — one run on its own.
+     Warm: one handle is kept across calls, as an engine keeps its handle
+     across the requests of a session. *)
   List.iter
     (fun n ->
        let gi =
@@ -725,25 +727,25 @@ let memo_bench () =
            ~n_connections:(2 * n) ()
        in
        let wn = Generate.cities_whynot gi in
-       let run () =
-         Incremental.one_mge ~variant:Incremental.Selection_free
+       let run handle =
+         Incremental.one_mge ~handle ~variant:Incremental.Selection_free
            ~shorten:false wn
        in
+       let fresh () = Whynot_concept.Subsume_memo.inst wn.Whynot.instance in
        let cold =
          timed_ns
            ~params:[ ("cities", float_of_int n); ("cached", 0.) ]
            "MEMO"
            (Printf.sprintf "cold (uncached) / cities=%d" n)
-           (fun () ->
-              Whynot_concept.Subsume_memo.clear ();
-              run ())
+           (fun () -> run (fresh ()))
        in
        let warm =
+         let h = fresh () in
          timed_ns
            ~params:[ ("cities", float_of_int n); ("cached", 1.) ]
            "MEMO"
            (Printf.sprintf "warm (memoised) / cities=%d" n)
-           run
+           (fun () -> run h)
        in
        match (cold, warm) with
        | Some c, Some w when w > 0. ->
@@ -758,7 +760,6 @@ let memo_bench () =
       ~params:[ ("cached", 0.) ]
       "MEMO" "decide w.r.t. S, cold (uncached)"
       (fun () ->
-         Whynot_concept.Subsume_memo.clear ();
          let h = Whynot_concept.Subsume_memo.schema Cities.schema in
          Whynot_concept.Subsume_memo.decide h big tc_from)
   in
@@ -779,7 +780,7 @@ let memo_bench () =
 (* ================================================================== *)
 
 let par_bench () =
-  header "PAR" "Domain-parallel MGE search (Engine facade)";
+  header "PAR" "Domain-parallel Algorithm 1 (Engine facade)";
   let hw = Domain.recommended_domain_count () in
   row "  host reports %d recommended domain(s); speedup is bounded by the@."
     hw;
@@ -802,35 +803,6 @@ let par_bench () =
        | None -> ())
     | _ -> ()
   in
-  row "-- Algorithm 2 (Incremental Search, O_I) / cities instance --@.";
-  let n_cities = if quick then 30 else 60 in
-  let gi =
-    Generate.cities_like ~n_cities ~n_countries:(max 2 (n_cities / 5))
-      ~n_connections:(2 * n_cities) ()
-  in
-  let wn = Generate.cities_whynot gi in
-  let cities = float_of_int n_cities in
-  let seq_inc =
-    timed_ns
-      ~params:[ ("cities", cities); ("domains", 0.) ]
-      "PAR"
-      (Printf.sprintf "Algorithm 2 sequential / cities=%d" n_cities)
-      (fun () ->
-         Incremental.one_mge ~variant:Incremental.Selection_free
-           ~shorten:false wn)
-  in
-  List.iter
-    (fun domains ->
-       let ns =
-         with_engine ~domains ~instance:wn.Whynot.instance @@ fun engine ->
-         timed_ns
-           ~params:[ ("cities", cities); ("domains", float_of_int domains) ]
-           "PAR"
-           (Printf.sprintf "Algorithm 2 / domains=%d" domains)
-           (fun () -> Result.get_ok (Engine.one_mge ~shorten:false engine wn))
-       in
-       speedup (Printf.sprintf "/ domains=%d" domains) seq_inc ns)
-    domain_sweep;
   row "-- Algorithm 1 (Exhaustive Search) / set-cover gadget --@.";
   let sc =
     Whynot_setcover.Setcover.random ~seed:11 ~n_elements:8 ~n_sets:10
@@ -913,14 +885,14 @@ let eval_bench () =
            ~n_stores:50 ~n_stock ()
        in
        let q = Generate.retail_join_query ~category:"audio" in
-       (* The facade route: create the handle once, query it repeatedly. *)
-       let idx = Whynot_eval.index inst in
-       ignore (Whynot_eval.query idx q);
+       (* Create the index handle once, query it repeatedly. *)
+       let idx = Eval_index.of_instance inst in
+       ignore (Cq.Plan.eval idx q);
        let params k = [ ("stock", float_of_int n_stock); ("kernel", k) ] in
        let planned =
          timed_ns ~params:(params 1.) "EVAL"
            (Printf.sprintf "retail join planned / stock=%d" n_stock)
-           (fun () -> Whynot_eval.query idx q)
+           (fun () -> Cq.Plan.eval idx q)
        in
        let naive =
          timed_ns ~params:(params 0.) "EVAL"

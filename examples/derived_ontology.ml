@@ -101,7 +101,7 @@ let () =
   let redundant = Ls.meet euro city in
   Format.printf "%a  --minimise-->  %a@." (Ls.pp ~schema ()) redundant
     (Ls.pp ~schema ())
-    (Irredundant.minimise inst redundant);
+    (Irredundant.minimise (Subsume_memo.inst inst) redundant);
 
   section "The trivial explanation and its generality";
   let o = Ontology.of_instance inst in

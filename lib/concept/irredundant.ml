@@ -29,11 +29,7 @@ let slim_conjunct h conj =
     in
     Ls.Proj { rel; attr; sels = drop [] sels }
 
-let handle_of handle inst =
-  match handle with Some h -> h | None -> Subsume_memo.inst inst
-
-let minimise ?handle inst c =
-  let h = handle_of handle inst in
+let minimise h c =
   let target = Subsume_memo.extension h c in
   let rec drop kept = function
     | [] -> List.rev kept
@@ -44,8 +40,7 @@ let minimise ?handle inst c =
   in
   Ls.of_conjuncts (List.map (slim_conjunct h) (drop [] (Ls.conjuncts c)))
 
-let is_irredundant ?handle inst c =
-  let h = handle_of handle inst in
+let is_irredundant h c =
   let conjuncts = Ls.conjuncts c in
   let target = ext_of h conjuncts in
   let rec check before = function

@@ -3,15 +3,14 @@
     its conjuncts is equivalent to [C] over [I]. There is a polynomial-time
     algorithm producing an irredundant equivalent. *)
 
-open Whynot_relational
+val minimise : Subsume_memo.inst -> Ls.t -> Ls.t
+(** Drop conjuncts greedily while the extension over the handle's
+    instance [I] is unchanged, then drop selection conditions inside each
+    surviving conjunct the same way (a strengthening beyond Proposition
+    6.2's conjunct-level notion). Polynomial time; the result is
+    irredundant and [≡_{O_I}] the input. *)
 
-val minimise : ?handle:Subsume_memo.inst -> Instance.t -> Ls.t -> Ls.t
-(** Drop conjuncts greedily while the extension over [I] is unchanged, then
-    drop selection conditions inside each surviving conjunct the same way
-    (a strengthening beyond Proposition 6.2's conjunct-level notion).
-    Polynomial time; the result is irredundant and [≡_{O_I}] the input. *)
-
-val is_irredundant : ?handle:Subsume_memo.inst -> Instance.t -> Ls.t -> bool
+val is_irredundant : Subsume_memo.inst -> Ls.t -> bool
 (** Does dropping any single conjunct (or any single selection condition
     inside one) change the extension over [I]? Holds of every
     {!minimise} result. *)

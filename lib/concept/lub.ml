@@ -12,12 +12,8 @@ let tag_selection_free = 0
 let tag_sigma_pruned = 1
 let tag_sigma_unpruned = 2
 
-let handle_of handle inst =
-  match handle with Some h -> h | None -> Subsume_memo.inst inst
-
-let lub ?handle inst x =
+let lub h x =
   if Value_set.is_empty x then invalid_arg "Lub.lub: empty constant set";
-  let h = handle_of handle inst in
   Subsume_memo.memo_lub h ~tag:tag_selection_free x (fun () ->
       let projections =
         List.filter_map
@@ -68,9 +64,8 @@ let conjunct_ext_set h c =
   | Semantics.All -> assert false (* Proj/Nominal extensions are finite *)
   | Semantics.Fin s -> s
 
-let atomic_selection_candidates ?(prune = true) ?handle inst ~rel ~attr x =
-  let h = handle_of handle inst in
-  match Instance.relation inst rel with
+let atomic_selection_candidates ?(prune = true) h ~rel ~attr x =
+  match Instance.relation (Subsume_memo.instance h) rel with
   | None -> []
   | Some r ->
     let arity = Relation.arity r in
@@ -150,15 +145,14 @@ let atomic_selection_candidates ?(prune = true) ?handle inst ~rel ~attr x =
       in
       List.map fst deduped
 
-let lub_sigma ?(prune = true) ?handle inst x =
+let lub_sigma ?(prune = true) h x =
   if Value_set.is_empty x then invalid_arg "Lub.lub_sigma: empty constant set";
-  let h = handle_of handle inst in
   let tag = if prune then tag_sigma_pruned else tag_sigma_unpruned in
   Subsume_memo.memo_lub h ~tag x (fun () ->
       let candidates =
         List.concat_map
           (fun (rel, attr) ->
-             atomic_selection_candidates ~prune ~handle:h inst ~rel ~attr x)
+             atomic_selection_candidates ~prune h ~rel ~attr x)
           (Subsume_memo.positions h)
       in
       Ls.of_conjuncts (nominal_conjuncts x @ candidates))

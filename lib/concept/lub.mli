@@ -15,19 +15,16 @@
 
 open Whynot_relational
 
-val lub : ?handle:Subsume_memo.inst -> Instance.t -> Value_set.t -> Ls.t
-(** Selection-free least upper bound. [handle] routes all memoisation
-    through an explicit (possibly private, per-domain) handle instead of
-    the shared interned one. @raise Invalid_argument on empty [X]. *)
+val lub : Subsume_memo.inst -> Value_set.t -> Ls.t
+(** Selection-free least upper bound over the handle's instance, memoised
+    in the handle. @raise Invalid_argument on empty [X]. *)
 
-val lub_sigma :
-  ?prune:bool -> ?handle:Subsume_memo.inst -> Instance.t -> Value_set.t -> Ls.t
+val lub_sigma : ?prune:bool -> Subsume_memo.inst -> Value_set.t -> Ls.t
 (** Least upper bound with selections. @raise Invalid_argument on empty
     [X]. *)
 
 val atomic_selection_candidates :
   ?prune:bool ->
-  ?handle:Subsume_memo.inst ->
-  Instance.t -> rel:string -> attr:int -> Value_set.t -> Ls.conjunct list
+  Subsume_memo.inst -> rel:string -> attr:int -> Value_set.t -> Ls.conjunct list
 (** The subset-minimal valid atomic concepts [pi_attr(sigma(rel))] whose
     extension contains [X] (exposed for tests and benchmarks). *)

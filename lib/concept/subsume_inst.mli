@@ -6,8 +6,9 @@ open Whynot_relational
 
 val subsumes : Instance.t -> Ls.t -> Ls.t -> bool
 (** [subsumes inst c1 c2] iff [[[c1]]^I ⊆ [[c2]]^I]. Answered through the
-    {!Subsume_memo} layer: verdicts and extensions are cached per
-    (physical) instance, keyed on hash-consed concept ids. *)
+    {!Subsume_memo} layer, through a fresh handle per call: callers that
+    ask many questions of one instance should keep a
+    {!Subsume_memo.inst} handle themselves. *)
 
 val naive_subsumes : Instance.t -> Ls.t -> Ls.t -> bool
 (** The direct, cache-free decision — recomputes both extensions on every

@@ -34,17 +34,6 @@ let c_handles_inst =
 let c_handles_schema =
   Obs.counter "memo.handles.schema" ~doc:"schema memo handles created"
 
-let c_flushes =
-  Obs.counter "memo.flushes" ~doc:"registry flushes (cap reached or clear)"
-
-let c_merges =
-  Obs.counter "memo.merges"
-    ~doc:"per-domain handle caches merged back into a shared handle"
-
-let c_merged_entries =
-  Obs.counter "memo.merged_entries"
-    ~doc:"cache entries copied during handle merges"
-
 (* --- key modules --- *)
 
 module Conj_tbl = Hashtbl.Make (struct
@@ -88,7 +77,13 @@ let c_deadline_trips =
   Obs.counter "memo.deadline.trips"
     ~doc:"operations unwound by a cooperative deadline check"
 
-(* --- per-instance handles --- *)
+(* --- handles ---
+
+   A handle is a plain value owned by whoever creates it: an engine keeps
+   one per worker slot for its whole life, a handle-less entry point
+   creates one per call. Nothing is shared behind the owner's back, so a
+   deadline set on one handle never reaches another. Handles are not
+   thread-safe; each belongs to one domain at a time. *)
 
 type inst = {
   instance : Instance.t;
@@ -101,7 +96,7 @@ type inst = {
   mutable deadline : float;  (* absolute seconds; 0. = none *)
 }
 
-type schema_handle = {
+type schema = {
   sschema : Schema.t;
   cls : Subsume_schema.constraint_class;
   sverdicts : Subsume_schema.verdict Pair_tbl.t;
@@ -127,42 +122,7 @@ let set_inst_deadline h d =
 let set_schema_deadline h d =
   h.sdeadline <- (match d with Some t -> t | None -> 0.)
 
-(* Handles are interned per *physical* instance/schema value: the
-   algorithms thread one instance value through a whole run, so physical
-   identity is exactly the lifetime we want to cache for, and it can never
-   confuse two structurally equal but semantically distinct runs. The
-   registries are capped; past the cap they are flushed wholesale (live
-   handles captured in closures keep working, they just stop being
-   shared), which bounds memory under workloads that churn through many
-   instances (the property-based tests generate thousands). *)
-
-module Phys (T : sig type t end) = Hashtbl.Make (struct
-    type t = T.t
-
-    let equal = ( == )
-    let hash = Hashtbl.hash
-  end)
-
-module Inst_reg = Phys (struct type t = Instance.t end)
-module Schema_reg = Phys (struct type t = Schema.t end)
-
-let max_handles = 64
-let inst_registry : inst Inst_reg.t = Inst_reg.create 64
-let schema_registry : schema_handle Schema_reg.t = Schema_reg.create 16
-
-(* Registry probes are cheap and rare (once per algorithm run), so one
-   lock guards both registries. Handles themselves stay single-domain:
-   the parallel engine gives each worker a {!private_inst} and merges it
-   back with {!absorb_inst} after the join. *)
-let registry_lock = Mutex.create ()
-
-let clear () =
-  Mutex.protect registry_lock (fun () ->
-      Obs.incr c_flushes;
-      Inst_reg.reset inst_registry;
-      Schema_reg.reset schema_registry)
-
-let fresh_inst instance =
+let inst instance =
   Obs.incr c_handles_inst;
   {
     instance;
@@ -174,21 +134,6 @@ let fresh_inst instance =
     lubs = Lub_tbl.create 64;
     deadline = 0.;
   }
-
-let inst instance =
-  Mutex.protect registry_lock (fun () ->
-      match Inst_reg.find_opt inst_registry instance with
-      | Some h -> h
-      | None ->
-        if Inst_reg.length inst_registry >= max_handles then begin
-          Obs.incr c_flushes;
-          Inst_reg.reset inst_registry
-        end;
-        let h = fresh_inst instance in
-        Inst_reg.add inst_registry instance h;
-        h)
-
-let private_inst instance = fresh_inst instance
 
 let instance h = h.instance
 
@@ -271,62 +216,9 @@ let memo_lub h ~tag x compute =
     Lub_tbl.add h.lubs key c;
     c
 
-(* --- merging per-domain handles --- *)
-
-let merge_tbl ~iter ~mem ~addf src =
-  let copied = ref 0 in
-  iter
-    (fun k v ->
-       if not (mem k) then begin
-         addf k v;
-         Stdlib.incr copied
-       end)
-    src;
-  !copied
-
-let absorb_inst ~into src =
-  if not (into.instance == src.instance) then
-    invalid_arg "Subsume_memo.absorb_inst: handles for different instances";
-  if into == src then ()
-  else begin
-    Obs.incr c_merges;
-    let n = ref 0 in
-    n := !n + merge_tbl
-        ~iter:Conj_tbl.iter
-        ~mem:(Conj_tbl.mem into.conj_exts)
-        ~addf:(Conj_tbl.add into.conj_exts)
-        src.conj_exts;
-    n := !n + merge_tbl
-        ~iter:Int_tbl.iter
-        ~mem:(Int_tbl.mem into.exts)
-        ~addf:(Int_tbl.add into.exts)
-        src.exts;
-    n := !n + merge_tbl
-        ~iter:Pair_tbl.iter
-        ~mem:(Pair_tbl.mem into.verdicts)
-        ~addf:(Pair_tbl.add into.verdicts)
-        src.verdicts;
-    n := !n + merge_tbl
-        ~iter:Hashtbl.iter
-        ~mem:(Hashtbl.mem into.columns)
-        ~addf:(Hashtbl.add into.columns)
-        src.columns;
-    n := !n + merge_tbl
-        ~iter:Lub_tbl.iter
-        ~mem:(Lub_tbl.mem into.lubs)
-        ~addf:(Lub_tbl.add into.lubs)
-        src.lubs;
-    (match into.positions, src.positions with
-     | None, (Some _ as ps) -> into.positions <- ps
-     | _ -> ());
-    Obs.add c_merged_entries !n
-  end
-
 (* --- per-schema handles --- *)
 
-type schema = schema_handle
-
-let fresh_schema sschema =
+let schema sschema =
   Obs.incr c_handles_schema;
   {
     sschema;
@@ -335,41 +227,6 @@ let fresh_schema sschema =
     ucqs = Int_tbl.create 64;
     sdeadline = 0.;
   }
-
-let schema sschema =
-  Mutex.protect registry_lock (fun () ->
-      match Schema_reg.find_opt schema_registry sschema with
-      | Some h -> h
-      | None ->
-        if Schema_reg.length schema_registry >= max_handles then begin
-          Obs.incr c_flushes;
-          Schema_reg.reset schema_registry
-        end;
-        let h = fresh_schema sschema in
-        Schema_reg.add schema_registry sschema h;
-        h)
-
-let private_schema sschema = fresh_schema sschema
-
-let absorb_schema ~into src =
-  if not (into.sschema == src.sschema) then
-    invalid_arg "Subsume_memo.absorb_schema: handles for different schemas";
-  if into == src then ()
-  else begin
-    Obs.incr c_merges;
-    let n = ref 0 in
-    n := !n + merge_tbl
-        ~iter:Pair_tbl.iter
-        ~mem:(Pair_tbl.mem into.sverdicts)
-        ~addf:(Pair_tbl.add into.sverdicts)
-        src.sverdicts;
-    n := !n + merge_tbl
-        ~iter:Int_tbl.iter
-        ~mem:(Int_tbl.mem into.ucqs)
-        ~addf:(Int_tbl.add into.ucqs)
-        src.ucqs;
-    Obs.add c_merged_entries !n
-  end
 
 let schema_of h = h.sschema
 let constraint_class h = h.cls

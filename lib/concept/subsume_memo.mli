@@ -9,16 +9,15 @@
     verdict is decided once per run, keyed on the hash-consed concept ids
     of {!Ls.id}.
 
-    Caches live in {e handles}, interned per physical instance or schema
-    value: the algorithms thread one instance value through a run, so
-    handle lookup is a hash-table probe and the caches have exactly the
-    lifetime of the data they describe. Two structurally equal schemas
-    with different physical identity get independent handles — in
-    particular a schema whose constraint set differs can never see stale
-    verdicts (cross-checked by the memo unit tests and the
-    [memo/*] differential properties). Handle registries are capped and
-    flushed wholesale past the cap, bounding memory on instance-churning
-    workloads.
+    Caches live in {e handles}. A handle is a plain value owned by whoever
+    creates it, with no registry behind it: an engine keeps one handle per
+    worker slot for its whole life, and an entry point called without a
+    handle creates one per call and threads it through the run. Handles
+    therefore have exactly the lifetime of their owner, and two owners
+    never share cache state or a deadline. Verdicts are keyed on ids of
+    the process-global hash-consed concepts, so a handle's entries stay
+    valid for as long as the handle lives. Handles are not thread-safe:
+    each belongs to one domain at a time.
 
     All cache traffic is counted through {!Whynot_obs.Obs}
     ([subsume.inst.calls]/[subsume.inst.hits],
@@ -32,24 +31,11 @@ open Whynot_relational
 (** {1 Instance-level caching ([⊑_I], extensions, lubs)} *)
 
 type inst
-(** A memo handle for one (physical) instance. *)
+(** A memo handle for one instance. *)
 
 val inst : Instance.t -> inst
-(** The handle for this instance — interned, so repeated calls with the
-    same instance value share one cache. *)
-
-val private_inst : Instance.t -> inst
-(** A fresh, unregistered handle for this instance. The parallel engine
-    gives each worker domain its own private handle (handles are not
-    thread-safe) and merges the caches back with {!absorb_inst} once the
-    domains join. *)
-
-val absorb_inst : into:inst -> inst -> unit
-(** [absorb_inst ~into src] copies every cache entry of [src] that [into]
-    does not already have (verdicts, extensions, lubs, columns). Both
-    handles must wrap the same physical instance; entries are keyed on
-    process-global hash-consed ids, so merged verdicts stay sound.
-    @raise Invalid_argument when the instances differ. *)
+(** A fresh, empty handle for this instance (counted by
+    [memo.handles.instance]). *)
 
 val instance : inst -> Instance.t
 (** The instance the handle was built from. *)
@@ -82,19 +68,11 @@ val memo_lub : inst -> tag:int -> Value_set.t -> (unit -> Ls.t) -> Ls.t
 (** {1 Schema-level caching ([⊑_S])} *)
 
 type schema
-(** A memo handle for one (physical) schema. *)
+(** A memo handle for one schema. *)
 
 val schema : Schema.t -> schema
-(** The handle for this schema — interned like {!inst}. *)
-
-val private_schema : Schema.t -> schema
-(** A fresh, unregistered schema handle — the schema-level counterpart of
-    {!private_inst}. *)
-
-val absorb_schema : into:schema -> schema -> unit
-(** Merge a private schema handle's verdict and translation caches back
-    into a shared one. Both handles must wrap the same physical schema.
-    @raise Invalid_argument when the schemas differ. *)
+(** A fresh, empty handle for this schema (counted by
+    [memo.handles.schema]); classifies the schema once. *)
 
 val schema_of : schema -> Schema.t
 (** The schema the handle was built from. *)
@@ -123,9 +101,9 @@ val schema_subsumes : ?chase_depth:int -> schema -> Ls.t -> Ls.t -> bool
     cache and raises {!Deadline_exceeded} once the clock passes it, so
     the MGE algorithms — whose expensive work all funnels through these
     entry points — unwind within one candidate evaluation.
-    [Whynot.Engine] sets deadlines on its (shared and per-worker) handles
-    around an operation and converts the exception into a [`Timeout]
-    result; direct callers of this module normally never see the
+    [Whynot.Engine] sets deadlines on its per-worker handles around an
+    operation and converts the exception into a [`Timeout] result; direct
+    callers of this module normally never see the
     exception because handles start with no deadline. *)
 
 exception Deadline_exceeded
@@ -135,11 +113,3 @@ val set_inst_deadline : inst -> float option -> unit
     [Whynot_obs.Obs.now_s () > t]; [None] clears. *)
 
 val set_schema_deadline : schema -> float option -> unit
-
-(** {1 Lifecycle} *)
-
-val clear : unit -> unit
-(** Flush both handle registries: the next [inst]/[schema] call starts
-    cold. Existing handles captured in closures keep working but are no
-    longer shared. Used by the benchmark harness to measure the uncached
-    path, and by tests. *)

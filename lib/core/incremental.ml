@@ -33,125 +33,88 @@ let try_top o wn e =
     e
     (List.init (List.length e) (fun i -> i))
 
-(* --- the per-step core of Algorithm 2 ---
+(* --- one run of Algorithm 2 ---
 
-   Exposed so the sequential driver below and the speculative parallel
-   driver in [Whynot_parallel.Par_incremental] share one definition of
-   what a single absorption step means. A [ctx] carries everything an
-   evaluation needs — instance, variant, memo handle, prepared [O_I] —
-   so a worker domain can evaluate steps against its own private handle. *)
+   A run owns one memo handle: the lubs, the [O_I] membership and
+   subsumption verdicts, the [top] pass and the final shortening all go
+   through it. Callers that keep a handle across runs (an engine) pass it
+   in; otherwise the run creates one. *)
 
-module Step = struct
-  type ctx = {
-    variant : variant;
-    wn : Whynot.t;
-    handle : Subsume_memo.inst;
-    ontology : Ls.t Ontology.t;
-  }
+type ctx = {
+  variant : variant;
+  wn : Whynot.t;
+  handle : Subsume_memo.inst;
+  ontology : Ls.t Ontology.t;
+}
 
-  type state = {
-    support : Value_set.t array;
-    concepts : Ls.t array;
-  }
+let make_ctx ?handle ?(variant = Selection_free) wn =
+  let inst = wn.Whynot.instance in
+  let handle =
+    match handle with Some h -> h | None -> Subsume_memo.inst inst
+  in
+  { variant; wn; handle; ontology = Ontology.of_instance ~handle inst }
 
-  let lub ctx x =
-    let inst = ctx.wn.Whynot.instance in
-    match ctx.variant with
-    | Selection_free -> Lub.lub ~handle:ctx.handle inst x
-    | With_selections -> Lub.lub_sigma ~handle:ctx.handle inst x
+let lub ctx x =
+  match ctx.variant with
+  | Selection_free -> Lub.lub ctx.handle x
+  | With_selections -> Lub.lub_sigma ctx.handle x
 
-  let make_ctx ?handle ?(variant = Selection_free) wn =
-    let inst = wn.Whynot.instance in
-    let handle =
-      match handle with Some h -> h | None -> Subsume_memo.inst inst
-    in
-    { variant; wn; handle; ontology = Ontology.of_instance ~handle inst }
+(* The absorption schedule: position by position, every active-domain
+   constant in the requested order. *)
+let attempts order wn =
+  let adom =
+    let asc = Value_set.elements (Instance.adom wn.Whynot.instance) in
+    match order with `Ascending -> asc | `Descending -> List.rev asc
+  in
+  List.concat_map
+    (fun j -> List.map (fun b -> (j, b)) adom)
+    (List.init (Whynot.arity wn) (fun j -> j))
 
-  let whynot ctx = ctx.wn
-  let ontology ctx = ctx.ontology
-  let handle ctx = ctx.handle
-
-  let init ctx =
-    let support =
-      Array.of_list
-        (List.map Value_set.singleton (Whynot.missing_values ctx.wn))
-    in
-    { support; concepts = Array.map (fun x -> lub ctx x) support }
-
-  let copy_state st =
-    { support = Array.copy st.support; concepts = Array.copy st.concepts }
-
-  let attempts ?(order = `Ascending) wn =
-    let adom =
-      let asc =
-        Value_set.elements (Instance.adom wn.Whynot.instance)
-      in
-      match order with `Ascending -> asc | `Descending -> List.rev asc
-    in
-    List.concat_map
-      (fun j -> List.map (fun b -> (j, b)) adom)
-      (List.init (Whynot.arity wn) (fun j -> j))
-
-  (* The skip test of the sequential loop: [b] already belongs to the
-     position's current extension, so absorbing it cannot change anything. *)
-  let covered ctx st (j, b) = Subsume_memo.mem ctx.handle b st.concepts.(j)
-
-  (* Evaluate one absorption against a (snapshot of the) state: does
-     enlarging position [j]'s support with [b] keep the tuple an
-     explanation? Pure w.r.t. the state — drivers commit separately. *)
-  let evaluate ctx st (j, b) =
-    Obs.incr c_absorb_attempts;
-    let x' = Value_set.add b st.support.(j) in
-    let c' = lub ctx x' in
-    let e' = replace_nth (Array.to_list st.concepts) j c' in
-    if Explanation.is_explanation ctx.ontology ctx.wn e' then Some (x', c')
-    else None
-
-  let commit st j (x', c') =
-    Obs.incr c_absorbed;
-    st.support.(j) <- x';
-    st.concepts.(j) <- c'
-
-  let finish ctx st = try_top ctx.ontology ctx.wn (Array.to_list st.concepts)
-
-  let shorten_explanation ctx e =
-    List.map
-      (Irredundant.minimise ~handle:ctx.handle ctx.wn.Whynot.instance)
-      e
-end
-
-let one_mge_with_trace ?(variant = Selection_free) ?(order = `Ascending) wn =
-  let ctx = Step.make_ctx ~variant wn in
-  let st = Step.init ctx in
+let search ctx order =
+  let support =
+    Array.of_list (List.map Value_set.singleton (Whynot.missing_values ctx.wn))
+  in
+  let concepts = Array.map (lub ctx) support in
   let trace = ref [] in
   List.iter
     (fun (j, b) ->
-       if not (Step.covered ctx st (j, b)) then begin
-         match Step.evaluate ctx st (j, b) with
-         | Some upd ->
-           trace := (j, b, true) :: !trace;
+       (* Skip constants already in the position's extension: absorbing
+          them cannot change anything. *)
+       if not (Subsume_memo.mem ctx.handle b concepts.(j)) then begin
+         Obs.incr c_absorb_attempts;
+         let x' = Value_set.add b support.(j) in
+         let c' = lub ctx x' in
+         let e' = replace_nth (Array.to_list concepts) j c' in
+         let accepted = Explanation.is_explanation ctx.ontology ctx.wn e' in
+         if accepted then begin
+           Obs.incr c_absorbed;
            Log.debug (fun m ->
                m "position %d absorbed %s" (j + 1) (Value.to_string b));
-           Step.commit st j upd
-         | None -> trace := (j, b, false) :: !trace
+           support.(j) <- x';
+           concepts.(j) <- c'
+         end;
+         trace := (j, b, accepted) :: !trace
        end)
-    (Step.attempts ~order wn);
-  (Step.finish ctx st, List.rev !trace)
+    (attempts order ctx.wn);
+  (try_top ctx.ontology ctx.wn (Array.to_list concepts), List.rev !trace)
 
-let one_mge ?(variant = Selection_free) ?(shorten = true) ?order wn =
-  let e, _ = one_mge_with_trace ~variant ?order wn in
-  if shorten then List.map (Irredundant.minimise wn.Whynot.instance) e else e
+let one_mge_with_trace ?variant ?(order = `Ascending) wn =
+  search (make_ctx ?variant wn) order
 
-let check_mge ?handle ?(variant = Selection_free) wn e =
-  let ctx = Step.make_ctx ?handle ~variant wn in
+let one_mge ?handle ?variant ?(shorten = true) ?(order = `Ascending) wn =
+  let ctx = make_ctx ?handle ?variant wn in
+  let e, _ = search ctx order in
+  if shorten then List.map (Irredundant.minimise ctx.handle) e else e
+
+let check_mge ?handle ?variant wn e =
+  let ctx = make_ctx ?handle ?variant wn in
   let inst = wn.Whynot.instance in
-  let o = ctx.Step.ontology in
+  let o = ctx.ontology in
   if not (Explanation.is_explanation o wn e) then false
   else
     let adom = Value_set.elements (Instance.adom inst) in
-    let h = ctx.Step.handle in
     let ext_set c =
-      match Subsume_memo.extension h c with
+      match Subsume_memo.extension ctx.handle c with
       | Semantics.All -> None
       | Semantics.Fin s -> Some s
     in
@@ -164,7 +127,7 @@ let check_mge ?handle ?(variant = Selection_free) wn e =
           (fun b ->
              (not (Value_set.mem b ext))
              &&
-             let c' = Step.lub ctx (Value_set.add b ext) in
+             let c' = lub ctx (Value_set.add b ext) in
              Explanation.is_explanation o wn (replace_nth e j c'))
           adom
         (* (b) jump to top *)

@@ -27,6 +27,7 @@ type variant =
   | With_selections  (** Lemma 5.2 lubs; Theorem 5.4 *)
 
 val one_mge :
+  ?handle:Whynot_concept.Subsume_memo.inst ->
   ?variant:variant ->
   ?shorten:bool ->
   ?order:[ `Ascending | `Descending ] ->
@@ -36,7 +37,10 @@ val one_mge :
     always exists: the nominal tuple explains). [shorten] (default true)
     post-processes each concept with {!Whynot_concept.Irredundant} — a
     polynomial step that, combined with this algorithm, yields an
-    irredundant most-general explanation (Proposition 6.2 discussion). *)
+    irredundant most-general explanation (Proposition 6.2 discussion).
+    The whole run, shortening included, memoises through [handle], which
+    must wrap the question's instance; without one the run creates its
+    own, so a handle-less call starts cold and creates exactly one. *)
 
 val one_mge_with_trace :
   ?variant:variant ->
@@ -62,65 +66,3 @@ val check_mge :
 val trivial_explanation : Whynot.t -> Whynot_concept.Ls.t Explanation.t
 (** The tuple of nominals [({a_1}, ..., {a_m})] — always an explanation
     w.r.t. [O_I] (§5.2). *)
-
-(** {1 The stepwise core}
-
-    One absorption step of Algorithm 2, factored out so the sequential
-    driver above and the speculative parallel driver
-    ([Whynot_parallel.Par_incremental]) share a single definition. A
-    {!Step.ctx} bundles the why-not instance with the memo handle and the
-    prepared [O_I] used for evaluation; giving each worker domain a
-    {e private} handle (see {!Whynot_concept.Subsume_memo.private_inst})
-    makes concurrent evaluation safe, and evaluation is deterministic — a
-    step's verdict depends only on the state snapshot, never on which
-    domain computes it. *)
-
-module Step : sig
-  type ctx
-  (** Evaluation context: variant + instance + memo handle + [O_I]. *)
-
-  type state = {
-    support : Value_set.t array;  (** per-position support sets [X_j] *)
-    concepts : Whynot_concept.Ls.t array;  (** [lub(X_j)] per position *)
-  }
-
-  val make_ctx :
-    ?handle:Whynot_concept.Subsume_memo.inst ->
-    ?variant:variant ->
-    Whynot.t ->
-    ctx
-
-  val whynot : ctx -> Whynot.t
-  val ontology : ctx -> Whynot_concept.Ls.t Ontology.t
-  val handle : ctx -> Whynot_concept.Subsume_memo.inst
-
-  val init : ctx -> state
-  (** Singleton supports from the missing tuple, concepts their lubs. *)
-
-  val copy_state : state -> state
-
-  val attempts :
-    ?order:[ `Ascending | `Descending ] -> Whynot.t -> (int * Value.t) list
-  (** The full absorption schedule [(position, constant)] in the exact
-      order the sequential loop visits it. *)
-
-  val covered : ctx -> state -> int * Value.t -> bool
-  (** The skip test: the constant is already in the position's extension. *)
-
-  val evaluate :
-    ctx -> state -> int * Value.t -> (Value_set.t * Whynot_concept.Ls.t) option
-  (** Evaluate one absorption against a state snapshot without mutating
-      it: [Some (support', concept')] iff the enlarged position keeps the
-      tuple an explanation. *)
-
-  val commit : state -> int -> Value_set.t * Whynot_concept.Ls.t -> unit
-  (** Apply an accepted absorption to the state. *)
-
-  val finish : ctx -> state -> Whynot_concept.Ls.t Explanation.t
-  (** The final [top] refinement pass. *)
-
-  val shorten_explanation :
-    ctx -> Whynot_concept.Ls.t Explanation.t -> Whynot_concept.Ls.t Explanation.t
-  (** Per-position {!Whynot_concept.Irredundant.minimise} through the
-      context's handle. *)
-end

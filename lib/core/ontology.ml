@@ -89,9 +89,9 @@ let of_obda induced =
 
 (* --- ontologies derived from an instance or a schema (Definition 4.8) --- *)
 
-(* [handle] lets the parallel engine prepare an ontology value whose
-   memoisation goes through a per-domain private handle; without it the
-   shared interned handle is used, as before. *)
+(* [handle] lets a caller that owns a memo handle (an engine, one per
+   worker slot) keep its caches across ontology values; without it each
+   ontology value creates and owns a fresh handle. *)
 
 let of_instance ?handle inst =
   let h =
@@ -111,7 +111,7 @@ let of_instance ?handle inst =
 let of_schema ?schema_handle ?handle schema inst =
   (* Schema-level subsumption is costly (containment, counter-model
      search); the algorithms re-ask the same pairs, so all verdicts go
-     through the shared memo layer, keyed on hash-consed concept ids. *)
+     through the memo layer, keyed on hash-consed concept ids. *)
   let sh =
     match schema_handle with
     | Some h -> h

@@ -54,9 +54,9 @@ val of_obda : Whynot_obda.Induced.t -> Whynot_dllite.Dl.basic t
 
 val of_instance :
   ?handle:Whynot_concept.Subsume_memo.inst -> Instance.t -> Whynot_concept.Ls.t t
-(** [O_I] (Definition 4.8): infinite; subsumption is [⊑_I]. [handle]
-    routes memoisation through an explicit (possibly private, per-domain)
-    handle — see {!Whynot_concept.Subsume_memo.private_inst}. *)
+(** [O_I] (Definition 4.8): infinite; subsumption is [⊑_I]. Memoisation
+    goes through [handle] when given (it must wrap [inst]); otherwise the
+    ontology creates and owns a fresh handle. *)
 
 val of_schema :
   ?schema_handle:Whynot_concept.Subsume_memo.schema ->

@@ -64,27 +64,30 @@ let covers_witness o t e =
 let is_why_explanation o t e = covers_witness o t e && product_inside o t e
 
 let lub_of = function
-  | Incremental.Selection_free -> fun inst x -> Lub.lub inst x
-  | Incremental.With_selections -> fun inst x -> Lub.lub_sigma inst x
+  | Incremental.Selection_free -> Lub.lub
+  | Incremental.With_selections -> fun h x -> Lub.lub_sigma h x
 
 let replace_nth xs n x = List.mapi (fun i y -> if i = n then x else y) xs
 
+(* Each call owns one memo handle, shared by its lubs, [O_I] and the
+   final shortening. *)
 let one_mge ?(variant = Incremental.Selection_free) t =
-  let lub = lub_of variant in
   let inst = t.instance in
-  let o = Ontology.of_instance inst in
+  let h = Subsume_memo.inst inst in
+  let lub = lub_of variant h in
+  let o = Ontology.of_instance ~handle:h inst in
   let adom = Value_set.elements (Instance.adom inst) in
   let m = Tuple.arity t.witness in
   let support =
     Array.of_list (List.map Value_set.singleton (Tuple.to_list t.witness))
   in
-  let concepts = Array.map (fun x -> lub inst x) support in
+  let concepts = Array.map lub support in
   for j = 0 to m - 1 do
     List.iter
       (fun b ->
          if not (Semantics.mem b concepts.(j) inst) then begin
            let x' = Value_set.add b support.(j) in
-           let c' = lub inst x' in
+           let c' = lub x' in
            let e' = replace_nth (Array.to_list concepts) j c' in
            if is_why_explanation o t e' then begin
              support.(j) <- x';
@@ -93,12 +96,13 @@ let one_mge ?(variant = Incremental.Selection_free) t =
          end)
       adom
   done;
-  List.map (Irredundant.minimise inst) (Array.to_list concepts)
+  List.map (Irredundant.minimise h) (Array.to_list concepts)
 
 let check_mge ?(variant = Incremental.Selection_free) t e =
-  let lub = lub_of variant in
   let inst = t.instance in
-  let o = Ontology.of_instance inst in
+  let h = Subsume_memo.inst inst in
+  let lub = lub_of variant h in
+  let o = Ontology.of_instance ~handle:h inst in
   if not (is_why_explanation o t e) then false
   else
     let adom = Value_set.elements (Instance.adom inst) in
@@ -110,7 +114,7 @@ let check_mge ?(variant = Incremental.Selection_free) t e =
           (fun b ->
              (not (Value_set.mem b ext))
              &&
-             let c' = lub inst (Value_set.add b ext) in
+             let c' = lub (Value_set.add b ext) in
              is_why_explanation o t (replace_nth e j c'))
           adom
     in

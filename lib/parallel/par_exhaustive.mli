@@ -15,9 +15,9 @@
     [w]; slot [0] runs on the calling domain. The slots may share
     immutable structure (in particular the concept list, which fixes the
     candidate order) but each must answer [mem]/[subsumes] through
-    domain-private mutable state — see
-    {!Whynot_concept.Subsume_memo.private_inst}. The callback is invoked
-    at most once per slot, from that slot's own domain. *)
+    domain-private mutable state — [Whynot.Engine] gives each slot its own
+    memo handle. The callback is invoked at most once per slot, from that
+    slot's own domain. *)
 
 open Whynot_core
 

@@ -32,7 +32,7 @@
       comparisons.
     - The {!Whynot_concept.Subsume_memo} layer vs the cache-free deciders:
       cached [⊑_I] vs [Subsume_inst.naive_subsumes] (including the
-      guaranteed-hit replay and the cached extension), and cached [⊑_S]
+      guaranteed-hit replay on one handle and the cached extension), and cached [⊑_S]
       vs the uncached [Subsume_schema.decide] oracle.
     - Text [Parser] vs {!Surface} printer: concept, document and value
       round-trips. *)

@@ -76,8 +76,7 @@ val is_unsatisfiable_syntactic : t -> bool
     constant... (conservative check: only comparisons are inspected). *)
 
 (** Compiled evaluation plans — the planning half of the query-evaluation
-    kernel (the storage half is {!Eval_index}; the public face of the
-    subsystem is the [Whynot_eval] facade library).
+    kernel (the storage half is {!Eval_index}).
 
     A plan fixes a greedy join order over the query's atoms — at each step
     the atom with the most already-bound positions (constants included),

@@ -1,6 +1,5 @@
 (** Indexed read-only view of an {!Instance} — the storage half of the
-    query-evaluation kernel (the planning half is {!Cq.Plan}; the public
-    face of the subsystem is the [Whynot_eval] facade library).
+    query-evaluation kernel (the planning half is {!Cq.Plan}).
 
     A handle materialises each relation as a tuple array once and then
     builds, lazily and cached for the lifetime of the handle, two kinds of

@@ -98,13 +98,6 @@ let variant_of req =
 
 (* --- session lifecycle --- *)
 
-let physical_copy inst =
-  (* Interned memo/eval handles key on physical identity, so each session
-     gets its own copy of a shared workload instance: handle state (and
-     the per-request deadline living on it) never crosses sessions. *)
-  Instance.fold (fun name r acc -> Instance.add_relation name r acc) inst
-    Instance.empty
-
 let empty_doc relations fds inds views =
   {
     Parser.relations;
@@ -165,13 +158,9 @@ let handle_create deps req =
           (Schema.inds schema)
           (View.defs (Schema.views schema))
       in
-      Ok
-        ( schema,
-          physical_copy instance,
-          query,
-          missing,
-          doc,
-          Registry.Workload w )
+      (* Workload sessions share the immutable instance and its locked,
+         read-only eval index; each engine owns its memo handles. *)
+      Ok (schema, instance, query, missing, doc, Registry.Workload w)
     | None, Some text ->
       let* doc = of_text_result (Parser.parse text) in
       let* schema = of_text_result (Parser.schema_of doc) in

@@ -7,16 +7,16 @@ module Schema_mge = Whynot_core.Schema_mge
 module Subsume_memo = Whynot_concept.Subsume_memo
 module Pool = Whynot_parallel.Pool
 module Par_exhaustive = Whynot_parallel.Par_exhaustive
-module Par_incremental = Whynot_parallel.Par_incremental
 module Obs = Whynot_obs.Obs
 
 type t = {
   schema : Schema.t option;
   instance : Instance.t;
   pool : Pool.t;
-  (* Slot 0 is the shared interned handle; slots 1.. are domain-private.
-     Workers warm their private caches during a parallel run, and the
-     verdicts are merged back into slot 0 when the run retires. *)
+  (* Memo handles owned by this engine, one per worker slot: slot 0 serves
+     the calling domain (every sequential operation), slots 1.. only
+     Algorithm 1's worker domains. Each slot stays warm across operations;
+     no other engine ever sees them. *)
   inst_handles : Subsume_memo.inst array;
   schema_handles : Subsume_memo.schema array option;
   mutable closed : bool;
@@ -36,16 +36,11 @@ let create ?schema ?(domains = 1) ~instance () =
          (Printf.sprintf "Engine.create: domains must be >= 1 (got %d)" domains))
   else
     let inst_handles =
-      Array.init domains (fun w ->
-          if w = 0 then Subsume_memo.inst instance
-          else Subsume_memo.private_inst instance)
+      Array.init domains (fun _ -> Subsume_memo.inst instance)
     in
     let schema_handles =
       Option.map
-        (fun s ->
-           Array.init domains (fun w ->
-               if w = 0 then Subsume_memo.schema s
-               else Subsume_memo.private_schema s))
+        (fun s -> Array.init domains (fun _ -> Subsume_memo.schema s))
         schema
     in
     Ok
@@ -72,42 +67,22 @@ let own_question e wn k =
       (`Invalid_config
          "the why-not question was not built over this engine's instance")
 
-(* Merge every domain-private verdict cache back into the shared handle, so
-   later operations (sequential or parallel) start warm. *)
-let join_caches e =
-  let shared = e.inst_handles.(0) in
-  Array.iteri
-    (fun w h -> if w > 0 then Subsume_memo.absorb_inst ~into:shared h)
-    e.inst_handles;
-  Option.iter
-    (fun hs ->
-       Array.iteri
-         (fun w h -> if w > 0 then Subsume_memo.absorb_schema ~into:hs.(0) h)
-         hs)
-    e.schema_handles
-
-let joined e r =
-  join_caches e;
-  r
-
 (* Every operation funnels through this guard, so a closed engine answers
    [`Closed] uniformly and a tripped cooperative deadline surfaces as
-   [`Timeout] instead of an escaping exception. The private worker caches
-   are still merged on the timeout path: whatever verdicts were computed
-   before the trip are valid and keep later operations warm. *)
+   [`Timeout] instead of an escaping exception. Whatever verdicts were
+   cached before the trip are valid and keep later operations warm. *)
 let guard e k =
   if e.closed then Error (`Closed "the engine has been closed")
   else
     match k () with
     | r -> r
     | exception Subsume_memo.Deadline_exceeded ->
-      join_caches e;
       Error (`Timeout "the operation exceeded its deadline")
 
 (* [Some t]: every operation issued (or already running) on this engine
    unwinds with [`Timeout] once [Whynot_obs.Obs.now_s () > t]. The
-   deadline is installed on the shared and every per-worker memo handle,
-   so parallel searches observe it on all domains. *)
+   deadline is installed on every slot's memo handle, so parallel searches
+   observe it on all domains. *)
 let set_deadline e d =
   Array.iter (fun h -> Subsume_memo.set_inst_deadline h d) e.inst_handles;
   Option.iter
@@ -183,20 +158,17 @@ let schema_ontology e sch shs fragment values =
 
 (* --- Algorithm 2 (incremental, w.r.t. O_I) --- *)
 
-let one_mge ?(variant = Incremental.Selection_free) ?order ?shorten e wn =
+let one_mge ?variant ?order ?shorten e wn =
   guard e (fun () ->
       own_question e wn (fun () ->
-          let ctx ~worker =
-            Incremental.Step.make_ctx ~handle:e.inst_handles.(worker) ~variant
-              wn
-          in
-          joined e
-            (Ok (Par_incremental.one_mge e.pool ~ctx ?order ?shorten wn))))
+          Ok
+            (Incremental.one_mge ~handle:e.inst_handles.(0) ?variant ?shorten
+               ?order wn)))
 
-let check_mge ?(variant = Incremental.Selection_free) e wn ex =
+let check_mge ?variant e wn ex =
   guard e (fun () ->
       own_question e wn (fun () ->
-          Ok (Incremental.check_mge ~handle:e.inst_handles.(0) ~variant wn ex)))
+          Ok (Incremental.check_mge ~handle:e.inst_handles.(0) ?variant wn ex)))
 
 (* --- Algorithm 1 (exhaustive, w.r.t. finite ontologies) --- *)
 
@@ -204,19 +176,19 @@ let all_mges ?values e wn =
   guard e (fun () ->
       own_question e wn (fun () ->
           let ontology = instance_ontology e (pool_of ?values wn) in
-          joined e (Par_exhaustive.all_mges e.pool ~ontology wn)))
+          Par_exhaustive.all_mges e.pool ~ontology wn))
 
 let exists_explanation ?values e wn =
   guard e (fun () ->
       own_question e wn (fun () ->
           let ontology = instance_ontology e (pool_of ?values wn) in
-          joined e (Par_exhaustive.exists_explanation e.pool ~ontology wn)))
+          Par_exhaustive.exists_explanation e.pool ~ontology wn))
 
 let one_mge_exhaustive ?values e wn =
   guard e (fun () ->
       own_question e wn (fun () ->
           let ontology = instance_ontology e (pool_of ?values wn) in
-          joined e (Par_exhaustive.one_mge e.pool ~ontology wn)))
+          Par_exhaustive.one_mge e.pool ~ontology wn))
 
 let all_mges_schema ?(fragment = `Minimal) ?values e wn =
   guard e (fun () ->
@@ -224,7 +196,7 @@ let all_mges_schema ?(fragment = `Minimal) ?values e wn =
           match (e.schema, e.schema_handles) with
           | Some sch, Some shs ->
             let ontology = schema_ontology e sch shs fragment (pool_of ?values wn) in
-            joined e (Par_exhaustive.all_mges e.pool ~ontology wn)
+            Par_exhaustive.all_mges e.pool ~ontology wn
           | _ ->
             Error
               (`Missing_input
@@ -242,12 +214,6 @@ let counters (_ : t) = Obs.snapshot ()
 let close e =
   if not e.closed then begin
     e.closed <- true;
-    (* The shared slot-0 handle is interned and may outlive this engine
-       (a later engine over the same physical instance re-interns it), so
-       never leave a stale deadline behind. *)
-    set_deadline e None;
-    join_caches e;
-    Subsume_memo.clear ();
     Pool.close e.pool
   end;
   Ok ()

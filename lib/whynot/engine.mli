@@ -14,14 +14,18 @@
       let* () = Engine.close engine
     ]}
 
-    With [domains = n] the engine runs the MGE searches of Algorithms 1
-    and 2 over [n] domains (the calling domain participates, so [n = 1]
-    is exactly the sequential code path); every search returns the
-    {e same} result as its sequential counterpart regardless of [n] —
-    parallelism changes only the wall-clock, never the answer. Each
-    worker domain owns a private subsumption-memo handle; the private
-    verdict caches are merged into the shared handle when each parallel
-    run joins, so sequential and parallel operations share warmth.
+    With [domains = n] the engine runs Algorithm 1 over [n] domains (the
+    calling domain participates, so [n = 1] is exactly the sequential
+    code path); every search returns the {e same} result as its
+    sequential counterpart regardless of [n] — parallelism changes only
+    the wall-clock, never the answer. Algorithm 2 is one ordered fold and
+    runs sequentially at every [n].
+
+    The engine owns one memo handle per worker slot, created with it:
+    slot 0 serves the calling domain and every sequential operation,
+    slots 1.. only Algorithm 1's worker domains. Each slot stays warm
+    across operations, and no other engine ever sees the handles or the
+    deadline set on them.
 
     Engines are not themselves thread-safe: issue operations from one
     domain at a time. *)
@@ -51,14 +55,13 @@ val set_deadline : t -> float option -> unit
     cooperatively once the wall clock ({!Whynot_obs.Obs.now_s}) passes the
     absolute time [t], returning [`Timeout] instead of a result — the
     cancellation points are the memoised subsumption/extension/lub entry
-    points every search funnels through, on the shared and every
-    per-worker handle, so parallel runs unwind on all domains within one
+    points every search funnels through, on every worker slot's handle,
+    so parallel runs unwind on all domains within one
     candidate evaluation. Verdicts computed before the trip stay cached
     (the engine is left warm and fully usable). [None] clears the
-    deadline. The serving layer installs a deadline per request; engines
-    sharing one {e physical} instance value share the slot-0 handle and
-    therefore its deadline — such engines must not run concurrently
-    anyway (see the thread-safety note above). *)
+    deadline. The serving layer installs a deadline per request. The
+    deadline lives on this engine's own handles: other engines, even over
+    the same instance value, never observe it. *)
 
 val question :
   ?answers:Relation.t ->
@@ -90,9 +93,9 @@ val one_mge :
   t ->
   Whynot_core.Whynot.t ->
   (Whynot_concept.Ls.t Whynot_core.Explanation.t, Whynot_error.t) result
-(** A most-general explanation w.r.t. the instance-derived ontology, by
-    speculative parallel absorption — identical to
-    [Incremental.one_mge] for every domain count. *)
+(** A most-general explanation w.r.t. the instance-derived ontology:
+    [Incremental.one_mge] on the engine's slot-0 handle, at every domain
+    count. *)
 
 val check_mge :
   ?variant:Whynot_core.Incremental.variant ->
@@ -159,8 +162,6 @@ val counters : t -> (string * int) list
     returns they account for every worker's increments. *)
 
 val close : t -> (unit, Whynot_error.t) result
-(** Merge the per-domain verdict caches into the shared handle, clear any
-    pending deadline, flush the process-wide memo registries
-    ({!Whynot_concept.Subsume_memo.clear}), and shut the worker domains
-    down. Idempotent; any further operation on the engine fails with
-    [`Closed]. *)
+(** Shut the worker domains down; the engine's memo handles go with it.
+    Touches no other engine. Idempotent; any further operation on the
+    engine fails with [`Closed]. *)

@@ -11,6 +11,7 @@ let v_int = Value.int
 
 let cities_schema = Whynot_workload.Cities.schema
 let cities = Whynot_workload.Cities.instance
+let cities_h = Subsume_memo.inst cities
 
 let proj ?sels rel attr = Ls.proj ?sels ~rel ~attr ()
 let sel attr op value = { Ls.attr; op; value }
@@ -240,7 +241,7 @@ let test_schema_subsumption_inds () =
 
 let test_lub_basic () =
   let x = Value_set.of_strings [ "New York"; "Tokyo" ] in
-  let l = Lub.lub cities x in
+  let l = Lub.lub cities_h x in
   (match Semantics.extension l cities with
    | Semantics.All -> Alcotest.fail "lub should be finite here"
    | Semantics.Fin s ->
@@ -250,12 +251,12 @@ let test_lub_basic () =
        (Ls.conjuncts l));
   Alcotest.(check bool) "selection-free" true (Ls.is_selection_free l);
   (* Singleton: the nominal makes the lub exactly the singleton. *)
-  let la = Lub.lub cities (Value_set.singleton (v_str "Amsterdam")) in
+  let la = Lub.lub cities_h (Value_set.singleton (v_str "Amsterdam")) in
   Alcotest.(check bool) "singleton lub = {Amsterdam}" true
     (Semantics.ext_equal (Semantics.extension la cities)
        (Semantics.Fin (Value_set.of_strings [ "Amsterdam" ])));
   (* A constant outside the active domain: only the nominal (and top). *)
-  let lout = Lub.lub cities (Value_set.singleton (v_str "Paris")) in
+  let lout = Lub.lub cities_h (Value_set.singleton (v_str "Paris")) in
   Alcotest.(check bool) "out-of-adom lub is nominal" true
     (Ls.equal lout (Ls.nominal (v_str "Paris")))
 
@@ -263,7 +264,7 @@ let test_lub_minimality () =
   (* Lemma 5.1(2): no selection-free concept with extension containing X is
      strictly below the lub. Check against every atomic candidate. *)
   let x = Value_set.of_strings [ "Amsterdam"; "Berlin" ] in
-  let l = Lub.lub cities x in
+  let l = Lub.lub cities_h x in
   let lub_ext = Semantics.extension l cities in
   List.iter
     (fun name ->
@@ -286,7 +287,7 @@ let test_lub_minimality () =
 
 let test_lub_sigma () =
   let x = Value_set.of_strings [ "New York"; "Tokyo" ] in
-  let l = Lub.lub_sigma cities x in
+  let l = Lub.lub_sigma cities_h x in
   (match Semantics.extension l cities with
    | Semantics.All -> Alcotest.fail "lub_sigma should be finite"
    | Semantics.Fin s ->
@@ -296,14 +297,14 @@ let test_lub_sigma () =
      Alcotest.(check bool) "lub_sigma is exactly {NY, Tokyo}" true
        (Value_set.equal s x));
   (* lub_sigma is at least as specific as lub. *)
-  let plain = Lub.lub cities x in
+  let plain = Lub.lub cities_h x in
   Alcotest.(check bool) "lub_sigma <= lub" true
     (Subsume_inst.subsumes cities l plain)
 
 let test_lub_sigma_candidates () =
   let x = Value_set.of_strings [ "Berlin" ] in
   let cands =
-    Lub.atomic_selection_candidates cities ~rel:"Cities" ~attr:1 x
+    Lub.atomic_selection_candidates cities_h ~rel:"Cities" ~attr:1 x
   in
   Alcotest.(check bool) "some candidate" true (cands <> []);
   List.iter
@@ -342,8 +343,9 @@ let prop_lub_contains =
     (fun (inst, x) ->
        Value_set.is_empty x
        ||
-       let l = Lub.lub inst x in
-       let ls = Lub.lub_sigma inst x in
+       let h = Subsume_memo.inst inst in
+       let l = Lub.lub h x in
+       let ls = Lub.lub_sigma h x in
        Value_set.for_all (fun v -> Semantics.mem v l inst) x
        && Value_set.for_all (fun v -> Semantics.mem v ls inst) x
        && Subsume_inst.subsumes inst ls l)
@@ -358,7 +360,7 @@ let prop_lub_sigma_minimal =
     (fun (inst, x, a, b) ->
        Value_set.is_empty x
        ||
-       let ls = Lub.lub_sigma inst x in
+       let ls = Lub.lub_sigma (Subsume_memo.inst inst) x in
        let lse = Semantics.extension ls inst in
        (* Random atomic concept with a selection interval [a..b] on attr 2. *)
        let c =
@@ -376,12 +378,12 @@ let prop_lub_sigma_minimal =
 let test_irredundant () =
   (* pi_name(Cities) is redundant next to the european selection. *)
   let c = Ls.meet c_european c_city in
-  let m = Irredundant.minimise cities c in
+  let m = Irredundant.minimise cities_h c in
   Alcotest.(check bool) "equivalent" true (Subsume_inst.equivalent cities c m);
-  Alcotest.(check bool) "irredundant" true (Irredundant.is_irredundant cities m);
+  Alcotest.(check bool) "irredundant" true (Irredundant.is_irredundant cities_h m);
   Alcotest.(check int) "one conjunct left" 1 (List.length (Ls.conjuncts m));
   Alcotest.(check bool) "original redundant" false
-    (Irredundant.is_irredundant cities c)
+    (Irredundant.is_irredundant cities_h c)
 
 let prop_minimise_sound =
   QCheck2.Test.make ~name:"minimise preserves extension & is irredundant"
@@ -392,9 +394,10 @@ let prop_minimise_sound =
     (fun (inst, x) ->
        Value_set.is_empty x
        ||
-       let c = Lub.lub inst x in
-       let m = Irredundant.minimise inst c in
-       Subsume_inst.equivalent inst c m && Irredundant.is_irredundant inst m)
+       let h = Subsume_memo.inst inst in
+       let c = Lub.lub h x in
+       let m = Irredundant.minimise h c in
+       Subsume_inst.equivalent inst c m && Irredundant.is_irredundant h m)
 
 (* ------------------------------------------------------------------ *)
 (* Counting (Prop 4.2)                                                *)

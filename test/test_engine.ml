@@ -1,8 +1,8 @@
 (* Unit tests for the Whynot.Engine facade: the error paths return
    [Error _] values instead of raising, parallel searches agree with their
    sequential counterparts for every domain count, observability counters
-   aggregate the per-domain stripes, and [close] flushes the memo
-   registries and bricks the engine.
+   aggregate the per-domain stripes, [close] bricks the engine, and two
+   engines over one instance never share memo handles or deadlines.
 
    The domain count used by the cross-domain tests honours the DOMAINS
    environment variable (as CI sets it), so `DOMAINS=4 dune runtest`
@@ -207,14 +207,21 @@ let test_counters_aggregate_across_domains () =
 (* --- the why-not instance is built once per engine --- *)
 
 let budget_counters =
-  [ "eval.index.handles"; "eval.plans.built"; "eval.index.flushes" ]
+  [
+    "eval.index.handles";
+    "eval.plans.built";
+    "eval.index.flushes";
+    "memo.handles.instance";
+    "memo.handles.schema";
+  ]
 
 let read_budget () =
   List.map (fun n -> (n, Obs.value (Obs.counter n))) budget_counters
 
 (* Definition 5.1 fixes the legality of I and Ans = q(I) per instance, so
    once the engine is warm a repeated question + search over Figure 2
-   creates no eval handle, compiles no plan and flushes no registry. *)
+   creates no eval handle, compiles no plan and flushes no registry; the
+   search runs on the engine's own memo handles, so it creates none. *)
 let test_warm_question_counter_budget () =
   with_engine ~schema:Cities.schema @@ fun engine ->
   let round () =
@@ -230,6 +237,21 @@ let test_warm_question_counter_budget () =
     (fun (n, v0) (_, v1) ->
       Alcotest.(check int) (n ^ " added by 50 warm rounds") 0 (v1 - v0))
     before (read_budget ())
+
+(* A handle-less Algorithm 2 run owns exactly one instance handle, shared
+   by its lubs, its O_I and its shortening pass. *)
+let test_handle_less_one_mge_creates_one_handle () =
+  let wn =
+    Whynot.make_exn ~instance:Cities.instance ~query:Cities.two_hop_query
+      ~missing:Cities.missing_tuple ()
+  in
+  let handles () = Obs.value (Obs.counter "memo.handles.instance") in
+  List.iter
+    (fun variant ->
+       let before = handles () in
+       ignore (Incremental.one_mge ~variant wn);
+       Alcotest.(check int) "one handle per call" 1 (handles () - before))
+    [ Incremental.Selection_free; Incremental.With_selections ]
 
 let test_question_reports_schema_violation () =
   (* Two cities of one country on different continents break the FD
@@ -259,14 +281,8 @@ let test_close_flushes_and_bricks () =
   in
   let wn = cities_question engine in
   ignore (get (Engine.one_mge engine wn));
-  let flushes0 = Obs.value (Obs.counter "memo.flushes") in
   Alcotest.(check bool) "close succeeds" true
     (Result.is_ok (Engine.close engine));
-  let flushes1 = Obs.value (Obs.counter "memo.flushes") in
-  Alcotest.(check bool)
-    (Printf.sprintf "close flushed the memo registries (%d -> %d)" flushes0
-       flushes1)
-    true (flushes1 > flushes0);
   Alcotest.(check bool) "is_closed" true (Engine.is_closed engine);
   Alcotest.(check bool) "close is idempotent" true
     (Result.is_ok (Engine.close engine));
@@ -299,6 +315,22 @@ let test_deadline_times_out_and_clears () =
   Engine.set_deadline engine None;
   Alcotest.(check bool) "engine stays usable after a timeout" true
     (Result.is_ok (Engine.one_mge engine wn))
+
+(* Two engines over one instance value own separate memo handles, so a
+   deadline on one never reaches the other, and closing one leaves the
+   other's deadline in place. *)
+let test_engines_isolated () =
+  with_engine ~domains:1 @@ fun a ->
+  with_engine ~domains:1 @@ fun b ->
+  let wn_b = cities_question b in
+  Engine.set_deadline a (Some (Obs.now_s () -. 1.));
+  Alcotest.(check string) "A's expired deadline does not reach B" "ok"
+    (code (Engine.one_mge b wn_b));
+  Engine.set_deadline a None;
+  Engine.set_deadline b (Some (Obs.now_s () -. 1.));
+  ignore (Engine.close a);
+  Alcotest.(check string) "closing A keeps B's deadline" "timeout"
+    (code (Engine.one_mge b wn_b))
 
 let () =
   Alcotest.run "engine"
@@ -340,6 +372,8 @@ let () =
             test_warm_question_counter_budget;
           Alcotest.test_case "illegal instance reported on every question"
             `Quick test_question_reports_schema_violation;
+          Alcotest.test_case "handle-less one_mge creates one memo handle"
+            `Quick test_handle_less_one_mge_creates_one_handle;
         ] );
       ( "shutdown",
         [
@@ -347,5 +381,7 @@ let () =
             test_close_flushes_and_bricks;
           Alcotest.test_case "deadlines time out and clear" `Quick
             test_deadline_times_out_and_clears;
+          Alcotest.test_case "engines never share handles or deadlines"
+            `Quick test_engines_isolated;
         ] );
     ]

@@ -244,18 +244,6 @@ let test_plan_pp () =
   in
   Alcotest.(check bool) "pp mentions the probe" true (contains "probe R")
 
-(* --- the Whynot_eval facade --- *)
-
-let test_facade () =
-  let idx = Whynot_eval.index inst_r in
-  let q = Cq.make ~head:[ var "x" ] ~atoms:[ atom "R" [ var "x"; var "x" ] ] () in
-  Alcotest.check rel_t "facade query = Cq.eval" (Cq.eval q inst_r)
-    (Whynot_eval.query idx q);
-  Alcotest.(check bool) "facade ask = Cq.holds" (Cq.holds q inst_r)
-    (Whynot_eval.ask idx q);
-  Alcotest.(check bool) "facade assignments agree" true
-    (Whynot_eval.assignments idx q = Cq.eval_assignments q inst_r)
-
 (* --- Eval_index selections vs full scans --- *)
 
 let test_select_column_vs_scan () =
@@ -351,7 +339,6 @@ let () =
       ( "index-selections",
         [
           Alcotest.test_case "select_column vs scan" `Quick test_select_column_vs_scan;
-          Alcotest.test_case "facade" `Quick test_facade;
         ] );
       ( "satellites",
         [

@@ -304,8 +304,9 @@ module Handlers = Whynot_server.Handlers
 module Registry = Whynot_server.Registry
 module Obs = Whynot_obs.Obs
 
-(* Warm requests on a session reuse its legality verdict and answer set,
-   so they create no eval handle, compile no plan and flush no registry. *)
+(* Warm requests on a session reuse its legality verdict, answer set and
+   memo handles, so they create no eval or memo handle, compile no plan
+   and flush no registry. *)
 let test_warm_session_counter_budget () =
   let deps =
     {
@@ -337,7 +338,13 @@ let test_warm_session_counter_budget () =
   let read () =
     List.map
       (fun n -> (n, Obs.value (Obs.counter n)))
-      [ "eval.index.handles"; "eval.plans.built"; "eval.index.flushes" ]
+      [
+        "eval.index.handles";
+        "eval.plans.built";
+        "eval.index.flushes";
+        "memo.handles.instance";
+        "memo.handles.schema";
+      ]
   in
   let before = read () in
   for _ = 1 to 50 do
