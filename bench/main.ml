@@ -836,7 +836,7 @@ let par_bench () =
 
 let eval_bench () =
   header "EVAL" "Planned/indexed CQ evaluation kernel vs naive join";
-  row "  planned = Cq.eval (greedy plan over Eval_index, warm caches)@.";
+  row "  planned = Cq.Plan.eval over one Eval_index handle (warm indexes)@.";
   row "  naive   = the retained pre-planner oracle (scan per atom)@.";
   let speedup label naive planned =
     match (naive, planned) with
@@ -861,14 +861,15 @@ let eval_bench () =
              ]
            ()
        in
-       (* Warm the plan and pattern indexes once so the planned row
-          measures the steady state the deciders actually run in. *)
-       ignore (Cq.eval q inst);
+       (* Take the handle once and warm its pattern indexes so the
+          planned row measures the steady state the deciders run in. *)
+       let idx = Eval_index.of_instance inst in
+       ignore (Cq.Plan.eval idx q);
        let params k = [ ("cities", float_of_int n_cities); ("kernel", k) ] in
        let planned =
          timed_ns ~params:(params 1.) "EVAL"
            (Printf.sprintf "two-hop planned / cities=%d" n_cities)
-           (fun () -> Cq.eval q inst)
+           (fun () -> Cq.Plan.eval idx q)
        in
        let naive =
          timed_ns ~params:(params 0.) "EVAL"
@@ -914,16 +915,17 @@ let eval_bench () =
         ]
       ()
   in
-  ignore (Cq.holds q_bool inst);
+  let idx = Eval_index.of_instance inst in
+  ignore (Cq.Plan.eval idx q_bool);
   let holds_t =
     timed_ns ~params:[ ("cities", 160.); ("kernel", 1.) ] "EVAL"
       "boolean holds (short-circuit)"
-      (fun () -> Cq.holds q_bool inst)
+      (fun () -> Cq.Plan.holds idx q_bool)
   in
   let eval_t =
     timed_ns ~params:[ ("cities", 160.); ("kernel", 1.) ] "EVAL"
       "boolean via full eval"
-      (fun () -> not (Relation.is_empty (Cq.eval q_bool inst)))
+      (fun () -> not (Relation.is_empty (Cq.Plan.eval idx q_bool)))
   in
   speedup "holds vs full eval" eval_t holds_t
 

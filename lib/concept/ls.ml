@@ -71,11 +71,11 @@ let intern_table : t Intern.t = Intern.create 1024
 let next_id = ref 0
 let interned = Whynot_obs.Obs.counter "ls.interned" ~doc:"distinct hash-consed L_S concepts"
 
-(* The table is process-global on purpose: ids must stay unique across
-   domains so that the parallel engine can merge id-keyed memo caches
-   soundly. Interning is therefore serialised; the critical section is a
-   hash probe, far cheaper than the extension/subsumption work the ids
-   key. *)
+(* The table is process-global on purpose: [equal] and every memo key
+   compare ids, so equal concepts must get one id whichever domain builds
+   them (Algorithm 1's worker domains share one concept list). Interning
+   is therefore serialised; the critical section is a hash probe, far
+   cheaper than the extension/subsumption work the ids key. *)
 let intern_lock = Mutex.create ()
 
 let intern conjs =

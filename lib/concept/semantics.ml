@@ -29,25 +29,27 @@ let ext_cardinality = function
 
 let ext_equal e1 e2 = ext_subset e1 e2 && ext_subset e2 e1
 
-(* [pi_attr(sigma_sels(rel))] answered from the interned {!Eval_index}
-   handle's per-column value indexes instead of a full-relation
-   [Relation.select] scan. The scan version is preserved in
-   [Whynot_proptest.Oracle.scan_conjunct_ext] and pinned against this one
-   by the [ext/indexed-equals-scan] differential property. *)
-let conjunct_ext c inst =
+(* [pi_attr(sigma_sels(rel))] answered from the handle's per-column value
+   indexes instead of a full-relation [Relation.select] scan. The scan
+   version is preserved in [Whynot_proptest.Oracle.scan_conjunct_ext] and
+   pinned against this one by the [ext/indexed-equals-scan] differential
+   property. *)
+let conjunct_ext c idx =
   match c with
   | Ls.Nominal v -> Fin (Value_set.singleton v)
   | Ls.Proj { rel; attr; sels } ->
-    let idx = Eval_index.of_instance inst in
     Fin
       (Eval_index.select_column idx ~rel ~attr
          ~sels:
            (List.map (fun (s : Ls.selection) -> (s.attr, s.op, s.value)) sels))
 
-let extension t inst =
+let indexed_extension t idx =
   List.fold_left
-    (fun acc c -> ext_inter acc (conjunct_ext c inst))
+    (fun acc c -> ext_inter acc (conjunct_ext c idx))
     All (Ls.conjuncts t)
 
-let mem v t inst =
-  List.for_all (fun c -> ext_mem v (conjunct_ext c inst)) (Ls.conjuncts t)
+let indexed_mem v t idx =
+  List.for_all (fun c -> ext_mem v (conjunct_ext c idx)) (Ls.conjuncts t)
+
+let extension t inst = indexed_extension t (Eval_index.of_instance inst)
+let mem v t inst = indexed_mem v t (Eval_index.of_instance inst)

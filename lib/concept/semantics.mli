@@ -20,12 +20,21 @@ val ext_cardinality : ext -> int option
 
 val ext_equal : ext -> ext -> bool
 
-val conjunct_ext : Ls.conjunct -> Instance.t -> ext
-(** Always finite for [Proj] and [Nominal]. *)
+val conjunct_ext : Ls.conjunct -> Eval_index.t -> ext
+(** The extension of one conjunct over the handle's instance, answered
+    from its column indexes. Always finite for [Proj] and [Nominal]. *)
 
 val extension : Ls.t -> Instance.t -> ext
-(** [[C]]^I. *)
+(** [[C]]^I, over a fresh index handle owned by the call. *)
 
 val mem : Value.t -> Ls.t -> Instance.t -> bool
 (** [mem c C I] iff [c ∈ [[C]]^I] — polynomial time, as required by the
-    definition of an S-ontology (Definition 3.1). *)
+    definition of an S-ontology (Definition 3.1). Uses a fresh index handle
+    owned by the call. *)
+
+val indexed_extension : Ls.t -> Eval_index.t -> ext
+(** {!extension} over the caller's handle, so a loop over one instance
+    builds each index once. *)
+
+val indexed_mem : Value.t -> Ls.t -> Eval_index.t -> bool
+(** {!mem} over the caller's handle. *)

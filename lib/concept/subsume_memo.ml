@@ -87,6 +87,7 @@ let c_deadline_trips =
 
 type inst = {
   instance : Instance.t;
+  index : Eval_index.t;  (* the handle's own indexes over [instance] *)
   conj_exts : Semantics.ext Conj_tbl.t;
   exts : Semantics.ext Int_tbl.t;
   verdicts : bool Pair_tbl.t;
@@ -126,6 +127,7 @@ let inst instance =
   Obs.incr c_handles_inst;
   {
     instance;
+    index = Eval_index.of_instance instance;
     conj_exts = Conj_tbl.create 64;
     exts = Int_tbl.create 64;
     verdicts = Pair_tbl.create 64;
@@ -136,13 +138,14 @@ let inst instance =
   }
 
 let instance h = h.instance
+let index h = h.index
 
 let conjunct_ext h conj =
   check_inst_deadline h;
   match Conj_tbl.find_opt h.conj_exts conj with
   | Some e -> e
   | None ->
-    let e = Semantics.conjunct_ext conj h.instance in
+    let e = Semantics.conjunct_ext conj h.index in
     Conj_tbl.add h.conj_exts conj e;
     e
 
@@ -197,9 +200,7 @@ let column h ~rel ~attr =
   match Hashtbl.find_opt h.columns (rel, attr) with
   | Some s -> s
   | None ->
-    let s =
-      Eval_index.column_values (Eval_index.of_instance h.instance) ~rel ~attr
-    in
+    let s = Eval_index.column_values h.index ~rel ~attr in
     Hashtbl.add h.columns (rel, attr) s;
     s
 

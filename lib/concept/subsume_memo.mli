@@ -35,10 +35,16 @@ type inst
 
 val inst : Instance.t -> inst
 (** A fresh, empty handle for this instance (counted by
-    [memo.handles.instance]). *)
+    [memo.handles.instance]). It owns one {!Eval_index.t} over the
+    instance, which every cache miss reads through. *)
 
 val instance : inst -> Instance.t
 (** The instance the handle was built from. *)
+
+val index : inst -> Eval_index.t
+(** The handle's own index over its instance; callers that evaluate
+    queries against the same instance reuse it instead of building
+    another. *)
 
 val extension : inst -> Ls.t -> Semantics.ext
 (** [[C]]^I, memoised per {!Ls.id} with a shared per-conjunct cache (the

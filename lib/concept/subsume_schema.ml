@@ -213,8 +213,10 @@ let refute_with_counter_model ~chase_depth ~translate schema c1 c2 =
        match chase_to_legal_instance ~depth:chase_depth schema inst0 with
        | None -> false
        | Some full ->
+         let idx = Eval_index.of_instance full in
          let refuted =
-           Semantics.mem head c1 full && not (Semantics.mem head c2 full)
+           Semantics.indexed_mem head c1 idx
+           && not (Semantics.indexed_mem head c2 idx)
          in
          if refuted then
            Log.debug (fun m ->

@@ -18,7 +18,8 @@ let shortest_mge_selection_free wn =
          (List.hd mges) (List.tl mges))
 
 let minimise_concept_exact inst c =
-  let target = Semantics.extension c inst in
+  let idx = Eval_index.of_instance inst in
+  let target = Semantics.indexed_extension c idx in
   (* Atomic vocabulary: every projection position of the instance, plus
      nominals over the target extension (only they can help pin points). *)
   let projections =
@@ -47,7 +48,9 @@ let minimise_concept_exact inst c =
         @ subsets_of_size k rest
   in
   let matches conjs =
-    Semantics.ext_equal (Semantics.extension (Ls.of_conjuncts conjs) inst) target
+    Semantics.ext_equal
+      (Semantics.indexed_extension (Ls.of_conjuncts conjs) idx)
+      target
   in
   let rec search k =
     if k > List.length pool then c

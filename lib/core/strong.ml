@@ -60,11 +60,12 @@ let combined_query schema wn e =
    q-answer all of whose components inhabit the corresponding concepts? *)
 let witnesses schema inst wn e =
   ignore schema;
-  let answers = Cq.eval wn.Whynot.query inst in
+  let idx = Eval_index.of_instance inst in
+  let answers = Cq.Plan.eval idx wn.Whynot.query in
   Relation.exists
     (fun t ->
        List.for_all2
-         (fun c i -> Semantics.mem (Tuple.get t i) c inst)
+         (fun c i -> Semantics.indexed_mem (Tuple.get t i) c idx)
          e
          (List.init (List.length e) (fun i -> i + 1)))
     answers

@@ -85,7 +85,7 @@ let one_mge ?(variant = Incremental.Selection_free) t =
   for j = 0 to m - 1 do
     List.iter
       (fun b ->
-         if not (Semantics.mem b concepts.(j) inst) then begin
+         if not (Subsume_memo.mem h b concepts.(j)) then begin
            let x' = Value_set.add b support.(j) in
            let c' = lub x' in
            let e' = replace_nth (Array.to_list concepts) j c' in
@@ -107,7 +107,7 @@ let check_mge ?(variant = Incremental.Selection_free) t e =
   else
     let adom = Value_set.elements (Instance.adom inst) in
     let improvable j c =
-      match Semantics.extension c inst with
+      match Subsume_memo.extension h c with
       | Semantics.All -> false
       | Semantics.Fin ext ->
         List.exists

@@ -147,12 +147,13 @@ let is_recursive t =
 
 (* --- evaluation --- *)
 
-(* Evaluate one rule body against [inst], optionally forcing one positive
-   literal (by index) to range over the delta relation stored under a
-   reserved name. Returns the derived head tuples. *)
+(* Evaluate one rule body against the handle's instance, optionally forcing
+   one positive literal (by index) to range over the delta relation stored
+   under a reserved name. Returns the derived head tuples. *)
 let delta_prefix = "\000delta:"
 
-let eval_rule inst r ~delta_index =
+let eval_rule idx r ~delta_index =
+  let inst = Eval_index.instance idx in
   let atoms =
     List.mapi (fun i lit -> (i, lit)) r.body
     |> List.filter_map
@@ -165,7 +166,7 @@ let eval_rule inst r ~delta_index =
             | Neg _ -> None)
   in
   let q = Cq.make ~head:r.head.Cq.args ~atoms ~comparisons:r.comparisons () in
-  let assignments = Cq.eval_assignments q inst in
+  let assignments = Cq.Plan.eval_assignments idx q in
   let value_of binding = function
     | Cq.Const c -> Some c
     | Cq.Var v -> List.assoc_opt v binding
@@ -228,18 +229,20 @@ let eval t inst =
               | None -> inst)
            inst stratum
        in
-       (* First round: every rule, no delta. *)
-       let derive_all inst ~use_delta delta_map =
+       (* First round: every rule, no delta. The rules of one round share
+          one index handle over the instance they read. *)
+       let derive_all inst ~use_delta =
+         let idx = Eval_index.of_instance inst in
          List.fold_left
            (fun acc r ->
               let derived =
                 if not use_delta then
-                  eval_rule inst r ~delta_index:None
+                  eval_rule idx r ~delta_index:None
                 else
                   (* Semi-naive: one variant per recursive literal, with
                      that literal ranging over the delta. *)
                   List.concat_map
-                    (fun i -> eval_rule delta_map r ~delta_index:(Some i))
+                    (fun i -> eval_rule idx r ~delta_index:(Some i))
                     (recursive_literal_indices r stratum)
               in
               List.fold_left
@@ -256,7 +259,7 @@ let eval t inst =
                   (p, tuple) :: delta ))
            (inst, []) facts
        in
-       let inst, delta0 = add_new inst (derive_all inst ~use_delta:false inst) in
+       let inst, delta0 = add_new inst (derive_all inst ~use_delta:false) in
        let rec iterate inst delta =
          if delta = [] then inst
          else
@@ -268,7 +271,7 @@ let eval t inst =
                inst delta
            in
            let inst', delta' =
-             add_new inst (derive_all delta_map ~use_delta:true delta_map)
+             add_new inst (derive_all delta_map ~use_delta:true)
            in
            iterate inst' delta'
        in

@@ -502,24 +502,27 @@ let gen_cq_with_instance =
 (* [Cq.eval]/[Cq.holds]/[Cq.eval_assignments] now compile a greedy plan
    over [Eval_index]; the pre-planner backtracking join lives on in
    {!Oracle}. The two routes must agree exactly — answer relation, Boolean
-   verdict, and assignment list (same variable order, same sort). Asking
-   twice exercises the plan/index caches on the replay. *)
+   verdict, and assignment list (same variable order, same sort). The
+   handle-less entry points build a handle per call; asking twice over
+   one explicit handle also exercises its warm indexes on the replay. *)
 let eval_planned_equals_naive =
   prop "eval/planned-equals-naive" 400
     (fun (q, inst) -> Printf.sprintf "%s\n%s" (str_cq q) (str_instance inst))
     gen_cq_with_instance
     (fun (q, inst) ->
-      let planned = Cq.eval q inst in
-      let replayed = Cq.eval q inst in
+      let idx = Eval_index.of_instance inst in
+      let planned = Cq.Plan.eval idx q in
+      let replayed = Cq.Plan.eval idx q in
       let naive = Oracle.naive_eval q inst in
       Relation.equal planned naive
       && Relation.equal replayed naive
+      && Relation.equal (Cq.eval q inst) naive
       && Cq.holds q inst = Oracle.naive_holds q inst
       && Cq.eval_assignments q inst = Oracle.naive_eval_assignments q inst)
 
 (* [Semantics.extension] now answers each conjunct from the per-column
-   value indexes of the interned [Eval_index] handle; the full-scan
-   version is the oracle. *)
+   value indexes of an [Eval_index] handle; the full-scan version is the
+   oracle. The replay reads the warm indexes of one explicit handle. *)
 let ext_indexed_equals_scan =
   prop "ext/indexed-equals-scan" 400
     (fun (inst, c) ->
@@ -528,10 +531,13 @@ let ext_indexed_equals_scan =
      let* c = Gen.concept ~max_conjuncts:4 Gen.rs_schema in
      QG.return (inst, c))
     (fun (inst, c) ->
-      let indexed = Semantics.extension c inst in
-      let replayed = Semantics.extension c inst in
+      let idx = Eval_index.of_instance inst in
+      let indexed = Semantics.indexed_extension c idx in
+      let replayed = Semantics.indexed_extension c idx in
       let scan = Oracle.scan_extension c inst in
-      Semantics.ext_equal indexed scan && Semantics.ext_equal replayed scan)
+      Semantics.ext_equal indexed scan
+      && Semantics.ext_equal replayed scan
+      && Semantics.ext_equal (Semantics.extension c inst) scan)
 
 (* ------------------------------------------------------------------ *)
 (* The engine's once-per-instance question vs a fresh one              *)

@@ -23,54 +23,6 @@ let make ~head ~atoms ?(comparisons = []) () = { head; atoms; comparisons }
 
 let arity q = List.length q.head
 
-(* --- hash-consed identities ---
-
-   Atoms and whole queries are given process-unique integer ids via intern
-   side-tables (the types stay transparent, so this is identity
-   hash-consing rather than representation sharing). Structurally equal
-   values — under [Stdlib.compare], so float constants behave like they do
-   in the rest of the order — always receive the same id, which makes the
-   ids usable as memo keys for translation and containment caches. *)
-
-module Intern (K : sig type t end) = struct
-  module Tbl = Hashtbl.Make (struct
-      type t = K.t
-
-      let equal a b = Stdlib.compare a b = 0
-      let hash = Hashtbl.hash
-    end)
-
-  let make counter =
-    let table : int Tbl.t = Tbl.create 256 in
-    let next = ref 0 in
-    (* Serialised like {!Ls.intern}: ids are memo keys shared across the
-       parallel engine's domains, so they must be globally unique. *)
-    let lock = Mutex.create () in
-    fun k ->
-      Mutex.protect lock (fun () ->
-          match Tbl.find_opt table k with
-          | Some id -> id
-          | None ->
-            let id = !next in
-            Stdlib.incr next;
-            Whynot_obs.Obs.incr counter;
-            Tbl.add table k id;
-            id)
-end
-
-module Atom_intern = Intern (struct type nonrec t = atom end)
-module Query_intern = Intern (struct type nonrec t = t end)
-
-let atom_id =
-  Atom_intern.make
-    (Whynot_obs.Obs.counter "cq.atoms.interned"
-       ~doc:"distinct hash-consed CQ atoms")
-
-let id =
-  Query_intern.make
-    (Whynot_obs.Obs.counter "cq.queries.interned"
-       ~doc:"distinct hash-consed CQs")
-
 let add_var seen acc = function
   | Const _ -> (seen, acc)
   | Var v -> if List.mem v seen then (seen, acc) else (v :: seen, v :: acc)
@@ -192,18 +144,16 @@ let is_unsatisfiable_syntactic q =
    bindings, one full relation scan per atom) that used to live here is
    preserved verbatim in [Whynot_proptest.Oracle] as the differential
    oracle; the [eval/planned-equals-naive] property pins the two routes
-   against each other.  Production evaluation compiles each query, per
-   indexed instance, into a {!Plan}: a greedy join order whose steps probe
-   {!Eval_index} pattern indexes with the already-bound variables and
-   check comparisons the moment their subject is bound. *)
+   against each other.  Production evaluation compiles each query, on
+   every call, against an indexed instance into a {!Plan}: a greedy join
+   order whose steps probe {!Eval_index} pattern indexes with the
+   already-bound variables and check comparisons the moment their subject
+   is bound. *)
 
 module Plan = struct
   module Obs = Whynot_obs.Obs
 
   let c_built = Obs.counter "eval.plans.built" ~doc:"query plans compiled"
-
-  let c_cached =
-    Obs.counter "eval.plans.cached" ~doc:"plan requests answered from cache"
 
   type key_part =
     | K_const of Value.t
@@ -240,7 +190,7 @@ module Plan = struct
 
   (* --- compilation --- *)
 
-  let build idx q =
+  let of_query idx q =
     Obs.incr c_built;
     let slots : (string, int) Hashtbl.t = Hashtbl.create 16 in
     let atom_vars =
@@ -370,43 +320,6 @@ module Plan = struct
       p_qvars = qvars;
       p_shape = shape;
     }
-
-  (* --- the per-(instance handle, query) plan cache --- *)
-
-  module Phys_tbl = Hashtbl.Make (struct
-      type t = Eval_index.t
-
-      let equal = ( == )
-      let hash = Hashtbl.hash
-    end)
-
-  module Int_tbl = Hashtbl.Make (Int)
-
-  let max_plan_tables = 64
-  let plan_registry : plan Int_tbl.t Phys_tbl.t = Phys_tbl.create 64
-  let plan_lock = Mutex.create ()
-
-  let of_query idx q =
-    let qid = id q in
-    Mutex.protect plan_lock (fun () ->
-        let tbl =
-          match Phys_tbl.find_opt plan_registry idx with
-          | Some tbl -> tbl
-          | None ->
-            if Phys_tbl.length plan_registry >= max_plan_tables then
-              Phys_tbl.reset plan_registry;
-            let tbl = Int_tbl.create 16 in
-            Phys_tbl.add plan_registry idx tbl;
-            tbl
-        in
-        match Int_tbl.find_opt tbl qid with
-        | Some p ->
-          Obs.incr c_cached;
-          p
-        | None ->
-          let p = build idx q in
-          Int_tbl.add tbl qid p;
-          p)
 
   (* --- execution --- *)
 
@@ -553,6 +466,7 @@ module Plan = struct
         ppf steps
 end
 
+(* One handle per call, owned (and dropped) by the call. *)
 let eval q inst = Plan.eval (Eval_index.of_instance inst) q
 let holds q inst = Plan.holds (Eval_index.of_instance inst) q
 let eval_assignments q inst = Plan.eval_assignments (Eval_index.of_instance inst) q

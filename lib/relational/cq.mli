@@ -33,14 +33,6 @@ val make :
 
 val arity : t -> int
 
-val atom_id : atom -> int
-(** Hash-consed identity of an atom: structurally equal atoms share an id.
-    Ids are process-unique memo keys; they are not stable across runs. *)
-
-val id : t -> int
-(** Hash-consed identity of a whole query (same contract as {!atom_id});
-    the key used by the translation caches of the subsumption memo layer. *)
-
 val vars : t -> string list
 (** All variables, in first-occurrence order (head, then atoms, then
     comparisons). *)
@@ -84,13 +76,15 @@ val is_unsatisfiable_syntactic : t -> bool
     compiles variables to integer slots so a binding is a mutable
     [Value.t option array], probes {!Eval_index} pattern indexes with the
     bound positions of each atom, and checks each comparison at the first
-    step that binds its subject. Plans are cached per
-    (physical index handle, {!id}) pair. *)
+    step that binds its subject. Plans are not cached: every call
+    compiles one, and a caller that wants to reuse indexes across queries
+    passes one {!Eval_index.t} to every call. *)
 module Plan : sig
   type plan
 
   val of_query : Eval_index.t -> t -> plan
-  (** The (cached) plan for [t] over this indexed instance. *)
+  (** Compile the plan for [t] over this indexed instance (counted by
+      [eval.plans.built]). *)
 
   val eval : Eval_index.t -> t -> Relation.t
   val holds : Eval_index.t -> t -> bool
@@ -106,8 +100,9 @@ end
 val eval : t -> Instance.t -> Relation.t
 (** All answers over the instance (set semantics). A Boolean query (empty
     head) evaluates to the arity-0 relation containing the empty tuple iff
-    the query holds. Evaluates via {!Plan} over the interned
-    {!Eval_index.of_instance} handle. *)
+    the query holds. Evaluates via {!Plan} over a fresh
+    {!Eval_index.of_instance} handle owned by the call; to share indexes
+    across calls, take one handle and use {!Plan.eval}. *)
 
 val holds : t -> Instance.t -> bool
 (** [holds q inst]: the Boolean version — is [eval] non-empty? Unlike

@@ -16,9 +16,6 @@ let c_scanned =
   Obs.counter "eval.tuples.scanned"
     ~doc:"tuples touched while building indexes or scanning unindexed atoms"
 
-let c_flushes =
-  Obs.counter "eval.index.flushes" ~doc:"indexed-instance registry flushes"
-
 (* --- per-relation data --- *)
 
 (* A pattern index groups the tuples of one relation by their projection
@@ -59,81 +56,49 @@ type rel_data = {
 
 type t = {
   instance : Instance.t;
-  rels : (string, rel_data) Hashtbl.t;
+  rels : (string, rel_data option) Hashtbl.t;
   lock : Mutex.t;
-  (* All lazy index building happens under [lock]; once an index is
-     published it is never mutated again, but concurrent readers must not
-     race a [Hashtbl.add], so probes take the lock for the (cheap)
-     find-or-build step and only then walk the frozen result. *)
+  (* All lazy building — a relation's tuple array on first touch, then its
+     indexes — happens under [lock]; once published, data is never
+     mutated again, but concurrent readers must not race a [Hashtbl.add],
+     so lookups take the lock for the (cheap) find-or-build step and only
+     then walk the frozen result. *)
 }
 
 let instance h = h.instance
 
-let empty_rel_data arity =
-  {
-    tuples = [||];
-    rel_arity = arity;
-    patterns = Key_tbl.create 4;
-    columns = Array.make (max arity 1) None;
-  }
-
-let make instance =
-  Obs.incr c_handles;
-  let rels = Hashtbl.create 16 in
-  List.iter
-    (fun name ->
-       match Instance.relation instance name with
-       | None -> ()
-       | Some r ->
-         let arity = Relation.arity r in
-         let tuples = Array.of_list (Relation.to_list r) in
-         Hashtbl.replace rels name
-           { (empty_rel_data arity) with tuples })
-    (Instance.relation_names instance);
-  { instance; rels; lock = Mutex.create () }
-
-(* --- the handle registry ---
-
-   Handles are interned per *physical* instance value, exactly like the
-   memo handles of the concept layer: instances are immutable, so a
-   physically new instance is the only way the data can change, and a new
-   physical value simply gets a fresh handle — that is the whole index
-   invalidation story.  The registry is capped and flushed wholesale past
-   the cap, which bounds memory under instance-churning workloads (the
-   property harness generates thousands of small instances). *)
-
-module Phys_tbl = Hashtbl.Make (struct
-    type t = Instance.t
-
-    let equal = ( == )
-    let hash = Hashtbl.hash
-  end)
-
-let max_handles = 64
-let registry : t Phys_tbl.t = Phys_tbl.create 64
-let registry_lock = Mutex.create ()
-
+(* A handle belongs to whoever creates it and lives exactly as long as its
+   owner: there is no registry behind it. Creating one does no work; each
+   relation is materialised the first time it is touched. Instances are
+   immutable, so an index can never go stale. *)
 let of_instance instance =
-  Mutex.protect registry_lock (fun () ->
-      match Phys_tbl.find_opt registry instance with
-      | Some h -> h
-      | None ->
-        if Phys_tbl.length registry >= max_handles then begin
-          Obs.incr c_flushes;
-          Phys_tbl.reset registry
-        end;
-        let h = make instance in
-        Phys_tbl.add registry instance h;
-        h)
+  Obs.incr c_handles;
+  { instance; rels = Hashtbl.create 16; lock = Mutex.create () }
 
-let clear () =
-  Mutex.protect registry_lock (fun () ->
-      Obs.incr c_flushes;
-      Phys_tbl.reset registry)
+let load h name =
+  Option.map
+    (fun r ->
+       let arity = Relation.arity r in
+       {
+         tuples = Array.of_list (Relation.to_list r);
+         rel_arity = arity;
+         patterns = Key_tbl.create 4;
+         columns = Array.make (max arity 1) None;
+       })
+    (Instance.relation h.instance name)
 
 (* --- lookups --- *)
 
-let rel_data h name = Hashtbl.find_opt h.rels name
+(* Call with [h.lock] held. *)
+let find_rel h name =
+  match Hashtbl.find_opt h.rels name with
+  | Some rd -> rd
+  | None ->
+    let rd = load h name in
+    Hashtbl.add h.rels name rd;
+    rd
+
+let rel_data h name = Mutex.protect h.lock (fun () -> find_rel h name)
 
 let arity h name =
   Option.map (fun rd -> rd.rel_arity) (rel_data h name)
@@ -169,12 +134,10 @@ let build_pattern rd cols =
   tbl
 
 let pattern_index h ~rel ~cols =
-  match rel_data h rel with
-  | None -> None
-  | Some rd ->
-    let ck = cols_key cols in
-    Some
-      (Mutex.protect h.lock (fun () ->
+  Mutex.protect h.lock (fun () ->
+      Option.map
+        (fun rd ->
+           let ck = cols_key cols in
            match Key_tbl.find_opt rd.patterns ck with
            | Some tbl ->
              Obs.incr c_hits;
@@ -182,7 +145,8 @@ let pattern_index h ~rel ~cols =
            | None ->
              let tbl = build_pattern rd cols in
              Key_tbl.add rd.patterns ck tbl;
-             tbl))
+             tbl)
+        (find_rel h rel))
 
 let no_matches : Tuple.t list = []
 
@@ -217,13 +181,12 @@ let build_column rd attr =
   { by_value; sorted; distinct }
 
 let column_index h ~rel ~attr =
-  match rel_data h rel with
-  | None -> None
-  | Some rd ->
-    if attr < 1 then
-      invalid_arg (Printf.sprintf "Eval_index: attribute %d out of range" attr);
-    Some
-      (Mutex.protect h.lock (fun () ->
+  Mutex.protect h.lock (fun () ->
+      Option.map
+        (fun rd ->
+           if attr < 1 then
+             invalid_arg
+               (Printf.sprintf "Eval_index: attribute %d out of range" attr);
            (* Out-of-range attributes on a non-empty relation fail inside
               [build_column] via [Tuple.get], matching the full-scan
               behaviour of [Relation.column]/[Relation.select]. *)
@@ -239,7 +202,8 @@ let column_index h ~rel ~attr =
            | None ->
              let ci = build_column rd attr in
              rd.columns.(attr - 1) <- Some ci;
-             ci))
+             ci)
+        (find_rel h rel))
 
 let column_values h ~rel ~attr =
   Obs.incr c_probes;

@@ -1,9 +1,9 @@
 (** Indexed read-only view of an {!Instance} — the storage half of the
     query-evaluation kernel (the planning half is {!Cq.Plan}).
 
-    A handle materialises each relation as a tuple array once and then
-    builds, lazily and cached for the lifetime of the handle, two kinds of
-    index:
+    A handle materialises each relation as a tuple array the first time
+    the relation is touched and then builds, lazily and cached for the
+    lifetime of the handle, two kinds of index:
 
     - {e pattern indexes}: the relation's tuples grouped by their
       projection onto a list of bound columns — what a compiled join step
@@ -13,13 +13,15 @@
       including range operators) and {!Whynot_concept.Semantics.conjunct_ext}
       resolve against without scanning the relation.
 
-    {b Lifecycle and invalidation.} Handles are interned per {e physical}
-    instance value ({!of_instance}), mirroring the memo handles of the
-    concept layer: instances are immutable, so data can only "change" by
-    constructing a new physical instance, which simply maps to a fresh
-    handle with no indexes — stale indexes are unrepresentable. The
-    registry is capped; past the cap it is flushed wholesale (live handles
-    keep working, they just stop being shared).
+    {b Lifecycle and invalidation.} A handle is a plain value owned by
+    whoever creates it, like the memo handles of the concept layer: there
+    is no registry behind {!of_instance}, so a handle and its indexes live
+    exactly as long as their owner and keep nothing else alive. Owners
+    that evaluate many queries against one instance (an engine, a
+    search loop) take one handle and pass it down; a handle-less call such
+    as [Cq.eval] makes one per call. Instances are immutable, so data can
+    only "change" by constructing a new instance, which gets a new handle
+    from its owner — stale indexes are unrepresentable.
 
     Handles are safe to share across domains: lazy index building happens
     under a per-handle mutex, and a published index is never mutated. *)
@@ -27,12 +29,11 @@
 type t
 
 val of_instance : Instance.t -> t
-(** The (registry-cached) handle for this physical instance value. *)
+(** A fresh handle for this instance, owned by the caller (counted by
+    [eval.index.handles]). Creating it does no work: each relation's tuple
+    array and indexes are built on first use. *)
 
 val instance : t -> Instance.t
-
-val clear : unit -> unit
-(** Flush the handle registry (for cold-start measurements). *)
 
 val arity : t -> string -> int option
 (** Arity of the named relation, [None] when absent. *)

@@ -15,13 +15,17 @@ let of_cq q = { arity = Cq.arity q; disjuncts = [ q ] }
 
 let arity u = u.arity
 
+(* The disjuncts share one index handle, owned by the call. *)
 let eval u inst =
+  let idx = Eval_index.of_instance inst in
   List.fold_left
-    (fun acc q -> Relation.union acc (Cq.eval q inst))
+    (fun acc q -> Relation.union acc (Cq.Plan.eval idx q))
     (Relation.empty ~arity:u.arity)
     u.disjuncts
 
-let holds u inst = List.exists (fun q -> Cq.holds q inst) u.disjuncts
+let holds u inst =
+  let idx = Eval_index.of_instance inst in
+  List.exists (fun q -> Cq.Plan.holds idx q) u.disjuncts
 
 let constants u =
   List.fold_left

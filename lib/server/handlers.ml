@@ -158,8 +158,8 @@ let handle_create deps req =
           (Schema.inds schema)
           (View.defs (Schema.views schema))
       in
-      (* Workload sessions share the immutable instance and its locked,
-         read-only eval index; each engine owns its memo handles. *)
+      (* Workload sessions share the immutable instance; each engine owns
+         its memo handles and the eval indexes they read through. *)
       Ok (schema, instance, query, missing, doc, Registry.Workload w)
     | None, Some text ->
       let* doc = of_text_result (Parser.parse text) in

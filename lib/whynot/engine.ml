@@ -22,11 +22,12 @@ type t = {
   mutable closed : bool;
   (* Definition 5.1 takes the legality of I and Ans = q(I) as inputs of a
      why-not instance. Legality is checked on the first [question] and
-     kept; Ans is kept for the last query asked, keyed by [Cq.id]. Plain
-     fields, not [Lazy.t]: engines serve one domain at a time, and a
-     racing recomputation is harmless where a racing [Lazy.force] raises. *)
+     kept; Ans is kept for the last query asked, keyed by the query value
+     itself. Plain fields, not [Lazy.t]: engines serve one domain at a
+     time, and a racing recomputation is harmless where a racing
+     [Lazy.force] raises. *)
   mutable legality : (unit, Whynot_error.t) result option;
-  mutable answers : (int * Relation.t) option;
+  mutable answers : (Cq.t * Relation.t) option;
 }
 
 let create ?schema ?(domains = 1) ~instance () =
@@ -98,15 +99,15 @@ let legality e =
     e.legality <- Some r;
     r
 
-(* [None] for an unsafe query, which [Whynot.make] then reports. *)
+(* [None] for an unsafe query, which [Whynot.make] then reports. Ans is
+   evaluated over slot 0's index, the engine's own. *)
 let cached_answers e query =
-  let id = Cq.id query in
   match e.answers with
-  | Some (id', r) when id' = id -> Some r
+  | Some (q, r) when Stdlib.compare q query = 0 -> Some r
   | _ when not (Cq.is_safe query) -> None
   | _ ->
-    let r = Cq.eval query e.instance in
-    e.answers <- Some (id, r);
+    let r = Cq.Plan.eval (Subsume_memo.index e.inst_handles.(0)) query in
+    e.answers <- Some (query, r);
     Some r
 
 (* The checks run in [Whynot.make ~schema]'s order: the question's own

@@ -80,8 +80,9 @@ val question :
     why-not instance once instead of per question: legality of the
     instance is checked on the first [question] (not in {!create}) and the
     verdict, [Ok] or [`Schema_violation], is returned by every later one;
-    [Ans = q(I)] is kept for the last query asked (keyed by {!Cq.id}), so
-    repeated questions over one query evaluate it once. A caller-supplied
+    [Ans = q(I)] is evaluated over the engine's own index and kept for
+    the last query asked (keyed by the query value), so repeated
+    questions over one query evaluate it once. A caller-supplied
     [answers] is used as is and not kept. *)
 
 (** {1 Algorithm 2 — incremental search w.r.t. [O_I]} *)

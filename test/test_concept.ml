@@ -309,7 +309,7 @@ let test_lub_sigma_candidates () =
   Alcotest.(check bool) "some candidate" true (cands <> []);
   List.iter
     (fun c ->
-       let cext = Semantics.conjunct_ext c cities in
+       let cext = Semantics.conjunct_ext c (Subsume_memo.index cities_h) in
        Alcotest.(check bool) "candidate contains X" true
          (Value_set.for_all (fun v -> Semantics.ext_mem v cext) x))
     cands

@@ -1,8 +1,9 @@
 (* Unit tests for the Whynot.Engine facade: the error paths return
    [Error _] values instead of raising, parallel searches agree with their
    sequential counterparts for every domain count, observability counters
-   aggregate the per-domain stripes, [close] bricks the engine, and two
-   engines over one instance never share memo handles or deadlines.
+   aggregate the per-domain stripes, [close] bricks the engine, two
+   engines over one instance never share memo handles or deadlines, and
+   nothing keeps a dropped instance alive.
 
    The domain count used by the cross-domain tests honours the DOMAINS
    environment variable (as CI sets it), so `DOMAINS=4 dune runtest`
@@ -210,18 +211,27 @@ let budget_counters =
   [
     "eval.index.handles";
     "eval.plans.built";
-    "eval.index.flushes";
+    "eval.index.builds";
     "memo.handles.instance";
     "memo.handles.schema";
   ]
 
+(* Read from the snapshot, not through [Obs.counter]: that call would
+   register a misspelt or deleted name and read 0, passing vacuously. *)
 let read_budget () =
-  List.map (fun n -> (n, Obs.value (Obs.counter n))) budget_counters
+  let snap = Obs.snapshot () in
+  List.map
+    (fun n ->
+       match List.assoc_opt n snap with
+       | Some v -> (n, v)
+       | None -> Alcotest.failf "budget counter %s is not registered" n)
+    budget_counters
 
 (* Definition 5.1 fixes the legality of I and Ans = q(I) per instance, so
    once the engine is warm a repeated question + search over Figure 2
-   creates no eval handle, compiles no plan and flushes no registry; the
-   search runs on the engine's own memo handles, so it creates none. *)
+   creates no eval handle, compiles no plan and builds no index; the
+   search runs on the engine's own memo handles and their indexes, so it
+   creates none. *)
 let test_warm_question_counter_budget () =
   with_engine ~schema:Cities.schema @@ fun engine ->
   let round () =
@@ -332,6 +342,38 @@ let test_engines_isolated () =
   Alcotest.(check string) "closing A keeps B's deadline" "timeout"
     (code (Engine.one_mge b wn_b))
 
+(* --- ownership: a dropped instance is collectable --- *)
+
+(* A fresh instance value with Figure 2's facts, built at run time so the
+   GC can reclaim it (static data never is). *)
+let fresh_cities () =
+  Instance.fold Instance.add_relation Cities.instance Instance.empty
+
+(* Run [use] on a fresh instance that only a weak pointer sees afterwards,
+   then report whether a full major collection reclaims it. *)
+let collected use =
+  let w = Weak.create 1 in
+  let run () =
+    let inst = fresh_cities () in
+    Weak.set w 0 (Some inst);
+    use inst
+  in
+  (Sys.opaque_identity run) ();
+  Gc.full_major ();
+  not (Weak.check w 0)
+
+let test_dropped_instances_collected () =
+  Alcotest.(check bool) "instance collected after a handle-less Cq.eval" true
+    (collected (fun inst ->
+         ignore (Sys.opaque_identity (Cq.eval Cities.two_hop_query inst))));
+  Alcotest.(check bool) "instance collected after an engine is closed" true
+    (collected (fun instance ->
+         let engine =
+           get (Engine.create ~domains:env_domains ~instance ())
+         in
+         ignore (get (Engine.one_mge engine (cities_question engine)));
+         ignore (Engine.close engine)))
+
 let () =
   Alcotest.run "engine"
     [
@@ -383,5 +425,7 @@ let () =
             test_deadline_times_out_and_clears;
           Alcotest.test_case "engines never share handles or deadlines"
             `Quick test_engines_isolated;
+          Alcotest.test_case "dropped instances are collected" `Quick
+            test_dropped_instances_collected;
         ] );
     ]

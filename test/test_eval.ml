@@ -1,7 +1,7 @@
 (* Edge cases of the planned/indexed CQ evaluation kernel: unsafe queries,
    constants in heads and atom positions, comparison-only queries, empty
    atom lists, repeated variables inside one atom, zero-arity relations,
-   plan/index caching, and the satellite fixes (Tuple.append,
+   index ownership and reuse, and the satellite fixes (Tuple.append,
    Relation.product, Instance.restrict, Cq.freeze). Where it sharpens the
    check, the planned route is also pinned against the retained naive
    oracle on the same input. *)
@@ -158,73 +158,59 @@ let test_arity_mismatch_raises () =
     (Invalid_argument "Tuple.get: attribute 3 out of range 1..2") (fun () ->
       ignore (Oracle.naive_eval q inst_r))
 
-(* --- plan and index caching --- *)
+(* --- index ownership and reuse --- *)
 
 let counter_value snap name =
   Option.value ~default:0 (List.assoc_opt name snap)
 
-let test_plan_cache_and_probes () =
-  (* A fresh physical instance guarantees a fresh Eval_index handle. *)
-  let inst =
-    Instance.of_facts
-      [
-        ("R", List.init 50 (fun k -> [ vi k; vi (k + 1) ]));
-        ("S", List.init 50 (fun k -> [ vi (2 * k) ]));
-      ]
-  in
-  let q =
-    Cq.make ~head:[ var "x"; var "y" ]
-      ~atoms:[ atom "S" [ var "x" ]; atom "R" [ var "x"; var "y" ] ]
-      ()
-  in
-  let first, d1 = Obs.delta (fun () -> Cq.eval q inst) in
-  Alcotest.(check bool) "first run compiles a plan" true
-    (counter_value d1 "eval.plans.built" >= 1);
+let join_inst () =
+  Instance.of_facts
+    [
+      ("R", List.init 50 (fun k -> [ vi k; vi (k + 1) ]));
+      ("S", List.init 50 (fun k -> [ vi (2 * k) ]));
+    ]
+
+let join_q =
+  Cq.make ~head:[ var "x"; var "y" ]
+    ~atoms:[ atom "S" [ var "x" ]; atom "R" [ var "x"; var "y" ] ]
+    ()
+
+let test_handle_reuse_and_probes () =
+  let idx = Eval_index.of_instance (join_inst ()) in
+  let first, d1 = Obs.delta (fun () -> Cq.Plan.eval idx join_q) in
+  Alcotest.(check int) "first run compiles a plan" 1
+    (counter_value d1 "eval.plans.built");
   Alcotest.(check bool) "first run builds an index" true
     (counter_value d1 "eval.index.builds" >= 1);
-  let second, d2 = Obs.delta (fun () -> Cq.eval q inst) in
+  let second, d2 = Obs.delta (fun () -> Cq.Plan.eval idx join_q) in
   Alcotest.check rel_t "replay agrees" first second;
-  Alcotest.(check int) "replay compiles nothing"
-    0 (counter_value d2 "eval.plans.built");
+  Alcotest.(check int) "replay compiles its own plan"
+    1 (counter_value d2 "eval.plans.built");
   Alcotest.(check int) "replay builds nothing"
     0 (counter_value d2 "eval.index.builds");
   Alcotest.(check bool) "replay probes the index" true
     (counter_value d2 "eval.index.probes" >= 1)
 
-let test_handle_cap_flush () =
-  (* The handle registry is capped at 64 physical instances; interning a
-     65th must flush the registry wholesale and carry on, with both the
-     pre-flush handles and the accounting staying consistent. *)
-  Eval_index.clear ();
-  let mk k = Instance.of_facts [ ("R", [ [ vi k; vi (k + 1) ] ]) ] in
-  let insts = List.init 65 mk in
-  let handles, d =
-    Obs.delta (fun () -> List.map Eval_index.of_instance insts)
+(* [of_instance] hands out a fresh handle every time: nothing is shared
+   behind the owner's back, so a second owner builds its own indexes. *)
+let test_handles_are_owned () =
+  let inst = join_inst () in
+  let run () =
+    let idx, d = Obs.delta (fun () -> Eval_index.of_instance inst) in
+    Alcotest.(check int) "one handle per call" 1
+      (counter_value d "eval.index.handles");
+    Alcotest.(check int) "creating a handle builds nothing" 0
+      (counter_value d "eval.index.builds");
+    let answers, d = Obs.delta (fun () -> Cq.Plan.eval idx join_q) in
+    (idx, answers, counter_value d "eval.index.builds")
   in
-  Alcotest.(check int) "65 distinct instances intern 65 handles" 65
-    (counter_value d "eval.index.handles");
-  Alcotest.(check int) "the 65th intern flushes the registry" 1
-    (counter_value d "eval.index.flushes");
-  let probe_one h key =
-    List.length (Eval_index.probe h ~rel:"R" ~cols:[ 1 ] [ vi key ])
-  in
-  Alcotest.(check int) "the post-flush handle answers probes" 1
-    (probe_one (List.nth handles 64) 64);
-  Alcotest.(check int) "a pre-flush handle keeps working" 1
-    (probe_one (List.hd handles) 0);
-  (* The flush dropped the first instance's registry entry: re-interning
-     it builds a fresh handle... *)
-  let h1', d2 = Obs.delta (fun () -> Eval_index.of_instance (List.hd insts)) in
-  Alcotest.(check bool) "re-interning after the flush is a fresh handle" true
-    (not (h1' == List.hd handles));
-  Alcotest.(check int) "...counted as one new handle" 1
-    (counter_value d2 "eval.index.handles");
-  (* ...and from then on the registry shares it again. *)
-  let h1'', d3 = Obs.delta (fun () -> Eval_index.of_instance (List.hd insts)) in
-  Alcotest.(check bool) "the fresh handle is shared on the next intern" true
-    (h1'' == h1');
-  Alcotest.(check int) "a registry hit interns nothing" 0
-    (counter_value d3 "eval.index.handles")
+  let h1, a1, builds1 = run () in
+  let h2, a2, builds2 = run () in
+  Alcotest.(check bool) "distinct handles" false (h1 == h2);
+  Alcotest.check rel_t "same answers" a1 a2;
+  Alcotest.(check bool) "the first handle builds its indexes" true
+    (builds1 >= 1);
+  Alcotest.(check int) "the second handle builds them again" builds1 builds2
 
 let test_plan_pp () =
   let idx = Eval_index.of_instance inst_r in
@@ -332,8 +318,8 @@ let () =
         ] );
       ( "caching",
         [
-          Alcotest.test_case "plan cache + probes" `Quick test_plan_cache_and_probes;
-          Alcotest.test_case "handle cap flush" `Quick test_handle_cap_flush;
+          Alcotest.test_case "handle reuse + probes" `Quick test_handle_reuse_and_probes;
+          Alcotest.test_case "handles are owned" `Quick test_handles_are_owned;
           Alcotest.test_case "plan pp" `Quick test_plan_pp;
         ] );
       ( "index-selections",
