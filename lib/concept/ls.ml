@@ -14,14 +14,8 @@ type conjunct =
       sels : selection list;
     }
 
-(* Concepts are hash-consed: [of_conjuncts] interns the normal form, so
-   structurally equal concepts share one physical representation and a
-   unique integer [id]. The id is the memo key used throughout the
-   subsumption/extension caches (see {!Subsume_memo}); [equal] becomes an
-   integer comparison. The intern table is never pruned — concepts are
-   tiny and the live set per process is bounded by the workload. *)
 type t = {
-  id : int;
+  hash : int;
   conjs : conjunct list;
 }
 
@@ -57,48 +51,21 @@ let normalise_conjunct = function
   | Nominal _ as c -> c
   | Proj p -> Proj { p with sels = normalise_sels p.sels }
 
-(* The intern table compares keys with [Stdlib.compare] (not [(=)]) so
-   that floating-point selection constants behave consistently with the
-   structural order used everywhere else. *)
-module Intern = Hashtbl.Make (struct
-    type t = conjunct list
-
-    let equal a b = Stdlib.compare a b = 0
-    let hash = Hashtbl.hash
-  end)
-
-let intern_table : t Intern.t = Intern.create 1024
-let next_id = ref 0
-let interned = Whynot_obs.Obs.counter "ls.interned" ~doc:"distinct hash-consed L_S concepts"
-
-(* The table is process-global on purpose: [equal] and every memo key
-   compare ids, so equal concepts must get one id whichever domain builds
-   them (Algorithm 1's worker domains share one concept list). Interning
-   is therefore serialised; the critical section is a hash probe, far
-   cheaper than the extension/subsumption work the ids key. *)
-let intern_lock = Mutex.create ()
-
-let intern conjs =
-  Mutex.protect intern_lock (fun () ->
-      match Intern.find_opt intern_table conjs with
-      | Some t -> t
-      | None ->
-        let t = { id = !next_id; conjs } in
-        Stdlib.incr next_id;
-        Whynot_obs.Obs.incr interned;
-        Intern.add intern_table conjs t;
-        t)
+(* Deeper than [Hashtbl.hash], whose ten leaves cover about three
+   conjuncts, on which a finite ontology's concepts often agree. Like
+   [Stdlib.compare], it does not tell [-0.0] from [0.0]. *)
+let make conjs = { hash = Hashtbl.hash_param 256 256 conjs; conjs }
 
 let of_conjuncts cs =
-  intern (List.sort_uniq Stdlib.compare (List.map normalise_conjunct cs))
+  make (List.sort_uniq Stdlib.compare (List.map normalise_conjunct cs))
 
-let top = intern []
-let nominal c = intern [ Nominal c ]
+let top = make []
+let nominal c = make [ Nominal c ]
 let proj ?(sels = []) ~rel ~attr () = of_conjuncts [ Proj { rel; attr; sels } ]
 let meet c1 c2 = of_conjuncts (c1.conjs @ c2.conjs)
 let meet_all cs = of_conjuncts (List.concat_map (fun c -> c.conjs) cs)
 let conjuncts t = t.conjs
-let id t = t.id
+let hash t = t.hash
 
 let is_top t = t.conjs = []
 
@@ -144,11 +111,10 @@ let size t =
       (List.length cs - 1) (* ⊓ symbols *)
       cs
 
-(* Interning makes [id] equality coincide with structural equality of the
-   normal forms; [compare] keeps the pre-hash-consing structural order so
-   sorted outputs stay stable. *)
-let compare t1 t2 = if t1.id = t2.id then 0 else Stdlib.compare t1.conjs t2.conjs
-let equal t1 t2 = t1.id = t2.id
+(* Memo handles keep one representative per concept, so warm lookups
+   usually compare a value with itself. *)
+let compare t1 t2 = if t1 == t2 then 0 else Stdlib.compare t1.conjs t2.conjs
+let equal t1 t2 = t1.hash = t2.hash && compare t1 t2 = 0
 
 let attr_label schema rel attr =
   match schema with

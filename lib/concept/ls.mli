@@ -28,16 +28,17 @@ type conjunct =
     }
 
 type t
-(** A concept in normal form. Values are hash-consed: structurally equal
-    concepts share one physical representation and one {!id}, so {!equal}
-    is an integer comparison and ids serve as memo-table keys (see
-    {!Subsume_memo}). *)
+(** A concept in normal form, with the form's {!hash}. Concepts are plain
+    values: structurally equal concepts need not be physically equal, and
+    no table outside their owner keeps them alive. A memo handle that
+    wants one physical value per concept keeps its own representatives
+    (see {!Subsume_memo.canonical}). *)
 
 (** {2 Smart constructors}
 
     The only way to build concepts; each normalises (sorts and
     deduplicates conjuncts and selections, flattens meets, absorbs
-    [top]) and interns the result in the hash-cons table. *)
+    [top]) and hashes the normal form once. *)
 
 val top : t
 val nominal : Value.t -> t
@@ -67,17 +68,19 @@ val size : t -> int
 (** The length measure of §6: the number of symbols needed to write the
     concept out (a token count). *)
 
-val id : t -> int
-(** The hash-consed identity: [id c1 = id c2] iff the concepts are
-    structurally equal (same normal form). Ids are unique within a
-    process run and are {e not} stable across runs — use them as
-    in-memory cache keys only, never persist them. *)
+val hash : t -> int
+(** A hash of the whole normal form (up to 256 nodes of it), stored at
+    construction: constant time, and [equal c1 c2] implies
+    [hash c1 = hash c2]. With {!equal} it makes [Hashtbl.Make (Ls)] a
+    concept-keyed table. *)
 
 val compare : t -> t -> int
-(** Structural order on normal forms (with an [id]-equality fast path). *)
+(** Structural order on normal forms (with a physical-equality fast
+    path). *)
 
 val equal : t -> t -> bool
-(** Constant time, by {!id}. *)
+(** [compare c1 c2 = 0]: physical equality, else equal {!hash}es and
+    equal normal forms. *)
 
 val pp : ?schema:Schema.t -> unit -> Format.formatter -> t -> unit
 (** Mathematical rendering, e.g.

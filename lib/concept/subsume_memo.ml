@@ -43,14 +43,14 @@ module Conj_tbl = Hashtbl.Make (struct
     let hash = Hashtbl.hash
   end)
 
+module Ls_tbl = Hashtbl.Make (Ls)
+
 module Pair_tbl = Hashtbl.Make (struct
-    type t = int * int
+    type t = Ls.t * Ls.t
 
-    let equal (a1, b1) (a2, b2) = a1 = a2 && b1 = b2
-    let hash (a, b) = (a * 65599) + b
+    let equal (a1, b1) (a2, b2) = Ls.equal a1 a2 && Ls.equal b1 b2
+    let hash (a, b) = (Ls.hash a * 65599) + Ls.hash b
   end)
-
-module Int_tbl = Hashtbl.Make (Int)
 
 module Lub_tbl = Hashtbl.Make (struct
     type t = int * Value.t list
@@ -89,7 +89,8 @@ type inst = {
   instance : Instance.t;
   index : Eval_index.t;  (* the handle's own indexes over [instance] *)
   conj_exts : Semantics.ext Conj_tbl.t;
-  exts : Semantics.ext Int_tbl.t;
+  concepts : Ls.t Ls_tbl.t;  (* one representative each: [canonical] *)
+  exts : Semantics.ext Ls_tbl.t;
   verdicts : bool Pair_tbl.t;
   columns : (string * int, Value_set.t) Hashtbl.t;
   mutable positions : (string * int) list option;
@@ -101,7 +102,7 @@ type schema = {
   sschema : Schema.t;
   cls : Subsume_schema.constraint_class;
   sverdicts : Subsume_schema.verdict Pair_tbl.t;
-  ucqs : Ucq.t Int_tbl.t;
+  ucqs : Ucq.t Ls_tbl.t;
   mutable sdeadline : float;
 }
 
@@ -129,7 +130,8 @@ let inst instance =
     instance;
     index = Eval_index.of_instance instance;
     conj_exts = Conj_tbl.create 64;
-    exts = Int_tbl.create 64;
+    concepts = Ls_tbl.create 64;
+    exts = Ls_tbl.create 64;
     verdicts = Pair_tbl.create 64;
     columns = Hashtbl.create 16;
     positions = None;
@@ -139,6 +141,13 @@ let inst instance =
 
 let instance h = h.instance
 let index h = h.index
+
+let canonical h c =
+  match Ls_tbl.find_opt h.concepts c with
+  | Some c -> c
+  | None ->
+    Ls_tbl.add h.concepts c c;
+    c
 
 let conjunct_ext h conj =
   check_inst_deadline h;
@@ -152,8 +161,7 @@ let conjunct_ext h conj =
 let extension h c =
   check_inst_deadline h;
   Obs.incr c_ext_calls;
-  let key = Ls.id c in
-  match Int_tbl.find_opt h.exts key with
+  match Ls_tbl.find_opt h.exts c with
   | Some e ->
     Obs.incr c_ext_hits;
     e
@@ -163,7 +171,7 @@ let extension h c =
         (fun acc conj -> Semantics.ext_inter acc (conjunct_ext h conj))
         Semantics.All (Ls.conjuncts c)
     in
-    Int_tbl.add h.exts key e;
+    Ls_tbl.add h.exts c e;
     e
 
 let mem h v c = Semantics.ext_mem v (extension h c)
@@ -171,7 +179,7 @@ let mem h v c = Semantics.ext_mem v (extension h c)
 let subsumes h c1 c2 =
   check_inst_deadline h;
   Obs.incr c_inst_calls;
-  let key = (Ls.id c1, Ls.id c2) in
+  let key = (c1, c2) in
   match Pair_tbl.find_opt h.verdicts key with
   | Some r ->
     Obs.incr c_inst_hits;
@@ -213,7 +221,7 @@ let memo_lub h ~tag x compute =
     Obs.incr c_lub_hits;
     c
   | None ->
-    let c = compute () in
+    let c = canonical h (compute ()) in
     Lub_tbl.add h.lubs key c;
     c
 
@@ -225,7 +233,7 @@ let schema sschema =
     sschema;
     cls = Subsume_schema.classify sschema;
     sverdicts = Pair_tbl.create 64;
-    ucqs = Int_tbl.create 64;
+    ucqs = Ls_tbl.create 64;
     sdeadline = 0.;
   }
 
@@ -234,20 +242,19 @@ let constraint_class h = h.cls
 
 let translate h c =
   Obs.incr c_translate_calls;
-  let key = Ls.id c in
-  match Int_tbl.find_opt h.ucqs key with
+  match Ls_tbl.find_opt h.ucqs c with
   | Some u ->
     Obs.incr c_translate_hits;
     u
   | None ->
     let u = To_query.ucq h.sschema c in
-    Int_tbl.add h.ucqs key u;
+    Ls_tbl.add h.ucqs c u;
     u
 
 let decide ?chase_depth h c1 c2 =
   check_schema_deadline h;
   Obs.incr c_schema_calls;
-  let key = (Ls.id c1, Ls.id c2) in
+  let key = (c1, c2) in
   match Pair_tbl.find_opt h.sverdicts key with
   | Some v ->
     Obs.incr c_schema_hits;

@@ -6,18 +6,18 @@
     behind [⊑_S] are the most expensive calls in the system. This module
     puts a memo table in front of both {!Subsume_inst} ([⊑_I]) and
     {!Subsume_schema} ([⊑_S]) so each (left, right, constraint-class)
-    verdict is decided once per run, keyed on the hash-consed concept ids
-    of {!Ls.id}.
+    verdict is decided once per run, keyed on the concepts themselves
+    (by {!Ls.hash} and {!Ls.equal}).
 
     Caches live in {e handles}. A handle is a plain value owned by whoever
     creates it, with no registry behind it: an engine keeps one handle per
     worker slot for its whole life, and an entry point called without a
     handle creates one per call and threads it through the run. Handles
     therefore have exactly the lifetime of their owner, and two owners
-    never share cache state or a deadline. Verdicts are keyed on ids of
-    the process-global hash-consed concepts, so a handle's entries stay
-    valid for as long as the handle lives. Handles are not thread-safe:
-    each belongs to one domain at a time.
+    never share cache state or a deadline. Concept identity belongs to
+    the handle too: it keeps one representative value per concept it has
+    produced (see {!canonical}), and that table dies with it. Handles are
+    not thread-safe: each belongs to one domain at a time.
 
     All cache traffic is counted through {!Whynot_obs.Obs}
     ([subsume.inst.calls]/[subsume.inst.hits],
@@ -46,8 +46,14 @@ val index : inst -> Eval_index.t
     queries against the same instance reuse it instead of building
     another. *)
 
+val canonical : inst -> Ls.t -> Ls.t
+(** The handle's stored value {!Ls.equal} to [c]; [c] itself, now
+    stored, when there is none. {!memo_lub} stores its results through it,
+    so warm lookups on them end at physical equality; map concepts built
+    elsewhere (parsed from text, say) through it too. *)
+
 val extension : inst -> Ls.t -> Semantics.ext
-(** [[C]]^I, memoised per {!Ls.id} with a shared per-conjunct cache (the
+(** [[C]]^I, memoised per concept with a shared per-conjunct cache (the
     irredundancy minimiser probes many conjunct subsets of one concept). *)
 
 val conjunct_ext : inst -> Ls.conjunct -> Semantics.ext
@@ -58,7 +64,7 @@ val mem : inst -> Value.t -> Ls.t -> bool
 (** Membership via the cached extension. *)
 
 val subsumes : inst -> Ls.t -> Ls.t -> bool
-(** [C1 ⊑_I C2], memoised on [(Ls.id C1, Ls.id C2)]. *)
+(** [C1 ⊑_I C2], memoised on the pair [(C1, C2)]. *)
 
 val positions : inst -> (string * int) list
 (** All (relation, attribute) positions of the instance, computed once. *)
@@ -69,7 +75,8 @@ val column : inst -> rel:string -> attr:int -> Value_set.t
 val memo_lub : inst -> tag:int -> Value_set.t -> (unit -> Ls.t) -> Ls.t
 (** Compute-through cache for lub results keyed on [(tag, elements X)];
     [tag] separates lub variants (selection-free / with selections /
-    unpruned) that share a handle. *)
+    unpruned) that share a handle. A computed lub is stored as its
+    {!canonical} representative. *)
 
 (** {1 Schema-level caching ([⊑_S])} *)
 
@@ -88,7 +95,7 @@ val constraint_class : schema -> Subsume_schema.constraint_class
     of the handle was decided under this class. *)
 
 val translate : schema -> Ls.t -> Ucq.t
-(** Memoised {!To_query.ucq} (per {!Ls.id}); also passed into
+(** Memoised {!To_query.ucq} (per concept); also passed into
     {!Subsume_schema.decide} as its [translate] hook on cache misses. *)
 
 val decide :

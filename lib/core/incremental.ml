@@ -108,6 +108,8 @@ let one_mge ?handle ?variant ?(shorten = true) ?(order = `Ascending) wn =
 
 let check_mge ?handle ?variant wn e =
   let ctx = make_ctx ?handle ?variant wn in
+  (* Concepts parsed off the wire are fresh values. *)
+  let e = List.map (Subsume_memo.canonical ctx.handle) e in
   let inst = wn.Whynot.instance in
   let o = ctx.ontology in
   if not (Explanation.is_explanation o wn e) then false

@@ -91,14 +91,16 @@ let of_obda induced =
 
 (* [handle] lets a caller that owns a memo handle (an engine, one per
    worker slot) keep its caches across ontology values; without it each
-   ontology value creates and owns a fresh handle. *)
+   ontology value creates and owns a fresh handle. A finite ontology lists
+   the handle's representatives of its concepts. *)
+
+let inst_handle ?handle inst =
+  match handle with
+  | Some h -> h
+  | None -> Whynot_concept.Subsume_memo.inst inst
 
 let of_instance ?handle inst =
-  let h =
-    match handle with
-    | Some h -> h
-    | None -> Whynot_concept.Subsume_memo.inst inst
-  in
+  let h = inst_handle ?handle inst in
   {
     name = "O_I";
     concepts = None;
@@ -111,17 +113,13 @@ let of_instance ?handle inst =
 let of_schema ?schema_handle ?handle schema inst =
   (* Schema-level subsumption is costly (containment, counter-model
      search); the algorithms re-ask the same pairs, so all verdicts go
-     through the memo layer, keyed on hash-consed concept ids. *)
+     through the memo layer, keyed on the concept pairs. *)
   let sh =
     match schema_handle with
     | Some h -> h
     | None -> Whynot_concept.Subsume_memo.schema schema
   in
-  let ih =
-    match handle with
-    | Some h -> h
-    | None -> Whynot_concept.Subsume_memo.inst inst
-  in
+  let ih = inst_handle ?handle inst in
   {
     name = "O_S";
     concepts = None;
@@ -132,11 +130,15 @@ let of_schema ?schema_handle ?handle schema inst =
   }
 
 let of_instance_finite ?handle inst pool =
-  let base = of_instance ?handle inst in
+  let h = inst_handle ?handle inst in
   {
-    base with
+    (of_instance ~handle:h inst) with
     name = "O_I[K]";
-    concepts = Some (Whynot_concept.Count.enumerate_selection_free inst pool);
+    concepts =
+      Some
+        (List.map
+           (Whynot_concept.Subsume_memo.canonical h)
+           (Whynot_concept.Count.enumerate_selection_free inst pool));
   }
 
 let minimal_concepts schema pool =
@@ -148,13 +150,14 @@ let minimal_concepts schema pool =
 
 let of_schema_finite ?(minimal_only = false) ?schema_handle ?handle schema inst
     pool =
-  let base = of_schema ?schema_handle ?handle schema inst in
+  let h = inst_handle ?handle inst in
   let concepts =
     if minimal_only then minimal_concepts schema pool
     else Whynot_concept.Count.enumerate_selection_free inst pool
   in
   {
-    base with
+    (of_schema ?schema_handle ~handle:h schema inst) with
     name = (if minimal_only then "O_S[K]-min" else "O_S[K]");
-    concepts = Some concepts;
+    concepts =
+      Some (List.map (Whynot_concept.Subsume_memo.canonical h) concepts);
   }

@@ -385,6 +385,83 @@ let memo_schema_cached_vs_uncached =
       cached = oracle && replayed = oracle)
 
 (* ------------------------------------------------------------------ *)
+(* Concept identity vs the normal form                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Concepts carry no identity of their own: [equal], [compare] and
+   [hash] must read the normal form and nothing else. A concept rebuilt
+   from its conjuncts shuffled, partly duplicated and with every [Real]
+   zero's sign flipped is equal to it, hashes alike and compares 0; for
+   any two concepts, [equal], [compare = 0] and equal conjunct lists
+   agree, and equal concepts hash alike. One concept in two carries a
+   selection on a signed zero, which [Stdlib.compare] does not tell from
+   the other zero. *)
+let flip_zero (v : Value.t) =
+  match v with
+  | Value.Real x when x = 0. -> Value.real (-.x)
+  | v -> v
+
+let flip_zeros = function
+  | Ls.Nominal v -> Ls.Nominal (flip_zero v)
+  | Ls.Proj p ->
+    Ls.Proj
+      {
+        p with
+        sels =
+          List.map (fun (s : Ls.selection) -> { s with value = flip_zero s.value })
+            p.sels;
+      }
+
+let gen_concept_identity_case =
+  let* c = Gen.concept ~max_conjuncts:4 Gen.rs_schema in
+  let* c =
+    QG.frequency
+      [
+        (1, QG.return c);
+        ( 1,
+          let* rel, attr = QG.oneofl (Schema.positions Gen.rs_schema) in
+          let* op = QG.oneofl Cmp_op.all in
+          let* zero = QG.oneofl [ 0.; -0. ] in
+          let sel = { Ls.attr; op; value = Value.real zero } in
+          QG.return (Ls.meet c (Ls.proj ~rel ~attr ~sels:[ sel ] ())) );
+      ]
+  in
+  let conjs = Ls.conjuncts c in
+  let* dups =
+    if conjs = [] then QG.return []
+    else QG.list_size (QG.int_range 0 2) (QG.oneofl conjs)
+  in
+  let* rebuilt = QG.shuffle_l (List.map flip_zeros (conjs @ dups)) in
+  let* other =
+    QG.frequency
+      [
+        (1, QG.return (Ls.of_conjuncts rebuilt));
+        (3, Gen.concept ~max_conjuncts:4 Gen.rs_schema);
+      ]
+  in
+  QG.return (c, rebuilt, other)
+
+let concept_equal_iff_normal_form =
+  prop "concept/equal-iff-normal-form" 500
+    (fun (c, rebuilt, other) ->
+      Printf.sprintf "C = %s\nrebuilt from = %s\nother = %s" (Ls.to_string c)
+        (Ls.to_string (Ls.of_conjuncts rebuilt))
+        (Ls.to_string other))
+    gen_concept_identity_case
+    (fun (c, rebuilt, other) ->
+      let c' = Ls.of_conjuncts rebuilt in
+      let agree a b =
+        let eq = Ls.equal a b in
+        eq = (Ls.compare a b = 0)
+        && eq = (Stdlib.compare (Ls.conjuncts a) (Ls.conjuncts b) = 0)
+        && ((not eq) || Ls.hash a = Ls.hash b)
+      in
+      Ls.equal c c'
+      && Ls.hash c = Ls.hash c'
+      && Ls.compare c c' = 0
+      && agree c other && agree other c && agree c' other)
+
+(* ------------------------------------------------------------------ *)
 (* Text parser vs the Surface printer                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -641,6 +718,7 @@ let all =
     cq_containment_sound;
     memo_inst_cached_vs_naive;
     memo_schema_cached_vs_uncached;
+    concept_equal_iff_normal_form;
     text_concept_roundtrip;
     text_document_roundtrip;
     text_values_roundtrip;

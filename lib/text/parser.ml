@@ -429,8 +429,9 @@ let parse_file path =
   | src -> parse src
   | exception Sys_error msg -> Error (`Missing_input msg)
 
-let schema_of doc =
-  (* Declare view relations implicitly when missing. *)
+(* Declared relations, then undeclared views with attributes a1..aN:
+   schemas and concept expressions resolve names against this list. *)
+let relation_decls doc =
   let declared = List.map (fun (r : Schema.rel_decl) -> r.name) doc.relations in
   let implicit =
     List.filter_map
@@ -446,10 +447,13 @@ let schema_of doc =
              })
       doc.views
   in
+  doc.relations @ implicit
+
+let schema_of doc =
   Result.map_error
     (fun msg -> `Parse ("schema: " ^ msg))
     (Schema.make ~fds:doc.fds ~inds:doc.inds ~views:doc.views
-       (doc.relations @ implicit))
+       (relation_decls doc))
 
 let instance_of doc =
   let base =
@@ -526,6 +530,7 @@ let split_projection st name =
     (String.sub name 0 i, String.sub name (i + 1) (String.length name - i - 1))
 
 let concept_of_string doc src =
+  let doc = { doc with relations = relation_decls doc } in
   let attr_of ~rel name =
     match int_of_string_opt name with
     | Some k -> k

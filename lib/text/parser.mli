@@ -58,6 +58,8 @@ val parse_file : string -> (document, Whynot_error.t) result
 (** Additionally [`Missing_input] when the file cannot be read. *)
 
 val schema_of : document -> (Schema.t, Whynot_error.t) result
+(** A view the document never declares as a relation is declared
+    implicitly, with attributes named [a1..aN]. *)
 
 val instance_of : document -> Instance.t
 (** The facts, with the document's views materialised when the schema is
@@ -91,5 +93,6 @@ val concept_of_string :
     v}
 
     e.g. [Cities.name[continent = "Europe", population >= 5000000] & {"Rome"}].
-    Attribute names are resolved against the document's relation
-    declarations; positional numbers are accepted too. *)
+    Attribute names are resolved against the relations of {!schema_of}:
+    the declared ones, and each undeclared view with attributes
+    [a1..aN]; positional numbers are accepted too. *)

@@ -1,8 +1,10 @@
 (* The docs cannot drift from the counter registry: every counter named in
    backticks in doc/ARCHITECTURE.md or EXPERIMENTS.md must be registered,
-   and every name on ARCHITECTURE.md's "Deleted counters" list must not
-   be. The executable links every library with -linkall, so each
-   module's toplevel [Obs.counter] calls have run before the check.
+   every registered counter must be named (or matched by a pattern) in
+   doc/ARCHITECTURE.md, and every name on ARCHITECTURE.md's "Deleted
+   counters" list must not be registered. The executable links every
+   library with -linkall, so each module's toplevel [Obs.counter] calls
+   have run before the check.
 
    A code span names counters when, with its whitespace removed, it is a
    dotted lower-case name whose first segment is the namespace of some
@@ -128,14 +130,15 @@ let deleted_names architecture =
 
 let registered () = List.map fst (Obs.snapshot ())
 
+let namespaces names =
+  List.sort_uniq String.compare (List.map namespace names)
+
 let test_docs_name_registered_counters () =
   let architecture = read_file "../doc/ARCHITECTURE.md" in
   let deleted = deleted_names architecture in
   let live = registered () in
   Alcotest.(check bool) "the registry is populated" true (List.length live > 20);
-  let namespaces =
-    List.sort_uniq String.compare (List.map namespace (live @ deleted))
-  in
+  let namespaces = namespaces (live @ deleted) in
   List.iter
     (fun (file, text) ->
        List.iter
@@ -148,6 +151,21 @@ let test_docs_name_registered_counters () =
       ("doc/ARCHITECTURE.md", architecture);
       ("EXPERIMENTS.md", read_file "../EXPERIMENTS.md");
     ]
+
+let test_registered_counters_are_documented () =
+  let architecture = read_file "../doc/ARCHITECTURE.md" in
+  let live = registered () in
+  let documented =
+    counter_names (namespaces (live @ deleted_names architecture)) architecture
+  in
+  List.iter
+    (fun name ->
+       if not (List.exists (fun pattern -> matches pattern name) documented)
+       then
+         Alcotest.failf
+           "counter %s is registered but doc/ARCHITECTURE.md does not name it"
+           name)
+    live
 
 let test_deleted_counters_stay_deleted () =
   let deleted = deleted_names (read_file "../doc/ARCHITECTURE.md") in
@@ -167,6 +185,8 @@ let () =
         [
           Alcotest.test_case "docs name registered counters" `Quick
             test_docs_name_registered_counters;
+          Alcotest.test_case "registered counters are documented" `Quick
+            test_registered_counters_are_documented;
           Alcotest.test_case "deleted counters stay deleted" `Quick
             test_deleted_counters_stay_deleted;
         ] );

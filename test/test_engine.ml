@@ -2,8 +2,9 @@
    [Error _] values instead of raising, parallel searches agree with their
    sequential counterparts for every domain count, observability counters
    aggregate the per-domain stripes, [close] bricks the engine, two
-   engines over one instance never share memo handles or deadlines, and
-   nothing keeps a dropped instance alive.
+   engines over one instance never share memo handles or deadlines,
+   nothing keeps a dropped instance alive, and a closed session leaves
+   neither its concepts nor any other live memory behind.
 
    The domain count used by the cross-domain tests honours the DOMAINS
    environment variable (as CI sets it), so `DOMAINS=4 dune runtest`
@@ -374,6 +375,70 @@ let test_dropped_instances_collected () =
          ignore (get (Engine.one_mge engine (cities_question engine)));
          ignore (Engine.close engine)))
 
+(* --- memory per session: a closed session leaves nothing behind --- *)
+
+(* Concepts are plain values owned by whoever holds them; no process-wide
+   table keeps one alive after its session is closed. The instance's
+   constants exist only here, built at run time. *)
+let test_closed_session_concepts_collected () =
+  let w = Weak.create 1 in
+  let run () =
+    let v k = Value.str ("retention-pin-" ^ string_of_int k) in
+    let instance =
+      Instance.of_facts
+        [ ("Train-Connections", [ [ v 1; v 2 ]; [ v 2; v 3 ] ]) ]
+    in
+    let engine = get (Engine.create ~domains:env_domains ~instance ()) in
+    let wn =
+      get
+        (Engine.question engine ~query:Cities.two_hop_query
+           ~missing:[ v 3; v 1 ] ())
+    in
+    let mge = get (Engine.one_mge engine wn) in
+    ignore (Engine.close engine);
+    match List.find_opt (fun c -> not (Ls.is_top c)) mge with
+    | Some c -> Weak.set w 0 (Some c)
+    | None -> Alcotest.fail "the MGE has no concept other than top"
+  in
+  (Sys.opaque_identity run) ();
+  Gc.full_major ();
+  Alcotest.(check bool) "a concept of a closed session is collected" false
+    (Weak.check w 0)
+
+(* 50 create/question/one_mge/close sessions over distinct seeded
+   instances: each instance has its own population constants, so the
+   selections its lubs pick are new concepts. What a session allocates
+   dies with it, so the live heap after the 50th session is the live heap
+   after the first. *)
+let test_session_churn_keeps_live_words_flat () =
+  let session seed =
+    let _, instance =
+      Whynot_workload.Generate.cities_like ~seed ~n_cities:12 ~n_countries:3
+        ~n_connections:24 ()
+    in
+    let engine = get (Engine.create ~domains:env_domains ~instance ()) in
+    let wn =
+      get
+        (Engine.question engine ~query:Cities.two_hop_query
+           ~missing:[ Value.str "city000"; Value.str "city001" ] ())
+    in
+    ignore
+      (get (Engine.one_mge ~variant:Incremental.With_selections engine wn));
+    ignore (Engine.close engine)
+  in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  session 1;
+  let after_first = live_words () in
+  for seed = 2 to 50 do
+    session seed
+  done;
+  let growth = live_words () - after_first in
+  if growth > 4096 then
+    Alcotest.failf "live words grew by %d over 49 closed sessions" growth
+
 let () =
   Alcotest.run "engine"
     [
@@ -427,5 +492,12 @@ let () =
             `Quick test_engines_isolated;
           Alcotest.test_case "dropped instances are collected" `Quick
             test_dropped_instances_collected;
+        ] );
+      ( "memory",
+        [
+          Alcotest.test_case "closed sessions keep no concept" `Quick
+            test_closed_session_concepts_collected;
+          Alcotest.test_case "session churn keeps live words flat" `Quick
+            test_session_churn_keeps_live_words_flat;
         ] );
     ]

@@ -1,7 +1,7 @@
 (* Unit tests for the memoised subsumption layer (Subsume_memo):
    hit/miss accounting on the observability counters, independence of
    per-schema handles (a schema with a different constraint set must never
-   see another schema's verdicts), hash-consed concept identity, and a
+   see another schema's verdicts), concept identity, and a
    replay of the pinned FD-selection corpus seeds through the cached
    decider. *)
 
@@ -67,7 +67,7 @@ let test_extension_agrees () =
    the FD R: 1 -> 2 (one key, two values), hence subsumed by anything;
    without constraints the witness x with facts (x,5), (x,7) refutes the
    subsumption. Two schema handles must therefore produce different cached
-   verdicts for the same hash-consed concept pair — a
+   verdicts for the same concept pair — a
    shared (or stale) memo table would be caught immediately. *)
 let test_schema_handles_independent () =
   let decls = [ { Schema.name = "R"; attrs = [ "a"; "b" ] } ] in
@@ -106,16 +106,33 @@ let test_schema_handles_independent () =
     "FD changes the verdict" true
     (Memo.decide h_fd c1 c2 <> Memo.decide h_plain c1 c2)
 
-let test_hash_consed_ids () =
+(* Concepts are plain values: equality and hashing are structural on the
+   normal form, a rebuilt concept finds the cache entries of an equal one,
+   and a handle hands out one representative per lub it computes. *)
+let test_concept_identity () =
   let c1 = Ls.meet (pi1 []) (Ls.nominal (Value.int 1)) in
   let c2 = Ls.meet (Ls.nominal (Value.int 1)) (pi1 []) in
   let c3 = Ls.meet (pi1 []) (Ls.nominal (Value.int 2)) in
-  Alcotest.(check bool) "normalised equals share an id" true
-    (Ls.id c1 = Ls.id c2);
-  Alcotest.(check bool) "equal iff same id" true (Ls.equal c1 c2);
-  Alcotest.(check bool) "distinct concepts, distinct ids" true
-    (Ls.id c1 <> Ls.id c3);
-  Alcotest.(check bool) "hash-consed values are shared" true (c1 == c2)
+  Alcotest.(check bool) "normalised equals are equal" true (Ls.equal c1 c2);
+  Alcotest.(check int) "normalised equals hash alike" (Ls.hash c1) (Ls.hash c2);
+  Alcotest.(check bool) "distinct concepts are not equal" false
+    (Ls.equal c1 c3);
+  let h = Memo.inst instance in
+  ignore (Memo.extension h c1);
+  let hits0 = counter "memo.ext.hits" in
+  ignore (Memo.extension h c2);
+  Alcotest.(check int) "a rebuilt equal concept hits the extension cache"
+    (hits0 + 1) (counter "memo.ext.hits");
+  (* Column 1 of R holds 1, 1, 2, 3 and column 2 none of them: {1, 2} and
+     {1, 3} both have the lub pi_1(R), computed twice (the lub cache keys
+     on the set) and stored once. *)
+  let set vs = Value_set.of_list (List.map Value.int vs) in
+  let l12 = Whynot_concept.Lub.lub h (set [ 1; 2 ]) in
+  let l13 = Whynot_concept.Lub.lub h (set [ 1; 3 ]) in
+  Alcotest.(check bool) "both lubs are pi_1(R)" true
+    (Ls.equal l12 (pi1 []) && Ls.equal l13 (pi1 []));
+  Alcotest.(check bool) "equal lubs share the handle's representative" true
+    (l12 == l13)
 
 (* The pinned FD-selection seeds once exposed an unsound Fds_only verdict;
    replay them through the cached decider as well, via the differential
@@ -150,8 +167,7 @@ let () =
             test_extension_agrees;
           Alcotest.test_case "per-schema handles are independent" `Quick
             test_schema_handles_independent;
-          Alcotest.test_case "hash-consed concept ids" `Quick
-            test_hash_consed_ids;
+          Alcotest.test_case "concept identity" `Quick test_concept_identity;
           Alcotest.test_case "corpus replay through the cached decider"
             `Quick test_corpus_replay_cached;
         ] );

@@ -399,6 +399,56 @@ let test_illegal_document_reports_schema_violation () =
   check_error "one_mge" "schema-violation"
     (rpc c "{\"op\":\"one_mge\",\"session\":\"illegal\"}")
 
+(* A view the document never declares renders its attributes as a1..aN;
+   check_mge must parse such a reply back. *)
+let implicit_view_document =
+  String.concat "\n"
+    [
+      "relation R(a, b)";
+      "view V(x) := R(x, y), y >= 3";
+      "fact R(1, 2)";
+      "fact R(2, 3)";
+      "fact R(4, 5)";
+      "query q(x, y) := R(x, y)";
+      "whynot (4, 2)";
+    ]
+
+let test_implicit_view_mge_round_trips () =
+  with_server @@ fun server ->
+  let c = connect (Server.port server) in
+  Fun.protect ~finally:(fun () -> disconnect c) @@ fun () ->
+  let op fields = rpc c (Json.to_string (Json.Obj fields)) in
+  ignore
+    (check_ok "create"
+       (op
+          [
+            ("op", Json.String "create");
+            ("session", Json.String "v");
+            ("document", Json.String implicit_view_document);
+          ]));
+  let mge =
+    match
+      Json.member "mge"
+        (check_ok "one_mge"
+           (op [ ("op", Json.String "one_mge"); ("session", Json.String "v") ]))
+    with
+    | Some (Json.List cs) -> cs
+    | _ -> Alcotest.fail "one_mge replied without an \"mge\" list"
+  in
+  Alcotest.(check bool) "the MGE uses the implicit view" true
+    (List.mem (Json.String "V.a1") mge);
+  let reply =
+    check_ok "check_mge"
+      (op
+         [
+           ("op", Json.String "check_mge");
+           ("session", Json.String "v");
+           ("explanation", Json.List mge);
+         ])
+  in
+  Alcotest.(check bool) "check_mge accepts the one_mge reply" true
+    (Json.member "is_mge" reply = Some (Json.Bool true))
+
 (* --- protocol unit checks (no sockets) --- *)
 
 module Protocol = Whynot_server.Protocol
@@ -441,6 +491,8 @@ let () =
             test_warm_session_counter_budget;
           Alcotest.test_case "illegal document replies schema-violation"
             `Quick test_illegal_document_reports_schema_violation;
+          Alcotest.test_case "implicit-view MGE passes check_mge" `Quick
+            test_implicit_view_mge_round_trips;
         ] );
       ( "robustness",
         [

@@ -215,6 +215,16 @@ let test_concept_expressions () =
   let c2 = parse "BigCity.1" in
   Alcotest.(check bool) "positional" true
     (Whynot_concept.Ls.equal c2 (Whynot_concept.Ls.proj ~rel:"BigCity" ~attr:1 ()));
+  (* An undeclared view gets attributes a1..aN in the schema, and a
+     concept rendered with those names parses back. *)
+  Alcotest.(check bool) "implicit view attribute names" true
+    (Whynot_concept.Ls.equal
+       (parse {|Reachable.a2[a1 = "Amsterdam"]|})
+       (Whynot_concept.Ls.proj ~rel:"Reachable" ~attr:2
+          ~sels:
+            [ { Whynot_concept.Ls.attr = 1; op = Cmp_op.Eq;
+                value = Value.str "Amsterdam" } ]
+          ()));
   (* Extension evaluates as expected against the parsed instance. *)
   let inst = Parser.instance_of doc in
   (match Whynot_concept.Semantics.extension (parse {|Cities.name[continent = "Europe"]|}) inst with
