@@ -434,7 +434,17 @@ let alg2 () =
        let wn = Generate.cities_whynot gi in
        timed ~params:[ ("cities", float_of_int n) ] "ALG2"
          (Printf.sprintf "one MGE / cities=%d" n) (fun () ->
-           Incremental.one_mge ~variant:Incremental.Selection_free ~shorten:false wn))
+           Incremental.one_mge ~variant:Incremental.Selection_free ~shorten:false wn);
+       (* Proposition 5.2: CHECK-MGE of that MGE, also handle-less. *)
+       if n = 40 then begin
+         let e =
+           Incremental.one_mge ~variant:Incremental.Selection_free
+             ~shorten:false wn
+         in
+         timed ~params:[ ("cities", float_of_int n) ] "ALG2"
+           (Printf.sprintf "check MGE / cities=%d" n) (fun () ->
+             Incremental.check_mge wn e)
+       end)
     (sweep [ 20; 40; 80 ]);
   row "-- D4 ablation: constant-offer order --@.";
   let gi = Generate.cities_like ~n_cities:40 ~n_countries:8 ~n_connections:80 () in

@@ -166,35 +166,38 @@ let strict_upgrades o c =
        o.Ontology.subsumes c c' && not (o.Ontology.subsumes c' c))
     (concepts_exn o)
 
-let upgrade_once o wn e =
-  (* Try to strictly generalise a single position. *)
-  let rec try_positions before = function
+(* The first strict single-position upgrade, in position order, that keeps
+   the frontier's tuple an explanation. *)
+let upgrade_once o f =
+  let rec try_positions j = function
     | [] -> None
     | c :: rest ->
-      let candidate_up =
-        List.find_opt
-          (fun c' ->
-             Explanation.is_explanation o wn
-               (List.rev_append before (c' :: rest)))
-          (strict_upgrades o c)
-      in
-      (match candidate_up with
-       | Some c' -> Some (List.rev_append before (c' :: rest))
-       | None -> try_positions (c :: before) rest)
+      (match
+         List.find_opt (Explanation.Frontier.accepts f j) (strict_upgrades o c)
+       with
+       | Some c' -> Some (j, c')
+       | None -> try_positions (j + 1) rest)
   in
-  try_positions [] e
+  try_positions 0 (Explanation.Frontier.concepts f)
 
-let rec generalise_exn o wn e =
-  if not (Explanation.is_explanation o wn e) then
-    invalid_arg "Exhaustive.generalise: not an explanation";
-  match upgrade_once o wn e with
-  | None -> e
-  | Some e' -> generalise_exn o wn e'
+let rec climb o f =
+  match upgrade_once o f with
+  | None -> Explanation.Frontier.concepts f
+  | Some (j, c') ->
+    Explanation.Frontier.replace f j c';
+    climb o f
 
-let is_most_general_exn o wn e = upgrade_once o wn e = None
+let generalise_exn o wn e =
+  match Explanation.Frontier.make o wn e with
+  | None -> invalid_arg "Exhaustive.generalise: not an explanation"
+  | Some f -> climb o f
 
 let check_mge_exn o wn e =
-  Explanation.is_explanation o wn e && is_most_general_exn o wn e
+  match Explanation.Frontier.make o wn e with
+  | None -> false
+  | Some f -> Option.is_none (upgrade_once o f)
+
+let is_most_general_exn = check_mge_exn
 
 let one_mge_exn o wn =
   (* Find any explanation via the existence search, then climb. *)
@@ -280,8 +283,9 @@ let is_most_general o wn e = finite o (fun () -> Ok (is_most_general_exn o wn e)
 
 let generalise o wn e =
   finite o (fun () ->
-      if Explanation.is_explanation o wn e then Ok (generalise_exn o wn e)
-      else
+      match Explanation.Frontier.make o wn e with
+      | Some f -> Ok (climb o f)
+      | None ->
         Error (`Not_an_explanation "Exhaustive.generalise: not an explanation"))
 
 let explanations_seq o wn = finite o (fun () -> Ok (explanations_seq_exn o wn))

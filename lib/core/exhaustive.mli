@@ -52,12 +52,14 @@ val check_mge :
   'c Ontology.t -> Whynot.t -> 'c Explanation.t -> (bool, Whynot_error.t) result
 (** CHECK-MGE: is the candidate an explanation that admits no strict
     single-position upgrade? Also the post-hoc verifier for the output
-    of Algorithm 2 in the differential property tests. *)
+    of Algorithm 2 in the differential property tests. One
+    {!Explanation.Frontier} per call: each strict upgrade at position
+    [j] costs [1 + |D_j|] membership tests. *)
 
 val is_most_general :
   'c Ontology.t -> Whynot.t -> 'c Explanation.t -> (bool, Whynot_error.t) result
-(** Like {!check_mge} but assumes the argument is already known to be an
-    explanation. *)
+(** Like {!check_mge}, for an argument already known to be an
+    explanation (on any other argument it answers [false]). *)
 
 val generalise :
   'c Ontology.t ->
@@ -66,6 +68,9 @@ val generalise :
   ('c Explanation.t, Whynot_error.t) result
 (** Climb: repeatedly upgrade single positions to strictly more general
     concepts while remaining an explanation; the result is most general.
+    Upgrades are tried in position order, then in concept order, over
+    one {!Explanation.Frontier} for the whole climb, as in {!check_mge};
+    each accepted one re-tests [|Ans|] memberships.
     [`Not_an_explanation] when the input is not an explanation. *)
 
 (** {1 Lazy enumeration}

@@ -22,6 +22,57 @@ val disjoint_from_answers : 'c Ontology.t -> Whynot.t -> 'c t -> bool
 val is_explanation : 'c Ontology.t -> Whynot.t -> 'c t -> bool
 (** Both conditions: {!covers_missing} and {!disjoint_from_answers}. *)
 
+(** {1 Frontiers}
+
+    Algorithm 2, CHECK-MGE over [O_I] and Algorithm 1's upgrade loop all
+    ask the same question many times: is the explanation [e], with
+    position [j] replaced by [c], still an explanation? A frontier
+    answers it without re-testing all [|Ans| × arity] memberships.
+
+    A frontier holds an explanation [(C_1, ..., C_m)] and, for every answer
+    [t], which positions exclude it ([t_j ∉ ext(C_j)]). Its invariant is
+    the sets [D_j]: the [j]-th components of the answers that position
+    [j] {e alone} excludes. Every answer is excluded somewhere, because
+    the tuple is an explanation.
+
+    {!Frontier.accepts} is exact, with no assumption on [c] (it need not
+    lie above [C_j]). Replacing [C_j] leaves every answer excluded at
+    another position excluded. The remaining answers are those excluded
+    only at [j], whose components at [j] make up [D_j]. So the modified
+    tuple is an explanation iff [a_j ∈ ext(c)] and [ext(c) ∩ D_j = ∅].
+    That is [1 + |D_j|] membership tests instead of [|Ans| × arity]. *)
+
+module Frontier : sig
+  type 'c t
+  (** Mutable: {!replace} updates it in place. *)
+
+  val make : 'c Ontology.t -> Whynot.t -> 'c list -> 'c t option
+  (** A frontier over the tuple, or [None] exactly when it is not an
+      explanation ({!is_explanation}). Costs [arity × (1 + |Ans|)]
+      membership tests. *)
+
+  val concepts : 'c t -> 'c list
+  (** The current explanation. *)
+
+  val concept : 'c t -> int -> 'c
+  (** Its concept at 0-based position [j]. *)
+
+  val only : 'c t -> int -> Value_set.t
+  (** [D_j]: the [j]-th components of the answers excluded at position
+      [j] and nowhere else. *)
+
+  val accepts : 'c t -> int -> 'c -> bool
+  (** [accepts f j c] iff the current explanation with [c] at position [j]
+      is an explanation: [a_j ∈ ext(c)] and no [v ∈ D_j] is in [ext(c)]. *)
+
+  val replace : 'c t -> int -> 'c -> unit
+  (** [replace f j c] puts [c] at position [j]: it re-tests column [j] of
+      the exclusion flags ([|Ans|] memberships) and recomputes every
+      [D_k]. Call it only when [accepts f j c] holds.
+      @raise Invalid_argument, leaving [f] unchanged, when some answer
+      would be excluded nowhere. *)
+end
+
 val less_general : 'c Ontology.t -> 'c t -> 'c t -> bool
 (** [less_general o e e'] iff [e ≤_O e']: componentwise subsumption. *)
 

@@ -21,17 +21,14 @@ type variant =
 let trivial_explanation wn =
   List.map Ls.nominal (Whynot.missing_values wn)
 
-let replace_nth xs n x = List.mapi (fun i y -> if i = n then x else y) xs
+module Frontier = Explanation.Frontier
 
 (* The [top] refinement: try to lift single positions to [top] (most general
    of all concepts), in order. *)
-let try_top o wn e =
-  List.fold_left
-    (fun e j ->
-       let e' = replace_nth e j Ls.top in
-       if Explanation.is_explanation o wn e' then e' else e)
-    e
-    (List.init (List.length e) (fun i -> i))
+let try_top f =
+  List.iteri
+    (fun j _ -> if Frontier.accepts f j Ls.top then Frontier.replace f j Ls.top)
+    (Frontier.concepts f)
 
 (* --- one run of Algorithm 2 ---
 
@@ -74,29 +71,34 @@ let search ctx order =
   let support =
     Array.of_list (List.map Value_set.singleton (Whynot.missing_values ctx.wn))
   in
-  let concepts = Array.map (lub ctx) support in
+  (* The nominal tuple: an explanation, since [a] is not an answer. *)
+  let f =
+    Option.get
+      (Frontier.make ctx.ontology ctx.wn
+         (Array.to_list (Array.map (lub ctx) support)))
+  in
   let trace = ref [] in
   List.iter
     (fun (j, b) ->
        (* Skip constants already in the position's extension: absorbing
           them cannot change anything. *)
-       if not (Subsume_memo.mem ctx.handle b concepts.(j)) then begin
+       if not (Subsume_memo.mem ctx.handle b (Frontier.concept f j)) then begin
          Obs.incr c_absorb_attempts;
          let x' = Value_set.add b support.(j) in
          let c' = lub ctx x' in
-         let e' = replace_nth (Array.to_list concepts) j c' in
-         let accepted = Explanation.is_explanation ctx.ontology ctx.wn e' in
+         let accepted = Frontier.accepts f j c' in
          if accepted then begin
            Obs.incr c_absorbed;
            Log.debug (fun m ->
                m "position %d absorbed %s" (j + 1) (Value.to_string b));
            support.(j) <- x';
-           concepts.(j) <- c'
+           Frontier.replace f j c'
          end;
          trace := (j, b, accepted) :: !trace
        end)
     (attempts order ctx.wn);
-  (try_top ctx.ontology ctx.wn (Array.to_list concepts), List.rev !trace)
+  try_top f;
+  (Frontier.concepts f, List.rev !trace)
 
 let one_mge_with_trace ?variant ?(order = `Ascending) wn =
   search (make_ctx ?variant wn) order
@@ -110,30 +112,22 @@ let check_mge ?handle ?variant wn e =
   let ctx = make_ctx ?handle ?variant wn in
   (* Concepts parsed off the wire are fresh values. *)
   let e = List.map (Subsume_memo.canonical ctx.handle) e in
-  let inst = wn.Whynot.instance in
-  let o = ctx.ontology in
-  if not (Explanation.is_explanation o wn e) then false
-  else
-    let adom = Value_set.elements (Instance.adom inst) in
-    let ext_set c =
-      match Subsume_memo.extension ctx.handle c with
-      | Semantics.All -> None
-      | Semantics.Fin s -> Some s
-    in
+  match Frontier.make ctx.ontology wn e with
+  | None -> false
+  | Some f ->
+    let adom = Value_set.elements (Instance.adom wn.Whynot.instance) in
     let improvable j c =
-      match ext_set c with
-      | None -> false (* already top *)
-      | Some ext ->
+      match Subsume_memo.extension ctx.handle c with
+      | Semantics.All -> false (* already top *)
+      | Semantics.Fin ext ->
         (* (a) absorb a further active-domain constant *)
         List.exists
           (fun b ->
              (not (Value_set.mem b ext))
-             &&
-             let c' = lub ctx (Value_set.add b ext) in
-             Explanation.is_explanation o wn (replace_nth e j c'))
+             && Frontier.accepts f j (lub ctx (Value_set.add b ext)))
           adom
         (* (b) jump to top *)
-        || Explanation.is_explanation o wn (replace_nth e j Ls.top)
+        || Frontier.accepts f j Ls.top
     in
     not (List.exists (fun (j, c) -> improvable j c)
            (List.mapi (fun j c -> (j, c)) e))

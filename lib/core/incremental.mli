@@ -18,7 +18,16 @@
     the whole infinite domain): [top] is strictly more general than any
     finite-extension concept even when that concept already covers the whole
     active domain, and it is not reachable by adding active-domain
-    constants alone. *)
+    constants alone.
+
+    Cost per attempt. The run keeps its current explanation in an
+    {!Explanation.Frontier}: an attempt at position [j] fetches the lub
+    and tests [1 + |D_j|] memberships (the missing value and the
+    answers only [j] excludes), not [|Ans| × arity]; an accepted one
+    re-tests column [j] of the [|Ans|] answers. {!check_mge} builds one
+    frontier from its input and tests every candidate, lub or [top],
+    the same way. The attempt schedule, and so every MGE, is the one
+    the full re-test gives. *)
 
 open Whynot_relational
 

@@ -96,6 +96,89 @@ let mge_incremental_selections =
       && Explanation.less_general o (Incremental.trivial_explanation wn) e)
 
 (* ------------------------------------------------------------------ *)
+(* The explanation frontier vs the full re-test                        *)
+(* ------------------------------------------------------------------ *)
+
+(* A start tuple (one candidate pick per position) and a sequence of
+   (position, candidate) picks, all taken modulo the list sizes. *)
+let gen_frontier_case =
+  let pick = QG.small_nat in
+  let* wn = Gen.whynot in
+  let arity = match wn with Some wn -> Whynot.arity wn | None -> 0 in
+  let* start = QG.list_repeat arity pick in
+  let* steps = QG.list_size (QG.int_range 1 12) (QG.pair pick pick) in
+  QG.return (wn, start, steps)
+
+let str_frontier_case (wn, start, steps) =
+  Printf.sprintf "%s\nstart picks = [%s]\nsteps = [%s]" (str_whynot wn)
+    (String.concat "; " (List.map string_of_int start))
+    (String.concat "; "
+       (List.map (fun (j, c) -> Printf.sprintf "(%d, %d)" j c) steps))
+
+(* [Explanation.Frontier] against [Explanation.is_explanation]: building
+   a frontier fails exactly on non-explanations; [accepts f j c] equals
+   the full re-test of the tuple with [c] at [j]; and after every
+   accepted [replace] the frontier equals one built afresh from its
+   tuple, concepts and D_j alike. Candidates at position [j] are [top],
+   nominals, and both variants' lubs of {b} and of {a_j, b} for every
+   constant [b] of the pool, so they need neither cover [a_j] nor lie
+   above the concept they replace. *)
+let explanation_frontier_equals_is_explanation =
+  prop "explanation/frontier-equals-is-explanation" 100 str_frontier_case
+    gen_frontier_case (function
+    | None, _, _ -> true
+    | Some wn, start, steps ->
+      let module F = Explanation.Frontier in
+      let h = Subsume_memo.inst wn.Whynot.instance in
+      let o = Ontology.of_instance ~handle:h wn.Whynot.instance in
+      let pool = Value_set.elements (Whynot.constant_pool wn) in
+      let candidates =
+        Array.of_list
+          (List.map
+             (fun a ->
+               Array.of_list
+                 (Ls.top
+                 :: List.concat_map
+                      (fun b ->
+                        let x = Value_set.singleton b in
+                        let xa = Value_set.add a x in
+                        [ Ls.nominal b; Lub.lub h x; Lub.lub h xa;
+                          Lub.lub_sigma h x; Lub.lub_sigma h xa ])
+                      pool))
+             (Whynot.missing_values wn))
+      in
+      let nth j k = candidates.(j).(k mod Array.length candidates.(j)) in
+      let set j c e = List.mapi (fun i c' -> if i = j then c else c') e in
+      let same f g =
+        List.for_all2 o.Ontology.equal (F.concepts f) (F.concepts g)
+        && List.for_all
+             (fun j -> Value_set.equal (F.only f j) (F.only g j))
+             (List.init (Whynot.arity wn) Fun.id)
+      in
+      let e0 = List.mapi nth start in
+      let built = F.make o wn e0 in
+      Option.is_some built = Explanation.is_explanation o wn e0
+      &&
+      let f =
+        match built with
+        | Some f -> f
+        | None -> Option.get (F.make o wn (Incremental.trivial_explanation wn))
+      in
+      List.for_all
+        (fun (j, k) ->
+          let j = j mod Whynot.arity wn in
+          let c = nth j k in
+          let accepted = F.accepts f j c in
+          accepted = Explanation.is_explanation o wn (set j c (F.concepts f))
+          && ((not accepted)
+             ||
+             (F.replace f j c;
+              match F.make o wn (F.concepts f) with
+              | Some g -> same f g
+              | None -> false)))
+        steps)
+
+(* ------------------------------------------------------------------ *)
 (* Schema-level subsumption deciders vs Table 1                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -706,6 +789,7 @@ let all =
   [
     mge_incremental_vs_exhaustive;
     mge_incremental_selections;
+    explanation_frontier_equals_is_explanation;
     subsume_deciders_sound;
     subsume_noconstraints_vs_syntactic;
     lub_least_vs_enumeration;

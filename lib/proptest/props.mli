@@ -14,6 +14,9 @@
       materialised ontology [O_I[K]], plus [check_mge] cross-validation.
     - Incremental with selections: explanation-hood, [check_mge], and
       dominance over the trivial nominal explanation.
+    - [Explanation.Frontier] vs [Explanation.is_explanation]: building,
+      [accepts] and [replace] against the full explanation test and a
+      frontier built afresh.
     - [Subsume_schema.decide] vs extension inclusion on random legal
       instances (soundness) and vs completeness per Table-1 class.
     - [Subsume_schema.decide] vs the syntactic characterisation of

@@ -384,7 +384,9 @@ let handle_debug_sleep deps req =
     let ms = Option.value (Protocol.int_param req "ms") ~default:100 in
     let ms = max 0 (min ms 60_000) in
     Thread.delay (float_of_int ms /. 1000.);
-    Ok (Wjson.Obj [ ("slept_ms", Wjson.Int ms) ])
+    match Protocol.str_param req "fail" with
+    | Some msg -> failwith msg
+    | None -> Ok (Wjson.Obj [ ("slept_ms", Wjson.Int ms) ])
   end
 
 let handle deps req =

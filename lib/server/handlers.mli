@@ -10,7 +10,9 @@ type deps = {
   domains_max : int;          (** upper bound a client may request *)
   default_deadline_ms : int;  (** per-request deadline; [0] = none *)
   max_deadline_ms : int;      (** cap on client-chosen deadlines; [0] = none *)
-  debug_ops : bool;           (** enable [debug_sleep] (tests only) *)
+  debug_ops : bool;
+      (** enable [debug_sleep] (tests only): it sleeps [ms], then raises
+          [Failure fail] when the request has a [fail] string *)
   started_at_s : float;
 }
 

@@ -21,8 +21,9 @@
 
     Error codes are the {!Whynot_error.code} vocabulary plus the
     server-level codes ["unknown-op"], ["unknown-session"],
-    ["session-exists"], ["session-limit"], ["overloaded"] (load shed) and
-    ["request-cap"] (per-connection request budget exhausted). *)
+    ["session-exists"], ["session-limit"], ["overloaded"] (load shed),
+    ["request-cap"] (per-connection request budget exhausted) and
+    ["internal"] (a handler raised; the connection keeps serving). *)
 
 module Wjson = Whynot.Json
 

@@ -196,12 +196,19 @@ let serve_request t peer line =
           ~finally:(fun () -> Semaphore.Counting.release t.inflight)
           (fun () ->
              let run () = Handlers.handle t.deps req in
-             let result =
+             let timed () =
                match List.assoc_opt req.Protocol.op op_timers with
                | Some timer -> Obs.time timer run
                | None -> run ()
              in
-             match result with
+             match timed () with
+             | exception e ->
+               (* A handler bug or an exhausted resource (e.g. no domain
+                  left for a new engine) costs this request only. *)
+               Obs.incr c_errors;
+               ( Protocol.error_line ~request:req ~code:"internal"
+                   ~message:(Printexc.to_string e) (),
+                 "internal" )
              | Ok json ->
                Obs.incr c_served;
                (Protocol.ok_line req json, "ok")

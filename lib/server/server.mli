@@ -43,7 +43,7 @@ type config = {
   session_ttl_ms : int;      (** idle-session eviction; [0] = never *)
   sweep_interval_ms : int;   (** how often the TTL sweeper wakes up *)
   access_log : bool;         (** one stderr line per request *)
-  debug_ops : bool;          (** enable [debug_sleep] (tests only) *)
+  debug_ops : bool;          (** enable [debug_sleep] and its [fail] (tests only) *)
 }
 
 val default_config : config

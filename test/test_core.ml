@@ -104,6 +104,30 @@ let test_example_4_5_mge () =
        (fun e -> Explanation.equivalent o e [ a "EU-City"; a "N.A.-City" ])
        mges)
 
+(* The frontier over Example 3.4's explanations: it refuses a
+   non-explanation, accepts exactly the single-position replacements that
+   stay explanations, and a [replace] that would re-admit an answer
+   raises and leaves it as it was. *)
+let test_example_3_4_frontier () =
+  let module F = Explanation.Frontier in
+  let o = hand_ontology and wn = whynot_cities in
+  Alcotest.(check bool) "City x City has none" true
+    (F.make o wn [ "City"; "City" ] = None);
+  let f = Option.get (F.make o wn [ "Dutch-City"; "East-Coast-City" ]) in
+  Alcotest.(check bool) "E1 -> E2" true (F.accepts f 1 "US-City");
+  Alcotest.(check bool) "E1 -> E3" true (F.accepts f 0 "European-City");
+  Alcotest.(check bool) "E1 -> (Dutch, City) refused" false (F.accepts f 1 "City");
+  Alcotest.check_raises "replace re-admitting an answer"
+    (Invalid_argument "Explanation.Frontier.replace: not an explanation")
+    (fun () -> F.replace f 1 "City");
+  Alcotest.(check (list string)) "left unchanged"
+    [ "Dutch-City"; "East-Coast-City" ] (F.concepts f);
+  F.replace f 0 "European-City";
+  Alcotest.(check bool) "E3 -> E4" true (F.accepts f 1 "US-City");
+  F.replace f 1 "US-City";
+  Alcotest.(check (list string)) "E4" [ "European-City"; "US-City" ]
+    (F.concepts f)
+
 (* ------------------------------------------------------------------ *)
 (* §5.2: Incremental search w.r.t. O_I (Example 4.9 flavour)           *)
 (* ------------------------------------------------------------------ *)
@@ -738,6 +762,7 @@ let () =
         [
           Alcotest.test_case "explanations" `Quick test_example_3_4_explanations;
           Alcotest.test_case "MGE = E4" `Quick test_example_3_4_mge;
+          Alcotest.test_case "frontier" `Quick test_example_3_4_frontier;
           Alcotest.test_case "consistency" `Quick test_consistency_fig3;
         ] );
       ( "example-4.5",

@@ -249,6 +249,59 @@ let test_warm_question_counter_budget () =
       Alcotest.(check int) (n ^ " added by 50 warm rounds") 0 (v1 - v0))
     before (read_budget ())
 
+(* Algorithm 2 and CHECK-MGE test a replaced position only against the
+   answers that position alone excludes (Explanation.Frontier), so a
+   warm 40-city request costs under a thousand extension lookups, where
+   re-testing every answer at every position cost 1.1k to 30k. The attempt
+   schedule is unchanged: the absorption tallies are pinned at the
+   figures the full re-test produced. *)
+let test_frontier_counter_budget () =
+  let schema, instance =
+    Whynot_workload.Generate.cities_like ~seed:1 ~n_cities:40 ~n_countries:8
+      ~n_connections:80 ()
+  in
+  let engine = get (Engine.create ~schema ~instance ()) in
+  Fun.protect ~finally:(fun () -> ignore (Engine.close engine)) @@ fun () ->
+  let answers = Cq.eval Cities.two_hop_query instance in
+  let cities =
+    Value_set.elements
+      (Relation.column 1 (Instance.relation_or_empty instance ~arity:4 "Cities"))
+  in
+  let pairs =
+    List.concat_map (fun a -> List.map (fun b -> [ a; b ]) cities) cities
+    |> List.filter (fun m -> not (Relation.mem (Tuple.of_list m) answers))
+    |> List.filteri (fun k _ -> k mod 59 = 0)
+  in
+  let question missing =
+    get (Engine.question engine ~query:Cities.two_hop_query ~missing ())
+  in
+  ignore
+    (get
+       (Engine.one_mge engine
+          (question [ Value.str "city000"; Value.str "city001" ])));
+  let ext_calls = Obs.counter "memo.ext.calls"
+  and attempts = Obs.counter "mge.incremental.absorb_attempts"
+  and absorbed = Obs.counter "mge.incremental.absorbed" in
+  let calls f =
+    let v0 = Obs.value ext_calls in
+    let r = f () in
+    (r, Obs.value ext_calls - v0)
+  in
+  let a0 = Obs.value attempts and b0 = Obs.value absorbed in
+  List.iter
+    (fun missing ->
+      let wn = question missing in
+      let e, n_one = calls (fun () -> get (Engine.one_mge engine wn)) in
+      let ok, n_check = calls (fun () -> get (Engine.check_mge engine wn e)) in
+      Alcotest.(check bool) "check_mge accepts the one_mge reply" true ok;
+      if n_one >= 2_000 || n_check >= 2_000 then
+        Alcotest.failf "memo.ext.calls per one_mge %d / check_mge %d over 2000"
+          n_one n_check)
+    pairs;
+  Alcotest.(check int) "questions" 25 (List.length pairs);
+  Alcotest.(check int) "absorb attempts" 3964 (Obs.value attempts - a0);
+  Alcotest.(check int) "absorbed" 11 (Obs.value absorbed - b0)
+
 (* A handle-less Algorithm 2 run owns exactly one instance handle, shared
    by its lubs, its O_I and its shortening pass. *)
 let test_handle_less_one_mge_creates_one_handle () =
@@ -481,6 +534,8 @@ let () =
             `Quick test_question_reports_schema_violation;
           Alcotest.test_case "handle-less one_mge creates one memo handle"
             `Quick test_handle_less_one_mge_creates_one_handle;
+          Alcotest.test_case "frontier keeps warm requests under budget"
+            `Quick test_frontier_counter_budget;
         ] );
       ( "shutdown",
         [

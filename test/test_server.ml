@@ -183,6 +183,31 @@ let test_malformed_input_keeps_serving () =
     (rpc c "{\"op\":\"one_mge\",\"session\":\"nope\"}");
   ignore (check_ok "server still serves" (rpc c "{\"op\":\"ping\"}"))
 
+(* An exception escaping a handler (here injected through debug_sleep's
+   [fail]; in the wild e.g. [Failure "failed to allocate domain"] from
+   an engine create) is answered with [internal] and counted in
+   server.errors, and the connection keeps serving. *)
+let test_handler_exception_replies_internal () =
+  with_server ~cfg:{ Server.default_config with debug_ops = true }
+  @@ fun server ->
+  let c = connect (Server.port server) in
+  Fun.protect ~finally:(fun () -> disconnect c) @@ fun () ->
+  let errors () =
+    match
+      Option.bind
+        (Json.member "counters" (check_ok "stats" (rpc c "{\"op\":\"stats\"}")))
+        (Json.member "server.errors")
+    with
+    | Some (Json.Int n) -> n
+    | _ -> Alcotest.fail "stats lacks server.errors"
+  in
+  let before = errors () in
+  check_error "raising handler" "internal"
+    (rpc c
+       "{\"op\":\"debug_sleep\",\"ms\":0,\"fail\":\"failed to allocate domain\"}");
+  Alcotest.(check int) "counted in server.errors" (before + 1) (errors ());
+  ignore (check_ok "same connection still serves" (rpc c "{\"op\":\"ping\"}"))
+
 let test_request_cap_closes_connection () =
   with_server
     ~cfg:{ Server.default_config with max_requests_per_conn = 3 }
@@ -501,6 +526,8 @@ let () =
           Alcotest.test_case "overload sheds" `Quick test_overload_sheds;
           Alcotest.test_case "malformed input keeps serving" `Quick
             test_malformed_input_keeps_serving;
+          Alcotest.test_case "handler exception replies internal" `Quick
+            test_handler_exception_replies_internal;
           Alcotest.test_case "request cap closes the connection" `Quick
             test_request_cap_closes_connection;
           Alcotest.test_case "pipelined replies are not held" `Quick
