@@ -13,7 +13,6 @@
 
 (* Bind the facade before [open Whynot_core] shadows the [Whynot] name
    with the core question module. *)
-module Engine = Whynot.Engine
 module Wire_json = Whynot.Json
 
 open Bechamel
@@ -786,61 +785,6 @@ let memo_bench () =
   | _ -> ()
 
 (* ================================================================== *)
-(* PAR: domain-parallel MGE search behind the Engine facade            *)
-(* ================================================================== *)
-
-let par_bench () =
-  header "PAR" "Domain-parallel Algorithm 1 (Engine facade)";
-  let hw = Domain.recommended_domain_count () in
-  row "  host reports %d recommended domain(s); speedup is bounded by the@."
-    hw;
-  row "  hardware — on a single-core host every sweep point is ~1.0x@.";
-  let domain_sweep = if quick then [ 1; 2; 4 ] else [ 1; 2; 4; 8 ] in
-  let with_engine ~domains ~instance f =
-    match Engine.create ~domains ~instance () with
-    | Error e ->
-      Printf.eprintf "bench: PAR: engine creation failed: %s\n%!"
-        (Whynot_error.to_string e);
-      None
-    | Ok engine ->
-      Fun.protect ~finally:(fun () -> ignore (Engine.close engine)) @@ fun () ->
-      f engine
-  in
-  let speedup label baseline = function
-    | Some par when par > 0. ->
-      (match baseline with
-       | Some seq -> row "  speedup vs sequential %-21s %.2fx@." label (seq /. par)
-       | None -> ())
-    | _ -> ()
-  in
-  row "-- Algorithm 1 (Exhaustive Search) / set-cover gadget --@.";
-  let sc =
-    Whynot_setcover.Setcover.random ~seed:11 ~n_elements:8 ~n_sets:10
-      ~density:0.4 ()
-  in
-  let g = Whynot_setcover.Reduction.build sc ~slots:(if quick then 2 else 3) in
-  let o = g.Whynot_setcover.Reduction.ontology in
-  let gwn = g.Whynot_setcover.Reduction.whynot in
-  let seq_exh =
-    timed_ns
-      ~params:[ ("n_sets", 10.); ("domains", 0.) ]
-      "PAR" "Algorithm 1 sequential / set-cover"
-      (fun () -> Exhaustive.all_mges_exn o gwn)
-  in
-  List.iter
-    (fun domains ->
-       let ns =
-         with_engine ~domains ~instance:gwn.Whynot.instance @@ fun engine ->
-         timed_ns
-           ~params:[ ("n_sets", 10.); ("domains", float_of_int domains) ]
-           "PAR"
-           (Printf.sprintf "Algorithm 1 / domains=%d" domains)
-           (fun () -> Result.get_ok (Engine.all_mges_finite engine o gwn))
-       in
-       speedup (Printf.sprintf "/ domains=%d" domains) seq_exh ns)
-    domain_sweep
-
-(* ================================================================== *)
 (* EVAL: planned/indexed CQ evaluation vs the naive oracle             *)
 (* ================================================================== *)
 
@@ -1147,7 +1091,6 @@ let () =
   alg2 ();
   alg2_sigma ();
   memo_bench ();
-  par_bench ();
   eval_bench ();
   p4_2 ();
   p6_2 ();

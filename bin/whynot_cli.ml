@@ -67,22 +67,7 @@ let stats_arg =
        & info [ "stats" ]
            ~doc:"After the command, print the engine's observability \
                  counters to stderr (subsumption calls vs cache hits, \
-                 candidates explored, parallel batches, ...).")
-
-let default_domains () =
-  match Sys.getenv_opt "DOMAINS" with
-  | Some s ->
-    (match int_of_string_opt (String.trim s) with
-     | Some n when n >= 1 -> n
-     | _ -> 1)
-  | None -> 1
-
-let domains_arg =
-  Arg.(value & opt int (default_domains ())
-       & info [ "domains" ] ~docv:"N"
-           ~doc:"Worker domains for the parallel MGE search. Defaults to \
-                 the $(b,DOMAINS) environment variable, else 1 (fully \
-                 sequential). The answer is identical for every N.")
+                 candidates explored, ...).")
 
 let path_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE")
@@ -188,8 +173,8 @@ let ontology_conv =
     [ ("hand", Hand); ("obda", Obda); ("instance", From_instance);
       ("schema", From_schema) ]
 
-let with_engine ?schema ~domains ~instance f =
-  let* engine = Engine.create ?schema ~domains ~instance () in
+let with_engine ?schema ~instance f =
+  let* engine = Engine.create ?schema ~instance () in
   let finish r =
     let* () = Engine.close engine in
     r
@@ -200,19 +185,18 @@ let with_engine ?schema ~domains ~instance f =
     ignore (Engine.close engine);
     raise exn
 
-let mges_result ~ontology_name ~domains o mges =
+let mges_result ~ontology_name o mges =
   Ok
     ( Json.Obj
         [
           ("ontology", Json.String ontology_name);
-          ("domains", Json.Int domains);
           ("count", Json.Int (List.length mges));
           ("mges", Json.List (List.map (json_of_explanation o) mges));
         ],
       if mges = [] then 1 else 0 )
 
 let explain_cmd =
-  let run path choice selections all domains verbose stats =
+  let run path choice selections all verbose stats =
     setup_logs verbose;
     let code =
       wrap "explain" @@ fun () ->
@@ -226,9 +210,9 @@ let explain_cmd =
          | None ->
            Error (`Missing_input "no hand ontology in document (ext items)")
          | Some o ->
-           with_engine ~domains ~instance:wn.Whynot.instance @@ fun engine ->
+           with_engine ~instance:wn.Whynot.instance @@ fun engine ->
            let* mges = Engine.all_mges_finite engine o wn in
-           mges_result ~ontology_name:"hand" ~domains o (take mges))
+           mges_result ~ontology_name:"hand" o (take mges))
       | Obda ->
         let* obda = Parser.obda_spec_of doc in
         (match obda with
@@ -243,33 +227,32 @@ let explain_cmd =
               Format.eprintf
                 "warning: retrieved assertions inconsistent: %s@." msg);
            let o = Ontology.of_obda induced in
-           with_engine ~domains ~instance:wn.Whynot.instance @@ fun engine ->
+           with_engine ~instance:wn.Whynot.instance @@ fun engine ->
            let* mges = Engine.all_mges_finite engine o wn in
-           mges_result ~ontology_name:"O_B" ~domains o (take mges))
+           mges_result ~ontology_name:"O_B" o (take mges))
       | From_instance ->
         let variant =
           if selections then Incremental.With_selections
           else Incremental.Selection_free
         in
-        with_engine ~domains ~instance:wn.Whynot.instance @@ fun engine ->
+        with_engine ~instance:wn.Whynot.instance @@ fun engine ->
         let* e = Engine.one_mge ~variant engine wn in
         let o = Ontology.of_instance wn.Whynot.instance in
         Ok
           ( Json.Obj
               [
                 ("ontology", Json.String "O_I");
-                ("domains", Json.Int domains);
                 ("count", Json.Int 1);
                 ("mges", Json.List [ json_of_explanation o e ]);
               ],
             0 )
       | From_schema ->
         let* schema = Parser.schema_of doc in
-        with_engine ~schema ~domains ~instance:wn.Whynot.instance
+        with_engine ~schema ~instance:wn.Whynot.instance
         @@ fun engine ->
         let* mges = Engine.all_mges_schema ~fragment:`Minimal engine wn in
         let o = Schema_mge.ontology `Minimal schema wn in
-        mges_result ~ontology_name:"O_S[K]-min" ~domains o (take mges)
+        mges_result ~ontology_name:"O_S[K]-min" o (take mges)
     in
     dump_stats stats;
     code
@@ -296,8 +279,8 @@ let explain_cmd =
     (Cmd.info "explain"
        ~doc:"Compute most-general explanation(s) for the document's why-not \
              question. Exits 1 when no explanation exists.")
-    Term.(const run $ path_arg $ choice $ selections $ all $ domains_arg
-          $ verbose_arg $ stats_arg)
+    Term.(const run $ path_arg $ choice $ selections $ all $ verbose_arg
+          $ stats_arg)
 
 (* --- subsume --- *)
 
@@ -360,7 +343,7 @@ let subsume_cmd =
 (* --- why (the dual problem) --- *)
 
 let why_cmd =
-  let run path tuple_src selections domains stats =
+  let run path tuple_src selections stats =
     let code =
       wrap "why" @@ fun () ->
       let* doc = Parser.parse_file path in
@@ -380,7 +363,6 @@ let why_cmd =
           ( Json.Obj
               [
                 ("witness", Json.List (List.map json_of_value witness));
-                ("domains", Json.Int domains);
                 ("explanation", json_of_explanation o e);
               ],
             0 )
@@ -398,7 +380,7 @@ let why_cmd =
   Cmd.v
     (Cmd.info "why"
        ~doc:"Explain why a tuple IS an answer (the dual problem, §7).")
-    Term.(const run $ path_arg $ tuple $ selections $ domains_arg $ stats_arg)
+    Term.(const run $ path_arg $ tuple $ selections $ stats_arg)
 
 (* --- provenance --- *)
 

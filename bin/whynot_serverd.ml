@@ -13,8 +13,6 @@ let () =
        "ADDR bind address (default 127.0.0.1)");
       ("--port", set (fun c v -> { c with port = v }),
        "PORT listen port; 0 picks an ephemeral one (default 0)");
-      ("--domains", set (fun c v -> { c with domains = v }),
-       "N default worker domains per session (default 1)");
       ("--max-sessions", set (fun c v -> { c with max_sessions = v }),
        "N session-table capacity (default 64)");
       ("--max-conns", set (fun c v -> { c with max_conns = v }),

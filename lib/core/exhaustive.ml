@@ -7,66 +7,125 @@ let c_candidates =
 
 let c_tuples =
   Obs.counter "mge.exhaustive.tuples"
-    ~doc:"Algorithm 1 candidate explanation tuples examined"
+    ~doc:"Algorithm 1 candidate tuples reaching the last position after the \
+          suffix-reach cut"
 
 let concepts_exn o =
   match o.Ontology.concepts with
   | Some cs -> cs
   | None -> invalid_arg "Exhaustive: the ontology must be finite"
 
-(* Per-position candidate concepts: those whose extension contains the
-   corresponding component of the missing tuple (line 1 of Algorithm 1). *)
-let candidates o wn =
+(* Sets of answer indices, as bit vectors of [Sys.int_size]-bit words. *)
+module Bits = struct
+  let width = Sys.int_size
+  let empty n = Array.make ((n + width - 1) / width) 0
+  let add s i = s.(i / width) <- s.(i / width) lor (1 lsl (i mod width))
+
+  let full n =
+    let s = empty n in
+    for i = 0 to n - 1 do add s i done;
+    s
+
+  let union a b = Array.map2 ( lor ) a b
+  let subset a b = Array.for_all2 (fun x y -> x land lnot y = 0) a b
+
+  (* [covers all a b]: every member of [all] is in [a] or in [b]. *)
+  let covers all a b =
+    let rec go k =
+      k = Array.length all
+      || (all.(k) land lnot (a.(k) lor b.(k)) = 0 && go (k + 1))
+    in
+    go 0
+end
+
+(* The search plan: per position, the candidate concepts (those whose
+   extension contains that position's missing value, line 1 of
+   Algorithm 1) with their kill-sets, the answers whose component at the
+   position falls outside the concept's extension. Explanations are
+   exactly the tuples of candidates whose kill-sets cover every answer.
+   [reach.(j)] is everything positions [j..] can still kill. *)
+type 'c plan = {
+  positions : ('c * int array) array array;
+  all : int array;
+  reach : int array array;
+}
+
+(* Drop a candidate when another one at the same position lies strictly
+   above it and kills at least the same answers: every explanation through
+   the dropped one is strictly below the same tuple through the keeper, so
+   the MGEs are unchanged. *)
+let prune_position o cands =
+  let dominated (c, ks) =
+    Array.exists
+      (fun (c', ks') ->
+         (not (o.Ontology.equal c c'))
+         && o.Ontology.subsumes c c'
+         && (not (o.Ontology.subsumes c' c))
+         && Bits.subset ks ks')
+      cands
+  in
+  Array.of_list
+    (List.filter (fun ck -> not (dominated ck)) (Array.to_list cands))
+
+let plan ?(prune = false) o wn =
   let cs = concepts_exn o in
-  let per_position =
-    List.map
-      (fun a -> List.filter (fun c -> o.Ontology.mem c a) cs)
-      (Whynot.missing_values wn)
+  let answers = Array.of_list (Relation.to_list wn.Whynot.answers) in
+  let n = Array.length answers in
+  let kill_set j c =
+    let ks = Bits.empty n in
+    Array.iteri
+      (fun i t ->
+         if not (o.Ontology.mem c (Tuple.get t (j + 1))) then Bits.add ks i)
+      answers;
+    ks
   in
-  List.iter (fun cands -> Obs.add c_candidates (List.length cands)) per_position;
-  per_position
-
-(* The kill-set of a concept at a position: which answer tuples have their
-   component outside the concept's extension. Explanations are exactly the
-   tuples of candidates whose kill-sets cover all answers. *)
-let kill_set o wn position c =
-  let answers = Relation.to_list wn.Whynot.answers in
-  List.mapi (fun i t -> (i, not (o.Ontology.mem c (Tuple.get t (position + 1))))) answers
-  |> List.filter_map (fun (i, killed) -> if killed then Some i else None)
-
-module Int_set = Set.Make (Int)
-
-let product_fold f acc per_position =
-  let rec go acc chosen = function
-    | [] -> f acc (List.rev chosen)
-    | cands :: rest ->
-      List.fold_left (fun acc c -> go acc (c :: chosen) rest) acc cands
+  let positions =
+    Array.of_list
+      (List.mapi
+         (fun j a ->
+            let cands = List.filter (fun c -> o.Ontology.mem c a) cs in
+            Obs.add c_candidates (List.length cands);
+            let cands =
+              Array.of_list (List.map (fun c -> (c, kill_set j c)) cands)
+            in
+            if prune then prune_position o cands else cands)
+         (Whynot.missing_values wn))
   in
-  go acc [] per_position
+  let m = Array.length positions in
+  let reach = Array.make (m + 1) (Bits.empty n) in
+  for j = m - 1 downto 0 do
+    reach.(j) <-
+      Array.fold_left (fun s (_, ks) -> Bits.union s ks) reach.(j + 1)
+        positions.(j)
+  done;
+  { positions; all = Bits.full n; reach }
 
-let enumerate_explanations o wn per_position =
-  let n_answers = Relation.cardinal wn.Whynot.answers in
-  let all = Int_set.of_list (List.init n_answers (fun i -> i)) in
-  let with_kills =
-    List.mapi
-      (fun pos cands ->
-         List.map (fun c -> (c, Int_set.of_list (kill_set o wn pos c))) cands)
-      per_position
+(* Every explanation of the plan, lazily, in product order. The union of
+   the prefix's kill-sets travels down; a branch is cut as soon as the
+   positions left cannot kill every answer still alive. *)
+let explanations p =
+  let m = Array.length p.positions in
+  let rec node j killed chosen rest () =
+    if j = m then begin
+      Obs.incr c_tuples;
+      if killed = p.all then Seq.Cons (List.rev chosen, rest) else rest ()
+    end
+    else if Bits.covers p.all killed p.reach.(j) then
+      branch j killed chosen 0 rest ()
+    else rest ()
+  and branch j killed chosen i rest () =
+    let cands = p.positions.(j) in
+    if i = Array.length cands then rest ()
+    else
+      let c, ks = cands.(i) in
+      node (j + 1) (Bits.union killed ks) (c :: chosen)
+        (branch j killed chosen (i + 1) rest) ()
   in
-  product_fold
-    (fun acc chosen ->
-       Obs.incr c_tuples;
-       let killed =
-         List.fold_left
-           (fun s (_, ks) -> Int_set.union s ks)
-           Int_set.empty chosen
-       in
-       if Int_set.equal killed all then List.map fst chosen :: acc else acc)
-    [] with_kills
+  node 0 (Array.make (Array.length p.all) 0) [] Seq.empty
 
+(* Drop explanations strictly below another; keep the first representative
+   of each equivalence class. *)
 let keep_most_general o explanations =
-  (* Drop explanations strictly below another; keep one representative per
-     equivalence class. *)
   let maximal =
     List.filter
       (fun e ->
@@ -83,82 +142,18 @@ let keep_most_general o explanations =
     [] maximal
   |> List.rev
 
-let all_mges_unpruned_exn o wn =
-  keep_most_general o (enumerate_explanations o wn (candidates o wn))
+(* The explanations are taken in reverse product order, the order in which
+   the literal algorithm's accumulator leaves them; which representative of
+   an equivalence class survives depends on it. *)
+let mges ~prune o wn =
+  explanations (plan ~prune o wn)
+  |> Seq.fold_left (fun acc e -> e :: acc) []
+  |> keep_most_general o
 
-(* Preprocessing for the pruned variant: per position, drop a candidate
-   when another candidate subsumes it and kills at least the same answers —
-   the dropped one can never appear in a most-general explanation that the
-   keeper cannot match or beat. *)
-let prune_candidates o wn per_position =
-  List.mapi
-    (fun pos cands ->
-       let with_kills =
-         List.map (fun c -> (c, Int_set.of_list (kill_set o wn pos c))) cands
-       in
-       let dominated (c, ks) =
-         List.exists
-           (fun (c', ks') ->
-              (not (o.Ontology.equal c c'))
-              && o.Ontology.subsumes c c'
-              && (not (o.Ontology.subsumes c' c))
-              && Int_set.subset ks ks')
-           with_kills
-       in
-       List.map fst (List.filter (fun ck -> not (dominated ck)) with_kills))
-    per_position
-
-let all_mges_exn o wn =
-  let per_position = prune_candidates o wn (candidates o wn) in
-  keep_most_general o (enumerate_explanations o wn per_position)
-
-(* Existence: backtracking over positions accumulating killed answers, with
-   the pruning rule that the remaining positions must be able to cover the
-   still-alive answers. *)
-let exists_explanation_exn o wn =
-  let per_position = candidates o wn in
-  if List.length per_position <> Whynot.arity wn then false
-  else if List.exists (fun cands -> cands = []) per_position then false
-  else
-    let n_answers = Relation.cardinal wn.Whynot.answers in
-    let all = Int_set.of_list (List.init n_answers (fun i -> i)) in
-    let with_kills =
-      List.mapi
-        (fun pos cands ->
-           List.map (fun c -> Int_set.of_list (kill_set o wn pos c)) cands)
-        per_position
-    in
-    (* Union of everything a position can still kill. *)
-    let position_reach =
-      List.map
-        (fun kss -> List.fold_left Int_set.union Int_set.empty kss)
-        with_kills
-    in
-    let rec suffix_reach = function
-      | [] -> [ Int_set.empty ]
-      | r :: rest ->
-        let tails = suffix_reach rest in
-        Int_set.union r (List.hd tails) :: tails
-    in
-    let reaches = suffix_reach position_reach in
-    let rec search killed kss reaches =
-      match kss, reaches with
-      | [], _ -> Int_set.equal killed all
-      | kill_options :: rest, _ :: rest_reach ->
-        let reachable =
-          match rest_reach with
-          | r :: _ -> r
-          | [] -> Int_set.empty
-        in
-        List.exists
-          (fun ks ->
-             let killed' = Int_set.union killed ks in
-             Int_set.subset (Int_set.diff all killed') reachable
-             && search killed' rest rest_reach)
-          kill_options
-      | _ :: _, [] -> false
-    in
-    search Int_set.empty with_kills reaches
+let all_mges_exn o wn = mges ~prune:true o wn
+let all_mges_unpruned_exn o wn = mges ~prune:false o wn
+let explanations_seq_exn o wn = explanations (plan o wn)
+let exists_explanation_exn o wn = not (Seq.is_empty (explanations_seq_exn o wn))
 
 let strict_upgrades o c =
   List.filter
@@ -199,59 +194,11 @@ let check_mge_exn o wn e =
 
 let is_most_general_exn = check_mge_exn
 
+(* The first explanation in product order, climbed. *)
 let one_mge_exn o wn =
-  (* Find any explanation via the existence search, then climb. *)
-  let per_position = candidates o wn in
-  if List.exists (fun cands -> cands = []) per_position then None
-  else
-    let n_answers = Relation.cardinal wn.Whynot.answers in
-    let all = Int_set.of_list (List.init n_answers (fun i -> i)) in
-    let with_kills =
-      List.mapi
-        (fun pos cands ->
-           List.map (fun c -> (c, Int_set.of_list (kill_set o wn pos c))) cands)
-        per_position
-    in
-    let rec search killed chosen = function
-      | [] ->
-        if Int_set.equal killed all then Some (List.rev chosen) else None
-      | options :: rest ->
-        List.fold_left
-          (fun found (c, ks) ->
-             match found with
-             | Some _ -> found
-             | None -> search (Int_set.union killed ks) (c :: chosen) rest)
-          None options
-    in
-    Option.map (generalise_exn o wn) (search Int_set.empty [] with_kills)
-
-(* --- lazy enumeration --- *)
-
-let explanations_seq_exn o wn =
-  let per_position = candidates o wn in
-  let n_answers = Relation.cardinal wn.Whynot.answers in
-  let all = Int_set.of_list (List.init n_answers (fun i -> i)) in
-  let with_kills =
-    List.mapi
-      (fun pos cands ->
-         List.map (fun c -> (c, Int_set.of_list (kill_set o wn pos c))) cands)
-      per_position
-  in
-  let rec seq killed chosen rest () =
-    match rest with
-    | [] ->
-      if Int_set.equal killed all then Seq.Cons (List.rev chosen, Seq.empty)
-      else Seq.Nil
-    | options :: more ->
-      let branches =
-        List.to_seq options
-        |> Seq.concat_map (fun (c, ks) ->
-            seq (Int_set.union killed ks) (c :: chosen) more)
-      in
-      branches ()
-  in
-  if List.length per_position <> Whynot.arity wn then Seq.empty
-  else seq Int_set.empty [] with_kills
+  Option.map
+    (fun (e, _) -> generalise_exn o wn e)
+    (Seq.uncons (explanations_seq_exn o wn))
 
 let mges_seq_exn o wn =
   let seen = ref [] in
@@ -275,8 +222,12 @@ let finite o k =
          ("Exhaustive: ontology " ^ o.Ontology.name ^ " is not finite"))
 
 let all_mges o wn = finite o (fun () -> Ok (all_mges_exn o wn))
-let all_mges_unpruned o wn = finite o (fun () -> Ok (all_mges_unpruned_exn o wn))
-let exists_explanation o wn = finite o (fun () -> Ok (exists_explanation_exn o wn))
+let all_mges_unpruned o wn =
+  finite o (fun () -> Ok (all_mges_unpruned_exn o wn))
+
+let exists_explanation o wn =
+  finite o (fun () -> Ok (exists_explanation_exn o wn))
+
 let one_mge o wn = finite o (fun () -> Ok (one_mge_exn o wn))
 let check_mge o wn e = finite o (fun () -> Ok (check_mge_exn o wn e))
 let is_most_general o wn e = finite o (fun () -> Ok (is_most_general_exn o wn e))
@@ -290,42 +241,3 @@ let generalise o wn e =
 
 let explanations_seq o wn = finite o (fun () -> Ok (explanations_seq_exn o wn))
 let mges_seq o wn = finite o (fun () -> Ok (mges_seq_exn o wn))
-
-(* --- the exploration plan shared with Whynot_parallel --- *)
-
-module Plan = struct
-  type 'c position = {
-    candidates : ('c * Int_set.t) array;  (* candidate, kill-set *)
-  }
-
-  type 'c t = {
-    ontology : 'c Ontology.t;
-    whynot : Whynot.t;
-    all_answers : Int_set.t;
-    positions : 'c position array;
-  }
-
-  let prepare ?(prune = true) o wn =
-    finite o (fun () ->
-        let per_position = candidates o wn in
-        let per_position =
-          if prune then prune_candidates o wn per_position else per_position
-        in
-        let n_answers = Relation.cardinal wn.Whynot.answers in
-        let all = Int_set.of_list (List.init n_answers (fun i -> i)) in
-        let positions =
-          Array.of_list
-            (List.mapi
-               (fun pos cands ->
-                  {
-                    candidates =
-                      Array.of_list
-                        (List.map
-                           (fun c ->
-                              (c, Int_set.of_list (kill_set o wn pos c)))
-                           cands);
-                  })
-               per_position)
-        in
-        Ok { ontology = o; whynot = wn; all_answers = all; positions })
-end

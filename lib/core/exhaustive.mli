@@ -4,49 +4,57 @@
     - {!all_mges}: all most-general explanations (Theorem 5.2): EXPTIME in
       general, PTIME for fixed query arity.
     - {!exists_explanation}: EXISTENCE-OF-EXPLANATION (Theorem 5.1(2),
-      NP-complete) — decided by a backtracking search with a coverage
-      pruning rule rather than by materialising the whole product.
+      NP-complete) — decided by stopping at the first explanation the
+      search yields, without materialising the whole product.
     - {!check_mge}: CHECK-MGE (Theorem 5.1(1), PTIME): an explanation is
       most general iff no single position can be strictly generalised while
       remaining an explanation (single-position upgrades suffice because
       componentwise products are monotone).
     - {!one_mge}: any one most-general explanation, by greedily climbing
-      the subsumption order from any explanation found.
+      the subsumption order from the first explanation found.
+
+    All searches run over one plan and one enumerator. The plan holds,
+    per position, the candidate concepts (those whose extension contains
+    the missing value) and their kill-sets (the answers whose component
+    lies outside the concept's extension), computed once. Explanations
+    are exactly the tuples of candidates whose kill-sets cover every
+    answer. The enumerator walks the candidate product lazily in product
+    order, carrying the kill-set union of the prefix, and cuts a branch as
+    soon as the positions left cannot kill every answer still alive. The
+    cut drops no explanation and reorders none, so every function returns
+    what the literal algorithm returns. Counter [mge.exhaustive.tuples]
+    counts the tuples that reach the last position after the cut.
 
     Every operation comes in two flavours: the plain name returns
     [(_, Whynot_error.t) result] and fails with [`Infinite_ontology] when
     the ontology does not enumerate its concepts; the [*_exn] variant is
-    the raising original, kept for internal callers.
-
-    The {!Whynot.Engine} facade runs these over a domain pool — see
-    [Whynot_parallel.Par_exhaustive], which shares {!Plan} with this
-    module so the parallel result provably coincides with the sequential
-    one. *)
+    the raising original, kept for internal callers. *)
 
 val all_mges :
   'c Ontology.t -> Whynot.t -> ('c Explanation.t list, Whynot_error.t) result
-(** The literal Algorithm 1: generate every candidate per-position tuple
-    whose extensions cover the missing tuple and miss the answers, then
-    discard the non-maximal ones. Returns all MGEs modulo equivalence (the
-    paper keeps equivalent copies; we keep one representative of each
-    equivalence class). *)
+(** Algorithm 1: every candidate per-position tuple whose extensions
+    cover the missing tuple and miss the answers, without the non-maximal
+    ones. Returns all MGEs modulo equivalence (the paper keeps equivalent
+    copies; we keep one representative of each equivalence class, the
+    first in reverse product order). Before the search, a candidate is
+    dropped when another candidate at its position lies strictly above it
+    and kills at least the same answers; this never changes the list. *)
 
 val all_mges_unpruned :
   'c Ontology.t -> Whynot.t -> ('c Explanation.t list, Whynot_error.t) result
-(** The same, but without the candidate-deduplication preprocessing — the
+(** The same list, without the dominated-candidate preprocessing — the
     baseline for the D3 ablation benchmark. *)
 
 val exists_explanation :
   'c Ontology.t -> Whynot.t -> (bool, Whynot_error.t) result
 (** EXISTENCE-OF-EXPLANATION: is there {e any} explanation w.r.t. this
-    ontology? Backtracking over positions with a coverage pruning rule —
-    it never builds the candidate product, so a positive answer can be
-    much cheaper than {!all_mges}. *)
+    ontology? The search stops at the first explanation, so a positive
+    answer can be much cheaper than {!all_mges}. *)
 
 val one_mge :
   'c Ontology.t -> Whynot.t -> ('c Explanation.t option, Whynot_error.t) result
-(** One most-general explanation, or [Ok None] when none exists: find any
-    explanation as in {!exists_explanation}, then generalise it. *)
+(** One most-general explanation, or [Ok None] when none exists: the
+    first explanation in product order, generalised as by {!generalise}. *)
 
 val check_mge :
   'c Ontology.t -> Whynot.t -> 'c Explanation.t -> (bool, Whynot_error.t) result
@@ -110,36 +118,3 @@ val generalise_exn :
   'c Ontology.t -> Whynot.t -> 'c Explanation.t -> 'c Explanation.t
 val explanations_seq_exn : 'c Ontology.t -> Whynot.t -> 'c Explanation.t Seq.t
 val mges_seq_exn : 'c Ontology.t -> Whynot.t -> 'c Explanation.t Seq.t
-
-(** {1 Shared exploration plan}
-
-    The candidate lattice in solved form: per position, the candidate
-    concepts (covering the missing value) with their kill-sets over the
-    answer tuples. Explanations are exactly the members of the candidate
-    product whose kill-sets cover every answer, so a plan reduces
-    enumeration to pure integer-set operations — the unit of work the
-    parallel engine partitions across domains. *)
-
-module Int_set : Set.S with type elt = int
-
-module Plan : sig
-  type 'c position = { candidates : ('c * Int_set.t) array }
-
-  type 'c t = {
-    ontology : 'c Ontology.t;
-    whynot : Whynot.t;
-    all_answers : Int_set.t;
-    positions : 'c position array;
-  }
-
-  val prepare :
-    ?prune:bool -> 'c Ontology.t -> Whynot.t -> ('c t, Whynot_error.t) result
-  (** Candidates, kill-sets, and (unless [prune:false]) the dominated-
-      candidate preprocessing of {!all_mges}, computed sequentially. *)
-end
-
-val keep_most_general :
-  'c Ontology.t -> 'c Explanation.t list -> 'c Explanation.t list
-(** Drop explanations strictly below another and deduplicate equivalence
-    classes, keeping the first representative in list order — exposed so
-    the parallel merge reproduces the sequential choice exactly. *)

@@ -15,8 +15,8 @@
 
     The registry is process-global and safe to use from multiple domains:
     each counter is striped over an array of atomic cells indexed by the
-    current domain id, so bumps from the parallel engine's worker domains
-    never contend and are never lost; {!value} and {!snapshot} aggregate
+    current domain id, so bumps from different domains never contend and
+    are never lost; {!value} and {!snapshot} aggregate
     the per-domain stripes. A reader racing a concurrent bump may see a
     value that is off by the in-flight increments, but once the domains
     have joined the aggregate is exact. *)

@@ -5,6 +5,9 @@ module Count = Whynot_concept.Count
 module Dl = Whynot_dllite.Dl
 module Tbox = Whynot_dllite.Tbox
 module Interp = Whynot_dllite.Interp
+module Ontology = Whynot_core.Ontology
+module Whynot = Whynot_core.Whynot
+module Explanation = Whynot_core.Explanation
 
 (* ------------------------------------------------------------------ *)
 (* Naive CQ evaluation (the pre-planner kernel, kept as oracle)        *)
@@ -384,3 +387,44 @@ let single_condition_upper_bounds inst x =
       (Instance.relation_names inst)
   in
   List.filter (contains_all inst x) candidates
+
+(* ------------------------------------------------------------------ *)
+(* Algorithm 1, literally                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Lines 1-2 of Algorithm 1 over the whole product, with no plan, no
+   kill-sets and no cut: the tuples come out in product order (first
+   position most significant), every one is tested by the definition, and
+   the accumulator that pushes each explanation leaves them reversed. *)
+let literal_explanations o wn =
+  let concepts = Option.get o.Ontology.concepts in
+  let per_position =
+    List.map
+      (fun a -> List.filter (fun c -> o.Ontology.mem c a) concepts)
+      (Whynot.missing_values wn)
+  in
+  let product =
+    List.fold_right
+      (fun cands tails ->
+         List.concat_map (fun c -> List.map (fun t -> c :: t) tails) cands)
+      per_position [ [] ]
+  in
+  List.filter (Explanation.is_explanation o wn) product
+
+let literal_all_mges o wn =
+  let explanations = List.rev (literal_explanations o wn) in
+  let maximal =
+    List.filter
+      (fun e ->
+         not
+           (List.exists
+              (fun e' -> Explanation.strictly_less_general o e e')
+              explanations))
+      explanations
+  in
+  List.rev
+    (List.fold_left
+       (fun kept e ->
+          if List.exists (Explanation.equivalent o e) kept then kept
+          else e :: kept)
+       [] maximal)

@@ -95,3 +95,22 @@ val single_condition_upper_bounds :
     atomic concepts, whose extension contains the given constant set. Every
     member is an upper bound that {!Whynot_concept.Lub.lub_sigma} must lie
     below. *)
+
+val literal_explanations :
+  'c Whynot_core.Ontology.t ->
+  Whynot_core.Whynot.t ->
+  'c Whynot_core.Explanation.t list
+(** Every explanation w.r.t. a finite ontology, in product order: the
+    full product of the per-position concepts covering the missing value,
+    filtered by [Explanation.is_explanation]. Differential oracle for
+    [Exhaustive.explanations_seq] ([exhaustive/equals-literal]).
+    @raise Invalid_argument when the ontology is infinite. *)
+
+val literal_all_mges :
+  'c Whynot_core.Ontology.t ->
+  Whynot_core.Whynot.t ->
+  'c Whynot_core.Explanation.t list
+(** The literal Algorithm 1: {!literal_explanations} reversed, without the
+    strictly-less-general tuples, keeping the first representative of each
+    equivalence class. Differential oracle for [Exhaustive.all_mges] and
+    [Exhaustive.all_mges_unpruned], which must return this exact list. *)

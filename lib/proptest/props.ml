@@ -24,8 +24,6 @@ module Induced = Whynot_obda.Induced
 module Spec = Whynot_obda.Spec
 module Parser = Whynot_text.Parser
 module Subsume_memo = Whynot_concept.Subsume_memo
-module Pool = Whynot_parallel.Pool
-module Par_exhaustive = Whynot_parallel.Par_exhaustive
 
 let ( let* ) = QG.( let* )
 
@@ -602,53 +600,61 @@ let text_values_roundtrip =
         List.length vs = List.length vs' && List.for_all2 Value.equal vs vs')
 
 (* ------------------------------------------------------------------ *)
-(* The parallel engine vs the sequential algorithms                    *)
+(* Algorithm 1 vs its literal statement                                *)
 (* ------------------------------------------------------------------ *)
 
-(* The contract of [Whynot_parallel] is not "a correct MGE set" but "the
-   sequential MGE set, exactly": the block merge of Algorithm 1 must be
-   invisible at every domain count. Sequential is compared against pools
-   of 1, 2 and 4 domains — 1 exercises the degenerate no-spawn path, 2 and
-   4 genuinely interleave on multicore hosts. Each worker slot answers
-   through its own memo handle, as in [Whynot.Engine]. *)
-let parallel_mge_equals_sequential =
-  prop "parallel/mge-equals-sequential" 30 str_whynot Gen.whynot (function
-    | None -> true
-    | Some wn ->
-      let inst = wn.Whynot.instance in
-      let o =
-        Ontology.of_instance_finite inst (Whynot.constant_pool wn)
-      in
-      let seq_all = Exhaustive.all_mges_exn o wn in
-      let seq_exists = Exhaustive.exists_explanation_exn o wn in
-      List.for_all
-        (fun domains ->
-          let pool = Pool.create ~domains in
-          Fun.protect
-            ~finally:(fun () -> Pool.close pool)
-            (fun () ->
-              let ontology ~worker =
-                if worker = 0 then o
-                else
-                  {
-                    (Ontology.of_instance inst) with
-                    Ontology.name = o.Ontology.name;
-                    concepts = o.Ontology.concepts;
-                  }
-              in
-              let par_all =
-                match Par_exhaustive.all_mges pool ~ontology wn with
-                | Ok es -> es
-                | Error _ -> []
-              in
-              let par_exists =
-                Par_exhaustive.exists_explanation pool ~ontology wn
-                = Ok seq_exists
-              in
-              List.length par_all = List.length seq_all
-              && List.for_all2 (Explanation.equivalent o) par_all seq_all
-              && par_exists))
-        [ 1; 2; 4 ])
+(* A question and a mask over its O_I[K] concepts: concept [i] is kept
+   iff [mask.(i mod 16)]. The restriction drops nominals and top at
+   random, so it has questions without any explanation and MGE lists
+   whose order the full O_I[K] never exercises. *)
+let gen_literal_case =
+  let* wn = Gen.whynot in
+  let* mask = QG.list_repeat 16 QG.bool in
+  QG.return (wn, Array.of_list mask)
+
+let str_literal_case (wn, mask) =
+  Printf.sprintf "%s\nmask = %s" (str_whynot wn)
+    (String.concat ""
+       (List.map (fun b -> if b then "1" else "0") (Array.to_list mask)))
+
+(* [Exhaustive] runs every search over one plan with a suffix-reach cut;
+   the literal algorithm builds the whole product and tests each tuple by
+   the definition. The contract is "the literal list, exactly", on O_I[K]
+   and on the masked restriction: same MGEs, same representative per
+   equivalence class, same order, with or without the dominated-candidate
+   preprocessing; the same explanations in product order; existence iff
+   the literal list is non-empty; and [one_mge] is the literal first
+   explanation, climbed. *)
+let exhaustive_equals_literal =
+  prop "exhaustive/equals-literal" 100 str_literal_case gen_literal_case
+    (function
+      | None, _ -> true
+      | Some wn, mask ->
+        let full =
+          Ontology.of_instance_finite wn.Whynot.instance
+            (Whynot.constant_pool wn)
+        in
+        let masked =
+          {
+            full with
+            Ontology.concepts =
+              Option.map
+                (List.filteri (fun i _ -> mask.(i mod Array.length mask)))
+                full.Ontology.concepts;
+          }
+        in
+        let agrees o =
+          let explanations = Oracle.literal_explanations o wn in
+          let mges = Oracle.literal_all_mges o wn in
+          Exhaustive.all_mges_exn o wn = mges
+          && Exhaustive.all_mges_unpruned_exn o wn = mges
+          && List.of_seq (Exhaustive.explanations_seq_exn o wn) = explanations
+          && Exhaustive.exists_explanation_exn o wn = (explanations <> [])
+          && Exhaustive.one_mge_exn o wn
+             = Option.map (Exhaustive.generalise_exn o wn)
+                 (List.nth_opt explanations 0)
+        in
+        agrees full && agrees masked)
 
 (* ------------------------------------------------------------------ *)
 (* The planned/indexed evaluation kernel vs the retained naive kernel  *)
@@ -806,7 +812,7 @@ let all =
     text_concept_roundtrip;
     text_document_roundtrip;
     text_values_roundtrip;
-    parallel_mge_equals_sequential;
+    exhaustive_equals_literal;
     eval_planned_equals_naive;
     ext_indexed_equals_scan;
     wire_envelope_roundtrip;

@@ -137,6 +137,8 @@ let handle_create deps req =
     | Some n when n <> "" -> Ok n
     | _ -> err "missing-input" "\"create\" requires a non-empty \"session\" name"
   in
+  (* ["domains"] is range-checked and echoed; every engine runs on one
+     domain. *)
   let* domains =
     match Protocol.int_param req "domains" with
     | None -> Ok deps.domains_default
@@ -174,7 +176,7 @@ let handle_create deps req =
     | None, None ->
       err "missing-input" "\"create\" requires a \"workload\" or a \"document\""
   in
-  let* engine = of_engine_result (Engine.create ~schema ~domains ~instance ()) in
+  let* engine = of_engine_result (Engine.create ~schema ~instance ()) in
   let now = Obs.now_s () in
   let session =
     {

@@ -6,8 +6,11 @@
 
 type deps = {
   registry : Registry.t;
-  domains_default : int;      (** worker domains for new sessions *)
-  domains_max : int;          (** upper bound a client may request *)
+  domains_default : int;
+      (** echoed by [create] when the request names no ["domains"] *)
+  domains_max : int;
+      (** upper bound [create] accepts for ["domains"]; the value is
+          range-checked and echoed, and changes nothing else *)
   default_deadline_ms : int;  (** per-request deadline; [0] = none *)
   max_deadline_ms : int;      (** cap on client-chosen deadlines; [0] = none *)
   debug_ops : bool;

@@ -1,16 +1,15 @@
 (* The TCP serving layer. One systhread per connection (request handling
-   is dominated by engine work, which runs on the engine's own domains;
-   systhreads are plenty for the socket plumbing), a polling accept loop
-   so shutdown needs no self-pipe, and a counting semaphore as the
-   bounded "queue": try_acquire either admits a request or sheds it with
-   an "overloaded" response — requests are never buffered without bound. *)
+   is dominated by engine work; systhreads are plenty for the socket
+   plumbing), a polling accept loop so shutdown needs no self-pipe, and a
+   counting semaphore as the bounded "queue": try_acquire either admits a
+   request or sheds it with an "overloaded" response — requests are never
+   buffered without bound. *)
 
 module Obs = Whynot_obs.Obs
 
 type config = {
   host : string;
   port : int;
-  domains : int;
   max_sessions : int;
   max_conns : int;
   max_inflight : int;
@@ -28,7 +27,6 @@ let default_config =
   {
     host = "127.0.0.1";
     port = 0;
-    domains = 1;
     max_sessions = 64;
     max_conns = 64;
     max_inflight = 16;
@@ -203,8 +201,8 @@ let serve_request t peer line =
              in
              match timed () with
              | exception e ->
-               (* A handler bug or an exhausted resource (e.g. no domain
-                  left for a new engine) costs this request only. *)
+               (* A handler bug or an exhausted resource costs this
+                  request only. *)
                Obs.incr c_errors;
                ( Protocol.error_line ~request:req ~code:"internal"
                    ~message:(Printexc.to_string e) (),
@@ -377,7 +375,7 @@ let start cfg =
     let deps =
       {
         Handlers.registry;
-        domains_default = max cfg.domains 1;
+        domains_default = 1;
         domains_max = 16;
         default_deadline_ms = cfg.default_deadline_ms;
         max_deadline_ms = cfg.max_deadline_ms;

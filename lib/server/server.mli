@@ -31,7 +31,6 @@
 type config = {
   host : string;             (** bind address, e.g. ["127.0.0.1"] *)
   port : int;                (** [0] picks an ephemeral port (see {!port}) *)
-  domains : int;             (** default worker domains per session *)
   max_sessions : int;
   max_conns : int;           (** concurrent connections *)
   max_inflight : int;        (** concurrently executing requests *)
@@ -47,7 +46,7 @@ type config = {
 }
 
 val default_config : config
-(** Loopback host, ephemeral port, 1 domain, generous limits, a 10 s
+(** Loopback host, ephemeral port, generous limits, a 10 s
     default deadline with a 60 s cap, 10 min TTL, access log on. *)
 
 type t

@@ -1,34 +1,28 @@
 (** The unified explanation engine.
 
     An engine bundles everything one explanation session needs — the
-    instance, the optional schema, the memo handles, and a pool of worker
-    domains — behind a facade whose every operation returns
-    [(_, Whynot_error.t) result]. Create one per (schema, instance) pair,
-    ask it why-not questions, and {!close} it when done:
+    instance, the optional schema and the memo handles — behind a facade
+    whose every operation returns [(_, Whynot_error.t) result]. Create one
+    per (schema, instance) pair, ask it why-not questions, and {!close} it
+    when done:
 
     {[
-      let* engine = Engine.create ~domains:4 ~instance () in
+      let* engine = Engine.create ~instance () in
       let* wn = Engine.question engine ~query ~missing () in
       let* mge = Engine.one_mge engine wn in
       ...
       let* () = Engine.close engine
     ]}
 
-    With [domains = n] the engine runs Algorithm 1 over [n] domains (the
-    calling domain participates, so [n = 1] is exactly the sequential
-    code path); every search returns the {e same} result as its
-    sequential counterpart regardless of [n] — parallelism changes only
-    the wall-clock, never the answer. Algorithm 2 is one ordered fold and
-    runs sequentially at every [n].
-
-    The engine owns one memo handle per worker slot, created with it:
-    slot 0 serves the calling domain and every sequential operation,
-    slots 1.. only Algorithm 1's worker domains. Each slot stays warm
-    across operations, and no other engine ever sees the handles or the
-    deadline set on them.
+    The engine owns one instance memo handle, and one schema memo handle
+    when it has a schema, both created with it. They stay warm across
+    operations, and no other engine ever sees them or the deadline set on
+    them. Every search runs on the calling domain: Algorithm 1 is
+    {!Whynot_core.Exhaustive} over the engine's handles, Algorithm 2 is
+    {!Whynot_core.Incremental}.
 
     Engines are not themselves thread-safe: issue operations from one
-    domain at a time. *)
+    thread at a time. *)
 
 open Whynot_relational
 
@@ -40,12 +34,12 @@ val create :
   instance:Instance.t ->
   unit ->
   (t, Whynot_error.t) result
-(** [domains] defaults to [1]; [`Invalid_config] when [domains < 1].
-    Supplying a schema enables {!all_mges_schema} and makes {!question}
+(** [domains] is accepted for compatibility and has no effect:
+    [`Invalid_config] when [domains < 1], otherwise ignored. Supplying a
+    schema enables {!all_mges_schema} and makes {!question}
     check the instance against it (once per engine). An illegal instance
     is accepted here; {!question} reports it. *)
 
-val domains : t -> int
 val schema : t -> Schema.t option
 val instance : t -> Instance.t
 val is_closed : t -> bool
@@ -55,8 +49,7 @@ val set_deadline : t -> float option -> unit
     cooperatively once the wall clock ({!Whynot_obs.Obs.now_s}) passes the
     absolute time [t], returning [`Timeout] instead of a result — the
     cancellation points are the memoised subsumption/extension/lub entry
-    points every search funnels through, on every worker slot's handle,
-    so parallel runs unwind on all domains within one
+    points every search funnels through, so a search unwinds within one
     candidate evaluation. Verdicts computed before the trip stay cached
     (the engine is left warm and fully usable). [None] clears the
     deadline. The serving layer installs a deadline per request. The
@@ -95,8 +88,7 @@ val one_mge :
   Whynot_core.Whynot.t ->
   (Whynot_concept.Ls.t Whynot_core.Explanation.t, Whynot_error.t) result
 (** A most-general explanation w.r.t. the instance-derived ontology:
-    [Incremental.one_mge] on the engine's slot-0 handle, at every domain
-    count. *)
+    [Incremental.one_mge] on the engine's instance handle. *)
 
 val check_mge :
   ?variant:Whynot_core.Incremental.variant ->
@@ -104,8 +96,8 @@ val check_mge :
   Whynot_core.Whynot.t ->
   Whynot_concept.Ls.t Whynot_core.Explanation.t ->
   (bool, Whynot_error.t) result
-(** CHECK-MGE w.r.t. [O_I] (sequential; the check is a single sweep of
-    single-position upgrades). *)
+(** CHECK-MGE w.r.t. [O_I]: a single sweep of single-position
+    upgrades. *)
 
 (** {1 Algorithm 1 — exhaustive search w.r.t. finite ontologies}
 
@@ -118,7 +110,8 @@ val all_mges :
   Whynot_core.Whynot.t ->
   (Whynot_concept.Ls.t Whynot_core.Explanation.t list, Whynot_error.t) result
 (** All MGEs w.r.t. [O_I[K]], the finite selection-free restriction of the
-    instance-derived ontology — the parallel [Exhaustive.all_mges]. *)
+    instance-derived ontology: [Exhaustive.all_mges] over the engine's
+    instance handle. *)
 
 val exists_explanation :
   ?values:Value_set.t ->
@@ -150,19 +143,16 @@ val all_mges_finite :
   Whynot_core.Whynot.t ->
   ('c Whynot_core.Explanation.t list, Whynot_error.t) result
 (** All MGEs w.r.t. a caller-supplied finite ontology (hand-written or
-    OBDA-induced); [`Infinite_ontology] when it does not enumerate its
-    concepts. The ontology's closures are shared across worker domains
-    and must tolerate concurrent calls — the ontologies built by
-    [Ontology.of_extensions] and [Ontology.of_obda] do. *)
+    OBDA-induced): [Exhaustive.all_mges], under the engine's closed check.
+    [`Infinite_ontology] when it does not enumerate its concepts. *)
 
 (** {1 Observability and shutdown} *)
 
 val counters : t -> (string * int) list
-(** The process-global observability snapshot ({!Whynot_obs.Obs.snapshot}):
-    counter values aggregate the per-domain stripes, so after an operation
-    returns they account for every worker's increments. *)
+(** The process-global observability snapshot
+    ({!Whynot_obs.Obs.snapshot}). *)
 
 val close : t -> (unit, Whynot_error.t) result
-(** Shut the worker domains down; the engine's memo handles go with it.
-    Touches no other engine. Idempotent; any further operation on the
-    engine fails with [`Closed]. *)
+(** Brick the engine: any further operation on it fails with [`Closed],
+    and its memo handles go with it. Touches no other engine.
+    Idempotent. *)

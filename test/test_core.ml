@@ -396,6 +396,52 @@ let test_reduction_faithful () =
      Alcotest.(check bool) "explanation -> cover" true
        (Setcover.is_cover sc (Reduction.explanation_to_sets e)))
 
+(* Kill-sets are bit vectors of [Sys.int_size]-bit words; 140 answers
+   span three words on 64-bit hosts. Every Algorithm 1 search must still
+   return the literal algorithm's list. *)
+let test_exhaustive_many_answers () =
+  let open Whynot_setcover in
+  let range lo hi = List.init (hi - lo + 1) (fun i -> lo + i) in
+  let universe = range 0 139 in
+  let sc =
+    Setcover.make ~universe
+      ~sets:
+        [
+          ("Lo", range 0 69);
+          ("Hi", range 70 139);
+          ("Mid", range 35 104);
+          ("Even", List.filter (fun u -> u mod 2 = 0) universe);
+          ("Odd", List.filter (fun u -> u mod 2 = 1) universe);
+          ("Most", range 0 138);
+        ]
+  in
+  List.iter
+    (fun slots ->
+       let g = Reduction.build sc ~slots in
+       let o = g.Reduction.ontology and wn = g.Reduction.whynot in
+       let explanations = Whynot_proptest.Oracle.literal_explanations o wn in
+       let mges = Whynot_proptest.Oracle.literal_all_mges o wn in
+       let name what = Printf.sprintf "%s, %d slot(s)" what slots in
+       let check what expected got =
+         Alcotest.(check (list (list string))) (name what) expected got
+       in
+       check "all_mges" mges (Exhaustive.all_mges_exn o wn);
+       check "all_mges_unpruned" mges (Exhaustive.all_mges_unpruned_exn o wn);
+       check "explanations_seq" explanations
+         (List.of_seq (Exhaustive.explanations_seq_exn o wn));
+       Alcotest.(check bool) (name "exists_explanation") (explanations <> [])
+         (Exhaustive.exists_explanation_exn o wn);
+       Alcotest.(check (option (list string))) (name "one_mge")
+         (Option.map (Exhaustive.generalise_exn o wn)
+            (List.nth_opt explanations 0))
+         (Exhaustive.one_mge_exn o wn))
+    [ 1; 2 ];
+  let g = Reduction.build sc ~slots:2 in
+  Alcotest.(check int) "covers of size 2" 8
+    (List.length
+       (Whynot_proptest.Oracle.literal_explanations g.Reduction.ontology
+          g.Reduction.whynot))
+
 let prop_reduction_equivalence =
   QCheck2.Test.make ~name:"existence <=> cover of size <= slots" ~count:60
     QCheck2.Gen.(
@@ -786,7 +832,11 @@ let () =
       ( "validation",
         [ Alcotest.test_case "why-not instance" `Quick test_whynot_validation ] );
       ( "reduction",
-        [ Alcotest.test_case "faithfulness" `Quick test_reduction_faithful ] );
+        [
+          Alcotest.test_case "faithfulness" `Quick test_reduction_faithful;
+          Alcotest.test_case "Algorithm 1 over 140 answers" `Quick
+            test_exhaustive_many_answers;
+        ] );
       ( "edge-cases",
         [
           Alcotest.test_case "empty answers" `Quick test_empty_answer_set;

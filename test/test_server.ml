@@ -255,6 +255,40 @@ let test_idle_ttl_evicts () =
     (check_ok "recreate after eviction"
        (rpc c "{\"op\":\"create\",\"session\":\"idle\",\"workload\":\"cities\"}"))
 
+(* A session asking for 16 domains costs no domain: twelve of them, all
+   held open on one connection, each create and answer. (OCaml caps a
+   process at 128 domains, which 15 spawned workers per session used up
+   at the ninth.) *)
+let test_many_sixteen_domain_sessions () =
+  with_server @@ fun server ->
+  let c = connect (Server.port server) in
+  Fun.protect ~finally:(fun () -> disconnect c) @@ fun () ->
+  let sessions = List.init 12 (Printf.sprintf "wide-%d") in
+  List.iter
+    (fun s ->
+       let r =
+         check_ok ("create " ^ s)
+           (rpc c
+              (Printf.sprintf
+                 "{\"op\":\"create\",\"session\":\"%s\",\
+                  \"workload\":\"cities\",\"domains\":16}"
+                 s))
+       in
+       Alcotest.(check (option int)) ("domains echoed by " ^ s) (Some 16)
+         (Option.bind (Json.member "domains" r) Json.to_int_opt))
+    sessions;
+  Alcotest.(check int) "all sessions live" 12 (Server.session_count server);
+  List.iter
+    (fun s ->
+       let r =
+         check_ok ("one_mge " ^ s)
+           (rpc c (Printf.sprintf "{\"op\":\"one_mge\",\"session\":\"%s\"}" s))
+       in
+       match Json.member "mge" r with
+       | Some (Json.List (_ :: _)) -> ()
+       | _ -> Alcotest.failf "one_mge on %s returned no concepts" s)
+    sessions
+
 let test_graceful_drain () =
   let cfg = { Server.default_config with port = 0; access_log = false } in
   let server =
@@ -518,6 +552,8 @@ let () =
             `Quick test_illegal_document_reports_schema_violation;
           Alcotest.test_case "implicit-view MGE passes check_mge" `Quick
             test_implicit_view_mge_round_trips;
+          Alcotest.test_case "sixteen-domain sessions exhaust no domains"
+            `Quick test_many_sixteen_domain_sessions;
         ] );
       ( "robustness",
         [
