@@ -31,6 +31,8 @@ module Obs = Whynot_obs.Obs
    dropped. The JSON report records which mode produced it. *)
 let quick = Array.exists (fun a -> a = "--quick") Sys.argv
 
+let ok = function Ok v -> v | Error e -> failwith (Whynot_error.to_string e)
+
 let sweep xs =
   match xs with
   | (_ :: _ :: _) when quick -> List.filteri (fun i _ -> i < List.length xs - 1) xs
@@ -192,7 +194,7 @@ let ex_3_4 () =
   header "EX3.4" "Figures 1-3 + Example 3.4: why-not with a hand ontology";
   row "answers |q(I)| = %d (paper: 4)@."
     (Relation.cardinal whynot_cities.Whynot.answers);
-  let mges = Exhaustive.all_mges_exn hand_ontology whynot_cities in
+  let mges = ok @@ Exhaustive.all_mges hand_ontology whynot_cities in
   List.iter
     (fun e ->
        row "MGE: %s@."
@@ -201,7 +203,7 @@ let ex_3_4 () =
   row "paper's E4 = <European-City, US-City> is among them: %b@."
     (List.exists (fun e -> e = [ "European-City"; "US-City" ]) mges);
   timed "EX3.4" "Algorithm 1 (all MGEs, Figure 3 ontology)" (fun () ->
-      Exhaustive.all_mges_exn hand_ontology whynot_cities)
+      ok @@ Exhaustive.all_mges hand_ontology whynot_cities)
 
 (* ================================================================== *)
 (* EX4.5 / FIG4: OBDA-induced ontology                                 *)
@@ -213,17 +215,17 @@ let ex_4_5 () =
   let o = Ontology.of_obda induced in
   row "basic concepts in T: %d (paper: 13)@."
     (List.length (Whynot_obda.Induced.concepts induced));
-  let mges = Exhaustive.all_mges_exn o whynot_cities in
+  let mges = ok @@ Exhaustive.all_mges o whynot_cities in
   List.iter
     (fun e -> row "MGE: %s@." (Format.asprintf "%a" (Explanation.pp o) e))
     mges;
   row "paper's E1 = <EU-City, N.A.-City> is most general: %b@."
-    (Exhaustive.check_mge_exn o whynot_cities
+    (ok @@ Exhaustive.check_mge o whynot_cities
        [ Whynot_dllite.Dl.Atom "EU-City"; Whynot_dllite.Dl.Atom "N.A.-City" ]);
   timed "EX4.5" "induced-ontology preparation (Thm 4.2)" (fun () ->
       Whynot_obda.Induced.prepare Cities.obda_spec Cities.instance);
   timed "EX4.5" "Algorithm 1 over O_B" (fun () ->
-      Exhaustive.all_mges_exn o whynot_cities)
+      ok @@ Exhaustive.all_mges o whynot_cities)
 
 (* ================================================================== *)
 (* FIG5 / EX4.9: derived ontologies                                    *)
@@ -283,9 +285,9 @@ let ex_retail () =
   in
   List.iter
     (fun e -> row "MGE: %s@." (Format.asprintf "%a" (Explanation.pp o) e))
-    (Exhaustive.all_mges_exn o wn);
+    (ok @@ Exhaustive.all_mges o wn);
   timed "EX-RETAIL" "Algorithm 1 (retail ontology)" (fun () ->
-      Exhaustive.all_mges_exn o wn)
+      ok @@ Exhaustive.all_mges o wn)
 
 (* ================================================================== *)
 (* TAB1: complexity of concept subsumption w.r.t. a schema             *)
@@ -369,7 +371,7 @@ let alg1 () =
        let g = Whynot_setcover.Reduction.build sc ~slots:2 in
        timed ~params:[ ("n_sets", float_of_int n_sets) ] "ALG1"
          (Printf.sprintf "all MGEs / concepts=%d" n_sets) (fun () ->
-           Exhaustive.all_mges_exn g.Whynot_setcover.Reduction.ontology
+           ok @@ Exhaustive.all_mges g.Whynot_setcover.Reduction.ontology
              g.Whynot_setcover.Reduction.whynot))
     (sweep [ 4; 8; 16 ]);
   row "-- query arity sweep (exponent of Theorem 5.2) --@.";
@@ -382,7 +384,7 @@ let alg1 () =
        let g = Whynot_setcover.Reduction.build sc ~slots in
        timed ~params:[ ("arity", float_of_int slots) ] "ALG1"
          (Printf.sprintf "all MGEs / arity=%d" slots) (fun () ->
-           Exhaustive.all_mges_exn g.Whynot_setcover.Reduction.ontology
+           ok @@ Exhaustive.all_mges g.Whynot_setcover.Reduction.ontology
              g.Whynot_setcover.Reduction.whynot))
     (sweep [ 1; 2; 3 ]);
   row "-- D3 ablation: candidate pruning --@.";
@@ -392,10 +394,10 @@ let alg1 () =
   in
   let g = Whynot_setcover.Reduction.build sc ~slots:2 in
   timed "ALG1" "pruned (all_mges)" (fun () ->
-      Exhaustive.all_mges_exn g.Whynot_setcover.Reduction.ontology
+      ok @@ Exhaustive.all_mges g.Whynot_setcover.Reduction.ontology
         g.Whynot_setcover.Reduction.whynot);
   timed "ALG1" "literal Algorithm 1 (all_mges_unpruned)" (fun () ->
-      Exhaustive.all_mges_unpruned_exn g.Whynot_setcover.Reduction.ontology
+      ok @@ Exhaustive.all_mges_unpruned g.Whynot_setcover.Reduction.ontology
         g.Whynot_setcover.Reduction.whynot)
 
 let existence () =
@@ -408,7 +410,7 @@ let existence () =
        in
        let g = Whynot_setcover.Reduction.build sc ~slots:3 in
        let exists =
-         Exhaustive.exists_explanation_exn g.Whynot_setcover.Reduction.ontology
+         ok @@ Exhaustive.exists_explanation g.Whynot_setcover.Reduction.ontology
            g.Whynot_setcover.Reduction.whynot
        in
        let cover = Whynot_setcover.Setcover.exists_cover_of_size sc 3 in
@@ -416,7 +418,7 @@ let existence () =
          n_sets exists cover;
        timed ~params:[ ("n_sets", float_of_int n_sets) ] "THM5.1"
          (Printf.sprintf "existence / sets=%d" n_sets) (fun () ->
-           Exhaustive.exists_explanation_exn g.Whynot_setcover.Reduction.ontology
+           ok @@ Exhaustive.exists_explanation g.Whynot_setcover.Reduction.ontology
              g.Whynot_setcover.Reduction.whynot))
     (sweep [ 8; 16; 32 ])
 
@@ -574,8 +576,8 @@ let p6_4 () =
     | Some e -> Option.value ~default:(-1) (Cardinality.degree oc wnc e)
   in
   row "  crafted: exact degree=%d, greedy degree=%d (greedy suboptimal)@."
-    (degc (Cardinality.maximal_exn oc wnc))
-    (degc (Cardinality.greedy_exn oc wnc));
+    (degc (ok @@ Cardinality.maximal oc wnc))
+    (degc (ok @@ Cardinality.greedy oc wnc));
   List.iter
     (fun n_sets ->
        let sc =
@@ -589,15 +591,16 @@ let p6_4 () =
          | None -> -1
          | Some e -> Option.value ~default:(-1) (Cardinality.degree o wn e)
        in
-       let exact = Cardinality.maximal_exn o wn and greedy = Cardinality.greedy_exn o wn in
+       let exact = ok @@ Cardinality.maximal o wn
+       and greedy = ok @@ Cardinality.greedy o wn in
        row "  n_sets=%-3d exact degree=%-4d greedy degree=%-4d@."
          n_sets (deg exact) (deg greedy);
        timed ~params:[ ("n_sets", float_of_int n_sets) ] "P6.4"
          (Printf.sprintf "exact / sets=%d" n_sets) (fun () ->
-           Cardinality.maximal_exn o wn);
+           ok @@ Cardinality.maximal o wn);
        timed ~params:[ ("n_sets", float_of_int n_sets) ] "P6.4"
          (Printf.sprintf "greedy / sets=%d" n_sets) (fun () ->
-           Cardinality.greedy_exn o wn))
+           ok @@ Cardinality.greedy o wn))
     (sweep [ 6; 10; 14 ])
 
 (* ================================================================== *)

@@ -56,13 +56,13 @@ let () =
        Format.printf "%s = %a : explanation? %b  most general? %b@." name
          (Explanation.pp ontology) e
          (Explanation.is_explanation ontology wn e)
-         (Exhaustive.check_mge_exn ontology wn e))
+         (Result.get_ok (Exhaustive.check_mge ontology wn e)))
     named;
 
   section "All most-general explanations (Algorithm 1 over O_B)";
   List.iter
     (fun e -> Format.printf "MGE: %a@." (Explanation.pp ontology) e)
-    (Exhaustive.all_mges_exn ontology wn);
+    (Result.get_ok (Exhaustive.all_mges ontology wn));
 
   Format.printf
     "@.E1 = <EU-City, N.A.-City> is the most general of E1..E4, as in the@.\

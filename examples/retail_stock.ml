@@ -40,7 +40,7 @@ let () =
     Retail.hand_ontology_extensions;
 
   section "Most-general explanations";
-  let mges = Exhaustive.all_mges_exn ontology wn in
+  let mges = Result.get_ok (Exhaustive.all_mges ontology wn) in
   List.iter
     (fun e -> Format.printf "MGE: %a@." (Explanation.pp ontology) e)
     mges;

@@ -7,21 +7,26 @@ let pool_list wn = Value_set.elements (Whynot.constant_pool wn)
 let concept_degree o pool c =
   List.length (List.filter (fun v -> o.Ontology.mem c v) pool)
 
+let explanation_degree o pool e =
+  List.fold_left (fun acc c -> acc + concept_degree o pool c) 0 e
+
 let degree o wn e =
-  let pool = pool_list wn in
   (* A concept whose membership holds for every probe and is known infinite
      cannot be distinguished through [mem]; over finite ontologies this
      does not arise, and for derived ontologies the caller should treat
      full-pool concepts with care. We simply count pool members. *)
-  Some (List.fold_left (fun acc c -> acc + concept_degree o pool c) 0 e)
+  Some (explanation_degree o (pool_list wn) e)
+
+let finite o k =
+  match o.Ontology.concepts with
+  | Some cs -> k cs
+  | None ->
+    Error
+      (`Infinite_ontology
+         ("Cardinality: ontology " ^ o.Ontology.name ^ " is not finite"))
 
 (* Candidate concepts per position with kill-sets and degrees. *)
-let prepared_exn o wn =
-  let cs =
-    match o.Ontology.concepts with
-    | Some cs -> cs
-    | None -> invalid_arg "Cardinality: the ontology must be finite"
-  in
+let prepared o cs wn =
   let pool = pool_list wn in
   let answers = Relation.to_list wn.Whynot.answers in
   List.mapi
@@ -59,8 +64,8 @@ let suffix_reach per_position =
 let all_answers wn =
   Int_set.of_list (List.init (Relation.cardinal wn.Whynot.answers) (fun i -> i))
 
-let maximal_exn o wn =
-  let per_position = prepared_exn o wn in
+let maximal_branch_and_bound o cs wn =
+  let per_position = prepared o cs wn in
   if List.exists (fun cands -> cands = []) per_position then None
   else
     let all = all_answers wn in
@@ -111,56 +116,29 @@ let maximal_exn o wn =
     search Int_set.empty 0 [] per_position reaches suffix_max_degree;
     !best
 
-let greedy_exn o wn =
-  let per_position = prepared_exn o wn in
-  if List.exists (fun cands -> cands = []) per_position then None
-  else
-    let all = all_answers wn in
-    let reaches = suffix_reach per_position in
-    (* Per position, choose the highest-degree candidate that keeps the
-       remaining positions able to cover the still-alive answers. *)
-    let rec choose killed chosen cands reaches =
-      match cands, reaches with
-      | [], _ -> if Int_set.equal killed all then Some (List.rev chosen) else None
-      | options :: rest, _ :: rest_reach ->
-        let reachable =
-          match rest_reach with r :: _ -> r | [] -> Int_set.empty
-        in
-        let sorted =
-          List.sort (fun (_, _, d1) (_, _, d2) -> Stdlib.compare d2 d1) options
-        in
-        let rec first = function
-          | [] -> None
-          | (c, ks, _) :: more ->
-            let killed' = Int_set.union killed ks in
-            if Int_set.subset (Int_set.diff all killed') reachable then
-              match choose killed' (c :: chosen) rest rest_reach with
-              | Some r -> Some r
-              | None -> first more
-            else first more
-        in
-        first sorted
-      | _, [] -> None
-    in
-    choose Int_set.empty [] per_position reaches
+let maximal o wn = finite o (fun cs -> Ok (maximal_branch_and_bound o cs wn))
 
-let ranked_exn o wn =
+(* Per position, the highest-degree candidate that keeps the tuple
+   completable: the first explanation Algorithm 1 meets when every
+   position lists its candidates by decreasing degree (stable, so ties
+   keep the ontology's order). *)
+let greedy o wn =
   let pool = pool_list wn in
-  Exhaustive.all_mges_exn o wn
-  |> List.map (fun e ->
-      (e, List.fold_left (fun acc c -> acc + concept_degree o pool c) 0 e))
-  |> List.sort (fun (_, d1) (_, d2) -> Stdlib.compare d2 d1)
+  let by_degree cs =
+    List.map (fun c -> (c, concept_degree o pool c)) cs
+    |> List.stable_sort (fun (_, d1) (_, d2) -> Int.compare d2 d1)
+    |> List.map fst
+  in
+  Result.map
+    (fun s -> Option.map fst (Seq.uncons s))
+    (Exhaustive.explanations_seq
+       { o with concepts = Option.map by_degree o.Ontology.concepts }
+       wn)
 
-(* --- result-returning public surface --- *)
-
-let finite o k =
-  match o.Ontology.concepts with
-  | Some _ -> k ()
-  | None ->
-    Error
-      (`Infinite_ontology
-         ("Cardinality: ontology " ^ o.Ontology.name ^ " is not finite"))
-
-let maximal o wn = finite o (fun () -> Ok (maximal_exn o wn))
-let greedy o wn = finite o (fun () -> Ok (greedy_exn o wn))
-let ranked o wn = finite o (fun () -> Ok (ranked_exn o wn))
+let ranked o wn =
+  let pool = pool_list wn in
+  Result.map
+    (fun mges ->
+       List.map (fun e -> (e, explanation_degree o pool e)) mges
+       |> List.sort (fun (_, d1) (_, d2) -> Stdlib.compare d2 d1))
+    (Exhaustive.all_mges o wn)

@@ -21,8 +21,11 @@ val maximal :
 val greedy :
   'c Ontology.t -> Whynot.t -> ('c Explanation.t option, Whynot_error.t) result
 (** Greedy heuristic: pick per position the candidate with the largest
-    extension that keeps the partial tuple completable, then locally
-    improve. Polynomial; no approximation guarantee exists unless P=NP. *)
+    extension that keeps the partial tuple completable. This is the first
+    element of {!Exhaustive.explanations_seq} over the ontology whose
+    concepts are stably sorted by decreasing degree. Exponential in the
+    worst case like any backtracking search, but usually quick; no
+    approximation guarantee exists unless P=NP. *)
 
 val ranked :
   'c Ontology.t ->
@@ -31,13 +34,3 @@ val ranked :
 (** Every most-general explanation paired with its degree of generality,
     sorted by decreasing degree — the bridge between the two preference
     orders of §6: the ⊑-maximal explanations, ranked by cardinality. *)
-
-(** {1 Raising variants}
-
-    @deprecated Prefer the result-returning functions above; these raise
-    [Invalid_argument] on infinite ontologies. *)
-
-val maximal_exn : 'c Ontology.t -> Whynot.t -> 'c Explanation.t option
-val greedy_exn : 'c Ontology.t -> Whynot.t -> 'c Explanation.t option
-val ranked_exn :
-  'c Ontology.t -> Whynot.t -> ('c Explanation.t * int) list

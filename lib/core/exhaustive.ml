@@ -10,10 +10,15 @@ let c_tuples =
     ~doc:"Algorithm 1 candidate tuples reaching the last position after the \
           suffix-reach cut"
 
-let concepts_exn o =
+(* Every entry needs the finite concept list [cs]; it checks
+   [o.concepts] once and hands [cs] down. *)
+let finite o k =
   match o.Ontology.concepts with
-  | Some cs -> cs
-  | None -> invalid_arg "Exhaustive: the ontology must be finite"
+  | Some cs -> k cs
+  | None ->
+    Error
+      (`Infinite_ontology
+         ("Exhaustive: ontology " ^ o.Ontology.name ^ " is not finite"))
 
 (* Sets of answer indices, as bit vectors of [Sys.int_size]-bit words. *)
 module Bits = struct
@@ -67,8 +72,7 @@ let prune_position o cands =
   Array.of_list
     (List.filter (fun ck -> not (dominated ck)) (Array.to_list cands))
 
-let plan ?(prune = false) o wn =
-  let cs = concepts_exn o in
+let plan ?(prune = false) o cs wn =
   let answers = Array.of_list (Relation.to_list wn.Whynot.answers) in
   let n = Array.length answers in
   let kill_set j c =
@@ -145,99 +149,78 @@ let keep_most_general o explanations =
 (* The explanations are taken in reverse product order, the order in which
    the literal algorithm's accumulator leaves them; which representative of
    an equivalence class survives depends on it. *)
-let mges ~prune o wn =
-  explanations (plan ~prune o wn)
+let mges ~prune o cs wn =
+  explanations (plan ~prune o cs wn)
   |> Seq.fold_left (fun acc e -> e :: acc) []
   |> keep_most_general o
 
-let all_mges_exn o wn = mges ~prune:true o wn
-let all_mges_unpruned_exn o wn = mges ~prune:false o wn
-let explanations_seq_exn o wn = explanations (plan o wn)
-let exists_explanation_exn o wn = not (Seq.is_empty (explanations_seq_exn o wn))
+let all_mges o wn = finite o (fun cs -> Ok (mges ~prune:true o cs wn))
+let all_mges_unpruned o wn = finite o (fun cs -> Ok (mges ~prune:false o cs wn))
+let explanations_seq o wn = finite o (fun cs -> Ok (explanations (plan o cs wn)))
 
-let strict_upgrades o c =
+let exists_explanation o wn =
+  Result.map (fun s -> not (Seq.is_empty s)) (explanations_seq o wn)
+
+let strict_upgrades o cs c =
   List.filter
     (fun c' ->
        o.Ontology.subsumes c c' && not (o.Ontology.subsumes c' c))
-    (concepts_exn o)
+    cs
 
 (* The first strict single-position upgrade, in position order, that keeps
    the frontier's tuple an explanation. *)
-let upgrade_once o f =
+let upgrade_once o cs f =
   let rec try_positions j = function
     | [] -> None
     | c :: rest ->
       (match
-         List.find_opt (Explanation.Frontier.accepts f j) (strict_upgrades o c)
+         List.find_opt (Explanation.Frontier.accepts f j)
+           (strict_upgrades o cs c)
        with
        | Some c' -> Some (j, c')
        | None -> try_positions (j + 1) rest)
   in
   try_positions 0 (Explanation.Frontier.concepts f)
 
-let rec climb o f =
-  match upgrade_once o f with
+let rec climb o cs f =
+  match upgrade_once o cs f with
   | None -> Explanation.Frontier.concepts f
   | Some (j, c') ->
     Explanation.Frontier.replace f j c';
-    climb o f
+    climb o cs f
 
-let generalise_exn o wn e =
+let climb_from o cs wn e =
   match Explanation.Frontier.make o wn e with
-  | None -> invalid_arg "Exhaustive.generalise: not an explanation"
-  | Some f -> climb o f
+  | Some f -> Ok (climb o cs f)
+  | None ->
+    Error (`Not_an_explanation "Exhaustive.generalise: not an explanation")
 
-let check_mge_exn o wn e =
+let generalise o wn e = finite o (fun cs -> climb_from o cs wn e)
+
+let is_mge o cs wn e =
   match Explanation.Frontier.make o wn e with
   | None -> false
-  | Some f -> Option.is_none (upgrade_once o f)
+  | Some f -> Option.is_none (upgrade_once o cs f)
 
-let is_most_general_exn = check_mge_exn
+let check_mge o wn e = finite o (fun cs -> Ok (is_mge o cs wn e))
 
 (* The first explanation in product order, climbed. *)
-let one_mge_exn o wn =
-  Option.map
-    (fun (e, _) -> generalise_exn o wn e)
-    (Seq.uncons (explanations_seq_exn o wn))
+let one_mge o wn =
+  finite o (fun cs ->
+      match Seq.uncons (explanations (plan o cs wn)) with
+      | None -> Ok None
+      | Some (e, _) -> Result.map Option.some (climb_from o cs wn e))
 
-let mges_seq_exn o wn =
-  let seen = ref [] in
-  explanations_seq_exn o wn
-  |> Seq.filter (fun e -> is_most_general_exn o wn e)
-  |> Seq.filter (fun e ->
-      if List.exists (fun e' -> Explanation.equivalent o e e') !seen then false
-      else begin
-        seen := e :: !seen;
-        true
-      end)
-
-(* --- result-returning public surface --- *)
-
-let finite o k =
-  match o.Ontology.concepts with
-  | Some _ -> k ()
-  | None ->
-    Error
-      (`Infinite_ontology
-         ("Exhaustive: ontology " ^ o.Ontology.name ^ " is not finite"))
-
-let all_mges o wn = finite o (fun () -> Ok (all_mges_exn o wn))
-let all_mges_unpruned o wn =
-  finite o (fun () -> Ok (all_mges_unpruned_exn o wn))
-
-let exists_explanation o wn =
-  finite o (fun () -> Ok (exists_explanation_exn o wn))
-
-let one_mge o wn = finite o (fun () -> Ok (one_mge_exn o wn))
-let check_mge o wn e = finite o (fun () -> Ok (check_mge_exn o wn e))
-let is_most_general o wn e = finite o (fun () -> Ok (is_most_general_exn o wn e))
-
-let generalise o wn e =
-  finite o (fun () ->
-      match Explanation.Frontier.make o wn e with
-      | Some f -> Ok (climb o f)
-      | None ->
-        Error (`Not_an_explanation "Exhaustive.generalise: not an explanation"))
-
-let explanations_seq o wn = finite o (fun () -> Ok (explanations_seq_exn o wn))
-let mges_seq o wn = finite o (fun () -> Ok (mges_seq_exn o wn))
+let mges_seq o wn =
+  finite o (fun cs ->
+      let seen = ref [] in
+      Ok
+        (explanations (plan o cs wn)
+         |> Seq.filter (is_mge o cs wn)
+         |> Seq.filter (fun e ->
+             if List.exists (fun e' -> Explanation.equivalent o e e') !seen
+             then false
+             else begin
+               seen := e :: !seen;
+               true
+             end)))

@@ -25,10 +25,9 @@
     what the literal algorithm returns. Counter [mge.exhaustive.tuples]
     counts the tuples that reach the last position after the cut.
 
-    Every operation comes in two flavours: the plain name returns
-    [(_, Whynot_error.t) result] and fails with [`Infinite_ontology] when
-    the ontology does not enumerate its concepts; the [*_exn] variant is
-    the raising original, kept for internal callers. *)
+    Every operation returns [(_, Whynot_error.t) result] and fails with
+    [`Infinite_ontology] when the ontology does not enumerate its
+    concepts; none raises. *)
 
 val all_mges :
   'c Ontology.t -> Whynot.t -> ('c Explanation.t list, Whynot_error.t) result
@@ -64,11 +63,6 @@ val check_mge :
     {!Explanation.Frontier} per call: each strict upgrade at position
     [j] costs [1 + |D_j|] membership tests. *)
 
-val is_most_general :
-  'c Ontology.t -> Whynot.t -> 'c Explanation.t -> (bool, Whynot_error.t) result
-(** Like {!check_mge}, for an argument already known to be an
-    explanation (on any other argument it answers [false]). *)
-
 val generalise :
   'c Ontology.t ->
   Whynot.t ->
@@ -100,21 +94,3 @@ val mges_seq :
 (** Every most-general explanation, one representative per equivalence
     class. Forcing the whole sequence yields the same set as
     {!all_mges}. *)
-
-(** {1 Raising variants}
-
-    @deprecated Prefer the result-returning functions above (or the
-    {!Whynot.Engine} facade); these raise [Invalid_argument] when the
-    ontology is infinite and remain for internal callers that construct
-    the finite ontology themselves. *)
-
-val all_mges_exn : 'c Ontology.t -> Whynot.t -> 'c Explanation.t list
-val all_mges_unpruned_exn : 'c Ontology.t -> Whynot.t -> 'c Explanation.t list
-val exists_explanation_exn : 'c Ontology.t -> Whynot.t -> bool
-val one_mge_exn : 'c Ontology.t -> Whynot.t -> 'c Explanation.t option
-val check_mge_exn : 'c Ontology.t -> Whynot.t -> 'c Explanation.t -> bool
-val is_most_general_exn : 'c Ontology.t -> Whynot.t -> 'c Explanation.t -> bool
-val generalise_exn :
-  'c Ontology.t -> Whynot.t -> 'c Explanation.t -> 'c Explanation.t
-val explanations_seq_exn : 'c Ontology.t -> Whynot.t -> 'c Explanation.t Seq.t
-val mges_seq_exn : 'c Ontology.t -> Whynot.t -> 'c Explanation.t Seq.t

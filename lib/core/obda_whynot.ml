@@ -12,6 +12,5 @@ let make induced ~query ~missing =
         ~query ~missing ()
 
 let explain induced ~query ~missing =
-  match make induced ~query ~missing with
-  | Error _ as e -> e |> Result.map (fun _ -> [])
-  | Ok wn -> Ok (Exhaustive.all_mges_exn (Ontology.of_obda induced) wn)
+  Result.bind (make induced ~query ~missing)
+    (Exhaustive.all_mges (Ontology.of_obda induced))

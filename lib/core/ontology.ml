@@ -11,30 +11,26 @@ type 'c t = {
 
 let equivalent o c1 c2 = o.subsumes c1 c2 && o.subsumes c2 c1
 
-let consistency_violations_exn o probes =
-  match o.concepts with
-  | None ->
-    invalid_arg "Ontology.consistency_violations: infinite ontology"
-  | Some cs ->
-    List.concat_map
-      (fun c1 ->
-         List.filter_map
-           (fun c2 ->
-              if
-                o.subsumes c1 c2
-                && List.exists (fun v -> o.mem c1 v && not (o.mem c2 v)) probes
-              then Some (c1, c2)
-              else None)
-           cs)
-      cs
-
 let consistency_violations o probes =
   match o.concepts with
   | None ->
     Error
       (`Infinite_ontology
          ("Ontology.consistency_violations: " ^ o.name ^ " is infinite"))
-  | Some _ -> Ok (consistency_violations_exn o probes)
+  | Some cs ->
+    Ok
+      (List.concat_map
+         (fun c1 ->
+            List.filter_map
+              (fun c2 ->
+                 if
+                   o.subsumes c1 c2
+                   && List.exists (fun v -> o.mem c1 v && not (o.mem c2 v))
+                        probes
+                 then Some (c1, c2)
+                 else None)
+              cs)
+         cs)
 
 (* --- hand ontologies (Figure 3) --- *)
 

@@ -32,11 +32,6 @@ val consistency_violations :
     (Definition 3.1). [Error (`Infinite_ontology _)] on infinite
     ontologies. *)
 
-val consistency_violations_exn : 'c t -> Value.t list -> ('c * 'c) list
-(** @deprecated Use {!consistency_violations}; this variant raises
-    [Invalid_argument] on infinite ontologies and remains for internal
-    callers that know their ontology is finite. *)
-
 (** {1 Constructors} *)
 
 val of_extensions :

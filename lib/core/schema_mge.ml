@@ -22,13 +22,10 @@ let ontology fragment schema wn =
   o
 
 let one_mge fragment schema wn =
-  Exhaustive.one_mge_exn (ontology fragment schema wn) wn
-
-let all_mges_exn fragment schema wn =
-  Exhaustive.all_mges_exn (ontology fragment schema wn) wn
+  Exhaustive.one_mge (ontology fragment schema wn) wn
 
 let all_mges fragment schema wn =
   Exhaustive.all_mges (ontology fragment schema wn) wn
 
 let check_mge fragment schema wn e =
-  Exhaustive.check_mge_exn (ontology fragment schema wn) wn e
+  Exhaustive.check_mge (ontology fragment schema wn) wn e

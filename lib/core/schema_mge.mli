@@ -25,10 +25,11 @@ val one_mge :
   fragment ->
   Whynot_relational.Schema.t ->
   Whynot.t ->
-  Whynot_concept.Ls.t Explanation.t option
+  (Whynot_concept.Ls.t Explanation.t option, Whynot_error.t) result
 (** An explanation always exists (the nominal tuple), so this returns
-    [Some] unless the fragment excludes the needed nominals — it never does,
-    since nominals are in every fragment. *)
+    [Ok (Some _)] unless the fragment excludes the needed nominals — it
+    never does, since nominals are in every fragment. [`Infinite_ontology]
+    as for {!all_mges}. *)
 
 val all_mges :
   fragment ->
@@ -39,19 +40,12 @@ val all_mges :
     over the materialised finite ontology. [`Infinite_ontology] if the
     fragment is infinite over this schema and constant pool. *)
 
-val all_mges_exn :
-  fragment ->
-  Whynot_relational.Schema.t ->
-  Whynot.t ->
-  Whynot_concept.Ls.t Explanation.t list
-(** @deprecated Use {!all_mges}; raises [Invalid_argument] on an infinite
-    fragment. *)
-
 val check_mge :
   fragment ->
   Whynot_relational.Schema.t ->
   Whynot.t ->
   Whynot_concept.Ls.t Explanation.t ->
-  bool
+  (bool, Whynot_error.t) result
 (** CHECK-MGE w.r.t. [O_S]: subsumption is [⊑_S] under the schema's
-    constraints, extensions are still evaluated over the instance. *)
+    constraints, extensions are still evaluated over the instance.
+    [`Infinite_ontology] as for {!all_mges}. *)

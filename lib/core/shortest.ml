@@ -9,13 +9,27 @@ let shortest_mge_selection_free wn =
   let o =
     Ontology.of_instance_finite wn.Whynot.instance (Whynot.constant_pool wn)
   in
-  match Exhaustive.all_mges_exn o wn with
-  | [] -> None
-  | mges ->
-    Some
-      (List.fold_left
-         (fun best e -> if length e < length best then e else best)
-         (List.hd mges) (List.tl mges))
+  let cs = Option.value ~default:[] o.Ontology.concepts in
+  (* Algorithm 1 keeps one representative per equivalence class, not the
+     shortest; equivalence is componentwise, so the shortest member of a
+     class takes the shortest equivalent concept at each position. *)
+  let shortest_equivalent c =
+    List.fold_left
+      (fun best c' ->
+         if Ls.size c' < Ls.size best && Ontology.equivalent o c c' then c'
+         else best)
+      c cs
+  in
+  Result.map
+    (fun mges ->
+       List.fold_left
+         (fun best e ->
+            let e = List.map shortest_equivalent e in
+            match best with
+            | Some b when length b <= length e -> best
+            | _ -> Some e)
+         None mges)
+    (Exhaustive.all_mges o wn)
 
 let minimise_concept_exact inst c =
   let idx = Eval_index.of_instance inst in

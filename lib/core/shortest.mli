@@ -21,10 +21,13 @@ val irredundant_mge :
     irredundancy minimisation. Most general w.r.t. [O_I] and irredundant. *)
 
 val shortest_mge_selection_free :
-  Whynot.t -> Whynot_concept.Ls.t Explanation.t option
+  Whynot.t -> (Whynot_concept.Ls.t Explanation.t option, Whynot_error.t) result
 (** Exact: enumerate the finite selection-free restriction [O_I[K]],
-    compute all MGEs, return one of minimal length. Exponential in the
-    number of schema positions — small inputs only. *)
+    compute all MGEs, and return one of minimal length over every member
+    of every MGE equivalence class ([Ok None] when there is none): per
+    position, the shortest concept of [O_I[K]] equivalent to the
+    representative's. Exponential in the number of schema positions —
+    small inputs only. *)
 
 val minimise_concept_exact :
   Whynot_relational.Instance.t ->

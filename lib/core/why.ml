@@ -23,11 +23,6 @@ let make ?answers ~instance ~query ~witness () =
       Ok { instance; query; answers; witness }
     else Error (`Invalid_whynot "the witness tuple is not an answer")
 
-let make_exn ?answers ~instance ~query ~witness () =
-  match make ?answers ~instance ~query ~witness () with
-  | Ok t -> t
-  | Error e -> invalid_arg ("Why.make_exn: " ^ Whynot_error.message e)
-
 (* The product of the extensions must lie inside the answer set. With the
    abstract membership interface this is checked by enumerating the product
    over the answer constants plus the witness — sound because extensions of

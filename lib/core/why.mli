@@ -36,15 +36,6 @@ val make :
 (** Requires [witness ∈ q(I)] — the mirror image of {!Whynot.make};
     failures are [`Invalid_whynot]. *)
 
-val make_exn :
-  ?answers:Relation.t ->
-  instance:Instance.t ->
-  query:Cq.t ->
-  witness:Value.t list ->
-  unit ->
-  t
-(** @deprecated Prefer {!make}; raises [Invalid_argument] on [Error]. *)
-
 val is_why_explanation : 'c Ontology.t -> t -> 'c Explanation.t -> bool
 (** The dual conditions: every [a_i ∈ ext(C_i)] and the product of the
     extensions stays {e inside} the answer set. *)

@@ -37,9 +37,10 @@ val make_exn :
   missing:Value.t list ->
   unit ->
   t
-(** @deprecated Prefer {!make} (or the {!Whynot.Engine} facade); this
-    variant raises [Invalid_argument] on [Error] and remains for internal
-    callers with known-good inputs. *)
+(** {!make} for fixed data known to be legal — the workloads and the
+    property generators build their questions with it. Raises
+    [Invalid_argument] on [Error]; everything else should use {!make} or
+    the {!Whynot.Engine} facade. *)
 
 val arity : t -> int
 (** The arity [m] of the query — one explanation concept per position. *)

@@ -40,8 +40,3 @@ let message : t -> string = function
 
 let to_string e = code e ^ ": " ^ message e
 let pp ppf e = Format.pp_print_string ppf (to_string e)
-
-let of_invalid_argument f =
-  match f () with
-  | v -> Ok v
-  | exception Invalid_argument m -> Error (`Internal m)

@@ -1,8 +1,9 @@
 (** The single error type of the public API.
 
-    Every operation of the {!Whynot.Engine} facade — and every
-    result-returning entry point in [lib/core] and [lib/text] — fails with
-    a value of this polymorphic variant instead of raising. The payloads
+    Every operation of the {!Whynot.Engine} facade and every entry point
+    of [lib/core]'s algorithms and [lib/text] fails with a value of this
+    polymorphic variant instead of raising; the only raising entries left
+    are the [make_exn] constructors for fixed, known-good data. The payloads
     are human-readable messages (parser errors keep their [line N]
     prefixes); {!code} gives a stable machine-readable tag used by the
     CLI's JSON envelope, and the CLI maps any [Error _] to exit code 2. *)
@@ -48,8 +49,3 @@ val to_string : t -> string
 
 val pp : Format.formatter -> t -> unit
 (** Prints {!to_string}. *)
-
-val of_invalid_argument : (unit -> 'a) -> ('a, [> `Internal of string ]) result
-(** Run a thunk, catching [Invalid_argument] into [`Internal] — the
-    adapter used by the thin shims in [lib/core] around their [*_exn]
-    internals when no more precise constructor applies. *)

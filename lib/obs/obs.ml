@@ -1,16 +1,11 @@
-(* Counters are striped: each counter owns a small array of atomic cells
-   and a bump lands in the cell indexed by the current domain id, so
-   concurrent domains never contend on one location and no update is ever
-   lost. Reading a counter sums the stripes — the "per-domain aggregation"
-   contract of the parallel engine. *)
-
-let stripes = 16
-let stripe_mask = stripes - 1
+(* One atomic cell per counter: everything runs on one domain, but
+   connection systhreads may bump and register concurrently, and an
+   atomic bump is never lost. *)
 
 type counter = {
   name : string;
   mutable doc : string;
-  cells : int Atomic.t array;
+  cell : int Atomic.t;
 }
 
 type timer = {
@@ -23,10 +18,10 @@ type timer = {
 let counters : (string, counter) Hashtbl.t = Hashtbl.create 64
 let timers : (string, timer) Hashtbl.t = Hashtbl.create 16
 
-(* Registration can race when worker domains instantiate modules lazily;
-   lookups after registration are safe because the tables are only grown
-   under this lock and never resized concurrently with a bump (bumps go
-   through the counter value, not the table). *)
+(* Registration can race when connection threads register names; lookups
+   after registration are safe because the tables are only grown under
+   this lock and never resized concurrently with a bump (bumps go through
+   the counter value, not the table). *)
 let registry_lock = Mutex.create ()
 
 let counter ?(doc = "") name =
@@ -36,16 +31,13 @@ let counter ?(doc = "") name =
         if c.doc = "" && doc <> "" then c.doc <- doc;
         c
       | None ->
-        let c = { name; doc; cells = Array.init stripes (fun _ -> Atomic.make 0) } in
+        let c = { name; doc; cell = Atomic.make 0 } in
         Hashtbl.add counters name c;
         c)
 
-let stripe () = (Domain.self () :> int) land stripe_mask
-let incr c = Atomic.incr c.cells.(stripe ())
-let add c n = ignore (Atomic.fetch_and_add c.cells.(stripe ()) n)
-
-let value c =
-  Array.fold_left (fun acc cell -> acc + Atomic.get cell) 0 c.cells
+let incr c = Atomic.incr c.cell
+let add c n = ignore (Atomic.fetch_and_add c.cell n)
+let value c = Atomic.get c.cell
 
 let name c = c.name
 
@@ -111,9 +103,7 @@ let delta f =
   (v, diff)
 
 let reset () =
-  Hashtbl.iter
-    (fun _ c -> Array.iter (fun cell -> Atomic.set cell 0) c.cells)
-    counters;
+  Hashtbl.iter (fun _ c -> Atomic.set c.cell 0) counters;
   Hashtbl.iter
     (fun _ t ->
        Atomic.set t.ns 0;

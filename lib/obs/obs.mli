@@ -2,7 +2,7 @@
 
     The hot paths of the explanation engine (subsumption deciders, the MGE
     algorithms, the chase) increment process-global counters through this
-    module; a counter bump is a single mutable-field increment, so the
+    module; a counter bump is a single atomic increment, so the
     instrumentation can stay on unconditionally. Consumers read the
     counters back as a {!snapshot} (the benchmark harness records a
     {!delta} around each measured experiment and dumps it into
@@ -13,13 +13,10 @@
     the same name twice returns the same counter, so modules may simply
     call {!counter} at toplevel.
 
-    The registry is process-global and safe to use from multiple domains:
-    each counter is striped over an array of atomic cells indexed by the
-    current domain id, so bumps from different domains never contend and
-    are never lost; {!value} and {!snapshot} aggregate
-    the per-domain stripes. A reader racing a concurrent bump may see a
-    value that is off by the in-flight increments, but once the domains
-    have joined the aggregate is exact. *)
+    The registry is process-global and safe to use from concurrent
+    threads: each counter is one atomic cell, so no bump is ever lost, and
+    registration takes a lock. A reader racing a concurrent bump may see a
+    value that is off by the in-flight increments. *)
 
 type counter
 (** A named monotone integer counter. *)

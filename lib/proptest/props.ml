@@ -26,6 +26,7 @@ module Parser = Whynot_text.Parser
 module Subsume_memo = Whynot_concept.Subsume_memo
 
 let ( let* ) = QG.( let* )
+let ok = function Ok v -> v | Error e -> failwith (Whynot_error.to_string e)
 
 type t = {
   name : string;
@@ -75,7 +76,7 @@ let mge_incremental_vs_exhaustive =
       let o =
         Ontology.of_instance_finite wn.Whynot.instance (Whynot.constant_pool wn)
       in
-      let exhaustive = Exhaustive.all_mges_exn o wn in
+      let exhaustive = ok (Exhaustive.all_mges o wn) in
       let incremental =
         Incremental.one_mge ~variant:Incremental.Selection_free wn
       in
@@ -646,12 +647,13 @@ let exhaustive_equals_literal =
         let agrees o =
           let explanations = Oracle.literal_explanations o wn in
           let mges = Oracle.literal_all_mges o wn in
-          Exhaustive.all_mges_exn o wn = mges
-          && Exhaustive.all_mges_unpruned_exn o wn = mges
-          && List.of_seq (Exhaustive.explanations_seq_exn o wn) = explanations
-          && Exhaustive.exists_explanation_exn o wn = (explanations <> [])
-          && Exhaustive.one_mge_exn o wn
-             = Option.map (Exhaustive.generalise_exn o wn)
+          ok (Exhaustive.all_mges o wn) = mges
+          && ok (Exhaustive.all_mges_unpruned o wn) = mges
+          && List.of_seq (ok (Exhaustive.explanations_seq o wn)) = explanations
+          && ok (Exhaustive.exists_explanation o wn) = (explanations <> [])
+          && ok (Exhaustive.one_mge o wn)
+             = Option.map
+                 (fun e -> ok (Exhaustive.generalise o wn e))
                  (List.nth_opt explanations 0)
         in
         agrees full && agrees masked)
@@ -788,6 +790,158 @@ let wire_envelope_roundtrip =
       | Error _ -> false)
 
 (* ------------------------------------------------------------------ *)
+(* The wire contract: MGE replies parse back and pass check_mge        *)
+(* ------------------------------------------------------------------ *)
+
+module Handlers = Whynot_server.Handlers
+module Protocol = Whynot_server.Protocol
+module Registry = Whynot_server.Registry
+
+(* A rendered document over a schema that mostly carries the view [V0];
+   half the time the view is implicit (its [relation] line is dropped, so
+   the parser names its attributes [a1..aN]). A query over the data
+   relations and a [whynot] line close it. *)
+let gen_wire_case =
+  let* cls =
+    QG.frequency
+      [
+        (2, QG.return Gen.Views_only);
+        (2, QG.return Gen.Mixed);
+        (1, Gen.schema_class);
+      ]
+  in
+  let* s = Gen.schema ~max_arity:2 cls in
+  let* inst = Gen.legal_instance s in
+  let* arity = QG.int_range 1 2 in
+  let* q = Gen.cq ~with_comparisons:false ~max_atoms:2 ~arity s in
+  (* Missing values mostly from the active domain, so that projections
+     (the view's included) can contain them. *)
+  let value =
+    match Value_set.elements (Instance.adom inst) with
+    | [] -> Gen.value
+    | adom -> QG.frequency [ (3, QG.oneofl adom); (1, Gen.value) ]
+  in
+  let* missing = QG.map Tuple.of_list (QG.list_repeat arity value) in
+  let* implicit = QG.bool in
+  let declares_view line =
+    List.exists
+      (fun (v : View.def) ->
+         String.starts_with ~prefix:("relation " ^ v.View.name ^ "(") line)
+      (View.defs (Schema.views s))
+  in
+  let text =
+    String.split_on_char '\n' (Surface.document s inst)
+    |> List.filter (fun line -> not (implicit && declares_view line))
+    |> String.concat "\n"
+  in
+  let text =
+    Printf.sprintf "%squery %s\nwhynot (%s)\n" text (str_cq q)
+      (String.concat ", " (List.map Value.to_string (Tuple.to_list missing)))
+  in
+  QG.return (s, inst, q, missing, text)
+
+let str_wire_case (_, _, _, _, text) = text
+
+(* Concept spaces up to this many concepts per position get [all_mges]
+   too: O_I[K] has 2^positions * (|K| + 1) selection-free concepts. *)
+let wire_all_mges_concepts = 160
+
+(* Drive [Handlers.handle] in-process on one session of the rendered
+   document: [question], [one_mge] in both variants and, over small
+   concept spaces, [all_mges]. Every concept of every reply must parse
+   back in the session's document, and [check_mge] (same variant) must
+   answer true on every reply. A tuple among the answers may only be
+   refused as [invalid-whynot]. *)
+let wire_mge_roundtrips =
+  prop "wire/mge-roundtrips" 100 str_wire_case gen_wire_case
+    (fun (s, inst, q, missing, text) ->
+      let deps =
+        {
+          Handlers.registry = Registry.create ~max_sessions:1;
+          domains_default = 1;
+          domains_max = 1;
+          default_deadline_ms = 0;
+          max_deadline_ms = 0;
+          debug_ops = false;
+          started_at_s = 0.;
+        }
+      in
+      let call op fields =
+        let line =
+          Wire_json.to_string
+            (Wire_json.Obj
+               (("op", Wire_json.String op)
+                :: ("session", Wire_json.String "w")
+                :: fields))
+        in
+        match Protocol.parse_request line with
+        | Error m -> Error ("parse", m)
+        | Ok req -> Handlers.handle deps req
+      in
+      let refused_legally = function
+        | Error ("invalid-whynot", _) ->
+          Relation.mem missing (Cq.eval q inst)
+        | _ -> false
+      in
+      (* A reply's JSON list of concepts goes back verbatim, as a client
+         would send it. *)
+      let round_trips doc variant = function
+        | Some (Wire_json.List (_ :: _ as concepts) as explanation) ->
+          List.for_all
+            (function
+              | Wire_json.String c ->
+                Result.is_ok (Parser.concept_of_string doc c)
+              | _ -> false)
+            concepts
+          && call "check_mge"
+               [
+                 ("variant", Wire_json.String variant);
+                 ("explanation", explanation);
+               ]
+             = Ok (Wire_json.Obj [ ("is_mge", Wire_json.Bool true) ])
+        | _ -> false
+      in
+      match
+        (Parser.parse text, call "create" [ ("document", Wire_json.String text) ])
+      with
+      | Error _, _ | _, Error _ -> false
+      | Ok doc, Ok _ ->
+        let one_mge variant =
+          match call "one_mge" [ ("variant", Wire_json.String variant) ] with
+          | Ok reply -> round_trips doc variant (Wire_json.member "mge" reply)
+          | refused -> refused_legally refused
+        in
+        let all_mges () =
+          let positions =
+            List.fold_left
+              (fun n (d : Schema.rel_decl) -> n + List.length d.Schema.attrs)
+              0 (Schema.relations s)
+          in
+          match call "question" [] with
+          | Ok reply ->
+            (match Wire_json.member "constants" reply with
+             | Some (Wire_json.Int k)
+               when (1 lsl positions) * (k + 1) > wire_all_mges_concepts ->
+               true
+             | Some (Wire_json.Int _) ->
+               (match call "all_mges" [] with
+                | Ok reply ->
+                  (match Wire_json.member "mges" reply with
+                   | Some (Wire_json.List (_ :: _ as mges)) ->
+                     List.for_all
+                       (fun e -> round_trips doc "selection-free" (Some e))
+                       mges
+                   | _ -> false)
+                | Error _ -> false)
+             | _ -> false)
+          | refused -> refused_legally refused
+        in
+        let agrees =
+          one_mge "selection-free" && one_mge "with-selections" && all_mges ()
+        in
+        Result.is_ok (call "close" []) && agrees)
+
+(* ------------------------------------------------------------------ *)
 (* Registry                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -817,6 +971,7 @@ let all =
     ext_indexed_equals_scan;
     wire_envelope_roundtrip;
     engine_question_equals_fresh;
+    wire_mge_roundtrips;
   ]
 
 let names = List.map (fun p -> p.name) all

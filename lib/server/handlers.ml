@@ -39,11 +39,7 @@ let known_ops =
 
 let err code fmt = Printf.ksprintf (fun m -> Error (code, m)) fmt
 
-let of_engine_result = function
-  | Ok v -> Ok v
-  | Error e -> Error (Whynot_error.code e, Whynot_error.message e)
-
-let of_text_result = function
+let of_result = function
   | Ok v -> Ok v
   | Error e -> Error (Whynot_error.code e, Whynot_error.message e)
 
@@ -164,8 +160,8 @@ let handle_create deps req =
          its memo handles and the eval indexes they read through. *)
       Ok (schema, instance, query, missing, doc, Registry.Workload w)
     | None, Some text ->
-      let* doc = of_text_result (Parser.parse text) in
-      let* schema = of_text_result (Parser.schema_of doc) in
+      let* doc = of_result (Parser.parse text) in
+      let* schema = of_result (Parser.schema_of doc) in
       Ok
         ( schema,
           Parser.instance_of doc,
@@ -176,7 +172,7 @@ let handle_create deps req =
     | None, None ->
       err "missing-input" "\"create\" requires a \"workload\" or a \"document\""
   in
-  let* engine = of_engine_result (Engine.create ~schema ~instance ()) in
+  let* engine = of_result (Engine.create ~schema ~instance ()) in
   let now = Obs.now_s () in
   let session =
     {
@@ -271,7 +267,7 @@ let question_of (s : Registry.session) req =
         "the session's document declares no query; \"question\" needs one"
   in
   let* wn =
-    of_engine_result (Engine.question s.Registry.engine ~query ~missing ())
+    of_result (Engine.question s.Registry.engine ~query ~missing ())
   in
   Ok (wn, missing)
 
@@ -296,7 +292,7 @@ let handle_one_mge deps req =
     let* wn, missing = question_of s req in
     let* variant = variant_of req in
     let* mge =
-      of_engine_result (Engine.one_mge ~variant s.Registry.engine wn)
+      of_result (Engine.one_mge ~variant s.Registry.engine wn)
     in
     Ok
       (Wjson.Obj
@@ -308,7 +304,7 @@ let handle_one_mge deps req =
 let handle_all_mges deps req =
   with_session deps req (fun s ->
     let* wn, _missing = question_of s req in
-    let* mges = of_engine_result (Engine.all_mges s.Registry.engine wn) in
+    let* mges = of_result (Engine.all_mges s.Registry.engine wn) in
     Ok
       (Wjson.Obj
          [
@@ -342,14 +338,14 @@ let handle_check_mge deps req =
         (fun acc src ->
            let* acc = acc in
            let* c =
-             of_text_result (Parser.concept_of_string s.Registry.doc src)
+             of_result (Parser.concept_of_string s.Registry.doc src)
            in
            Ok (c :: acc))
         (Ok []) concept_srcs
       |> Result.map List.rev
     in
     let* is_mge =
-      of_engine_result
+      of_result
         (Engine.check_mge ~variant s.Registry.engine wn explanation)
     in
     Ok (Wjson.Obj [ ("is_mge", Wjson.Bool is_mge) ]))

@@ -5,7 +5,6 @@ module Incremental = Whynot_core.Incremental
 module Exhaustive = Whynot_core.Exhaustive
 module Schema_mge = Whynot_core.Schema_mge
 module Subsume_memo = Whynot_concept.Subsume_memo
-module Obs = Whynot_obs.Obs
 
 type t = {
   schema : Schema.t option;
@@ -162,9 +161,7 @@ let all_mges_schema ?(fragment = `Minimal) ?values e wn =
 
 let all_mges_finite e o wn = guard e (fun () -> Exhaustive.all_mges o wn)
 
-(* --- observability and shutdown --- *)
-
-let counters (_ : t) = Obs.snapshot ()
+(* --- shutdown --- *)
 
 let close e =
   e.closed <- true;

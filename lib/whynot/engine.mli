@@ -146,11 +146,7 @@ val all_mges_finite :
     OBDA-induced): [Exhaustive.all_mges], under the engine's closed check.
     [`Infinite_ontology] when it does not enumerate its concepts. *)
 
-(** {1 Observability and shutdown} *)
-
-val counters : t -> (string * int) list
-(** The process-global observability snapshot
-    ({!Whynot_obs.Obs.snapshot}). *)
+(** {1 Shutdown} *)
 
 val close : t -> (unit, Whynot_error.t) result
 (** Brick the engine: any further operation on it fails with [`Closed],

@@ -7,6 +7,7 @@ open Whynot_core
 
 let v_str = Value.str
 let v_int = Value.int
+let ok = function Ok v -> v | Error e -> failwith (Whynot_error.to_string e)
 
 module Cities = Whynot_workload.Cities
 
@@ -52,29 +53,29 @@ let test_example_3_4_mge () =
      exhaustive search additionally finds <City, East-Coast-City>, which the
      paper's example does not list (its product also misses q(I), and City
      cannot be upgraded further) — see EXPERIMENTS.md. *)
-  let mges = Exhaustive.all_mges_exn o wn in
+  let mges = ok @@ Exhaustive.all_mges o wn in
   Alcotest.(check int) "exactly two MGEs" 2 (List.length mges);
   Alcotest.(check bool) "E4 among them" true
     (List.exists (fun e -> e = [ "European-City"; "US-City" ]) mges);
   Alcotest.(check bool) "<City, East-Coast-City> among them" true
     (List.exists (fun e -> e = [ "City"; "East-Coast-City" ]) mges);
   Alcotest.(check bool) "check_mge accepts E4" true
-    (Exhaustive.check_mge_exn o wn [ "European-City"; "US-City" ]);
+    (ok @@ Exhaustive.check_mge o wn [ "European-City"; "US-City" ]);
   Alcotest.(check bool) "check_mge rejects E1" false
-    (Exhaustive.check_mge_exn o wn [ "Dutch-City"; "East-Coast-City" ]);
-  Alcotest.(check bool) "exists" true (Exhaustive.exists_explanation_exn o wn);
-  (match Exhaustive.one_mge_exn o wn with
+    (ok @@ Exhaustive.check_mge o wn [ "Dutch-City"; "East-Coast-City" ]);
+  Alcotest.(check bool) "exists" true (ok @@ Exhaustive.exists_explanation o wn);
+  (match ok @@ Exhaustive.one_mge o wn with
    | Some e -> Alcotest.(check bool) "one_mge is most general" true
-                 (Exhaustive.check_mge_exn o wn e)
+                 (ok @@ Exhaustive.check_mge o wn e)
    | None -> Alcotest.fail "one_mge found nothing");
   (* Pruned and unpruned agree. *)
-  let unpruned = Exhaustive.all_mges_unpruned_exn o wn in
+  let unpruned = ok @@ Exhaustive.all_mges_unpruned o wn in
   Alcotest.(check int) "unpruned agrees" 2 (List.length unpruned)
 
 let test_consistency_fig3 () =
   let probes = Value_set.elements (Whynot.constant_pool whynot_cities) in
   Alcotest.(check int) "instance consistent with figure 3 ontology" 0
-    (List.length (Ontology.consistency_violations_exn hand_ontology probes))
+    (List.length (ok @@ Ontology.consistency_violations hand_ontology probes))
 
 (* ------------------------------------------------------------------ *)
 (* Example 4.5: the OBDA-induced ontology of Figure 4                  *)
@@ -95,10 +96,10 @@ let test_example_4_5_mge () =
   Alcotest.(check bool) "E4" true (is_expl [ a "Dutch-City"; a "US-City" ]);
   (* "Among the four explanations above, E1 is the most general." *)
   Alcotest.(check bool) "E1 is most general" true
-    (Exhaustive.check_mge_exn o wn [ a "EU-City"; a "N.A.-City" ]);
+    (ok @@ Exhaustive.check_mge o wn [ a "EU-City"; a "N.A.-City" ]);
   Alcotest.(check bool) "E4 is not" false
-    (Exhaustive.check_mge_exn o wn [ a "Dutch-City"; a "US-City" ]);
-  let mges = Exhaustive.all_mges_exn o wn in
+    (ok @@ Exhaustive.check_mge o wn [ a "Dutch-City"; a "US-City" ]);
+  let mges = ok @@ Exhaustive.all_mges o wn in
   Alcotest.(check bool) "E1 among all MGEs" true
     (List.exists
        (fun e -> Explanation.equivalent o e [ a "EU-City"; a "N.A.-City" ])
@@ -230,14 +231,14 @@ let test_example_4_9_e2_is_mge_wrt_oi () =
 
 let test_schema_mge_minimal () =
   let wn = whynot_cities in
-  (match Schema_mge.one_mge `Minimal Cities.schema wn with
+  (match ok @@ Schema_mge.one_mge `Minimal Cities.schema wn with
    | None -> Alcotest.fail "an explanation always exists (nominals)"
    | Some e ->
      let o = Schema_mge.ontology `Minimal Cities.schema wn in
      Alcotest.(check bool) "is explanation" true
        (Explanation.is_explanation o wn e);
      Alcotest.(check bool) "is most general in O_S[K]-min" true
-       (Exhaustive.check_mge_exn o wn e))
+       (ok @@ Exhaustive.check_mge o wn e))
 
 (* ------------------------------------------------------------------ *)
 (* §6: cardinality, shortest, strong                                  *)
@@ -245,7 +246,7 @@ let test_schema_mge_minimal () =
 
 let test_cardinality () =
   let o = hand_ontology and wn = whynot_cities in
-  (match Cardinality.maximal_exn o wn with
+  (match ok @@ Cardinality.maximal o wn with
    | None -> Alcotest.fail "explanation exists"
    | Some e ->
      let d = Option.get (Cardinality.degree o wn e) in
@@ -254,7 +255,7 @@ let test_cardinality () =
         two preference orders genuinely diverge (§6). *)
      Alcotest.(check int) "max degree 9" 9 d;
      (* Greedy achieves the optimum on this easy instance. *)
-     (match Cardinality.greedy_exn o wn with
+     (match ok @@ Cardinality.greedy o wn with
       | None -> Alcotest.fail "greedy found nothing"
       | Some g ->
         Alcotest.(check int) "greedy degree" 9
@@ -274,6 +275,41 @@ let test_shortest () =
          (Whynot_concept.Irredundant.is_irredundant h c))
     e;
   Alcotest.(check bool) "length positive" true (Shortest.length e > 0)
+
+(* The exact optimum on a small instance: the shortest MGE over O_I[K] is
+   an MGE there, no MGE of Algorithm 1 is shorter, and the polynomial
+   pipeline's irredundant MGE is no shorter than it. Algorithm 1's
+   representatives here are <pi_2(R), pi_1(R)> and <top, {2} n pi_1(R)>;
+   the shortest member of the second class is <top, {2}>. *)
+let test_shortest_exact () =
+  let inst =
+    Instance.of_facts
+      [ ("R", [ [ v_int 0; v_int 1 ]; [ v_int 2; v_int 3 ]; [ v_int 3; v_int 0 ] ]);
+        ("S", [ [ v_int 1 ] ]) ]
+  in
+  let q =
+    Cq.make
+      ~head:[ Cq.Var "x"; Cq.Var "y" ]
+      ~atoms:
+        [
+          { Cq.rel = "R"; args = [ Cq.Var "x"; Cq.Var "z" ] };
+          { Cq.rel = "R"; args = [ Cq.Var "z"; Cq.Var "y" ] };
+        ]
+      ()
+  in
+  let wn = Whynot.make_exn ~instance:inst ~query:q ~missing:[ v_int 3; v_int 2 ] () in
+  let o = Ontology.of_instance_finite inst (Whynot.constant_pool wn) in
+  match ok @@ Shortest.shortest_mge_selection_free wn with
+  | None -> Alcotest.fail "the nominal tuple is an explanation"
+  | Some e ->
+    Alcotest.(check bool) "an MGE of O_I[K]" true
+      (ok @@ Exhaustive.check_mge o wn e);
+    Alcotest.(check bool) "no MGE is shorter" true
+      (List.for_all
+         (fun e' -> Shortest.length e <= Shortest.length e')
+         (ok @@ Exhaustive.all_mges o wn));
+    Alcotest.(check bool) "no longer than the irredundant MGE" true
+      (Shortest.length e <= Shortest.length (Shortest.irredundant_mge wn))
 
 let test_minimise_concept_exact () =
   let open Whynot_concept in
@@ -382,15 +418,15 @@ let test_reduction_faithful () =
    | None -> Alcotest.fail "cover exists");
   let g2 = Reduction.build sc ~slots:2 in
   Alcotest.(check bool) "explanation exists with 2 slots" true
-    (Exhaustive.exists_explanation_exn g2.Reduction.ontology g2.Reduction.whynot);
+    (ok @@ Exhaustive.exists_explanation g2.Reduction.ontology g2.Reduction.whynot);
   let g1 = Reduction.build sc ~slots:1 in
   Alcotest.(check bool) "no explanation with 1 slot" false
-    (Exhaustive.exists_explanation_exn g1.Reduction.ontology g1.Reduction.whynot);
+    (ok @@ Exhaustive.exists_explanation g1.Reduction.ontology g1.Reduction.whynot);
   (* Round-trip: a cover gives an explanation and vice versa. *)
   let e = Reduction.sets_to_explanation ~slots:2 [ "A"; "C" ] in
   Alcotest.(check bool) "cover -> explanation" true
     (Explanation.is_explanation g2.Reduction.ontology g2.Reduction.whynot e);
-  (match Exhaustive.one_mge_exn g2.Reduction.ontology g2.Reduction.whynot with
+  (match ok @@ Exhaustive.one_mge g2.Reduction.ontology g2.Reduction.whynot with
    | None -> Alcotest.fail "mge exists"
    | Some e ->
      Alcotest.(check bool) "explanation -> cover" true
@@ -425,16 +461,17 @@ let test_exhaustive_many_answers () =
        let check what expected got =
          Alcotest.(check (list (list string))) (name what) expected got
        in
-       check "all_mges" mges (Exhaustive.all_mges_exn o wn);
-       check "all_mges_unpruned" mges (Exhaustive.all_mges_unpruned_exn o wn);
+       check "all_mges" mges (ok @@ Exhaustive.all_mges o wn);
+       check "all_mges_unpruned" mges (ok @@ Exhaustive.all_mges_unpruned o wn);
        check "explanations_seq" explanations
-         (List.of_seq (Exhaustive.explanations_seq_exn o wn));
+         (List.of_seq (ok @@ Exhaustive.explanations_seq o wn));
        Alcotest.(check bool) (name "exists_explanation") (explanations <> [])
-         (Exhaustive.exists_explanation_exn o wn);
+         (ok @@ Exhaustive.exists_explanation o wn);
        Alcotest.(check (option (list string))) (name "one_mge")
-         (Option.map (Exhaustive.generalise_exn o wn)
+         (Option.map
+            (fun e -> ok @@ Exhaustive.generalise o wn e)
             (List.nth_opt explanations 0))
-         (Exhaustive.one_mge_exn o wn))
+         (ok @@ Exhaustive.one_mge o wn))
     [ 1; 2 ];
   let g = Reduction.build sc ~slots:2 in
   Alcotest.(check int) "covers of size 2" 8
@@ -454,8 +491,9 @@ let prop_reduction_equivalence =
        List.for_all
          (fun slots ->
             let g = Reduction.build sc ~slots in
-            Exhaustive.exists_explanation_exn g.Reduction.ontology
-              g.Reduction.whynot
+            ok
+              (Exhaustive.exists_explanation g.Reduction.ontology
+                 g.Reduction.whynot)
             = Setcover.exists_cover_of_size sc slots)
          [ 1; 2; 3 ])
 
@@ -531,9 +569,9 @@ let prop_exhaustive_mges_incomparable =
           Ontology.of_instance_finite wn.Whynot.instance
             (Whynot.constant_pool wn)
         in
-        let mges = Exhaustive.all_mges_exn o wn in
+        let mges = ok @@ Exhaustive.all_mges o wn in
         List.for_all (fun e -> Explanation.is_explanation o wn e) mges
-        && List.for_all (fun e -> Exhaustive.check_mge_exn o wn e) mges
+        && List.for_all (fun e -> ok @@ Exhaustive.check_mge o wn e) mges
         && List.for_all
              (fun e ->
                 List.for_all
@@ -559,7 +597,9 @@ let prop_pruned_equals_unpruned =
                (fun e -> List.exists (Explanation.equivalent o e) es')
                es
         in
-        same (Exhaustive.all_mges_exn o wn) (Exhaustive.all_mges_unpruned_exn o wn))
+        same
+          (ok @@ Exhaustive.all_mges o wn)
+          (ok @@ Exhaustive.all_mges_unpruned o wn))
 
 let prop_cardinality_greedy_leq_exact =
   QCheck2.Test.make ~name:"greedy degree <= exact maximal degree" ~count:40
@@ -569,8 +609,8 @@ let prop_cardinality_greedy_leq_exact =
        let sc = Setcover.random ~seed ~n_elements ~n_sets ~density:0.5 () in
        let g = Reduction.build sc ~slots:2 in
        match
-         ( Cardinality.greedy_exn g.Reduction.ontology g.Reduction.whynot,
-           Cardinality.maximal_exn g.Reduction.ontology g.Reduction.whynot )
+         ( ok @@ Cardinality.greedy g.Reduction.ontology g.Reduction.whynot,
+           ok @@ Cardinality.maximal g.Reduction.ontology g.Reduction.whynot )
        with
        | None, None -> true
        | Some _, None -> false
@@ -578,6 +618,36 @@ let prop_cardinality_greedy_leq_exact =
        | Some gr, Some ex ->
          Option.get (Cardinality.degree g.Reduction.ontology g.Reduction.whynot gr)
          <= Option.get (Cardinality.degree g.Reduction.ontology g.Reduction.whynot ex))
+
+(* Greedy picks, per position, the highest-degree candidate that keeps
+   the tuple completable: exactly the literal first explanation once every
+   position lists its concepts by decreasing degree. *)
+let prop_cardinality_greedy_is_first_by_degree =
+  QCheck2.Test.make ~name:"greedy = first explanation by decreasing degree"
+    ~count:60
+    QCheck2.Gen.(triple (int_range 1 5) (int_range 1 5) (int_range 0 1000))
+    (fun (n_elements, n_sets, seed) ->
+       let open Whynot_setcover in
+       let sc = Setcover.random ~seed ~n_elements ~n_sets ~density:0.5 () in
+       List.for_all
+         (fun slots ->
+            let g = Reduction.build sc ~slots in
+            let o = g.Reduction.ontology and wn = g.Reduction.whynot in
+            let degree c = Option.get (Cardinality.degree o wn [ c ]) in
+            let by_degree =
+              {
+                o with
+                Ontology.concepts =
+                  Option.map
+                    (List.stable_sort (fun c c' ->
+                         Int.compare (degree c') (degree c)))
+                    o.Ontology.concepts;
+              }
+            in
+            ok @@ Cardinality.greedy o wn
+            = List.nth_opt
+                (Whynot_proptest.Oracle.literal_explanations by_degree wn) 0)
+         [ 1; 2; 3 ])
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
@@ -588,6 +658,7 @@ let qcheck_cases =
       prop_exhaustive_mges_incomparable;
       prop_pruned_equals_unpruned;
       prop_cardinality_greedy_leq_exact;
+      prop_cardinality_greedy_is_first_by_degree;
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -665,12 +736,12 @@ let test_schema_mge_selection_free_fragment () =
       ()
   in
   let wn = Whynot.make_exn ~schema ~instance:inst ~query:q ~missing:[ v_int 3; v_int 4 ] () in
-  match Schema_mge.one_mge `Selection_free schema wn with
+  match ok @@ Schema_mge.one_mge `Selection_free schema wn with
   | None -> Alcotest.fail "explanation exists"
   | Some e ->
     let o = Schema_mge.ontology `Selection_free schema wn in
     Alcotest.(check bool) "is explanation" true (Explanation.is_explanation o wn e);
-    Alcotest.(check bool) "is MGE in the fragment" true (Exhaustive.check_mge_exn o wn e)
+    Alcotest.(check bool) "is MGE in the fragment" true (ok @@ Exhaustive.check_mge o wn e)
 
 let test_strong_views_only_complete () =
   (* On a views-only schema the strong verdict is complete (never Unknown):
@@ -707,7 +778,7 @@ let test_strong_views_only_complete () =
     (Strong.decide_wrt_schema schema wn [ small ] = Strong.Not_strong)
 
 let test_ranked () =
-  let ranked = Cardinality.ranked_exn hand_ontology whynot_cities in
+  let ranked = ok @@ Cardinality.ranked hand_ontology whynot_cities in
   Alcotest.(check int) "two MGEs ranked" 2 (List.length ranked);
   (match ranked with
    | (e, d) :: (_, d') :: _ ->
@@ -723,8 +794,8 @@ let test_ranked () =
 let test_lazy_enumeration () =
   let o = hand_ontology and wn = whynot_cities in
   (* The stream agrees with the batch computation. *)
-  let streamed = List.of_seq (Exhaustive.mges_seq_exn o wn) in
-  let batch = Exhaustive.all_mges_exn o wn in
+  let streamed = List.of_seq (ok @@ Exhaustive.mges_seq o wn) in
+  let batch = ok @@ Exhaustive.all_mges o wn in
   Alcotest.(check int) "same count" (List.length batch) (List.length streamed);
   List.iter
     (fun e ->
@@ -732,12 +803,12 @@ let test_lazy_enumeration () =
          (List.exists (Explanation.equivalent o e) batch))
     streamed;
   (* Taking just the first element does not force the rest. *)
-  (match Seq.uncons (Exhaustive.mges_seq_exn o wn) with
+  (match Seq.uncons (ok @@ Exhaustive.mges_seq o wn) with
    | Some (e, _) ->
-     Alcotest.(check bool) "first is an MGE" true (Exhaustive.check_mge_exn o wn e)
+     Alcotest.(check bool) "first is an MGE" true (ok @@ Exhaustive.check_mge o wn e)
    | None -> Alcotest.fail "an MGE exists");
   (* All explanations stream: count matches a brute-force filter. *)
-  let n_expl = Seq.length (Exhaustive.explanations_seq_exn o wn) in
+  let n_expl = Seq.length (ok @@ Exhaustive.explanations_seq o wn) in
   Alcotest.(check bool) "at least the 4 named + 2 MGEs" true (n_expl >= 5)
 
 let prop_lazy_agrees =
@@ -748,8 +819,8 @@ let prop_lazy_agrees =
        let sc = Setcover.random ~seed ~n_elements ~n_sets ~density:0.5 () in
        let g = Reduction.build sc ~slots:2 in
        let o = g.Reduction.ontology and wn = g.Reduction.whynot in
-       let streamed = List.of_seq (Exhaustive.mges_seq_exn o wn) in
-       let batch = Exhaustive.all_mges_exn o wn in
+       let streamed = List.of_seq (ok @@ Exhaustive.mges_seq o wn) in
+       let batch = ok @@ Exhaustive.all_mges o wn in
        List.length streamed = List.length batch
        && List.for_all
             (fun e -> List.exists (Explanation.equivalent o e) batch)
@@ -761,8 +832,9 @@ let prop_lazy_agrees =
 
 let test_why_explanations () =
   let why =
-    Why.make_exn ~instance:Cities.instance ~query:Cities.two_hop_query
-      ~witness:[ v_str "Amsterdam"; v_str "Rome" ] ()
+    ok
+    @@ Why.make ~instance:Cities.instance ~query:Cities.two_hop_query
+         ~witness:[ v_str "Amsterdam"; v_str "Rome" ] ()
   in
   let o = Ontology.of_instance Cities.instance in
   (* The nominal tuple is always a why explanation. *)
@@ -826,6 +898,7 @@ let () =
         [
           Alcotest.test_case "cardinality" `Quick test_cardinality;
           Alcotest.test_case "shortest/irredundant" `Quick test_shortest;
+          Alcotest.test_case "shortest/exact" `Quick test_shortest_exact;
           Alcotest.test_case "exact concept minimisation" `Quick test_minimise_concept_exact;
           Alcotest.test_case "strong" `Quick test_strong;
         ] );

@@ -111,9 +111,10 @@ let test_all_mges_matches_sequential () =
             ~query:Cities.two_hop_query ~missing:Cities.missing_tuple ()))
   in
   let seq =
-    Exhaustive.all_mges_exn o
-      (Whynot.make_exn ~instance:Cities.instance ~query:Cities.two_hop_query
-         ~missing:Cities.missing_tuple ())
+    get
+      (Exhaustive.all_mges o
+         (Whynot.make_exn ~instance:Cities.instance
+            ~query:Cities.two_hop_query ~missing:Cities.missing_tuple ()))
   in
   with_engine @@ fun engine ->
   let wn = cities_question engine in
@@ -136,7 +137,7 @@ let test_schema_mges_match_sequential () =
     Whynot.make_exn ~schema:Cities.schema ~instance:Cities.instance
       ~query:Cities.two_hop_query ~missing:Cities.missing_tuple ()
   in
-  let seq = Schema_mge.all_mges_exn `Minimal Cities.schema wn_seq in
+  let seq = get (Schema_mge.all_mges `Minimal Cities.schema wn_seq) in
   let o = Schema_mge.ontology `Minimal Cities.schema wn_seq in
   with_engine ~schema:Cities.schema @@ fun engine ->
   let wn = cities_question engine in

@@ -178,7 +178,7 @@ let test_cities_document () =
   (match Parser.hand_ontology_of doc with
    | None -> Alcotest.fail "hand ontology expected"
    | Some o ->
-     let mges = Whynot_core.Exhaustive.all_mges_exn o wn in
+     let mges = Result.get_ok (Whynot_core.Exhaustive.all_mges o wn) in
      Alcotest.(check bool) "E4 found" true
        (List.exists (fun e -> e = [ "European-City"; "US-City" ]) mges));
   (* OBDA spec parses and E1-equivalent is an MGE. *)
@@ -192,8 +192,9 @@ let test_cities_document () =
      | Error msg -> Alcotest.failf "inconsistent: %s" msg);
     let o = Whynot_core.Ontology.of_obda induced in
     Alcotest.(check bool) "E1 is an MGE" true
-      (Whynot_core.Exhaustive.check_mge_exn o wn
-         [ Whynot_dllite.Dl.Atom "EU-City"; Whynot_dllite.Dl.Atom "NA-City" ])
+      (Result.get_ok
+         (Whynot_core.Exhaustive.check_mge o wn
+            [ Whynot_dllite.Dl.Atom "EU-City"; Whynot_dllite.Dl.Atom "NA-City" ]))
 
 (* ------------------------------------------------------------------ *)
 (* Concept expressions and value lists                                *)
@@ -353,7 +354,7 @@ let test_retail_document () =
     (match Parser.hand_ontology_of doc with
      | None -> Alcotest.fail "hand ontology expected"
      | Some o ->
-       let mges = Whynot_core.Exhaustive.all_mges_exn o wn in
+       let mges = Result.get_ok (Whynot_core.Exhaustive.all_mges o wn) in
        Alcotest.(check bool) "<Audio, CaliforniaStore> is an MGE" true
          (List.exists
             (fun e -> e = [ "Audio"; "CaliforniaStore" ])

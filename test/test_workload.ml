@@ -92,7 +92,7 @@ let test_cities_hand_ontology () =
       Cities.hand_extensions
   in
   Alcotest.(check int) "no consistency violations" 0
-    (List.length (Ontology.consistency_violations_exn o probes))
+    (List.length (Result.get_ok (Ontology.consistency_violations o probes)))
 
 let test_cities_obda () =
   let induced = Whynot_obda.Induced.prepare Cities.obda_spec Cities.instance in
@@ -200,7 +200,7 @@ let test_random_hand_ontology () =
      pool. *)
   let probes = List.init 9 (fun k -> Value.str (Printf.sprintf "k%d" k)) in
   Alcotest.(check int) "consistent" 0
-    (List.length (Whynot_core.Ontology.consistency_violations_exn o probes))
+    (List.length (Result.get_ok (Whynot_core.Ontology.consistency_violations o probes)))
 
 let test_random_tbox () =
   let tb = Generate.random_tbox ~seed:3 ~n_atoms:6 ~n_roles:2 ~n_axioms:12 () in
