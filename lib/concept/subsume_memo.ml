@@ -94,6 +94,7 @@ type inst = {
   verdicts : bool Pair_tbl.t;
   columns : (string * int, Value_set.t) Hashtbl.t;
   mutable positions : (string * int) list option;
+  mutable adom : Value_set.t option;
   lubs : Ls.t Lub_tbl.t;
   mutable deadline : float;  (* absolute seconds; 0. = none *)
 }
@@ -135,6 +136,7 @@ let inst instance =
     verdicts = Pair_tbl.create 64;
     columns = Hashtbl.create 16;
     positions = None;
+    adom = None;
     lubs = Lub_tbl.create 64;
     deadline = 0.;
   }
@@ -174,8 +176,6 @@ let extension h c =
     Ls_tbl.add h.exts c e;
     e
 
-let mem h v c = Semantics.ext_mem v (extension h c)
-
 let subsumes h c1 c2 =
   check_inst_deadline h;
   Obs.incr c_inst_calls;
@@ -203,6 +203,14 @@ let positions h =
     in
     h.positions <- Some ps;
     ps
+
+let adom h =
+  match h.adom with
+  | Some s -> s
+  | None ->
+    let s = Instance.adom h.instance in
+    h.adom <- Some s;
+    s
 
 let column h ~rel ~attr =
   match Hashtbl.find_opt h.columns (rel, attr) with

@@ -60,14 +60,16 @@ val conjunct_ext : inst -> Ls.conjunct -> Semantics.ext
 (** The extension of a single atomic conjunct, memoised structurally —
     the unit the irredundancy minimiser and [lub_sigma] recombine. *)
 
-val mem : inst -> Value.t -> Ls.t -> bool
-(** Membership via the cached extension. *)
-
 val subsumes : inst -> Ls.t -> Ls.t -> bool
 (** [C1 ⊑_I C2], memoised on the pair [(C1, C2)]. *)
 
 val positions : inst -> (string * int) list
 (** All (relation, attribute) positions of the instance, computed once. *)
+
+val adom : inst -> Value_set.t
+(** [adom(I)], computed on first use and kept: the constants every
+    Algorithm 2 search and CHECK-MGE offer, and the base of the
+    question's constant pool. Creating a handle does not compute it. *)
 
 val column : inst -> rel:string -> attr:int -> Value_set.t
 (** The value set of one column, memoised — the inner loop of {!Lub.lub}. *)

@@ -14,9 +14,12 @@ val degree : 'c Ontology.t -> Whynot.t -> 'c Explanation.t -> int option
 
 val maximal :
   'c Ontology.t -> Whynot.t -> ('c Explanation.t option, Whynot_error.t) result
-(** An exact [>card]-maximal explanation (branch-and-bound over the finite
-    ontology; exponential in general). [Ok None] when no explanation
-    exists; [`Infinite_ontology] when the ontology is infinite. *)
+(** An exact [>card]-maximal explanation: a branch-and-bound over
+    {!Exhaustive.plan_of}'s candidates and kill-sets, with each
+    position's candidates by decreasing degree and a cut on the degree
+    the positions left can still add (exponential in general). [Ok None]
+    when no explanation exists; [`Infinite_ontology] when the ontology
+    is infinite. *)
 
 val greedy :
   'c Ontology.t -> Whynot.t -> ('c Explanation.t option, Whynot_error.t) result

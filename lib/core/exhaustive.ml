@@ -49,10 +49,12 @@ end
    position falls outside the concept's extension. Explanations are
    exactly the tuples of candidates whose kill-sets cover every answer.
    [reach.(j)] is everything positions [j..] can still kill. *)
+type answers = int array
+
 type 'c plan = {
-  positions : ('c * int array) array array;
-  all : int array;
-  reach : int array array;
+  positions : ('c * answers) array array;
+  all : answers;
+  reach : answers array;
 }
 
 (* Drop a candidate when another one at the same position lies strictly
@@ -75,11 +77,11 @@ let prune_position o cands =
 let plan ?(prune = false) o cs wn =
   let answers = Array.of_list (Relation.to_list wn.Whynot.answers) in
   let n = Array.length answers in
-  let kill_set j c =
+  (* [mem] is [o.mem c], applied once per candidate. *)
+  let kill_set j mem =
     let ks = Bits.empty n in
     Array.iteri
-      (fun i t ->
-         if not (o.Ontology.mem c (Tuple.get t (j + 1))) then Bits.add ks i)
+      (fun i t -> if not (mem (Tuple.get t (j + 1))) then Bits.add ks i)
       answers;
     ks
   in
@@ -87,11 +89,15 @@ let plan ?(prune = false) o cs wn =
     Array.of_list
       (List.mapi
          (fun j a ->
-            let cands = List.filter (fun c -> o.Ontology.mem c a) cs in
-            Obs.add c_candidates (List.length cands);
             let cands =
-              Array.of_list (List.map (fun c -> (c, kill_set j c)) cands)
+              List.filter_map
+                (fun c ->
+                   let mem = o.Ontology.mem c in
+                   if mem a then Some (c, kill_set j mem) else None)
+                cs
             in
+            Obs.add c_candidates (List.length cands);
+            let cands = Array.of_list cands in
             if prune then prune_position o cands else cands)
          (Whynot.missing_values wn))
   in
@@ -104,6 +110,12 @@ let plan ?(prune = false) o cs wn =
   done;
   { positions; all = Bits.full n; reach }
 
+let plan_of o wn = finite o (fun cs -> Ok (plan o cs wn))
+let candidates p = p.positions
+let nothing p = Array.make (Array.length p.all) 0
+let union = Bits.union
+let completable p j killed = Bits.covers p.all killed p.reach.(j)
+
 (* Every explanation of the plan, lazily, in product order. The union of
    the prefix's kill-sets travels down; a branch is cut as soon as the
    positions left cannot kill every answer still alive. *)
@@ -114,8 +126,7 @@ let explanations p =
       Obs.incr c_tuples;
       if killed = p.all then Seq.Cons (List.rev chosen, rest) else rest ()
     end
-    else if Bits.covers p.all killed p.reach.(j) then
-      branch j killed chosen 0 rest ()
+    else if completable p j killed then branch j killed chosen 0 rest ()
     else rest ()
   and branch j killed chosen i rest () =
     let cands = p.positions.(j) in
@@ -125,7 +136,7 @@ let explanations p =
       node (j + 1) (Bits.union killed ks) (c :: chosen)
         (branch j killed chosen (i + 1) rest) ()
   in
-  node 0 (Array.make (Array.length p.all) 0) [] Seq.empty
+  node 0 (nothing p) [] Seq.empty
 
 (* Drop explanations strictly below another; keep the first representative
    of each equivalence class. *)

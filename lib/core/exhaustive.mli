@@ -61,7 +61,7 @@ val check_mge :
     single-position upgrade? Also the post-hoc verifier for the output
     of Algorithm 2 in the differential property tests. One
     {!Explanation.Frontier} per call: each strict upgrade at position
-    [j] costs [1 + |D_j|] membership tests. *)
+    [j] costs one extension fetch and [1 + |D_j|] set lookups. *)
 
 val generalise :
   'c Ontology.t ->
@@ -72,7 +72,8 @@ val generalise :
     concepts while remaining an explanation; the result is most general.
     Upgrades are tried in position order, then in concept order, over
     one {!Explanation.Frontier} for the whole climb, as in {!check_mge};
-    each accepted one re-tests [|Ans|] memberships.
+    each accepted one fetches the new extension once and makes [|Ans|]
+    set lookups.
     [`Not_an_explanation] when the input is not an explanation. *)
 
 (** {1 Lazy enumeration}
@@ -94,3 +95,34 @@ val mges_seq :
 (** Every most-general explanation, one representative per equivalence
     class. Forcing the whole sequence yields the same set as
     {!all_mges}. *)
+
+(** {1 The search plan}
+
+    What every search above walks, exposed for {!Cardinality.maximal}'s
+    branch-and-bound, which visits the same candidates under its own
+    degree bound. *)
+
+type answers
+(** A set of the question's answers, by index. *)
+
+type 'c plan
+
+val plan_of : 'c Ontology.t -> Whynot.t -> ('c plan, Whynot_error.t) result
+(** The plan, without the dominated-candidate preprocessing. One
+    extension fetch per concept and position ([o.mem c], applied once)
+    and [|Ans|] set lookups per candidate. *)
+
+val candidates : 'c plan -> ('c * answers) array array
+(** Per position, the concepts whose extension contains the missing
+    value, in the ontology's order, each with its kill-set: the answers
+    whose component at the position lies outside its extension. *)
+
+val nothing : 'c plan -> answers
+(** The empty kill-set. *)
+
+val union : answers -> answers -> answers
+
+val completable : 'c plan -> int -> answers -> bool
+(** [completable p j killed]: the candidates at positions [j], [j+1], ...
+    can still kill every answer outside [killed]. At [j] = the arity,
+    [killed] holds every answer, i.e. the tuple is an explanation. *)

@@ -37,6 +37,8 @@ module Frontier = struct
     ontology : 'c Ontology.t;
     missing : Value.t array;
     concepts : 'c array;
+    members : (Value.t -> bool) array;
+        (* [members.(j)] = [ontology.mem concepts.(j)], applied once. *)
     answers : Value.t array array;
     excluded : bool array array;
         (* [excluded.(i).(j)]: component [j] of answer [i] lies outside
@@ -46,60 +48,70 @@ module Frontier = struct
            [j] alone excludes. *)
   }
 
+  (* The one position whose flag is set from [j] on, given [found] before
+     it: -1 when there is none, -2 when there are several. *)
+  let rec sole flags j found =
+    if j = Array.length flags then found
+    else if not flags.(j) then sole flags (j + 1) found
+    else if found >= 0 then -2
+    else sole flags (j + 1) j
+
   (* Recompute every D_j from the flags; false when some answer is
      excluded at no position. *)
   let refill f =
     Array.fill f.only 0 (Array.length f.only) Value_set.empty;
     Array.for_all2
       (fun values flags ->
-         match
-           List.filter (Array.get flags) (List.init (Array.length flags) Fun.id)
-         with
-         | [] -> false
-         | [ j ] ->
+         match sole flags 0 (-1) with
+         | -1 -> false
+         | -2 -> true
+         | j ->
            f.only.(j) <- Value_set.add values.(j) f.only.(j);
-           true
-         | _ -> true)
+           true)
       f.answers f.excluded
 
   let make o wn e =
-    let arity = Whynot.arity wn in
-    if List.length e <> arity || not (covers_missing o wn e) then None
+    let missing = Array.of_list (Whynot.missing_values wn) in
+    if List.length e <> Array.length missing then None
     else
       let concepts = Array.of_list e in
-      let answers =
-        Array.of_list
-          (List.map
-             (fun t -> Array.of_list (Tuple.to_list t))
-             (Relation.to_list wn.Whynot.answers))
-      in
-      let f =
-        {
-          ontology = o;
-          missing = Array.of_list (Whynot.missing_values wn);
-          concepts;
-          answers;
-          excluded =
-            Array.map
-              (Array.mapi (fun j v -> not (o.Ontology.mem concepts.(j) v)))
-              answers;
-          only = Array.make arity Value_set.empty;
-        }
-      in
-      if refill f then Some f else None
+      let members = Array.map o.Ontology.mem concepts in
+      if not (Array.for_all2 (fun m a -> m a) members missing) then None
+      else
+        let answers =
+          Array.of_list
+            (List.map
+               (fun t -> Array.of_list (Tuple.to_list t))
+               (Relation.to_list wn.Whynot.answers))
+        in
+        let f =
+          {
+            ontology = o;
+            missing;
+            concepts;
+            members;
+            answers;
+            excluded =
+              Array.map
+                (Array.mapi (fun j v -> not (members.(j) v)))
+                answers;
+            only = Array.make (Array.length missing) Value_set.empty;
+          }
+        in
+        if refill f then Some f else None
 
   let concepts f = Array.to_list f.concepts
   let concept f j = f.concepts.(j)
+  let mem f j v = f.members.(j) v
   let only f j = f.only.(j)
 
   let accepts f j c =
-    f.ontology.Ontology.mem c f.missing.(j)
-    && not (Value_set.exists (fun v -> f.ontology.Ontology.mem c v) f.only.(j))
+    let m = f.ontology.Ontology.mem c in
+    m f.missing.(j) && not (Value_set.exists m f.only.(j))
 
   let replace f j c =
-    let column =
-      Array.map (fun values -> not (f.ontology.Ontology.mem c values.(j))) f.answers
-    in
+    let m = f.ontology.Ontology.mem c in
+    let column = Array.map (fun values -> not (m values.(j))) f.answers in
     (* An answer loses its last excluding position iff its component [j]
        is in D_j and now in [ext(c)]. *)
     if
@@ -109,6 +121,7 @@ module Frontier = struct
            column f.answers)
     then invalid_arg "Explanation.Frontier.replace: not an explanation";
     f.concepts.(j) <- c;
+    f.members.(j) <- m;
     Array.iteri (fun i x -> f.excluded.(i).(j) <- x) column;
     ignore (refill f)
 end

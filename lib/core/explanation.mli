@@ -40,7 +40,9 @@ val is_explanation : 'c Ontology.t -> Whynot.t -> 'c t -> bool
     another position excluded. The remaining answers are those excluded
     only at [j], whose components at [j] make up [D_j]. So the modified
     tuple is an explanation iff [a_j ∈ ext(c)] and [ext(c) ∩ D_j = ∅].
-    That is [1 + |D_j|] membership tests instead of [|Ans| × arity]. *)
+    That is one extension fetch ([o.mem c], applied once) and [1 + |D_j|]
+    set lookups, instead of [|Ans| × arity] membership tests. The frontier
+    keeps one such partially applied predicate per position ({!mem}). *)
 
 module Frontier : sig
   type 'c t
@@ -48,8 +50,8 @@ module Frontier : sig
 
   val make : 'c Ontology.t -> Whynot.t -> 'c list -> 'c t option
   (** A frontier over the tuple, or [None] exactly when it is not an
-      explanation ({!is_explanation}). Costs [arity × (1 + |Ans|)]
-      membership tests. *)
+      explanation ({!is_explanation}). Costs one extension fetch per
+      position and [arity × (1 + |Ans|)] set lookups. *)
 
   val concepts : 'c t -> 'c list
   (** The current explanation. *)
@@ -57,18 +59,25 @@ module Frontier : sig
   val concept : 'c t -> int -> 'c
   (** Its concept at 0-based position [j]. *)
 
+  val mem : 'c t -> int -> Value.t -> bool
+  (** [mem f j v] iff [v] is in the extension of the concept at
+      position [j]: a set lookup on the extension the frontier fetched
+      when that concept arrived. *)
+
   val only : 'c t -> int -> Value_set.t
   (** [D_j]: the [j]-th components of the answers excluded at position
       [j] and nowhere else. *)
 
   val accepts : 'c t -> int -> 'c -> bool
   (** [accepts f j c] iff the current explanation with [c] at position [j]
-      is an explanation: [a_j ∈ ext(c)] and no [v ∈ D_j] is in [ext(c)]. *)
+      is an explanation: [a_j ∈ ext(c)] and no [v ∈ D_j] is in [ext(c)].
+      One extension fetch, then [1 + |D_j|] set lookups. *)
 
   val replace : 'c t -> int -> 'c -> unit
-  (** [replace f j c] puts [c] at position [j]: it re-tests column [j] of
-      the exclusion flags ([|Ans|] memberships) and recomputes every
-      [D_k]. Call it only when [accepts f j c] holds.
+  (** [replace f j c] puts [c] at position [j]: it fetches [ext(c)] once,
+      re-tests column [j] of the exclusion flags ([|Ans|] set lookups)
+      and recomputes every [D_k] without allocating per answer. Call it
+      only when [accepts f j c] holds.
       @raise Invalid_argument, leaving [f] unchanged, when some answer
       would be excluded nowhere. *)
 end

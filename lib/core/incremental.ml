@@ -57,15 +57,13 @@ let lub ctx x =
   | With_selections -> Lub.lub_sigma ctx.handle x
 
 (* The absorption schedule: position by position, every active-domain
-   constant in the requested order. *)
-let attempts order wn =
-  let adom =
-    let asc = Value_set.elements (Instance.adom wn.Whynot.instance) in
-    match order with `Ascending -> asc | `Descending -> List.rev asc
-  in
-  List.concat_map
-    (fun j -> List.map (fun b -> (j, b)) adom)
-    (List.init (Whynot.arity wn) (fun j -> j))
+   constant in the requested order. The active domain is the handle's,
+   computed once per handle. *)
+let iter_adom ctx order k =
+  let adom = Subsume_memo.adom ctx.handle in
+  match order with
+  | `Ascending -> Value_set.iter k adom
+  | `Descending -> Seq.iter k (Value_set.to_rev_seq adom)
 
 let search ctx order =
   let support =
@@ -78,25 +76,25 @@ let search ctx order =
          (Array.to_list (Array.map (lub ctx) support)))
   in
   let trace = ref [] in
-  List.iter
-    (fun (j, b) ->
-       (* Skip constants already in the position's extension: absorbing
-          them cannot change anything. *)
-       if not (Subsume_memo.mem ctx.handle b (Frontier.concept f j)) then begin
-         Obs.incr c_absorb_attempts;
-         let x' = Value_set.add b support.(j) in
-         let c' = lub ctx x' in
-         let accepted = Frontier.accepts f j c' in
-         if accepted then begin
-           Obs.incr c_absorbed;
-           Log.debug (fun m ->
-               m "position %d absorbed %s" (j + 1) (Value.to_string b));
-           support.(j) <- x';
-           Frontier.replace f j c'
-         end;
-         trace := (j, b, accepted) :: !trace
-       end)
-    (attempts order ctx.wn);
+  for j = 0 to Whynot.arity ctx.wn - 1 do
+    iter_adom ctx order (fun b ->
+        (* Skip constants already in the position's extension: absorbing
+           them cannot change anything. *)
+        if not (Frontier.mem f j b) then begin
+          Obs.incr c_absorb_attempts;
+          let x' = Value_set.add b support.(j) in
+          let c' = lub ctx x' in
+          let accepted = Frontier.accepts f j c' in
+          if accepted then begin
+            Obs.incr c_absorbed;
+            Log.debug (fun m ->
+                m "position %d absorbed %s" (j + 1) (Value.to_string b));
+            support.(j) <- x';
+            Frontier.replace f j c'
+          end;
+          trace := (j, b, accepted) :: !trace
+        end)
+  done;
   try_top f;
   (Frontier.concepts f, List.rev !trace)
 
@@ -115,17 +113,17 @@ let check_mge ?handle ?variant wn e =
   match Frontier.make ctx.ontology wn e with
   | None -> false
   | Some f ->
-    let adom = Value_set.elements (Instance.adom wn.Whynot.instance) in
+    let adom = Subsume_memo.adom ctx.handle in
     let improvable j c =
       match Subsume_memo.extension ctx.handle c with
       | Semantics.All -> false (* already top *)
       | Semantics.Fin ext ->
         (* (a) absorb a further active-domain constant *)
-        List.exists
+        Seq.exists
           (fun b ->
              (not (Value_set.mem b ext))
              && Frontier.accepts f j (lub ctx (Value_set.add b ext)))
-          adom
+          (Value_set.to_seq adom)
         (* (b) jump to top *)
         || Frontier.accepts f j Ls.top
     in

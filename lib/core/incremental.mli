@@ -20,14 +20,19 @@
     active domain, and it is not reachable by adding active-domain
     constants alone.
 
-    Cost per attempt. The run keeps its current explanation in an
-    {!Explanation.Frontier}: an attempt at position [j] fetches the lub
-    and tests [1 + |D_j|] memberships (the missing value and the
-    answers only [j] excludes), not [|Ans| × arity]; an accepted one
-    re-tests column [j] of the [|Ans|] answers. {!check_mge} builds one
-    frontier from its input and tests every candidate, lub or [top],
-    the same way. The attempt schedule, and so every MGE, is the one
-    the full re-test gives. *)
+    Cost per attempt. The constants offered are the handle's active
+    domain ({!Whynot_concept.Subsume_memo.adom}), computed once per
+    handle. The run keeps its current explanation in an
+    {!Explanation.Frontier}: the skip test (is [b] already in the
+    position's extension?) is a set lookup on the frontier's predicate
+    for that position; an attempt at position [j] fetches the lub and
+    its extension once and makes [1 + |D_j|] set lookups (the missing
+    value and the answers only [j] excludes), not [|Ans| × arity]
+    membership tests; an accepted one fetches it again and re-tests
+    column [j] of the [|Ans|] answers. {!check_mge} builds one frontier
+    from its input and tests every candidate, lub or [top], the same
+    way. The attempt schedule, and so every MGE, is the one the full
+    re-test gives. *)
 
 open Whynot_relational
 

@@ -25,8 +25,9 @@ let consistency_violations o probes =
               (fun c2 ->
                  if
                    o.subsumes c1 c2
-                   && List.exists (fun v -> o.mem c1 v && not (o.mem c2 v))
-                        probes
+                   &&
+                   let m1 = o.mem c1 and m2 = o.mem c2 in
+                   List.exists (fun v -> m1 v && not (m2 v)) probes
                  then Some (c1, c2)
                  else None)
               cs)
@@ -55,10 +56,10 @@ let of_extensions ~name ~subsumptions ~extensions =
     in
     String.equal c1 c2 || reach [ c1 ] [ c1 ]
   in
-  let mem c v =
+  let mem c =
     match List.assoc_opt c extensions with
-    | Some ext -> Value_set.mem v ext
-    | None -> false
+    | Some ext -> fun v -> Value_set.mem v ext
+    | None -> fun _ -> false
   in
   {
     name;
@@ -77,8 +78,9 @@ let of_obda induced =
     concepts = Some (Whynot_obda.Induced.concepts induced);
     subsumes = Whynot_obda.Induced.subsumes induced;
     mem =
-      (fun c v ->
-         Value_set.mem v (Whynot_obda.Induced.extension induced c));
+      (fun c ->
+         let e = Whynot_obda.Induced.extension induced c in
+         fun v -> Value_set.mem v e);
     equal = Whynot_dllite.Dl.equal_basic;
     pp = Whynot_dllite.Dl.pp_basic;
   }
@@ -95,13 +97,19 @@ let inst_handle ?handle inst =
   | Some h -> h
   | None -> Whynot_concept.Subsume_memo.inst inst
 
+(* [mem c] fetches [ext(c)] once, with the handle's deadline check; the
+   predicate it returns is a plain set lookup. *)
+let staged_mem h c =
+  let e = Whynot_concept.Subsume_memo.extension h c in
+  fun v -> Whynot_concept.Semantics.ext_mem v e
+
 let of_instance ?handle inst =
   let h = inst_handle ?handle inst in
   {
     name = "O_I";
     concepts = None;
     subsumes = Whynot_concept.Subsume_memo.subsumes h;
-    mem = (fun c v -> Whynot_concept.Subsume_memo.mem h v c);
+    mem = staged_mem h;
     equal = Whynot_concept.Ls.equal;
     pp = (fun ppf c -> Whynot_concept.Ls.pp () ppf c);
   }
@@ -120,7 +128,7 @@ let of_schema ?schema_handle ?handle schema inst =
     name = "O_S";
     concepts = None;
     subsumes = Whynot_concept.Subsume_memo.schema_subsumes sh;
-    mem = (fun c v -> Whynot_concept.Subsume_memo.mem ih v c);
+    mem = staged_mem ih;
     equal = Whynot_concept.Ls.equal;
     pp = (fun ppf c -> Whynot_concept.Ls.pp ~schema () ppf c);
   }

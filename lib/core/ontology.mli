@@ -16,7 +16,10 @@ type 'c t = {
     (** [Some cs] iff the ontology is finite/enumerable. *)
   subsumes : 'c -> 'c -> bool;  (** [subsumes c1 c2] iff [c1 ⊑ c2]. *)
   mem : 'c -> Value.t -> bool;
-    (** [mem c v] iff [v ∈ ext(c, I)] for the prepared instance. *)
+    (** [mem c v] iff [v ∈ ext(c, I)] for the prepared instance. [mem c]
+        may do its per-concept work (fetching the extension) once, so a
+        caller that tests many values against one concept applies it
+        partially and reuses the predicate. *)
   equal : 'c -> 'c -> bool;
   pp : Format.formatter -> 'c -> unit;
 }

@@ -80,7 +80,7 @@ let one_mge ?(variant = Incremental.Selection_free) t =
   for j = 0 to m - 1 do
     List.iter
       (fun b ->
-         if not (Subsume_memo.mem h b concepts.(j)) then begin
+         if not (o.Ontology.mem concepts.(j) b) then begin
            let x' = Value_set.add b support.(j) in
            let c' = lub x' in
            let e' = replace_nth (Array.to_list concepts) j c' in

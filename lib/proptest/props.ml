@@ -114,14 +114,29 @@ let str_frontier_case (wn, start, steps) =
     (String.concat "; "
        (List.map (fun (j, c) -> Printf.sprintf "(%d, %d)" j c) steps))
 
+(* Candidates at position [j]: [top], nominals, and both variants' lubs
+   of {b} and of {a_j, b} for every constant [b] of the pool, so they need
+   neither cover [a_j] nor lie above the concept they replace. *)
+let frontier_candidates h wn pool =
+  Array.of_list
+    (List.map
+       (fun a ->
+         Array.of_list
+           (Ls.top
+           :: List.concat_map
+                (fun b ->
+                  let x = Value_set.singleton b in
+                  let xa = Value_set.add a x in
+                  [ Ls.nominal b; Lub.lub h x; Lub.lub h xa;
+                    Lub.lub_sigma h x; Lub.lub_sigma h xa ])
+                pool))
+       (Whynot.missing_values wn))
+
 (* [Explanation.Frontier] against [Explanation.is_explanation]: building
    a frontier fails exactly on non-explanations; [accepts f j c] equals
    the full re-test of the tuple with [c] at [j]; and after every
    accepted [replace] the frontier equals one built afresh from its
-   tuple, concepts and D_j alike. Candidates at position [j] are [top],
-   nominals, and both variants' lubs of {b} and of {a_j, b} for every
-   constant [b] of the pool, so they need neither cover [a_j] nor lie
-   above the concept they replace. *)
+   tuple, concepts and D_j alike. *)
 let explanation_frontier_equals_is_explanation =
   prop "explanation/frontier-equals-is-explanation" 100 str_frontier_case
     gen_frontier_case (function
@@ -131,21 +146,7 @@ let explanation_frontier_equals_is_explanation =
       let h = Subsume_memo.inst wn.Whynot.instance in
       let o = Ontology.of_instance ~handle:h wn.Whynot.instance in
       let pool = Value_set.elements (Whynot.constant_pool wn) in
-      let candidates =
-        Array.of_list
-          (List.map
-             (fun a ->
-               Array.of_list
-                 (Ls.top
-                 :: List.concat_map
-                      (fun b ->
-                        let x = Value_set.singleton b in
-                        let xa = Value_set.add a x in
-                        [ Ls.nominal b; Lub.lub h x; Lub.lub h xa;
-                          Lub.lub_sigma h x; Lub.lub_sigma h xa ])
-                      pool))
-             (Whynot.missing_values wn))
-      in
+      let candidates = frontier_candidates h wn pool in
       let nth j k = candidates.(j).(k mod Array.length candidates.(j)) in
       let set j c e = List.mapi (fun i c' -> if i = j then c else c') e in
       let same f g =
@@ -176,6 +177,58 @@ let explanation_frontier_equals_is_explanation =
               | Some g -> same f g
               | None -> false)))
         steps)
+
+(* [O_I]'s membership is staged: [o.mem c] fetches the extension once and
+   returns a set lookup, and a frontier keeps one such predicate per
+   position. Both must answer as the naive membership, the oracle's
+   full-scan extension: [o.mem c] partially applied, over every pool value,
+   for every candidate; and [Frontier.mem f j], at every position, after
+   every accepted [replace] of a random sequence. *)
+let explanation_staged_mem_equals_naive =
+  prop "explanation/staged-mem-equals-naive" 100 str_frontier_case
+    gen_frontier_case (function
+    | None, _, _ -> true
+    | Some wn, start, steps ->
+      let module F = Explanation.Frontier in
+      let inst = wn.Whynot.instance in
+      let h = Subsume_memo.inst inst in
+      let o = Ontology.of_instance ~handle:h inst in
+      let pool = Value_set.elements (Whynot.constant_pool wn) in
+      let candidates = frontier_candidates h wn pool in
+      let nth j k = candidates.(j).(k mod Array.length candidates.(j)) in
+      let naive c =
+        let e = Oracle.scan_extension c inst in
+        fun v -> Semantics.ext_mem v e
+      in
+      let staged_ok c =
+        let staged = o.Ontology.mem c and naive = naive c in
+        List.for_all (fun v -> staged v = naive v) pool
+      in
+      let positions = List.init (Whynot.arity wn) Fun.id in
+      let frontier_ok f =
+        List.for_all
+          (fun j ->
+            let naive = naive (F.concept f j) in
+            List.for_all (fun v -> F.mem f j v = naive v) pool)
+          positions
+      in
+      Array.for_all (Array.for_all staged_ok) candidates
+      &&
+      let f =
+        match F.make o wn (List.mapi nth start) with
+        | Some f -> f
+        | None -> Option.get (F.make o wn (Incremental.trivial_explanation wn))
+      in
+      frontier_ok f
+      && List.for_all
+           (fun (j, k) ->
+             let j = j mod Whynot.arity wn in
+             let c = nth j k in
+             (not (F.accepts f j c))
+             ||
+             (F.replace f j c;
+              frontier_ok f))
+           steps)
 
 (* ------------------------------------------------------------------ *)
 (* Schema-level subsumption deciders vs Table 1                        *)
@@ -950,6 +1003,7 @@ let all =
     mge_incremental_vs_exhaustive;
     mge_incremental_selections;
     explanation_frontier_equals_is_explanation;
+    explanation_staged_mem_equals_naive;
     subsume_deciders_sound;
     subsume_noconstraints_vs_syntactic;
     lub_least_vs_enumeration;

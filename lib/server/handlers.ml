@@ -284,7 +284,8 @@ let handle_question deps req =
            );
            ( "constants",
              Wjson.Int
-               (Value_set.cardinal (Whynot_core.Whynot.constant_pool wn)) );
+               (Value_set.cardinal
+                  (Engine.constant_pool s.Registry.engine wn)) );
          ]))
 
 let handle_one_mge deps req =

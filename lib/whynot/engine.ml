@@ -103,12 +103,18 @@ let question ?answers e ~query ~missing () =
         (W.make ?answers ~instance:e.instance ~query ~missing ())
         (fun wn -> Result.map (fun () -> wn) (legality e)))
 
-let pool_of ?values wn =
-  match values with Some v -> v | None -> W.constant_pool wn
+let constant_pool e wn =
+  List.fold_left
+    (fun acc v -> Value_set.add v acc)
+    (Subsume_memo.adom e.inst_handle)
+    (W.missing_values wn)
+
+let pool_of ?values e wn =
+  match values with Some v -> v | None -> constant_pool e wn
 
 let instance_ontology ?values e wn =
   Ontology.of_instance_finite ~handle:e.inst_handle e.instance
-    (pool_of ?values wn)
+    (pool_of ?values e wn)
 
 (* --- Algorithm 2 (incremental, w.r.t. O_I) --- *)
 
@@ -151,7 +157,7 @@ let all_mges_schema ?(fragment = `Minimal) ?values e wn =
             in
             Exhaustive.all_mges
               (Ontology.of_schema_finite ~minimal_only ~schema_handle
-                 ~handle:e.inst_handle sch e.instance (pool_of ?values wn))
+                 ~handle:e.inst_handle sch e.instance (pool_of ?values e wn))
               wn
           | _ ->
             Error

@@ -78,6 +78,11 @@ val question :
     questions over one query evaluate it once. A caller-supplied
     [answers] is used as is and not kept. *)
 
+val constant_pool : t -> Whynot_core.Whynot.t -> Value_set.t
+(** [Whynot.constant_pool] of a question built by {!question}: the
+    engine's active domain, computed on first use and kept, plus the
+    missing values. *)
+
 (** {1 Algorithm 2 — incremental search w.r.t. [O_I]} *)
 
 val one_mge :

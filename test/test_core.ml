@@ -649,6 +649,32 @@ let prop_cardinality_greedy_is_first_by_degree =
                 (Whynot_proptest.Oracle.literal_explanations by_degree wn) 0)
          [ 1; 2; 3 ])
 
+(* The branch-and-bound over Algorithm 1's plan returns an explanation
+   of the best degree among all explanations the literal product yields. *)
+let prop_cardinality_maximal_is_best_literal =
+  QCheck2.Test.make ~name:"exact maximal degree = best literal degree"
+    ~count:60
+    QCheck2.Gen.(triple (int_range 1 5) (int_range 1 5) (int_range 0 1000))
+    (fun (n_elements, n_sets, seed) ->
+       let open Whynot_setcover in
+       let sc = Setcover.random ~seed ~n_elements ~n_sets ~density:0.5 () in
+       List.for_all
+         (fun slots ->
+            let g = Reduction.build sc ~slots in
+            let o = g.Reduction.ontology and wn = g.Reduction.whynot in
+            let degree e = Option.get (Cardinality.degree o wn e) in
+            let best =
+              List.fold_left
+                (fun acc e -> max acc (Some (degree e)))
+                None
+                (Whynot_proptest.Oracle.literal_explanations o wn)
+            in
+            match ok @@ Cardinality.maximal o wn with
+            | None -> best = None
+            | Some e ->
+              Explanation.is_explanation o wn e && Some (degree e) = best)
+         [ 1; 2; 3 ])
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -659,6 +685,7 @@ let qcheck_cases =
       prop_pruned_equals_unpruned;
       prop_cardinality_greedy_leq_exact;
       prop_cardinality_greedy_is_first_by_degree;
+      prop_cardinality_maximal_is_best_literal;
     ]
 
 (* ------------------------------------------------------------------ *)

@@ -366,26 +366,30 @@ module Obs = Whynot_obs.Obs
 (* Warm requests on a session reuse its legality verdict, answer set and
    memo handles, so they create no eval or memo handle, compile no plan
    and build no index. *)
+let in_process_deps () =
+  {
+    Handlers.registry = Registry.create ~max_sessions:4;
+    domains_default = 1;
+    domains_max = 4;
+    default_deadline_ms = 0;
+    max_deadline_ms = 0;
+    debug_ops = false;
+    started_at_s = Obs.now_s ();
+  }
+
+(* One request, dispatched without a socket; fails the test on an error
+   reply. *)
+let handle_ok deps line =
+  match Whynot_server.Protocol.parse_request line with
+  | Error m -> Alcotest.failf "unparsable request %s: %s" line m
+  | Ok req -> (
+    match Handlers.handle deps req with
+    | Ok result -> result
+    | Error (code, m) -> Alcotest.failf "%s: %s: %s" line code m)
+
 let test_warm_session_counter_budget () =
-  let deps =
-    {
-      Handlers.registry = Registry.create ~max_sessions:4;
-      domains_default = 1;
-      domains_max = 4;
-      default_deadline_ms = 0;
-      max_deadline_ms = 0;
-      debug_ops = false;
-      started_at_s = Obs.now_s ();
-    }
-  in
-  let ok line =
-    match Whynot_server.Protocol.parse_request line with
-    | Error m -> Alcotest.failf "unparsable request %s: %s" line m
-    | Ok req -> (
-      match Handlers.handle deps req with
-      | Ok _ -> ()
-      | Error (code, m) -> Alcotest.failf "%s: %s: %s" line code m)
-  in
+  let deps = in_process_deps () in
+  let ok line = ignore (handle_ok deps line) in
   ok "{\"op\":\"create\",\"session\":\"b\",\"workload\":\"cities\"}";
   Fun.protect ~finally:(fun () -> ok "{\"op\":\"close\",\"session\":\"b\"}")
   @@ fun () ->
@@ -419,6 +423,74 @@ let test_warm_session_counter_budget () =
     (fun (n, v0) (_, v1) ->
       Alcotest.(check int) (n ^ " added by 50 warm rounds") 0 (v1 - v0))
     before (read ())
+
+(* The question reply's "constants" is |K| (Proposition 5.1), built from
+   the session's cached active domain: it equals [Whynot.constant_pool]
+   of the document's question, on its own missing tuple and on one with a
+   constant outside the active domain. *)
+let test_question_constants_equal_pool () =
+  let deps = in_process_deps () in
+  let forty_cities =
+    let schema, instance =
+      Whynot_workload.Generate.cities_like ~seed:1 ~n_cities:40
+        ~n_countries:8 ~n_connections:80 ()
+    in
+    Whynot_proptest.Surface.document schema instance
+    ^ "query q(x, y) := Train-Connections(x, z), Train-Connections(z, y)\n\
+       whynot (\"city000\", \"city001\")\n"
+  in
+  let figure2 =
+    (* dune runtest runs from the test build directory, dune exec from
+       the project root. *)
+    let path =
+      List.find Sys.file_exists
+        [ "../examples/data/cities.whynot"; "examples/data/cities.whynot" ]
+    in
+    In_channel.with_open_text path In_channel.input_all
+  in
+  List.iter
+    (fun (name, text) ->
+      let wn missing =
+        let d = Result.get_ok (Whynot_text.Parser.parse text) in
+        let wn = Result.get_ok (Whynot_text.Parser.whynot_of d) in
+        let missing =
+          Option.value missing ~default:(Whynot_core.Whynot.missing_values wn)
+        in
+        Whynot_core.Whynot.make_exn ~instance:wn.Whynot_core.Whynot.instance
+          ~query:wn.Whynot_core.Whynot.query ~missing ()
+      in
+      let op fields =
+        handle_ok deps
+          (Json.to_string
+             (Json.Obj (("session", Json.String name) :: fields)))
+      in
+      ignore
+        (op [ ("op", Json.String "create"); ("document", Json.String text) ]);
+      let close () = ignore (op [ ("op", Json.String "close") ]) in
+      Fun.protect ~finally:close @@ fun () ->
+      List.iter
+        (fun missing ->
+          let fields =
+            match missing with
+            | None -> []
+            | Some vs ->
+              [ ("missing",
+                 Json.List
+                   (List.map Whynot_server.Protocol.json_of_value vs)) ]
+          in
+          Alcotest.(check (option int))
+            (name ^ " constants")
+            (Some
+               (Whynot_relational.Value_set.cardinal
+                  (Whynot_core.Whynot.constant_pool (wn missing))))
+            (match
+               Json.member "constants"
+                 (op (("op", Json.String "question") :: fields))
+             with
+             | Some (Json.Int n) -> Some n
+             | _ -> None))
+        [ None; Some Whynot_relational.Value.[ str "Atlantis"; str "Rome" ] ])
+    [ ("figure2", figure2); ("forty-cities", forty_cities) ]
 
 let fd_document ~legal =
   String.concat "\n"
@@ -548,6 +620,8 @@ let () =
           Alcotest.test_case "idle TTL evicts" `Quick test_idle_ttl_evicts;
           Alcotest.test_case "warm session counter budget" `Quick
             test_warm_session_counter_budget;
+          Alcotest.test_case "question constants equal the constant pool"
+            `Quick test_question_constants_equal_pool;
           Alcotest.test_case "illegal document replies schema-violation"
             `Quick test_illegal_document_reports_schema_violation;
           Alcotest.test_case "implicit-view MGE passes check_mge" `Quick
