@@ -728,8 +728,9 @@ let datalog_bench () =
 
 let memo_bench () =
   header "MEMO" "Memoised subsumption: cold vs warm Incremental Search";
-  (* Cold: every measured call creates a fresh memo handle, so extensions,
-     columns and lubs are recomputed from scratch — one run on its own.
+  (* Cold: every measured call creates a fresh memo handle, so the
+     active domain, its position masks and every extension are recomputed
+     from scratch — one run on its own.
      Warm: one handle is kept across calls, as an engine keeps its handle
      across the requests of a session. *)
   List.iter

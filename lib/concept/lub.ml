@@ -5,25 +5,70 @@ let nominal_conjuncts x =
   | [ c ] -> [ Ls.Nominal c ]
   | _ -> []
 
-(* Memo tags for the lub caches of an instance handle (see
-   {!Subsume_memo.memo_lub}): the variants range over different concept
-   languages, so they must not share entries. *)
-let tag_selection_free = 0
-let tag_sigma_pruned = 1
-let tag_sigma_unpruned = 2
+(* --- selection-free lubs as position masks (Lemma 5.1) --- *)
+
+let mask h x =
+  Value_set.fold
+    (fun v m -> Bits.inter m (Subsume_memo.posmask h v))
+    x
+    (Bits.full (Array.length (Subsume_memo.positions h)))
+
+let covers h m =
+  if Bits.is_empty m then fun _ -> true
+  else fun v -> Bits.subset m (Subsume_memo.posmask h v)
+
+let render h ?nominal m =
+  let positions = Subsume_memo.positions h in
+  let projections = ref [] in
+  Bits.iter
+    (fun k ->
+       let rel, attr = positions.(k) in
+       projections := Ls.Proj { rel; attr; sels = [] } :: !projections)
+    m;
+  match nominal with
+  | Some x -> Ls.of_conjuncts (Ls.Nominal x :: !projections)
+  | None -> Ls.of_conjuncts !projections
+
+(* [Irredundant.minimise] on masks: its greedy drop runs through the
+   conjuncts in order, the nominal first, then the projections by bit.
+   A drop keeps the extension iff it keeps the number of active-domain
+   constants covering the mask, the empty mask ([top]) excepted. *)
+let shorten h ?nominal m =
+  let count m =
+    Array.fold_left
+      (fun n pm -> if Bits.subset m pm then n + 1 else n)
+      0 (Subsume_memo.posmasks h)
+  in
+  let drop m =
+    let target = count m in
+    let kept = ref m in
+    Bits.iter
+      (fun k ->
+         let m' = Bits.remove !kept k in
+         if (not (Bits.is_empty m')) && count m' = target then kept := m')
+      m;
+    !kept
+  in
+  match nominal with
+  (* The nominal's extension is [{x}]; the projections keep it iff only
+     [x] covers them, and every projection is redundant next to it. *)
+  | Some x when Bits.is_empty m || count m > 1 -> Ls.nominal x
+  | _ when Bits.is_empty m -> Ls.top
+  | _ -> render h (drop m)
 
 let lub h x =
   if Value_set.is_empty x then invalid_arg "Lub.lub: empty constant set";
-  Subsume_memo.memo_lub h ~tag:tag_selection_free x (fun () ->
-      let projections =
-        List.filter_map
-          (fun (rel, attr) ->
-             if Value_set.subset x (Subsume_memo.column h ~rel ~attr) then
-               Some (Ls.Proj { rel; attr; sels = [] })
-             else None)
-          (Subsume_memo.positions h)
-      in
-      Ls.of_conjuncts (nominal_conjuncts x @ projections))
+  Subsume_memo.check_deadline h;
+  let nominal =
+    if Value_set.cardinal x = 1 then Some (Value_set.choose x) else None
+  in
+  Subsume_memo.canonical h (render h ?nominal (mask h x))
+
+(* Memo tags for the lub_sigma caches of an instance handle (see
+   {!Subsume_memo.memo_lub}): the pruned and unpruned variants must not
+   share entries. *)
+let tag_sigma_pruned = 0
+let tag_sigma_unpruned = 1
 
 (* --- with selections --- *)
 
@@ -153,6 +198,6 @@ let lub_sigma ?(prune = true) h x =
         List.concat_map
           (fun (rel, attr) ->
              atomic_selection_candidates ~prune h ~rel ~attr x)
-          (Subsume_memo.positions h)
+          (Array.to_list (Subsume_memo.positions h))
       in
       Ls.of_conjuncts (nominal_conjuncts x @ candidates))

@@ -16,12 +16,45 @@
 open Whynot_relational
 
 val lub : Subsume_memo.inst -> Value_set.t -> Ls.t
-(** Selection-free least upper bound over the handle's instance, memoised
-    in the handle. @raise Invalid_argument on empty [X]. *)
+(** Selection-free least upper bound over the handle's instance: the
+    handle's {!Subsume_memo.canonical} value of [render ?nominal (mask X)]
+    ([nominal] when [X] is a singleton). Costs [|X|] mask intersections
+    and one rendering; it is not memoised and does not count as
+    [memo.lub.*]. @raise Invalid_argument on empty [X]. *)
+
+(** {1 Selection-free lubs as position masks}
+
+    A mask is a set of positions, bit [k] standing for the projection on
+    [(Subsume_memo.positions h).(k)]. Lemma 5.1 makes the lub of
+    [X] (for [|X| >= 2]) the meet of the projections in [mask X]: growing
+    [X] by [b] intersects the mask with [b]'s position mask, and [v] lies
+    in the lub's extension iff its position mask contains the lub's mask.
+    The empty mask is [top]. Algorithm 2 and CHECK-MGE search over masks
+    and turn only their results into concepts. *)
+
+val mask : Subsume_memo.inst -> Value_set.t -> Bits.t
+(** [mask h X]: the positions whose column holds every constant of [X];
+    empty when [X] has a constant outside the active domain. *)
+
+val covers : Subsume_memo.inst -> Bits.t -> Value.t -> bool
+(** [covers h m v] iff [v] is in the extension of the meet of [m]'s
+    projections: [m] is empty ([top]) or [v]'s position mask contains
+    [m]: a hash lookup and a mask inclusion. *)
+
+val render : Subsume_memo.inst -> ?nominal:Value.t -> Bits.t -> Ls.t
+(** The concept: the nominal [{x}] if given, meet the projections of the
+    mask. *)
+
+val shorten : Subsume_memo.inst -> ?nominal:Value.t -> Bits.t -> Ls.t
+(** {!Irredundant.minimise} of [render ?nominal m], computed on the mask:
+    a bit is dropped iff the number of active-domain constants covering
+    the mask stays the same. [nominal] must lie in the extension of [m].
+    Costs [|adom|] mask inclusions per bit. *)
 
 val lub_sigma : ?prune:bool -> Subsume_memo.inst -> Value_set.t -> Ls.t
-(** Least upper bound with selections. @raise Invalid_argument on empty
-    [X]. *)
+(** Least upper bound with selections, memoised in the handle
+    ({!Subsume_memo.memo_lub}, the only lubs counted as [memo.lub.*]).
+    @raise Invalid_argument on empty [X]. *)
 
 val atomic_selection_candidates :
   ?prune:bool ->

@@ -59,6 +59,8 @@ module Lub_tbl = Hashtbl.Make (struct
     let hash = Hashtbl.hash
   end)
 
+module Value_tbl = Hashtbl.Make (Value)
+
 (* --- cooperative deadlines ---
 
    Every memoised entry point doubles as a cancellation point: when a
@@ -85,6 +87,15 @@ let c_deadline_trips =
    deadline set on one handle never reaches another. Handles are not
    thread-safe; each belongs to one domain at a time. *)
 
+(* Lemma 5.1's data: per active-domain constant, the set of positions
+   whose column holds it. *)
+type masks = {
+  values : Value.t array;  (* adom, ascending *)
+  posmasks : Bits.t array;  (* posmasks.(i) belongs to values.(i) *)
+  index : int Value_tbl.t;  (* constant -> its index in [posmasks] *)
+  none : Bits.t;  (* the mask of a constant outside adom *)
+}
+
 type inst = {
   instance : Instance.t;
   index : Eval_index.t;  (* the handle's own indexes over [instance] *)
@@ -92,10 +103,10 @@ type inst = {
   concepts : Ls.t Ls_tbl.t;  (* one representative each: [canonical] *)
   exts : Semantics.ext Ls_tbl.t;
   verdicts : bool Pair_tbl.t;
-  columns : (string * int, Value_set.t) Hashtbl.t;
-  mutable positions : (string * int) list option;
+  mutable positions : (string * int) array option;
   mutable adom : Value_set.t option;
-  lubs : Ls.t Lub_tbl.t;
+  mutable masks : masks option;
+  lubs : Ls.t Lub_tbl.t;  (* lub_sigma results only *)
   mutable deadline : float;  (* absolute seconds; 0. = none *)
 }
 
@@ -134,9 +145,9 @@ let inst instance =
     concepts = Ls_tbl.create 64;
     exts = Ls_tbl.create 64;
     verdicts = Pair_tbl.create 64;
-    columns = Hashtbl.create 16;
     positions = None;
     adom = None;
+    masks = None;
     lubs = Lub_tbl.create 64;
     deadline = 0.;
   }
@@ -189,6 +200,8 @@ let subsumes h c1 c2 =
     Pair_tbl.add h.verdicts key r;
     r
 
+(* Sorted the way [Ls.of_conjuncts] sorts selection-free projections, so
+   bit [k] of a mask is the [k]-th projection of the rendered lub. *)
 let positions h =
   match h.positions with
   | Some ps -> ps
@@ -200,6 +213,7 @@ let positions h =
            | None -> []
            | Some r -> List.init (Relation.arity r) (fun i -> (name, i + 1)))
         (Instance.relation_names h.instance)
+      |> List.sort Stdlib.compare |> Array.of_list
     in
     h.positions <- Some ps;
     ps
@@ -212,13 +226,35 @@ let adom h =
     h.adom <- Some s;
     s
 
-let column h ~rel ~attr =
-  match Hashtbl.find_opt h.columns (rel, attr) with
-  | Some s -> s
+let masks h =
+  match h.masks with
+  | Some ms -> ms
   | None ->
-    let s = Eval_index.column_values h.index ~rel ~attr in
-    Hashtbl.add h.columns (rel, attr) s;
-    s
+    let n = Array.length (positions h) in
+    let values = Array.of_seq (Value_set.to_seq (adom h)) in
+    let index = Value_tbl.create (Array.length values) in
+    Array.iteri (fun i v -> Value_tbl.replace index v i) values;
+    let posmasks = Array.map (fun _ -> Bits.empty n) values in
+    Array.iteri
+      (fun k (rel, attr) ->
+         Value_set.iter
+           (fun v -> Bits.add posmasks.(Value_tbl.find index v) k)
+           (Eval_index.column_values h.index ~rel ~attr))
+      (positions h);
+    let ms = { values; posmasks; index; none = Bits.empty n } in
+    h.masks <- Some ms;
+    ms
+
+let adom_array h = (masks h).values
+let posmasks h = (masks h).posmasks
+
+let posmask h v =
+  let ms = masks h in
+  match Value_tbl.find ms.index v with
+  | i -> ms.posmasks.(i)
+  | exception Not_found -> ms.none
+
+let check_deadline = check_inst_deadline
 
 let memo_lub h ~tag x compute =
   check_inst_deadline h;

@@ -22,7 +22,8 @@
     All cache traffic is counted through {!Whynot_obs.Obs}
     ([subsume.inst.calls]/[subsume.inst.hits],
     [subsume.schema.calls]/[subsume.schema.hits], [memo.ext.*],
-    [memo.translate.*], [memo.lub.*]); the benchmark harness records the
+    [memo.translate.*], [memo.lub.*], the last counting {!Lub.lub_sigma}
+    only); the benchmark harness records the
     counters into [BENCH_whynot.json], and [whynot_cli --stats] prints
     them. *)
 
@@ -48,9 +49,9 @@ val index : inst -> Eval_index.t
 
 val canonical : inst -> Ls.t -> Ls.t
 (** The handle's stored value {!Ls.equal} to [c]; [c] itself, now
-    stored, when there is none. {!memo_lub} stores its results through it,
-    so warm lookups on them end at physical equality; map concepts built
-    elsewhere (parsed from text, say) through it too. *)
+    stored, when there is none. {!memo_lub} and {!Lub.lub} return values
+    through it, so warm lookups on them end at physical equality; map
+    concepts built elsewhere (parsed from text, say) through it too. *)
 
 val extension : inst -> Ls.t -> Semantics.ext
 (** [[C]]^I, memoised per concept with a shared per-conjunct cache (the
@@ -63,22 +64,43 @@ val conjunct_ext : inst -> Ls.conjunct -> Semantics.ext
 val subsumes : inst -> Ls.t -> Ls.t -> bool
 (** [C1 ⊑_I C2], memoised on the pair [(C1, C2)]. *)
 
-val positions : inst -> (string * int) list
-(** All (relation, attribute) positions of the instance, computed once. *)
+val positions : inst -> (string * int) array
+(** All (relation, attribute) positions of the instance, computed once,
+    in the order {!Ls} sorts the selection-free projections: bit [k] of
+    a position mask (below) stands for [pi_attr(rel)] with
+    [(rel, attr) = (positions h).(k)]. *)
 
 val adom : inst -> Value_set.t
 (** [adom(I)], computed on first use and kept: the constants every
     Algorithm 2 search and CHECK-MGE offer, and the base of the
     question's constant pool. Creating a handle does not compute it. *)
 
-val column : inst -> rel:string -> attr:int -> Value_set.t
-(** The value set of one column, memoised — the inner loop of {!Lub.lub}. *)
+(** {2 Selection-free lubs as position masks}
+
+    By Lemma 5.1 a selection-free lub is a set of positions: the
+    projections whose column holds every constant of the set (plus the
+    nominal when the set is a singleton). The handle keeps, computed on
+    first use and never when it is created, each active-domain
+    constant's {e position mask}: the positions whose column holds it.
+    {!Lub} builds, tests, renders and shortens lubs from these masks. *)
+
+val adom_array : inst -> Value.t array
+(** {!adom} in ascending order, indexed like {!posmasks}. *)
+
+val posmasks : inst -> Bits.t array
+(** The position masks of the active domain: [(posmasks h).(i)] belongs
+    to [(adom_array h).(i)]. *)
+
+val posmask : inst -> Value.t -> Bits.t
+(** A constant's position mask (a hash lookup); empty outside the active
+    domain. *)
 
 val memo_lub : inst -> tag:int -> Value_set.t -> (unit -> Ls.t) -> Ls.t
-(** Compute-through cache for lub results keyed on [(tag, elements X)];
-    [tag] separates lub variants (selection-free / with selections /
-    unpruned) that share a handle. A computed lub is stored as its
-    {!canonical} representative. *)
+(** Compute-through cache for {!Lub.lub_sigma} results keyed on
+    [(tag, elements X)]; [tag] separates the pruned and unpruned variants
+    that share a handle. A computed lub is stored as its {!canonical}
+    representative. Only these calls count as [memo.lub.*]: selection-free
+    lubs come from the masks above and are not memoised. *)
 
 (** {1 Schema-level caching ([⊑_S])} *)
 
@@ -122,6 +144,10 @@ val schema_subsumes : ?chase_depth:int -> schema -> Ls.t -> Ls.t -> bool
     exception because handles start with no deadline. *)
 
 exception Deadline_exceeded
+
+val check_deadline : inst -> unit
+(** The entry points' check, for loops that run without calling them:
+    @raise Deadline_exceeded once the handle's deadline has passed. *)
 
 val set_inst_deadline : inst -> float option -> unit
 (** [Some t]: raise from this handle's entry points once

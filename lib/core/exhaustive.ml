@@ -20,39 +20,17 @@ let finite o k =
       (`Infinite_ontology
          ("Exhaustive: ontology " ^ o.Ontology.name ^ " is not finite"))
 
-(* Sets of answer indices, as bit vectors of [Sys.int_size]-bit words. *)
-module Bits = struct
-  let width = Sys.int_size
-  let empty n = Array.make ((n + width - 1) / width) 0
-  let add s i = s.(i / width) <- s.(i / width) lor (1 lsl (i mod width))
-
-  let full n =
-    let s = empty n in
-    for i = 0 to n - 1 do add s i done;
-    s
-
-  let union a b = Array.map2 ( lor ) a b
-  let subset a b = Array.for_all2 (fun x y -> x land lnot y = 0) a b
-
-  (* [covers all a b]: every member of [all] is in [a] or in [b]. *)
-  let covers all a b =
-    let rec go k =
-      k = Array.length all
-      || (all.(k) land lnot (a.(k) lor b.(k)) = 0 && go (k + 1))
-    in
-    go 0
-end
-
 (* The search plan: per position, the candidate concepts (those whose
    extension contains that position's missing value, line 1 of
    Algorithm 1) with their kill-sets, the answers whose component at the
    position falls outside the concept's extension. Explanations are
    exactly the tuples of candidates whose kill-sets cover every answer.
    [reach.(j)] is everything positions [j..] can still kill. *)
-type answers = int array
+type answers = Bits.t
 
 type 'c plan = {
   positions : ('c * answers) array array;
+  n : int;  (* the number of answers *)
   all : answers;
   reach : answers array;
 }
@@ -108,11 +86,11 @@ let plan ?(prune = false) o cs wn =
       Array.fold_left (fun s (_, ks) -> Bits.union s ks) reach.(j + 1)
         positions.(j)
   done;
-  { positions; all = Bits.full n; reach }
+  { positions; n; all = Bits.full n; reach }
 
 let plan_of o wn = finite o (fun cs -> Ok (plan o cs wn))
 let candidates p = p.positions
-let nothing p = Array.make (Array.length p.all) 0
+let nothing p = Bits.empty p.n
 let union = Bits.union
 let completable p j killed = Bits.covers p.all killed p.reach.(j)
 
@@ -124,7 +102,8 @@ let explanations p =
   let rec node j killed chosen rest () =
     if j = m then begin
       Obs.incr c_tuples;
-      if killed = p.all then Seq.Cons (List.rev chosen, rest) else rest ()
+      if Bits.equal killed p.all then Seq.Cons (List.rev chosen, rest)
+      else rest ()
     end
     else if completable p j killed then branch j killed chosen 0 rest ()
     else rest ()

@@ -24,15 +24,27 @@
     domain ({!Whynot_concept.Subsume_memo.adom}), computed once per
     handle. The run keeps its current explanation in an
     {!Explanation.Frontier}: the skip test (is [b] already in the
-    position's extension?) is a set lookup on the frontier's predicate
-    for that position; an attempt at position [j] fetches the lub and
-    its extension once and makes [1 + |D_j|] set lookups (the missing
-    value and the answers only [j] excludes), not [|Ans| × arity]
-    membership tests; an accepted one fetches it again and re-tests
-    column [j] of the [|Ans|] answers. {!check_mge} builds one frontier
-    from its input and tests every candidate, lub or [top], the same
-    way. The attempt schedule, and so every MGE, is the one the full
-    re-test gives. *)
+    position's extension?) calls the frontier's predicate for that
+    position, and an attempt at position [j] is accepted iff the new
+    concept holds [a_j] and none of [D_j], the values of the answers
+    only [j] excludes ([1 + |D_j|] membership tests, not
+    [|Ans| × arity]).
+
+    Selection-free runs never build a concept while they search. By
+    Lemma 5.1 a lub is a set of positions
+    ({!Whynot_concept.Lub.mask}), so an attempt intersects the
+    support's mask with [b]'s position mask, and a membership test is a
+    hash lookup and a mask inclusion: no lub is memoised
+    ([memo.lub.calls] stays 0) and no extension fetched
+    ([memo.ext.calls] stays 0 on {!one_mge}). The masks become concepts
+    once, at the end, and the shortening drops bits as
+    {!Whynot_concept.Irredundant.minimise} drops conjuncts.
+    {!check_mge} fetches the extension of each input concept twice,
+    once for its frontier and once for the mask of its support, and
+    tests every candidate, grown mask or [top], on masks. With
+    selections, each attempt fetches the memoised [lub_sigma] of the
+    enlarged support set and its extension. The attempt schedule, and
+    so every MGE, is the one the full re-test gives. *)
 
 open Whynot_relational
 

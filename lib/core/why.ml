@@ -31,23 +31,22 @@ let make ?answers ~instance ~query ~witness () =
    set unless every combination over the probe set is an answer AND the
    query cannot produce other tuples; we conservatively reject [All] via
    the probe set as well. *)
-let probe_values t =
+let probe_values ~adom t =
   Value_set.union
     (Relation.values t.answers)
     (Value_set.of_list (Tuple.to_list t.witness))
-  |> Value_set.union (Instance.adom t.instance)
+  |> Value_set.union adom
+  |> Value_set.elements
 
-let product_inside o t e =
-  let probes = Value_set.elements (probe_values t) in
+(* Each concept's membership test is staged once per product test. *)
+let product_inside o t probes e =
   let rec loop prefix = function
     | [] -> Relation.mem (Tuple.of_list (List.rev prefix)) t.answers
-    | c :: rest ->
-      List.for_all
-        (fun v ->
-           if o.Ontology.mem c v then loop (v :: prefix) rest else true)
+    | m :: rest ->
+      List.for_all (fun v -> if m v then loop (v :: prefix) rest else true)
         probes
   in
-  loop [] e
+  loop [] (List.map o.Ontology.mem e)
 
 let covers_witness o t e =
   List.length e = Tuple.arity t.witness
@@ -56,7 +55,10 @@ let covers_witness o t e =
        e
        (Tuple.to_list t.witness)
 
-let is_why_explanation o t e = covers_witness o t e && product_inside o t e
+let holds o t probes e = covers_witness o t e && product_inside o t probes e
+
+let is_why_explanation o t e =
+  holds o t (probe_values ~adom:(Instance.adom t.instance) t) e
 
 let lub_of = function
   | Incremental.Selection_free -> Lub.lub
@@ -65,26 +67,28 @@ let lub_of = function
 let replace_nth xs n x = List.mapi (fun i y -> if i = n then x else y) xs
 
 (* Each call owns one memo handle, shared by its lubs, [O_I] and the
-   final shortening. *)
+   final shortening; the probe values are built once per call, over the
+   handle's active domain. *)
 let one_mge ?(variant = Incremental.Selection_free) t =
   let inst = t.instance in
   let h = Subsume_memo.inst inst in
   let lub = lub_of variant h in
   let o = Ontology.of_instance ~handle:h inst in
-  let adom = Value_set.elements (Instance.adom inst) in
+  let adom = Subsume_memo.adom h in
+  let probes = probe_values ~adom t in
   let m = Tuple.arity t.witness in
   let support =
     Array.of_list (List.map Value_set.singleton (Tuple.to_list t.witness))
   in
   let concepts = Array.map lub support in
   for j = 0 to m - 1 do
-    List.iter
+    Value_set.iter
       (fun b ->
          if not (o.Ontology.mem concepts.(j) b) then begin
            let x' = Value_set.add b support.(j) in
            let c' = lub x' in
            let e' = replace_nth (Array.to_list concepts) j c' in
-           if is_why_explanation o t e' then begin
+           if holds o t probes e' then begin
              support.(j) <- x';
              concepts.(j) <- c'
            end
@@ -98,19 +102,20 @@ let check_mge ?(variant = Incremental.Selection_free) t e =
   let h = Subsume_memo.inst inst in
   let lub = lub_of variant h in
   let o = Ontology.of_instance ~handle:h inst in
-  if not (is_why_explanation o t e) then false
+  let adom = Subsume_memo.adom h in
+  let probes = probe_values ~adom t in
+  if not (holds o t probes e) then false
   else
-    let adom = Value_set.elements (Instance.adom inst) in
     let improvable j c =
       match Subsume_memo.extension h c with
       | Semantics.All -> false
       | Semantics.Fin ext ->
-        List.exists
+        Value_set.exists
           (fun b ->
              (not (Value_set.mem b ext))
              &&
              let c' = lub (Value_set.add b ext) in
-             is_why_explanation o t (replace_nth e j c'))
+             holds o t probes (replace_nth e j c'))
           adom
     in
     not

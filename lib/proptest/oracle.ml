@@ -428,3 +428,186 @@ let literal_all_mges o wn =
           if List.exists (Explanation.equivalent o e) kept then kept
           else e :: kept)
        [] maximal)
+
+(* ------------------------------------------------------------------ *)
+(* Selection-free Algorithm 2 over column-scan lubs                    *)
+(* ------------------------------------------------------------------ *)
+
+(* The lub of Lemma 5.1 read off the definition: the nominal of a
+   singleton, meet every projection whose column (scanned from the
+   relation) holds the whole set. This is how [Lub.lub] computed it
+   before position masks. *)
+let scan_lub inst x =
+  if Value_set.is_empty x then invalid_arg "Oracle.scan_lub: empty set";
+  let nominal =
+    match Value_set.elements x with [ c ] -> [ Ls.Nominal c ] | _ -> []
+  in
+  let projections =
+    List.concat_map
+      (fun rel ->
+         let r = Option.get (Instance.relation inst rel) in
+         List.filter_map
+           (fun attr ->
+              if Value_set.subset x (Relation.column attr r) then
+                Some (Ls.Proj { rel; attr; sels = [] })
+              else None)
+           (List.init (Relation.arity r) (fun i -> i + 1)))
+      (Instance.relation_names inst)
+  in
+  Ls.of_conjuncts (nominal @ projections)
+
+let scan_mem inst c v = Semantics.ext_mem v (scan_extension c inst)
+
+let replace_nth e j c = List.mapi (fun i c' -> if i = j then c else c') e
+
+(* Definition 3.2 over the concepts' scanned extensions, each scanned
+   once per test: the missing tuple lies in their product and no answer
+   does. *)
+let scan_explains inst wn e =
+  let exts = List.map (fun c -> scan_extension c inst) e in
+  let inside values = List.for_all2 Semantics.ext_mem values exts in
+  inside (Whynot.missing_values wn)
+  && Relation.for_all
+       (fun t -> not (inside (Tuple.to_list t)))
+       wn.Whynot.answers
+
+(* Algorithm 2 as it ran before position masks: a support set per
+   position, grown by one active-domain constant per attempt, its lub
+   recomputed from scratch, and the whole tuple re-tested by the
+   definition. The frontier the engine uses answers the same test. *)
+let lub_one_mge_with_trace ?(order = `Ascending) ?(shorten = true) wn =
+  let inst = wn.Whynot.instance in
+  let adom = Value_set.elements (Instance.adom inst) in
+  let adom =
+    match order with `Ascending -> adom | `Descending -> List.rev adom
+  in
+  let support =
+    Array.of_list (List.map Value_set.singleton (Whynot.missing_values wn))
+  in
+  let concepts = Array.map (scan_lub inst) support in
+  let explains j c =
+    scan_explains inst wn (replace_nth (Array.to_list concepts) j c)
+  in
+  let trace = ref [] in
+  Array.iteri
+    (fun j _ ->
+       List.iter
+         (fun b ->
+            if not (scan_mem inst concepts.(j) b) then begin
+              let x = Value_set.add b support.(j) in
+              let c = scan_lub inst x in
+              let accepted = explains j c in
+              if accepted then begin
+                support.(j) <- x;
+                concepts.(j) <- c
+              end;
+              trace := (j, b, accepted) :: !trace
+            end)
+         adom)
+    concepts;
+  Array.iteri
+    (fun j _ -> if explains j Ls.top then concepts.(j) <- Ls.top)
+    concepts;
+  let h = Whynot_concept.Subsume_memo.inst inst in
+  let finish =
+    if shorten then Whynot_concept.Irredundant.minimise h else Fun.id
+  in
+  (List.map finish (Array.to_list concepts), List.rev !trace)
+
+let lub_check_mge wn e =
+  let inst = wn.Whynot.instance in
+  scan_explains inst wn e
+  &&
+  let adom = Value_set.elements (Instance.adom inst) in
+  let explains j c = scan_explains inst wn (replace_nth e j c) in
+  not
+    (List.exists
+       (fun j ->
+          match scan_extension (List.nth e j) inst with
+          | Semantics.All -> false
+          | Semantics.Fin ext ->
+            List.exists
+              (fun b ->
+                 (not (Value_set.mem b ext))
+                 && explains j (scan_lub inst (Value_set.add b ext)))
+              adom
+            || explains j Ls.top)
+       (List.init (List.length e) Fun.id))
+
+(* ------------------------------------------------------------------ *)
+(* Why-explanations by whole-tuple re-tests                            *)
+(* ------------------------------------------------------------------ *)
+
+module Why = Whynot_core.Why
+
+(* Every tuple of the product over the probe values (the instance's
+   active domain, the answers' values and the witness) inside the
+   extensions must be an answer. *)
+let why_holds (t : Why.t) e =
+  let probes =
+    Value_set.elements
+      (Value_set.union (Instance.adom t.instance)
+         (Value_set.union (Relation.values t.answers)
+            (Value_set.of_list (Tuple.to_list t.witness))))
+  in
+  let exts = List.map (fun c -> scan_extension c t.instance) e in
+  let rec inside prefix = function
+    | [] -> Relation.mem (Tuple.of_list (List.rev prefix)) t.answers
+    | ext :: rest ->
+      List.for_all
+        (fun v -> (not (Semantics.ext_mem v ext)) || inside (v :: prefix) rest)
+        probes
+  in
+  List.length e = Tuple.arity t.witness
+  && List.for_all2 Semantics.ext_mem (Tuple.to_list t.witness) exts
+  && inside [] exts
+
+(* A fresh handle per call for [lub_sigma], which no oracle replaces. *)
+let why_lub inst = function
+  | Whynot_core.Incremental.Selection_free -> scan_lub inst
+  | Whynot_core.Incremental.With_selections ->
+    Whynot_concept.Lub.lub_sigma (Whynot_concept.Subsume_memo.inst inst)
+
+let why_one_mge variant (t : Why.t) =
+  let inst = t.instance in
+  let support =
+    Array.of_list (List.map Value_set.singleton (Tuple.to_list t.witness))
+  in
+  let lub = why_lub inst variant in
+  let concepts = Array.map lub support in
+  Array.iteri
+    (fun j _ ->
+       Value_set.iter
+         (fun b ->
+            if not (scan_mem inst concepts.(j) b) then begin
+              let x = Value_set.add b support.(j) in
+              let c = lub x in
+              if why_holds t (replace_nth (Array.to_list concepts) j c)
+              then begin
+                support.(j) <- x;
+                concepts.(j) <- c
+              end
+            end)
+         (Instance.adom inst))
+    concepts;
+  let h = Whynot_concept.Subsume_memo.inst inst in
+  List.map (Whynot_concept.Irredundant.minimise h) (Array.to_list concepts)
+
+let why_check_mge variant (t : Why.t) e =
+  let inst = t.instance in
+  let lub = why_lub inst variant in
+  why_holds t e
+  && not
+       (List.exists
+          (fun j ->
+             match scan_extension (List.nth e j) inst with
+             | Semantics.All -> false
+             | Semantics.Fin ext ->
+               Value_set.exists
+                 (fun b ->
+                    (not (Value_set.mem b ext))
+                    && why_holds t
+                         (replace_nth e j
+                            (lub (Value_set.add b ext))))
+                 (Instance.adom inst))
+          (List.init (List.length e) Fun.id))

@@ -114,3 +114,45 @@ val literal_all_mges :
     strictly-less-general tuples, keeping the first representative of each
     equivalence class. Differential oracle for [Exhaustive.all_mges] and
     [Exhaustive.all_mges_unpruned], which must return this exact list. *)
+
+val scan_lub : Instance.t -> Value_set.t -> Whynot_concept.Ls.t
+(** The selection-free lub of Lemma 5.1 by column scans: the nominal of a
+    singleton, meet every projection whose column holds the whole set.
+    Differential oracle for the position-mask {!Whynot_concept.Lub.lub}
+    ([lub/mask-equals-lub]). @raise Invalid_argument on the empty set. *)
+
+val lub_one_mge_with_trace :
+  ?order:[ `Ascending | `Descending ] ->
+  ?shorten:bool ->
+  Whynot_core.Whynot.t ->
+  Whynot_concept.Ls.t Whynot_core.Explanation.t * (int * Value.t * bool) list
+(** Selection-free Algorithm 2 as it ran on support sets: per attempt the
+    support grows by one constant, its {!scan_lub} is recomputed, and the
+    whole tuple is re-tested by Definition 3.2 on {!scan_extension}s;
+    then the [top] pass and (by default) the
+    [Irredundant.minimise] shortening. Returns the explanation and the
+    trace of [(position, constant, accepted)] attempts. Differential
+    oracle for the position-mask [Incremental.one_mge] and
+    [one_mge_with_trace] ([mge/mask-search-equals-lub-search]). *)
+
+val lub_check_mge :
+  Whynot_core.Whynot.t -> Whynot_concept.Ls.t Whynot_core.Explanation.t -> bool
+(** Selection-free CHECK-MGE over {!scan_lub} and whole-tuple re-tests:
+    the tuple is an explanation and no position can absorb a further
+    active-domain constant, or become [top], while remaining one. *)
+
+val why_one_mge :
+  Whynot_core.Incremental.variant ->
+  Whynot_core.Why.t ->
+  Whynot_concept.Ls.t Whynot_core.Explanation.t
+(** [Why.one_mge] with every attempt re-testing the whole tuple's product
+    over probe values rebuilt from the instance, over {!scan_ontology}
+    and (selection-free) {!scan_lub}. Differential oracle for
+    [Why.one_mge] ([why/one-mge-equals-literal]). *)
+
+val why_check_mge :
+  Whynot_core.Incremental.variant ->
+  Whynot_core.Why.t ->
+  Whynot_concept.Ls.t Whynot_core.Explanation.t ->
+  bool
+(** [Why.check_mge] by the same whole-tuple re-tests. *)

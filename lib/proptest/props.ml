@@ -16,6 +16,7 @@ module Explanation = Whynot_core.Explanation
 module Exhaustive = Whynot_core.Exhaustive
 module Incremental = Whynot_core.Incremental
 module Ontology = Whynot_core.Ontology
+module Why = Whynot_core.Why
 module Reasoner = Whynot_dllite.Reasoner
 module Canonical = Whynot_dllite.Canonical
 module Interp = Whynot_dllite.Interp
@@ -93,6 +94,50 @@ let mge_incremental_selections =
       Explanation.is_explanation o wn e
       && Incremental.check_mge ~variant:Incremental.With_selections wn e
       && Explanation.less_general o (Incremental.trivial_explanation wn) e)
+
+(* Selection-free Algorithm 2 and CHECK-MGE run on position masks
+   (Lemma 5.1); the oracle runs them as they ran on support sets, with
+   column-scan lubs and whole-tuple re-tests. Both orders, with and
+   without shortening, must give equal concepts and the same attempt
+   trace, and CHECK-MGE the same verdicts, on one warm handle. *)
+let mge_mask_search_equals_lub_search =
+  prop "mge/mask-search-equals-lub-search" 150 str_whynot Gen.whynot
+    (function
+    | None -> true
+    | Some wn ->
+      let h = Subsume_memo.inst wn.Whynot.instance in
+      let same_concepts = List.equal Ls.equal in
+      let same_trace =
+        List.equal (fun (j, b, a) (j', b', a') ->
+            j = j' && Value.equal b b' && a = a')
+      in
+      let searches_agree order =
+        List.for_all
+          (fun shorten ->
+            same_concepts
+              (Incremental.one_mge ~handle:h ~shorten ~order wn)
+              (fst (Oracle.lub_one_mge_with_trace ~order ~shorten wn)))
+          [ true; false ]
+        &&
+        let e, trace = Incremental.one_mge_with_trace ~order wn in
+        let e', trace' =
+          Oracle.lub_one_mge_with_trace ~order ~shorten:false wn
+        in
+        same_concepts e e' && same_trace trace trace'
+      in
+      let mge = Incremental.one_mge ~handle:h wn in
+      let nominals = Incremental.trivial_explanation wn in
+      let narrowed =
+        List.mapi
+          (fun j a -> List.mapi (fun i c -> if i = j then a else c) mge)
+          nominals
+      in
+      let checks_agree e =
+        Incremental.check_mge ~handle:h wn e = Oracle.lub_check_mge wn e
+      in
+      searches_agree `Ascending && searches_agree `Descending
+      && List.for_all checks_agree
+           ((mge :: nominals :: List.map (fun _ -> Ls.top) mge :: narrowed)))
 
 (* ------------------------------------------------------------------ *)
 (* The explanation frontier vs the full re-test                        *)
@@ -315,6 +360,45 @@ let lub_least_vs_enumeration =
         && List.for_all
              (fun c -> Semantics.ext_subset ext (Semantics.extension c inst))
              (Oracle.selection_free_upper_bounds inst ~nominals:x x))
+
+(* The position-mask lub against the column-scan lub, for [X] and for
+   [X] with a constant outside the active domain: equal concepts; the
+   mask's membership equal to the scanned extension of its rendering on
+   every pool value; mask shortening equal to [Irredundant.minimise] of
+   the rendering, with and without the nominal. *)
+let lub_mask_equals_lub =
+  prop "lub/mask-equals-lub" 250 str_instance_with_targets
+    gen_instance_with_targets (fun (inst, xs) ->
+      match xs with
+      | [] -> true
+      | _ ->
+        let h = Subsume_memo.inst inst in
+        let adom = Instance.adom inst in
+        let outside =
+          List.find
+            (fun v -> not (Value_set.mem v adom))
+            (List.init 8 (fun k -> Value.int (100 + k)))
+        in
+        let pool = Value_set.add outside adom in
+        let agrees x =
+          let m = Lub.mask h x in
+          let nominal =
+            if Value_set.cardinal x = 1 then Some (Value_set.choose x)
+            else None
+          in
+          let rendered = Lub.render h m in
+          let scanned = Oracle.scan_extension rendered inst in
+          Ls.equal (Lub.lub h x) (Oracle.scan_lub inst x)
+          && Value_set.for_all
+               (fun v -> Lub.covers h m v = Semantics.ext_mem v scanned)
+               pool
+          && Ls.equal (Lub.shorten h m) (Irredundant.minimise h rendered)
+          && Ls.equal
+               (Lub.shorten h ?nominal m)
+               (Irredundant.minimise h (Lub.render h ?nominal m))
+        in
+        let x = Value_set.of_list xs in
+        agrees x && agrees (Value_set.add outside x))
 
 let lub_sigma_vs_single_condition =
   prop "lub/sigma-vs-single-condition-bounds" 150 str_instance_with_targets
@@ -995,6 +1079,50 @@ let wire_mge_roundtrips =
         Result.is_ok (call "close" []) && agrees)
 
 (* ------------------------------------------------------------------ *)
+(* Why-explanations vs whole-tuple re-tests                            *)
+(* ------------------------------------------------------------------ *)
+
+(* A why question: one of the answers of a random why-not question's
+   query, by index modulo their number. *)
+let gen_why =
+  let* wn = Gen.whynot in
+  let* k = QG.small_nat in
+  QG.return
+    (Option.bind wn (fun (wn : Whynot.t) ->
+         match Relation.to_list wn.answers with
+         | [] -> None
+         | answers ->
+           let witness = List.nth answers (k mod List.length answers) in
+           Result.to_option
+             (Why.make ~answers:wn.answers ~instance:wn.instance
+                ~query:wn.query ~witness:(Tuple.to_list witness) ())))
+
+let str_why = function
+  | None -> "<no answer available>"
+  | Some (t : Why.t) ->
+    Printf.sprintf "%s\n%s\nwitness %s" (str_instance t.instance)
+      (str_cq t.query) (Tuple.to_string t.witness)
+
+(* [Why.one_mge] and [Why.check_mge] against the oracle that rebuilds the
+   probe values and re-tests the whole product on every attempt: equal
+   concepts, and equal verdicts on the MGE and the nominal tuple, for
+   both variants. *)
+let why_one_mge_equals_literal =
+  prop "why/one-mge-equals-literal" 100 str_why gen_why (function
+    | None -> true
+    | Some t ->
+      List.for_all
+        (fun variant ->
+          let e = Why.one_mge ~variant t in
+          let nominals = List.map Ls.nominal (Tuple.to_list t.Why.witness) in
+          List.equal Ls.equal e (Oracle.why_one_mge variant t)
+          && List.for_all
+               (fun e ->
+                 Why.check_mge ~variant t e = Oracle.why_check_mge variant t e)
+               [ e; nominals ])
+        [ Incremental.Selection_free; Incremental.With_selections ])
+
+(* ------------------------------------------------------------------ *)
 (* Registry                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -1002,12 +1130,14 @@ let all =
   [
     mge_incremental_vs_exhaustive;
     mge_incremental_selections;
+    mge_mask_search_equals_lub_search;
     explanation_frontier_equals_is_explanation;
     explanation_staged_mem_equals_naive;
     subsume_deciders_sound;
     subsume_noconstraints_vs_syntactic;
     lub_least_vs_enumeration;
     lub_sigma_vs_single_condition;
+    lub_mask_equals_lub;
     dllite_saturation_sound;
     dllite_saturation_complete;
     obda_induced_vs_chase;
@@ -1026,6 +1156,7 @@ let all =
     wire_envelope_roundtrip;
     engine_question_equals_fresh;
     wire_mge_roundtrips;
+    why_one_mge_equals_literal;
   ]
 
 let names = List.map (fun p -> p.name) all

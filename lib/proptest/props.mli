@@ -14,6 +14,10 @@
       materialised ontology [O_I[K]], plus [check_mge] cross-validation.
     - Incremental with selections: explanation-hood, [check_mge], and
       dominance over the trivial nominal explanation.
+    - Selection-free Incremental on position masks vs
+      [Oracle.lub_one_mge_with_trace]/[lub_check_mge] (support sets,
+      column-scan lubs, whole-tuple re-tests): concepts, attempt trace
+      and CHECK-MGE verdicts.
     - [Explanation.Frontier] vs [Explanation.is_explanation]: building,
       [accepts] and [replace] against the full explanation test and a
       frontier built afresh.
@@ -24,6 +28,9 @@
     - [Lub.lub] vs brute-force enumeration of all selection-free upper
       bounds (leastness).
     - [Lub.lub_sigma] vs single-condition upper bounds and vs [Lub.lub].
+    - Position-mask [Lub.lub], [covers] and [shorten] vs
+      [Oracle.scan_lub], [Oracle.scan_extension] and
+      [Irredundant.minimise].
     - DL-Lite [Reasoner] saturation vs random finite models (soundness).
     - DL-Lite [Reasoner] saturation vs the [Canonical] model
       (completeness).
@@ -38,7 +45,10 @@
       guaranteed-hit replay on one handle and the cached extension), and cached [⊑_S]
       vs the uncached [Subsume_schema.decide] oracle.
     - Text [Parser] vs {!Surface} printer: concept, document and value
-      round-trips. *)
+      round-trips.
+    - [Why.one_mge]/[check_mge] vs [Oracle.why_one_mge]/[why_check_mge]
+      (probe values rebuilt and the whole product re-tested per
+      attempt). *)
 
 type t = {
   name : string;  (** e.g. ["lub/least-vs-enumeration"] *)

@@ -1,0 +1,36 @@
+(** Sets of small non-negative integers as arrays of [Sys.int_size]-bit
+    words: the answer sets of Algorithm 1's plan and the position sets of
+    selection-free lubs. Sets meant to be combined must be made with the
+    same capacity. Sets of at most [Sys.int_size] members fit one word,
+    and every operation takes a one-word fast path on them. *)
+
+type t = private int array
+
+val empty : int -> t
+(** The empty set with room for members [0 .. n-1]. *)
+
+val full : int -> t
+(** [{0, ..., n-1}]. *)
+
+val add : t -> int -> unit
+(** Add a member in place. *)
+
+val remove : t -> int -> t
+(** A copy without the member. *)
+
+val is_empty : t -> bool
+
+val equal : t -> t -> bool
+
+val union : t -> t -> t
+
+val inter : t -> t -> t
+
+val subset : t -> t -> bool
+(** [subset a b] iff every member of [a] is in [b]. *)
+
+val covers : t -> t -> t -> bool
+(** [covers all a b]: every member of [all] is in [a] or in [b]. *)
+
+val iter : (int -> unit) -> t -> unit
+(** The members in increasing order. *)

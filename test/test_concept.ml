@@ -371,6 +371,96 @@ let prop_lub_sigma_minimal =
        (not (Value_set.for_all (fun v -> Semantics.ext_mem v cext) x))
        || Semantics.ext_subset lse cext)
 
+(* Thirty-six binary relations give 72 positions: a position mask takes
+   two words. P01-P30 hold every constant in both columns, so only the
+   query's P00 and the random P31-P35, whose positions are bits 62-71,
+   tell constants apart. Selection-free Algorithm 2 (both orders, with
+   and without shortening, and its attempt trace) and CHECK-MGE on masks
+   must still give what the column-scan oracle gives. *)
+let test_lub_wide_masks () =
+  let module Incremental = Whynot_core.Incremental in
+  let module Oracle = Whynot_proptest.Oracle in
+  let rng = Random.State.make [| 62 |] in
+  let random_facts k n inst =
+    List.fold_left
+      (fun inst _ ->
+         Instance.add_fact (Printf.sprintf "P%02d" k)
+           [ v_int (Random.State.int rng 10); v_int (Random.State.int rng 10) ]
+           inst)
+      inst (List.init n Fun.id)
+  in
+  let diagonal k inst =
+    List.fold_left
+      (fun inst v ->
+         Instance.add_fact (Printf.sprintf "P%02d" k) [ v_int v; v_int v ] inst)
+      inst (List.init 10 Fun.id)
+  in
+  let inst =
+    List.fold_left
+      (fun inst k ->
+         if k = 0 then random_facts k 14 inst
+         else if k <= 30 then diagonal k inst
+         else random_facts k 5 inst)
+      Instance.empty (List.init 36 Fun.id)
+  in
+  let h = Subsume_memo.inst inst in
+  Alcotest.(check int) "positions" 72
+    (Array.length (Subsume_memo.positions h));
+  let query =
+    Cq.make
+      ~head:[ Cq.Var "x"; Cq.Var "y" ]
+      ~atoms:
+        [
+          { Cq.rel = "P00"; args = [ Cq.Var "x"; Cq.Var "z" ] };
+          { Cq.rel = "P00"; args = [ Cq.Var "z"; Cq.Var "y" ] };
+        ]
+      ()
+  in
+  let answers = Cq.eval query inst in
+  let missing =
+    List.concat_map (fun a -> List.map (fun b -> [ v_int a; v_int b ])
+                        (List.init 10 Fun.id)) (List.init 10 Fun.id)
+    |> List.filter (fun m -> not (Relation.mem (Tuple.of_list m) answers))
+    |> List.filteri (fun k _ -> k mod 16 = 0)
+  in
+  let same = List.equal Ls.equal in
+  List.iter
+    (fun m ->
+       let wn = Whynot_core.Whynot.make_exn ~instance:inst ~query ~missing:m () in
+       List.iter
+         (fun order ->
+            List.iter
+              (fun shorten ->
+                 Alcotest.(check bool) "one_mge = oracle" true
+                   (same
+                      (Incremental.one_mge ~handle:h ~order ~shorten wn)
+                      (fst (Oracle.lub_one_mge_with_trace ~order ~shorten wn))))
+              [ true; false ];
+            let e, trace = Incremental.one_mge_with_trace ~order wn in
+            let e', trace' =
+              Oracle.lub_one_mge_with_trace ~order ~shorten:false wn
+            in
+            Alcotest.(check bool) "traced one_mge = oracle" true (same e e');
+            Alcotest.(check bool) "trace = oracle" true
+              (List.equal
+                 (fun (j, b, a) (j', b', a') ->
+                    j = j' && Value.equal b b' && a = a')
+                 trace trace'))
+         [ `Ascending; `Descending ];
+       let mge = Incremental.one_mge ~handle:h wn in
+       let nominals = Incremental.trivial_explanation wn in
+       List.iter
+         (fun e ->
+            Alcotest.(check bool) "check_mge = oracle"
+              (Oracle.lub_check_mge wn e)
+              (Incremental.check_mge ~handle:h wn e))
+         (mge :: nominals :: List.map (fun _ -> Ls.top) mge
+          :: List.mapi
+               (fun j a -> List.mapi (fun i c -> if i = j then a else c) mge)
+               nominals))
+    missing;
+  Alcotest.(check int) "questions" 5 (List.length missing)
+
 (* ------------------------------------------------------------------ *)
 (* Irredundancy (Prop 6.2)                                            *)
 (* ------------------------------------------------------------------ *)
@@ -546,6 +636,7 @@ let () =
           Alcotest.test_case "minimality" `Quick test_lub_minimality;
           Alcotest.test_case "with selections" `Quick test_lub_sigma;
           Alcotest.test_case "candidates" `Quick test_lub_sigma_candidates;
+          Alcotest.test_case "masks beyond one word" `Quick test_lub_wide_masks;
         ] );
       ( "irredundant",
         [ Alcotest.test_case "minimise" `Quick test_irredundant ] );

@@ -124,8 +124,8 @@ let test_concept_identity () =
   Alcotest.(check int) "a rebuilt equal concept hits the extension cache"
     (hits0 + 1) (counter "memo.ext.hits");
   (* Column 1 of R holds 1, 1, 2, 3 and column 2 none of them: {1, 2} and
-     {1, 3} both have the lub pi_1(R), computed twice (the lub cache keys
-     on the set) and stored once. *)
+     {1, 3} both have the lub pi_1(R), computed twice (selection-free
+     lubs are not memoised) and stored once. *)
   let set vs = Value_set.of_list (List.map Value.int vs) in
   let l12 = Whynot_concept.Lub.lub h (set [ 1; 2 ]) in
   let l13 = Whynot_concept.Lub.lub h (set [ 1; 3 ]) in
