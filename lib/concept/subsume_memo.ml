@@ -1,12 +1,6 @@
 open Whynot_relational
 module Obs = Whynot_obs.Obs
 
-let c_inst_calls =
-  Obs.counter "subsume.inst.calls" ~doc:"instance-level subsumption queries"
-
-let c_inst_hits =
-  Obs.counter "subsume.inst.hits" ~doc:"instance-level verdicts answered from cache"
-
 let c_ext_calls =
   Obs.counter "memo.ext.calls" ~doc:"concept extension requests"
 
@@ -102,7 +96,6 @@ type inst = {
   conj_exts : Semantics.ext Conj_tbl.t;
   concepts : Ls.t Ls_tbl.t;  (* one representative each: [canonical] *)
   exts : Semantics.ext Ls_tbl.t;
-  verdicts : bool Pair_tbl.t;
   mutable positions : (string * int) array option;
   mutable adom : Value_set.t option;
   mutable masks : masks option;
@@ -144,7 +137,6 @@ let inst instance =
     conj_exts = Conj_tbl.create 64;
     concepts = Ls_tbl.create 64;
     exts = Ls_tbl.create 64;
-    verdicts = Pair_tbl.create 64;
     positions = None;
     adom = None;
     masks = None;
@@ -187,18 +179,9 @@ let extension h c =
     Ls_tbl.add h.exts c e;
     e
 
-let subsumes h c1 c2 =
-  check_inst_deadline h;
-  Obs.incr c_inst_calls;
-  let key = (c1, c2) in
-  match Pair_tbl.find_opt h.verdicts key with
-  | Some r ->
-    Obs.incr c_inst_hits;
-    r
-  | None ->
-    let r = Semantics.ext_subset (extension h c1) (extension h c2) in
-    Pair_tbl.add h.verdicts key r;
-    r
+(* Over one instance [C1 ⊑_I C2] iff [ext(C1) ⊆ ext(C2)] (Prop 4.1): the
+   two memoised extensions decide it, so verdicts need no table. *)
+let subsumes h c1 c2 = Semantics.ext_subset (extension h c1) (extension h c2)
 
 (* Sorted the way [Ls.of_conjuncts] sorts selection-free projections, so
    bit [k] of a mask is the [k]-th projection of the rendered lub. *)

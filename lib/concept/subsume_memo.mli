@@ -4,7 +4,8 @@
     and the lub computations re-decide subsumption and re-evaluate concept
     extensions for heavily overlapping concept pairs; the Table-1 deciders
     behind [⊑_S] are the most expensive calls in the system. This module
-    puts a memo table in front of both {!Subsume_inst} ([⊑_I]) and
+    memoises concept extensions, which decide [⊑_I] by inclusion
+    (Proposition 4.1), and puts a memo table in front of
     {!Subsume_schema} ([⊑_S]) so each (left, right, constraint-class)
     verdict is decided once per run, keyed on the concepts themselves
     (by {!Ls.hash} and {!Ls.equal}).
@@ -20,8 +21,7 @@
     not thread-safe: each belongs to one domain at a time.
 
     All cache traffic is counted through {!Whynot_obs.Obs}
-    ([subsume.inst.calls]/[subsume.inst.hits],
-    [subsume.schema.calls]/[subsume.schema.hits], [memo.ext.*],
+    ([subsume.schema.calls]/[subsume.schema.hits], [memo.ext.*],
     [memo.translate.*], [memo.lub.*], the last counting {!Lub.lub_sigma}
     only); the benchmark harness records the
     counters into [BENCH_whynot.json], and [whynot_cli --stats] prints
@@ -62,7 +62,8 @@ val conjunct_ext : inst -> Ls.conjunct -> Semantics.ext
     the unit the irredundancy minimiser and [lub_sigma] recombine. *)
 
 val subsumes : inst -> Ls.t -> Ls.t -> bool
-(** [C1 ⊑_I C2], memoised on the pair [(C1, C2)]. *)
+(** [C1 ⊑_I C2]: {!Semantics.ext_subset} of the two memoised
+    {!extension}s. No verdict is stored. *)
 
 val positions : inst -> (string * int) array
 (** All (relation, attribute) positions of the instance, computed once,

@@ -180,7 +180,7 @@ let rec climb o cs f =
     climb o cs f
 
 let climb_from o cs wn e =
-  match Explanation.Frontier.make o wn e with
+  match Explanation.Frontier.make o.Ontology.mem wn e with
   | Some f -> Ok (climb o cs f)
   | None ->
     Error (`Not_an_explanation "Exhaustive.generalise: not an explanation")
@@ -188,7 +188,7 @@ let climb_from o cs wn e =
 let generalise o wn e = finite o (fun cs -> climb_from o cs wn e)
 
 let is_mge o cs wn e =
-  match Explanation.Frontier.make o wn e with
+  match Explanation.Frontier.make o.Ontology.mem wn e with
   | None -> false
   | Some f -> Option.is_none (upgrade_once o cs f)
 

@@ -35,7 +35,10 @@ val all_mges :
     cover the missing tuple and miss the answers, without the non-maximal
     ones. Returns all MGEs modulo equivalence (the paper keeps equivalent
     copies; we keep one representative of each equivalence class, the
-    first in reverse product order). Before the search, a candidate is
+    first in reverse product order). Over [O_I[K]]
+    ({!Ontology.of_instance_finite}) no two concepts are equivalent, so
+    nothing is merged and every MGE is made of its extension classes'
+    shortest members. Before the search, a candidate is
     dropped when another candidate at its position lies strictly above it
     and kills at least the same answers; this never changes the list. *)
 

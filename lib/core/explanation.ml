@@ -34,11 +34,11 @@ let pp o ppf e =
 
 module Frontier = struct
   type 'c t = {
-    ontology : 'c Ontology.t;
+    member : 'c -> Value.t -> bool;  (* the ontology's [mem] *)
     missing : Value.t array;
     concepts : 'c array;
     members : (Value.t -> bool) array;
-        (* [members.(j)] = [ontology.mem concepts.(j)], applied once. *)
+        (* [members.(j)] = [member concepts.(j)], applied once. *)
     answers : Value.t array array;
     excluded : bool array array;
         (* [excluded.(i).(j)]: component [j] of answer [i] lies outside
@@ -70,12 +70,12 @@ module Frontier = struct
            true)
       f.answers f.excluded
 
-  let make o wn e =
+  let make member wn e =
     let missing = Array.of_list (Whynot.missing_values wn) in
     if List.length e <> Array.length missing then None
     else
       let concepts = Array.of_list e in
-      let members = Array.map o.Ontology.mem concepts in
+      let members = Array.map member concepts in
       if not (Array.for_all2 (fun m a -> m a) members missing) then None
       else
         let answers =
@@ -86,7 +86,7 @@ module Frontier = struct
         in
         let f =
           {
-            ontology = o;
+            member;
             missing;
             concepts;
             members;
@@ -106,11 +106,11 @@ module Frontier = struct
   let only f j = f.only.(j)
 
   let accepts f j c =
-    let m = f.ontology.Ontology.mem c in
+    let m = f.member c in
     m f.missing.(j) && not (Value_set.exists m f.only.(j))
 
   let replace f j c =
-    let m = f.ontology.Ontology.mem c in
+    let m = f.member c in
     let column = Array.map (fun values -> not (m values.(j))) f.answers in
     (* An answer loses its last excluding position iff its component [j]
        is in D_j and now in [ext(c)]. *)

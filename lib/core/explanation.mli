@@ -48,10 +48,12 @@ module Frontier : sig
   type 'c t
   (** Mutable: {!replace} updates it in place. *)
 
-  val make : 'c Ontology.t -> Whynot.t -> 'c list -> 'c t option
-  (** A frontier over the tuple, or [None] exactly when it is not an
-      explanation ({!is_explanation}). Costs one extension fetch per
-      position and [arity × (1 + |Ans|)] set lookups. *)
+  val make : ('c -> Value.t -> bool) -> Whynot.t -> 'c list -> 'c t option
+  (** [make mem wn e]: a frontier over the tuple, or [None] exactly when
+      it is not an explanation ({!is_explanation}) for the ontology whose
+      [Ontology.mem] is [mem] — the only part of an ontology a frontier
+      reads. Costs one extension fetch per position and
+      [arity × (1 + |Ans|)] set lookups. *)
 
   val concepts : 'c t -> 'c list
   (** The current explanation. *)

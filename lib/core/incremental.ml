@@ -26,11 +26,11 @@ module Frontier = Explanation.Frontier
 (* --- the lubs of one variant ---
 
    Algorithm 2 and CHECK-MGE only need, per variant, a way to grow a
-   support set [X] by one active-domain constant and the concept
-   [lub X] in some ontology over which the frontier runs. *)
+   support set [X] by one active-domain constant, the concept [lub X],
+   and the membership [mem c v] over which the frontier runs. *)
 
 type ('s, 'c) lubs = {
-  ontology : 'c Ontology.t;
+  mem : 'c -> Value.t -> bool;
   support : Value_set.t -> 's;  (* the support set [X] *)
   grow : 's -> int -> Value.t -> 's;
       (* [X ∪ {b}], [b] the [i]-th active-domain constant *)
@@ -44,7 +44,7 @@ type ('s, 'c) lubs = {
    [O_I] itself. *)
 let sigma_lubs h inst =
   {
-    ontology = Ontology.of_instance ~handle:h inst;
+    mem = (Ontology.of_instance ~handle:h inst).Ontology.mem;
     support = Fun.id;
     grow = (fun x _ b -> Value_set.add b x);
     lub = Lub.lub_sigma h;
@@ -71,22 +71,13 @@ let mask_lubs h inst =
       (if shorten then Lub.shorten else Lub.render) h ~nominal:x m
     | Mask m -> (if shorten then Lub.shorten else Lub.render) h m
   in
-  let o = Ontology.of_instance ~handle:h inst in
-  let ls = to_ls ~shorten:false in
+  let mem = (Ontology.of_instance ~handle:h inst).Ontology.mem in
   {
-    ontology =
-      {
-        Ontology.name = "O_I (position masks)";
-        concepts = None;
-        subsumes = (fun c1 c2 -> o.Ontology.subsumes (ls c1) (ls c2));
-        mem =
-          (function
-            | Given c -> o.Ontology.mem c
-            | Nominal (x, _) -> Value.equal x
-            | Mask m -> Lub.covers h m);
-        equal = (fun c1 c2 -> Ls.equal (ls c1) (ls c2));
-        pp = (fun ppf c -> Ls.pp () ppf (ls c));
-      };
+    mem =
+      (function
+        | Given c -> mem c
+        | Nominal (x, _) -> Value.equal x
+        | Mask m -> Lub.covers h m);
     support =
       (fun x ->
          let m = Lub.mask h x in
@@ -134,7 +125,7 @@ let search l h wn order =
   (* The nominal tuple: an explanation, since [a] is not an answer. *)
   let f =
     Option.get
-      (Frontier.make l.ontology wn (Array.to_list (Array.map l.lub support)))
+      (Frontier.make l.mem wn (Array.to_list (Array.map l.lub support)))
   in
   let trace = ref [] in
   for j = 0 to Whynot.arity wn - 1 do
@@ -186,7 +177,7 @@ let one_mge ?handle ?variant ?(shorten = true) ?(order = `Ascending) wn =
 let is_mge l h wn e =
   (* Concepts parsed off the wire are fresh values. *)
   let e = List.map (Subsume_memo.canonical h) e in
-  match Frontier.make l.ontology wn (List.map l.given e) with
+  match Frontier.make l.mem wn (List.map l.given e) with
   | None -> false
   | Some f ->
     let improvable j c =

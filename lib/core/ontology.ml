@@ -9,8 +9,6 @@ type 'c t = {
   pp : Format.formatter -> 'c -> unit;
 }
 
-let equivalent o c1 c2 = o.subsumes c1 c2 && o.subsumes c2 c1
-
 let consistency_violations o probes =
   match o.concepts with
   | None ->
@@ -133,16 +131,70 @@ let of_schema ?schema_handle ?handle schema inst =
     pp = (fun ppf c -> Whynot_concept.Ls.pp ~schema () ppf c);
   }
 
+(* --- O_I[K] by extension classes (Prop 4.1: ⊑_I is inclusion) ---
+
+   A member with k+1 conjuncts is one with k conjuncts met with a
+   projection (it has at most one nominal), so growing each new class's
+   representative by every projection reaches every class at its least
+   conjunct count; on one level the least [Ls.size] wins. *)
+
+module Ext_map = Map.Make (Value_set)
+
+let by_size (c, _) (c', _) =
+  let open Whynot_concept in
+  match Int.compare (Ls.size c) (Ls.size c') with
+  | 0 -> Ls.compare c c'
+  | n -> n
+
+let instance_classes h pool =
+  let open Whynot_concept in
+  let index = Subsume_memo.index h in
+  let columns =
+    Array.to_list
+      (Array.map
+         (fun (rel, attr) ->
+            (Ls.proj ~rel ~attr (), Eval_index.column_values index ~rel ~attr))
+         (Subsume_memo.positions h))
+  in
+  (* One level's new classes, keyed by extension. *)
+  let add found level ((_, e) as m) =
+    if Ext_map.mem e found then level
+    else
+      Ext_map.update e
+        (function Some b when by_size m b >= 0 -> Some b | _ -> Some m)
+        level
+  in
+  let rec close found level =
+    if Ext_map.is_empty level then []
+    else
+      let fresh = List.sort by_size (List.map snd (Ext_map.bindings level)) in
+      let found = Ext_map.union (fun _ c _ -> Some c) found level in
+      let grow next (c, e) =
+        Subsume_memo.check_deadline h;
+        List.fold_left
+          (fun next (p, col) ->
+             add found next (Ls.meet c p, Value_set.inter e col))
+          next columns
+      in
+      fresh @ close found (List.fold_left grow Ext_map.empty fresh)
+  in
+  let singles =
+    List.map (fun v -> (Ls.nominal v, Value_set.singleton v))
+      (Value_set.elements pool)
+    @ columns
+  in
+  (Subsume_memo.canonical h Ls.top, Semantics.All)
+  :: List.map
+       (fun (c, e) -> (Subsume_memo.canonical h c, Semantics.Fin e))
+       (close Ext_map.empty
+          (List.fold_left (add Ext_map.empty) Ext_map.empty singles))
+
 let of_instance_finite ?handle inst pool =
   let h = inst_handle ?handle inst in
   {
     (of_instance ~handle:h inst) with
     name = "O_I[K]";
-    concepts =
-      Some
-        (List.map
-           (Whynot_concept.Subsume_memo.canonical h)
-           (Whynot_concept.Count.enumerate_selection_free inst pool));
+    concepts = Some (List.map fst (instance_classes h pool));
   }
 
 let minimal_concepts schema pool =

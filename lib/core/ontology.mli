@@ -24,9 +24,6 @@ type 'c t = {
   pp : Format.formatter -> 'c -> unit;
 }
 
-val equivalent : 'c t -> 'c -> 'c -> bool
-(** Mutual subsumption. *)
-
 val consistency_violations :
   'c t -> Value.t list -> (('c * 'c) list, Whynot_error.t) result
 (** For a finite ontology: pairs [C1 ⊑ C2] whose extensions (restricted to
@@ -64,13 +61,26 @@ val of_schema :
     {!Whynot_concept.Subsume_schema} (sound for all constraint classes,
     complete for the pure ones — see that module). *)
 
+val instance_classes :
+  Whynot_concept.Subsume_memo.inst ->
+  Value_set.t ->
+  (Whynot_concept.Ls.t * Whynot_concept.Semantics.ext) list
+(** The extension classes of [O_I[K]] over the handle's instance, [K] the
+    pool: one per distinct extension, with that extension, represented by
+    its member of least {!Whynot_concept.Ls.size} (fewest conjuncts, a
+    nominal first on ties: [{v}] beats a column equal to [{v}]). [top]
+    comes first, alone with [All]; then, breadth-first by conjunct count,
+    the pool nominals and projections, then each new representative met
+    with every projection. Polynomial in classes × positions; the number
+    of classes can still be exponential. *)
+
 val of_instance_finite :
   ?handle:Whynot_concept.Subsume_memo.inst ->
   Instance.t -> Value_set.t -> Whynot_concept.Ls.t t
-(** The finite restriction of [O_I] to selection-free concepts with
-    nominals from the given constant pool — the materialised [O_I[K]]
-    used when running the exhaustive algorithm over a derived ontology
-    (§5.2). Exponential in the number of positions; small inputs only. *)
+(** [O_I[K]] (§5.2): [O_I] restricted to selection-free concepts with
+    nominals from the given pool. [⊑_I] is extension inclusion
+    (Proposition 4.1) and MGEs are defined modulo equivalence, so it
+    lists the representatives of {!instance_classes}. *)
 
 val of_schema_finite :
   ?minimal_only:bool ->

@@ -7,8 +7,10 @@
     the incremental algorithm yields an irredundant most-general
     explanation in polynomial time (Proposition 6.2).
 
-    This module provides the exact (exponential) optima for small inputs,
-    for use in tests and benchmarks against the polynomial pipeline. *)
+    This module also provides the exact optima over the selection-free
+    concepts, read off {!Ontology.instance_classes} (tests and benchmarks
+    hold the polynomial pipeline against them): polynomial in the number
+    of extension classes, which can still be exponential in positions. *)
 
 val length : Whynot_concept.Ls.t Explanation.t -> int
 (** Total {!Whynot_concept.Ls.size} of the components. *)
@@ -22,19 +24,21 @@ val irredundant_mge :
 
 val shortest_mge_selection_free :
   Whynot.t -> (Whynot_concept.Ls.t Explanation.t option, Whynot_error.t) result
-(** Exact: enumerate the finite selection-free restriction [O_I[K]],
-    compute all MGEs, and return one of minimal length over every member
-    of every MGE equivalence class ([Ok None] when there is none): per
-    position, the shortest concept of [O_I[K]] equivalent to the
-    representative's. Exponential in the number of schema positions —
-    small inputs only. *)
+(** Exact: one of minimal length among every member of every MGE
+    equivalence class over [O_I[K]] ([Ok None] when there is none). Since
+    {!Ontology.of_instance_finite} lists each extension class by its
+    shortest member and equivalence is componentwise, this is the
+    shortest of {!Exhaustive.all_mges} over it (the first on ties). *)
 
 val minimise_concept_exact :
   Whynot_relational.Instance.t ->
   Whynot_concept.Ls.t ->
   Whynot_concept.Ls.t
-(** Exact minimisation of a single selection-free concept: the shortest
-    selection-free concept equivalent to it over [I] (exponential search
-    over sub-conjunctions and equivalent rewritings; small inputs only).
-    Every minimised concept is irredundant but not conversely — see the
-    discussion before Proposition 6.3. *)
+(** Exact minimisation of a single concept: the shortest selection-free
+    concept equivalent to it over [I] — [top] for an infinite extension,
+    else the representative of its extension among
+    {!Ontology.instance_classes} over the nominals of that extension
+    (only they can occur in an equivalent concept); the concept itself
+    when no selection-free concept has its extension. Every minimised
+    concept is irredundant but not conversely — see the discussion
+    before Proposition 6.3. *)

@@ -392,6 +392,16 @@ let single_condition_upper_bounds inst x =
 (* Algorithm 1, literally                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* The syntactic O_I[K]: every selection-free concept over the
+   instance's positions with at most one nominal from the pool,
+   equivalent copies included. *)
+let syntactic_instance_finite inst pool =
+  {
+    (Ontology.of_instance inst) with
+    Ontology.name = "O_I[K] (syntactic)";
+    concepts = Some (Count.enumerate_selection_free inst pool);
+  }
+
 (* Lines 1-2 of Algorithm 1 over the whole product, with no plan, no
    kill-sets and no cut: the tuples come out in product order (first
    position most significant), every one is tested by the definition, and

@@ -96,6 +96,15 @@ val single_condition_upper_bounds :
     member is an upper bound that {!Whynot_concept.Lub.lub_sigma} must lie
     below. *)
 
+val syntactic_instance_finite :
+  Instance.t -> Value_set.t -> Whynot_concept.Ls.t Whynot_core.Ontology.t
+(** The syntactic [O_I[K]]: {!Whynot_concept.Count.enumerate_selection_free}
+    over [O_I] (2^positions × (|K| + 1) concepts, equivalent ones
+    included). Differential oracle for
+    [Ontology.instance_classes] ([ontology/classes-same-mges]), and the
+    ontology on which [exhaustive/equals-literal] still exercises
+    [Exhaustive]'s equivalence pass. *)
+
 val literal_explanations :
   'c Whynot_core.Ontology.t ->
   Whynot_core.Whynot.t ->

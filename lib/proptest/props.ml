@@ -201,13 +201,15 @@ let explanation_frontier_equals_is_explanation =
              (List.init (Whynot.arity wn) Fun.id)
       in
       let e0 = List.mapi nth start in
-      let built = F.make o wn e0 in
+      let built = F.make o.Ontology.mem wn e0 in
       Option.is_some built = Explanation.is_explanation o wn e0
       &&
       let f =
         match built with
         | Some f -> f
-        | None -> Option.get (F.make o wn (Incremental.trivial_explanation wn))
+        | None ->
+          Option.get
+            (F.make o.Ontology.mem wn (Incremental.trivial_explanation wn))
       in
       List.for_all
         (fun (j, k) ->
@@ -218,7 +220,7 @@ let explanation_frontier_equals_is_explanation =
           && ((not accepted)
              ||
              (F.replace f j c;
-              match F.make o wn (F.concepts f) with
+              match F.make o.Ontology.mem wn (F.concepts f) with
               | Some g -> same f g
               | None -> false)))
         steps)
@@ -260,9 +262,11 @@ let explanation_staged_mem_equals_naive =
       Array.for_all (Array.for_all staged_ok) candidates
       &&
       let f =
-        match F.make o wn (List.mapi nth start) with
+        match F.make o.Ontology.mem wn (List.mapi nth start) with
         | Some f -> f
-        | None -> Option.get (F.make o wn (Incremental.trivial_explanation wn))
+        | None ->
+          Option.get
+            (F.make o.Ontology.mem wn (Incremental.trivial_explanation wn))
       in
       frontier_ok f
       && List.for_all
@@ -571,9 +575,9 @@ let gen_inst_concept_pair =
   let* c2 = concept in
   QG.return (inst, c1, c2)
 
-(* The cached instance-level decider must agree with the direct
+(* The memoised instance-level decider must agree with the direct
    extension-inclusion computation, and asking the same handle again (now
-   guaranteed to be answered from its memo table) must return the same
+   answered from its memoised extensions) must return the same
    verdict. *)
 let memo_inst_cached_vs_naive =
   prop "memo/subsume-inst-cached-vs-naive" 300
@@ -758,21 +762,19 @@ let str_literal_case (wn, mask) =
 (* [Exhaustive] runs every search over one plan with a suffix-reach cut;
    the literal algorithm builds the whole product and tests each tuple by
    the definition. The contract is "the literal list, exactly", on O_I[K]
-   and on the masked restriction: same MGEs, same representative per
-   equivalence class, same order, with or without the dominated-candidate
-   preprocessing; the same explanations in product order; existence iff
-   the literal list is non-empty; and [one_mge] is the literal first
-   explanation, climbed. *)
+   and on the masked restriction, both as extension classes and as the
+   oracle's syntactic list (whose equivalent copies keep the equivalence
+   pass at work): same MGEs, same representative per equivalence class,
+   same order, with or without the dominated-candidate preprocessing; the
+   same explanations in product order; existence iff the literal list is
+   non-empty; and [one_mge] is the literal first explanation, climbed. *)
 let exhaustive_equals_literal =
   prop "exhaustive/equals-literal" 100 str_literal_case gen_literal_case
     (function
       | None, _ -> true
       | Some wn, mask ->
-        let full =
-          Ontology.of_instance_finite wn.Whynot.instance
-            (Whynot.constant_pool wn)
-        in
-        let masked =
+        let inst = wn.Whynot.instance and pool = Whynot.constant_pool wn in
+        let masked full =
           {
             full with
             Ontology.concepts =
@@ -793,7 +795,105 @@ let exhaustive_equals_literal =
                  (fun e -> ok (Exhaustive.generalise o wn e))
                  (List.nth_opt explanations 0)
         in
-        agrees full && agrees masked)
+        List.for_all
+          (fun full -> agrees full && agrees (masked full))
+          [
+            Ontology.of_instance_finite inst pool;
+            Oracle.syntactic_instance_finite inst pool;
+          ])
+
+(* ------------------------------------------------------------------ *)
+(* O_I[K] as extension classes vs the syntactic O_I[K]                 *)
+(* ------------------------------------------------------------------ *)
+
+(* A question and its instance widened by a unary [S] and binary [T] and
+   [U] over [R]'s constants: the question's own two positions never need
+   more than two conjuncts per class; the seven of the widened instance,
+   whose columns overlap, sometimes need three. *)
+let gen_classes_case =
+  let relation arity =
+    QG.map
+      (fun rows ->
+        Relation.of_list ~arity
+          (List.map (fun t -> Tuple.of_list (List.map Value.int t)) rows))
+      (QG.list_size (QG.int_range 1 8)
+         (QG.list_repeat arity (QG.int_range 0 4)))
+  in
+  let* wn = Gen.whynot in
+  let* s = relation 1 in
+  let* t = relation 2 in
+  let* u = relation 2 in
+  QG.return
+    (Option.map
+       (fun (wn : Whynot.t) ->
+         ( wn,
+           List.fold_left
+             (fun inst (name, r) -> Instance.add_relation name r inst)
+             wn.instance
+             [ ("S", s); ("T", t); ("U", u) ] ))
+       wn)
+
+let str_classes_case = function
+  | None -> str_whynot None
+  | Some (wn, wide) ->
+    Printf.sprintf "%s
+widened: %s" (str_whynot (Some wn)) (str_instance wide)
+
+(* Over O_I, C ⊑ D iff ext(C) ⊆ ext(D) (Prop 4.1), so
+   [Ontology.of_instance_finite] lists one concept per extension of the
+   syntactic O_I[K], the oracle's every selection-free concept with at
+   most one nominal from the pool. Against it, on scanned extensions, on
+   the question's instance and on the widened one: (i) the same
+   extensions, one concept each on the class side; (ii) no representative
+   longer than a syntactic member with its extension. On the question:
+   (iii) [Exhaustive.all_mges] agrees class for class, the same count and
+   each MGE equivalent to exactly one MGE of the other list. *)
+let ontology_classes_same_mges =
+  prop "ontology/classes-same-mges" 100 str_classes_case gen_classes_case
+    (function
+    | None -> true
+    | Some (wn, wide) ->
+      let lists inst pool =
+        ( Ontology.of_instance_finite inst pool,
+          Oracle.syntactic_instance_finite inst pool )
+      in
+      let same_classes inst pool =
+        let classes, syntactic = lists inst pool in
+        let keyed o =
+          List.map
+            (fun c ->
+              match Oracle.scan_extension c inst with
+              | Semantics.All -> (None, c)
+              | Semantics.Fin s -> (Some s, c))
+            (Option.get o.Ontology.concepts)
+        in
+        let compare = Option.compare Value_set.compare in
+        let reps = keyed classes and members = keyed syntactic in
+        let extensions l = List.sort_uniq compare (List.map fst l) in
+        List.length reps = List.length (extensions reps)
+        && List.equal
+             (fun k k' -> compare k k' = 0)
+             (extensions reps) (extensions members)
+        && List.for_all
+             (fun (k, c) ->
+               List.for_all
+                 (fun (k', c') -> compare k k' <> 0 || Ls.size c <= Ls.size c')
+                 members)
+             reps
+      in
+      let pool = Whynot.constant_pool wn in
+      let classes, syntactic = lists wn.Whynot.instance pool in
+      let mges o = ok (Exhaustive.all_mges o wn) in
+      let m1 = mges classes and m2 = mges syntactic in
+      let one_match e others =
+        List.length (List.filter (Explanation.equivalent syntactic e) others)
+        = 1
+      in
+      same_classes wn.Whynot.instance pool
+      && same_classes wide (Value_set.union pool (Instance.adom wide))
+      && List.length m1 = List.length m2
+      && List.for_all (fun e -> one_match e m2) m1
+      && List.for_all (fun e -> one_match e m1) m2)
 
 (* ------------------------------------------------------------------ *)
 (* The planned/indexed evaluation kernel vs the retained naive kernel  *)
@@ -1151,6 +1251,7 @@ let all =
     text_document_roundtrip;
     text_values_roundtrip;
     exhaustive_equals_literal;
+    ontology_classes_same_mges;
     eval_planned_equals_naive;
     ext_indexed_equals_scan;
     wire_envelope_roundtrip;

@@ -12,6 +12,12 @@
 
     - Incremental (Alg. 2) vs Exhaustive (Alg. 1) MGE computation over the
       materialised ontology [O_I[K]], plus [check_mge] cross-validation.
+    - [Exhaustive] vs the literal Algorithm 1 ([Oracle.literal_all_mges])
+      over [O_I[K]]'s extension classes, the syntactic [O_I[K]] and masked
+      restrictions of both: the exact list.
+    - [O_I[K]] as extension classes ([Ontology.instance_classes]) vs the
+      syntactic [Oracle.syntactic_instance_finite]: the same extensions,
+      shortest representatives, and the same MGEs class for class.
     - Incremental with selections: explanation-hood, [check_mge], and
       dominance over the trivial nominal explanation.
     - Selection-free Incremental on position masks vs
@@ -41,9 +47,9 @@
       (comparison-free fragment), and soundness on sampled instances with
       comparisons.
     - The {!Whynot_concept.Subsume_memo} layer vs the cache-free deciders:
-      cached [⊑_I] vs [Subsume_inst.naive_subsumes] (including the
-      guaranteed-hit replay on one handle and the cached extension), and cached [⊑_S]
-      vs the uncached [Subsume_schema.decide] oracle.
+      [⊑_I] over memoised extensions vs [Subsume_inst.naive_subsumes]
+      (including the replay on one warm handle and the cached extension),
+      and cached [⊑_S] vs the uncached [Subsume_schema.decide] oracle.
     - Text [Parser] vs {!Surface} printer: concept, document and value
       round-trips.
     - [Why.one_mge]/[check_mge] vs [Oracle.why_one_mge]/[why_check_mge]

@@ -113,8 +113,10 @@ let test_example_3_4_frontier () =
   let module F = Explanation.Frontier in
   let o = hand_ontology and wn = whynot_cities in
   Alcotest.(check bool) "City x City has none" true
-    (F.make o wn [ "City"; "City" ] = None);
-  let f = Option.get (F.make o wn [ "Dutch-City"; "East-Coast-City" ]) in
+    (F.make o.Ontology.mem wn [ "City"; "City" ] = None);
+  let f =
+    Option.get (F.make o.Ontology.mem wn [ "Dutch-City"; "East-Coast-City" ])
+  in
   Alcotest.(check bool) "E1 -> E2" true (F.accepts f 1 "US-City");
   Alcotest.(check bool) "E1 -> E3" true (F.accepts f 0 "European-City");
   Alcotest.(check bool) "E1 -> (Dutch, City) refused" false (F.accepts f 1 "City");
@@ -278,9 +280,10 @@ let test_shortest () =
 
 (* The exact optimum on a small instance: the shortest MGE over O_I[K] is
    an MGE there, no MGE of Algorithm 1 is shorter, and the polynomial
-   pipeline's irredundant MGE is no shorter than it. Algorithm 1's
-   representatives here are <pi_2(R), pi_1(R)> and <top, {2} n pi_1(R)>;
-   the shortest member of the second class is <top, {2}>. *)
+   pipeline's irredundant MGE is no shorter than it. O_I[K] lists every
+   extension class by its shortest member, so Algorithm 1 already returns
+   the shortest member of each MGE class: <pi_2(R), pi_1(R)> and
+   <top, {2}> (not <top, {2} n pi_1(R)>, which is equivalent). *)
 let test_shortest_exact () =
   let inst =
     Instance.of_facts
@@ -299,9 +302,16 @@ let test_shortest_exact () =
   in
   let wn = Whynot.make_exn ~instance:inst ~query:q ~missing:[ v_int 3; v_int 2 ] () in
   let o = Ontology.of_instance_finite inst (Whynot.constant_pool wn) in
+  let shortest = Whynot_concept.Ls.[ top; nominal (v_int 2) ] in
+  Alcotest.(check bool) "all_mges returns <top, {2}>" true
+    (List.exists
+       (List.equal Whynot_concept.Ls.equal shortest)
+       (ok @@ Exhaustive.all_mges o wn));
   match ok @@ Shortest.shortest_mge_selection_free wn with
   | None -> Alcotest.fail "the nominal tuple is an explanation"
   | Some e ->
+    Alcotest.(check bool) "the shortest MGE is <top, {2}>" true
+      (List.equal Whynot_concept.Ls.equal shortest e);
     Alcotest.(check bool) "an MGE of O_I[K]" true
       (ok @@ Exhaustive.check_mge o wn e);
     Alcotest.(check bool) "no MGE is shorter" true

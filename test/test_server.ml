@@ -424,6 +424,27 @@ let test_warm_session_counter_budget () =
       Alcotest.(check int) (n ^ " added by 50 warm rounds") 0 (v1 - v0))
     before (read ())
 
+(* O_I[K] lists each extension class by its shortest member, so the wire
+   all_mges returns short representatives: Figure 2's one MGE is
+   <top, BigCity.name>, a single conjunct where an equivalent meet of
+   four projections would also be an MGE. *)
+let test_all_mges_shortest_representatives () =
+  let deps = in_process_deps () in
+  let ok line = handle_ok deps line in
+  ignore (ok "{\"op\":\"create\",\"session\":\"m\",\"workload\":\"cities\"}");
+  Fun.protect
+    ~finally:(fun () -> ignore (ok "{\"op\":\"close\",\"session\":\"m\"}"))
+  @@ fun () ->
+  match Json.member "mges" (ok "{\"op\":\"all_mges\",\"session\":\"m\"}") with
+  | Some (Json.List [ Json.List [ Json.String "top"; Json.String c ] ]) ->
+    Alcotest.(check bool)
+      (Printf.sprintf "%s is one BigCity projection" c)
+      true
+      (String.starts_with ~prefix:"BigCity." c && not (String.contains c '&'))
+  | reply ->
+    Alcotest.failf "expected one MGE <top, _>, got %s"
+      (Option.fold ~none:"no mges" ~some:Json.to_string reply)
+
 (* The question reply's "constants" is |K| (Proposition 5.1), built from
    the session's cached active domain: it equals [Whynot.constant_pool]
    of the document's question, on its own missing tuple and on one with a
@@ -620,6 +641,8 @@ let () =
           Alcotest.test_case "idle TTL evicts" `Quick test_idle_ttl_evicts;
           Alcotest.test_case "warm session counter budget" `Quick
             test_warm_session_counter_budget;
+          Alcotest.test_case "all_mges returns shortest representatives"
+            `Quick test_all_mges_shortest_representatives;
           Alcotest.test_case "question constants equal the constant pool"
             `Quick test_question_constants_equal_pool;
           Alcotest.test_case "illegal document replies schema-violation"
