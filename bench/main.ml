@@ -503,18 +503,25 @@ let alg2_sigma () =
            Incremental.one_mge ~variant:Incremental.With_selections
              ~shorten:false wn))
     (sweep [ 6; 10; 14 ]);
-  row "-- D2 ablation: lub antichain pruning --@.";
+  (* The ALG2 40-city question: Lemma 5.2's lubs over a key column and
+     four-attribute witness boxes. *)
+  let gi = Generate.cities_like ~n_cities:40 ~n_countries:8 ~n_connections:80 () in
+  let wn40 = Generate.cities_whynot gi in
+  timed ~params:[ ("cities", 40.) ] "ALG2s" "one MGE (sigma) / cities=40"
+    (fun () -> Incremental.one_mge ~variant:Incremental.With_selections wn40);
+  row "-- D2 ablation: witness boxes vs the interval DFS --@.";
   let wn = make_wn 10 in
   let x =
     Value_set.of_list [ Value.int 0; Value.int 2; Value.int 4 ]
   in
   (* A fresh handle per call: a kept one would answer from its lub cache. *)
-  let lub_sigma ~prune x =
-    let h = Whynot_concept.Subsume_memo.inst wn.Whynot.instance in
-    Whynot_concept.Lub.lub_sigma ~prune h x
-  in
-  timed "ALG2s" "lub_sigma pruned" (fun () -> lub_sigma ~prune:true x);
-  timed "ALG2s" "lub_sigma unpruned" (fun () -> lub_sigma ~prune:false x)
+  timed "ALG2s" "lub_sigma (witness boxes)" (fun () ->
+      Whynot_concept.Lub.lub_sigma
+        (Whynot_concept.Subsume_memo.inst wn.Whynot.instance) x);
+  timed "ALG2s" "interval DFS pruned" (fun () ->
+      Whynot_proptest.Oracle.dfs_lub_sigma ~prune:true wn.Whynot.instance x);
+  timed "ALG2s" "interval DFS unpruned" (fun () ->
+      Whynot_proptest.Oracle.dfs_lub_sigma ~prune:false wn.Whynot.instance x)
 
 (* ================================================================== *)
 (* P4.2: concept counting                                              *)

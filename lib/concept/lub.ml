@@ -64,140 +64,89 @@ let lub h x =
   in
   Subsume_memo.canonical h (render h ?nominal (mask h x))
 
-(* Memo tags for the lub_sigma caches of an instance handle (see
-   {!Subsume_memo.memo_lub}): the pruned and unpruned variants must not
-   share entries. *)
-let tag_sigma_pruned = 0
-let tag_sigma_unpruned = 1
+(* --- with selections (Lemma 5.2) ---
 
-(* --- with selections --- *)
+   A selection that keeps every [x] of [X] in [pi_attr(sigma(rel))] keeps
+   one witness tuple ([t.attr = x]) per [x], and then keeps the witnesses'
+   bounding box: per attribute, the closed interval between their least
+   and greatest values. So the subset-minimal extensions come from the
+   boxes of one witness per [x]. They are built one constant at a time,
+   [boxes(X u {x}) = { bbox(B u {t}) : B in boxes(X), t a witness of x }],
+   keeping only the boxes that contain no other: a larger box selects a
+   superset whatever witnesses follow. Pruning by extension instead would
+   not be sound, since a box selecting fewer tuples now may have to grow
+   more later. *)
 
-(* Canonical per-attribute interval options: unconstrained, or a closed
-   interval [l, u] with endpoints among the witness values on that
-   attribute. Closed endpoints suffice on a fixed instance: any selection
-   can be strengthened to one whose endpoints are realised witness values
-   without changing validity, and only stronger selections matter for the
-   minimal extensions. *)
-let interval_options values =
-  let vs = Value_set.elements values in
-  let closed =
-    List.concat_map
-      (fun l ->
-         List.filter_map
-           (fun u ->
-              if Value.compare l u <= 0 then
-                Some [ Interval.Closed l, Interval.Closed u ]
-              else None)
-           vs)
-      vs
-  in
-  [] :: List.map (fun bounds -> List.map (fun (lo, hi) -> Interval.make lo hi) bounds) closed
+type box = { lo : Value.t array; hi : Value.t array }  (* 0-based attrs *)
 
-let sels_of_intervals per_attr =
-  List.concat_map
-    (fun (attr, itvs) ->
-       List.concat_map
-         (fun itv ->
-            List.map
-              (fun (op, value) -> { Ls.attr; op; value })
-              (Interval.to_conditions itv))
-         itvs)
-    per_attr
+let point t =
+  let vs = Array.of_list (Tuple.to_list t) in
+  { lo = vs; hi = vs }
+
+let grow b t =
+  let v i = Tuple.get t (i + 1) in
+  {
+    lo = Array.mapi (fun i l -> if Value.compare (v i) l < 0 then v i else l) b.lo;
+    hi = Array.mapi (fun i u -> if Value.compare (v i) u > 0 then v i else u) b.hi;
+  }
+
+let inside b b' =
+  Array.for_all2 (fun l l' -> Value.compare l' l <= 0) b.lo b'.lo
+  && Array.for_all2 (fun u u' -> Value.compare u u' <= 0) b.hi b'.hi
+
+(* The [leq]-minimal items, the first of each equal run kept. *)
+let minimal leq items =
+  List.fold_left
+    (fun kept b ->
+       if List.exists (fun k -> leq k b) kept then kept
+       else b :: List.filter (fun k -> not (leq b k)) kept)
+    [] items
+
+let sels_of_box b =
+  List.concat
+    (List.mapi
+       (fun i l ->
+          List.map
+            (fun (op, value) -> { Ls.attr = i + 1; op; value })
+            (Interval.to_conditions
+               (Interval.make (Interval.Closed l) (Interval.Closed b.hi.(i)))))
+       (Array.to_list b.lo))
 
 let conjunct_ext_set h c =
   match Subsume_memo.conjunct_ext h c with
-  | Semantics.All -> assert false (* Proj/Nominal extensions are finite *)
+  | Semantics.All -> assert false (* Proj extensions are finite *)
   | Semantics.Fin s -> s
 
-let atomic_selection_candidates ?(prune = true) h ~rel ~attr x =
-  match Instance.relation (Subsume_memo.instance h) rel with
-  | None -> []
-  | Some r ->
-    let arity = Relation.arity r in
-    (* Witness tuples per element of X. *)
-    let witnesses =
-      Value_set.fold
-        (fun v acc ->
-           let ts =
-             Relation.fold
-               (fun t ts ->
-                  if Value.equal (Tuple.get t attr) v then t :: ts else ts)
-               r []
-           in
-           ts :: acc)
-        x []
-    in
-    if List.exists (fun ts -> ts = []) witnesses then []
-    else
-      let all_witnesses = List.concat witnesses in
-      let witness_values b =
-        List.fold_left
-          (fun acc t -> Value_set.add (Tuple.get t b) acc)
-          Value_set.empty all_witnesses
-      in
-      (* DFS over attributes; prune as soon as the partial selection loses a
-         witness for some element of X (selections only shrink). *)
-      let valid sels =
-        let selected =
-          Relation.select
-            (List.map (fun (s : Ls.selection) -> (s.attr, s.op, s.value)) sels)
-            r
-        in
-        Value_set.subset x (Relation.column attr selected)
-      in
-      let rec dfs b acc_intervals acc =
-        if b > arity then
-          let sels = sels_of_intervals (List.rev acc_intervals) in
-          if valid sels then (sels :: acc) else acc
-        else
-          List.fold_left
-            (fun acc opt ->
-               let partial = (b, opt) :: acc_intervals in
-               let sels = sels_of_intervals partial in
-               if valid sels then dfs (b + 1) partial acc else acc)
-            acc
-            (interval_options (witness_values b))
-      in
-      let valid_sels = dfs 1 [] [] in
-      let with_ext =
-        List.map
-          (fun sels ->
-             let c = Ls.Proj { rel; attr; sels } in
-             (c, conjunct_ext_set h c))
-          valid_sels
-      in
-      (* Keep the subset-minimal extensions (their meet equals the meet of
-         all valid candidates), deduplicating equal extensions. The
-         unpruned variant (D2 ablation) keeps every valid candidate. *)
-      let minimal =
-        if not prune then with_ext
-        else
-        List.filter
-          (fun (_, ext) ->
-             not
-               (List.exists
-                  (fun (_, ext') ->
-                     Value_set.subset ext' ext && not (Value_set.equal ext' ext))
-                  with_ext))
-          with_ext
-      in
-      let deduped =
-        List.fold_left
-          (fun acc (c, ext) ->
-             if List.exists (fun (_, ext') -> Value_set.equal ext ext') acc then acc
-             else (c, ext) :: acc)
-          [] minimal
-      in
-      List.map fst deduped
+let atomic_selection_candidates h ~rel ~attr x =
+  let witnesses v =
+    Subsume_memo.check_deadline h;
+    Eval_index.matching (Subsume_memo.index h) ~rel [ (attr, Cmp_op.Eq, v) ]
+  in
+  let rec extend boxes = function
+    | v :: vs when boxes <> [] ->
+      let ts = witnesses v in
+      extend (minimal inside (List.concat_map (fun b -> List.map (grow b) ts) boxes)) vs
+    | _ -> boxes  (* done, or some constant has no witness *)
+  in
+  match Value_set.elements x with
+  | [] -> []
+  | v :: vs ->
+    (* One conjunct per subset-minimal extension: the least in
+       [Stdlib.compare] order among the boxes selecting it, so the
+       choice depends on the instance alone, not on witness order. *)
+    extend (minimal inside (List.map point (witnesses v))) vs
+    |> List.map (fun b -> Ls.Proj { rel; attr; sels = sels_of_box b })
+    |> List.sort Stdlib.compare
+    |> List.map (fun c -> (conjunct_ext_set h c, c))
+    |> minimal (fun (e, _) (e', _) -> Value_set.subset e e')
+    |> List.map snd
 
-let lub_sigma ?(prune = true) h x =
+let lub_sigma h x =
   if Value_set.is_empty x then invalid_arg "Lub.lub_sigma: empty constant set";
-  let tag = if prune then tag_sigma_pruned else tag_sigma_unpruned in
-  Subsume_memo.memo_lub h ~tag x (fun () ->
+  Subsume_memo.memo_lub h x (fun () ->
       let candidates =
         List.concat_map
-          (fun (rel, attr) ->
-             atomic_selection_candidates ~prune h ~rel ~attr x)
+          (fun (rel, attr) -> atomic_selection_candidates h ~rel ~attr x)
           (Array.to_list (Subsume_memo.positions h))
       in
       Ls.of_conjuncts (nominal_conjuncts x @ candidates))

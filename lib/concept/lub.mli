@@ -6,12 +6,17 @@
     (plus the nominal when [X] is a singleton). Polynomial time.
 
     [lub_sigma I X] (Lemma 5.2) is the analogue for full [L_S]: selections
-    are allowed. We enumerate canonical selections per relation — one
-    interval per attribute, with endpoints among the values of witness
-    tuples — which realises every achievable extension on [I]; the result
-    is the conjunction of the subset-minimal valid atomic concepts, which is
-    equivalent over [I] to the conjunction of all valid ones. Exponential in
-    the arity (polynomial for bounded schema arity), matching the lemma. *)
+    are allowed. A selection keeping [X] in [pi_A(sigma(R))] keeps one
+    witness tuple ([t.A = x]) per [x] of [X], hence their bounding box
+    (per attribute, the closed interval between the least and the
+    greatest witness value). Position by position, the boxes are grown
+    one constant at a time and only those containing no other box are
+    kept; each is rendered as closed-interval selections, and the
+    conjuncts with subset-minimal extensions (one per extension) are met.
+    That meet is equivalent over [I] to the meet of every valid atomic
+    concept. There are at most [|adom|^(2 * arity)] distinct boxes per
+    position, which is Theorem 5.4's bound: polynomial for bounded schema
+    arity. *)
 
 open Whynot_relational
 
@@ -51,13 +56,18 @@ val shorten : Subsume_memo.inst -> ?nominal:Value.t -> Bits.t -> Ls.t
     the mask stays the same. [nominal] must lie in the extension of [m].
     Costs [|adom|] mask inclusions per bit. *)
 
-val lub_sigma : ?prune:bool -> Subsume_memo.inst -> Value_set.t -> Ls.t
-(** Least upper bound with selections, memoised in the handle
-    ({!Subsume_memo.memo_lub}, the only lubs counted as [memo.lub.*]).
-    @raise Invalid_argument on empty [X]. *)
+val lub_sigma : Subsume_memo.inst -> Value_set.t -> Ls.t
+(** Least upper bound with selections: the nominal when [X] is a
+    singleton, meet every position's {!atomic_selection_candidates}.
+    Memoised in the handle ({!Subsume_memo.memo_lub}, the only lubs
+    counted as [memo.lub.*]). @raise Invalid_argument on empty [X]. *)
 
 val atomic_selection_candidates :
-  ?prune:bool ->
   Subsume_memo.inst -> rel:string -> attr:int -> Value_set.t -> Ls.conjunct list
-(** The subset-minimal valid atomic concepts [pi_attr(sigma(rel))] whose
-    extension contains [X] (exposed for tests and benchmarks). *)
+(** The atomic concepts [pi_attr(sigma(rel))] containing [X] with
+    subset-minimal extensions, one per extension: the least (in
+    [Stdlib.compare] order) of the witness boxes selecting it. Fetches
+    each constant's witnesses from the handle's index, checking the
+    handle's deadline once per constant. Exposed for tests and
+    benchmarks.
+    @raise Subsume_memo.Deadline_exceeded once the deadline has passed. *)

@@ -47,9 +47,9 @@ module Pair_tbl = Hashtbl.Make (struct
   end)
 
 module Lub_tbl = Hashtbl.Make (struct
-    type t = int * Value.t list
+    type t = Value.t list
 
-    let equal (t1, vs1) (t2, vs2) = t1 = t2 && Stdlib.compare vs1 vs2 = 0
+    let equal vs1 vs2 = Stdlib.compare vs1 vs2 = 0
     let hash = Hashtbl.hash
   end)
 
@@ -239,10 +239,10 @@ let posmask h v =
 
 let check_deadline = check_inst_deadline
 
-let memo_lub h ~tag x compute =
+let memo_lub h x compute =
   check_inst_deadline h;
   Obs.incr c_lub_calls;
-  let key = (tag, Value_set.elements x) in
+  let key = Value_set.elements x in
   match Lub_tbl.find_opt h.lubs key with
   | Some c ->
     Obs.incr c_lub_hits;

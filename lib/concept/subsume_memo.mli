@@ -96,11 +96,11 @@ val posmask : inst -> Value.t -> Bits.t
 (** A constant's position mask (a hash lookup); empty outside the active
     domain. *)
 
-val memo_lub : inst -> tag:int -> Value_set.t -> (unit -> Ls.t) -> Ls.t
+val memo_lub : inst -> Value_set.t -> (unit -> Ls.t) -> Ls.t
 (** Compute-through cache for {!Lub.lub_sigma} results keyed on
-    [(tag, elements X)]; [tag] separates the pruned and unpruned variants
-    that share a handle. A computed lub is stored as its {!canonical}
-    representative. Only these calls count as [memo.lub.*]: selection-free
+    [elements X]. A computed lub is stored as its {!canonical}
+    representative, so a warm repeat costs one hash lookup on the
+    element list. Only these calls count as [memo.lub.*]: selection-free
     lubs come from the masks above and are not memoised. *)
 
 (** {1 Schema-level caching ([⊑_S])} *)

@@ -545,6 +545,137 @@ let lub_check_mge wn e =
        (List.init (List.length e) Fun.id))
 
 (* ------------------------------------------------------------------ *)
+(* Lemma 5.2's lub by the interval DFS                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* This is how [Lub.lub_sigma] computed its candidates before witness
+   boxes: a DFS over one option per attribute, either unconstrained or a
+   closed interval [l, u] with endpoints among the witness values on that
+   attribute, pruned as soon as the partial selection (re-selected from
+   the whole relation) loses a witness for some constant of [X]. Closed
+   endpoints suffice on a fixed instance: any selection can be
+   strengthened to one whose endpoints are realised witness values
+   without changing validity, and only stronger selections matter for the
+   minimal extensions. *)
+let interval_options values =
+  let vs = Value_set.elements values in
+  None
+  :: List.concat_map
+       (fun l ->
+          List.filter_map
+            (fun u -> if Value.compare l u <= 0 then Some (Some (l, u)) else None)
+            vs)
+       vs
+
+let closed_sels attr (l, u) =
+  List.map
+    (fun (op, value) -> { Ls.attr; op; value })
+    (Interval.to_conditions (Interval.make (Interval.Closed l) (Interval.Closed u)))
+
+let sels_of_intervals per_attr =
+  List.concat_map
+    (fun (attr, itv) -> Option.fold ~none:[] ~some:(closed_sels attr) itv)
+    per_attr
+
+let select_sels sels r =
+  Relation.select
+    (List.map (fun (s : Ls.selection) -> (s.attr, s.op, s.value)) sels)
+    r
+
+(* The closed bounding box of a non-empty tuple set, as selections. *)
+let tight_sels arity selected =
+  List.concat_map
+    (fun b ->
+       let col = Relation.column b selected in
+       closed_sels b (Value_set.min_elt col, Value_set.max_elt col))
+    (List.init arity (fun i -> i + 1))
+
+let dfs_selection_candidates ?(prune = true) inst ~rel ~attr x =
+  match Instance.relation inst rel with
+  | None -> []
+  | Some r ->
+    let arity = Relation.arity r in
+    let witnesses =
+      Relation.filter (fun t -> Value_set.mem (Tuple.get t attr) x) r
+    in
+    if not (Value_set.subset x (Relation.column attr witnesses)) then []
+    else
+      let valid sels =
+        Value_set.subset x (Relation.column attr (select_sels sels r))
+      in
+      let rec dfs b acc_intervals acc =
+        if b > arity then
+          let sels = sels_of_intervals (List.rev acc_intervals) in
+          if valid sels then sels :: acc else acc
+        else
+          List.fold_left
+            (fun acc opt ->
+               let partial = (b, opt) :: acc_intervals in
+               if valid (sels_of_intervals partial) then dfs (b + 1) partial acc
+               else acc)
+            acc
+            (interval_options (Relation.column b witnesses))
+      in
+      let selected =
+        List.map
+          (fun sels ->
+             let s = select_sels sels r in
+             (s, Relation.column attr s))
+          (dfs 1 [] [])
+      in
+      let exts = List.sort_uniq Value_set.compare (List.map snd selected) in
+      (* The pruned variant keeps the subset-minimal extensions (their
+         meet equals the meet of all valid candidates); the unpruned one
+         (D2 ablation) every extension. *)
+      let exts =
+        if not prune then exts
+        else
+          List.filter
+            (fun e ->
+               not
+                 (List.exists
+                    (fun e' -> Value_set.subset e' e && not (Value_set.equal e' e))
+                    exts))
+            exts
+      in
+      (* One conjunct per extension, written canonically: among the
+         subset-minimal tuple sets selecting it, the least (in
+         [Stdlib.compare] order) closed bounding box. *)
+      List.map
+        (fun e ->
+           let sets =
+             List.filter_map
+               (fun (s, e') -> if Value_set.equal e e' then Some s else None)
+               selected
+           in
+           List.filter
+             (fun s ->
+                not
+                  (List.exists
+                     (fun s' -> Relation.subset s' s && not (Relation.equal s' s))
+                     sets))
+             sets
+           |> List.map (fun s -> Ls.Proj { rel; attr; sels = tight_sels arity s })
+           |> List.sort Stdlib.compare |> List.hd)
+        exts
+
+let dfs_lub_sigma ?prune inst x =
+  if Value_set.is_empty x then invalid_arg "Oracle.dfs_lub_sigma: empty set";
+  let nominal =
+    match Value_set.elements x with [ c ] -> [ Ls.Nominal c ] | _ -> []
+  in
+  let candidates =
+    List.concat_map
+      (fun rel ->
+         let arity = Relation.arity (Option.get (Instance.relation inst rel)) in
+         List.concat_map
+           (fun attr -> dfs_selection_candidates ?prune inst ~rel ~attr x)
+           (List.init arity (fun i -> i + 1)))
+      (Instance.relation_names inst)
+  in
+  Ls.of_conjuncts (nominal @ candidates)
+
+(* ------------------------------------------------------------------ *)
 (* Why-explanations by whole-tuple re-tests                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -572,11 +703,9 @@ let why_holds (t : Why.t) e =
   && List.for_all2 Semantics.ext_mem (Tuple.to_list t.witness) exts
   && inside [] exts
 
-(* A fresh handle per call for [lub_sigma], which no oracle replaces. *)
 let why_lub inst = function
   | Whynot_core.Incremental.Selection_free -> scan_lub inst
-  | Whynot_core.Incremental.With_selections ->
-    Whynot_concept.Lub.lub_sigma (Whynot_concept.Subsume_memo.inst inst)
+  | Whynot_core.Incremental.With_selections -> dfs_lub_sigma inst
 
 let why_one_mge variant (t : Why.t) =
   let inst = t.instance in

@@ -150,13 +150,37 @@ val lub_check_mge :
     the tuple is an explanation and no position can absorb a further
     active-domain constant, or become [top], while remaining one. *)
 
+val dfs_selection_candidates :
+  ?prune:bool ->
+  Instance.t -> rel:string -> attr:int -> Value_set.t ->
+  Whynot_concept.Ls.conjunct list
+(** The atomic concepts [pi_attr(sigma(rel))] containing the set, by the
+    interval DFS [Lub] ran before witness boxes: per attribute, no
+    condition or a closed interval with witness-value endpoints, each
+    partial selection re-selected from the whole relation. One conjunct
+    per extension, with the subset-minimal extensions only unless
+    [prune] is [false] (the D2 ablation); each is written as the least
+    closed bounding box of a subset-minimal tuple set selecting that
+    extension, so the pruned list can be compared conjunct for conjunct.
+    Differential oracle for [Lub.atomic_selection_candidates]
+    ([lub/sigma-boxes-equal-dfs]). Exponential in the arity. *)
+
+val dfs_lub_sigma :
+  ?prune:bool -> Instance.t -> Value_set.t -> Whynot_concept.Ls.t
+(** Lemma 5.2's lub from {!dfs_selection_candidates} at every position,
+    plus the nominal of a singleton; unmemoised. Differential oracle for
+    [Lub.lub_sigma] ([lub/sigma-boxes-equal-dfs]) and the with-selections
+    lub of {!why_one_mge} and {!why_check_mge}.
+    @raise Invalid_argument on the empty set. *)
+
 val why_one_mge :
   Whynot_core.Incremental.variant ->
   Whynot_core.Why.t ->
   Whynot_concept.Ls.t Whynot_core.Explanation.t
 (** [Why.one_mge] with every attempt re-testing the whole tuple's product
     over probe values rebuilt from the instance, over {!scan_ontology}
-    and (selection-free) {!scan_lub}. Differential oracle for
+    and {!scan_lub} (selection-free) or {!dfs_lub_sigma} (with
+    selections). Differential oracle for
     [Why.one_mge] ([why/one-mge-equals-literal]). *)
 
 val why_check_mge :

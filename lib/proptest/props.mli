@@ -34,6 +34,11 @@
     - [Lub.lub] vs brute-force enumeration of all selection-free upper
       bounds (leastness).
     - [Lub.lub_sigma] vs single-condition upper bounds and vs [Lub.lub].
+    - [Lub.lub_sigma] and [Lub.atomic_selection_candidates] (witness
+      boxes) vs [Oracle.dfs_lub_sigma] and
+      [Oracle.dfs_selection_candidates] (the interval DFS, pruned and
+      unpruned): lub extensions, per-position candidate extensions and
+      conjuncts.
     - Position-mask [Lub.lub], [covers] and [shorten] vs
       [Oracle.scan_lub], [Oracle.scan_extension] and
       [Irredundant.minimise].

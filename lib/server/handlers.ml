@@ -278,10 +278,7 @@ let handle_question deps req =
       (Wjson.Obj
          [
            ("missing", Wjson.List (List.map Protocol.json_of_value missing));
-           ( "answers",
-             Wjson.Int
-               (List.length (Relation.to_list wn.Whynot_core.Whynot.answers))
-           );
+           ("answers", Wjson.Int (Relation.cardinal wn.Whynot_core.Whynot.answers));
            ( "constants",
              Wjson.Int
                (Value_set.cardinal

@@ -314,6 +314,19 @@ let test_lub_sigma_candidates () =
          (Value_set.for_all (fun v -> Semantics.ext_mem v cext) x))
     cands
 
+(* The witness-box loop checks the handle's deadline per constant, not
+   only at the memoised [lub_sigma] entry or when it evaluates the final
+   boxes: here no box survives ("Atlantis" has no witness), so only the
+   loop's own check can trip. *)
+let test_lub_sigma_candidates_deadline () =
+  let h = Subsume_memo.inst cities in
+  Subsume_memo.set_inst_deadline h (Some (Whynot_obs.Obs.now_s () -. 1.));
+  Alcotest.check_raises "expired deadline trips the box loop"
+    Subsume_memo.Deadline_exceeded (fun () ->
+      ignore
+        (Lub.atomic_selection_candidates h ~rel:"Cities" ~attr:1
+           (Value_set.of_strings [ "Atlantis"; "Berlin" ])))
+
 (* qcheck: lub properties on random instances. *)
 let random_instance_gen =
   QCheck2.Gen.(
@@ -636,6 +649,8 @@ let () =
           Alcotest.test_case "minimality" `Quick test_lub_minimality;
           Alcotest.test_case "with selections" `Quick test_lub_sigma;
           Alcotest.test_case "candidates" `Quick test_lub_sigma_candidates;
+          Alcotest.test_case "candidates check the deadline" `Quick
+            test_lub_sigma_candidates_deadline;
           Alcotest.test_case "masks beyond one word" `Quick test_lub_wide_masks;
         ] );
       ( "irredundant",

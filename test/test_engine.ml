@@ -333,6 +333,12 @@ let test_deadline_times_out_and_clears () =
     (code (Engine.all_mges engine wn));
   Alcotest.(check string) "expired deadline trips check_mge" "timeout"
     (code (Engine.check_mge engine wn (Incremental.trivial_explanation wn)));
+  Alcotest.(check string) "expired deadline trips one_mge (sigma)" "timeout"
+    (code (Engine.one_mge ~variant:Incremental.With_selections engine wn));
+  Alcotest.(check string) "expired deadline trips check_mge (sigma)" "timeout"
+    (code
+       (Engine.check_mge ~variant:Incremental.With_selections engine wn
+          (Incremental.trivial_explanation wn)));
   Engine.set_deadline engine None;
   Alcotest.(check bool) "engine stays usable after a timeout" true
     (Result.is_ok (Engine.one_mge engine wn))
