@@ -14,6 +14,7 @@
 (* Bind the facade before [open Whynot_core] shadows the [Whynot] name
    with the core question module. *)
 module Wire_json = Whynot.Json
+module Engine = Whynot.Engine
 
 open Bechamel
 open Whynot_relational
@@ -465,7 +466,48 @@ let alg2 () =
   timed "ALG2" "ascending adom order" (fun () ->
       Incremental.one_mge ~shorten:false ~order:`Ascending wn);
   timed "ALG2" "descending adom order" (fun () ->
-      Incremental.one_mge ~shorten:false ~order:`Descending wn)
+      Incremental.one_mge ~shorten:false ~order:`Descending wn);
+  (* As a server session runs: one warm engine with a deadline armed,
+     and a call is one pass over 240 distinct questions (pairs of
+     cities outside the answers) over one query, one_mge and then
+     check_mge of its reply for each. A pass rather than one question
+     per call, so the row's counters do not depend on how many calls
+     the measurement made. *)
+  row "-- a warm engine, distinct questions, deadline armed --@.";
+  let schema, instance = gi in
+  let engine = ok (Engine.create ~schema ~instance ()) in
+  let query = wn.Whynot.query in
+  let cities =
+    Value_set.elements
+      (Relation.column 1
+         (Instance.relation_or_empty instance ~arity:4 "Cities"))
+  in
+  let questions =
+    List.concat_map (fun a -> List.map (fun b -> [ a; b ]) cities) cities
+    |> List.filter (fun m ->
+        not (Relation.mem (Tuple.of_list m) wn.Whynot.answers))
+    |> List.filteri (fun k _ -> k mod 6 = 0)
+    |> List.map (fun missing -> ok (Engine.question engine ~query ~missing ()))
+  in
+  let n = List.length questions in
+  Engine.set_deadline engine (Some (Obs.now_s () +. 1e6));
+  let pass () =
+    List.iter
+      (fun wn ->
+         let e = ok (Engine.one_mge engine wn) in
+         ignore (ok (Engine.check_mge engine wn e)))
+      questions
+  in
+  pass ();
+  match
+    timed_ns
+      ~params:[ ("cities", 40.); ("questions", float_of_int n) ]
+      "ALG2" "warm distinct questions, deadline armed / cities=40" pass
+  with
+  | Some ns ->
+    row "  per question (one_mge + check_mge) %.1f us@."
+      (ns /. 1e3 /. float_of_int n)
+  | None -> ()
 
 let alg2_sigma () =
   header "ALG2s" "Theorem 5.4: Incremental Search with selections";

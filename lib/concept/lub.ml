@@ -15,7 +15,10 @@ let mask h x =
 
 let covers h m =
   if Bits.is_empty m then fun _ -> true
-  else fun v -> Bits.subset m (Subsume_memo.posmask h v)
+  else
+    let posmasks = Subsume_memo.posmasks h in
+    fun i ->
+      i >= 0 && i < Array.length posmasks && Bits.subset m posmasks.(i)
 
 let render h ?nominal m =
   let positions = Subsume_memo.positions h in

@@ -41,10 +41,13 @@ val mask : Subsume_memo.inst -> Value_set.t -> Bits.t
 (** [mask h X]: the positions whose column holds every constant of [X];
     empty when [X] has a constant outside the active domain. *)
 
-val covers : Subsume_memo.inst -> Bits.t -> Value.t -> bool
-(** [covers h m v] iff [v] is in the extension of the meet of [m]'s
-    projections: [m] is empty ([top]) or [v]'s position mask contains
-    [m]: a hash lookup and a mask inclusion. *)
+val covers : Subsume_memo.inst -> Bits.t -> int -> bool
+(** [covers h m i] iff the [i]-th constant of
+    {!Subsume_memo.adom_array} is in the extension of the meet of [m]'s
+    projections: [m] is empty ([top]) or that constant's position mask
+    contains [m], one mask inclusion. An index outside the array stands
+    for a constant outside the active domain, which only [top]
+    covers. *)
 
 val render : Subsume_memo.inst -> ?nominal:Value.t -> Bits.t -> Ls.t
 (** The concept: the nominal [{x}] if given, meet the projections of the

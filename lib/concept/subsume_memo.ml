@@ -231,11 +231,13 @@ let masks h =
 let adom_array h = (masks h).values
 let posmasks h = (masks h).posmasks
 
+let adom_index h v =
+  match Value_tbl.find (masks h).index v with
+  | i -> i
+  | exception Not_found -> -1
+
 let posmask h v =
-  let ms = masks h in
-  match Value_tbl.find ms.index v with
-  | i -> ms.posmasks.(i)
-  | exception Not_found -> ms.none
+  match adom_index h v with -1 -> (masks h).none | i -> (masks h).posmasks.(i)
 
 let check_deadline = check_inst_deadline
 

@@ -92,6 +92,10 @@ val posmasks : inst -> Bits.t array
 (** The position masks of the active domain: [(posmasks h).(i)] belongs
     to [(adom_array h).(i)]. *)
 
+val adom_index : inst -> Value.t -> int
+(** A constant's index in {!adom_array} (a hash lookup); [-1] outside
+    the active domain. *)
+
 val posmask : inst -> Value.t -> Bits.t
 (** A constant's position mask (a hash lookup); empty outside the active
     domain. *)

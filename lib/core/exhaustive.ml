@@ -179,8 +179,13 @@ let rec climb o cs f =
     Explanation.Frontier.replace f j c';
     climb o cs f
 
+(* Over ids with no handle, through the ontology's value membership. *)
+let frontier o wn e =
+  let q = Explanation.Frontier.ids wn in
+  Explanation.Frontier.make q (Explanation.Frontier.through q o.Ontology.mem) e
+
 let climb_from o cs wn e =
-  match Explanation.Frontier.make o.Ontology.mem wn e with
+  match frontier o wn e with
   | Some f -> Ok (climb o cs f)
   | None ->
     Error (`Not_an_explanation "Exhaustive.generalise: not an explanation")
@@ -188,7 +193,7 @@ let climb_from o cs wn e =
 let generalise o wn e = finite o (fun cs -> climb_from o cs wn e)
 
 let is_mge o cs wn e =
-  match Explanation.Frontier.make o.Ontology.mem wn e with
+  match frontier o wn e with
   | None -> false
   | Some f -> Option.is_none (upgrade_once o cs f)
 

@@ -40,20 +40,76 @@ val is_explanation : 'c Ontology.t -> Whynot.t -> 'c t -> bool
     another position excluded. The remaining answers are those excluded
     only at [j], whose components at [j] make up [D_j]. So the modified
     tuple is an explanation iff [a_j ∈ ext(c)] and [ext(c) ∩ D_j = ∅].
-    That is one extension fetch ([o.mem c], applied once) and [1 + |D_j|]
-    set lookups, instead of [|Ans| × arity] membership tests. The frontier
-    keeps one such partially applied predicate per position ({!mem}). *)
+    That is one membership predicate ([member c], applied once) and
+    [1 + |D_j|] tests, instead of [|Ans| × arity].
+
+    {2 Ids}
+
+    A frontier works on integer ids, not values. Id [i < |adom|] is
+    [(Subsume_memo.adom_array h).(i)] of the handle [h] the answers were
+    encoded with, so a membership test on a selection-free lub is one
+    mask inclusion against [(Subsume_memo.posmasks h).(i)], with no
+    hashing. The answers' values outside the active domain (head
+    constants of the query) take the next ids, and the missing values
+    outside both the ones after. Without a handle every value is
+    outside. {!encode} turns [Ans] into rows of ids once: an engine keeps
+    the encoding beside its cached [Ans]; a caller without one encodes
+    per call ([|Ans| × arity] hash lookups). {!ids} adds one question's
+    missing tuple ([arity] lookups). Each answer's excluded positions are
+    one {!Bits} mask and each [D_j] a list of distinct ids.
+
+    Per call: {!make} costs [arity] predicate builds and
+    [|Ans| × arity] predicate calls; {!accepts} one predicate build and
+    [1 + |D_j|] calls; {!replace} one build, [|Ans|] calls, and the
+    recomputation of every [D_j] over the [|Ans|] masks. *)
 
 module Frontier : sig
+  type answers
+  (** [Ans] as rows of ids. *)
+
+  val encode : ?handle:Whynot_concept.Subsume_memo.inst -> Relation.t -> answers
+  (** [encode ~handle ans]: ids [0 .. |adom|-1] are the handle's active
+      domain (computed on first use), then [ans]'s values outside it. *)
+
+  type ids
+  (** One question's ids: its answers' and its missing tuple's. *)
+
+  val ids :
+    ?answers:answers -> ?handle:Whynot_concept.Subsume_memo.inst ->
+    Whynot.t -> ids
+  (** The question's ids over [answers], which must encode its [Ans];
+      without [answers], its [Ans] encoded through [handle]. *)
+
+  val size : ids -> int
+  (** The number of ids: every id is below it. *)
+
+  val id : ids -> Value.t -> int option
+  (** A value's id; [None] for a value that is neither in the active
+      domain (with a handle) nor in [Ans] nor missing. *)
+
+  val value : ids -> int -> Value.t
+  (** The value of an id. *)
+
+  val missing_id : ids -> int -> int
+  (** The id of [a_j], [j] 0-based. *)
+
+  val through : ids -> ('c -> Value.t -> bool) -> 'c -> int -> bool
+  (** A membership over values (an [Ontology.mem]) as one over ids,
+      through {!value}. *)
+
+  val ext_mem : ids -> Whynot_concept.Semantics.ext -> int -> bool
+  (** The membership of an extension over ids, built once: a bit set
+      over the ids of its members (one merge walk against the active
+      domain). *)
+
   type 'c t
   (** Mutable: {!replace} updates it in place. *)
 
-  val make : ('c -> Value.t -> bool) -> Whynot.t -> 'c list -> 'c t option
-  (** [make mem wn e]: a frontier over the tuple, or [None] exactly when
-      it is not an explanation ({!is_explanation}) for the ontology whose
-      [Ontology.mem] is [mem] — the only part of an ontology a frontier
-      reads. Costs one extension fetch per position and
-      [arity × (1 + |Ans|)] set lookups. *)
+  val make : ids -> ('c -> int -> bool) -> 'c list -> 'c t option
+  (** [make q member e]: a frontier over the tuple, or [None] exactly when
+      it is not an explanation ({!is_explanation}) for an ontology whose
+      membership, over [q]'s ids, is [member] — the only part of an
+      ontology a frontier reads. *)
 
   val concepts : 'c t -> 'c list
   (** The current explanation. *)
@@ -61,25 +117,24 @@ module Frontier : sig
   val concept : 'c t -> int -> 'c
   (** Its concept at 0-based position [j]. *)
 
-  val mem : 'c t -> int -> Value.t -> bool
-  (** [mem f j v] iff [v] is in the extension of the concept at
-      position [j]: a set lookup on the extension the frontier fetched
-      when that concept arrived. *)
+  val mem : 'c t -> int -> int -> bool
+  (** [mem f j i] iff the value of id [i] is in the extension of the
+      concept at position [j]: the predicate the frontier built when that
+      concept arrived. *)
 
-  val only : 'c t -> int -> Value_set.t
-  (** [D_j]: the [j]-th components of the answers excluded at position
-      [j] and nowhere else. *)
+  val only : 'c t -> int -> int list
+  (** [D_j]: the ids of the [j]-th components of the answers excluded at
+      position [j] and nowhere else, each once. *)
 
   val accepts : 'c t -> int -> 'c -> bool
   (** [accepts f j c] iff the current explanation with [c] at position [j]
-      is an explanation: [a_j ∈ ext(c)] and no [v ∈ D_j] is in [ext(c)].
-      One extension fetch, then [1 + |D_j|] set lookups. *)
+      is an explanation: [a_j ∈ ext(c)] and no member of [D_j] is in
+      [ext(c)]. *)
 
   val replace : 'c t -> int -> 'c -> unit
-  (** [replace f j c] puts [c] at position [j]: it fetches [ext(c)] once,
-      re-tests column [j] of the exclusion flags ([|Ans|] set lookups)
-      and recomputes every [D_k] without allocating per answer. Call it
-      only when [accepts f j c] holds.
+  (** [replace f j c] puts [c] at position [j]: it re-tests column [j]
+      of the exclusion masks and recomputes every [D_j]. Call it only
+      when [accepts f j c] holds.
       @raise Invalid_argument, leaving [f] unchanged, when some answer
       would be excluded nowhere. *)
 end

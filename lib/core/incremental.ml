@@ -27,28 +27,38 @@ module Frontier = Explanation.Frontier
 
    Algorithm 2 and CHECK-MGE only need, per variant, a way to grow a
    support set [X] by one active-domain constant, the concept [lub X],
-   and the membership [mem c v] over which the frontier runs. *)
+   and the membership [mem c i] over the question's ids on which the
+   frontier runs. *)
 
 type ('s, 'c) lubs = {
-  mem : 'c -> Value.t -> bool;
-  support : Value_set.t -> 's;  (* the support set [X] *)
+  mem : 'c -> int -> bool;
+  nominal : Value.t -> int -> 's;  (* the support [{a}], [a] of that id *)
   grow : 's -> int -> Value.t -> 's;
       (* [X ∪ {b}], [b] the [i]-th active-domain constant *)
   lub : 's -> 'c;
   given : Ls.t -> 'c;  (* a concept CHECK-MGE is handed *)
+  support : 'c -> 's option;
+      (* a given concept's extension as a support set; [None] when it is
+         infinite *)
   top : 'c;
   render : shorten:bool -> 'c -> Ls.t;
 }
 
 (* With selections: support sets and memoised [lub_sigma] concepts over
-   [O_I] itself. *)
-let sigma_lubs h inst =
+   [O_I] itself, their memberships through the ids' values. *)
+let sigma_lubs h q =
+  let o = Ontology.of_instance ~handle:h (Subsume_memo.instance h) in
   {
-    mem = (Ontology.of_instance ~handle:h inst).Ontology.mem;
-    support = Fun.id;
+    mem = Frontier.through q o.Ontology.mem;
+    nominal = (fun a _ -> Value_set.singleton a);
     grow = (fun x _ b -> Value_set.add b x);
     lub = Lub.lub_sigma h;
     given = Fun.id;
+    support =
+      (fun c ->
+         match Subsume_memo.extension h c with
+         | Semantics.All -> None
+         | Semantics.Fin ext -> Some ext);
     top = Ls.top;
     render =
       (fun ~shorten c -> if shorten then Irredundant.minimise h c else c);
@@ -57,40 +67,63 @@ let sigma_lubs h inst =
 (* Selection-free (Lemma 5.1): a support set is its lub. A singleton
    [{x}] has the lub [{x}] meet the projections through [x] (those of
    [x]'s position mask); a larger set the meet of the projections in its
-   mask, which one intersection grows. *)
+   mask, which one intersection grows. An id [i] is in the extension of
+   a non-empty mask iff it is an active-domain constant whose position
+   mask includes it. *)
 type concept =
-  | Given of Ls.t
-  | Nominal of Value.t * Bits.t
+  | Given of Ls.t * (int -> bool) * concept option
+      (* a handed concept, its membership, the lub of its extension *)
+  | Nominal of Value.t * int * Bits.t  (* the value, its id, its mask *)
   | Mask of Bits.t  (* the empty mask is [top] *)
 
-let mask_lubs h inst =
+let mask_lubs h q =
   let posmasks = Subsume_memo.posmasks h in
+  let n = Array.length posmasks in
+  let width = Array.length (Subsume_memo.positions h) in
+  let top = Bits.empty width in
+  let posmask i = if i >= 0 && i < n then posmasks.(i) else top in
+  let nominal a i = Nominal (a, i, posmask i) in
   let to_ls ~shorten = function
-    | Given c -> if shorten then Irredundant.minimise h c else c
-    | Nominal (x, m) ->
+    | Given (c, _, _) -> if shorten then Irredundant.minimise h c else c
+    | Nominal (x, _, m) ->
       (if shorten then Lub.shorten else Lub.render) h ~nominal:x m
     | Mask m -> (if shorten then Lub.shorten else Lub.render) h m
   in
-  let mem = (Ontology.of_instance ~handle:h inst).Ontology.mem in
+  (* A finite extension's lub, from its ids: the nominal of a singleton,
+     otherwise the meet of its members' masks (empty as soon as one
+     member lies outside the active domain). *)
+  let lub_of ext ids =
+    match Value_set.elements ext with
+    | [ x ] -> nominal x (Option.value ~default:(-1) (Frontier.id q x))
+    | _ ->
+      let m = ref (Bits.full width) in
+      for i = 0 to Frontier.size q - 1 do
+        if ids i then m := Bits.inter !m (posmask i)
+      done;
+      Mask !m
+  in
   {
     mem =
       (function
-        | Given c -> mem c
-        | Nominal (x, _) -> Value.equal x
+        | Given (_, m, _) -> m
+        | Nominal (_, x, _) -> Int.equal x
         | Mask m -> Lub.covers h m);
-    support =
-      (fun x ->
-         let m = Lub.mask h x in
-         if Value_set.cardinal x = 1 then Nominal (Value_set.choose x, m)
-         else Mask m);
+    nominal;
     grow =
       (fun c i _ ->
          match c with
-         | Nominal (_, m) | Mask m -> Mask (Bits.inter m posmasks.(i))
+         | Nominal (_, _, m) | Mask m -> Mask (Bits.inter m posmasks.(i))
          | Given _ -> invalid_arg "Incremental: a given concept is no lub");
     lub = Fun.id;
-    given = (fun c -> Given c);
-    top = Mask (Bits.empty (Array.length (Subsume_memo.positions h)));
+    given =
+      (fun c ->
+         let ext = Subsume_memo.extension h c in
+         let ids = Frontier.ext_mem q ext in
+         match ext with
+         | Semantics.All -> Given (c, ids, None)
+         | Semantics.Fin s -> Given (c, ids, Some (lub_of s ids)));
+    support = (function Given (_, _, s) -> s | c -> Some c);
+    top = Mask top;
     render = to_ls;
   }
 
@@ -103,38 +136,51 @@ let iter_adom h order k =
   | `Descending ->
     for i = Array.length adom - 1 downto 0 do k i adom.(i) done
 
+(* An attempt costs well under a microsecond, so the loops read the
+   clock on their first attempt and then on every 64th. *)
+let deadline_ticker h =
+  let left = ref 0 in
+  fun () ->
+    if !left = 0 then begin
+      left := 63;
+      Subsume_memo.check_deadline h
+    end
+    else decr left
+
 (* --- one run of Algorithm 2 ---
 
    A run owns one memo handle: the lubs, the [O_I] membership and
    subsumption verdicts, the [top] pass and the final shortening all go
    through it. Callers that keep a handle across runs (an engine) pass it
-   in; otherwise the run creates one. *)
+   in, with the encoding of the question's answers when they keep one;
+   otherwise the run creates the handle and encodes the answers. *)
 
 let handle_for ?handle wn =
   match handle with
   | Some h -> h
   | None -> Subsume_memo.inst wn.Whynot.instance
 
-let search l h wn order =
+let search l h q wn order ~trace =
   let support =
     Array.of_list
-      (List.map
-         (fun a -> l.support (Value_set.singleton a))
+      (List.mapi
+         (fun j a -> l.nominal a (Frontier.missing_id q j))
          (Whynot.missing_values wn))
   in
   (* The nominal tuple: an explanation, since [a] is not an answer. *)
   let f =
     Option.get
-      (Frontier.make l.mem wn (Array.to_list (Array.map l.lub support)))
+      (Frontier.make q l.mem (Array.to_list (Array.map l.lub support)))
   in
-  let trace = ref [] in
-  for j = 0 to Whynot.arity wn - 1 do
+  let tick = deadline_ticker h in
+  let steps = ref [] in
+  for j = 0 to Array.length support - 1 do
     iter_adom h order
       (fun i b ->
          (* Skip constants already in the position's extension: absorbing
             them cannot change anything. *)
-         if not (Frontier.mem f j b) then begin
-           Subsume_memo.check_deadline h;
+         if not (Frontier.mem f j i) then begin
+           tick ();
            Obs.incr c_absorb_attempts;
            let x' = l.grow support.(j) i b in
            let c' = l.lub x' in
@@ -146,64 +192,65 @@ let search l h wn order =
              support.(j) <- x';
              Frontier.replace f j c'
            end;
-           trace := (j, b, accepted) :: !trace
+           if trace then steps := (j, b, accepted) :: !steps
          end)
   done;
   (* The [top] refinement: lift single positions to [top], the most
      general concept of all, in order. *)
-  for j = 0 to Whynot.arity wn - 1 do
+  for j = 0 to Array.length support - 1 do
     if Frontier.accepts f j l.top then Frontier.replace f j l.top
   done;
-  (Frontier.concepts f, List.rev !trace)
+  (Frontier.concepts f, List.rev !steps)
 
-let run ?handle ?(variant = Selection_free) ~shorten order wn =
+let run ?handle ?answers ?(variant = Selection_free) ~shorten ~trace order wn
+  =
   let h = handle_for ?handle wn in
+  let q = Frontier.ids ?answers ~handle:h wn in
   let go l =
-    let e, trace = search l h wn order in
-    (List.map (l.render ~shorten) e, trace)
+    let e, steps = search l h q wn order ~trace in
+    (List.map (l.render ~shorten) e, steps)
   in
   match variant with
-  | Selection_free -> go (mask_lubs h wn.Whynot.instance)
-  | With_selections -> go (sigma_lubs h wn.Whynot.instance)
+  | Selection_free -> go (mask_lubs h q)
+  | With_selections -> go (sigma_lubs h q)
 
 let one_mge_with_trace ?variant ?(order = `Ascending) wn =
-  run ?variant ~shorten:false order wn
+  run ?variant ~shorten:false ~trace:true order wn
 
-let one_mge ?handle ?variant ?(shorten = true) ?(order = `Ascending) wn =
-  fst (run ?handle ?variant ~shorten order wn)
+let one_mge ?handle ?answers ?variant ?(shorten = true) ?(order = `Ascending)
+    wn =
+  fst (run ?handle ?answers ?variant ~shorten ~trace:false order wn)
 
-(* A position is improvable when its lub grown by a constant outside its
-   extension, or [top], keeps the tuple an explanation. *)
-let is_mge l h wn e =
+(* A position is improvable when the lub of its concept's extension
+   grown by a constant outside it, or [top], keeps the tuple an
+   explanation. *)
+let is_mge l h q e =
   (* Concepts parsed off the wire are fresh values. *)
   let e = List.map (Subsume_memo.canonical h) e in
-  match Frontier.make l.mem wn (List.map l.given e) with
+  match Frontier.make q l.mem (List.map l.given e) with
   | None -> false
   | Some f ->
-    let improvable j c =
-      match Subsume_memo.extension h c with
-      | Semantics.All -> false (* already top *)
-      | Semantics.Fin ext ->
-        let x = l.support ext and adom = Subsume_memo.adom_array h in
+    let tick = deadline_ticker h and adom = Subsume_memo.adom_array h in
+    let improvable j =
+      match l.support (Frontier.concept f j) with
+      | None -> false (* already top *)
+      | Some x ->
         let rec absorbs i =
           i < Array.length adom
-          && ((not (Value_set.mem adom.(i) ext))
+          && ((not (Frontier.mem f j i))
               && begin
-                Subsume_memo.check_deadline h;
+                tick ();
                 Frontier.accepts f j (l.lub (l.grow x i adom.(i)))
               end
               || absorbs (i + 1))
         in
         absorbs 0 || Frontier.accepts f j l.top
     in
-    let rec any j = function
-      | [] -> false
-      | c :: rest -> improvable j c || any (j + 1) rest
-    in
-    not (any 0 e)
+    not (List.exists improvable (List.init (List.length e) Fun.id))
 
-let check_mge ?handle ?(variant = Selection_free) wn e =
+let check_mge ?handle ?answers ?(variant = Selection_free) wn e =
   let h = handle_for ?handle wn in
+  let q = Frontier.ids ?answers ~handle:h wn in
   match variant with
-  | Selection_free -> is_mge (mask_lubs h wn.Whynot.instance) h wn e
-  | With_selections -> is_mge (sigma_lubs h wn.Whynot.instance) h wn e
+  | Selection_free -> is_mge (mask_lubs h q) h q e
+  | With_selections -> is_mge (sigma_lubs h q) h q e

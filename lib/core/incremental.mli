@@ -23,28 +23,32 @@
     Cost per attempt. The constants offered are the handle's active
     domain ({!Whynot_concept.Subsume_memo.adom}), computed once per
     handle. The run keeps its current explanation in an
-    {!Explanation.Frontier}: the skip test (is [b] already in the
+    {!Explanation.Frontier} over integer ids, where id [i] is the [i]-th
+    active-domain constant: the skip test (is [b] already in the
     position's extension?) calls the frontier's predicate for that
-    position, and an attempt at position [j] is accepted iff the new
-    concept holds [a_j] and none of [D_j], the values of the answers
-    only [j] excludes ([1 + |D_j|] membership tests, not
-    [|Ans| × arity]).
+    position on [b]'s id, and an attempt at position [j] is accepted iff
+    the new concept holds [a_j] and none of [D_j], the ids of the
+    answers' components only [j] excludes ([1 + |D_j|] tests, not
+    [|Ans| × arity]). The answers are encoded as ids once per call, or
+    not at all when the caller passes the encoding it keeps ([answers],
+    as an engine does per query). A deadline on the handle is read on
+    the first attempt and then every 64th.
 
     Selection-free runs never build a concept while they search. By
     Lemma 5.1 a lub is a set of positions
     ({!Whynot_concept.Lub.mask}), so an attempt intersects the
-    support's mask with [b]'s position mask, and a membership test is a
-    hash lookup and a mask inclusion: no lub is memoised
+    support's mask with [b]'s position mask, and a membership test on an
+    id is one mask inclusion, with no hashing: no lub is memoised
     ([memo.lub.calls] stays 0) and no extension fetched
     ([memo.ext.calls] stays 0 on {!one_mge}). The masks become concepts
     once, at the end, and the shortening drops bits as
     {!Whynot_concept.Irredundant.minimise} drops conjuncts.
-    {!check_mge} fetches the extension of each input concept twice,
-    once for its frontier and once for the mask of its support, and
-    tests every candidate, grown mask or [top], on masks. With
-    selections, each attempt fetches the memoised [lub_sigma] of the
-    enlarged support set and its extension. The attempt schedule, and
-    so every MGE, is the one the full re-test gives. *)
+    {!check_mge} fetches the extension of each input concept once: it
+    becomes a set of ids (the concept's membership) and the mask of its
+    support. Every candidate, grown mask or [top], is tested on masks.
+    With selections, each attempt fetches the memoised [lub_sigma] of
+    the enlarged support set and its extension. The attempt schedule,
+    and so every MGE, is the one the full re-test gives. *)
 
 open Whynot_relational
 
@@ -54,6 +58,7 @@ type variant =
 
 val one_mge :
   ?handle:Whynot_concept.Subsume_memo.inst ->
+  ?answers:Explanation.Frontier.answers ->
   ?variant:variant ->
   ?shorten:bool ->
   ?order:[ `Ascending | `Descending ] ->
@@ -66,7 +71,9 @@ val one_mge :
     irredundant most-general explanation (Proposition 6.2 discussion).
     The whole run, shortening included, memoises through [handle], which
     must wrap the question's instance; without one the run creates its
-    own, so a handle-less call starts cold and creates exactly one. *)
+    own, so a handle-less call starts cold and creates exactly one.
+    [answers] must be [Explanation.Frontier.encode ~handle] of the
+    question's answers; without it the run encodes them. *)
 
 val one_mge_with_trace :
   ?variant:variant ->
@@ -81,13 +88,15 @@ val one_mge_with_trace :
 
 val check_mge :
   ?handle:Whynot_concept.Subsume_memo.inst ->
+  ?answers:Explanation.Frontier.answers ->
   ?variant:variant ->
   Whynot.t ->
   Whynot_concept.Ls.t Explanation.t ->
   bool
 (** CHECK-MGE W.R.T. [O_I] (Definition 5.7, Proposition 5.2): the tuple is
     an explanation and no single position can absorb a further constant
-    (or be replaced by [top]) while remaining one. *)
+    (or be replaced by [top]) while remaining one. [handle] and
+    [answers] as in {!one_mge}. *)
 
 val trivial_explanation : Whynot.t -> Whynot_concept.Ls.t Explanation.t
 (** The tuple of nominals [({a_1}, ..., {a_m})] — always an explanation

@@ -43,10 +43,12 @@ let arity t = Tuple.arity t.missing
 
 let missing_values t = Tuple.to_list t.missing
 
-let constant_pool t =
+let constant_pool ?handle t =
   List.fold_left
     (fun acc v -> Value_set.add v acc)
-    (Instance.adom t.instance)
+    (match handle with
+     | Some h -> Whynot_concept.Subsume_memo.adom h
+     | None -> Instance.adom t.instance)
     (missing_values t)
 
 let pp ppf t =

@@ -48,8 +48,10 @@ val arity : t -> int
 val missing_values : t -> Value.t list
 (** The components [a_1, ..., a_m] of the missing tuple. *)
 
-val constant_pool : t -> Value_set.t
-(** [K = adom(I) ∪ {a_1, ..., a_m}] (Proposition 5.1). *)
+val constant_pool : ?handle:Whynot_concept.Subsume_memo.inst -> t -> Value_set.t
+(** [K = adom(I) ∪ {a_1, ..., a_m}] (Proposition 5.1). With a handle
+    (over the question's instance) [adom(I)] is the handle's, computed
+    once per handle; without one it is recomputed on every call. *)
 
 val pp : Format.formatter -> t -> unit
 (** One-line [a ∉ q(I)] summary for diagnostics. *)

@@ -557,6 +557,62 @@ let whynot =
          (Whynot_core.Whynot.make_exn ~instance:inst ~query:q
             ~missing:(List.nth candidates i) ()))
 
+(* Two or three relations over 0..4: a binary [R], a unary [S] and
+   sometimes a ternary [T]. The query joins [R] with one of them and
+   keeps one to three of its variables, one of them sometimes replaced
+   by the constant 7, which no fact holds. Missing values come from
+   0..4, 7 and 9, so they can lie outside the active domain and equal
+   the head constant. *)
+let whynot_wide =
+  let v = Cq.Var "x" and w = Cq.Var "y" and z = Cq.Var "z" in
+  let cell = QG.map Value.int (QG.int_range 0 4) in
+  let rows arity lo hi =
+    QG.list_size (QG.int_range lo hi) (QG.list_size (QG.return arity) cell)
+  in
+  let* r = rows 2 2 8 in
+  let* s = rows 1 1 3 in
+  let* ternary = QG.bool in
+  let* t = if ternary then rows 3 1 4 else QG.return [] in
+  let add rel = List.fold_left (fun i vs -> Instance.add_fact rel vs i) in
+  let inst = add "T" (add "S" (add "R" Instance.empty r) s) t in
+  let atom rel args = { Cq.rel; args } in
+  let* second =
+    QG.oneofl
+      ([ atom "R" [ z; w ]; atom "S" [ z ] ]
+      @ if ternary then [ atom "T" [ z; w; Cq.Var "u" ] ] else [])
+  in
+  let atoms = [ atom "R" [ v; z ]; second ] in
+  let vars =
+    List.sort_uniq Stdlib.compare
+      (List.concat_map
+         (fun a ->
+            List.filter_map (function Cq.Var x -> Some x | _ -> None) a.Cq.args)
+         atoms)
+  in
+  let* arity = QG.int_range 1 3 in
+  let* head =
+    QG.list_size (QG.return arity) (QG.map (fun x -> Cq.Var x) (QG.oneofl vars))
+  in
+  let* constant = QG.int_range 0 3 in
+  let head =
+    if constant = 0 then
+      List.mapi
+        (fun i t -> if i = arity - 1 then Cq.Const (Value.int 7) else t)
+        head
+    else head
+  in
+  let q = Cq.make ~head ~atoms () in
+  let answers = Cq.eval q inst in
+  let* missing =
+    QG.list_size (QG.return arity)
+      (QG.map Value.int (QG.oneofl [ 0; 1; 2; 3; 4; 7; 9 ]))
+  in
+  QG.return
+    (if Relation.mem (Tuple.of_list missing) answers then None
+     else
+       Some
+         (Whynot_core.Whynot.make_exn ~instance:inst ~query:q ~missing ()))
+
 (* ------------------------------------------------------------------ *)
 (* Wire-protocol JSON                                                  *)
 (* ------------------------------------------------------------------ *)

@@ -100,6 +100,13 @@ val whynot : Whynot_core.Whynot.t option QCheck2.Gen.t
     the answers; [None] when the random instance answers everything (the
     property should then pass vacuously). *)
 
+val whynot_wide : Whynot_core.Whynot.t option QCheck2.Gen.t
+(** A wider why-not question: two or three relations ([R/2], [S/1] and
+    sometimes [T/3]), a two-atom query of head arity 1-3 whose last head
+    term is sometimes a constant outside the instance, and missing
+    values that may lie outside the active domain. [None] when the drawn
+    tuple is an answer. *)
+
 val wire_json : Whynot.Json.t QCheck2.Gen.t
 (** Arbitrary wire JSON: full-byte-range strings, finite floats (integral
     and fractional), deep lists/objects — everything the server's codec

@@ -150,6 +150,26 @@ val lub_check_mge :
     the tuple is an explanation and no position can absorb a further
     active-domain constant, or become [top], while remaining one. *)
 
+(** [Explanation.Frontier] over values, as it ran before ids: answers
+    as value arrays with one bool flag per position, [D_j] as value sets.
+    Differential oracle for the id frontier
+    ([explanation/id-frontier-equals-value-frontier]). *)
+module Value_frontier : sig
+  type 'c t
+
+  val make :
+    ('c -> Value.t -> bool) -> Whynot_core.Whynot.t -> 'c list -> 'c t option
+  (** [None] exactly when the tuple is no explanation for the membership. *)
+
+  val mem : 'c t -> int -> Value.t -> bool
+  val only : 'c t -> int -> Value_set.t
+  val accepts : 'c t -> int -> 'c -> bool
+
+  val replace : 'c t -> int -> 'c -> unit
+  (** @raise Invalid_argument, leaving the frontier unchanged, when some
+      answer would be excluded nowhere. *)
+end
+
 val dfs_selection_candidates :
   ?prune:bool ->
   Instance.t -> rel:string -> attr:int -> Value_set.t ->

@@ -70,20 +70,28 @@ let str_whynot = function
    the exhaustive algorithm computes over that materialisation — and,
    conversely, every exhaustive MGE must pass the incremental CHECK-MGE
    procedure. *)
+let incremental_vs_exhaustive = function
+  | None -> true
+  | Some wn ->
+    let o =
+      Ontology.of_instance_finite wn.Whynot.instance (Whynot.constant_pool wn)
+    in
+    let exhaustive = ok (Exhaustive.all_mges o wn) in
+    let incremental =
+      Incremental.one_mge ~variant:Incremental.Selection_free wn
+    in
+    Explanation.is_explanation o wn incremental
+    && List.exists (fun e -> Explanation.equivalent o e incremental) exhaustive
+    && List.for_all (fun e -> Incremental.check_mge wn e) exhaustive
+
+(* Each case pairs a {!Gen.whynot} question with a {!Gen.whynot_wide}
+   one. *)
 let mge_incremental_vs_exhaustive =
-  prop "mge/incremental-vs-exhaustive" 100 str_whynot Gen.whynot (function
-    | None -> true
-    | Some wn ->
-      let o =
-        Ontology.of_instance_finite wn.Whynot.instance (Whynot.constant_pool wn)
-      in
-      let exhaustive = ok (Exhaustive.all_mges o wn) in
-      let incremental =
-        Incremental.one_mge ~variant:Incremental.Selection_free wn
-      in
-      Explanation.is_explanation o wn incremental
-      && List.exists (fun e -> Explanation.equivalent o e incremental) exhaustive
-      && List.for_all (fun e -> Incremental.check_mge wn e) exhaustive)
+  prop "mge/incremental-vs-exhaustive" 100
+    (fun (narrow, wide) -> str_whynot narrow ^ "\nwide: " ^ str_whynot wide)
+    (QG.pair Gen.whynot Gen.whynot_wide)
+    (fun (narrow, wide) ->
+      incremental_vs_exhaustive narrow && incremental_vs_exhaustive wide)
 
 let mge_incremental_selections =
   prop "mge/incremental-selections-check" 100 str_whynot Gen.whynot (function
@@ -145,19 +153,28 @@ let mge_mask_search_equals_lub_search =
 
 (* A start tuple (one candidate pick per position) and a sequence of
    (position, candidate) picks, all taken modulo the list sizes. *)
-let gen_frontier_case =
+let gen_frontier_case_of whynot =
   let pick = QG.small_nat in
-  let* wn = Gen.whynot in
+  let* wn = whynot in
   let arity = match wn with Some wn -> Whynot.arity wn | None -> 0 in
   let* start = QG.list_repeat arity pick in
   let* steps = QG.list_size (QG.int_range 1 12) (QG.pair pick pick) in
   QG.return (wn, start, steps)
+
+let gen_frontier_case = gen_frontier_case_of Gen.whynot
 
 let str_frontier_case (wn, start, steps) =
   Printf.sprintf "%s\nstart picks = [%s]\nsteps = [%s]" (str_whynot wn)
     (String.concat "; " (List.map string_of_int start))
     (String.concat "; "
        (List.map (fun (j, c) -> Printf.sprintf "(%d, %d)" j c) steps))
+
+(* One case from {!Gen.whynot} and one from {!Gen.whynot_wide}. *)
+let gen_frontier_cases =
+  QG.pair gen_frontier_case (gen_frontier_case_of Gen.whynot_wide)
+
+let str_frontier_cases (narrow, wide) =
+  str_frontier_case narrow ^ "\nwide: " ^ str_frontier_case wide
 
 (* Candidates at position [j]: [top], nominals, and both variants' lubs
    of {b} and of {a_j, b} for every constant [b] of the pool, so they need
@@ -182,48 +199,134 @@ let frontier_candidates h wn pool =
    the full re-test of the tuple with [c] at [j]; and after every
    accepted [replace] the frontier equals one built afresh from its
    tuple, concepts and D_j alike. *)
+let frontier_equals_is_explanation = function
+  | None, _, _ -> true
+  | Some wn, start, steps ->
+    let module F = Explanation.Frontier in
+    let h = Subsume_memo.inst wn.Whynot.instance in
+    let o = Ontology.of_instance ~handle:h wn.Whynot.instance in
+    let q = F.ids ~handle:h wn in
+    let member = F.through q o.Ontology.mem in
+    let pool = Value_set.elements (Whynot.constant_pool wn) in
+    let candidates = frontier_candidates h wn pool in
+    let nth j k = candidates.(j).(k mod Array.length candidates.(j)) in
+    let set j c e = List.mapi (fun i c' -> if i = j then c else c') e in
+    let same f g =
+      List.for_all2 o.Ontology.equal (F.concepts f) (F.concepts g)
+      && List.for_all
+           (fun j ->
+             List.sort Int.compare (F.only f j)
+             = List.sort Int.compare (F.only g j))
+           (List.init (Whynot.arity wn) Fun.id)
+    in
+    let e0 = List.mapi nth start in
+    let built = F.make q member e0 in
+    Option.is_some built = Explanation.is_explanation o wn e0
+    &&
+    let f =
+      match built with
+      | Some f -> f
+      | None ->
+        Option.get (F.make q member (Incremental.trivial_explanation wn))
+    in
+    List.for_all
+      (fun (j, k) ->
+        let j = j mod Whynot.arity wn in
+        let c = nth j k in
+        let accepted = F.accepts f j c in
+        accepted = Explanation.is_explanation o wn (set j c (F.concepts f))
+        && ((not accepted)
+           ||
+           (F.replace f j c;
+            match F.make q member (F.concepts f) with
+            | Some g -> same f g
+            | None -> false)))
+      steps
+
 let explanation_frontier_equals_is_explanation =
-  prop "explanation/frontier-equals-is-explanation" 100 str_frontier_case
-    gen_frontier_case (function
-    | None, _, _ -> true
-    | Some wn, start, steps ->
-      let module F = Explanation.Frontier in
-      let h = Subsume_memo.inst wn.Whynot.instance in
-      let o = Ontology.of_instance ~handle:h wn.Whynot.instance in
-      let pool = Value_set.elements (Whynot.constant_pool wn) in
-      let candidates = frontier_candidates h wn pool in
-      let nth j k = candidates.(j).(k mod Array.length candidates.(j)) in
-      let set j c e = List.mapi (fun i c' -> if i = j then c else c') e in
-      let same f g =
-        List.for_all2 o.Ontology.equal (F.concepts f) (F.concepts g)
-        && List.for_all
-             (fun j -> Value_set.equal (F.only f j) (F.only g j))
-             (List.init (Whynot.arity wn) Fun.id)
-      in
-      let e0 = List.mapi nth start in
-      let built = F.make o.Ontology.mem wn e0 in
-      Option.is_some built = Explanation.is_explanation o wn e0
-      &&
-      let f =
-        match built with
-        | Some f -> f
-        | None ->
-          Option.get
-            (F.make o.Ontology.mem wn (Incremental.trivial_explanation wn))
-      in
+  prop "explanation/frontier-equals-is-explanation" 100 str_frontier_cases
+    gen_frontier_cases (fun (narrow, wide) ->
+      frontier_equals_is_explanation narrow
+      && frontier_equals_is_explanation wide)
+
+(* [Explanation.Frontier] runs on ids; [Oracle.Value_frontier] is the
+   same frontier over values. Built over the same tuple with the
+   memberships of the memoised extensions (as id sets, and as values),
+   they must agree on [make], and then after every step of a random
+   sequence on [accepts], on [mem] for every value of the pool and of
+   the answers, and on every D_j. The ids themselves must round-trip
+   through their values. *)
+let id_frontier_equals_value_frontier = function
+  | None, _, _ -> true
+  | Some wn, start, steps ->
+    let module F = Explanation.Frontier in
+    let module V = Oracle.Value_frontier in
+    let h = Subsume_memo.inst wn.Whynot.instance in
+    let o = Ontology.of_instance ~handle:h wn.Whynot.instance in
+    let q = F.ids ~handle:h wn in
+    let member c = F.ext_mem q (Subsume_memo.extension h c) in
+    let pool = Value_set.elements (Whynot.constant_pool wn) in
+    let values =
+      Value_set.elements
+        (Relation.fold
+           (fun t acc ->
+             List.fold_left (Fun.flip Value_set.add) acc (Tuple.to_list t))
+           wn.Whynot.answers
+           (Value_set.of_list pool))
+    in
+    let ids = List.map (F.id q) values in
+    let candidates = frontier_candidates h wn pool in
+    let nth j k = candidates.(j).(k mod Array.length candidates.(j)) in
+    let positions = List.init (Whynot.arity wn) Fun.id in
+    let agree f g =
       List.for_all
-        (fun (j, k) ->
-          let j = j mod Whynot.arity wn in
-          let c = nth j k in
-          let accepted = F.accepts f j c in
-          accepted = Explanation.is_explanation o wn (set j c (F.concepts f))
-          && ((not accepted)
-             ||
-             (F.replace f j c;
-              match F.make o.Ontology.mem wn (F.concepts f) with
-              | Some g -> same f g
-              | None -> false)))
-        steps)
+        (fun j ->
+          List.for_all2
+            (fun v i -> F.mem f j (Option.get i) = V.mem g j v)
+            values ids
+          && Value_set.equal
+               (Value_set.of_list (List.map (F.value q) (F.only f j)))
+               (V.only g j)
+          && List.length (F.only f j) = Value_set.cardinal (V.only g j))
+        positions
+    in
+    let run f g =
+      agree f g
+      && List.for_all
+           (fun (j, k) ->
+             let j = j mod Whynot.arity wn in
+             let c = nth j k in
+             let accepted = F.accepts f j c in
+             accepted = V.accepts g j c
+             && ((not accepted)
+                ||
+                (F.replace f j c;
+                 V.replace g j c;
+                 agree f g)))
+           steps
+    in
+    List.for_all2
+      (fun v i ->
+        match i with
+        | Some i -> i < F.size q && Value.equal (F.value q i) v
+        | None -> false)
+      values ids
+    &&
+    let e0 = List.mapi nth start in
+    match (F.make q member e0, V.make o.Ontology.mem wn e0) with
+    | Some f, Some g -> run f g
+    | None, None ->
+      let e = Incremental.trivial_explanation wn in
+      (match (F.make q member e, V.make o.Ontology.mem wn e) with
+       | Some f, Some g -> run f g
+       | _ -> false)
+    | _ -> false
+
+let explanation_id_frontier_equals_value_frontier =
+  prop "explanation/id-frontier-equals-value-frontier" 100 str_frontier_cases
+    gen_frontier_cases (fun (narrow, wide) ->
+      id_frontier_equals_value_frontier narrow
+      && id_frontier_equals_value_frontier wide)
 
 (* [O_I]'s membership is staged: [o.mem c] fetches the extension once and
    returns a set lookup, and a frontier keeps one such predicate per
@@ -240,6 +343,8 @@ let explanation_staged_mem_equals_naive =
       let inst = wn.Whynot.instance in
       let h = Subsume_memo.inst inst in
       let o = Ontology.of_instance ~handle:h inst in
+      let q = F.ids ~handle:h wn in
+      let member = F.through q o.Ontology.mem in
       let pool = Value_set.elements (Whynot.constant_pool wn) in
       let candidates = frontier_candidates h wn pool in
       let nth j k = candidates.(j).(k mod Array.length candidates.(j)) in
@@ -256,17 +361,18 @@ let explanation_staged_mem_equals_naive =
         List.for_all
           (fun j ->
             let naive = naive (F.concept f j) in
-            List.for_all (fun v -> F.mem f j v = naive v) pool)
+            List.for_all
+              (fun v -> F.mem f j (Option.get (F.id q v)) = naive v)
+              pool)
           positions
       in
       Array.for_all (Array.for_all staged_ok) candidates
       &&
       let f =
-        match F.make o.Ontology.mem wn (List.mapi nth start) with
+        match F.make q member (List.mapi nth start) with
         | Some f -> f
         | None ->
-          Option.get
-            (F.make o.Ontology.mem wn (Incremental.trivial_explanation wn))
+          Option.get (F.make q member (Incremental.trivial_explanation wn))
       in
       frontier_ok f
       && List.for_all
@@ -394,7 +500,9 @@ let lub_mask_equals_lub =
           let scanned = Oracle.scan_extension rendered inst in
           Ls.equal (Lub.lub h x) (Oracle.scan_lub inst x)
           && Value_set.for_all
-               (fun v -> Lub.covers h m v = Semantics.ext_mem v scanned)
+               (fun v ->
+                 Lub.covers h m (Subsume_memo.adom_index h v)
+                 = Semantics.ext_mem v scanned)
                pool
           && Ls.equal (Lub.shorten h m) (Irredundant.minimise h rendered)
           && Ls.equal
@@ -1263,6 +1371,7 @@ let all =
     mge_incremental_selections;
     mge_mask_search_equals_lub_search;
     explanation_frontier_equals_is_explanation;
+    explanation_id_frontier_equals_value_frontier;
     explanation_staged_mem_equals_naive;
     subsume_deciders_sound;
     subsume_noconstraints_vs_syntactic;

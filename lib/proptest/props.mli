@@ -27,6 +27,8 @@
     - [Explanation.Frontier] vs [Explanation.is_explanation]: building,
       [accepts] and [replace] against the full explanation test and a
       frontier built afresh.
+    - [Explanation.Frontier] on ids vs [Oracle.Value_frontier] on
+      values: [make], [accepts], [mem] and every [D_j].
     - [Subsume_schema.decide] vs extension inclusion on random legal
       instances (soundness) and vs completeness per Table-1 class.
     - [Subsume_schema.decide] vs the syntactic characterisation of

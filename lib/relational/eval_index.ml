@@ -211,70 +211,93 @@ let column_values h ~rel ~attr =
   | None -> Value_set.empty
   | Some ci -> ci.distinct
 
-(* Tuples of [rel] whose [attr] satisfies [op value], via the sorted
-   column array (binary search for the boundary, then a contiguous
-   walk). *)
-let range_matches ci op value =
+(* The slice [lo, hi) of [ci.sorted] holding the values that satisfy
+   [op value] (binary search for the boundary); [Eq] is answered by hash
+   instead and never asked here. *)
+let range ci op value =
   let n = Array.length ci.sorted in
-  (* First index whose value is >= [value] (n when none). *)
-  let lower_bound () =
+  (* First index whose value is >= [value] ([strict]: > [value]). *)
+  let bound ~strict =
     let lo = ref 0 and hi = ref n in
     while !lo < !hi do
       let mid = (!lo + !hi) / 2 in
-      if Value.compare (fst ci.sorted.(mid)) value < 0 then lo := mid + 1
-      else hi := mid
+      let c = Value.compare (fst ci.sorted.(mid)) value in
+      if c < 0 || (strict && c = 0) then lo := mid + 1 else hi := mid
     done;
     !lo
-  in
-  (* First index whose value is > [value] (n when none). *)
-  let upper_bound () =
-    let lo = ref 0 and hi = ref n in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if Value.compare (fst ci.sorted.(mid)) value <= 0 then lo := mid + 1
-      else hi := mid
-    done;
-    !lo
-  in
-  let slice lo hi =
-    let acc = ref [] in
-    for i = hi - 1 downto lo do
-      acc := snd ci.sorted.(i) :: !acc
-    done;
-    List.concat !acc
   in
   match (op : Cmp_op.t) with
-  | Cmp_op.Eq ->
-    Option.value ~default:[] (Val_tbl.find_opt ci.by_value value)
-  | Cmp_op.Lt -> slice 0 (lower_bound ())
-  | Cmp_op.Le -> slice 0 (upper_bound ())
-  | Cmp_op.Gt -> slice (upper_bound ()) n
-  | Cmp_op.Ge -> slice (lower_bound ()) n
+  | Cmp_op.Lt -> (0, bound ~strict:false)
+  | Cmp_op.Le -> (0, bound ~strict:true)
+  | Cmp_op.Gt -> (bound ~strict:true, n)
+  | Cmp_op.Ge -> (bound ~strict:false, n)
+  | Cmp_op.Eq -> invalid_arg "Eval_index.range: equality"
 
+let slice ci (lo, hi) =
+  let acc = ref [] in
+  for i = hi - 1 downto lo do
+    acc := snd ci.sorted.(i) :: !acc
+  done;
+  List.concat !acc
+
+(* One attribute answers from its column index: the first equality, by
+   hash, when there is one; otherwise the attribute whose conditions,
+   met into one slice of its sorted distinct values, keep the fewest of
+   them. The conditions the index did not answer filter its tuples;
+   without conditions every tuple is scanned. *)
 let matching h ~rel sels =
   match rel_data h rel with
   | None -> []
   | Some rd ->
-    (match sels with
-     | [] ->
-       Obs.add c_scanned (Array.length rd.tuples);
-       Array.to_list rd.tuples
-     | (attr0, op0, v0) :: rest ->
-       Obs.incr c_probes;
-       (match column_index h ~rel ~attr:attr0 with
-        | None -> []
-        | Some ci ->
-          let first = range_matches ci op0 v0 in
-          (match rest with
-           | [] -> first
-           | _ ->
-             Obs.add c_scanned (List.length first);
-             List.filter
-               (fun t ->
-                  List.for_all
-                    (fun (a, op, c) -> Cmp_op.eval op (Tuple.get t a) c)
-                    rest)
-               first)))
+    let index attr =
+      Obs.incr c_probes;
+      Option.get (column_index h ~rel ~attr)
+    in
+    let slice_of ranges attr =
+      let ci = index attr in
+      let lo, hi =
+        List.fold_left
+          (fun (lo, hi) (a, op, v) ->
+             if a <> attr then (lo, hi)
+             else
+               let lo', hi' = range ci op v in
+               (max lo lo', min hi hi'))
+          (0, Array.length ci.sorted) ranges
+      in
+      (attr, ci, (lo, max lo hi))
+    in
+    let narrower ranges best attr =
+      let ((_, _, (lo, hi)) as s) = slice_of ranges attr in
+      match best with
+      | Some (_, _, (lo', hi')) when hi' - lo' <= hi - lo -> best
+      | _ -> Some s
+    in
+    let ts, rest =
+      match List.partition (fun (_, op, _) -> op = Cmp_op.Eq) sels with
+      | (attr, _, v) :: eqs, ranges ->
+        ( Option.value ~default:[] (Val_tbl.find_opt (index attr).by_value v),
+          eqs @ ranges )
+      | [], ranges ->
+        (match
+           List.fold_left (narrower ranges) None
+             (List.sort_uniq Int.compare (List.map (fun (a, _, _) -> a) ranges))
+         with
+         | Some (attr, ci, bounds) ->
+           (slice ci bounds, List.filter (fun (a, _, _) -> a <> attr) ranges)
+         | None ->
+           Obs.add c_scanned (Array.length rd.tuples);
+           (Array.to_list rd.tuples, []))
+    in
+    (match rest with
+     | [] -> ts
+     | _ ->
+       Obs.add c_scanned (List.length ts);
+       List.filter
+         (fun t ->
+            List.for_all
+              (fun (a, op, c) -> Cmp_op.eval op (Tuple.get t a) c)
+              rest)
+         ts)
 
 let select_column h ~rel ~attr ~sels =
   match sels with

@@ -58,9 +58,11 @@ val column_values : t -> rel:string -> attr:int -> Value_set.t
 
 val matching : t -> rel:string -> (int * Cmp_op.t * Value.t) list -> Tuple.t list
 (** Tuples satisfying every [attr op const] condition — an indexed
-    [Relation.select]. The first condition is answered from the column
-    index ([Eq] by hash, range operators by binary search over the sorted
-    distinct values); remaining conditions filter the matches. *)
+    [Relation.select]. One attribute is answered from its column index:
+    the first [Eq] condition by hash when there is one, otherwise the
+    attribute whose range conditions, met into one slice of its sorted
+    distinct values (binary search for each bound), keep the fewest
+    values. The remaining conditions filter the matches. *)
 
 val select_column :
   t -> rel:string -> attr:int -> sels:(int * Cmp_op.t * Value.t) list ->

@@ -5,6 +5,15 @@ module Incremental = Whynot_core.Incremental
 module Exhaustive = Whynot_core.Exhaustive
 module Schema_mge = Whynot_core.Schema_mge
 module Subsume_memo = Whynot_concept.Subsume_memo
+module Frontier = Whynot_core.Explanation.Frontier
+
+(* Ans = q(I) for one query, and its encoding as ids over the engine's
+   handle, made on the first Algorithm 2 operation that uses it. *)
+type answers = {
+  query : Cq.t;
+  relation : Relation.t;
+  mutable encoded : Frontier.answers option;
+}
 
 type t = {
   schema : Schema.t option;
@@ -17,11 +26,11 @@ type t = {
   (* Definition 5.1 takes the legality of I and Ans = q(I) as inputs of a
      why-not instance. Legality is checked on the first [question] and
      kept; Ans is kept for the last query asked, keyed by the query value
-     itself. Plain fields, not [Lazy.t]: engines serve one domain at a
-     time, and a racing recomputation is harmless where a racing
-     [Lazy.force] raises. *)
+     itself, with its encoding. Plain fields, not [Lazy.t]: engines serve
+     one domain at a time, and a racing recomputation is harmless where
+     a racing [Lazy.force] raises. *)
   mutable legality : (unit, Whynot_error.t) result option;
-  mutable answers : (Cq.t * Relation.t) option;
+  mutable answers : answers option;
 }
 
 (* [domains] is validated and otherwise ignored: every search runs on the
@@ -85,12 +94,27 @@ let legality e =
    evaluated over the engine's own index. *)
 let cached_answers e query =
   match e.answers with
-  | Some (q, r) when Stdlib.compare q query = 0 -> Some r
+  | Some a when Stdlib.compare a.query query = 0 -> Some a.relation
   | _ when not (Cq.is_safe query) -> None
   | _ ->
     let r = Cq.Plan.eval (Subsume_memo.index e.inst_handle) query in
-    e.answers <- Some (query, r);
+    e.answers <- Some { query; relation = r; encoded = None };
     Some r
+
+(* The kept encoding when the question's answers are the kept Ans,
+   compared structurally ([Stdlib.compare] returns at once when they are
+   the kept value itself, as on every question built without
+   [?answers]); [None], and Algorithm 2 encodes per call, otherwise. *)
+let encoded e wn =
+  match e.answers with
+  | Some a when Stdlib.compare a.relation wn.W.answers = 0 ->
+    (match a.encoded with
+     | Some _ as enc -> enc
+     | None ->
+       let enc = Frontier.encode ~handle:e.inst_handle a.relation in
+       a.encoded <- Some enc;
+       Some enc)
+  | _ -> None
 
 (* The checks run in [Whynot.make ~schema]'s order: the question's own
    [`Invalid_whynot] errors win over a [`Schema_violation]. *)
@@ -103,11 +127,7 @@ let question ?answers e ~query ~missing () =
         (W.make ?answers ~instance:e.instance ~query ~missing ())
         (fun wn -> Result.map (fun () -> wn) (legality e)))
 
-let constant_pool e wn =
-  List.fold_left
-    (fun acc v -> Value_set.add v acc)
-    (Subsume_memo.adom e.inst_handle)
-    (W.missing_values wn)
+let constant_pool e wn = W.constant_pool ~handle:e.inst_handle wn
 
 let pool_of ?values e wn =
   match values with Some v -> v | None -> constant_pool e wn
@@ -122,13 +142,15 @@ let one_mge ?variant ?order ?shorten e wn =
   guard e (fun () ->
       own_question e wn (fun () ->
           Ok
-            (Incremental.one_mge ~handle:e.inst_handle ?variant ?shorten
-               ?order wn)))
+            (Incremental.one_mge ~handle:e.inst_handle ?answers:(encoded e wn)
+               ?variant ?shorten ?order wn)))
 
 let check_mge ?variant e wn ex =
   guard e (fun () ->
       own_question e wn (fun () ->
-          Ok (Incremental.check_mge ~handle:e.inst_handle ?variant wn ex)))
+          Ok
+            (Incremental.check_mge ~handle:e.inst_handle
+               ?answers:(encoded e wn) ?variant wn ex)))
 
 (* --- Algorithm 1 (exhaustive, w.r.t. finite ontologies) --- *)
 

@@ -112,11 +112,11 @@ let test_example_4_5_mge () =
 let test_example_3_4_frontier () =
   let module F = Explanation.Frontier in
   let o = hand_ontology and wn = whynot_cities in
+  let q = F.ids wn in
+  let member = F.through q o.Ontology.mem in
   Alcotest.(check bool) "City x City has none" true
-    (F.make o.Ontology.mem wn [ "City"; "City" ] = None);
-  let f =
-    Option.get (F.make o.Ontology.mem wn [ "Dutch-City"; "East-Coast-City" ])
-  in
+    (F.make q member [ "City"; "City" ] = None);
+  let f = Option.get (F.make q member [ "Dutch-City"; "East-Coast-City" ]) in
   Alcotest.(check bool) "E1 -> E2" true (F.accepts f 1 "US-City");
   Alcotest.(check bool) "E1 -> E3" true (F.accepts f 0 "European-City");
   Alcotest.(check bool) "E1 -> (Dutch, City) refused" false (F.accepts f 1 "City");
