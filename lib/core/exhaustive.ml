@@ -179,39 +179,44 @@ let rec climb o cs f =
     Explanation.Frontier.replace f j c';
     climb o cs f
 
-(* Over ids with no handle, through the ontology's value membership. *)
-let frontier o wn e =
-  let q = Explanation.Frontier.ids wn in
+(* Frontiers over ids with no handle, through the ontology's value
+   membership; every entry encodes the question once ([Frontier.ids])
+   and hands the ids down. *)
+let frontier o q e =
   Explanation.Frontier.make q (Explanation.Frontier.through q o.Ontology.mem) e
 
-let climb_from o cs wn e =
-  match frontier o wn e with
+let climb_from o cs q e =
+  match frontier o q e with
   | Some f -> Ok (climb o cs f)
   | None ->
     Error (`Not_an_explanation "Exhaustive.generalise: not an explanation")
 
-let generalise o wn e = finite o (fun cs -> climb_from o cs wn e)
+let generalise o wn e =
+  finite o (fun cs -> climb_from o cs (Explanation.Frontier.ids wn) e)
 
-let is_mge o cs wn e =
-  match frontier o wn e with
+let is_mge o cs q e =
+  match frontier o q e with
   | None -> false
   | Some f -> Option.is_none (upgrade_once o cs f)
 
-let check_mge o wn e = finite o (fun cs -> Ok (is_mge o cs wn e))
+let check_mge o wn e =
+  finite o (fun cs -> Ok (is_mge o cs (Explanation.Frontier.ids wn) e))
 
 (* The first explanation in product order, climbed. *)
 let one_mge o wn =
   finite o (fun cs ->
       match Seq.uncons (explanations (plan o cs wn)) with
       | None -> Ok None
-      | Some (e, _) -> Result.map Option.some (climb_from o cs wn e))
+      | Some (e, _) ->
+        Result.map Option.some
+          (climb_from o cs (Explanation.Frontier.ids wn) e))
 
 let mges_seq o wn =
   finite o (fun cs ->
-      let seen = ref [] in
+      let q = Explanation.Frontier.ids wn and seen = ref [] in
       Ok
         (explanations (plan o cs wn)
-         |> Seq.filter (is_mge o cs wn)
+         |> Seq.filter (is_mge o cs q)
          |> Seq.filter (fun e ->
              if List.exists (fun e' -> Explanation.equivalent o e e') !seen
              then false

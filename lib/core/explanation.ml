@@ -39,6 +39,8 @@ module Frontier = struct
   (* Ids [0 .. |adom|-1] are the handle's [adom_array]; the answers'
      values outside it follow, first seen first. *)
   type answers = {
+    source : Relation.t;
+    handle : Subsume_memo.inst option;
     adom : Value.t array;
     adom_id : Value.t -> int;  (* -1 outside [adom] *)
     outside : Value.t array;
@@ -73,6 +75,8 @@ module Frontier = struct
         r []
     in
     {
+      source = r;
+      handle;
       adom;
       adom_id;
       outside = Array.of_list (List.rev !outside);
@@ -109,8 +113,21 @@ module Frontier = struct
   let ids ?answers ?handle wn =
     let ans =
       match answers with
-      | Some a -> a
       | None -> encode ?handle wn.Whynot.answers
+      | Some a ->
+        let same_handle =
+          match (a.handle, handle) with
+          | None, None -> true
+          | Some h, Some h' -> h == h'
+          | _ -> false
+        in
+        if not same_handle then
+          invalid_arg "Explanation.Frontier.ids: answers encoded over another \
+                       handle";
+        if not (a.source == wn.Whynot.answers
+                || Relation.equal a.source wn.Whynot.answers)
+        then invalid_arg "Explanation.Frontier.ids: answers of another question";
+        a
     in
     let missing = Whynot.missing_values wn in
     let extra =

@@ -69,7 +69,8 @@ module Frontier : sig
 
   val encode : ?handle:Whynot_concept.Subsume_memo.inst -> Relation.t -> answers
   (** [encode ~handle ans]: ids [0 .. |adom|-1] are the handle's active
-      domain (computed on first use), then [ans]'s values outside it. *)
+      domain (computed on first use), then [ans]'s values outside it.
+      The encoding records [handle] and [ans], which {!ids} checks. *)
 
   type ids
   (** One question's ids: its answers' and its missing tuple's. *)
@@ -77,8 +78,11 @@ module Frontier : sig
   val ids :
     ?answers:answers -> ?handle:Whynot_concept.Subsume_memo.inst ->
     Whynot.t -> ids
-  (** The question's ids over [answers], which must encode its [Ans];
-      without [answers], its [Ans] encoded through [handle]. *)
+  (** The question's ids over [answers], which must encode its [Ans]
+      through the same [handle] (or none, as it was encoded); without
+      [answers], its [Ans] encoded through [handle].
+      @raise Invalid_argument when [answers] was encoded over another
+      handle, or from answers other than the question's. *)
 
   val size : ids -> int
   (** The number of ids: every id is below it. *)

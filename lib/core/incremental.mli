@@ -73,7 +73,9 @@ val one_mge :
     must wrap the question's instance; without one the run creates its
     own, so a handle-less call starts cold and creates exactly one.
     [answers] must be [Explanation.Frontier.encode ~handle] of the
-    question's answers; without it the run encodes them. *)
+    question's answers; without it the run encodes them.
+    @raise Invalid_argument when [answers] was encoded over another
+    handle than the run's (or without one), or from other answers. *)
 
 val one_mge_with_trace :
   ?variant:variant ->

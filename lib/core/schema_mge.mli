@@ -7,11 +7,7 @@
     is the EXPTIME case. Schema-level subsumption is delegated to
     {!Whynot_concept.Subsume_schema}, so for constraint classes where that
     decider is incomplete (mixtures), "most general" is relative to the
-    derivable subsumptions.
-
-    Every entry takes an optional instance memo [handle] over the
-    question's instance: the pool's active domain and the ontology's
-    extensions then come from it, computed once per handle. *)
+    derivable subsumptions. *)
 
 type fragment =
   [ `Minimal
@@ -19,7 +15,6 @@ type fragment =
   ]
 
 val ontology :
-  ?handle:Whynot_concept.Subsume_memo.inst ->
   fragment ->
   Whynot_relational.Schema.t ->
   Whynot.t ->
@@ -27,7 +22,6 @@ val ontology :
 (** The materialised [O_S[K]] for this why-not instance. *)
 
 val one_mge :
-  ?handle:Whynot_concept.Subsume_memo.inst ->
   fragment ->
   Whynot_relational.Schema.t ->
   Whynot.t ->
@@ -38,7 +32,6 @@ val one_mge :
     as for {!all_mges}. *)
 
 val all_mges :
-  ?handle:Whynot_concept.Subsume_memo.inst ->
   fragment ->
   Whynot_relational.Schema.t ->
   Whynot.t ->
@@ -48,7 +41,6 @@ val all_mges :
     fragment is infinite over this schema and constant pool. *)
 
 val check_mge :
-  ?handle:Whynot_concept.Subsume_memo.inst ->
   fragment ->
   Whynot_relational.Schema.t ->
   Whynot.t ->

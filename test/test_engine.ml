@@ -325,6 +325,42 @@ let test_encoding_follows_the_answers () =
   ignore (ask same_continent);
   List.iter agree questions
 
+(* An Ans encoding names the handle and the answers it was made from;
+   Algorithm 2 rejects one that does not match its run instead of
+   reading its ids against another active domain or other answers. *)
+let test_foreign_encoding_is_rejected () =
+  let wn =
+    Whynot.make_exn ~instance:Cities.instance ~query:Cities.two_hop_query
+      ~missing:Cities.missing_tuple ()
+  in
+  let h = Whynot_concept.Subsume_memo.inst Cities.instance in
+  let rejected name f =
+    Alcotest.(check bool) name true
+      (match f () with
+       | _ -> false
+       | exception Invalid_argument _ -> true)
+  in
+  let module F = Explanation.Frontier in
+  let e = Incremental.one_mge wn in
+  rejected "one_mge: encoded without the run's handle" (fun () ->
+      Incremental.one_mge ~handle:h ~answers:(F.encode wn.Whynot.answers) wn);
+  rejected "one_mge: no handle given" (fun () ->
+      Incremental.one_mge ~answers:(F.encode ~handle:h wn.Whynot.answers) wn);
+  rejected "check_mge: encoded over another handle" (fun () ->
+      let other = Whynot_concept.Subsume_memo.inst Cities.instance in
+      Incremental.check_mge ~handle:h
+        ~answers:(F.encode ~handle:other wn.Whynot.answers) wn e);
+  let other_answers =
+    Relation.filter (fun t -> Value.equal (Tuple.get t 2) Cities.rome)
+      wn.Whynot.answers
+  in
+  rejected "check_mge: another question's answers" (fun () ->
+      Incremental.check_mge ~handle:h
+        ~answers:(F.encode ~handle:h other_answers) wn e);
+  Alcotest.(check bool) "a matching encoding is used" true
+    (Incremental.check_mge ~handle:h
+       ~answers:(F.encode ~handle:h wn.Whynot.answers) wn e)
+
 (* A handle-less Algorithm 2 run owns exactly one instance handle, shared
    by its lubs, its O_I and its shortening pass. *)
 let test_handle_less_one_mge_creates_one_handle () =
@@ -566,6 +602,8 @@ let () =
             `Quick test_frontier_counter_budget;
           Alcotest.test_case "Ans encoding follows the question's answers"
             `Quick test_encoding_follows_the_answers;
+          Alcotest.test_case "a foreign Ans encoding is rejected" `Quick
+            test_foreign_encoding_is_rejected;
         ] );
       ( "shutdown",
         [
