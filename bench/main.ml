@@ -1142,6 +1142,156 @@ let serve_bench () =
     Server.initiate_shutdown server;
     Server.wait server
 
+(* ================================================================== *)
+(* COLD: the handler path warm and after an idle gap                   *)
+(* ================================================================== *)
+
+module Protocol = Whynot_server.Protocol
+module Handlers = Whynot_server.Handlers
+
+(* The server's work for a one_mge + check_mge pair on a 40-city
+   document, in-process and without sockets: [parse_request], then
+   [Handlers.handle], then [ok_line]. Each one_mge asks about a distinct
+   non-answer pair and its MGE goes back to check_mge. The same stream
+   runs back to back and with a 10 ms sleep before each request, the
+   sleep left out of the time: at a hundred arrivals a second every
+   request finds the process this cold. Rows hold the mean per request;
+   percentiles travel in [params]. *)
+let cold_bench () =
+  header "COLD" "handler path back to back vs after 10 ms idle (40 cities)";
+  let schema, inst =
+    Generate.cities_like ~seed:1 ~n_cities:40 ~n_countries:8
+      ~n_connections:80 ()
+  in
+  let query = Cities.two_hop_query in
+  let answers = Cq.eval query inst in
+  let cities =
+    Relation.to_list
+      (Relation.project [ 1 ] (Instance.relation_or_empty inst ~arity:4 "Cities"))
+    |> List.map (fun t -> Tuple.get t 1)
+  in
+  let pairs =
+    List.concat_map
+      (fun a ->
+         List.filter_map
+           (fun b ->
+              if Relation.mem (Tuple.of_list [ a; b ]) answers then None
+              else Some [ a; b ])
+           cities)
+      cities
+    |> Array.of_list
+  in
+  let st = Random.State.make [| 7 |] in
+  for i = Array.length pairs - 1 downto 1 do
+    let j = Random.State.int st (i + 1) in
+    let t = pairs.(i) in
+    pairs.(i) <- pairs.(j);
+    pairs.(j) <- t
+  done;
+  let text =
+    Whynot_proptest.Surface.document schema inst
+    ^ "query q(x, y) := Train-Connections(x, z), Train-Connections(z, y)\n"
+  in
+  let n_pairs = min (Array.length pairs / 2) (if quick then 40 else 200) in
+  let deps =
+    {
+      Handlers.registry =
+        Whynot_server.Registry.create ~max_sessions:2;
+      domains_default = 1;
+      domains_max = 1;
+      default_deadline_ms = 0;
+      max_deadline_ms = 0;
+      debug_ops = false;
+      started_at_s = Obs.now_s ();
+    }
+  in
+  let line fields = Wire_json.to_string (Wire_json.Obj fields) in
+  (* One request through the server's path: the reply's result, and
+     the reply line as the socket would carry it. *)
+  let serve l =
+    match Protocol.parse_request l with
+    | Error m -> failwith ("COLD: " ^ m)
+    | Ok req ->
+      (match Handlers.handle deps req with
+       | Ok json -> (json, Protocol.ok_line req json)
+       | Error (code, m) -> failwith ("COLD: " ^ code ^ ": " ^ m))
+  in
+  let run ~label ~session ~offset ~idle_s =
+    ignore
+      (serve
+         (line
+            [
+              ("op", Wire_json.String "create");
+              ("session", Wire_json.String session);
+              ("document", Wire_json.String text);
+            ]));
+    let times = Array.make (2 * n_pairs) 0. in
+    let timed k l =
+      if idle_s > 0. then Unix.sleepf idle_s;
+      let t0 = Obs.now_s () in
+      let json, reply = serve l in
+      ignore (Sys.opaque_identity reply);
+      if k >= 0 then times.(k) <- (Obs.now_s () -. t0) *. 1e9;
+      json
+    in
+    let pair ~k missing =
+      let missing = Wire_json.List (List.map Protocol.json_of_value missing) in
+      let reply =
+        timed (2 * k)
+          (line
+             [
+               ("op", Wire_json.String "one_mge");
+               ("session", Wire_json.String session);
+               ("missing", missing);
+             ])
+      in
+      let mge = Option.get (Wire_json.member "mge" reply) in
+      ignore
+        (timed ((2 * k) + 1)
+           (line
+              [
+                ("op", Wire_json.String "check_mge");
+                ("session", Wire_json.String session);
+                ("missing", missing);
+                ("explanation", mge);
+              ]))
+    in
+    (* Three untimed pairs from the far end of the stream first, so the
+       back-to-back run times warm requests only. *)
+    for i = 1 to 3 do
+      pair ~k:(-1) pairs.(Array.length pairs - i)
+    done;
+    for i = 0 to n_pairs - 1 do
+      pair ~k:i pairs.(offset + i)
+    done;
+    ignore
+      (serve
+         (line
+            [
+              ("op", Wire_json.String "close");
+              ("session", Wire_json.String session);
+            ]));
+    let mean_ns = Array.fold_left ( +. ) 0. times /. float_of_int (2 * n_pairs) in
+    Array.sort compare times;
+    raw_row "COLD" label
+      ~params:
+        [
+          ("requests", float_of_int (2 * n_pairs));
+          ("idle_ms", idle_s *. 1e3);
+          ("p50_us", percentile_us times 50.);
+          ("p90_us", percentile_us times 90.);
+        ]
+      ~ns:mean_ns ~counters:[];
+    row "    p50 %.1f us, p90 %.1f us@." (percentile_us times 50.)
+      (percentile_us times 90.)
+  in
+  (* Distinct pairs in the two runs, so neither reuses the other's
+     questions. *)
+  run ~label:"one_mge + check_mge, back to back" ~session:"warm" ~offset:0
+    ~idle_s:0.;
+  run ~label:"one_mge + check_mge, 10 ms idle before each" ~session:"cold"
+    ~offset:n_pairs ~idle_s:0.01
+
 let () =
   Format.printf "why-not explanations: benchmark harness@.";
   Format.printf "(experiment ids refer to DESIGN.md / EXPERIMENTS.md)@.";
@@ -1165,5 +1315,6 @@ let () =
   rewrite_bench ();
   datalog_bench ();
   serve_bench ();
+  cold_bench ();
   write_report "BENCH_whynot.json";
   Format.printf "@.done.@."

@@ -30,7 +30,7 @@ let () =
       ("--ttl-ms", set (fun c v -> { c with session_ttl_ms = v }),
        "MS idle-session eviction TTL; 0 disables (default 600000)");
       ("--sweep-ms", set (fun c v -> { c with sweep_interval_ms = v }),
-       "MS TTL sweeper interval (default 1000)");
+       "MS TTL sweep interval (default 1000)");
       ("--quiet", Arg.Unit (fun () -> cfg := { !cfg with access_log = false }),
        " disable the stderr access log");
       ("--debug-ops", Arg.Unit (fun () -> cfg := { !cfg with debug_ops = true }),

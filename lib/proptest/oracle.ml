@@ -10,6 +10,20 @@ module Whynot = Whynot_core.Whynot
 module Explanation = Whynot_core.Explanation
 
 (* ------------------------------------------------------------------ *)
+(* Value rendering through Format                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* [Value.pp] and [Value.to_string] as they were before [to_string] built
+   its text directly; the [value/to-string-equals-format] property pins
+   the two renderings to each other. *)
+let pp_value ppf = function
+  | Value.Int n -> Format.pp_print_int ppf n
+  | Value.Real x -> Format.fprintf ppf "%g" x
+  | Value.Str s -> Format.fprintf ppf "%S" s
+
+let format_value v = Format.asprintf "%a" pp_value v
+
+(* ------------------------------------------------------------------ *)
 (* Naive CQ evaluation (the pre-planner kernel, kept as oracle)        *)
 (* ------------------------------------------------------------------ *)
 

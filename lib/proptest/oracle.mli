@@ -10,6 +10,16 @@
 
 open Whynot_relational
 
+val pp_value : Format.formatter -> Value.t -> unit
+(** The [Format]-based [Value.pp]: integers by [pp_print_int], reals by
+    [%g], strings by [%S]. Differential oracle for {!Value.pp}
+    ([value/to-string-equals-format]). *)
+
+val format_value : Value.t -> string
+(** [Format.asprintf "%a" pp_value]: the [Format]-based
+    [Value.to_string]. Differential oracle for {!Value.to_string}
+    ([value/to-string-equals-format]). *)
+
 val naive_eval : Cq.t -> Instance.t -> Relation.t
 (** The pre-planner [Cq.eval], verbatim: backtracking join in textual atom
     order with association-list bindings and a full relation scan per atom.

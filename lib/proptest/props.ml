@@ -896,6 +896,43 @@ let text_values_roundtrip =
         List.length vs = List.length vs' && List.for_all2 Value.equal vs vs')
 
 (* ------------------------------------------------------------------ *)
+(* Value rendering vs Format                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Strings with quotes, backslashes, control bytes, non-ASCII and more
+   than a line's width of text, any byte string, and integers and reals
+   of either sign, special floats included. *)
+let gen_rendered_value =
+  let tricky =
+    [
+      ""; "\""; "\\"; "a\"b\\c"; "\n\t\r"; "\000\001\031\127";
+      "\255\128"; "caf\xc3\xa9"; "\xe6\x97\xa5\xe6\x9c\xac"; String.make 100 'x';
+      "Rome"; "it's";
+    ]
+  in
+  QG.frequency
+    [
+      (3, QG.map Value.int QG.int);
+      (1, QG.map Value.int (QG.oneofl [ min_int; max_int; 0; -1 ]));
+      (2, QG.map Value.real QG.float);
+      ( 1,
+        QG.map Value.real
+          (QG.oneofl
+             [ 0.5; -2.5; 1e-300; -1e300; 0.1; nan; infinity; neg_infinity ]) );
+      (3, QG.map Value.str (QG.oneofl tricky));
+      (3, QG.map Value.str (QG.string_size ~gen:QG.char (QG.int_range 0 90)));
+    ]
+
+(* [Value.to_string] equals the [Format] rendering, and [Value.pp]
+   lays out the same inside a box as [Oracle.pp_value]. *)
+let value_to_string_equals_format =
+  prop "value/to-string-equals-format" 500 Oracle.format_value
+    gen_rendered_value (fun v ->
+      let boxed pp = Format.asprintf "@[<hov 2>c =@ %a@ %a@]" pp v pp v in
+      String.equal (Value.to_string v) (Oracle.format_value v)
+      && String.equal (boxed Value.pp) (boxed Oracle.pp_value))
+
+(* ------------------------------------------------------------------ *)
 (* Algorithm 1 vs its literal statement                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -1391,6 +1428,7 @@ let all =
     text_concept_roundtrip;
     text_document_roundtrip;
     text_values_roundtrip;
+    value_to_string_equals_format;
     exhaustive_equals_literal;
     ontology_classes_same_mges;
     eval_planned_equals_naive;

@@ -59,6 +59,9 @@
       and cached [⊑_S] vs the uncached [Subsume_schema.decide] oracle.
     - Text [Parser] vs {!Surface} printer: concept, document and value
       round-trips.
+    - [Value.to_string] and [Value.pp] vs the [Format] rendering
+      [Oracle.format_value]/[Oracle.pp_value], on awkward strings and
+      numbers.
     - [Why.one_mge]/[check_mge] vs [Oracle.why_one_mge]/[why_check_mge]
       (probe values rebuilt and the whole product re-tested per
       attempt). *)

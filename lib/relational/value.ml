@@ -26,16 +26,19 @@ let hash = function
   | Real x -> Hashtbl.hash (1, x)
   | Str s -> Hashtbl.hash (2, s)
 
-let pp ppf = function
-  | Int n -> Format.pp_print_int ppf n
-  | Real x -> Format.fprintf ppf "%g" x
-  | Str s -> Format.fprintf ppf "%S" s
+(* Built directly: [Format] would be pulled into the code path of every
+   wire reply that renders a constant. The quoted form is what [%S]
+   prints. *)
+let to_string = function
+  | Int n -> string_of_int n
+  | Real x -> Printf.sprintf "%g" x
+  | Str s -> "\"" ^ String.escaped s ^ "\""
+
+let pp ppf v = Format.pp_print_string ppf (to_string v)
 
 let pp_bare ppf = function
   | Str s -> Format.pp_print_string ppf s
   | v -> pp ppf v
-
-let to_string v = Format.asprintf "%a" pp v
 
 let of_string s =
   let s =

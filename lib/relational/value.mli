@@ -24,13 +24,15 @@ val equal : t -> t -> bool
 
 val hash : t -> int
 
+val to_string : t -> string
+(** Integers as [string_of_int], reals as [%g], strings quoted and escaped
+    as [%S] prints them. *)
+
 val pp : Format.formatter -> t -> unit
-(** Prints integers and reals bare, strings in double quotes. *)
+(** Prints {!to_string}. *)
 
 val pp_bare : Format.formatter -> t -> unit
 (** Like {!pp} but prints strings without quotes (for tables). *)
-
-val to_string : t -> string
 
 val of_string : string -> t
 (** Parses an integer, then a float, then falls back to a string. Quoted

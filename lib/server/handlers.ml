@@ -61,23 +61,24 @@ let render_concept schema c =
   | conjuncts ->
     conjuncts
     |> List.map (function
-         | Ls.Nominal v -> Printf.sprintf "{%s}" (Value.to_string v)
+         | Ls.Nominal v -> "{" ^ Value.to_string v ^ "}"
          | Ls.Proj { rel; attr; sels } ->
-           let sel_str =
-             match sels with
-             | [] -> ""
-             | _ ->
-               Printf.sprintf "[%s]"
-                 (String.concat ", "
-                    (List.map
-                       (fun (s : Ls.selection) ->
-                          Printf.sprintf "%s %s %s"
-                            (attr_label schema ~rel s.Ls.attr)
-                            (Cmp_op.to_string s.Ls.op)
-                            (Value.to_string s.Ls.value))
-                       sels))
-           in
-           Printf.sprintf "%s.%s%s" rel (attr_label schema ~rel attr) sel_str)
+           let proj = rel ^ "." ^ attr_label schema ~rel attr in
+           (match sels with
+            | [] -> proj
+            | _ ->
+              proj ^ "["
+              ^ String.concat ", "
+                  (List.map
+                     (fun (s : Ls.selection) ->
+                        String.concat " "
+                          [
+                            attr_label schema ~rel s.Ls.attr;
+                            Cmp_op.to_string s.Ls.op;
+                            Value.to_string s.Ls.value;
+                          ])
+                     sels)
+              ^ "]"))
     |> String.concat " & "
 
 let json_of_explanation schema e =

@@ -31,5 +31,5 @@ val handle : deps -> Protocol.request -> (Protocol.Wjson.t, string * string) res
 
 val close_session : swept:bool -> Registry.session -> unit
 (** Close a session's engine under its lock, counting it as closed (and
-    additionally as swept when the idle sweeper triggered the close).
-    Shared with the server's TTL sweeper and shutdown drain. *)
+    additionally as swept when the idle TTL sweep triggered the close).
+    Shared with the server's TTL sweep and shutdown drain. *)

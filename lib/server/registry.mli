@@ -3,7 +3,7 @@
     context needed to serve wire requests against them.
 
     The registry owns only the {e table}; engines are closed by the
-    caller (the request handlers and the server's sweeper/drain paths),
+    caller (the request handlers and the server's TTL sweep/drain paths),
     always under the session's own [lock] so an in-flight operation
     finishes before the engine goes away. *)
 
@@ -23,7 +23,7 @@ type session = {
   created_at_s : float;
   lock : Mutex.t;
       (** serialises engine operations — engines are single-domain-at-a-
-          time values; every handler and the sweeper take this lock *)
+          time values; every handler and the TTL sweep take this lock *)
   mutable last_used_s : float;
 }
 

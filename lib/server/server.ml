@@ -1,9 +1,9 @@
 (* The TCP serving layer. One systhread per connection (request handling
    is dominated by engine work; systhreads are plenty for the socket
-   plumbing), a polling accept loop so shutdown needs no self-pipe, and a
-   counting semaphore as the bounded "queue": try_acquire either admits a
-   request or sheds it with an "overloaded" response — requests are never
-   buffered without bound. *)
+   plumbing), a wake pipe that every blocked thread selects on so an idle
+   server takes no timer wakeups, and a counting semaphore as the bounded
+   "queue": try_acquire either admits a request or sheds it with an
+   "overloaded" response — requests are never buffered without bound. *)
 
 module Obs = Whynot_obs.Obs
 
@@ -47,12 +47,13 @@ type t = {
   registry : Registry.t;
   deps : Handlers.deps;
   shutting_down : bool Atomic.t;
+  wake_r : Unix.file_descr;         (* readable once shutdown begins *)
+  wake_w : Unix.file_descr;
   inflight : Semaphore.Counting.t;
   conns : int ref;                  (* guarded by [conn_mutex] *)
   conn_mutex : Mutex.t;
   conn_cond : Condition.t;
   mutable accept_thread : Thread.t option;
-  mutable sweeper_thread : Thread.t option;
 }
 
 (* --- counters and timers --- *)
@@ -90,14 +91,16 @@ let op_timers =
 
 (* --- logging --- *)
 
+(* With the log off, [ikfprintf] consumes the arguments and formats
+   nothing. *)
 let log t fmt =
   if t.cfg.access_log then
     Printf.ksprintf (fun s -> Printf.eprintf "whynot-server: %s\n%!" s) fmt
-  else Printf.ksprintf ignore fmt
+  else Printf.ikfprintf ignore () fmt
 
 let peer_string = function
   | Unix.ADDR_INET (addr, port) ->
-    Printf.sprintf "%s:%d" (Unix.string_of_inet_addr addr) port
+    Unix.string_of_inet_addr addr ^ ":" ^ string_of_int port
   | Unix.ADDR_UNIX path -> path
 
 (* --- connection I/O --- *)
@@ -105,12 +108,12 @@ let peer_string = function
 exception Conn_closed
 
 let write_line fd line =
-  let data = Bytes.of_string (line ^ "\n") in
-  let len = Bytes.length data in
+  let data = line ^ "\n" in
+  let len = String.length data in
   let off = ref 0 in
   (try
      while !off < len do
-       off := !off + Unix.write fd data !off (len - !off)
+       off := !off + Unix.write_substring fd data !off (len - !off)
      done
    with Unix.Unix_error ((EPIPE | ECONNRESET | EBADF), _, _) ->
      raise Conn_closed)
@@ -123,11 +126,12 @@ type reader = {
 
 let make_reader fd = { fd; buf = Buffer.create 512; chunk = Bytes.create 4096 }
 
-(* Pull one newline-terminated line out of the reader, polling the
-   shutdown flag while idle so draining connections exit promptly.
-   [`Line s] (CR stripped), [`Eof] (peer hung up or shutdown), or
-   [`Too_long] once the pending unterminated input exceeds the cap. *)
-let read_line r ~max_bytes ~stop =
+(* Pull one newline-terminated line out of the reader, blocking until the
+   socket or the wake pipe [wake] is readable, so a draining connection
+   exits at once and an idle one never wakes. [`Line s] (CR stripped),
+   [`Eof] (peer hung up or shutdown), or [`Too_long] once the pending
+   unterminated input exceeds the cap. *)
+let read_line r ~max_bytes ~stop ~wake =
   let take_line () =
     let s = Buffer.contents r.buf in
     match String.index_opt s '\n' with
@@ -150,8 +154,8 @@ let read_line r ~max_bytes ~stop =
       if Buffer.length r.buf > max_bytes then `Too_long
       else if Atomic.get stop then `Eof
       else begin
-        match Unix.select [ r.fd ] [] [] 0.2 with
-        | [], _, _ -> loop ()
+        match Unix.select [ r.fd; wake ] [] [] (-1.) with
+        | readable, _, _ when not (List.mem r.fd readable) -> loop ()
         | _ -> (
           match Unix.read r.fd r.chunk 0 (Bytes.length r.chunk) with
           | 0 -> `Eof
@@ -174,7 +178,9 @@ let classify_code = function
 
 let serve_request t peer line =
   Obs.incr c_requests;
-  let t0 = Obs.now_s () in
+  (* Only the access log reads the clock here; the op timers keep their
+     own. *)
+  let t0 = if t.cfg.access_log then Obs.now_s () else 0. in
   let reply, status =
     match Protocol.parse_request line with
     | Error msg ->
@@ -217,9 +223,10 @@ let serve_request t peer line =
                 | `Error -> Obs.incr c_errors);
                (Protocol.error_line ~request:req ~code ~message (), code))
   in
-  let dur_ms = (Obs.now_s () -. t0) *. 1000. in
-  log t "peer=%s status=%s dur_ms=%.2f bytes=%d" peer status dur_ms
-    (String.length reply);
+  if t.cfg.access_log then
+    log t "peer=%s status=%s dur_ms=%.2f bytes=%d" peer status
+      ((Obs.now_s () -. t0) *. 1000.)
+      (String.length reply);
   reply
 
 (* --- connection loop --- *)
@@ -233,7 +240,7 @@ let conn_main t fd peer =
        else
          match
            read_line reader ~max_bytes:t.cfg.max_line_bytes
-             ~stop:t.shutting_down
+             ~stop:t.shutting_down ~wake:t.wake_r
          with
          | `Eof -> ()
          | `Too_long ->
@@ -275,81 +282,71 @@ let conn_main t fd peer =
     decr t.conns;
     Condition.broadcast t.conn_cond)
 
-(* --- accept loop and sweeper --- *)
+(* --- accept loop and TTL sweep --- *)
 
+let sweep t =
+  if t.cfg.session_ttl_ms > 0 then begin
+    let ttl_s = float_of_int t.cfg.session_ttl_ms /. 1000. in
+    let stale = Registry.sweep t.registry ~ttl_s ~now_s:(Obs.now_s ()) in
+    List.iter
+      (fun (s : Registry.session) ->
+         Handlers.close_session ~swept:true s;
+         log t "session=%s status=swept" s.Registry.name)
+      stale
+  end
+
+let accept_conn t =
+  match Unix.accept ~cloexec:true t.lsock with
+  | fd, peer_addr ->
+    Obs.incr c_conns_accepted;
+    (* Each reply is one [write], so Nagle has nothing to coalesce;
+       left on, it holds a reply behind the previous one's ACK. *)
+    (try Unix.setsockopt fd Unix.TCP_NODELAY true
+     with Unix.Unix_error (_, _, _) -> ());
+    let peer = peer_string peer_addr in
+    let admitted =
+      Mutex.protect t.conn_mutex (fun () ->
+        if !(t.conns) >= t.cfg.max_conns then false
+        else begin
+          incr t.conns;
+          true
+        end)
+    in
+    if admitted then ignore (Thread.create (fun () -> conn_main t fd peer) ())
+    else begin
+      Obs.incr c_conns_shed;
+      (try
+         write_line fd
+           (Protocol.error_line ~code:"overloaded"
+              ~message:"the server is at its connection limit" ())
+       with Conn_closed -> ());
+      (try Unix.close fd with Unix.Unix_error (_, _, _) -> ());
+      log t "peer=%s status=conn-shed" peer
+    end
+  | exception Unix.Unix_error ((EINTR | ECONNABORTED), _, _) -> ()
+
+(* The accept thread also runs the TTL sweep: its select times out when
+   the next sweep is due. The timeout stays finite even with the TTL off,
+   since it bounds how long an OCaml signal handler waits when the signal
+   lands on a thread blocked outside OCaml. *)
 let accept_loop t =
-  let rec loop () =
-    if Atomic.get t.shutting_down then ()
-    else begin
-      (match Unix.select [ t.lsock ] [] [] 0.2 with
-       | [], _, _ -> ()
-       | _ -> (
-         match Unix.accept ~cloexec:true t.lsock with
-         | fd, peer_addr ->
-           Obs.incr c_conns_accepted;
-           (* Each reply is one [write], so Nagle has nothing to coalesce;
-              left on, it holds a reply behind the previous one's ACK. *)
-           (try Unix.setsockopt fd Unix.TCP_NODELAY true
-            with Unix.Unix_error (_, _, _) -> ());
-           let peer = peer_string peer_addr in
-           let admitted =
-             Mutex.protect t.conn_mutex (fun () ->
-               if !(t.conns) >= t.cfg.max_conns then false
-               else begin
-                 incr t.conns;
-                 true
-               end)
-           in
-           if admitted then
-             ignore (Thread.create (fun () -> conn_main t fd peer) ())
-           else begin
-             Obs.incr c_conns_shed;
-             (try
-                write_line fd
-                  (Protocol.error_line ~code:"overloaded"
-                     ~message:"the server is at its connection limit" ())
-              with Conn_closed -> ());
-             (try Unix.close fd with Unix.Unix_error (_, _, _) -> ());
-             log t "peer=%s status=conn-shed" peer
-           end
-         | exception Unix.Unix_error ((EINTR | ECONNABORTED), _, _) -> ())
-       | exception Unix.Unix_error (EINTR, _, _) -> ());
-      loop ()
-    end
-  in
-  loop ();
-  (try Unix.close t.lsock with Unix.Unix_error (_, _, _) -> ())
-
-let sweeper_loop t =
   let interval_s = float_of_int (max t.cfg.sweep_interval_ms 10) /. 1000. in
-  let rec loop () =
-    if Atomic.get t.shutting_down then ()
-    else begin
-      (* Sleep in short slices so shutdown is never held up by a long
-         sweep interval. *)
-      let slices = int_of_float (Float.ceil (interval_s /. 0.05)) in
-      let rec doze k =
-        if k > 0 && not (Atomic.get t.shutting_down) then begin
-          Thread.delay 0.05;
-          doze (k - 1)
-        end
-      in
-      doze slices;
-      if (not (Atomic.get t.shutting_down)) && t.cfg.session_ttl_ms > 0 then begin
-        let ttl_s = float_of_int t.cfg.session_ttl_ms /. 1000. in
-        let stale =
-          Registry.sweep t.registry ~ttl_s ~now_s:(Obs.now_s ())
-        in
-        List.iter
-          (fun (s : Registry.session) ->
-             Handlers.close_session ~swept:true s;
-             log t "session=%s status=swept" s.Registry.name)
-          stale
-      end;
-      loop ()
+  let rec loop next_sweep =
+    if not (Atomic.get t.shutting_down) then begin
+      let timeout = Float.max 0. (next_sweep -. Obs.now_s ()) in
+      (match Unix.select [ t.lsock; t.wake_r ] [] [] timeout with
+       | readable, _, _ -> if List.mem t.lsock readable then accept_conn t
+       | exception Unix.Unix_error (EINTR, _, _) -> ());
+      let now = Obs.now_s () in
+      if now < next_sweep || Atomic.get t.shutting_down then loop next_sweep
+      else begin
+        sweep t;
+        loop (now +. interval_s)
+      end
     end
   in
-  loop ()
+  loop (Obs.now_s () +. interval_s);
+  (try Unix.close t.lsock with Unix.Unix_error (_, _, _) -> ())
 
 (* --- lifecycle --- *)
 
@@ -372,6 +369,7 @@ let start cfg =
       | Unix.ADDR_UNIX _ -> cfg.port
     in
     let registry = Registry.create ~max_sessions:cfg.max_sessions in
+    let wake_r, wake_w = Unix.pipe ~cloexec:true () in
     let deps =
       {
         Handlers.registry;
@@ -391,16 +389,16 @@ let start cfg =
         registry;
         deps;
         shutting_down = Atomic.make false;
+        wake_r;
+        wake_w;
         inflight = Semaphore.Counting.make (max cfg.max_inflight 1);
         conns = ref 0;
         conn_mutex = Mutex.create ();
         conn_cond = Condition.create ();
         accept_thread = None;
-        sweeper_thread = None;
       }
     in
     t.accept_thread <- Some (Thread.create accept_loop t);
-    t.sweeper_thread <- Some (Thread.create sweeper_loop t);
     log t "listening on %s:%d" cfg.host bound_port;
     t
   with
@@ -412,19 +410,41 @@ let start cfg =
 let port t = t.bound_port
 let config t = t.cfg
 let session_count t = Registry.count t.registry
-let initiate_shutdown t = Atomic.set t.shutting_down true
+
+(* The byte is never read back, so the pipe stays readable for every
+   thread that selects on it, now or later. *)
+let initiate_shutdown t =
+  if not (Atomic.exchange t.shutting_down true) then
+    try ignore (Unix.single_write_substring t.wake_w "x" 0 1)
+    with Unix.Unix_error (_, _, _) -> ()
 
 let wait t =
-  Option.iter Thread.join t.accept_thread;
-  Mutex.protect t.conn_mutex (fun () ->
-    while !(t.conns) > 0 do
-      Condition.wait t.conn_cond t.conn_mutex
-    done);
-  Option.iter Thread.join t.sweeper_thread;
-  let drained = Registry.drain t.registry in
-  List.iter (Handlers.close_session ~swept:false) drained;
-  log t "drained: %d sessions closed, %d requests served" (List.length drained)
-    (Obs.value c_served)
+  match t.accept_thread with
+  | None -> () (* already drained *)
+  | Some accept_thread ->
+    (* Block in [select], where a signal interrupts the wait, rather than
+       in the join: SIGTERM usually lands on this thread, and its OCaml
+       handler runs only once the thread is back in OCaml code. *)
+    let rec until_woken () =
+      match Unix.select [ t.wake_r ] [] [] (-1.) with
+      | _ -> ()
+      | exception Unix.Unix_error (EINTR, _, _) -> until_woken ()
+    in
+    until_woken ();
+    Thread.join accept_thread;
+    t.accept_thread <- None;
+    Mutex.protect t.conn_mutex (fun () ->
+      while !(t.conns) > 0 do
+        Condition.wait t.conn_cond t.conn_mutex
+      done);
+    (* No thread selects on the wake pipe any more. *)
+    List.iter
+      (fun fd -> try Unix.close fd with Unix.Unix_error (_, _, _) -> ())
+      [ t.wake_r; t.wake_w ];
+    let drained = Registry.drain t.registry in
+    List.iter (Handlers.close_session ~swept:false) drained;
+    log t "drained: %d sessions closed, %d requests served"
+      (List.length drained) (Obs.value c_served)
 
 let install_signal_handlers t =
   let handle = Sys.Signal_handle (fun _ -> initiate_shutdown t) in

@@ -40,7 +40,8 @@ type config = {
   default_deadline_ms : int; (** per-request deadline; [0] = none *)
   max_deadline_ms : int;     (** cap on client deadlines; [0] = none *)
   session_ttl_ms : int;      (** idle-session eviction; [0] = never *)
-  sweep_interval_ms : int;   (** how often the TTL sweeper wakes up *)
+  sweep_interval_ms : int;   (** how often the accept thread runs the TTL
+                                 sweep (also its longest select wait) *)
   access_log : bool;         (** one stderr line per request *)
   debug_ops : bool;          (** enable [debug_sleep] and its [fail] (tests only) *)
 }
@@ -52,8 +53,11 @@ val default_config : config
 type t
 
 val start : config -> (t, string) result
-(** Bind, listen, and spawn the accept loop and the TTL sweeper.
-    [Error] carries the bind failure (address in use, permission). *)
+(** Bind, listen, and spawn the accept thread, which also runs the TTL
+    sweep every [sweep_interval_ms]. Connection threads block on their
+    socket and the shutdown wake pipe with no timeout, so an idle server
+    wakes only for the sweep. [Error] carries the bind failure (address
+    in use, permission). *)
 
 val port : t -> int
 (** The actually bound port (useful with [config.port = 0]). *)
@@ -62,13 +66,18 @@ val config : t -> config
 val session_count : t -> int
 
 val initiate_shutdown : t -> unit
-(** Signal-safe and idempotent: flips the shutdown flag the accept loop,
-    connection loops and sweeper poll. *)
+(** Signal-safe and idempotent: sets the shutdown flag and, the first
+    time, writes one byte to the wake pipe. Nothing reads the byte back,
+    so the pipe stays readable and wakes the accept thread and every
+    connection thread blocked in [select], now or later. *)
 
 val wait : t -> unit
 (** Block until the server has fully drained: accept loop exited, every
-    connection thread finished, every session closed, listener closed.
-    Call {!initiate_shutdown} (or send SIGTERM) to make it return. *)
+    connection thread finished, every session closed, listener and wake
+    pipe closed. Call {!initiate_shutdown} (or send SIGTERM) to make it
+    return; a second call returns at once. Until shutdown begins it
+    waits in [select] on the wake pipe, so a SIGTERM delivered to the
+    waiting thread runs its handler at once. *)
 
 val install_signal_handlers : t -> unit
 (** SIGTERM and SIGINT call {!initiate_shutdown}. (SIGPIPE is already

@@ -443,7 +443,7 @@ let relation_decls doc =
                Schema.name = v.View.name;
                attrs =
                  List.init (Ucq.arity v.View.body) (fun i ->
-                     Printf.sprintf "a%d" (i + 1));
+                     "a" ^ string_of_int (i + 1));
              })
       doc.views
   in

@@ -601,6 +601,122 @@ let test_implicit_view_mge_round_trips () =
   Alcotest.(check bool) "check_mge accepts the one_mge reply" true
     (Json.member "is_mge" reply = Some (Json.Bool true))
 
+(* A nominal whose string holds a quote and a backslash renders escaped,
+   exactly as the text format reads it back. *)
+let escaped_nominal_document =
+  String.concat "\n"
+    [
+      "relation R(a)";
+      "fact R(1)";
+      "query q(x) := R(x)";
+      {|whynot ("p\"q\\r")|};
+    ]
+
+let test_escaped_nominal_round_trips () =
+  with_server @@ fun server ->
+  let c = connect (Server.port server) in
+  Fun.protect ~finally:(fun () -> disconnect c) @@ fun () ->
+  let op fields = rpc c (Json.to_string (Json.Obj fields)) in
+  ignore
+    (check_ok "create"
+       (op
+          [
+            ("op", Json.String "create");
+            ("session", Json.String "e");
+            ("document", Json.String escaped_nominal_document);
+          ]));
+  let expected = Json.List [ Json.String {|{"p\"q\\r"}|} ] in
+  let mge =
+    Json.member "mge"
+      (check_ok "one_mge"
+         (op [ ("op", Json.String "one_mge"); ("session", Json.String "e") ]))
+  in
+  Alcotest.(check (option string)) "the nominal renders escaped"
+    (Some (Json.to_string expected)) (Option.map Json.to_string mge);
+  let reply =
+    check_ok "check_mge"
+      (op
+         [
+           ("op", Json.String "check_mge");
+           ("session", Json.String "e");
+           ("explanation", expected);
+         ])
+  in
+  Alcotest.(check bool) "check_mge accepts the one_mge reply" true
+    (Json.member "is_mge" reply = Some (Json.Bool true))
+
+(* A server with the TTL off and a sweep a minute away, and two idle
+   connections open: nothing but the wake pipe ends the accept loop's
+   select and the connections' reads. *)
+let idle_server_with_two_clients () =
+  let cfg =
+    { Server.default_config with
+      port = 0; access_log = false; session_ttl_ms = 0;
+      sweep_interval_ms = 60_000 }
+  in
+  let server =
+    match Server.start cfg with
+    | Ok s -> s
+    | Error msg -> Alcotest.failf "server failed to start: %s" msg
+  in
+  let clients = [ connect (Server.port server); connect (Server.port server) ] in
+  List.iter
+    (fun c -> ignore (check_ok "ping while idle" (rpc c "{\"op\":\"ping\"}")))
+    clients;
+  (server, clients)
+
+(* A thread that blocks SIGTERM, so it never runs the handler in
+   another thread's stead. If [done_] is still unset after 2 s it sets
+   [timed_out] and shuts [server] down itself, so the test ends. *)
+let watchdog server ~done_ ~timed_out =
+  Thread.create
+    (fun () ->
+       ignore (Thread.sigmask Unix.SIG_BLOCK [ Sys.sigterm ]);
+       let t0 = Whynot_obs.Obs.now_s () in
+       while (not (Atomic.get done_)) && Whynot_obs.Obs.now_s () -. t0 < 2. do
+         Thread.delay 0.01
+       done;
+       if not (Atomic.get done_) then begin
+         Atomic.set timed_out true;
+         Server.initiate_shutdown server
+       end)
+    ()
+
+let test_shutdown_wakes_idle_threads () =
+  let server, clients = idle_server_with_two_clients () in
+  let drained = Atomic.make false and timed_out = Atomic.make false in
+  let dog = watchdog server ~done_:drained ~timed_out in
+  Server.initiate_shutdown server;
+  Server.wait server;
+  Atomic.set drained true;
+  Thread.join dog;
+  List.iter disconnect clients;
+  Alcotest.(check bool) "shutdown drained the idle server within 2s" false
+    (Atomic.get timed_out)
+
+(* SIGTERM from another process while this thread waits in
+   [Server.wait]: the signal lands on this thread, so [wait] must block
+   where a signal interrupts it, or the handler would run only when the
+   accept loop's select times out for the sweep a minute away. *)
+let test_external_sigterm_wakes_wait () =
+  let server, clients = idle_server_with_two_clients () in
+  Server.install_signal_handlers server;
+  let drained = Atomic.make false and timed_out = Atomic.make false in
+  let dog = watchdog server ~done_:drained ~timed_out in
+  let killer =
+    Unix.create_process "/bin/sh"
+      [| "/bin/sh"; "-c";
+         "sleep 0.2; kill -TERM " ^ string_of_int (Unix.getpid ()) |]
+      Unix.stdin Unix.stdout Unix.stderr
+  in
+  Server.wait server;
+  Atomic.set drained true;
+  Thread.join dog;
+  ignore (Unix.waitpid [] killer);
+  List.iter disconnect clients;
+  Alcotest.(check bool) "SIGTERM drained the waiting server within 2s" false
+    (Atomic.get timed_out)
+
 (* --- protocol unit checks (no sockets) --- *)
 
 module Protocol = Whynot_server.Protocol
@@ -649,6 +765,8 @@ let () =
             `Quick test_illegal_document_reports_schema_violation;
           Alcotest.test_case "implicit-view MGE passes check_mge" `Quick
             test_implicit_view_mge_round_trips;
+          Alcotest.test_case "escaped nominal passes check_mge" `Quick
+            test_escaped_nominal_round_trips;
           Alcotest.test_case "sixteen-domain sessions exhaust no domains"
             `Quick test_many_sixteen_domain_sessions;
         ] );
@@ -670,5 +788,9 @@ let () =
         [
           Alcotest.test_case "graceful drain" `Quick test_graceful_drain;
           Alcotest.test_case "SIGTERM drains" `Quick test_sigterm_drains;
+          Alcotest.test_case "shutdown wakes idle threads" `Quick
+            test_shutdown_wakes_idle_threads;
+          Alcotest.test_case "external SIGTERM wakes wait" `Quick
+            test_external_sigterm_wakes_wait;
         ] );
     ]
