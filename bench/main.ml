@@ -439,6 +439,68 @@ let existence () =
 (* ALG2: incremental search                                            *)
 (* ================================================================== *)
 
+(* The frontier alone, as Algorithm 2 drives it on the 40-city
+   question over one warm handle: [make] on the nominal tuple, then the
+   search's first accepted absorption through [accepts] and [replace].
+   Memberships are those of the selection-free lubs: an id for a
+   nominal, one mask inclusion for a mask. The row carries the minor
+   words of one call (mean over 1000 calls) as [gc.minor_words]. *)
+let frontier_bench () =
+  let module F = Explanation.Frontier in
+  let module Subsume_memo = Whynot_concept.Subsume_memo in
+  let gi =
+    Generate.cities_like ~seed:1 ~n_cities:40 ~n_countries:8
+      ~n_connections:80 ()
+  in
+  let wn = Generate.cities_whynot gi in
+  let h = Subsume_memo.inst wn.Whynot.instance in
+  let q =
+    F.ids ~answers:(F.encode ~handle:h wn.Whynot.answers) ~handle:h wn
+  in
+  let posmasks = Subsume_memo.posmasks h in
+  let member = function
+    | `Id x -> Int.equal x
+    | `Mask m -> Whynot_concept.Lub.covers h m
+  in
+  let start = List.init (Whynot.arity wn) (fun j -> `Id (F.missing_id q j)) in
+  let make () = Option.get (F.make q member start) in
+  let first_absorption =
+    let f = make () in
+    let rec go j i =
+      if i = Array.length posmasks then go (j + 1) 0
+      else
+        let c =
+          `Mask (Bits.inter posmasks.(F.missing_id q j) posmasks.(i))
+        in
+        if (not (F.mem f j i)) && F.accepts f j c then (j, c) else go j (i + 1)
+    in
+    go 0 0
+  in
+  let call () =
+    let f = make () in
+    let j, c = first_absorption in
+    if F.accepts f j c then F.replace f j c;
+    f
+  in
+  let minor_words =
+    let n = 1000 and w0 = Gc.minor_words () in
+    for _ = 1 to n do ignore (Sys.opaque_identity (call ())) done;
+    int_of_float ((Gc.minor_words () -. w0) /. float_of_int n)
+  in
+  match
+    timed_ns ~params:[ ("cities", 40.) ] "ALG2"
+      "Frontier.make + replace / cities=40" call
+  with
+  | None -> ()
+  | Some _ ->
+    row "    %d minor words per call@." minor_words;
+    (match !bench_rows with
+     | r :: rest ->
+       bench_rows :=
+         { r with r_counters = r.r_counters @ [ ("gc.minor_words", minor_words) ] }
+         :: rest
+     | [] -> ())
+
 let alg2 () =
   header "ALG2" "Theorem 5.3: Incremental Search (selection-free) scaling";
   List.iter
@@ -460,6 +522,7 @@ let alg2 () =
              Incremental.check_mge wn e)
        end)
     (sweep [ 20; 40; 80 ]);
+  frontier_bench ();
   row "-- D4 ablation: constant-offer order --@.";
   let gi = Generate.cities_like ~n_cities:40 ~n_countries:8 ~n_connections:80 () in
   let wn = Generate.cities_whynot gi in

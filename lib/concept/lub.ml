@@ -13,6 +13,30 @@ let mask h x =
     x
     (Bits.full (Array.length (Subsume_memo.positions h)))
 
+let projection_mask h c =
+  let positions = Subsume_memo.positions h in
+  let m = Bits.empty (Array.length positions) in
+  let rec position rel attr k =
+    if k = Array.length positions then -1
+    else
+      let rel', attr' = positions.(k) in
+      if attr = attr' && String.equal rel rel' then k
+      else position rel attr (k + 1)
+  in
+  let rec add = function
+    | [] -> true
+    | Ls.Proj { rel; attr; sels = [] } :: rest ->
+      (match position rel attr 0 with
+       | -1 -> false
+       | k ->
+         Bits.add m k;
+         add rest)
+    | _ -> false
+  in
+  match Ls.conjuncts c with
+  | [] -> None
+  | conjuncts -> if add conjuncts then Some m else None
+
 let covers h m =
   if Bits.is_empty m then fun _ -> true
   else

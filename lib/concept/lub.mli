@@ -41,6 +41,12 @@ val mask : Subsume_memo.inst -> Value_set.t -> Bits.t
 (** [mask h X]: the positions whose column holds every constant of [X];
     empty when [X] has a constant outside the active domain. *)
 
+val projection_mask : Subsume_memo.inst -> Ls.t -> Bits.t option
+(** [Some m] when the concept is a meet of one or more selection-free
+    projections, each on a position of the instance: its extension is
+    then the constants whose position mask contains [m] ({!covers}),
+    with no extension to fetch. [None] for any other concept. *)
+
 val covers : Subsume_memo.inst -> Bits.t -> int -> bool
 (** [covers h m i] iff the [i]-th constant of
     {!Subsume_memo.adom_array} is in the extension of the meet of [m]'s

@@ -36,27 +36,71 @@ module Frontier = struct
   module Subsume_memo = Whynot_concept.Subsume_memo
   module Value_tbl = Hashtbl.Make (Value)
 
-  (* Ids [0 .. |adom|-1] are the handle's [adom_array]; the answers'
-     values outside it follow, first seen first. *)
+  (* Column [j] of the answers: its distinct ids, ascending, and the
+     answers holding each, ascending. The postings of [ids.(k)] are
+     [postings.(starts.(k)) .. postings.(starts.(k + 1) - 1)]. *)
+  type column = {
+    ids : int array;
+    starts : int array;
+    postings : int array;
+  }
+
+  (* Ids [0 .. |adom|-1] are the handle's [adom_array], ascending; the
+     answers' values outside it follow, first seen first. *)
   type answers = {
     source : Relation.t;
     handle : Subsume_memo.inst option;
     adom : Value.t array;
-    adom_id : Value.t -> int;  (* -1 outside [adom] *)
     outside : Value.t array;
     outside_ids : int Value_tbl.t;
-    rows : int array array;
+    count : int;  (* |Ans| *)
+    columns : column array;
+    slots : int array;
+        (* component [j] of answer [i], at [i * arity + j], as its index
+           among [columns.(j).ids] *)
   }
 
+  (* Column [j] of the answers' ids [rows] (laid out as [slots]), whose
+     slots it writes into [slots]. *)
+  let column rows slots ~count ~arity j =
+    let at i = rows.((i * arity) + j) in
+    let postings = Array.init count Fun.id in
+    Array.stable_sort (fun i i' -> Int.compare (at i) (at i')) postings;
+    let ids = ref [] and starts = ref [] and k = ref (-1) in
+    Array.iteri
+      (fun p i ->
+         if p = 0 || at postings.(p - 1) <> at i then begin
+           incr k;
+           ids := at i :: !ids;
+           starts := p :: !starts
+         end;
+         slots.((i * arity) + j) <- !k)
+      postings;
+    {
+      ids = Array.of_list (List.rev !ids);
+      starts = Array.of_list (List.rev (count :: !starts));
+      postings;
+    }
+
+  (* The index of [v] in the ascending [adom], or -1: a binary search
+     reads fewer cold cache lines than a hash lookup. *)
+  let adom_id adom v =
+    let rec go lo hi =
+      if lo >= hi then -1
+      else
+        let mid = (lo + hi) / 2 in
+        let c = Value.compare adom.(mid) v in
+        if c = 0 then mid else if c < 0 then go (mid + 1) hi else go lo mid
+    in
+    go 0 (Array.length adom)
+
   let encode ?handle r =
-    let adom, adom_id =
-      match handle with
-      | Some h -> (Subsume_memo.adom_array h, Subsume_memo.adom_index h)
-      | None -> ([||], fun _ -> -1)
+    let adom =
+      match handle with Some h -> Subsume_memo.adom_array h | None -> [||]
     in
     let outside_ids = Value_tbl.create 8 and outside = ref [] in
     let id v =
-      match adom_id v with
+      match adom_id adom v with
       | -1 ->
         (match Value_tbl.find_opt outside_ids v with
          | Some i -> i
@@ -67,22 +111,74 @@ module Frontier = struct
            i)
       | i -> i
     in
-    let rows =
-      Relation.fold
-        (fun t acc ->
-           Array.init (Tuple.arity t) (fun k -> id (Tuple.get t (k + 1)))
-           :: acc)
-        r []
-    in
+    let arity = Relation.arity r and count = Relation.cardinal r in
+    let rows = Array.make (count * arity) 0 in
+    ignore
+      (Relation.fold
+         (fun t i ->
+            for j = 0 to arity - 1 do
+              rows.((i * arity) + j) <- id (Tuple.get t (j + 1))
+            done;
+            i + 1)
+         r 0);
+    let slots = Array.make (count * arity) 0 in
+    let columns = Array.init arity (column rows slots ~count ~arity) in
     {
       source = r;
       handle;
       adom;
-      adom_id;
       outside = Array.of_list (List.rev !outside);
       outside_ids;
-      rows = Array.of_list (List.rev rows);
+      count;
+      columns;
+      slots;
     }
+
+  let known a v =
+    match adom_id a.adom v with
+    | -1 when Array.length a.outside = 0 -> -1
+    | -1 -> Option.value ~default:(-1) (Value_tbl.find_opt a.outside_ids v)
+    | i -> i
+
+  (* The index of [id] among a column's ids, or -1. *)
+  let slot c id =
+    let rec go lo hi =
+      if lo >= hi then -1
+      else
+        let mid = (lo + hi) / 2 in
+        let x = c.ids.(mid) in
+        if x = id then mid else if x < id then go (mid + 1) hi else go lo mid
+    in
+    go 0 (Array.length c.ids)
+
+  (* The tuple's slots, then the answers of its shortest posting list,
+     each compared in full. *)
+  let is_answer a t =
+    let arity = Array.length a.columns in
+    let slots =
+      Array.init (min arity (Tuple.arity t)) (fun j ->
+          slot a.columns.(j) (known a (Tuple.get t (j + 1))))
+    in
+    let postings j =
+      a.columns.(j).starts.(slots.(j) + 1) - a.columns.(j).starts.(slots.(j))
+    in
+    let rec same i j =
+      j = arity || (a.slots.((i * arity) + j) = slots.(j) && same i (j + 1))
+    in
+    Tuple.arity t = arity
+    && (not (Array.mem (-1) slots))
+    &&
+    if arity = 0 then a.count > 0
+    else
+      let shortest = ref 0 in
+      for j = 1 to arity - 1 do
+        if postings j < postings !shortest then shortest := j
+      done;
+      let c = a.columns.(!shortest) and k = slots.(!shortest) in
+      let rec scan p =
+        p < c.starts.(k + 1) && (same c.postings.(p) 0 || scan (p + 1))
+      in
+      scan c.starts.(k)
 
   (* The missing values without an id in [ans] take the next ones. *)
   type ids = {
@@ -90,11 +186,6 @@ module Frontier = struct
     extra : Value.t array;
     missing : int array;
   }
-
-  let known a v =
-    match a.adom_id v with
-    | -1 -> Option.value ~default:(-1) (Value_tbl.find_opt a.outside_ids v)
-    | i -> i
 
   let base q = Array.length q.ans.adom + Array.length q.ans.outside
   let size q = base q + Array.length q.extra
@@ -177,36 +268,85 @@ module Frontier = struct
     concepts : 'c array;
     members : (int -> bool) array;
         (* [members.(j)] = [member concepts.(j)], applied once. *)
-    rows : int array array;
-    excluded : Bits.t array;
-        (* [excluded.(i)]: the positions [j] whose concept misses
-           component [j] of answer [i]. *)
+    ans : answers;
+    covered : Bits.t array;
+        (* [covered.(j)]: the answers whose component [j] is in
+           [ext(concepts.(j))], as a set of answer indices. *)
     only : int list array;
         (* [only.(j)] = D_j: component [j] of every answer that position
-           [j] alone excludes, each id once. *)
-    size : int;
+           [j] alone excludes, each id once, ascending. *)
   }
 
-  (* Recompute every D_j from the exclusion masks; false when some answer
-     is excluded at no position. *)
+  (* [covered_j] under the membership [m]: one call per distinct id of
+     column [j], then that id's postings. *)
+  let cover a j m =
+    let c = a.columns.(j) and s = Bits.empty a.count in
+    for k = 0 to Array.length c.ids - 1 do
+      if m c.ids.(k) then
+        for p = c.starts.(k) to c.starts.(k + 1) - 1 do
+          Bits.add s c.postings.(p)
+        done
+    done;
+    s
+
+  let width = Sys.int_size
+  let word (s : Bits.t) w = (s :> int array).(w)
+
+  (* Word [w] of [⋀_{k≠j} covered_k], cut to the answers' bits: with no
+     other position, every answer. [j = -1] gives [⋀_k covered_k]. *)
+  let others f j w =
+    let left = f.ans.count - (w * width) in
+    let acc = ref (if left >= width then -1 else (1 lsl left) - 1) in
+    for k = 0 to Array.length f.covered - 1 do
+      if k <> j then acc := !acc land word f.covered.(k) w
+    done;
+    !acc
+
+  (* Whether no answer is covered at every position, from word [w]. *)
+  let rec none_covered_everywhere f w words =
+    w = words
+    || (others f (-1) w = 0 && none_covered_everywhere f (w + 1) words)
+
+  (* Calls [k] on the index of every set bit of word [w], from [base]. *)
+  let rec iter_bits k base w =
+    if w <> 0 then
+      if w land 0xff = 0 then iter_bits k (base + 8) (w lsr 8)
+      else begin
+        if w land 1 <> 0 then k base;
+        iter_bits k (base + 1) (w lsr 1)
+      end
+
+  (* D_j: the answers [¬covered_j ∧ ⋀_{k≠j} covered_k], a word at a
+     time, marked by their slots in column [j], then read off as its
+     ids. *)
+  let alone f j words =
+    let a = f.ans in
+    let c = a.columns.(j) and arity = Array.length f.covered in
+    let seen = Bits.empty (Array.length c.ids) in
+    let see i = Bits.add seen a.slots.((i * arity) + j) in
+    for w = 0 to words - 1 do
+      iter_bits see (w * width) (lnot (word f.covered.(j) w) land others f j w)
+    done;
+    if Bits.is_empty seen then []
+    else begin
+      let d = ref [] in
+      for k = Array.length c.ids - 1 downto 0 do
+        if Bits.mem seen k then d := c.ids.(k) :: !d
+      done;
+      !d
+    end
+
+  (* Recompute every D_j from the covered sets; false when some answer
+     is covered at every position. *)
   let refill f =
-    let seen = Array.map (fun _ -> Bits.empty f.size) f.only in
-    Array.fill f.only 0 (Array.length f.only) [];
-    let rec go i =
-      i = Array.length f.rows
-      ||
-      match Bits.sole f.excluded.(i) with
-      | -1 -> false
-      | -2 -> go (i + 1)
-      | j ->
-        let v = f.rows.(i).(j) in
-        if not (Bits.mem seen.(j) v) then begin
-          Bits.add seen.(j) v;
-          f.only.(j) <- v :: f.only.(j)
-        end;
-        go (i + 1)
-    in
-    go 0
+    let words = (f.ans.count + width - 1) / width in
+    none_covered_everywhere f 0 words
+    && begin
+      for j = 0 to Array.length f.only - 1 do
+        f.only.(j) <- alone f j words
+      done;
+      true
+    end
 
   let make (q : ids) member e =
     let arity = Array.length q.missing in
@@ -216,21 +356,15 @@ module Frontier = struct
       let members = Array.map member concepts in
       if not (Array.for_all2 (fun m a -> m a) members q.missing) then None
       else
-        let excluded row =
-          let x = Bits.empty arity in
-          Array.iteri (fun j v -> if not (members.(j) v) then Bits.add x j) row;
-          x
-        in
         let f =
           {
             member;
             missing = q.missing;
             concepts;
             members;
-            rows = q.ans.rows;
-            excluded = Array.map excluded q.ans.rows;
+            ans = q.ans;
+            covered = Array.mapi (cover q.ans) members;
             only = Array.make arity [];
-            size = size q;
           }
         in
         if refill f then Some f else None
@@ -252,10 +386,6 @@ module Frontier = struct
       invalid_arg "Explanation.Frontier.replace: not an explanation";
     f.concepts.(j) <- c;
     f.members.(j) <- m;
-    Array.iteri
-      (fun i row ->
-         if m row.(j) then Bits.clear f.excluded.(i) j
-         else Bits.add f.excluded.(i) j)
-      f.rows;
+    f.covered.(j) <- cover f.ans j m;
     ignore (refill f)
 end

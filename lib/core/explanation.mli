@@ -29,8 +29,9 @@ val is_explanation : 'c Ontology.t -> Whynot.t -> 'c t -> bool
     position [j] replaced by [c], still an explanation? A frontier
     answers it without re-testing all [|Ans| × arity] memberships.
 
-    A frontier holds an explanation [(C_1, ..., C_m)] and, for every answer
-    [t], which positions exclude it ([t_j ∉ ext(C_j)]). Its invariant is
+    A frontier holds an explanation [(C_1, ..., C_m)] and, for every
+    position [j], which answers [t] it covers ([t_j ∈ ext(C_j)]); the
+    other positions exclude [t]. Its invariant is
     the sets [D_j]: the [j]-th components of the answers that position
     [j] {e alone} excludes. Every answer is excluded somewhere, because
     the tuple is an explanation.
@@ -52,25 +53,45 @@ val is_explanation : 'c Ontology.t -> Whynot.t -> 'c t -> bool
     hashing. The answers' values outside the active domain (head
     constants of the query) take the next ids, and the missing values
     outside both the ones after. Without a handle every value is
-    outside. {!encode} turns [Ans] into rows of ids once: an engine keeps
-    the encoding beside its cached [Ans]; a caller without one encodes
-    per call ([|Ans| × arity] hash lookups). {!ids} adds one question's
-    missing tuple ([arity] lookups). Each answer's excluded positions are
-    one {!Bits} mask and each [D_j] a list of distinct ids.
+    outside. {!encode} turns [Ans] into ids once: an engine keeps the
+    encoding beside its cached [Ans]; a caller without one encodes per
+    call ([|Ans| × arity] lookups). {!ids} adds one question's missing
+    tuple ([arity] lookups). A value is looked up by binary search in
+    the sorted active domain, which reads fewer cold cache lines than a
+    hash lookup, and hashed only when it lies outside.
 
-    Per call: {!make} costs [arity] predicate builds and
-    [|Ans| × arity] predicate calls; {!accepts} one predicate build and
-    [1 + |D_j|] calls; {!replace} one build, [|Ans|] calls, and the
-    recomputation of every [D_j] over the [|Ans|] masks. *)
+    {2 Layout}
+
+    The encoding holds, per position [j], the distinct ids of column [j]
+    with, for each, the answers holding it there (compressed postings),
+    and one flat array of each answer's index among those ids at every
+    position. A frontier keeps
+    one [|Ans|]-bit set [covered_j] per position: the answers whose
+    component [j] is in the extension of [C_j]. The tuple is an
+    explanation iff [⋀_k covered_k = ∅], and the answers excluded at
+    [j] alone are [¬covered_j ∧ ⋀_{k≠j} covered_k], both computed a
+    word at a time; [D_j] maps them back to column [j]'s ids.
+
+    Per call: {!make} costs [arity] predicate builds and one predicate
+    call per distinct id of each column; {!accepts} one predicate build
+    and [1 + |D_j|] calls; {!replace} one build, one call per distinct
+    id of column [j], and the recomputation of every [D_j] over
+    [arity × ⌈|Ans| / 63⌉] words. *)
 
 module Frontier : sig
   type answers
-  (** [Ans] as rows of ids. *)
+  (** [Ans] as ids, laid out per position. *)
 
   val encode : ?handle:Whynot_concept.Subsume_memo.inst -> Relation.t -> answers
   (** [encode ~handle ans]: ids [0 .. |adom|-1] are the handle's active
       domain (computed on first use), then [ans]'s values outside it.
       The encoding records [handle] and [ans], which {!ids} checks. *)
+
+  val is_answer : answers -> Tuple.t -> bool
+  (** [is_answer a t] iff [t] is one of the encoded answers:
+      [Relation.mem t ans] from [t]'s ids ([arity] lookups) and the
+      answers of its shortest posting list, compared as ids, with no
+      value comparison. *)
 
   type ids
   (** One question's ids: its answers' and its missing tuple's. *)
@@ -128,7 +149,7 @@ module Frontier : sig
 
   val only : 'c t -> int -> int list
   (** [D_j]: the ids of the [j]-th components of the answers excluded at
-      position [j] and nowhere else, each once. *)
+      position [j] and nowhere else, each once, ascending. *)
 
   val accepts : 'c t -> int -> 'c -> bool
   (** [accepts f j c] iff the current explanation with [c] at position [j]
@@ -136,8 +157,8 @@ module Frontier : sig
       [ext(c)]. *)
 
   val replace : 'c t -> int -> 'c -> unit
-  (** [replace f j c] puts [c] at position [j]: it re-tests column [j]
-      of the exclusion masks and recomputes every [D_j]. Call it only
+  (** [replace f j c] puts [c] at position [j]: it recomputes
+      [covered_j] and every [D_j]. Call it only
       when [accepts f j c] holds.
       @raise Invalid_argument, leaving [f] unchanged, when some answer
       would be excluded nowhere. *)

@@ -53,7 +53,7 @@ let sigma_lubs h q =
     nominal = (fun a _ -> Value_set.singleton a);
     grow = (fun x _ b -> Value_set.add b x);
     lub = Lub.lub_sigma h;
-    given = Fun.id;
+    given = Subsume_memo.canonical h;
     support =
       (fun c ->
          match Subsume_memo.extension h c with
@@ -102,6 +102,24 @@ let mask_lubs h q =
       done;
       Mask !m
   in
+  (* The same over the extension of a mask [m], the constants whose
+     mask contains it, read off the masks alone. A support only grows,
+     and a nominal grows as its mask does, so a sole member needs no
+     nominal here. *)
+  let lub_of_mask m =
+    Mask
+      (Array.fold_left
+         (fun lub pm -> if Bits.subset m pm then Bits.inter lub pm else lub)
+         (Bits.full width) posmasks)
+  in
+  (* A given concept through its memoised extension. *)
+  let given_ext c =
+    let ext = Subsume_memo.extension h c in
+    let ids = Frontier.ext_mem q ext in
+    match ext with
+    | Semantics.All -> Given (c, ids, None)
+    | Semantics.Fin s -> Given (c, ids, Some (lub_of s ids))
+  in
   {
     mem =
       (function
@@ -115,13 +133,19 @@ let mask_lubs h q =
          | Nominal (_, _, m) | Mask m -> Mask (Bits.inter m posmasks.(i))
          | Given _ -> invalid_arg "Incremental: a given concept is no lub");
     lub = Fun.id;
+    (* [top], a nominal and a meet of projections are read off their ids
+       and masks, with no extension fetched. *)
     given =
       (fun c ->
-         let ext = Subsume_memo.extension h c in
-         let ids = Frontier.ext_mem q ext in
-         match ext with
-         | Semantics.All -> Given (c, ids, None)
-         | Semantics.Fin s -> Given (c, ids, Some (lub_of s ids)));
+         match Ls.conjuncts c with
+         | [] -> Given (c, (fun _ -> true), None)
+         | [ Ls.Nominal x ] ->
+           let i = Option.value ~default:(-1) (Frontier.id q x) in
+           Given (c, Int.equal i, Some (nominal x i))
+         | _ ->
+           (match Lub.projection_mask h c with
+            | Some m -> Given (c, Lub.covers h m, Some (lub_of_mask m))
+            | None -> given_ext (Subsume_memo.canonical h c)));
     support = (function Given (_, _, s) -> s | c -> Some c);
     top = Mask top;
     render = to_ls;
@@ -225,8 +249,6 @@ let one_mge ?handle ?answers ?variant ?(shorten = true) ?(order = `Ascending)
    grown by a constant outside it, or [top], keeps the tuple an
    explanation. *)
 let is_mge l h q e =
-  (* Concepts parsed off the wire are fresh values. *)
-  let e = List.map (Subsume_memo.canonical h) e in
   match Frontier.make q l.mem (List.map l.given e) with
   | None -> false
   | Some f ->

@@ -12,27 +12,38 @@ let legality schema instance =
   | Ok () -> Ok ()
   | Error msg -> Error (`Schema_violation ("instance violates schema: " ^ msg))
 
+let arity_mismatch missing arity =
+  Error
+    (`Invalid_whynot
+       (Printf.sprintf "missing tuple has arity %d, query has arity %d"
+          (Tuple.arity missing) arity))
+
+let not_missing =
+  Error (`Invalid_whynot "tuple is not missing: it belongs to the answer set")
+
 let make ?schema ?answers ~instance ~query ~missing () =
   let missing = Tuple.of_list missing in
   if not (Cq.is_safe query) then Error (`Invalid_whynot "query is not safe")
   else if Tuple.arity missing <> Cq.arity query then
-    Error
-      (`Invalid_whynot
-         (Printf.sprintf "missing tuple has arity %d, query has arity %d"
-            (Tuple.arity missing) (Cq.arity query)))
+    arity_mismatch missing (Cq.arity query)
   else
     let answers =
       match answers with
       | Some r -> r
       | None -> Cq.eval query instance
     in
-    if Relation.mem missing answers then
-      Error (`Invalid_whynot "tuple is not missing: it belongs to the answer set")
+    if Relation.mem missing answers then not_missing
     else
       let legal =
         match schema with None -> Ok () | Some s -> legality s instance
       in
       Result.map (fun () -> { instance; query; answers; missing }) legal
+
+let of_answers ~instance ~query ~arity ~answers ~is_answer ~missing =
+  let missing = Tuple.of_list missing in
+  if Tuple.arity missing <> arity then arity_mismatch missing arity
+  else if is_answer missing then not_missing
+  else Ok { instance; query; answers; missing }
 
 let make_exn ?schema ?answers ~instance ~query ~missing () =
   match make ?schema ?answers ~instance ~query ~missing () with

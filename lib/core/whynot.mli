@@ -29,6 +29,21 @@ val make :
     supplied) that the instance satisfies it ([`Schema_violation]).
     [answers] defaults to [q(I)]. *)
 
+val of_answers :
+  instance:Instance.t ->
+  query:Cq.t ->
+  arity:int ->
+  answers:Relation.t ->
+  is_answer:(Tuple.t -> bool) ->
+  missing:Value.t list ->
+  (t, Whynot_error.t) result
+(** {!make} without a schema for a query already known to be safe and
+    of arity [arity], whose answers [answers] are tested through
+    [is_answer] (which must agree with [Relation.mem] on them): the
+    arity and membership checks of {!make}, in its order and with its
+    errors. For a caller that keeps [Ans] with a faster membership, as
+    an engine keeps its encoding. *)
+
 val make_exn :
   ?schema:Schema.t ->
   ?answers:Relation.t ->

@@ -613,6 +613,57 @@ let whynot_wide =
        Some
          (Whynot_core.Whynot.make_exn ~instance:inst ~query:q ~missing ()))
 
+(* The frontier's edge cases. Three times in four, a binary [R] over
+   0..15 that keeps each of the 256 pairs with probability 4/5 (about
+   205 facts, never near 126), asked [q(x, y) := R(x, y)], so [Ans]
+   spans at least three 63-bit words; the missing pair is a dropped one,
+   or one with a value outside the active domain. Otherwise a question
+   of arity 0: [q() := R(x, c)] over a small [R] on 0..4 with [c]
+   outside it, whose answer set is empty. *)
+let whynot_edge =
+  let* large = QG.frequencyl [ (3, true); (1, false) ] in
+  if large then
+    let* keep = QG.list_repeat 256 (QG.frequencyl [ (4, true); (1, false) ]) in
+    let pairs = List.init 256 (fun k -> (k / 16, k mod 16)) in
+    let kept, dropped =
+      List.partition_map
+        (fun (p, kept) -> if kept then Left p else Right p)
+        (List.combine pairs keep)
+    in
+    let inst =
+      List.fold_left
+        (fun inst (a, b) -> Instance.add_fact "R" [ Value.int a; Value.int b ] inst)
+        Instance.empty kept
+    in
+    let q =
+      Cq.make ~head:[ Cq.Var "x"; Cq.Var "y" ]
+        ~atoms:[ { Cq.rel = "R"; args = [ Cq.Var "x"; Cq.Var "y" ] } ]
+        ()
+    in
+    let* a, b = QG.oneofl ((3, 16) :: (16, 17) :: dropped) in
+    QG.return
+      (Some
+         (Whynot_core.Whynot.make_exn ~instance:inst ~query:q
+            ~missing:[ Value.int a; Value.int b ] ()))
+  else
+    let* rows =
+      QG.list_size (QG.int_range 1 6)
+        (QG.pair (QG.int_range 0 4) (QG.int_range 0 4))
+    in
+    let* c = QG.oneofl [ 5; 9 ] in
+    let inst =
+      List.fold_left
+        (fun inst (a, b) -> Instance.add_fact "R" [ Value.int a; Value.int b ] inst)
+        Instance.empty rows
+    in
+    let q =
+      Cq.make ~head:[]
+        ~atoms:[ { Cq.rel = "R"; args = [ Cq.Var "x"; Cq.Const (Value.int c) ] } ]
+        ()
+    in
+    QG.return
+      (Some (Whynot_core.Whynot.make_exn ~instance:inst ~query:q ~missing:[] ()))
+
 (* ------------------------------------------------------------------ *)
 (* Wire-protocol JSON                                                  *)
 (* ------------------------------------------------------------------ *)

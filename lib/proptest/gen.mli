@@ -107,6 +107,11 @@ val whynot_wide : Whynot_core.Whynot.t option QCheck2.Gen.t
     values that may lie outside the active domain. [None] when the drawn
     tuple is an answer. *)
 
+val whynot_edge : Whynot_core.Whynot.t option QCheck2.Gen.t
+(** The frontier's edge cases: three times in four a question over
+    about 205 answers (at least three 63-bit words of them), otherwise a
+    question of arity 0 with no answer. Never [None]. *)
+
 val wire_json : Whynot.Json.t QCheck2.Gen.t
 (** Arbitrary wire JSON: full-byte-range strings, finite floats (integral
     and fractional), deep lists/objects — everything the server's codec

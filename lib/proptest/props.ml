@@ -107,7 +107,8 @@ let mge_incremental_selections =
    (Lemma 5.1); the oracle runs them as they ran on support sets, with
    column-scan lubs and whole-tuple re-tests. Both orders, with and
    without shortening, must give equal concepts and the same attempt
-   trace, and CHECK-MGE the same verdicts, on one warm handle. *)
+   trace, and CHECK-MGE the same verdicts, on one warm handle, also on
+   tuples with meets of projections in place of one MGE concept. *)
 let mge_mask_search_equals_lub_search =
   prop "mge/mask-search-equals-lub-search" 150 str_whynot Gen.whynot
     (function
@@ -143,9 +144,32 @@ let mge_mask_search_equals_lub_search =
       let checks_agree e =
         Incremental.check_mge ~handle:h wn e = Oracle.lub_check_mge wn e
       in
+      (* Meets of one or two projections, which CHECK-MGE reads as
+         masks, at each position of the MGE in turn: their masks need
+         not be the lub of their extensions. *)
+      let projections =
+        Array.to_list
+          (Array.map
+             (fun (rel, attr) -> Ls.proj ~rel ~attr ())
+             (Subsume_memo.positions h))
+      in
+      let meets =
+        List.concat_map
+          (fun p -> p :: List.map (Ls.meet p) projections)
+          projections
+      in
+      let with_meets =
+        List.concat_map
+          (fun j ->
+            List.map
+              (fun c -> List.mapi (fun i c' -> if i = j then c else c') mge)
+              meets)
+          (List.init (List.length mge) Fun.id)
+      in
       searches_agree `Ascending && searches_agree `Descending
       && List.for_all checks_agree
-           ((mge :: nominals :: List.map (fun _ -> Ls.top) mge :: narrowed)))
+           ((mge :: nominals :: List.map (fun _ -> Ls.top) mge :: narrowed)
+           @ with_meets))
 
 (* ------------------------------------------------------------------ *)
 (* The explanation frontier vs the full re-test                        *)
@@ -169,12 +193,16 @@ let str_frontier_case (wn, start, steps) =
     (String.concat "; "
        (List.map (fun (j, c) -> Printf.sprintf "(%d, %d)" j c) steps))
 
-(* One case from {!Gen.whynot} and one from {!Gen.whynot_wide}. *)
+(* One case each from {!Gen.whynot}, {!Gen.whynot_wide} and
+   {!Gen.whynot_edge}. *)
 let gen_frontier_cases =
-  QG.pair gen_frontier_case (gen_frontier_case_of Gen.whynot_wide)
+  QG.triple gen_frontier_case
+    (gen_frontier_case_of Gen.whynot_wide)
+    (gen_frontier_case_of Gen.whynot_edge)
 
-let str_frontier_cases (narrow, wide) =
+let str_frontier_cases (narrow, wide, edge) =
   str_frontier_case narrow ^ "\nwide: " ^ str_frontier_case wide
+  ^ "\nedge: " ^ str_frontier_case edge
 
 (* Candidates at position [j]: [top], nominals, and both variants' lubs
    of {b} and of {a_j, b} for every constant [b] of the pool, so they need
@@ -202,6 +230,8 @@ let frontier_candidates h wn pool =
 let frontier_equals_is_explanation = function
   | None, _, _ -> true
   | Some wn, start, steps ->
+    (* Without a position there is nothing to replace. *)
+    let steps = if Whynot.arity wn = 0 then [] else steps in
     let module F = Explanation.Frontier in
     let h = Subsume_memo.inst wn.Whynot.instance in
     let o = Ontology.of_instance ~handle:h wn.Whynot.instance in
@@ -245,9 +275,10 @@ let frontier_equals_is_explanation = function
 
 let explanation_frontier_equals_is_explanation =
   prop "explanation/frontier-equals-is-explanation" 100 str_frontier_cases
-    gen_frontier_cases (fun (narrow, wide) ->
+    gen_frontier_cases (fun (narrow, wide, edge) ->
       frontier_equals_is_explanation narrow
-      && frontier_equals_is_explanation wide)
+      && frontier_equals_is_explanation wide
+      && frontier_equals_is_explanation edge)
 
 (* [Explanation.Frontier] runs on ids; [Oracle.Value_frontier] is the
    same frontier over values. Built over the same tuple with the
@@ -259,6 +290,7 @@ let explanation_frontier_equals_is_explanation =
 let id_frontier_equals_value_frontier = function
   | None, _, _ -> true
   | Some wn, start, steps ->
+    let steps = if Whynot.arity wn = 0 then [] else steps in
     let module F = Explanation.Frontier in
     let module V = Oracle.Value_frontier in
     let h = Subsume_memo.inst wn.Whynot.instance in
@@ -324,9 +356,10 @@ let id_frontier_equals_value_frontier = function
 
 let explanation_id_frontier_equals_value_frontier =
   prop "explanation/id-frontier-equals-value-frontier" 100 str_frontier_cases
-    gen_frontier_cases (fun (narrow, wide) ->
+    gen_frontier_cases (fun (narrow, wide, edge) ->
       id_frontier_equals_value_frontier narrow
-      && id_frontier_equals_value_frontier wide)
+      && id_frontier_equals_value_frontier wide
+      && id_frontier_equals_value_frontier edge)
 
 (* [O_I]'s membership is staged: [o.mem c] fetches the extension once and
    returns a set lookup, and a frontier keeps one such predicate per
@@ -884,10 +917,31 @@ let text_document_roundtrip =
            && sorted (Schema.inds s') = sorted (Schema.inds s)
            && Instance.equal (Parser.instance_of doc) inst))
 
+(* Strings with quotes, backslashes, control bytes, non-ASCII and more
+   than a line's width of text, and any byte string. *)
+let gen_rendered_string =
+  let tricky =
+    [
+      ""; "\""; "\\"; "a\"b\\c"; "\n\t\r"; "\000\001\031\127";
+      "\255\128"; "caf\xc3\xa9"; "\xe6\x97\xa5\xe6\x9c\xac"; String.make 100 'x';
+      "Rome"; "it's"; "\\n"; "\\1234";
+    ]
+  in
+  QG.frequency
+    [
+      (1, QG.oneofl tricky);
+      (1, QG.string_size ~gen:QG.char (QG.int_range 0 90));
+    ]
+
+(* The values of the generated documents, and every string the
+   rendering can be handed: [Value.to_string] escapes, the lexer
+   decodes. *)
 let text_values_roundtrip =
   prop "text/values-roundtrip" 500
     (fun vs -> String.concat ", " (List.map Value.to_string vs))
-    (QG.list_size (QG.int_range 1 5) Gen.value)
+    (QG.list_size (QG.int_range 1 5)
+       (QG.frequency
+          [ (1, Gen.value); (1, QG.map Value.str gen_rendered_string) ]))
     (fun vs ->
       let printed = String.concat ", " (List.map Value.to_string vs) in
       match Parser.values_of_string printed with
@@ -899,17 +953,9 @@ let text_values_roundtrip =
 (* Value rendering vs Format                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Strings with quotes, backslashes, control bytes, non-ASCII and more
-   than a line's width of text, any byte string, and integers and reals
-   of either sign, special floats included. *)
+(* {!gen_rendered_string}'s strings, and integers and reals of either
+   sign, special floats included. *)
 let gen_rendered_value =
-  let tricky =
-    [
-      ""; "\""; "\\"; "a\"b\\c"; "\n\t\r"; "\000\001\031\127";
-      "\255\128"; "caf\xc3\xa9"; "\xe6\x97\xa5\xe6\x9c\xac"; String.make 100 'x';
-      "Rome"; "it's";
-    ]
-  in
   QG.frequency
     [
       (3, QG.map Value.int QG.int);
@@ -919,8 +965,7 @@ let gen_rendered_value =
         QG.map Value.real
           (QG.oneofl
              [ 0.5; -2.5; 1e-300; -1e300; 0.1; nan; infinity; neg_infinity ]) );
-      (3, QG.map Value.str (QG.oneofl tricky));
-      (3, QG.map Value.str (QG.string_size ~gen:QG.char (QG.int_range 0 90)));
+      (6, QG.map Value.str gen_rendered_string);
     ]
 
 (* [Value.to_string] equals the [Format] rendering, and [Value.pp]

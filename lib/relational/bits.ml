@@ -10,11 +10,10 @@ let full n =
   s
 
 let mem s i = s.(i / width) land (1 lsl (i mod width)) <> 0
-let clear s i = s.(i / width) <- s.(i / width) land lnot (1 lsl (i mod width))
 
 let remove s i =
   let s = Array.copy s in
-  clear s i;
+  s.(i / width) <- s.(i / width) land lnot (1 lsl (i mod width));
   s
 
 let is_empty s = Array.for_all (fun w -> w = 0) s
@@ -50,22 +49,3 @@ let iter f s =
            if w land (1 lsl i) <> 0 then f ((k * width) + i)
          done)
     s
-
-(* The index of the lowest set bit of a non-zero word. *)
-let lowest w =
-  let rec go i = if w land (1 lsl i) <> 0 then i else go (i + 1) in
-  go 0
-
-let sole s =
-  let rec go k found =
-    if k = Array.length s then found
-    else
-      let w = s.(k) in
-      if w = 0 then go (k + 1) found
-      else if found >= 0 || w land (w - 1) <> 0 then -2
-      else go (k + 1) ((k * width) + lowest w)
-  in
-  if Array.length s = 1 then
-    let w = s.(0) in
-    if w = 0 then -1 else if w land (w - 1) <> 0 then -2 else lowest w
-  else go 0 (-1)

@@ -15,9 +15,6 @@ val full : int -> t
 val add : t -> int -> unit
 (** Add a member in place. *)
 
-val clear : t -> int -> unit
-(** Remove a member in place. *)
-
 val mem : t -> int -> bool
 
 val remove : t -> int -> t
@@ -39,7 +36,3 @@ val covers : t -> t -> t -> bool
 
 val iter : (int -> unit) -> t -> unit
 (** The members in increasing order. *)
-
-val sole : t -> int
-(** The only member; [-1] when the set is empty, [-2] when it has more
-    than one. *)

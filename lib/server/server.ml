@@ -118,13 +118,58 @@ let write_line fd line =
    with Unix.Unix_error ((EPIPE | ECONNRESET | EBADF), _, _) ->
      raise Conn_closed)
 
+(* The bytes read and not yet served are [buf.[start .. stop - 1]], of
+   which [start .. scanned - 1] hold no newline: each byte is searched
+   for a newline once, and a line is copied out once. *)
 type reader = {
   fd : Unix.file_descr;
-  buf : Buffer.t;
-  chunk : Bytes.t;
+  mutable buf : Bytes.t;
+  mutable start : int;
+  mutable stop : int;
+  mutable scanned : int;
 }
 
-let make_reader fd = { fd; buf = Buffer.create 512; chunk = Bytes.create 4096 }
+let chunk = 4096
+
+let make_reader fd =
+  { fd; buf = Bytes.create chunk; start = 0; stop = 0; scanned = 0 }
+
+(* The next complete line, CR stripped, if the pending bytes hold one. *)
+let take_line r =
+  let rec newline i =
+    if i = r.stop then -1
+    else if Bytes.unsafe_get r.buf i = '\n' then i
+    else newline (i + 1)
+  in
+  match newline r.scanned with
+  | -1 ->
+    r.scanned <- r.stop;
+    None
+  | i ->
+    let e = if i > r.start && Bytes.get r.buf (i - 1) = '\r' then i - 1 else i in
+    let line = Bytes.sub_string r.buf r.start (e - r.start) in
+    r.start <- i + 1;
+    r.scanned <- i + 1;
+    Some line
+
+(* Room for a chunk at [stop]: the pending bytes move to the front, and
+   the buffer doubles while they leave less than a chunk free. A buffer
+   a long line grew goes back to one chunk once it is drained. *)
+let make_room r =
+  let pending = r.stop - r.start in
+  if pending = 0 && Bytes.length r.buf > 16 * chunk then
+    r.buf <- Bytes.create chunk
+  else if r.start > 0 then Bytes.blit r.buf r.start r.buf 0 pending;
+  r.scanned <- r.scanned - r.start;
+  r.start <- 0;
+  r.stop <- pending;
+  if Bytes.length r.buf - pending < chunk then begin
+    let size = ref (2 * Bytes.length r.buf) in
+    while !size - pending < chunk do size := 2 * !size done;
+    let b = Bytes.create !size in
+    Bytes.blit r.buf 0 b 0 pending;
+    r.buf <- b
+  end
 
 (* Pull one newline-terminated line out of the reader, blocking until the
    socket or the wake pipe [wake] is readable, so a draining connection
@@ -132,35 +177,21 @@ let make_reader fd = { fd; buf = Buffer.create 512; chunk = Bytes.create 4096 }
    [`Eof] (peer hung up or shutdown), or [`Too_long] once the pending
    unterminated input exceeds the cap. *)
 let read_line r ~max_bytes ~stop ~wake =
-  let take_line () =
-    let s = Buffer.contents r.buf in
-    match String.index_opt s '\n' with
-    | None -> None
-    | Some i ->
-      let line = String.sub s 0 i in
-      Buffer.clear r.buf;
-      Buffer.add_substring r.buf s (i + 1) (String.length s - i - 1);
-      let line =
-        if line <> "" && line.[String.length line - 1] = '\r' then
-          String.sub line 0 (String.length line - 1)
-        else line
-      in
-      Some line
-  in
   let rec loop () =
-    match take_line () with
+    match take_line r with
     | Some line -> `Line line
     | None ->
-      if Buffer.length r.buf > max_bytes then `Too_long
+      if r.stop - r.start > max_bytes then `Too_long
       else if Atomic.get stop then `Eof
       else begin
         match Unix.select [ r.fd; wake ] [] [] (-1.) with
         | readable, _, _ when not (List.mem r.fd readable) -> loop ()
         | _ -> (
-          match Unix.read r.fd r.chunk 0 (Bytes.length r.chunk) with
+          make_room r;
+          match Unix.read r.fd r.buf r.stop (Bytes.length r.buf - r.stop) with
           | 0 -> `Eof
           | n ->
-            Buffer.add_subbytes r.buf r.chunk 0 n;
+            r.stop <- r.stop + n;
             loop ()
           | exception Unix.Unix_error (EINTR, _, _) -> loop ()
           | exception Unix.Unix_error ((ECONNRESET | EBADF), _, _) -> `Eof)

@@ -114,8 +114,29 @@ let tokenize src =
               emit (String (Buffer.contents buf));
               loop (j + 1)
             | '\\' when j + 1 < n ->
-              Buffer.add_char buf src.[j + 1];
-              str (j + 2)
+              (* The escapes [Value.to_string] writes ([String.escaped]):
+                 [\n \t \r \b], [\ddd] in decimal, and any other byte
+                 (a quote, a backslash) taken as it is. *)
+              (match src.[j + 1] with
+               | 'n' -> Buffer.add_char buf '\n'; str (j + 2)
+               | 't' -> Buffer.add_char buf '\t'; str (j + 2)
+               | 'r' -> Buffer.add_char buf '\r'; str (j + 2)
+               | 'b' -> Buffer.add_char buf '\b'; str (j + 2)
+               | c when is_digit c ->
+                 let code =
+                   if j + 3 < n && is_digit src.[j + 2] && is_digit src.[j + 3]
+                   then int_of_string (String.sub src (j + 1) 3)
+                   else 256
+                 in
+                 if code > 255 then
+                   error
+                     (Printf.sprintf "illegal escape %S in string literal"
+                        (String.sub src j (min 4 (n - j))))
+                 else begin
+                   Buffer.add_char buf (Char.chr code);
+                   str (j + 4)
+                 end
+               | c -> Buffer.add_char buf c; str (j + 2))
             | '\n' -> error "newline in string literal"
             | c ->
               Buffer.add_char buf c;

@@ -3,7 +3,11 @@
 
 type token =
   | Ident of string     (** bare identifiers, may contain [- _ .] *)
-  | String of string    (** double-quoted *)
+  | String of string
+      (** double-quoted, escapes decoded: [\n \t \r \b], [\ddd] (a
+          decimal byte), and a backslash before any other character
+          stands for that character, so every [Value.to_string] of a
+          string reads back as that string *)
   | Number of Whynot_relational.Value.t  (** [Int] or [Real] *)
   | Lparen | Rparen
   | Lbracket | Rbracket

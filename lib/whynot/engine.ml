@@ -7,10 +7,11 @@ module Schema_mge = Whynot_core.Schema_mge
 module Subsume_memo = Whynot_concept.Subsume_memo
 module Frontier = Whynot_core.Explanation.Frontier
 
-(* Ans = q(I) for one query, and its encoding as ids over the engine's
-   handle, made on the first Algorithm 2 operation that uses it. *)
+(* Ans = q(I) for one safe query of arity [arity], and its encoding as
+   ids over the engine's handle, made on the first question over it. *)
 type answers = {
   query : Cq.t;
+  arity : int;
   relation : Relation.t;
   mutable encoded : Frontier.answers option;
 }
@@ -90,16 +91,26 @@ let legality e =
     e.legality <- Some r;
     r
 
-(* [None] for an unsafe query, which [Whynot.make] then reports. Ans is
-   evaluated over the engine's own index. *)
-let cached_answers e query =
+(* The kept Ans of [query], evaluated over the engine's own index when
+   another query (or none) is kept; [None] for an unsafe query, which
+   [Whynot.make] then reports. *)
+let kept e query =
   match e.answers with
-  | Some a when Stdlib.compare a.query query = 0 -> Some a.relation
+  | Some a when Stdlib.compare a.query query = 0 -> Some a
   | _ when not (Cq.is_safe query) -> None
   | _ ->
-    let r = Cq.Plan.eval (Subsume_memo.index e.inst_handle) query in
-    e.answers <- Some { query; relation = r; encoded = None };
-    Some r
+    let relation = Cq.Plan.eval (Subsume_memo.index e.inst_handle) query in
+    let a = { query; arity = Cq.arity query; relation; encoded = None } in
+    e.answers <- Some a;
+    Some a
+
+let encoding e a =
+  match a.encoded with
+  | Some enc -> enc
+  | None ->
+    let enc = Frontier.encode ~handle:e.inst_handle a.relation in
+    a.encoded <- Some enc;
+    enc
 
 (* The kept encoding when the question's answers are the kept Ans,
    compared structurally ([Stdlib.compare] returns at once when they are
@@ -108,24 +119,27 @@ let cached_answers e query =
 let encoded e wn =
   match e.answers with
   | Some a when Stdlib.compare a.relation wn.W.answers = 0 ->
-    (match a.encoded with
-     | Some _ as enc -> enc
-     | None ->
-       let enc = Frontier.encode ~handle:e.inst_handle a.relation in
-       a.encoded <- Some enc;
-       Some enc)
+    Some (encoding e a)
   | _ -> None
 
 (* The checks run in [Whynot.make ~schema]'s order: the question's own
-   [`Invalid_whynot] errors win over a [`Schema_violation]. *)
+   [`Invalid_whynot] errors win over a [`Schema_violation]. Over the kept
+   Ans, the query's safety and arity were found when it was kept, and
+   "missing ∈ Ans" is read off the encoding's postings. *)
 let question ?answers e ~query ~missing () =
   guard e (fun () ->
-      let answers =
-        match answers with Some _ -> answers | None -> cached_answers e query
+      let instance = e.instance in
+      let wn =
+        match answers with
+        | Some _ -> W.make ?answers ~instance ~query ~missing ()
+        | None ->
+          (match kept e query with
+           | None -> W.make ~instance ~query ~missing ()
+           | Some a ->
+             W.of_answers ~instance ~query ~arity:a.arity ~answers:a.relation
+               ~is_answer:(Frontier.is_answer (encoding e a)) ~missing)
       in
-      Result.bind
-        (W.make ?answers ~instance:e.instance ~query ~missing ())
-        (fun wn -> Result.map (fun () -> wn) (legality e)))
+      Result.bind wn (fun wn -> Result.map (fun () -> wn) (legality e)))
 
 let constant_pool e wn = W.constant_pool ~handle:e.inst_handle wn
 

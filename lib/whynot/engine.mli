@@ -76,11 +76,14 @@ val question :
     [Ans = q(I)] is evaluated over the engine's own index and kept for
     the last query asked (keyed by the query value), so repeated
     questions over one query evaluate it once. Beside it the engine
-    keeps [Ans] encoded as {!Whynot_core.Explanation.Frontier} ids, made
-    on the first {!one_mge} or {!check_mge} over it; those use it for
-    every question whose answers are that kept [Ans], and encode the
-    answers per call otherwise. A caller-supplied [answers] is used as
-    is and not kept. *)
+    keeps the query's safety and arity and [Ans] encoded as
+    {!Whynot_core.Explanation.Frontier} ids, made on the first question
+    over it: a question over the kept [Ans] checks neither safety nor
+    arity again, and tests "missing ∈ Ans" on the encoding
+    ({!Whynot_core.Explanation.Frontier.is_answer}). {!one_mge} and
+    {!check_mge} use the encoding for every question whose answers are
+    that kept [Ans], and encode the answers per call otherwise. A
+    caller-supplied [answers] is used as is and not kept. *)
 
 val constant_pool : t -> Whynot_core.Whynot.t -> Value_set.t
 (** [Whynot.constant_pool] of a question built by {!question}: the

@@ -168,6 +168,32 @@ let test_incremental_with_selections () =
   Alcotest.(check bool) "selection-free not strictly above" false
     (Explanation.strictly_less_general o e esf)
 
+(* CHECK-MGE reads a selection-free meet of projections as its position
+   mask, and must grow the lub of its extension, not the mask itself.
+   Here ext(R.1) = {1} lies in column R.2, so its lub is R.1 & R.2 and
+   absorbing 2 gives R.2, whose extension {1, 2} misses Ans = {3}:
+   (R.1) is an explanation but not most general. Growing the mask R.1
+   alone would try only top, and call it an MGE. *)
+let test_check_mge_grows_projection_lub () =
+  let instance =
+    Instance.empty
+    |> Instance.add_fact "R" [ v_int 1; v_int 1 ]
+    |> Instance.add_fact "R" [ v_int 1; v_int 2 ]
+    |> Instance.add_fact "S" [ v_int 3 ]
+  in
+  let query =
+    Cq.make ~head:[ Cq.Var "x" ] ~atoms:[ { Cq.rel = "S"; args = [ Cq.Var "x" ] } ] ()
+  in
+  let wn = Whynot.make_exn ~instance ~query ~missing:[ v_int 1 ] () in
+  let o = Ontology.of_instance instance in
+  let proj attr = Whynot_concept.Ls.proj ~rel:"R" ~attr () in
+  Alcotest.(check bool) "(R.1) is an explanation" true
+    (Explanation.is_explanation o wn [ proj 1 ]);
+  Alcotest.(check bool) "(R.1) is not an MGE" false
+    (Incremental.check_mge wn [ proj 1 ]);
+  Alcotest.(check bool) "(R.2) is an MGE" true
+    (Incremental.check_mge wn [ proj 2 ])
+
 let test_example_4_9_e2_is_mge_wrt_oi () =
   (* E2 = <pi_name(sigma_continent=Europe(Cities)),
            pi_name(sigma_continent=N.America(Cities))> is a most-general
@@ -928,6 +954,8 @@ let () =
           Alcotest.test_case "selection-free" `Quick test_incremental_selection_free;
           Alcotest.test_case "with selections" `Quick test_incremental_with_selections;
           Alcotest.test_case "example 4.9 E2" `Quick test_example_4_9_e2_is_mge_wrt_oi;
+          Alcotest.test_case "check_mge grows a projection's lub" `Quick
+            test_check_mge_grows_projection_lub;
         ] );
       ( "schema-mge",
         [ Alcotest.test_case "minimal fragment" `Quick test_schema_mge_minimal ] );

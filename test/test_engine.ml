@@ -58,6 +58,64 @@ let test_question_tuple_is_answer () =
        (Engine.question engine ~query:Cities.two_hop_query
           ~missing:[ Cities.amsterdam; Cities.rome ] ()))
 
+(* Over the kept Ans the engine finds the query's safety and arity once
+   and tests "missing ∈ Ans" on the Ans encoding's postings. Its verdict
+   must be exactly a fresh [Whynot.make]'s, message and all, on an Ans
+   of more than two 63-bit words: every answer is not missing; every
+   other pair, values outside the active domain among them, is a
+   question over the same answers; a wrong arity keeps its message; and
+   the same holds with a head constant outside the active domain. *)
+let test_question_over_kept_answers () =
+  let schema, instance =
+    Whynot_workload.Generate.cities_like ~seed:1 ~n_cities:40 ~n_countries:8
+      ~n_connections:80 ()
+  in
+  let engine = get (Engine.create ~schema ~instance ()) in
+  Fun.protect ~finally:(fun () -> ignore (Engine.close engine)) @@ fun () ->
+  let agrees query missing =
+    match
+      ( Engine.question engine ~query ~missing (),
+        Whynot.make ~schema ~instance ~query ~missing () )
+    with
+    | Ok a, Ok b ->
+      Relation.equal a.Whynot.answers b.Whynot.answers
+      && Tuple.equal a.Whynot.missing b.Whynot.missing
+    | Error a, Error b -> String.equal (Error.to_string a) (Error.to_string b)
+    | Ok _, Error _ | Error _, Ok _ -> false
+  in
+  let check name query missing =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %s" name
+         (String.concat ", " (List.map Value.to_string missing)))
+      true (agrees query missing)
+  in
+  let query = Cities.two_hop_query in
+  let answers = Cq.eval query instance in
+  Alcotest.(check bool) "Ans spans three words" true
+    (Relation.cardinal answers > 126);
+  Relation.iter (fun t -> check "an answer" query (Tuple.to_list t)) answers;
+  let cities =
+    Value_set.elements
+      (Relation.column 1 (Instance.relation_or_empty instance ~arity:4 "Cities"))
+  in
+  let values =
+    Value.str "Atlantis" :: Value.int 7 :: List.filteri (fun k _ -> k mod 3 = 0) cities
+  in
+  List.iter
+    (fun a -> List.iter (fun b -> check "a pair" query [ a; b ]) values)
+    values;
+  check "one value" query [ List.hd cities ];
+  check "three values" query [ List.hd cities; List.hd cities; List.hd cities ];
+  let atlantis = Value.str "Atlantis" in
+  let with_constant =
+    Cq.make ~head:[ Cq.Var "x"; Cq.Const atlantis ] ~atoms:query.Cq.atoms ()
+  in
+  List.iter
+    (fun a ->
+      check "head constant" with_constant [ a; atlantis ];
+      check "head constant, other value" with_constant [ a; List.hd cities ])
+    values
+
 let test_schema_ops_need_schema () =
   with_engine @@ fun engine ->
   let wn = cities_question engine in
@@ -570,6 +628,8 @@ let () =
             test_question_arity_mismatch;
           Alcotest.test_case "question rejects actual answers" `Quick
             test_question_tuple_is_answer;
+          Alcotest.test_case "question over the kept Ans equals Whynot.make"
+            `Quick test_question_over_kept_answers;
           Alcotest.test_case "schema ops need a schema" `Quick
             test_schema_ops_need_schema;
           Alcotest.test_case "infinite ontologies rejected" `Quick

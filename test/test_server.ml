@@ -183,6 +183,53 @@ let test_malformed_input_keeps_serving () =
     (rpc c "{\"op\":\"one_mge\",\"session\":\"nope\"}");
   ignore (check_ok "server still serves" (rpc c "{\"op\":\"ping\"}"))
 
+(* Request framing: a line split over many one- and two-byte writes,
+   several lines (one of them long, and one with a CRLF ending) in a
+   single write, a CRLF line split between its CR and LF, and a blank
+   line among them. Each request is answered once, in order, with its
+   own id. *)
+let test_framing () =
+  with_server @@ fun server ->
+  let c = connect (Server.port server) in
+  Unix.setsockopt c.fd Unix.TCP_NODELAY true;
+  Fun.protect ~finally:(fun () -> disconnect c) @@ fun () ->
+  let ping id = Printf.sprintf "{\"op\":\"ping\",\"id\":%d}" id in
+  let expect id =
+    match recv_line c with
+    | None -> Alcotest.failf "connection closed before reply %d" id
+    | Some reply ->
+      (match Json.of_string reply with
+       | Ok j ->
+         Alcotest.(check (option int))
+           (Printf.sprintf "reply %d" id) (Some id)
+           (Option.bind (Json.member "id" j) (function
+              | Json.Int n -> Some n
+              | _ -> None));
+         ignore (check_ok (Printf.sprintf "ping %d" id) j)
+       | Error _ -> Alcotest.failf "unparsable reply %S" reply)
+  in
+  let trickle s =
+    String.iteri
+      (fun i _ ->
+        if i mod 2 = 0 then
+          send_raw c (String.sub s i (min 2 (String.length s - i))))
+      s
+  in
+  trickle (ping 1 ^ "\n");
+  expect 1;
+  let long =
+    Printf.sprintf "{\"op\":\"ping\",\"id\":3,\"pad\":\"%s\"}"
+      (String.make 10_000 'x')
+  in
+  send_raw c (ping 2 ^ "\n" ^ long ^ "\n\n" ^ ping 4 ^ "\r\n" ^ ping 5 ^ "\n");
+  List.iter expect [ 2; 3; 4; 5 ];
+  send_raw c (ping 6 ^ "\r");
+  Unix.sleepf 0.02;
+  send_raw c ("\n" ^ ping 7);
+  expect 6;
+  trickle "\r\n";
+  expect 7
+
 (* An exception escaping a handler (here injected through debug_sleep's
    [fail]; in the wild e.g. [Failure "failed to allocate domain"] from
    an engine create) is answered with [internal] and counted in
@@ -601,15 +648,18 @@ let test_implicit_view_mge_round_trips () =
   Alcotest.(check bool) "check_mge accepts the one_mge reply" true
     (Json.member "is_mge" reply = Some (Json.Bool true))
 
-(* A nominal whose string holds a quote and a backslash renders escaped,
-   exactly as the text format reads it back. *)
-let escaped_nominal_document =
+(* A nominal whose string holds a quote and a backslash, non-ASCII
+   bytes, or a newline renders escaped ([Value.to_string]), exactly as
+   the text format reads it back: the one_mge reply is the escaped
+   nominal of the missing value, and check_mge accepts it. The document
+   spells the value as written in [literal]. *)
+let escaped_nominal_document literal =
   String.concat "\n"
     [
       "relation R(a)";
       "fact R(1)";
       "query q(x) := R(x)";
-      {|whynot ("p\"q\\r")|};
+      "whynot (" ^ literal ^ ")";
     ]
 
 let test_escaped_nominal_round_trips () =
@@ -617,33 +667,44 @@ let test_escaped_nominal_round_trips () =
   let c = connect (Server.port server) in
   Fun.protect ~finally:(fun () -> disconnect c) @@ fun () ->
   let op fields = rpc c (Json.to_string (Json.Obj fields)) in
-  ignore
-    (check_ok "create"
-       (op
-          [
-            ("op", Json.String "create");
-            ("session", Json.String "e");
-            ("document", Json.String escaped_nominal_document);
-          ]));
-  let expected = Json.List [ Json.String {|{"p\"q\\r"}|} ] in
-  let mge =
-    Json.member "mge"
-      (check_ok "one_mge"
-         (op [ ("op", Json.String "one_mge"); ("session", Json.String "e") ]))
-  in
-  Alcotest.(check (option string)) "the nominal renders escaped"
-    (Some (Json.to_string expected)) (Option.map Json.to_string mge);
-  let reply =
-    check_ok "check_mge"
-      (op
-         [
-           ("op", Json.String "check_mge");
-           ("session", Json.String "e");
-           ("explanation", expected);
-         ])
-  in
-  Alcotest.(check bool) "check_mge accepts the one_mge reply" true
-    (Json.member "is_mge" reply = Some (Json.Bool true))
+  List.iteri
+    (fun k (literal, value) ->
+      let session = Json.String (Printf.sprintf "e%d" k) in
+      ignore
+        (check_ok "create"
+           (op
+              [
+                ("op", Json.String "create");
+                ("session", session);
+                ("document", Json.String (escaped_nominal_document literal));
+              ]));
+      let expected =
+        Json.List
+          [ Json.String ("{" ^ Whynot_relational.Value.(to_string (str value)) ^ "}") ]
+      in
+      let mge =
+        Json.member "mge"
+          (check_ok "one_mge" (op [ ("op", Json.String "one_mge"); ("session", session) ]))
+      in
+      Alcotest.(check (option string)) (literal ^ " renders escaped")
+        (Some (Json.to_string expected)) (Option.map Json.to_string mge);
+      let reply =
+        check_ok "check_mge"
+          (op
+             [
+               ("op", Json.String "check_mge");
+               ("session", session);
+               ("explanation", expected);
+             ])
+      in
+      Alcotest.(check bool) (literal ^ ": check_mge accepts the one_mge reply")
+        true
+        (Json.member "is_mge" reply = Some (Json.Bool true)))
+    [
+      ({|"p\"q\\r"|}, {|p"q\r|});
+      ("\"caf\xc3\xa9\"", "caf\xc3\xa9");
+      ({|"line\nbreak"|}, "line\nbreak");
+    ]
 
 (* A server with the TTL off and a sweep a minute away, and two idle
    connections open: nothing but the wake pipe ends the accept loop's
@@ -775,6 +836,8 @@ let () =
           Alcotest.test_case "deadline times out, connection survives" `Quick
             test_deadline_timeout_connection_survives;
           Alcotest.test_case "overload sheds" `Quick test_overload_sheds;
+          Alcotest.test_case "framing: split, batched and CRLF lines" `Quick
+            test_framing;
           Alcotest.test_case "malformed input keeps serving" `Quick
             test_malformed_input_keeps_serving;
           Alcotest.test_case "handler exception replies internal" `Quick
