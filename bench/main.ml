@@ -93,8 +93,9 @@ let bench_rows : bench_row list ref = ref []
 (* Measure [f], then run it once more under an {!Whynot_obs.Obs} delta so
    the row carries the per-call counter profile (cache hits, chase steps,
    candidates explored, ...). Returns the estimate so experiments can
-   derive ratios (e.g. the MEMO speedup rows). *)
-let timed_ns ?(params = []) id label f =
+   derive ratios (e.g. the MEMO speedup rows). [counters] go on the row
+   after the profile's own. *)
+let timed_ns ?(params = []) ?(counters = []) id label f =
   let ns = measure_ns (id ^ "/" ^ label) f in
   row "  %-42s %a@." label pp_time ns;
   (match ns with
@@ -107,7 +108,8 @@ let timed_ns ?(params = []) id label f =
        Obs.delta (fun () -> ignore (Sys.opaque_identity (f ())))
      in
      bench_rows :=
-       { r_id = id; r_label = label; r_params = params; r_ns; r_counters }
+       { r_id = id; r_label = label; r_params = params; r_ns;
+         r_counters = r_counters @ counters }
        :: !bench_rows);
   ns
 
@@ -488,18 +490,12 @@ let frontier_bench () =
     int_of_float ((Gc.minor_words () -. w0) /. float_of_int n)
   in
   match
-    timed_ns ~params:[ ("cities", 40.) ] "ALG2"
-      "Frontier.make + replace / cities=40" call
+    timed_ns ~params:[ ("cities", 40.) ]
+      ~counters:[ ("gc.minor_words", minor_words) ]
+      "ALG2" "Frontier.make + replace / cities=40" call
   with
   | None -> ()
-  | Some _ ->
-    row "    %d minor words per call@." minor_words;
-    (match !bench_rows with
-     | r :: rest ->
-       bench_rows :=
-         { r with r_counters = r.r_counters @ [ ("gc.minor_words", minor_words) ] }
-         :: rest
-     | [] -> ())
+  | Some _ -> row "    %d minor words per call@." minor_words
 
 let alg2 () =
   header "ALG2" "Theorem 5.3: Incremental Search (selection-free) scaling";

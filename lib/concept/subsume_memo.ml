@@ -53,8 +53,6 @@ module Lub_tbl = Hashtbl.Make (struct
     let hash = Hashtbl.hash
   end)
 
-module Value_tbl = Hashtbl.Make (Value)
-
 (* --- cooperative deadlines ---
 
    Every memoised entry point doubles as a cancellation point: when a
@@ -86,7 +84,6 @@ let c_deadline_trips =
 type masks = {
   values : Value.t array;  (* adom, ascending *)
   posmasks : Bits.t array;  (* posmasks.(i) belongs to values.(i) *)
-  index : int Value_tbl.t;  (* constant -> its index in [posmasks] *)
   none : Bits.t;  (* the mask of a constant outside adom *)
 }
 
@@ -215,26 +212,21 @@ let masks h =
   | None ->
     let n = Array.length (positions h) in
     let values = Array.of_seq (Value_set.to_seq (adom h)) in
-    let index = Value_tbl.create (Array.length values) in
-    Array.iteri (fun i v -> Value_tbl.replace index v i) values;
     let posmasks = Array.map (fun _ -> Bits.empty n) values in
     Array.iteri
       (fun k (rel, attr) ->
          Value_set.iter
-           (fun v -> Bits.add posmasks.(Value_tbl.find index v) k)
+           (fun v -> Bits.add posmasks.(Sorted.index Value.compare values v) k)
            (Eval_index.column_values h.index ~rel ~attr))
       (positions h);
-    let ms = { values; posmasks; index; none = Bits.empty n } in
+    let ms = { values; posmasks; none = Bits.empty n } in
     h.masks <- Some ms;
     ms
 
 let adom_array h = (masks h).values
 let posmasks h = (masks h).posmasks
 
-let adom_index h v =
-  match Value_tbl.find (masks h).index v with
-  | i -> i
-  | exception Not_found -> -1
+let adom_index h v = Sorted.index Value.compare (masks h).values v
 
 let posmask h v =
   match adom_index h v with -1 -> (masks h).none | i -> (masks h).posmasks.(i)

@@ -93,12 +93,12 @@ val posmasks : inst -> Bits.t array
     to [(adom_array h).(i)]. *)
 
 val adom_index : inst -> Value.t -> int
-(** A constant's index in {!adom_array} (a hash lookup); [-1] outside
+(** A constant's index in {!adom_array} (a binary search); [-1] outside
     the active domain. *)
 
 val posmask : inst -> Value.t -> Bits.t
-(** A constant's position mask (a hash lookup); empty outside the active
-    domain. *)
+(** A constant's position mask (through {!adom_index}); empty outside
+    the active domain. *)
 
 val memo_lub : inst -> Value_set.t -> (unit -> Ls.t) -> Ls.t
 (** Compute-through cache for {!Lub.lub_sigma} results keyed on

@@ -82,17 +82,8 @@ module Frontier = struct
       postings;
     }
 
-  (* The index of [v] in the ascending [adom], or -1: a binary search
-     reads fewer cold cache lines than a hash lookup. *)
-  let adom_id adom v =
-    let rec go lo hi =
-      if lo >= hi then -1
-      else
-        let mid = (lo + hi) / 2 in
-        let c = Value.compare adom.(mid) v in
-        if c = 0 then mid else if c < 0 then go (mid + 1) hi else go lo mid
-    in
-    go 0 (Array.length adom)
+  let adom_id handle v =
+    match handle with Some h -> Subsume_memo.adom_index h v | None -> -1
 
   let encode ?handle r =
     let adom =
@@ -100,7 +91,7 @@ module Frontier = struct
     in
     let outside_ids = Value_tbl.create 8 and outside = ref [] in
     let id v =
-      match adom_id adom v with
+      match adom_id handle v with
       | -1 ->
         (match Value_tbl.find_opt outside_ids v with
          | Some i -> i
@@ -135,21 +126,13 @@ module Frontier = struct
     }
 
   let known a v =
-    match adom_id a.adom v with
+    match adom_id a.handle v with
     | -1 when Array.length a.outside = 0 -> -1
     | -1 -> Option.value ~default:(-1) (Value_tbl.find_opt a.outside_ids v)
     | i -> i
 
   (* The index of [id] among a column's ids, or -1. *)
-  let slot c id =
-    let rec go lo hi =
-      if lo >= hi then -1
-      else
-        let mid = (lo + hi) / 2 in
-        let x = c.ids.(mid) in
-        if x = id then mid else if x < id then go (mid + 1) hi else go lo mid
-    in
-    go 0 (Array.length c.ids)
+  let slot c id = Sorted.index Int.compare c.ids id
 
   (* The tuple's slots, then the answers of its shortest posting list,
      each compared in full. *)

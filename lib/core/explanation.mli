@@ -57,8 +57,9 @@ val is_explanation : 'c Ontology.t -> Whynot.t -> 'c t -> bool
     encoding beside its cached [Ans]; a caller without one encodes per
     call ([|Ans| × arity] lookups). {!ids} adds one question's missing
     tuple ([arity] lookups). A value is looked up by binary search in
-    the sorted active domain, which reads fewer cold cache lines than a
-    hash lookup, and hashed only when it lies outside.
+    the sorted active domain ({!Whynot_concept.Subsume_memo.adom_index}),
+    which reads fewer cold cache lines than a hash lookup, and hashed
+    only when it lies outside.
 
     {2 Layout}
 

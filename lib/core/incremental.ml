@@ -89,28 +89,21 @@ let mask_lubs h q =
       (if shorten then Lub.shorten else Lub.render) h ~nominal:x m
     | Mask m -> (if shorten then Lub.shorten else Lub.render) h m
   in
-  (* A finite extension's lub, from its ids: the nominal of a singleton,
-     otherwise the meet of its members' masks (empty as soon as one
+  (* The meet of the masks of the members [ids] (empty as soon as one
      member lies outside the active domain). *)
+  let meet ids =
+    let m = ref (Bits.full width) in
+    for i = 0 to Frontier.size q - 1 do
+      if ids i then m := Bits.inter !m (posmask i)
+    done;
+    Mask !m
+  in
+  (* A finite extension's lub, from its ids: the nominal of a singleton,
+     otherwise the meet of its members' masks. *)
   let lub_of ext ids =
     match Value_set.elements ext with
     | [ x ] -> nominal x (Option.value ~default:(-1) (Frontier.id q x))
-    | _ ->
-      let m = ref (Bits.full width) in
-      for i = 0 to Frontier.size q - 1 do
-        if ids i then m := Bits.inter !m (posmask i)
-      done;
-      Mask !m
-  in
-  (* The same over the extension of a mask [m], the constants whose
-     mask contains it, read off the masks alone. A support only grows,
-     and a nominal grows as its mask does, so a sole member needs no
-     nominal here. *)
-  let lub_of_mask m =
-    Mask
-      (Array.fold_left
-         (fun lub pm -> if Bits.subset m pm then Bits.inter lub pm else lub)
-         (Bits.full width) posmasks)
+    | _ -> meet ids
   in
   (* A given concept through its memoised extension. *)
   let given_ext c =
@@ -143,8 +136,13 @@ let mask_lubs h q =
            let i = Option.value ~default:(-1) (Frontier.id q x) in
            Given (c, Int.equal i, Some (nominal x i))
          | _ ->
+           (* A support only grows, and a nominal grows as its mask
+              does, so a projection meet's sole member needs no nominal
+              here. *)
            (match Lub.projection_mask h c with
-            | Some m -> Given (c, Lub.covers h m, Some (lub_of_mask m))
+            | Some m ->
+              let ids = Lub.covers h m in
+              Given (c, ids, Some (meet ids))
             | None -> given_ext (Subsume_memo.canonical h c)));
     support = (function Given (_, _, s) -> s | c -> Some c);
     top = Mask top;

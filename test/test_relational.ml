@@ -47,6 +47,29 @@ let test_value_roundtrip () =
   Alcotest.(check bool) "str" true (Value.of_string "Berlin" = v_str "Berlin");
   Alcotest.(check bool) "quoted" true (Value.of_string "\"a b\"" = v_str "a b")
 
+(* Every member of an ascending array is found at its index, from the
+   empty array up to several lengths, and every gap (below, between,
+   above the members) answers -1. *)
+let test_sorted_index () =
+  for n = 0 to 9 do
+    let a = Array.init n (fun i -> 2 * i) in
+    for x = -1 to 2 * n do
+      let expected = if x >= 0 && x mod 2 = 0 && x < 2 * n then x / 2 else -1 in
+      Alcotest.(check int)
+        (Printf.sprintf "n=%d x=%d" n x)
+        expected
+        (Sorted.index Int.compare a x)
+    done
+  done;
+  let adom = [| v_int 1; v_int 7; v_real 7.5; v_str "a"; v_str "caf\xc3\xa9" |] in
+  Array.iteri
+    (fun i v ->
+       Alcotest.(check int) (Value.to_string v) i
+         (Sorted.index Value.compare adom v))
+    adom;
+  Alcotest.(check int) "absent string" (-1)
+    (Sorted.index Value.compare adom (v_str "b"))
+
 (* ------------------------------------------------------------------ *)
 (* Interval                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -907,6 +930,7 @@ let () =
           Alcotest.test_case "between" `Quick test_value_between;
           Alcotest.test_case "below/above" `Quick test_value_below_above;
           Alcotest.test_case "of_string" `Quick test_value_roundtrip;
+          Alcotest.test_case "Sorted.index" `Quick test_sorted_index;
         ] );
       ( "interval",
         [
