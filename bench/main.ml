@@ -90,30 +90,139 @@ type bench_row = {
 
 let bench_rows : bench_row list ref = ref []
 
+(* --- the sampling profiler ---
+
+   [--profile ID/LABEL] measures nothing: it runs the call of the row
+   [timed_ns] would time under that name in a loop for [--seconds]
+   seconds (5 by default) under [ITIMER_PROF], prints the source lines
+   its samples found most often, and exits. A SIGPROF handler records
+   each sample with [Printexc.get_callstack], so samples land at OCaml
+   safe points, and a C call ([caml_compare], [snprintf]) is charged to
+   the line of its OCaml caller. *)
+
+let arg_after flag =
+  let rec find i =
+    if i + 1 >= Array.length Sys.argv then None
+    else if String.equal Sys.argv.(i) flag then Some Sys.argv.(i + 1)
+    else find (i + 1)
+  in
+  find 1
+
+let profile_row = arg_after "--profile"
+
+let profile_seconds =
+  Option.fold ~none:5. ~some:float_of_string (arg_after "--seconds")
+
+let samples : Printexc.raw_backtrace list ref = ref []
+
+let take_sample (_ : int) = samples := Printexc.get_callstack 64 :: !samples
+
+(* A sample's frames as "file:line function", innermost first, without
+   the handler's own. *)
+let sample_frames raw =
+  match Printexc.backtrace_slots raw with
+  | None -> []
+  | Some slots ->
+    Array.to_list slots
+    |> List.filter_map (fun slot ->
+        match (Printexc.Slot.location slot, Printexc.Slot.name slot) with
+        | _, Some name when String.ends_with ~suffix:".take_sample" name ->
+          None
+        | Some loc, name ->
+          Some
+            (Printf.sprintf "%s:%d %s" loc.Printexc.filename
+               loc.Printexc.line_number
+               (Option.value ~default:"?" name))
+        | None, _ -> None)
+
+let print_top title counts total =
+  Printf.printf "%s (of %d samples):\n" title total;
+  Hashtbl.fold (fun k n acc -> (n, k) :: acc) counts []
+  |> List.sort (fun (n, k) (n', k') ->
+      match Int.compare n' n with 0 -> String.compare k k' | c -> c)
+  |> List.filteri (fun i _ -> i < 25)
+  |> List.iter (fun (n, k) ->
+      Printf.printf "  %5.1f%%  %s\n"
+        (100. *. float_of_int n /. float_of_int total)
+        k)
+
+let profile name f =
+  let calls = ref 0 in
+  let tick = { Unix.it_interval = 0.001; it_value = 0.001 } in
+  Sys.set_signal Sys.sigprof (Sys.Signal_handle take_sample);
+  ignore (Unix.setitimer Unix.ITIMER_PROF tick);
+  let stop = Unix.gettimeofday () +. profile_seconds in
+  while Unix.gettimeofday () < stop do
+    for _ = 1 to 100 do ignore (Sys.opaque_identity (f ())) done;
+    calls := !calls + 100
+  done;
+  ignore
+    (Unix.setitimer Unix.ITIMER_PROF { Unix.it_interval = 0.; it_value = 0. });
+  Sys.set_signal Sys.sigprof Sys.Signal_default;
+  let leaf = Hashtbl.create 64 and inclusive = Hashtbl.create 256 in
+  let bump counts k =
+    Hashtbl.replace counts k
+      (1 + Option.value ~default:0 (Hashtbl.find_opt counts k))
+  in
+  List.iter
+    (fun raw ->
+       let frames = sample_frames raw in
+       (match frames with leaf_frame :: _ -> bump leaf leaf_frame | [] -> ());
+       List.iter (bump inclusive) (List.sort_uniq String.compare frames))
+    !samples;
+  let total = List.length !samples in
+  Printf.printf "profile of %s: %d calls in %.1f s\n" name !calls
+    profile_seconds;
+  print_top "leaf share" leaf total;
+  print_top "inclusive share" inclusive total
+
 (* Measure [f], then run it once more under an {!Whynot_obs.Obs} delta so
    the row carries the per-call counter profile (cache hits, chase steps,
    candidates explored, ...). Returns the estimate so experiments can
    derive ratios (e.g. the MEMO speedup rows). [counters] go on the row
-   after the profile's own. *)
+   after the profile's own. Under [--profile], samples the named row
+   and measures no other. *)
 let timed_ns ?(params = []) ?(counters = []) id label f =
-  let ns = measure_ns (id ^ "/" ^ label) f in
-  row "  %-42s %a@." label pp_time ns;
-  (match ns with
-   | None ->
-     Printf.eprintf
-       "bench: warning: no OLS estimate for %s/%s; row excluded from JSON\n%!"
-       id label
-   | Some r_ns ->
-     let (), r_counters =
-       Obs.delta (fun () -> ignore (Sys.opaque_identity (f ())))
-     in
-     bench_rows :=
-       { r_id = id; r_label = label; r_params = params; r_ns;
-         r_counters = r_counters @ counters }
-       :: !bench_rows);
-  ns
+  match profile_row with
+  | Some name ->
+    if String.equal name (id ^ "/" ^ label) then begin
+      profile name f;
+      exit 0
+    end;
+    None
+  | None ->
+    let ns = measure_ns (id ^ "/" ^ label) f in
+    row "  %-42s %a@." label pp_time ns;
+    (match ns with
+     | None ->
+       Printf.eprintf
+         "bench: warning: no OLS estimate for %s/%s; row excluded from JSON\n%!"
+         id label
+     | Some r_ns ->
+       let (), r_counters =
+         Obs.delta (fun () -> ignore (Sys.opaque_identity (f ())))
+       in
+       bench_rows :=
+         { r_id = id; r_label = label; r_params = params; r_ns;
+           r_counters = r_counters @ counters }
+         :: !bench_rows);
+    ns
 
 let timed ?params id label f = ignore (timed_ns ?params id label f)
+
+(* A timed row that carries the minor-heap words one call of [f]
+   allocates (the mean over 1000 calls) as [gc.minor_words]. *)
+let timed_words ?params id label f =
+  let minor_words =
+    let n = 1000 and w0 = Gc.minor_words () in
+    for _ = 1 to n do ignore (Sys.opaque_identity (f ())) done;
+    int_of_float ((Gc.minor_words () -. w0) /. float_of_int n)
+  in
+  match
+    timed_ns ?params ~counters:[ ("gc.minor_words", minor_words) ] id label f
+  with
+  | None -> ()
+  | Some _ -> row "    %d minor words per call@." minor_words
 
 let json_escape s =
   let b = Buffer.create (String.length s + 8) in
@@ -446,7 +555,7 @@ let existence () =
    search's first accepted absorption through [accepts] and [replace].
    Memberships are those of the selection-free lubs: an id for a
    nominal, one mask inclusion for a mask. The row carries the minor
-   words of one call (mean over 1000 calls) as [gc.minor_words]. *)
+   words of one call as [gc.minor_words]. *)
 let frontier_bench () =
   let module F = Explanation.Frontier in
   let module Subsume_memo = Whynot_concept.Subsume_memo in
@@ -484,18 +593,26 @@ let frontier_bench () =
     if F.accepts f j c then F.replace f j c;
     f
   in
-  let minor_words =
-    let n = 1000 and w0 = Gc.minor_words () in
-    for _ = 1 to n do ignore (Sys.opaque_identity (call ())) done;
-    int_of_float ((Gc.minor_words () -. w0) /. float_of_int n)
+  timed_words ~params:[ ("cities", 40.) ] "ALG2"
+    "Frontier.make + replace / cities=40" call
+
+(* Figure 2 as a warm server session answers it: one engine over the
+   cities instance and its question built once, then [one_mge], and
+   [check_mge] of its reply. *)
+let figure2_bench () =
+  let engine =
+    ok (Engine.create ~schema:Cities.schema ~instance:Cities.instance ())
   in
-  match
-    timed_ns ~params:[ ("cities", 40.) ]
-      ~counters:[ ("gc.minor_words", minor_words) ]
-      "ALG2" "Frontier.make + replace / cities=40" call
-  with
-  | None -> ()
-  | Some _ -> row "    %d minor words per call@." minor_words
+  let wn =
+    ok
+      (Engine.question engine ~query:Cities.two_hop_query
+         ~missing:Cities.missing_tuple ())
+  in
+  let one_mge () = ok (Engine.one_mge engine wn) in
+  let e = one_mge () in
+  timed_words "ALG2" "Figure 2 one_mge (engine, warm)" one_mge;
+  timed_words "ALG2" "Figure 2 check_mge (engine, warm)" (fun () ->
+      ok (Engine.check_mge engine wn e))
 
 let alg2 () =
   header "ALG2" "Theorem 5.3: Incremental Search (selection-free) scaling";
@@ -519,6 +636,7 @@ let alg2 () =
        end)
     (sweep [ 20; 40; 80 ]);
   frontier_bench ();
+  figure2_bench ();
   row "-- D4 ablation: constant-offer order --@.";
   let gi = Generate.cities_like ~n_cities:40 ~n_countries:8 ~n_connections:80 () in
   let wn = Generate.cities_whynot gi in
@@ -1375,5 +1493,10 @@ let () =
   datalog_bench ();
   serve_bench ();
   cold_bench ();
-  write_report "BENCH_whynot.json";
-  Format.printf "@.done.@."
+  match profile_row with
+  | Some name ->
+    Printf.eprintf "bench: no row %S to profile\n" name;
+    exit 2
+  | None ->
+    write_report "BENCH_whynot.json";
+    Format.printf "@.done.@."

@@ -19,12 +19,13 @@ type t = {
   conjs : conjunct list;
 }
 
+module Int_map = Map.Make (Int)
+
 (* Normalise a selection list: group per attribute, meet the intervals, and
    re-emit canonical conditions (at most two per attribute; a single [=] for
    point intervals). An empty interval is re-emitted as an unsatisfiable
    canonical pair so the concept keeps an empty extension syntactically. *)
 let normalise_sels sels =
-  let module Int_map = Map.Make (Int) in
   let by_attr =
     List.fold_left
       (fun m s ->
@@ -48,7 +49,7 @@ let normalise_sels sels =
     by_attr []
 
 let normalise_conjunct = function
-  | Nominal _ as c -> c
+  | (Nominal _ | Proj { sels = []; _ }) as c -> c
   | Proj p -> Proj { p with sels = normalise_sels p.sels }
 
 (* Deeper than [Hashtbl.hash], whose ten leaves cover about three

@@ -60,12 +60,15 @@ let render h ?nominal m =
    conjuncts in order, the nominal first, then the projections by bit.
    A drop keeps the extension iff it keeps the number of active-domain
    constants covering the mask, the empty mask ([top]) excepted. *)
+let count_covering posmasks m =
+  let n = ref 0 in
+  for i = 0 to Array.length posmasks - 1 do
+    if Bits.subset m posmasks.(i) then incr n
+  done;
+  !n
+
 let shorten h ?nominal m =
-  let count m =
-    Array.fold_left
-      (fun n pm -> if Bits.subset m pm then n + 1 else n)
-      0 (Subsume_memo.posmasks h)
-  in
+  let count = count_covering (Subsume_memo.posmasks h) in
   let drop m =
     let target = count m in
     let kept = ref m in

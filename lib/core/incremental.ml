@@ -25,17 +25,20 @@ module Frontier = Explanation.Frontier
 
 (* --- the lubs of one variant ---
 
-   Algorithm 2 and CHECK-MGE only need, per variant, a way to grow a
-   support set [X] by one active-domain constant, the concept [lub X],
-   and the membership [mem c i] over the question's ids on which the
-   frontier runs. *)
+   Algorithm 2 and CHECK-MGE only need, per variant, a support set [{a}]
+   with its lub, an absorb attempt that grows a support set [X] by one
+   active-domain constant and keeps [lub (X ∪ {b})] only when it may
+   replace a position's concept, and the membership [mem c i] over the
+   question's ids on which the frontier runs. *)
 
 type ('s, 'c) lubs = {
   mem : 'c -> int -> bool;
-  nominal : Value.t -> int -> 's;  (* the support [{a}], [a] of that id *)
-  grow : 's -> int -> Value.t -> 's;
-      (* [X ∪ {b}], [b] the [i]-th active-domain constant *)
-  lub : 's -> 'c;
+  nominal : Value.t -> int -> 's * 'c;
+      (* the support [{a}], [a] of that id, and its lub *)
+  absorb : 'c Frontier.t -> int -> 's -> int -> Value.t -> ('s * 'c) option;
+      (* [absorb f j x i b]: [X ∪ {b}] and its lub, [b] the [i]-th
+         active-domain constant, when that lub may take position [j] of
+         [f] (as {!Frontier.accepts}); [None] otherwise *)
   given : Ls.t -> 'c;  (* a concept CHECK-MGE is handed *)
   support : 'c -> 's option;
       (* a given concept's extension as a support set; [None] when it is
@@ -50,9 +53,15 @@ let sigma_lubs h q =
   let o = Ontology.of_instance ~handle:h (Subsume_memo.instance h) in
   {
     mem = Frontier.through q o.Ontology.mem;
-    nominal = (fun a _ -> Value_set.singleton a);
-    grow = (fun x _ b -> Value_set.add b x);
-    lub = Lub.lub_sigma h;
+    nominal =
+      (fun a _ ->
+         let x = Value_set.singleton a in
+         (x, Lub.lub_sigma h x));
+    absorb =
+      (fun f j x _ b ->
+         let x' = Value_set.add b x in
+         let c' = Lub.lub_sigma h x' in
+         if Frontier.accepts f j c' then Some (x', c') else None);
     given = Subsume_memo.canonical h;
     support =
       (fun c ->
@@ -75,6 +84,28 @@ type concept =
       (* a handed concept, its membership, the lub of its extension *)
   | Nominal of Value.t * int * Bits.t  (* the value, its id, its mask *)
   | Mask of Bits.t  (* the empty mask is [top] *)
+
+(* An absorb attempt on masks reads [m ∧ b], [b] the absorbed constant's
+   position mask, without building it, and builds its concept only when
+   accepted. [m ∧ b] covers id [i] when it is empty ([top] covers every
+   id, also those outside the active domain) or [i] is an active-domain
+   constant whose position mask includes it. *)
+let grown_covers posmasks m b i =
+  i >= 0 && i < Array.length posmasks && Bits.inter_subset m b posmasks.(i)
+
+let rec grown_covers_none posmasks m b = function
+  | [] -> true
+  | d :: ds ->
+    (not (grown_covers posmasks m b d)) && grown_covers_none posmasks m b ds
+
+(* [Frontier.accepts f j (Mask (m ∧ b))], with [a_j] the id of the
+   missing value at [j]. *)
+let grown_accepts posmasks f j a_j m b =
+  if Bits.disjoint m b then
+    match Frontier.only f j with [] -> true | _ :: _ -> false
+  else
+    grown_covers posmasks m b a_j
+    && grown_covers_none posmasks m b (Frontier.only f j)
 
 let mask_lubs h q =
   let posmasks = Subsume_memo.posmasks h in
@@ -119,13 +150,20 @@ let mask_lubs h q =
         | Given (_, m, _) -> m
         | Nominal (_, x, _) -> Int.equal x
         | Mask m -> Lub.covers h m);
-    nominal;
-    grow =
-      (fun c i _ ->
-         match c with
-         | Nominal (_, _, m) | Mask m -> Mask (Bits.inter m posmasks.(i))
+    nominal =
+      (fun a i ->
+         let c = nominal a i in
+         (c, c));
+    absorb =
+      (fun f j x i _ ->
+         match x with
+         | Nominal (_, _, m) | Mask m ->
+           let b = posmasks.(i) in
+           if grown_accepts posmasks f j (Frontier.missing_id q j) m b then
+             let c = Mask (Bits.inter m b) in
+             Some (c, c)
+           else None
          | Given _ -> invalid_arg "Incremental: a given concept is no lub");
-    lub = Fun.id;
     (* [top], a nominal and a meet of projections are read off their ids
        and masks, with no extension fetched. *)
     given =
@@ -148,15 +186,6 @@ let mask_lubs h q =
     top = Mask top;
     render = to_ls;
   }
-
-(* The absorption schedule: the [i]-th active-domain constant, for
-   every [i] in the requested order. *)
-let iter_adom h order k =
-  let adom = Subsume_memo.adom_array h in
-  match order with
-  | `Ascending -> Array.iteri k adom
-  | `Descending ->
-    for i = Array.length adom - 1 downto 0 do k i adom.(i) done
 
 (* An attempt costs well under a microsecond, so the loops read the
    clock on their first attempt and then on every 64th. *)
@@ -183,39 +212,46 @@ let handle_for ?handle wn =
   | None -> Subsume_memo.inst wn.Whynot.instance
 
 let search l h q wn order ~trace =
-  let support =
+  let start =
     Array.of_list
       (List.mapi
          (fun j a -> l.nominal a (Frontier.missing_id q j))
          (Whynot.missing_values wn))
   in
+  let support = Array.map fst start in
   (* The nominal tuple: an explanation, since [a] is not an answer. *)
   let f =
-    Option.get
-      (Frontier.make q l.mem (Array.to_list (Array.map l.lub support)))
+    Option.get (Frontier.make q l.mem (Array.to_list (Array.map snd start)))
   in
+  let adom = Subsume_memo.adom_array h in
+  let n = Array.length adom in
   let tick = deadline_ticker h in
   let steps = ref [] in
   for j = 0 to Array.length support - 1 do
-    iter_adom h order
-      (fun i b ->
-         (* Skip constants already in the position's extension: absorbing
-            them cannot change anything. *)
-         if not (Frontier.mem f j i) then begin
-           tick ();
-           Obs.incr c_absorb_attempts;
-           let x' = l.grow support.(j) i b in
-           let c' = l.lub x' in
-           let accepted = Frontier.accepts f j c' in
-           if accepted then begin
-             Obs.incr c_absorbed;
-             Log.debug (fun m ->
-                 m "position %d absorbed %s" (j + 1) (Value.to_string b));
-             support.(j) <- x';
-             Frontier.replace f j c'
-           end;
-           if trace then steps := (j, b, accepted) :: !steps
-         end)
+    (* The absorption schedule: the [i]-th active-domain constant, for
+       every [i] in the requested order. *)
+    for k = 0 to n - 1 do
+      let i = match order with `Ascending -> k | `Descending -> n - 1 - k in
+      (* Skip constants already in the position's extension: absorbing
+         them cannot change anything. *)
+      if not (Frontier.mem f j i) then begin
+        tick ();
+        Obs.incr c_absorb_attempts;
+        let b = adom.(i) in
+        let accepted =
+          match l.absorb f j support.(j) i b with
+          | None -> false
+          | Some (x', c') ->
+            Obs.incr c_absorbed;
+            Log.debug (fun m ->
+                m "position %d absorbed %s" (j + 1) (Value.to_string b));
+            support.(j) <- x';
+            Frontier.replace f j c';
+            true
+        in
+        if trace then steps := (j, b, accepted) :: !steps
+      end
+    done
   done;
   (* The [top] refinement: lift single positions to [top], the most
      general concept of all, in order. *)
@@ -260,7 +296,7 @@ let is_mge l h q e =
           && ((not (Frontier.mem f j i))
               && begin
                 tick ();
-                Frontier.accepts f j (l.lub (l.grow x i adom.(i)))
+                Option.is_some (l.absorb f j x i adom.(i))
               end
               || absorbs (i + 1))
         in

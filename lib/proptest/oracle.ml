@@ -1,4 +1,7 @@
 open Whynot_relational
+
+(* Bound before [Whynot] names the core question module below. *)
+module Wire_json = Whynot.Json
 module Ls = Whynot_concept.Ls
 module Semantics = Whynot_concept.Semantics
 module Count = Whynot_concept.Count
@@ -22,6 +25,62 @@ let pp_value ppf = function
   | Value.Str s -> Format.fprintf ppf "%S" s
 
 let format_value v = Format.asprintf "%a" pp_value v
+
+(* ------------------------------------------------------------------ *)
+(* The wire encoder as it was, on libc formatting                      *)
+(* ------------------------------------------------------------------ *)
+
+let json_escape s =
+  let buf = Buffer.create (String.length s + 2) in
+  String.iter
+    (fun c ->
+       match c with
+       | '"' -> Buffer.add_string buf "\\\""
+       | '\\' -> Buffer.add_string buf "\\\\"
+       | '\n' -> Buffer.add_string buf "\\n"
+       | '\t' -> Buffer.add_string buf "\\t"
+       | '\r' -> Buffer.add_string buf "\\r"
+       | c when Char.code c < 0x20 ->
+         Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+       | c -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf
+
+let rec json_write buf = function
+  | Wire_json.Null -> Buffer.add_string buf "null"
+  | Wire_json.Bool b -> Buffer.add_string buf (if b then "true" else "false")
+  | Wire_json.Int n -> Buffer.add_string buf (string_of_int n)
+  | Wire_json.Float x ->
+    if Float.is_integer x && Float.abs x < 1e15 then
+      Buffer.add_string buf (Printf.sprintf "%.1f" x)
+    else Buffer.add_string buf (Printf.sprintf "%.17g" x)
+  | Wire_json.String s ->
+    Buffer.add_char buf '"';
+    Buffer.add_string buf (json_escape s);
+    Buffer.add_char buf '"'
+  | Wire_json.List xs ->
+    Buffer.add_char buf '[';
+    List.iteri
+      (fun i x ->
+         if i > 0 then Buffer.add_char buf ',';
+         json_write buf x)
+      xs;
+    Buffer.add_char buf ']'
+  | Wire_json.Obj fields ->
+    Buffer.add_char buf '{';
+    List.iteri
+      (fun i (k, v) ->
+         if i > 0 then Buffer.add_char buf ',';
+         json_write buf (Wire_json.String k);
+         Buffer.add_char buf ':';
+         json_write buf v)
+      fields;
+    Buffer.add_char buf '}'
+
+let json_to_string j =
+  let buf = Buffer.create 256 in
+  json_write buf j;
+  Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
 (* Naive CQ evaluation (the pre-planner kernel, kept as oracle)        *)

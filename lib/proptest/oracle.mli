@@ -20,6 +20,13 @@ val format_value : Value.t -> string
     [Value.to_string]. Differential oracle for {!Value.to_string}
     ([value/to-string-equals-format]). *)
 
+val json_to_string : Whynot.Json.t -> string
+(** The wire encoder as it was before it wrote digits and escapes
+    straight into its buffer: integers by [string_of_int], control
+    characters by [Printf "\\u%04x"], a fresh buffer per string.
+    Differential oracle for {!Whynot.Json.to_string}
+    ([wire/encode-equals-reference]). *)
+
 val naive_eval : Cq.t -> Instance.t -> Relation.t
 (** The pre-planner [Cq.eval], verbatim: backtracking join in textual atom
     order with association-list bindings and a full relation scan per atom.

@@ -108,10 +108,12 @@ let mge_incremental_selections =
    column-scan lubs and whole-tuple re-tests. Both orders, with and
    without shortening, must give equal concepts and the same attempt
    trace, and CHECK-MGE the same verdicts, on one warm handle, also on
-   tuples with meets of projections in place of one MGE concept. *)
-let mge_mask_search_equals_lub_search =
-  prop "mge/mask-search-equals-lub-search" 150 str_whynot Gen.whynot
-    (function
+   tuples with meets of projections in place of one MGE concept. An
+   absorb attempt tests the grown mask against [a_j] and [D_j] before
+   building it, so the cases include missing values outside the active
+   domain (whose nominal mask is empty, [top]) and questions with
+   [D_j] over many answers. *)
+let mask_search_agrees = function
     | None -> true
     | Some wn ->
       let h = Subsume_memo.inst wn.Whynot.instance in
@@ -169,7 +171,20 @@ let mge_mask_search_equals_lub_search =
       searches_agree `Ascending && searches_agree `Descending
       && List.for_all checks_agree
            ((mge :: nominals :: List.map (fun _ -> Ls.top) mge :: narrowed)
-           @ with_meets))
+           @ with_meets)
+
+(* One case each from {!Gen.whynot}, {!Gen.whynot_wide} and
+   {!Gen.whynot_edge}. *)
+let mge_mask_search_equals_lub_search =
+  prop "mge/mask-search-equals-lub-search" 150
+    (fun (narrow, wide, edge) ->
+      String.concat "\n"
+        [ str_whynot narrow; "wide: " ^ str_whynot wide;
+          "edge: " ^ str_whynot edge ])
+    (QG.triple Gen.whynot Gen.whynot_wide Gen.whynot_edge)
+    (fun (narrow, wide, edge) ->
+      mask_search_agrees narrow && mask_search_agrees wide
+      && mask_search_agrees edge)
 
 (* ------------------------------------------------------------------ *)
 (* The explanation frontier vs the full re-test                        *)
@@ -1262,6 +1277,34 @@ let wire_envelope_roundtrip =
       | Ok j' -> j' = j
       | Error _ -> false)
 
+(* [Wire_json.to_string] writes digits and escapes straight into its
+   buffer; the encoder it replaced is kept as [Oracle.json_to_string].
+   Each case checks a generated envelope and the fixed corner cases:
+   the integers around sign and digit-count changes, [max_int] and
+   [min_int], and every byte value alone, in one string and as a key. *)
+let encoder_corners =
+  let bytes = List.init 256 (fun c -> String.make 1 (Char.chr c)) in
+  Wire_json.List
+    [
+      Wire_json.List
+        (List.map
+           (fun n -> Wire_json.Int n)
+           [ 0; 1; -1; 9; -9; 10; -10; max_int; min_int ]);
+      Wire_json.List (List.map (fun b -> Wire_json.String b) bytes);
+      Wire_json.String (String.concat "" bytes);
+      Wire_json.Obj (List.map (fun b -> (b, Wire_json.Null)) bytes);
+    ]
+
+let wire_encode_equals_reference =
+  prop "wire/encode-equals-reference" 500
+    (fun j -> Oracle.json_to_string j)
+    Gen.wire_envelope
+    (fun j ->
+      String.equal (Wire_json.to_string j) (Oracle.json_to_string j)
+      && String.equal
+           (Wire_json.to_string encoder_corners)
+           (Oracle.json_to_string encoder_corners))
+
 (* ------------------------------------------------------------------ *)
 (* The wire contract: MGE replies parse back and pass check_mge        *)
 (* ------------------------------------------------------------------ *)
@@ -1479,6 +1522,7 @@ let all =
     eval_planned_equals_naive;
     ext_indexed_equals_scan;
     wire_envelope_roundtrip;
+    wire_encode_equals_reference;
     engine_question_equals_fresh;
     wire_mge_roundtrips;
     why_one_mge_equals_literal;

@@ -1,7 +1,8 @@
 type t = int array
 
 let width = Sys.int_size
-let empty n = Array.make ((n + width - 1) / width) 0
+let empty n =
+  if n <= width then [| 0 |] else Array.make ((n + width - 1) / width) 0
 let add s i = s.(i / width) <- s.(i / width) lor (1 lsl (i mod width))
 
 let full n =
@@ -16,7 +17,13 @@ let remove s i =
   s.(i / width) <- s.(i / width) land lnot (1 lsl (i mod width));
   s
 
-let is_empty s = Array.for_all (fun w -> w = 0) s
+(* The multi-word loops run from word [k] on, as top-level functions so
+   that a test allocates no closure. *)
+
+let rec is_empty_from s k =
+  k = Array.length s || (s.(k) = 0 && is_empty_from s (k + 1))
+
+let is_empty s = is_empty_from s 0
 let equal (a : t) b = a = b
 
 let union a b =
@@ -26,20 +33,31 @@ let inter a b =
   if Array.length a = 1 then [| a.(0) land b.(0) |]
   else Array.map2 ( land ) a b
 
-let subset a b =
-  if Array.length a = 1 then a.(0) land lnot b.(0) = 0
-  else
-    let rec go k =
-      k = Array.length a || (a.(k) land lnot b.(k) = 0 && go (k + 1))
-    in
-    go 0
+let rec subset_from a b k =
+  k = Array.length a || (a.(k) land lnot b.(k) = 0 && subset_from a b (k + 1))
 
-let covers all a b =
-  let rec go k =
-    k = Array.length all
-    || (all.(k) land lnot (a.(k) lor b.(k)) = 0 && go (k + 1))
-  in
-  go 0
+let subset a b =
+  if Array.length a = 1 then a.(0) land lnot b.(0) = 0 else subset_from a b 0
+
+let rec disjoint_from a b k =
+  k = Array.length a || (a.(k) land b.(k) = 0 && disjoint_from a b (k + 1))
+
+let disjoint a b =
+  if Array.length a = 1 then a.(0) land b.(0) = 0 else disjoint_from a b 0
+
+let rec inter_subset_from a b c k =
+  k = Array.length a
+  || (a.(k) land b.(k) land lnot c.(k) = 0 && inter_subset_from a b c (k + 1))
+
+let inter_subset a b c =
+  if Array.length a = 1 then a.(0) land b.(0) land lnot c.(0) = 0
+  else inter_subset_from a b c 0
+
+let rec covers_from all a b k =
+  k = Array.length all
+  || (all.(k) land lnot (a.(k) lor b.(k)) = 0 && covers_from all a b (k + 1))
+
+let covers all a b = covers_from all a b 0
 
 let iter f s =
   Array.iteri

@@ -7,7 +7,8 @@
 type t = private int array
 
 val empty : int -> t
-(** The empty set with room for members [0 .. n-1]. *)
+(** The empty set with room for members [0 .. n-1]; one word when
+    [n <= Sys.int_size]. *)
 
 val full : int -> t
 (** [{0, ..., n-1}]. *)
@@ -30,6 +31,13 @@ val inter : t -> t -> t
 
 val subset : t -> t -> bool
 (** [subset a b] iff every member of [a] is in [b]. *)
+
+val disjoint : t -> t -> bool
+(** [disjoint a b] iff [inter a b] is empty, without building it. *)
+
+val inter_subset : t -> t -> t -> bool
+(** [inter_subset a b c] iff [subset (inter a b) c], without building
+    the intersection. *)
 
 val covers : t -> t -> t -> bool
 (** [covers all a b]: every member of [all] is in [a] or in [b]. *)

@@ -26,11 +26,31 @@ let hash = function
   | Real x -> Hashtbl.hash (1, x)
   | Str s -> Hashtbl.hash (2, s)
 
+(* The decimal digits of [m <= 0]'s absolute value, none for 0. *)
+let rec add_digits buf m =
+  if m <> 0 then begin
+    add_digits buf (m / 10);
+    Buffer.add_char buf (Char.unsafe_chr (Char.code '0' - (m mod 10)))
+  end
+
+(* The digits come from [-|n|], which exists for every [n], [min_int]
+   included. *)
+let add_decimal buf n =
+  if n = 0 then Buffer.add_char buf '0'
+  else if n < 0 then begin
+    Buffer.add_char buf '-';
+    add_digits buf n
+  end
+  else add_digits buf (-n)
+
 (* Built directly: [Format] would be pulled into the code path of every
    wire reply that renders a constant. The quoted form is what [%S]
    prints. *)
 let to_string = function
-  | Int n -> string_of_int n
+  | Int n ->
+    let buf = Buffer.create 20 in
+    add_decimal buf n;
+    Buffer.contents buf
   | Real x -> Printf.sprintf "%g" x
   | Str s -> "\"" ^ String.escaped s ^ "\""
 

@@ -28,6 +28,11 @@ val to_string : t -> string
 (** Integers as [string_of_int], reals as [%g], strings quoted and escaped
     as [%S] prints them. *)
 
+val add_decimal : Buffer.t -> int -> unit
+(** [add_decimal buf n] appends [string_of_int n] without libc's
+    formatting, which [string_of_int] goes through: {!to_string}'s
+    integers and the wire encoder's. *)
+
 val pp : Format.formatter -> t -> unit
 (** Prints {!to_string}. *)
 

@@ -232,8 +232,12 @@ let serve_request t peer line =
           (fun () ->
              let run () = Handlers.handle t.deps req in
              let timed () =
-               match List.assoc_opt req.Protocol.op op_timers with
-               | Some timer -> Obs.time timer run
+               match
+                 List.find_opt
+                   (fun (op, _) -> String.equal op req.Protocol.op)
+                   op_timers
+               with
+               | Some (_, timer) -> Obs.time timer run
                | None -> run ()
              in
              match timed () with

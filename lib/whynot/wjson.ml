@@ -10,52 +10,77 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-       match c with
+(* The encoder writes straight into the output buffer, with no libc
+   formatting for integers and no buffer per string. *)
+
+let hex = "0123456789abcdef"
+
+(* [s] from byte [i] escaped, the run from [start] to [i] not yet
+   written. *)
+let rec add_escaped buf s start i =
+  if i = String.length s then Buffer.add_substring buf s start (i - start)
+  else
+    let c = String.unsafe_get s i in
+    if Char.code c >= 0x20 && c <> '"' && c <> '\\' then
+      add_escaped buf s start (i + 1)
+    else begin
+      Buffer.add_substring buf s start (i - start);
+      (match c with
        | '"' -> Buffer.add_string buf "\\\""
        | '\\' -> Buffer.add_string buf "\\\\"
        | '\n' -> Buffer.add_string buf "\\n"
        | '\t' -> Buffer.add_string buf "\\t"
        | '\r' -> Buffer.add_string buf "\\r"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+       | c ->
+         Buffer.add_string buf "\\u00";
+         Buffer.add_char buf hex.[Char.code c lsr 4];
+         Buffer.add_char buf hex.[Char.code c land 0xf]);
+      add_escaped buf s (i + 1) (i + 1)
+    end
+
+let add_string buf s =
+  Buffer.add_char buf '"';
+  add_escaped buf s 0 0;
+  Buffer.add_char buf '"'
 
 let rec write buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int n -> Buffer.add_string buf (string_of_int n)
+  | Int n -> Whynot_relational.Value.add_decimal buf n
   | Float x ->
     if Float.is_integer x && Float.abs x < 1e15 then
       Buffer.add_string buf (Printf.sprintf "%.1f" x)
     else Buffer.add_string buf (Printf.sprintf "%.17g" x)
-  | String s ->
-    Buffer.add_char buf '"';
-    Buffer.add_string buf (escape s);
-    Buffer.add_char buf '"'
+  | String s -> add_string buf s
   | List xs ->
     Buffer.add_char buf '[';
-    List.iteri
-      (fun i x ->
-         if i > 0 then Buffer.add_char buf ',';
-         write buf x)
-      xs;
+    add_items buf xs;
     Buffer.add_char buf ']'
   | Obj fields ->
     Buffer.add_char buf '{';
-    List.iteri
-      (fun i (k, v) ->
-         if i > 0 then Buffer.add_char buf ',';
-         write buf (String k);
-         Buffer.add_char buf ':';
-         write buf v)
-      fields;
+    add_members buf fields;
     Buffer.add_char buf '}'
+
+and add_items buf = function
+  | [] -> ()
+  | [ x ] -> write buf x
+  | x :: xs ->
+    write buf x;
+    Buffer.add_char buf ',';
+    add_items buf xs
+
+and add_members buf = function
+  | [] -> ()
+  | [ f ] -> add_member buf f
+  | f :: fields ->
+    add_member buf f;
+    Buffer.add_char buf ',';
+    add_members buf fields
+
+and add_member buf (k, v) =
+  add_string buf k;
+  Buffer.add_char buf ':';
+  write buf v
 
 let to_string j =
   let buf = Buffer.create 256 in
@@ -80,7 +105,9 @@ let of_string s =
   let n = String.length s in
   let pos = ref 0 in
   let fail msg = raise (Fail (msg, !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
+  (* Chars are compared as chars: a test on [Some c] would be a
+     polymorphic compare. *)
+  let looking_at c = !pos < n && Char.equal (String.unsafe_get s !pos) c in
   let advance () = incr pos in
   let skip_ws () =
     while
@@ -91,10 +118,10 @@ let of_string s =
     done
   in
   let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | Some c' -> fail (Printf.sprintf "expected '%c', found '%c'" c c')
-    | None -> fail (Printf.sprintf "expected '%c', found end of input" c)
+    if looking_at c then advance ()
+    else if !pos < n then
+      fail (Printf.sprintf "expected '%c', found '%c'" c s.[!pos])
+    else fail (Printf.sprintf "expected '%c', found end of input" c)
   in
   let literal word v =
     let l = String.length word in
@@ -140,9 +167,26 @@ let of_string s =
       Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
     end
   in
+  (* A string with no escape is one [String.sub]; otherwise its bytes
+     go through a buffer from the first escape on. *)
   let parse_string () =
     expect '"';
-    let buf = Buffer.create 16 in
+    let start = !pos in
+    while
+      !pos < n
+      && (match String.unsafe_get s !pos with
+          | '"' | '\\' -> false
+          | c -> Char.code c >= 0x20)
+    do
+      advance ()
+    done;
+    if looking_at '"' then begin
+      advance ();
+      String.sub s start (!pos - 1 - start)
+    end
+    else
+    let buf = Buffer.create (!pos - start + 16) in
+    Buffer.add_substring buf s start (!pos - start);
     let rec loop () =
       if !pos >= n then fail "unterminated string";
       match s.[!pos] with
@@ -190,7 +234,7 @@ let of_string s =
   let parse_number () =
     let start = !pos in
     let is_float = ref false in
-    if peek () = Some '-' then advance ();
+    if looking_at '-' then advance ();
     let digits () =
       let d0 = !pos in
       while !pos < n && (match s.[!pos] with '0' .. '9' -> true | _ -> false)
@@ -200,18 +244,17 @@ let of_string s =
       if !pos = d0 then fail "expected digit"
     in
     digits ();
-    if peek () = Some '.' then begin
+    if looking_at '.' then begin
       is_float := true;
       advance ();
       digits ()
     end;
-    (match peek () with
-     | Some ('e' | 'E') ->
-       is_float := true;
-       advance ();
-       (match peek () with Some ('+' | '-') -> advance () | _ -> ());
-       digits ()
-     | _ -> ());
+    if looking_at 'e' || looking_at 'E' then begin
+      is_float := true;
+      advance ();
+      if looking_at '+' || looking_at '-' then advance ();
+      digits ()
+    end;
     let text = String.sub s start (!pos - start) in
     if !is_float then
       match float_of_string_opt text with
@@ -229,23 +272,23 @@ let of_string s =
   let rec parse_value depth =
     if depth > max_depth then fail "nesting too deep";
     skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some 'n' -> literal "null" Null
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some '"' -> String (parse_string ())
-    | Some '[' ->
+    if !pos >= n then fail "unexpected end of input";
+    match String.unsafe_get s !pos with
+    | 'n' -> literal "null" Null
+    | 't' -> literal "true" (Bool true)
+    | 'f' -> literal "false" (Bool false)
+    | '"' -> String (parse_string ())
+    | '[' ->
       advance ();
       skip_ws ();
-      if peek () = Some ']' then begin
+      if looking_at ']' then begin
         advance ();
         List []
       end
       else begin
         let items = ref [ parse_value (depth + 1) ] in
         skip_ws ();
-        while peek () = Some ',' do
+        while looking_at ',' do
           advance ();
           items := parse_value (depth + 1) :: !items;
           skip_ws ()
@@ -253,10 +296,10 @@ let of_string s =
         expect ']';
         List (List.rev !items)
       end
-    | Some '{' ->
+    | '{' ->
       advance ();
       skip_ws ();
-      if peek () = Some '}' then begin
+      if looking_at '}' then begin
         advance ();
         Obj []
       end
@@ -271,7 +314,7 @@ let of_string s =
         in
         let fields = ref [ field () ] in
         skip_ws ();
-        while peek () = Some ',' do
+        while looking_at ',' do
           advance ();
           fields := field () :: !fields;
           skip_ws ()
@@ -279,8 +322,8 @@ let of_string s =
         expect '}';
         Obj (List.rev !fields)
       end
-    | Some ('-' | '0' .. '9') -> parse_number ()
-    | Some c -> fail (Printf.sprintf "unexpected character '%c'" c)
+    | '-' | '0' .. '9' -> parse_number ()
+    | c -> fail (Printf.sprintf "unexpected character '%c'" c)
   in
   match
     let v = parse_value 0 in
@@ -294,9 +337,11 @@ let of_string s =
 
 (* --- accessors --- *)
 
-let member key = function
-  | Obj fields -> List.assoc_opt key fields
-  | _ -> None
+let rec assoc key = function
+  | [] -> None
+  | (k, v) :: fields -> if String.equal k key then Some v else assoc key fields
+
+let member key = function Obj fields -> assoc key fields | _ -> None
 
 let to_string_opt = function String s -> Some s | _ -> None
 let to_int_opt = function Int i -> Some i | _ -> None

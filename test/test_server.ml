@@ -407,6 +407,7 @@ let test_pipelined_replies_not_held () =
 (* --- the why-not instance is built once per session --- *)
 
 module Handlers = Whynot_server.Handlers
+module Protocol = Whynot_server.Protocol
 module Registry = Whynot_server.Registry
 module Obs = Whynot_obs.Obs
 
@@ -470,6 +471,38 @@ let test_warm_session_counter_budget () =
     (fun (n, v0) (_, v1) ->
       Alcotest.(check int) (n ^ " added by 50 warm rounds") 0 (v1 - v0))
     before (read ())
+
+(* Whole reply lines, as the socket carries them, written out by hand:
+   Figure 2's one_mge and check_mge, with negative, positive and
+   escaped-string ids and an integer missing value. *)
+let test_figure2_reply_bytes () =
+  let deps = in_process_deps () in
+  let reply line =
+    match Protocol.parse_request line with
+    | Error m -> Alcotest.failf "unparsable request %s: %s" line m
+    | Ok req -> (
+      match Handlers.handle deps req with
+      | Ok result -> Protocol.ok_line req result
+      | Error (code, m) -> Alcotest.failf "%s: %s: %s" line code m)
+  in
+  ignore (reply {|{"op":"create","session":"f2","workload":"cities"}|});
+  Fun.protect
+    ~finally:(fun () -> ignore (reply {|{"op":"close","session":"f2"}|}))
+  @@ fun () ->
+  List.iter
+    (fun (request, expected) ->
+      Alcotest.(check string) request expected (reply request))
+    [
+      ( {|{"op":"one_mge","session":"f2","id":-10}|},
+        {|{"schema_version":3,"op":"one_mge","session":"f2","id":-10,"result":{"missing":["Amsterdam","New York"],"mge":["top","BigCity.name"]}}|}
+      );
+      ( {|{"op":"check_mge","session":"f2","id":9,"explanation":["top","BigCity.name"]}|},
+        {|{"schema_version":3,"op":"check_mge","session":"f2","id":9,"result":{"is_mge":true}}|}
+      );
+      ( {|{"op":"one_mge","session":"f2","id":"a\u0001b","missing":[59946,"Amsterdam"]}|},
+        {|{"schema_version":3,"op":"one_mge","session":"f2","id":"a\u0001b","result":{"missing":[59946,"Amsterdam"],"mge":["Cities.population","top"]}}|}
+      );
+    ]
 
 (* O_I[K] lists each extension class by its shortest member, so the wire
    all_mges returns short representatives: Figure 2's one MGE is
@@ -777,8 +810,6 @@ let test_external_sigterm_wakes_wait () =
 
 (* --- protocol unit checks (no sockets) --- *)
 
-module Protocol = Whynot_server.Protocol
-
 let test_protocol_envelopes () =
   let req =
     match Protocol.parse_request "{\"op\":\"ping\",\"id\":7,\"session\":\"s\"}" with
@@ -825,6 +856,8 @@ let () =
             test_implicit_view_mge_round_trips;
           Alcotest.test_case "escaped nominal passes check_mge" `Quick
             test_escaped_nominal_round_trips;
+          Alcotest.test_case "Figure 2 replies byte for byte" `Quick
+            test_figure2_reply_bytes;
           Alcotest.test_case "sixteen-domain sessions exhaust no domains"
             `Quick test_many_sixteen_domain_sessions;
         ] );
