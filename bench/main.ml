@@ -93,25 +93,22 @@ let bench_rows : bench_row list ref = ref []
 (* --- the sampling profiler ---
 
    [--profile ID/LABEL] measures nothing: it runs the call of the row
-   [timed_ns] would time under that name in a loop for [--seconds]
-   seconds (5 by default) under [ITIMER_PROF], prints the source lines
-   its samples found most often, and exits. A SIGPROF handler records
-   each sample with [Printexc.get_callstack], so samples land at OCaml
-   safe points, and a C call ([caml_compare], [snprintf]) is charged to
-   the line of its OCaml caller. *)
+   [timed_ns] would time under that name in a loop for five seconds
+   under [ITIMER_PROF], prints the source lines its samples found most
+   often, and exits. A SIGPROF handler records each sample with
+   [Printexc.get_callstack], so samples land at OCaml safe points, and a
+   C call ([caml_compare], [snprintf]) is charged to the line of its
+   OCaml caller. *)
 
-let arg_after flag =
+let profile_row =
   let rec find i =
     if i + 1 >= Array.length Sys.argv then None
-    else if String.equal Sys.argv.(i) flag then Some Sys.argv.(i + 1)
+    else if String.equal Sys.argv.(i) "--profile" then Some Sys.argv.(i + 1)
     else find (i + 1)
   in
   find 1
 
-let profile_row = arg_after "--profile"
-
-let profile_seconds =
-  Option.fold ~none:5. ~some:float_of_string (arg_after "--seconds")
+let profile_seconds = 5.
 
 let samples : Printexc.raw_backtrace list ref = ref []
 

@@ -37,12 +37,19 @@ let projection_mask h c =
   | [] -> None
   | conjuncts -> if add conjuncts then Some m else None
 
+(* An active-domain constant's position mask holds the empty set, so
+   only an id outside the active domain needs the emptiness test. *)
+let[@inline] inter_covers posmasks m b i =
+  if i >= 0 && i < Array.length posmasks then
+    Bits.inter_subset m b posmasks.(i)
+  else Bits.disjoint m b
+
+(* [top]'s membership closes over nothing, so it allocates nothing. *)
 let covers h m =
   if Bits.is_empty m then fun _ -> true
   else
     let posmasks = Subsume_memo.posmasks h in
-    fun i ->
-      i >= 0 && i < Array.length posmasks && Bits.subset m posmasks.(i)
+    fun i -> inter_covers posmasks m m i
 
 let render h ?nominal m =
   let positions = Subsume_memo.positions h in

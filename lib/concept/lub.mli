@@ -55,6 +55,11 @@ val covers : Subsume_memo.inst -> Bits.t -> int -> bool
     for a constant outside the active domain, which only [top]
     covers. *)
 
+val inter_covers : Bits.t array -> Bits.t -> Bits.t -> int -> bool
+(** [inter_covers (Subsume_memo.posmasks h) m b i] iff
+    [covers h (Bits.inter m b) i], a word at a time and without building
+    the intersection: an absorb attempt's test on [m ∧ posmask(b)]. *)
+
 val render : Subsume_memo.inst -> ?nominal:Value.t -> Bits.t -> Ls.t
 (** The concept: the nominal [{x}] if given, meet the projections of the
     mask. *)

@@ -86,26 +86,22 @@ type concept =
   | Mask of Bits.t  (* the empty mask is [top] *)
 
 (* An absorb attempt on masks reads [m ∧ b], [b] the absorbed constant's
-   position mask, without building it, and builds its concept only when
-   accepted. [m ∧ b] covers id [i] when it is empty ([top] covers every
-   id, also those outside the active domain) or [i] is an active-domain
-   constant whose position mask includes it. *)
-let grown_covers posmasks m b i =
-  i >= 0 && i < Array.length posmasks && Bits.inter_subset m b posmasks.(i)
-
-let rec grown_covers_none posmasks m b = function
+   position mask, through {!Lub.inter_covers} without building it, and
+   builds its concept only when accepted. *)
+let rec covers_none posmasks m b = function
   | [] -> true
   | d :: ds ->
-    (not (grown_covers posmasks m b d)) && grown_covers_none posmasks m b ds
+    (not (Lub.inter_covers posmasks m b d)) && covers_none posmasks m b ds
 
 (* [Frontier.accepts f j (Mask (m ∧ b))], with [a_j] the id of the
    missing value at [j]. *)
 let grown_accepts posmasks f j a_j m b =
-  if Bits.disjoint m b then
-    match Frontier.only f j with [] -> true | _ :: _ -> false
-  else
-    grown_covers posmasks m b a_j
-    && grown_covers_none posmasks m b (Frontier.only f j)
+  Lub.inter_covers posmasks m b a_j
+  && covers_none posmasks m b (Frontier.only f j)
+
+let mask_absorb_accepts h q f j m i =
+  let posmasks = Subsume_memo.posmasks h in
+  grown_accepts posmasks f j (Frontier.missing_id q j) m posmasks.(i)
 
 let mask_lubs h q =
   let posmasks = Subsume_memo.posmasks h in

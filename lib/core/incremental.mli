@@ -103,3 +103,19 @@ val check_mge :
 val trivial_explanation : Whynot.t -> Whynot_concept.Ls.t Explanation.t
 (** The tuple of nominals [({a_1}, ..., {a_m})] — always an explanation
     w.r.t. [O_I] (§5.2). *)
+
+val mask_absorb_accepts :
+  Whynot_concept.Subsume_memo.inst ->
+  Explanation.Frontier.ids ->
+  'c Explanation.Frontier.t ->
+  int ->
+  Bits.t ->
+  int ->
+  bool
+(** [mask_absorb_accepts h q f j m i]: the test a selection-free absorb
+    attempt makes, at position [j] of [f], on a support of mask [m] and
+    the [i]-th active-domain constant [b]. It holds iff
+    [Explanation.Frontier.accepts f j c] for a concept [c] with the
+    extension of [Lub.render h (Bits.inter m (posmask b))], for any mask
+    [m] of the handle's width ([h] and [q] those [f] was made over).
+    Exposed for tests. *)

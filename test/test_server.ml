@@ -810,6 +810,29 @@ let test_external_sigterm_wakes_wait () =
 
 (* --- protocol unit checks (no sockets) --- *)
 
+(* The wire encoder writes digits and escapes straight into its buffer;
+   on the integers around sign and digit-count changes, [max_int] and
+   [min_int], and every byte value alone, in one string and as a key, it
+   must write the bytes of the encoder it replaced. *)
+let test_encoder_corners () =
+  let bytes = List.init 256 (fun c -> String.make 1 (Char.chr c)) in
+  let corners =
+    Json.List
+      [
+        Json.List
+          (List.map
+             (fun n -> Json.Int n)
+             [ 0; 1; -1; 9; -9; 10; -10; max_int; min_int ]);
+        Json.List (List.map (fun b -> Json.String b) bytes);
+        Json.String (String.concat "" bytes);
+        Json.Obj (List.map (fun b -> (b, Json.Null)) bytes);
+      ]
+  in
+  Alcotest.(check string)
+    "reference bytes"
+    (Whynot_proptest.Oracle.json_to_string corners)
+    (Json.to_string corners)
+
 let test_protocol_envelopes () =
   let req =
     match Protocol.parse_request "{\"op\":\"ping\",\"id\":7,\"session\":\"s\"}" with
@@ -838,7 +861,11 @@ let () =
   Alcotest.run "server"
     [
       ( "protocol",
-        [ Alcotest.test_case "envelopes" `Quick test_protocol_envelopes ] );
+        [
+          Alcotest.test_case "envelopes" `Quick test_protocol_envelopes;
+          Alcotest.test_case "encoder corners equal the reference" `Quick
+            test_encoder_corners;
+        ] );
       ( "sessions",
         [
           Alcotest.test_case "concurrent clients, independent sessions" `Quick
