@@ -1325,7 +1325,7 @@ module Handlers = Whynot_server.Handlers
 
 (* The server's work for a one_mge + check_mge pair on a 40-city
    document, in-process and without sockets: [parse_request], then
-   [Handlers.handle], then [ok_line]. Each one_mge asks about a distinct
+   [Handlers.handle], then the reply line. Each one_mge asks about a distinct
    non-answer pair and its MGE goes back to check_mge. The same stream
    runs back to back and with a 10 ms sleep before each request, the
    sleep left out of the time: at a hundred arrivals a second every
@@ -1387,7 +1387,7 @@ let cold_bench () =
     | Error m -> failwith ("COLD: " ^ m)
     | Ok req ->
       (match Handlers.handle deps req with
-       | Ok json -> (json, Protocol.ok_line req json)
+       | Ok json -> (json, Wire_json.to_line (Protocol.ok req json))
        | Error (code, m) -> failwith ("COLD: " ^ code ^ ": " ^ m))
   in
   let run ~label ~session ~offset ~idle_s =
@@ -1459,12 +1459,142 @@ let cold_bench () =
     row "    p50 %.1f us, p90 %.1f us@." (percentile_us times 50.)
       (percentile_us times 90.)
   in
-  (* Distinct pairs in the two runs, so neither reuses the other's
-     questions. *)
+  (* The same pairs through the public functions the handlers call, one
+     clock read per stage: [parse_request]; the session lookup and
+     [Engine.question]; the op; reading the explanation's concepts
+     (check_mge only); the reply's rendering, envelope and line. A row
+     holds a stage's median over its requests. *)
+  let stages ~mode ~session ~offset ~idle_s =
+    let names =
+      [ "parse_request"; "question"; "one_mge"; "check_mge"; "concept intake";
+        "render+reply" ]
+    in
+    let times = List.map (fun name -> (name, ref [])) names in
+    ignore
+      (serve
+         (line
+            [
+              ("op", Wire_json.String "create");
+              ("session", Wire_json.String session);
+              ("document", Wire_json.String text);
+            ]));
+    let s, read_concept =
+      Option.get (Whynot_server.Registry.find_reading deps.registry session)
+    in
+    let engine = s.Whynot_server.Registry.engine in
+    let query = Option.get s.Whynot_server.Registry.query in
+    let timing = ref false in
+    (* Stages take a few microseconds: a nanosecond clock. *)
+    let ns () = Int64.to_float (Monotonic_clock.now ()) in
+    let stage name f =
+      let t0 = ns () in
+      let v = f () in
+      if !timing then begin
+        let l = List.assoc name times in
+        l := (ns () -. t0) :: !l
+      end;
+      v
+    in
+    let request l k =
+      if idle_s > 0. then Unix.sleepf idle_s;
+      let req =
+        stage "parse_request" (fun () ->
+            Result.get_ok (Protocol.parse_request l))
+      in
+      let wn =
+        stage "question" (fun () ->
+            ignore
+              (Whynot_server.Registry.find_reading deps.registry session);
+            let missing =
+              Result.get_ok
+                (Protocol.values_of_json
+                   (Option.get (Protocol.list_param req "missing")))
+            in
+            Result.get_ok (Engine.question engine ~query ~missing ()))
+      in
+      let result = k req wn in
+      stage "render+reply" (fun () ->
+          ignore
+            (Sys.opaque_identity (Wire_json.to_line (Protocol.ok req result))));
+      result
+    in
+    let pair missing =
+      let missing = Wire_json.List (List.map Protocol.json_of_value missing) in
+      let fields op rest =
+        line
+          ([ ("op", Wire_json.String op); ("session", Wire_json.String session);
+             ("missing", missing) ]
+           @ rest)
+      in
+      let reply =
+        request (fields "one_mge" []) (fun _ wn ->
+            let e =
+              stage "one_mge" (fun () ->
+                  Result.get_ok (Engine.one_mge engine wn))
+            in
+            Wire_json.Obj
+              [
+                ("missing", missing);
+                ("mge", Handlers.json_of_explanation s.Whynot_server.Registry.schema e);
+              ])
+      in
+      let mge = Option.get (Wire_json.member "mge" reply) in
+      ignore
+        (request (fields "check_mge" [ ("explanation", mge) ]) (fun req wn ->
+             let e =
+               stage "concept intake" (fun () ->
+                   List.map
+                     (fun j ->
+                        Result.get_ok
+                          (read_concept (Option.get (Wire_json.to_string_opt j))))
+                     (Option.get (Protocol.list_param req "explanation")))
+             in
+             let ok =
+               stage "check_mge" (fun () ->
+                   Result.get_ok (Engine.check_mge engine wn e))
+             in
+             Wire_json.Obj [ ("is_mge", Wire_json.Bool ok) ]))
+    in
+    for i = 1 to 3 do
+      pair pairs.(Array.length pairs - i)
+    done;
+    timing := true;
+    for i = 0 to n_pairs - 1 do
+      pair pairs.((offset + i) mod Array.length pairs)
+    done;
+    ignore
+      (serve
+         (line
+            [
+              ("op", Wire_json.String "close");
+              ("session", Wire_json.String session);
+            ]));
+    List.iter
+      (fun (name, l) ->
+         let a = Array.of_list !l in
+         Array.sort compare a;
+         let p50 = percentile_us a 50. in
+         raw_row "COLD"
+           (Printf.sprintf "stage %s, %s (median)" name mode)
+           ~params:
+             [
+               ("requests", float_of_int (Array.length a));
+               ("idle_ms", idle_s *. 1e3);
+               ("p50_us", p50);
+               ("p90_us", percentile_us a 90.);
+             ]
+           ~ns:(p50 *. 1e3) ~counters:[])
+      times
+  in
+  (* Distinct pairs in each run, so none reuses another's questions. *)
   run ~label:"one_mge + check_mge, back to back" ~session:"warm" ~offset:0
     ~idle_s:0.;
   run ~label:"one_mge + check_mge, 10 ms idle before each" ~session:"cold"
-    ~offset:n_pairs ~idle_s:0.01
+    ~offset:n_pairs ~idle_s:0.01;
+  stages ~mode:"back to back" ~session:"warm-stages" ~offset:(2 * n_pairs)
+    ~idle_s:0.;
+  stages ~mode:"10 ms idle" ~session:"cold-stages" ~offset:(3 * n_pairs)
+    ~idle_s:0.01
 
 let () =
   Format.printf "why-not explanations: benchmark harness@.";

@@ -294,8 +294,9 @@ let subsume_cmd =
     let code =
       wrap "subsume" @@ fun () ->
       let* doc = Parser.parse_file path in
-      let* c1 = Parser.concept_of_string doc c1_src in
-      let* c2 = Parser.concept_of_string doc c2_src in
+      let read_concept = Parser.concept_reader doc in
+      let* c1 = read_concept c1_src in
+      let* c2 = read_concept c2_src in
       let* schema = Parser.schema_of doc in
       let inst = Parser.instance_of doc in
       let pp_c = Whynot_concept.Ls.pp ~schema () in

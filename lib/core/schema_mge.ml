@@ -9,23 +9,23 @@ let c_concepts =
   Obs.counter "mge.schema.concepts"
     ~doc:"finite schema-ontology concept pool sizes enumerated"
 
-let ontology fragment schema wn =
-  let pool = Whynot.constant_pool wn in
+let ontology ?handle fragment schema wn =
+  let pool = Whynot.constant_pool ?handle wn in
   let o =
     Ontology.of_schema_finite
       ~minimal_only:(fragment = `Minimal)
-      schema wn.Whynot.instance pool
+      ?handle schema wn.Whynot.instance pool
   in
   (match o.Ontology.concepts with
    | Some cs -> Obs.add c_concepts (List.length cs)
    | None -> ());
   o
 
-let one_mge fragment schema wn =
-  Exhaustive.one_mge (ontology fragment schema wn) wn
+let one_mge ?handle fragment schema wn =
+  Exhaustive.one_mge (ontology ?handle fragment schema wn) wn
 
-let all_mges fragment schema wn =
-  Exhaustive.all_mges (ontology fragment schema wn) wn
+let all_mges ?handle fragment schema wn =
+  Exhaustive.all_mges (ontology ?handle fragment schema wn) wn
 
-let check_mge fragment schema wn e =
-  Exhaustive.check_mge (ontology fragment schema wn) wn e
+let check_mge ?handle fragment schema wn e =
+  Exhaustive.check_mge (ontology ?handle fragment schema wn) wn e

@@ -7,7 +7,11 @@
     is the EXPTIME case. Schema-level subsumption is delegated to
     {!Whynot_concept.Subsume_schema}, so for constraint classes where that
     decider is incomplete (mixtures), "most general" is relative to the
-    derivable subsumptions. *)
+    derivable subsumptions.
+
+    With an instance [handle] (over the question's instance), [K] is
+    built from the handle's cached active domain and the ontology
+    evaluates extensions through it. *)
 
 type fragment =
   [ `Minimal
@@ -15,6 +19,7 @@ type fragment =
   ]
 
 val ontology :
+  ?handle:Whynot_concept.Subsume_memo.inst ->
   fragment ->
   Whynot_relational.Schema.t ->
   Whynot.t ->
@@ -22,6 +27,7 @@ val ontology :
 (** The materialised [O_S[K]] for this why-not instance. *)
 
 val one_mge :
+  ?handle:Whynot_concept.Subsume_memo.inst ->
   fragment ->
   Whynot_relational.Schema.t ->
   Whynot.t ->
@@ -32,6 +38,7 @@ val one_mge :
     as for {!all_mges}. *)
 
 val all_mges :
+  ?handle:Whynot_concept.Subsume_memo.inst ->
   fragment ->
   Whynot_relational.Schema.t ->
   Whynot.t ->
@@ -41,6 +48,7 @@ val all_mges :
     fragment is infinite over this schema and constant pool. *)
 
 val check_mge :
+  ?handle:Whynot_concept.Subsume_memo.inst ->
   fragment ->
   Whynot_relational.Schema.t ->
   Whynot.t ->

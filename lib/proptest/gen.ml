@@ -517,20 +517,28 @@ let obda =
 (* ------------------------------------------------------------------ *)
 
 let whynot =
-  let* rows =
-    QG.list_size (QG.int_range 2 8)
-      (QG.pair (QG.int_range 0 4) (QG.int_range 0 4))
-  in
+  let cell = QG.int_range 0 4 in
+  let* rows = QG.list_size (QG.int_range 3 8) (QG.pair cell cell) in
+  let* triples = QG.list_size (QG.int_range 2 6) (QG.triple cell cell cell) in
   let inst =
     List.fold_left
       (fun inst (a, b) ->
          Instance.add_fact "R" [ Value.int a; Value.int b ] inst)
       Instance.empty rows
   in
+  let inst =
+    List.fold_left
+      (fun inst (a, b, c) ->
+         Instance.add_fact "T" [ Value.int a; Value.int b; Value.int c ] inst)
+      inst triples
+  in
+  let* via_t = QG.frequency [ (3, QG.return false); (1, QG.return true) ] in
   let chain =
     [
       { Cq.rel = "R"; args = [ Cq.Var "x"; Cq.Var "z" ] };
-      { Cq.rel = "R"; args = [ Cq.Var "z"; Cq.Var "y" ] };
+      (if via_t then
+         { Cq.rel = "T"; args = [ Cq.Var "z"; Cq.Var "y"; Cq.Var "w" ] }
+       else { Cq.rel = "R"; args = [ Cq.Var "z"; Cq.Var "y" ] });
     ]
   in
   let* binary = QG.bool in

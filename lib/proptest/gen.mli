@@ -95,10 +95,12 @@ val obda : (Whynot_obda.Spec.t * Instance.t) QCheck2.Gen.t
     an instance for its schema. *)
 
 val whynot : Whynot_core.Whynot.t option QCheck2.Gen.t
-(** A why-not question over a binary relation [R] with a two-atom chain
-    query of head arity 1 or 2 and a missing tuple certified absent from
-    the answers; [None] when the random instance answers everything (the
-    property should then pass vacuously). *)
+(** A why-not question over a binary relation [R] and a ternary [T]
+    (five positions, so [O_I[K]] has classes of three and more
+    conjuncts) with a two-atom chain query of head arity 1 or 2 ([R]
+    then [R], or now and then [R] then [T]) and a missing tuple certified
+    absent from the answers; [None] when the random instance answers
+    everything (the property should then pass vacuously). *)
 
 val whynot_wide : Whynot_core.Whynot.t option QCheck2.Gen.t
 (** A wider why-not question: two or three relations ([R/2], [S/1] and

@@ -922,3 +922,149 @@ let why_check_mge variant (t : Why.t) e =
                             (lub (Value_set.add b ext))))
                  (Instance.adom inst))
           (List.init (List.length e) Fun.id))
+
+(* ------------------------------------------------------------------ *)
+(* Concept expressions, parsed per call                                *)
+(* ------------------------------------------------------------------ *)
+
+(* [Parser.concept_of_string] as it was before the staged
+   [Parser.concept_reader]: every call rebuilds the relation list of
+   [Parser.schema_of] (declared relations, then each undeclared view with
+   attributes a1..aN) and resolves attribute names by list search. The
+   [text/concept-reader-equals-oracle] property compares the two. *)
+
+exception Concept_error of string
+
+let concept_relation_decls (doc : Whynot_text.Parser.document) =
+  let declared =
+    List.map (fun (r : Schema.rel_decl) -> r.name) doc.relations
+  in
+  let implicit =
+    List.filter_map
+      (fun (v : View.def) ->
+         if List.mem v.View.name declared then None
+         else
+           Some
+             {
+               Schema.name = v.View.name;
+               attrs =
+                 List.init (Ucq.arity v.View.body) (fun i ->
+                     "a" ^ string_of_int (i + 1));
+             })
+      doc.views
+  in
+  doc.relations @ implicit
+
+let concept_of_string doc src =
+  let module L = Whynot_text.Lexer in
+  let relations = concept_relation_decls doc in
+  match L.tokenize src with
+  | Error _ as e -> e
+  | Ok tokens ->
+    let tokens = ref tokens in
+    let peek () = match !tokens with [] -> L.Eof | t :: _ -> t.L.token in
+    let line () = match !tokens with [] -> 0 | t :: _ -> t.L.line in
+    let advance () = match !tokens with [] -> () | _ :: r -> tokens := r in
+    let fail msg =
+      raise
+        (Concept_error
+           (Printf.sprintf "line %d: %s (found %s)" (line ()) msg
+              (Format.asprintf "%a" L.pp_token (peek ()))))
+    in
+    let expect tok msg = if peek () = tok then advance () else fail msg in
+    let ident () =
+      match peek () with
+      | L.Ident s -> advance (); s
+      | _ -> fail "expected an identifier"
+    in
+    let value () =
+      match peek () with
+      | L.String s -> advance (); Value.Str s
+      | L.Number v -> advance (); v
+      | L.Ident s -> advance (); Value.Str s
+      | _ -> fail "expected a constant"
+    in
+    let attr_of ~rel name =
+      match int_of_string_opt name with
+      | Some k -> k
+      | None ->
+        (match
+           List.find_opt
+             (fun (r : Schema.rel_decl) -> String.equal r.name rel)
+             relations
+         with
+         | None ->
+           raise
+             (Concept_error
+                (Printf.sprintf "attribute %s of undeclared relation %s" name
+                   rel))
+         | Some r ->
+           (match List.find_index (String.equal name) r.Schema.attrs with
+            | Some i -> i + 1
+            | None ->
+              raise
+                (Concept_error
+                   (Printf.sprintf "unknown attribute %s of %s" name rel))))
+    in
+    let op_of = function
+      | L.Eq -> Some Cmp_op.Eq
+      | L.Lt -> Some Cmp_op.Lt
+      | L.Gt -> Some Cmp_op.Gt
+      | L.Le -> Some Cmp_op.Le
+      | L.Ge -> Some Cmp_op.Ge
+      | _ -> None
+    in
+    let selection ~rel =
+      let a = ident () in
+      let op =
+        match op_of (peek ()) with
+        | Some op -> advance (); op
+        | None -> fail "expected a comparison operator"
+      in
+      let v = value () in
+      { Ls.attr = attr_of ~rel a; op; value = v }
+    in
+    let rec selections ~rel acc =
+      let acc = selection ~rel :: acc in
+      if peek () = L.Comma then (advance (); selections ~rel acc)
+      else List.rev acc
+    in
+    let conjunct () =
+      match peek () with
+      | L.Ident "top" -> advance (); Ls.top
+      | L.Lbrace ->
+        advance ();
+        let v = value () in
+        expect L.Rbrace "expected '}'";
+        Ls.nominal v
+      | L.Ident name ->
+        advance ();
+        let rel, attr_name =
+          match String.rindex_opt name '.' with
+          | None -> fail "expected REL.ATTR"
+          | Some i ->
+            ( String.sub name 0 i,
+              String.sub name (i + 1) (String.length name - i - 1) )
+        in
+        let attr = attr_of ~rel attr_name in
+        let sels =
+          if peek () = L.Lbracket then begin
+            advance ();
+            let ss = selections ~rel [] in
+            expect L.Rbracket "expected ']'";
+            ss
+          end
+          else []
+        in
+        Ls.proj ~rel ~attr ~sels ()
+      | _ -> fail "expected 'top', '{c}' or REL.ATTR"
+    in
+    (try
+       let rec more acc =
+         if peek () = L.Amp then (advance (); more (conjunct () :: acc))
+         else acc
+       in
+       let c = Ls.meet_all (List.rev (more [ conjunct () ])) in
+       expect L.Eof "trailing input";
+       Ok c
+     with Concept_error msg -> Error (`Parse msg))

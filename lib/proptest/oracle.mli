@@ -226,3 +226,13 @@ val why_check_mge :
   Whynot_concept.Ls.t Whynot_core.Explanation.t ->
   bool
 (** [Why.check_mge] by the same whole-tuple re-tests. *)
+
+val concept_of_string :
+  Whynot_text.Parser.document ->
+  string ->
+  (Whynot_concept.Ls.t, Whynot_error.t) result
+(** [Parser.concept_of_string] as it was before the staged
+    [Parser.concept_reader]: the relation list (declared relations, then
+    each undeclared view with attributes [a1..aN]) rebuilt on every call
+    and attribute names resolved by list search. Reference for
+    [text/concept-reader-equals-oracle], errors included. *)

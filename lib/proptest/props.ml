@@ -995,6 +995,78 @@ let text_document_roundtrip =
            && sorted (Schema.inds s') = sorted (Schema.inds s)
            && Instance.equal (Parser.instance_of doc) inst))
 
+(* A rendered document whose view [V0] is implicit half the time, and
+   concept strings over it: rendered concepts, the same with a fragment
+   added, and fragment soups, which name unknown relations and
+   attributes, positions as attributes, and malformed syntax. *)
+let gen_concept_reader_case =
+  let* cls =
+    QG.frequency
+      [ (2, QG.return Gen.Views_only); (1, QG.return Gen.Mixed);
+        (1, Gen.schema_class) ]
+  in
+  let* s = Gen.schema cls in
+  let* implicit = QG.bool in
+  let text =
+    String.split_on_char '\n' (Surface.document s Instance.empty)
+    |> List.filter (fun line ->
+        not (implicit && String.starts_with ~prefix:"relation V0(" line))
+    |> String.concat "\n"
+  in
+  let fragment =
+    let projection =
+      let* rel = QG.oneofl [ "R0"; "R1"; "R2"; "V0"; "Nope" ] in
+      let* attr = QG.oneofl [ "a1"; "a2"; "a3"; "a4"; "name"; "1"; "2"; "0"; "x" ] in
+      QG.return (rel ^ "." ^ attr)
+    in
+    QG.frequency
+      [
+        (4, projection);
+        ( 3,
+          QG.oneofl
+            [ "top"; "{1}"; "{\"Rome\"}"; "&"; "& "; "["; "]"; ","; "a1 = 3";
+              "a2 >= 1.5"; "a1 < \"s\""; "name = 1"; "1 = 2"; "{"; "}"; "=";
+              "!"; "R0"; "\"open" ] );
+      ]
+  in
+  let soup =
+    QG.map (String.concat " ") (QG.list_size (QG.int_range 1 6) fragment)
+  in
+  let one =
+    let* c = Gen.concept s in
+    QG.frequency
+      [
+        (3, QG.return (Surface.concept s c));
+        ( 1,
+          let* f = fragment in
+          QG.return (Surface.concept s c ^ " " ^ f) );
+        (2, soup);
+      ]
+  in
+  let* srcs = QG.list_size (QG.int_range 1 4) one in
+  QG.return (text, srcs)
+
+(* The staged reader, applied to a document once, reads every concept
+   string as the per-call parser it replaced: the same concept, or the
+   same error message. *)
+let text_concept_reader_equals_oracle =
+  prop "text/concept-reader-equals-oracle" 400
+    (fun (text, srcs) -> text ^ "\n--- concepts:\n" ^ String.concat "\n" srcs)
+    gen_concept_reader_case
+    (fun (text, srcs) ->
+      match Parser.parse text with
+      | Error _ -> false
+      | Ok doc ->
+        let read = Parser.concept_reader doc in
+        List.for_all
+          (fun src ->
+             match (read src, Oracle.concept_of_string doc src) with
+             | Ok c, Ok c' -> Ls.equal c c'
+             | Error e, Error e' ->
+               String.equal (Whynot_error.message e) (Whynot_error.message e')
+             | _ -> false)
+          srcs)
+
 (* Strings with quotes, backslashes, control bytes, non-ASCII and more
    than a line's width of text, and any byte string. *)
 let gen_rendered_string =
@@ -1562,6 +1634,7 @@ let all =
     text_concept_roundtrip;
     text_document_roundtrip;
     text_values_roundtrip;
+    text_concept_reader_equals_oracle;
     value_to_string_equals_format;
     exhaustive_equals_literal;
     ontology_classes_same_mges;

@@ -48,7 +48,7 @@ let ( let* ) r k = match r with Ok v -> k v | Error _ as e -> e
 (* Concepts travel the wire in the text format's grammar
    ([Cities.name[population >= 5000000] & {"Rome"}]) so a client can feed
    a response concept straight back into [check_mge]. The renderer is the
-   inverse of [Parser.concept_of_string] over the session's schema. *)
+   inverse of [Parser.concept_reader] over the session's schema. *)
 
 let attr_label schema ~rel attr =
   match Schema.attr_name schema ~rel attr with
@@ -233,18 +233,19 @@ let deadline_of deps req =
     in
     Some (Obs.now_s () +. (float_of_int (max ms 0) /. 1000.))
 
+(* [k s read_concept]: the session and its concept reader. *)
 let with_session deps req k =
   match req.Protocol.session with
   | None -> err "missing-input" "\"%s\" requires a \"session\"" req.Protocol.op
   | Some name -> (
-    match Registry.find deps.registry name with
+    match Registry.find_reading deps.registry name with
     | None -> err "unknown-session" "no session named %S" name
-    | Some s ->
+    | Some (s, read_concept) ->
       Mutex.protect s.Registry.lock (fun () ->
         Engine.set_deadline s.Registry.engine (deadline_of deps req);
         Fun.protect
           ~finally:(fun () -> Engine.set_deadline s.Registry.engine None)
-          (fun () -> k s)))
+          (fun () -> k s read_concept)))
 
 let question_of (s : Registry.session) req =
   let* missing =
@@ -273,7 +274,7 @@ let question_of (s : Registry.session) req =
   Ok (wn, missing)
 
 let handle_question deps req =
-  with_session deps req (fun s ->
+  with_session deps req (fun s _ ->
     let* wn, missing = question_of s req in
     Ok
       (Wjson.Obj
@@ -287,7 +288,7 @@ let handle_question deps req =
          ]))
 
 let handle_one_mge deps req =
-  with_session deps req (fun s ->
+  with_session deps req (fun s _ ->
     let* wn, missing = question_of s req in
     let* variant = variant_of req in
     let* mge =
@@ -301,7 +302,7 @@ let handle_one_mge deps req =
          ]))
 
 let handle_all_mges deps req =
-  with_session deps req (fun s ->
+  with_session deps req (fun s _ ->
     let* wn, _missing = question_of s req in
     let* mges = of_result (Engine.all_mges s.Registry.engine wn) in
     Ok
@@ -314,7 +315,7 @@ let handle_all_mges deps req =
          ]))
 
 let handle_check_mge deps req =
-  with_session deps req (fun s ->
+  with_session deps req (fun s read_concept ->
     let* wn, _missing = question_of s req in
     let* variant = variant_of req in
     let* concept_srcs =
@@ -336,9 +337,7 @@ let handle_check_mge deps req =
       List.fold_left
         (fun acc src ->
            let* acc = acc in
-           let* c =
-             of_result (Parser.concept_of_string s.Registry.doc src)
-           in
+           let* c = of_result (read_concept src) in
            Ok (c :: acc))
         (Ok []) concept_srcs
       |> Result.map List.rev

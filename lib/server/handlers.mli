@@ -19,6 +19,13 @@ type deps = {
   started_at_s : float;
 }
 
+val json_of_explanation :
+  Whynot_relational.Schema.t ->
+  Whynot_concept.Ls.t Whynot_core.Explanation.t ->
+  Protocol.Wjson.t
+(** An explanation as the wire carries it: a list of concept strings in
+    the text format's grammar, which [check_mge] reads back. *)
+
 val known_ops : string list
 (** Every op {!handle} dispatches (including the debug ones) — the server
     pre-registers one latency timer per entry. *)

@@ -71,26 +71,26 @@ let header ?op ?session ?id () =
       (match id with Some j -> [ ("id", j) ] | None -> []);
     ]
 
-let ok_line req result =
-  Wjson.to_string
-    (Wjson.Obj
-       (header ~op:req.op ?session:req.session ?id:req.id ()
-        @ [ ("result", result) ]))
+let ok req result =
+  Wjson.Obj
+    (header ~op:req.op ?session:req.session ?id:req.id ()
+     @ [ ("result", result) ])
 
-let error_line ?request ?op ?session ~code ~message () =
+let error ?request ?op ?session ~code ~message () =
   let op = match request with Some r -> Some r.op | None -> op in
   let session =
     match request with Some r -> r.session | None -> session
   in
   let id = Option.bind request (fun r -> r.id) in
-  Wjson.to_string
-    (Wjson.Obj
-       (header ?op ?session ?id ()
-        @ [
-            ( "error",
-              Wjson.Obj
-                [
-                  ("code", Wjson.String code);
-                  ("message", Wjson.String message);
-                ] );
-          ]))
+  Wjson.Obj
+    (header ?op ?session ?id ()
+     @ [
+         ( "error",
+           Wjson.Obj
+             [
+               ("code", Wjson.String code);
+               ("message", Wjson.String message);
+             ] );
+       ])
+
+let ok_line req result = Wjson.to_string (ok req result)

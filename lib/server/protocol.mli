@@ -57,11 +57,15 @@ val values_of_json :
 
 val json_of_value : Whynot_relational.Value.t -> Wjson.t
 
-val ok_line : request -> Wjson.t -> string
-(** Success envelope (without the trailing newline). *)
+val ok : request -> Wjson.t -> Wjson.t
+(** Success envelope. *)
 
-val error_line :
+val error :
   ?request:request -> ?op:string -> ?session:string ->
-  code:string -> message:string -> unit -> string
+  code:string -> message:string -> unit -> Wjson.t
 (** Error envelope; header fields come from [request] when available (the
     pre-parse failures — malformed line, connection shed — have none). *)
+
+val ok_line : request -> Wjson.t -> string
+(** [Wjson.to_string (ok req result)]: the line without its newline. The
+    server writes [Wjson.to_line] of the envelope. *)

@@ -15,9 +15,12 @@ type session = {
   mutable last_used_s : float;
 }
 
+type concept_reader =
+  string -> (Whynot_concept.Ls.t, Whynot_error.t) result
+
 type t = {
   max_sessions : int;
-  table : (string, session) Hashtbl.t;
+  table : (string, session * concept_reader) Hashtbl.t;
   mutex : Mutex.t;
 }
 
@@ -27,27 +30,30 @@ let create ~max_sessions =
 let count t = Mutex.protect t.mutex (fun () -> Hashtbl.length t.table)
 
 let add t s =
+  let read = Whynot_text.Parser.concept_reader s.doc in
   Mutex.protect t.mutex (fun () ->
     if Hashtbl.mem t.table s.name then Error `Exists
     else if Hashtbl.length t.table >= t.max_sessions then Error `Full
     else begin
-      Hashtbl.replace t.table s.name s;
+      Hashtbl.replace t.table s.name (s, read);
       Ok ()
     end)
 
-let find t name =
+let find_reading t name =
   Mutex.protect t.mutex (fun () ->
     match Hashtbl.find_opt t.table name with
     | None -> None
-    | Some s ->
+    | Some ((s, _) as entry) ->
       s.last_used_s <- Whynot_obs.Obs.now_s ();
-      Some s)
+      Some entry)
+
+let find t name = Option.map fst (find_reading t name)
 
 let remove t name =
   Mutex.protect t.mutex (fun () ->
     match Hashtbl.find_opt t.table name with
     | None -> None
-    | Some s ->
+    | Some (s, _) ->
       Hashtbl.remove t.table name;
       Some s)
 
@@ -55,7 +61,8 @@ let sweep t ~ttl_s ~now_s =
   Mutex.protect t.mutex (fun () ->
     let stale =
       Hashtbl.fold
-        (fun _ s acc -> if now_s -. s.last_used_s > ttl_s then s :: acc else acc)
+        (fun _ (s, _) acc ->
+           if now_s -. s.last_used_s > ttl_s then s :: acc else acc)
         t.table []
     in
     List.iter (fun s -> Hashtbl.remove t.table s.name) stale;
@@ -63,6 +70,6 @@ let sweep t ~ttl_s ~now_s =
 
 let drain t =
   Mutex.protect t.mutex (fun () ->
-    let all = Hashtbl.fold (fun _ s acc -> s :: acc) t.table [] in
+    let all = Hashtbl.fold (fun _ (s, _) acc -> s :: acc) t.table [] in
     Hashtbl.reset t.table;
     all)

@@ -14,7 +14,8 @@ type source = Workload of string | Inline
 type session = {
   name : string;
   doc : Whynot_text.Parser.document;
-      (** attribute-name context for parsing and rendering concepts *)
+      (** attribute-name context for concepts: {!add} makes the
+          session's concept reader from it *)
   schema : Schema.t;
   engine : Whynot.Engine.t;
   query : Cq.t option;        (** the document's query, when present *)
@@ -33,11 +34,19 @@ val create : max_sessions:int -> t
 
 val count : t -> int
 
+type concept_reader =
+  string -> (Whynot_concept.Ls.t, Whynot_error.t) result
+
 val add : t -> session -> (unit, [ `Exists | `Full ]) result
+(** Also makes the session's concept reader,
+    [Whynot_text.Parser.concept_reader s.doc], once. *)
 
 val find : t -> string -> session option
 (** Bumps the session's [last_used_s] (keeping it alive w.r.t. the TTL
     sweep) before returning it. *)
+
+val find_reading : t -> string -> (session * concept_reader) option
+(** {!find}, with the concept reader {!add} made for the session. *)
 
 val remove : t -> string -> session option
 (** Unlinks the session from the table; the caller closes its engine. *)

@@ -1,9 +1,12 @@
 (* The TCP serving layer. One systhread per connection (request handling
    is dominated by engine work; systhreads are plenty for the socket
-   plumbing), a wake pipe that every blocked thread selects on so an idle
-   server takes no timer wakeups, and a counting semaphore as the bounded
-   "queue": try_acquire either admits a request or sheds it with an
-   "overloaded" response — requests are never buffered without bound. *)
+   plumbing), each blocked in [read] on its own socket, so a request
+   costs one read and an idle server takes no timer wakeups; a wake pipe
+   for the accept thread and [wait], which at shutdown ends every
+   connection's read with [shutdown SHUTDOWN_RECEIVE]; and a counting
+   semaphore as the bounded "queue": try_acquire either admits a request
+   or sheds it with an "overloaded" response — requests are never
+   buffered without bound. *)
 
 module Obs = Whynot_obs.Obs
 
@@ -50,7 +53,10 @@ type t = {
   wake_r : Unix.file_descr;         (* readable once shutdown begins *)
   wake_w : Unix.file_descr;
   inflight : Semaphore.Counting.t;
-  conns : int ref;                  (* guarded by [conn_mutex] *)
+  live : (Unix.file_descr, unit) Hashtbl.t;
+      (* open connections, guarded by [conn_mutex]: a connection thread
+         removes and closes its socket under it, so the shutdown pass
+         never reaches a number that a new socket reuses *)
   conn_mutex : Mutex.t;
   conn_cond : Condition.t;
   mutable accept_thread : Thread.t option;
@@ -107,8 +113,8 @@ let peer_string = function
 
 exception Conn_closed
 
-let write_line fd line =
-  let data = line ^ "\n" in
+(* [data] is one envelope and its newline ([Wjson.to_line]). *)
+let write_line fd data =
   let len = String.length data in
   let off = ref 0 in
   (try
@@ -117,6 +123,11 @@ let write_line fd line =
      done
    with Unix.Unix_error ((EPIPE | ECONNRESET | EBADF), _, _) ->
      raise Conn_closed)
+
+(* An error that answers no request: a line over the cap, a spent
+   request budget, a refused connection. *)
+let write_error fd ~code ~message =
+  write_line fd (Protocol.Wjson.to_line (Protocol.error ~code ~message ()))
 
 (* The bytes read and not yet served are [buf.[start .. stop - 1]], of
    which [start .. scanned - 1] hold no newline: each byte is searched
@@ -171,31 +182,26 @@ let make_room r =
     r.buf <- b
   end
 
-(* Pull one newline-terminated line out of the reader, blocking until the
-   socket or the wake pipe [wake] is readable, so a draining connection
-   exits at once and an idle one never wakes. [`Line s] (CR stripped),
-   [`Eof] (peer hung up or shutdown), or [`Too_long] once the pending
-   unterminated input exceeds the cap. *)
-let read_line r ~max_bytes ~stop ~wake =
+(* Pull one newline-terminated line out of the reader, blocking in
+   [read] on the socket: an idle connection never wakes, and the
+   shutdown pass ([SHUTDOWN_RECEIVE]) makes the read return 0.
+   [`Line s] (CR stripped), [`Eof] (peer hung up or shutdown), or
+   [`Too_long] once the pending unterminated input exceeds the cap. *)
+let read_line r ~max_bytes =
   let rec loop () =
     match take_line r with
     | Some line -> `Line line
     | None ->
       if r.stop - r.start > max_bytes then `Too_long
-      else if Atomic.get stop then `Eof
       else begin
-        match Unix.select [ r.fd; wake ] [] [] (-1.) with
-        | readable, _, _ when not (List.mem r.fd readable) -> loop ()
-        | _ -> (
-          make_room r;
-          match Unix.read r.fd r.buf r.stop (Bytes.length r.buf - r.stop) with
-          | 0 -> `Eof
-          | n ->
-            r.stop <- r.stop + n;
-            loop ()
-          | exception Unix.Unix_error (EINTR, _, _) -> loop ()
-          | exception Unix.Unix_error ((ECONNRESET | EBADF), _, _) -> `Eof)
+        make_room r;
+        match Unix.read r.fd r.buf r.stop (Bytes.length r.buf - r.stop) with
+        | 0 -> `Eof
+        | n ->
+          r.stop <- r.stop + n;
+          loop ()
         | exception Unix.Unix_error (EINTR, _, _) -> loop ()
+        | exception Unix.Unix_error ((ECONNRESET | EBADF), _, _) -> `Eof
       end
   in
   loop ()
@@ -212,17 +218,16 @@ let serve_request t peer line =
   (* Only the access log reads the clock here; the op timers keep their
      own. *)
   let t0 = if t.cfg.access_log then Obs.now_s () else 0. in
-  let reply, status =
+  let envelope, status =
     match Protocol.parse_request line with
     | Error msg ->
       Obs.incr c_malformed;
       Obs.incr c_errors;
-      ( Protocol.error_line ~code:"parse" ~message:msg (),
-        "parse" )
+      (Protocol.error ~code:"parse" ~message:msg (), "parse")
     | Ok req ->
       if not (Semaphore.Counting.try_acquire t.inflight) then begin
         Obs.incr c_shed;
-        ( Protocol.error_line ~request:req ~code:"overloaded"
+        ( Protocol.error ~request:req ~code:"overloaded"
             ~message:"the server is at its concurrent-request limit" (),
           "overloaded" )
       end
@@ -245,23 +250,24 @@ let serve_request t peer line =
                (* A handler bug or an exhausted resource costs this
                   request only. *)
                Obs.incr c_errors;
-               ( Protocol.error_line ~request:req ~code:"internal"
+               ( Protocol.error ~request:req ~code:"internal"
                    ~message:(Printexc.to_string e) (),
                  "internal" )
              | Ok json ->
                Obs.incr c_served;
-               (Protocol.ok_line req json, "ok")
+               (Protocol.ok req json, "ok")
              | Error (code, message) ->
                (match classify_code code with
                 | `Timeout -> Obs.incr c_timeouts
                 | `Shed -> Obs.incr c_shed
                 | `Error -> Obs.incr c_errors);
-               (Protocol.error_line ~request:req ~code ~message (), code))
+               (Protocol.error ~request:req ~code ~message (), code))
   in
+  let reply = Protocol.Wjson.to_line envelope in
   if t.cfg.access_log then
     log t "peer=%s status=%s dur_ms=%.2f bytes=%d" peer status
       ((Obs.now_s () -. t0) *. 1000.)
-      (String.length reply);
+      (String.length reply - 1);
   reply
 
 (* --- connection loop --- *)
@@ -273,33 +279,26 @@ let conn_main t fd peer =
      let rec loop () =
        if Atomic.get t.shutting_down then ()
        else
-         match
-           read_line reader ~max_bytes:t.cfg.max_line_bytes
-             ~stop:t.shutting_down ~wake:t.wake_r
-         with
+         match read_line reader ~max_bytes:t.cfg.max_line_bytes with
          | `Eof -> ()
          | `Too_long ->
            Obs.incr c_malformed;
            Obs.incr c_errors;
-           write_line fd
-             (Protocol.error_line ~code:"parse"
-                ~message:
-                  (Printf.sprintf "request line exceeds %d bytes"
-                     t.cfg.max_line_bytes)
-                ());
+           write_error fd ~code:"parse"
+             ~message:
+               (Printf.sprintf "request line exceeds %d bytes"
+                  t.cfg.max_line_bytes);
            (* Framing is lost beyond the cap: drop the connection. *)
            ()
          | `Line "" -> loop ()
          | `Line line ->
            if !served >= t.cfg.max_requests_per_conn then begin
              Obs.incr c_errors;
-             write_line fd
-               (Protocol.error_line ~code:"request-cap"
-                  ~message:
-                    (Printf.sprintf
-                       "this connection exhausted its budget of %d requests"
-                       t.cfg.max_requests_per_conn)
-                  ())
+             write_error fd ~code:"request-cap"
+               ~message:
+                 (Printf.sprintf
+                    "this connection exhausted its budget of %d requests"
+                    t.cfg.max_requests_per_conn)
            end
            else begin
              incr served;
@@ -312,9 +311,9 @@ let conn_main t fd peer =
    | Conn_closed -> ()
    | e ->
      log t "peer=%s connection error: %s" peer (Printexc.to_string e));
-  (try Unix.close fd with Unix.Unix_error (_, _, _) -> ());
   Mutex.protect t.conn_mutex (fun () ->
-    decr t.conns;
+    Hashtbl.remove t.live fd;
+    (try Unix.close fd with Unix.Unix_error (_, _, _) -> ());
     Condition.broadcast t.conn_cond)
 
 (* --- accept loop and TTL sweep --- *)
@@ -341,9 +340,9 @@ let accept_conn t =
     let peer = peer_string peer_addr in
     let admitted =
       Mutex.protect t.conn_mutex (fun () ->
-        if !(t.conns) >= t.cfg.max_conns then false
+        if Hashtbl.length t.live >= t.cfg.max_conns then false
         else begin
-          incr t.conns;
+          Hashtbl.replace t.live fd ();
           true
         end)
     in
@@ -351,9 +350,8 @@ let accept_conn t =
     else begin
       Obs.incr c_conns_shed;
       (try
-         write_line fd
-           (Protocol.error_line ~code:"overloaded"
-              ~message:"the server is at its connection limit" ())
+         write_error fd ~code:"overloaded"
+           ~message:"the server is at its connection limit"
        with Conn_closed -> ());
       (try Unix.close fd with Unix.Unix_error (_, _, _) -> ());
       log t "peer=%s status=conn-shed" peer
@@ -381,7 +379,15 @@ let accept_loop t =
     end
   in
   loop (Obs.now_s () +. interval_s);
-  (try Unix.close t.lsock with Unix.Unix_error (_, _, _) -> ())
+  (try Unix.close t.lsock with Unix.Unix_error (_, _, _) -> ());
+  (* Every connection blocked in [read] gets 0 (end of input); one
+     serving a request writes its reply, then sees the flag. *)
+  Mutex.protect t.conn_mutex (fun () ->
+    Hashtbl.iter
+      (fun fd () ->
+         try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE
+         with Unix.Unix_error (_, _, _) -> ())
+      t.live)
 
 (* --- lifecycle --- *)
 
@@ -427,7 +433,7 @@ let start cfg =
         wake_r;
         wake_w;
         inflight = Semaphore.Counting.make (max cfg.max_inflight 1);
-        conns = ref 0;
+        live = Hashtbl.create 16;
         conn_mutex = Mutex.create ();
         conn_cond = Condition.create ();
         accept_thread = None;
@@ -446,8 +452,8 @@ let port t = t.bound_port
 let config t = t.cfg
 let session_count t = Registry.count t.registry
 
-(* The byte is never read back, so the pipe stays readable for every
-   thread that selects on it, now or later. *)
+(* The byte is never read back, so the pipe stays readable for the
+   accept thread and [wait], now or later. *)
 let initiate_shutdown t =
   if not (Atomic.exchange t.shutting_down true) then
     try ignore (Unix.single_write_substring t.wake_w "x" 0 1)
@@ -469,7 +475,7 @@ let wait t =
     Thread.join accept_thread;
     t.accept_thread <- None;
     Mutex.protect t.conn_mutex (fun () ->
-      while !(t.conns) > 0 do
+      while Hashtbl.length t.live > 0 do
         Condition.wait t.conn_cond t.conn_mutex
       done);
     (* No thread selects on the wake pipe any more. *)

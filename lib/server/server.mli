@@ -54,10 +54,10 @@ type t
 
 val start : config -> (t, string) result
 (** Bind, listen, and spawn the accept thread, which also runs the TTL
-    sweep every [sweep_interval_ms]. Connection threads block on their
-    socket and the shutdown wake pipe with no timeout, so an idle server
-    wakes only for the sweep. [Error] carries the bind failure (address
-    in use, permission). *)
+    sweep every [sweep_interval_ms]. Connection threads block in [read]
+    on their socket with no timeout, one read per request, so an idle
+    server wakes only for the sweep. [Error] carries the bind failure
+    (address in use, permission). *)
 
 val port : t -> int
 (** The actually bound port (useful with [config.port = 0]). *)
@@ -68,8 +68,11 @@ val session_count : t -> int
 val initiate_shutdown : t -> unit
 (** Signal-safe and idempotent: sets the shutdown flag and, the first
     time, writes one byte to the wake pipe. Nothing reads the byte back,
-    so the pipe stays readable and wakes the accept thread and every
-    connection thread blocked in [select], now or later. *)
+    so the pipe stays readable and wakes the accept thread and {!wait},
+    now or later. The accept thread then shuts down the receiving side
+    of every open connection ([Unix.SHUTDOWN_RECEIVE]): a connection
+    blocked in [read] sees end of input, one serving a request writes
+    its reply first, and no further line is served. *)
 
 val wait : t -> unit
 (** Block until the server has fully drained: accept loop exited, every

@@ -105,7 +105,21 @@ let tokenize src =
           loop (i + 1)
         end
       | '"' ->
-        let buf = Buffer.create 16 in
+        (* A literal without escapes is one [String.sub]; from its first
+           escape on, its bytes go through a buffer. *)
+        let rec plain j =
+          if j < n && src.[j] <> '"' && src.[j] <> '\\' && src.[j] <> '\n'
+          then plain (j + 1)
+          else j
+        in
+        let j = plain (i + 1) in
+        if j < n && src.[j] = '"' then begin
+          emit (String (String.sub src (i + 1) (j - i - 1)));
+          loop (j + 1)
+        end
+        else
+        let buf = Buffer.create (j - i + 16) in
+        Buffer.add_substring buf src (i + 1) (j - i - 1);
         let rec str j =
           if j >= n then error "unterminated string"
           else
@@ -142,7 +156,7 @@ let tokenize src =
               Buffer.add_char buf c;
               str (j + 1)
         in
-        str (i + 1)
+        str j
       | c when is_digit c -> number i
       | c when is_ident_start c ->
         let rec ident j = if j < n && is_ident_char src.[j] then ident (j + 1) else j in
@@ -163,9 +177,11 @@ let tokenize src =
     let start = i in
     let i = if src.[i] = '-' then i + 1 else i in
     let j = num i false in
+    let text = String.sub src start (j - start) in
     let text =
-      String.concat ""
-        (String.split_on_char '_' (String.sub src start (j - start)))
+      if String.contains text '_' then
+        String.concat "" (String.split_on_char '_' text)
+      else text
     in
     (match int_of_string_opt text with
      | Some k -> emit (Number (Whynot_relational.Value.Int k))

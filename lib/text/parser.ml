@@ -60,8 +60,11 @@ let fail st msg =
        (Printf.sprintf "line %d: %s (found %s)" (line st) msg
           (Format.asprintf "%a" Lexer.pp_token (peek st))))
 
+(* Every [token] passed here is a constructor without payload, an
+   immediate: physical equality is equality, with no polymorphic
+   compare. *)
 let expect st token msg =
-  if peek st = token then advance st else fail st msg
+  if peek st == token then advance st else fail st msg
 
 let ident st =
   match peek st with
@@ -86,25 +89,24 @@ let value st =
 
 let comma_separated st parse_item =
   let rec more acc =
-    if peek st = Lexer.Comma then begin
+    match peek st with
+    | Lexer.Comma ->
       advance st;
       more (parse_item st :: acc)
-    end
-    else List.rev acc
+    | _ -> List.rev acc
   in
   more [ parse_item st ]
 
 let parenthesised st parse_item =
   expect st Lexer.Lparen "expected '('";
-  if peek st = Lexer.Rparen then begin
+  match peek st with
+  | Lexer.Rparen ->
     advance st;
     []
-  end
-  else begin
+  | _ ->
     let items = comma_separated st parse_item in
     expect st Lexer.Rparen "expected ')'";
     items
-  end
 
 (* --- rule bodies: atoms and comparisons over variables --- *)
 
@@ -185,11 +187,11 @@ let rule_bodies st head =
     Cq.make ~head ~atoms ~comparisons ()
   in
   let rec more acc =
-    if peek st = Lexer.Bar then begin
+    match peek st with
+    | Lexer.Bar ->
       advance st;
       more (one () :: acc)
-    end
-    else List.rev acc
+    | _ -> List.rev acc
   in
   more [ one () ]
 
@@ -209,25 +211,34 @@ let raw_attr st =
     By_name s
   | _ -> fail st "expected an attribute name or position"
 
+(* The position of attribute [name] of relation [rel], whose attributes
+   are [attrs] ([None]: [rel] is undeclared). *)
+let attr_position ~rel attrs name =
+  match attrs with
+  | None ->
+    raise
+      (Parse_error
+         (Printf.sprintf "attribute %s of undeclared relation %s" name rel))
+  | Some attrs ->
+    (match List.find_index (String.equal name) attrs with
+     | Some i -> i + 1
+     | None ->
+       raise
+         (Parse_error (Printf.sprintf "unknown attribute %s of %s" name rel)))
+
+(* While [items] runs, the document's lists hold its items last first;
+   the first declaration of [rel] is the last one met there. *)
 let resolve_attr doc ~rel attr =
   match attr with
   | By_position k -> k
   | By_name name ->
-    (match
-       List.find_opt (fun (r : Schema.rel_decl) -> String.equal r.name rel)
-         doc.relations
-     with
-     | None ->
-       raise
-         (Parse_error
-            (Printf.sprintf "attribute %s of undeclared relation %s" name rel))
-     | Some r ->
-       (match List.find_index (String.equal name) r.Schema.attrs with
-        | Some i -> i + 1
-        | None ->
-          raise
-            (Parse_error
-               (Printf.sprintf "unknown attribute %s of %s" name rel))))
+    let first =
+      List.fold_left
+        (fun found (r : Schema.rel_decl) ->
+           if String.equal r.name rel then Some r.Schema.attrs else found)
+        None doc.relations
+    in
+    attr_position ~rel first name
 
 (* --- DL-LiteR concepts for TBox axioms --- *)
 
@@ -268,7 +279,7 @@ let rec items st doc =
     advance st;
     let name = ident st in
     let attrs = parenthesised st ident in
-    items st { doc with relations = doc.relations @ [ { Schema.name; attrs } ] }
+    items st { doc with relations = { Schema.name; attrs } :: doc.relations }
   | Lexer.Ident "fd" ->
     advance st;
     let rel = ident st in
@@ -281,7 +292,7 @@ let rec items st doc =
         ~lhs:(List.map (resolve_attr doc ~rel) lhs)
         ~rhs:(List.map (resolve_attr doc ~rel) rhs)
     in
-    items st { doc with fds = doc.fds @ [ fd ] }
+    items st { doc with fds = fd :: doc.fds }
   | Lexer.Ident "ind" ->
     advance st;
     let lhs_rel = ident st in
@@ -299,7 +310,7 @@ let rec items st doc =
         ~rhs_rel
         ~rhs_attrs:(List.map (resolve_attr doc ~rel:rhs_rel) rhs_attrs)
     in
-    items st { doc with inds = doc.inds @ [ ind ] }
+    items st { doc with inds = ind :: doc.inds }
   | Lexer.Ident "view" ->
     advance st;
     let name = ident st in
@@ -307,12 +318,12 @@ let rec items st doc =
     expect st Lexer.Define "expected ':='";
     let bodies = rule_bodies st head in
     items st
-      { doc with views = doc.views @ [ { View.name; body = Ucq.make bodies } ] }
+      { doc with views = { View.name; body = Ucq.make bodies } :: doc.views }
   | Lexer.Ident "fact" ->
     advance st;
     let name = ident st in
     let vs = parenthesised st value in
-    items st { doc with facts = doc.facts @ [ (name, vs) ] }
+    items st { doc with facts = (name, vs) :: doc.facts }
   | Lexer.Ident "query" ->
     advance st;
     let name = ident st in
@@ -345,7 +356,7 @@ let rec items st doc =
         ~head:{ Cq.rel = name; args = head_args }
         body
     in
-    items st { doc with rules = doc.rules @ [ r ] }
+    items st { doc with rules = r :: doc.rules }
   | Lexer.Ident "whynot" ->
     advance st;
     let vs = parenthesised st value in
@@ -355,19 +366,20 @@ let rec items st doc =
     let child = ident st in
     subsumption_token st;
     let parent = ident st in
-    items st { doc with concepts = doc.concepts @ [ (child, parent) ] }
+    items st { doc with concepts = (child, parent) :: doc.concepts }
   | Lexer.Ident "ext" ->
     advance st;
     let name = ident st in
     expect st Lexer.Eq "expected '='";
     expect st Lexer.Lbrace "expected '{'";
     let vs =
-      if peek st = Lexer.Rbrace then []
-      else comma_separated st value
+      match peek st with
+      | Lexer.Rbrace -> []
+      | _ -> comma_separated st value
     in
     expect st Lexer.Rbrace "expected '}'";
     items st
-      { doc with extensions = doc.extensions @ [ (name, Value_set.of_list vs) ] }
+      { doc with extensions = (name, Value_set.of_list vs) :: doc.extensions }
   | Lexer.Ident "axiom" ->
     advance st;
     let lhs = dl_basic st in
@@ -375,7 +387,7 @@ let rec items st doc =
     let rhs = dl_concept st in
     items st
       { doc with
-        tbox_axioms = doc.tbox_axioms @ [ Whynot_dllite.Tbox.Concept_incl (lhs, rhs) ] }
+        tbox_axioms = Whynot_dllite.Tbox.Concept_incl (lhs, rhs) :: doc.tbox_axioms }
   | Lexer.Ident "role-axiom" ->
     advance st;
     let lhs = dl_role_of_name (ident st) in
@@ -389,7 +401,7 @@ let rec items st doc =
     in
     items st
       { doc with
-        tbox_axioms = doc.tbox_axioms @ [ Whynot_dllite.Tbox.Role_incl (lhs, rhs) ] }
+        tbox_axioms = Whynot_dllite.Tbox.Role_incl (lhs, rhs) :: doc.tbox_axioms }
   | Lexer.Ident "mapping" ->
     advance st;
     let atoms, comparisons = body st in
@@ -404,18 +416,35 @@ let rec items st doc =
     in
     items st
       { doc with
-        mappings = doc.mappings @ [ Whynot_obda.Mapping.make ~comparisons ~head atoms ] }
+        mappings = Whynot_obda.Mapping.make ~comparisons ~head atoms :: doc.mappings }
   | Lexer.Semicolon ->
     advance st;
     items st doc
   | _ -> fail st "expected an item (relation, fd, ind, view, rule, fact, query, whynot, concept, ext, axiom, role-axiom, mapping)"
+
+(* [items] adds each item in front of its list; one reversal per list
+   restores source order. *)
+let in_source_order doc =
+  {
+    doc with
+    relations = List.rev doc.relations;
+    fds = List.rev doc.fds;
+    inds = List.rev doc.inds;
+    views = List.rev doc.views;
+    facts = List.rev doc.facts;
+    concepts = List.rev doc.concepts;
+    extensions = List.rev doc.extensions;
+    tbox_axioms = List.rev doc.tbox_axioms;
+    mappings = List.rev doc.mappings;
+    rules = List.rev doc.rules;
+  }
 
 let parse src =
   match Lexer.tokenize src with
   | Error _ as e -> e
   | Ok tokens ->
     let st = { tokens } in
-    (try Ok (items st empty_document) with
+    (try Ok (in_source_order (items st empty_document)) with
      | Parse_error msg -> Error (`Parse msg))
 
 let parse_file path =
@@ -529,12 +558,21 @@ let split_projection st name =
   | Some i ->
     (String.sub name 0 i, String.sub name (i + 1) (String.length name - i - 1))
 
-let concept_of_string doc src =
-  let doc = { doc with relations = relation_decls doc } in
+module String_tbl = Hashtbl.Make (String)
+
+(* Staged: the relations of [schema_of] and their attributes are looked
+   up once per document, not once per concept. *)
+let concept_reader doc =
+  let attrs = String_tbl.create 16 in
+  List.iter
+    (fun (r : Schema.rel_decl) ->
+       if not (String_tbl.mem attrs r.name) then
+         String_tbl.add attrs r.name r.attrs)
+    (relation_decls doc);
   let attr_of ~rel name =
     match int_of_string_opt name with
     | Some k -> k
-    | None -> resolve_attr doc ~rel (By_name name)
+    | None -> attr_position ~rel (String_tbl.find_opt attrs rel) name
   in
   let selection st ~rel =
     let a = ident st in
@@ -563,23 +601,26 @@ let concept_of_string doc src =
       let rel, attr_name = split_projection st name in
       let attr = attr_of ~rel attr_name in
       let sels =
-        if peek st = Lexer.Lbracket then begin
+        match peek st with
+        | Lexer.Lbracket ->
           advance st;
           let ss = comma_separated st (fun st -> selection st ~rel) in
           expect st Lexer.Rbracket "expected ']'";
           ss
-        end
-        else []
+        | _ -> []
       in
       Whynot_concept.Ls.proj ~rel ~attr ~sels ()
     | _ -> fail st "expected 'top', '{c}' or REL.ATTR"
   in
-  with_tokens src (fun st ->
-      let rec more acc =
-        if peek st = Lexer.Amp then begin
-          advance st;
-          more (conjunct st :: acc)
-        end
-        else acc
-      in
-      Whynot_concept.Ls.meet_all (List.rev (more [ conjunct st ])))
+  fun src ->
+    with_tokens src (fun st ->
+        let rec more acc =
+          match peek st with
+          | Lexer.Amp ->
+            advance st;
+            more (conjunct st :: acc)
+          | _ -> acc
+        in
+        Whynot_concept.Ls.meet_all (List.rev (more [ conjunct st ])))
+
+let concept_of_string doc src = concept_reader doc src

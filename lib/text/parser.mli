@@ -82,9 +82,12 @@ val program_of :
 val values_of_string : string -> (Value.t list, Whynot_error.t) result
 (** Parse a comma-separated constant list, e.g. ["Amsterdam", 7]. *)
 
-val concept_of_string :
+val concept_reader :
   document -> string -> (Whynot_concept.Ls.t, Whynot_error.t) result
-(** Parse an [L_S] concept expression:
+(** [concept_reader doc] reads [L_S] concept expressions over [doc]. It
+    is staged: the relations of {!schema_of} and their attributes are
+    looked up once, when it is applied to [doc], and each string read
+    after that reuses them. Expressions:
 
     {v
       concept := conjunct ('&' conjunct)*
@@ -96,3 +99,9 @@ val concept_of_string :
     Attribute names are resolved against the relations of {!schema_of}:
     the declared ones, and each undeclared view with attributes
     [a1..aN]; positional numbers are accepted too. *)
+
+val concept_of_string :
+  document -> string -> (Whynot_concept.Ls.t, Whynot_error.t) result
+(** [concept_reader doc src], for one concept: the lookup is built per
+    call. A caller reading many concepts over one document applies
+    {!concept_reader} once. *)

@@ -87,6 +87,12 @@ let to_string j =
   write buf j;
   Buffer.contents buf
 
+let to_line j =
+  let buf = Buffer.create 256 in
+  write buf j;
+  Buffer.add_char buf '\n';
+  Buffer.contents buf
+
 (* --- the decoder ---
 
    A hand-rolled recursive-descent parser, the inverse of [to_string]: the
@@ -167,11 +173,9 @@ let of_string s =
       Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
     end
   in
-  (* A string with no escape is one [String.sub]; otherwise its bytes
-     go through a buffer from the first escape on. *)
-  let parse_string () =
-    expect '"';
-    let start = !pos in
+  (* Moves [pos] past the bytes that stand for themselves: neither a
+     quote, a backslash nor a control byte. *)
+  let skip_plain () =
     while
       !pos < n
       && (match String.unsafe_get s !pos with
@@ -179,7 +183,15 @@ let of_string s =
           | c -> Char.code c >= 0x20)
     do
       advance ()
-    done;
+    done
+  in
+  (* A string with no escape is one [String.sub]; otherwise its bytes
+     go through a buffer from the first escape on, each run between
+     escapes copied whole. *)
+  let parse_string () =
+    expect '"';
+    let start = !pos in
+    skip_plain ();
     if looking_at '"' then begin
       advance ();
       String.sub s start (!pos - 1 - start)
@@ -223,9 +235,10 @@ let of_string s =
          | c -> fail (Printf.sprintf "invalid escape '\\%c'" c));
         loop ()
       | c when Char.code c < 0x20 -> fail "unescaped control character"
-      | c ->
-        Buffer.add_char buf c;
-        advance ();
+      | _ ->
+        let run = !pos in
+        skip_plain ();
+        Buffer.add_substring buf s run (!pos - run);
         loop ()
     in
     loop ();

@@ -16,6 +16,9 @@ type t =
 val to_string : t -> string
 (** Compact (single-line) serialisation with escaped strings. *)
 
+val to_line : t -> string
+(** [to_string j ^ "\n"], written in one buffer. *)
+
 val of_string : string -> (t, Whynot_error.t) result
 (** Parse one JSON value (the whole string must be consumed). [`Parse]
     carries the byte offset of the failure. Numbers without ['.'], ['e']

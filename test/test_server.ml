@@ -808,6 +808,124 @@ let test_external_sigterm_wakes_wait () =
   Alcotest.(check bool) "SIGTERM drained the waiting server within 2s" false
     (Atomic.get timed_out)
 
+(* Connections block in [read]; the shutdown pass ends those reads with
+   [SHUTDOWN_RECEIVE]. Two idle clients and one whose request is still
+   running: the running request's reply arrives whole, then end of input
+   on every connection, and [wait] returns within 2 s. *)
+let test_drain_ends_blocked_reads () =
+  let cfg =
+    { Server.default_config with
+      port = 0; access_log = false; debug_ops = true; session_ttl_ms = 0;
+      sweep_interval_ms = 60_000 }
+  in
+  let server =
+    match Server.start cfg with
+    | Ok s -> s
+    | Error msg -> Alcotest.failf "server failed to start: %s" msg
+  in
+  let port = Server.port server in
+  let idle = [ connect port; connect port ] and busy = connect port in
+  List.iter
+    (fun c -> ignore (check_ok "ping while idle" (rpc c "{\"op\":\"ping\"}")))
+    (busy :: idle);
+  send_raw busy "{\"op\":\"debug_sleep\",\"ms\":400}\n";
+  Thread.delay 0.1;
+  let drained = Atomic.make false and timed_out = Atomic.make false in
+  let dog = watchdog server ~done_:drained ~timed_out in
+  Server.initiate_shutdown server;
+  Server.wait server;
+  Atomic.set drained true;
+  Thread.join dog;
+  Alcotest.(check bool) "drained within 2s" false (Atomic.get timed_out);
+  (match recv_line busy with
+   | Some reply ->
+     ignore (check_ok "in-flight reply" (Result.get_ok (Json.of_string reply)))
+   | None -> Alcotest.fail "the in-flight request lost its reply");
+  Alcotest.(check bool) "then end of input" true (recv_line busy = None);
+  List.iter
+    (fun c ->
+       Alcotest.(check bool) "idle client sees end of input" true
+         (recv_line c = None))
+    idle;
+  List.iter disconnect (busy :: idle)
+
+(* A client that sends a request and then half-closes: the server
+   answers the request, reads end of input while blocked in [read], and
+   closes its side; other connections keep being served. *)
+let test_peer_half_close () =
+  with_server @@ fun server ->
+  let port = Server.port server in
+  let c = connect port and other = connect port in
+  Fun.protect ~finally:(fun () -> disconnect c; disconnect other) @@ fun () ->
+  ignore (check_ok "ping" (rpc c "{\"op\":\"ping\"}"));
+  send_raw c "{\"op\":\"ping\"}\n";
+  Unix.shutdown c.fd Unix.SHUTDOWN_SEND;
+  (match recv_line c with
+   | Some reply ->
+     ignore (check_ok "reply before the half-close"
+               (Result.get_ok (Json.of_string reply)))
+   | None -> Alcotest.fail "the request sent before the half-close went unanswered");
+  Alcotest.(check bool) "server closes after end of input" true
+    (recv_line c = None);
+  ignore (check_ok "another connection still serves"
+            (rpc other "{\"op\":\"ping\"}"))
+
+(* Lines pipelined just before shutdown: each is answered or dropped
+   whole. Everything a client receives is complete reply lines, then end
+   of input. *)
+let test_pipelined_lines_at_shutdown () =
+  let cfg = { Server.default_config with port = 0; access_log = false } in
+  let server =
+    match Server.start cfg with
+    | Ok s -> s
+    | Error msg -> Alcotest.failf "server failed to start: %s" msg
+  in
+  let port = Server.port server in
+  let n = 200 in
+  let clients = List.init 3 (fun _ -> connect port) in
+  List.iter
+    (fun c -> ignore (check_ok "ping" (rpc c "{\"op\":\"ping\"}")))
+    clients;
+  let batch =
+    String.concat ""
+      (List.init n (fun i -> Printf.sprintf "{\"op\":\"ping\",\"id\":%d}\n" i))
+  in
+  List.iter (fun c -> send_raw c batch) clients;
+  Server.initiate_shutdown server;
+  Server.wait server;
+  List.iter
+    (fun c ->
+       let chunk = Bytes.create 4096 and got = Buffer.create 4096 in
+       let rec drain () =
+         match Unix.read c.fd chunk 0 (Bytes.length chunk) with
+         | 0 -> ()
+         | k ->
+           Buffer.add_subbytes got chunk 0 k;
+           drain ()
+         | exception Unix.Unix_error (ECONNRESET, _, _) -> ()
+       in
+       drain ();
+       let data = Buffer.contents got in
+       let lines = String.split_on_char '\n' data in
+       Alcotest.(check string) "no torn last line" ""
+         (List.nth lines (List.length lines - 1));
+       let replies = List.filter (fun l -> l <> "") lines in
+       Alcotest.(check bool) "at most one reply per line" true
+         (List.length replies <= n);
+       List.iteri
+         (fun i l ->
+            let j =
+              match Json.of_string l with
+              | Ok j -> j
+              | Error _ -> Alcotest.failf "torn reply %S" l
+            in
+            ignore (check_ok "pipelined ping" j);
+            Alcotest.(check (option int)) "replies in order" (Some i)
+              (Option.bind (Json.member "id" j) Json.to_int_opt))
+         replies;
+       disconnect c)
+    clients
+
 (* --- protocol unit checks (no sockets) --- *)
 
 (* The wire encoder writes digits and escapes straight into its buffer;
@@ -852,8 +970,11 @@ let test_protocol_envelopes () =
       | Some (Json.Int 7) -> ()
       | _ -> Alcotest.fail "ok envelope must echo the id")
    | Error _ -> Alcotest.fail "ok envelope must be valid JSON");
-  let err = Protocol.error_line ~code:"overloaded" ~message:"m" () in
-  match Json.of_string err with
+  (* The server writes each envelope as one line, newline included. *)
+  let err = Json.to_line (Protocol.error ~code:"overloaded" ~message:"m" ()) in
+  Alcotest.(check bool) "one line, newline last" true
+    (String.index err '\n' = String.length err - 1);
+  match Json.of_string (String.sub err 0 (String.length err - 1)) with
   | Ok j -> Alcotest.(check (option string)) "error code" (Some "overloaded") (error_code j)
   | Error _ -> Alcotest.fail "error envelope must be valid JSON"
 
@@ -910,6 +1031,12 @@ let () =
           Alcotest.test_case "SIGTERM drains" `Quick test_sigterm_drains;
           Alcotest.test_case "shutdown wakes idle threads" `Quick
             test_shutdown_wakes_idle_threads;
+          Alcotest.test_case "drain ends blocked reads" `Quick
+            test_drain_ends_blocked_reads;
+          Alcotest.test_case "peer half-close while blocked in read" `Quick
+            test_peer_half_close;
+          Alcotest.test_case "lines pipelined at shutdown: replies or EOF"
+            `Quick test_pipelined_lines_at_shutdown;
           Alcotest.test_case "external SIGTERM wakes wait" `Quick
             test_external_sigterm_wakes_wait;
         ] );

@@ -241,6 +241,47 @@ let test_concept_expressions () =
   | Ok _ -> Alcotest.fail "dangling & accepted"
   | Error _ -> ()
 
+(* Items join their lists in source order, and the parser does linear
+   work: four times the facts allocate at most five times the words (an
+   append per item grows as the square). *)
+let test_facts_in_source_order_linear () =
+  let document n =
+    let b = Buffer.create (n * 40) in
+    Buffer.add_string b "relation R(a, b)\nrelation S(c)\nfd R: a -> b\n";
+    for i = 0 to n - 1 do
+      Buffer.add_string b (Printf.sprintf "fact R(%d, \"s\\n%d\")\n" i (n - i));
+      if i mod 17 = 0 then
+        Buffer.add_string b (Printf.sprintf "view V%d(x) := R(x, y)\n" i)
+    done;
+    Buffer.contents b
+  in
+  let doc = parse_ok (document 50) in
+  Alcotest.(check (list string)) "relations in source order" [ "R"; "S" ]
+    (List.map (fun (r : Schema.rel_decl) -> r.Schema.name) doc.Parser.relations);
+  Alcotest.(check (list int)) "facts in source order" (List.init 50 Fun.id)
+    (List.map
+       (function
+         | "R", [ Value.Int i; Value.Str s ] ->
+           if s <> Printf.sprintf "s\n%d" (50 - i) then
+             Alcotest.failf "fact %d reads %S" i s;
+           i
+         | _ -> Alcotest.fail "unexpected fact")
+       doc.Parser.facts);
+  Alcotest.(check (list string)) "views in source order" [ "V0"; "V17"; "V34" ]
+    (List.map (fun (v : View.def) -> v.View.name) doc.Parser.views);
+  let words n =
+    let src = document n in
+    ignore (parse_ok src);
+    let w0 = Gc.minor_words () in
+    ignore (parse_ok src);
+    Gc.minor_words () -. w0
+  in
+  let small = words 500 and large = words 2000 in
+  Alcotest.(check bool)
+    (Printf.sprintf "2000 facts allocate %.0f words, 500 facts %.0f" large small)
+    true
+    (large <= 5. *. small)
+
 let test_rules () =
   let doc =
     parse_ok
@@ -375,6 +416,8 @@ let () =
           Alcotest.test_case "facts" `Quick test_parse_facts_bare_idents;
           Alcotest.test_case "ontology items" `Quick test_parse_ontology_items;
           Alcotest.test_case "errors" `Quick test_parse_errors;
+          Alcotest.test_case "facts in source order, linear intake" `Quick
+            test_facts_in_source_order_linear;
         ] );
       ( "cities-document",
         [ Alcotest.test_case "round trip" `Quick test_cities_document ] );
