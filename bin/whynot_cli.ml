@@ -251,7 +251,10 @@ let explain_cmd =
         with_engine ~schema ~instance:wn.Whynot.instance
         @@ fun engine ->
         let* mges = Engine.all_mges_schema ~fragment:`Minimal engine wn in
-        let o = Schema_mge.ontology `Minimal schema wn in
+        let o =
+          Schema_mge.ontology ~handle:(Engine.instance_handle engine)
+            `Minimal schema wn
+        in
         mges_result ~ontology_name:"O_S[K]-min" o (take mges)
     in
     dump_stats stats;

@@ -1,20 +1,18 @@
 open Whynot_relational
 
-(* With [handle], the pool reads the handle's cached active domain. *)
-let pool_list ?handle wn =
-  Value_set.elements (Whynot.constant_pool ?handle wn)
+let pool_list wn = Value_set.elements (Whynot.constant_pool wn)
 
 let concept_degree o pool c = List.length (List.filter (o.Ontology.mem c) pool)
 
 let explanation_degree o pool e =
   List.fold_left (fun acc c -> acc + concept_degree o pool c) 0 e
 
-let degree ?handle o wn e =
+let degree o wn e =
   (* A concept whose membership holds for every probe and is known infinite
      cannot be distinguished through [mem]; over finite ontologies this
      does not arise, and for derived ontologies the caller should treat
      full-pool concepts with care. We simply count pool members. *)
-  Some (explanation_degree o (pool_list ?handle wn) e)
+  Some (explanation_degree o (pool_list wn) e)
 
 (* A position's candidates with their degrees, by decreasing degree
    (stable, so ties keep the ontology's order): good solutions come
@@ -55,10 +53,10 @@ let branch_and_bound p positions =
   search 0 (Exhaustive.nothing p) 0 [];
   !best
 
-let maximal ?handle o wn =
+let maximal o wn =
   Result.map
     (fun p ->
-       let pool = pool_list ?handle wn in
+       let pool = pool_list wn in
        branch_and_bound p
          (Array.map (sorted_by_degree o pool) (Exhaustive.candidates p)))
     (Exhaustive.plan_of o wn)
@@ -67,8 +65,8 @@ let maximal ?handle o wn =
    completable: the first explanation Algorithm 1 meets when every
    position lists its candidates by decreasing degree (stable, so ties
    keep the ontology's order). *)
-let greedy ?handle o wn =
-  let pool = pool_list ?handle wn in
+let greedy o wn =
+  let pool = pool_list wn in
   let by_degree cs =
     List.map (fun c -> (c, concept_degree o pool c)) cs
     |> List.stable_sort (fun (_, d1) (_, d2) -> Int.compare d2 d1)
@@ -80,8 +78,8 @@ let greedy ?handle o wn =
        { o with concepts = Option.map by_degree o.Ontology.concepts }
        wn)
 
-let ranked ?handle o wn =
-  let pool = pool_list ?handle wn in
+let ranked o wn =
+  let pool = pool_list wn in
   Result.map
     (fun mges ->
        List.map (fun e -> (e, explanation_degree o pool e)) mges

@@ -5,21 +5,14 @@
     by an L-reduction from SET COVER), and not even constant-factor
     approximable in PTIME; we provide an exact branch-and-bound for finite
     ontologies and the natural greedy heuristic, which the benchmarks
-    compare.
+    compare. *)
 
-    Degrees count members of [Whynot.constant_pool ?handle wn]: with an
-    instance [handle], its cached active domain instead of one computed
-    per call. *)
-
-val degree :
-  ?handle:Whynot_concept.Subsume_memo.inst ->
-  'c Ontology.t -> Whynot.t -> 'c Explanation.t -> int option
+val degree : 'c Ontology.t -> Whynot.t -> 'c Explanation.t -> int option
 (** [None] when some extension is infinite (a concept like [top] in a
     derived ontology); finite ontologies always yield [Some]. The degree
     counts extension members among the why-not instance's constant pool. *)
 
 val maximal :
-  ?handle:Whynot_concept.Subsume_memo.inst ->
   'c Ontology.t -> Whynot.t -> ('c Explanation.t option, Whynot_error.t) result
 (** An exact [>card]-maximal explanation: a branch-and-bound over
     {!Exhaustive.plan_of}'s candidates and kill-sets, with each
@@ -29,7 +22,6 @@ val maximal :
     is infinite. *)
 
 val greedy :
-  ?handle:Whynot_concept.Subsume_memo.inst ->
   'c Ontology.t -> Whynot.t -> ('c Explanation.t option, Whynot_error.t) result
 (** Greedy heuristic: pick per position the candidate with the largest
     extension that keeps the partial tuple completable. This is the first
@@ -39,7 +31,6 @@ val greedy :
     approximation guarantee exists unless P=NP. *)
 
 val ranked :
-  ?handle:Whynot_concept.Subsume_memo.inst ->
   'c Ontology.t ->
   Whynot.t ->
   (('c Explanation.t * int) list, Whynot_error.t) result

@@ -21,11 +21,11 @@ let ontology ?handle fragment schema wn =
    | None -> ());
   o
 
-let one_mge ?handle fragment schema wn =
-  Exhaustive.one_mge (ontology ?handle fragment schema wn) wn
+let one_mge fragment schema wn =
+  Exhaustive.one_mge (ontology fragment schema wn) wn
 
-let all_mges ?handle fragment schema wn =
-  Exhaustive.all_mges (ontology ?handle fragment schema wn) wn
+let all_mges fragment schema wn =
+  Exhaustive.all_mges (ontology fragment schema wn) wn
 
-let check_mge ?handle fragment schema wn e =
-  Exhaustive.check_mge (ontology ?handle fragment schema wn) wn e
+let check_mge fragment schema wn e =
+  Exhaustive.check_mge (ontology fragment schema wn) wn e

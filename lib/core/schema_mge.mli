@@ -7,11 +7,7 @@
     is the EXPTIME case. Schema-level subsumption is delegated to
     {!Whynot_concept.Subsume_schema}, so for constraint classes where that
     decider is incomplete (mixtures), "most general" is relative to the
-    derivable subsumptions.
-
-    With an instance [handle] (over the question's instance), [K] is
-    built from the handle's cached active domain and the ontology
-    evaluates extensions through it. *)
+    derivable subsumptions. *)
 
 type fragment =
   [ `Minimal
@@ -24,10 +20,12 @@ val ontology :
   Whynot_relational.Schema.t ->
   Whynot.t ->
   Whynot_concept.Ls.t Ontology.t
-(** The materialised [O_S[K]] for this why-not instance. *)
+(** The materialised [O_S[K]] for this why-not instance. With an
+    instance [handle] over the question's instance (the CLI passes its
+    engine's [Engine.instance_handle]), [K] is built from the handle's
+    cached active domain and extensions are read through its memo. *)
 
 val one_mge :
-  ?handle:Whynot_concept.Subsume_memo.inst ->
   fragment ->
   Whynot_relational.Schema.t ->
   Whynot.t ->
@@ -38,7 +36,6 @@ val one_mge :
     as for {!all_mges}. *)
 
 val all_mges :
-  ?handle:Whynot_concept.Subsume_memo.inst ->
   fragment ->
   Whynot_relational.Schema.t ->
   Whynot.t ->
@@ -48,7 +45,6 @@ val all_mges :
     fragment is infinite over this schema and constant pool. *)
 
 val check_mge :
-  ?handle:Whynot_concept.Subsume_memo.inst ->
   fragment ->
   Whynot_relational.Schema.t ->
   Whynot.t ->

@@ -7,10 +7,9 @@ let irredundant_mge ?variant wn = Incremental.one_mge ?variant ~shorten:true wn
 (* Every concept of the class list is the shortest member of its
    extension class, and MGE equivalence is componentwise, so each MGE
    Algorithm 1 returns is already the shortest of its class. *)
-let shortest_mge_selection_free ?handle wn =
+let shortest_mge_selection_free wn =
   let o =
-    Ontology.of_instance_finite ?handle wn.Whynot.instance
-      (Whynot.constant_pool ?handle wn)
+    Ontology.of_instance_finite wn.Whynot.instance (Whynot.constant_pool wn)
   in
   Result.map
     (List.fold_left

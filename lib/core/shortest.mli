@@ -23,14 +23,12 @@ val irredundant_mge :
     irredundancy minimisation. Most general w.r.t. [O_I] and irredundant. *)
 
 val shortest_mge_selection_free :
-  ?handle:Whynot_concept.Subsume_memo.inst ->
   Whynot.t -> (Whynot_concept.Ls.t Explanation.t option, Whynot_error.t) result
 (** Exact: one of minimal length among every member of every MGE
     equivalence class over [O_I[K]] ([Ok None] when there is none). Since
     {!Ontology.of_instance_finite} lists each extension class by its
     shortest member and equivalence is componentwise, this is the
-    shortest of {!Exhaustive.all_mges} over it (the first on ties). With
-    an instance [handle], the pool and the ontology read through it. *)
+    shortest of {!Exhaustive.all_mges} over it (the first on ties). *)
 
 val minimise_concept_exact :
   Whynot_relational.Instance.t ->

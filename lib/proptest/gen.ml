@@ -518,7 +518,7 @@ let obda =
 
 let whynot =
   let cell = QG.int_range 0 4 in
-  let* rows = QG.list_size (QG.int_range 3 8) (QG.pair cell cell) in
+  let* rows = QG.list_size (QG.int_range 2 8) (QG.pair cell cell) in
   let* triples = QG.list_size (QG.int_range 2 6) (QG.triple cell cell cell) in
   let inst =
     List.fold_left

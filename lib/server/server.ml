@@ -2,8 +2,9 @@
    is dominated by engine work; systhreads are plenty for the socket
    plumbing), each blocked in [read] on its own socket, so a request
    costs one read and an idle server takes no timer wakeups; a wake pipe
-   for the accept thread and [wait], which at shutdown ends every
-   connection's read with [shutdown SHUTDOWN_RECEIVE]; and a counting
+   for the accept thread and [wait], which at shutdown, once the accept
+   thread is joined, ends every connection's read with [shutdown
+   SHUTDOWN_RECEIVE]; and a counting
    semaphore as the bounded "queue": try_acquire either admits a request
    or sheds it with an "overloaded" response — requests are never
    buffered without bound. *)
@@ -378,16 +379,12 @@ let accept_loop t =
       end
     end
   in
-  loop (Obs.now_s () +. interval_s);
-  (try Unix.close t.lsock with Unix.Unix_error (_, _, _) -> ());
-  (* Every connection blocked in [read] gets 0 (end of input); one
-     serving a request writes its reply, then sees the flag. *)
-  Mutex.protect t.conn_mutex (fun () ->
-    Hashtbl.iter
-      (fun fd () ->
-         try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE
-         with Unix.Unix_error (_, _, _) -> ())
-      t.live)
+  (* However the loop ends, the listener closes: a dead accept thread
+     refuses new connections rather than leaving them in the backlog. *)
+  Fun.protect
+    ~finally:(fun () ->
+      try Unix.close t.lsock with Unix.Unix_error (_, _, _) -> ())
+    (fun () -> loop (Obs.now_s () +. interval_s))
 
 (* --- lifecycle --- *)
 
@@ -474,7 +471,16 @@ let wait t =
     until_woken ();
     Thread.join accept_thread;
     t.accept_thread <- None;
+    (* The shutdown pass, here rather than in the accept thread so that
+       it runs however that thread ended: every connection blocked in
+       [read] gets 0 (end of input); one serving a request writes its
+       reply, then sees the flag. No connection is added after the join. *)
     Mutex.protect t.conn_mutex (fun () ->
+      Hashtbl.iter
+        (fun fd () ->
+           try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE
+           with Unix.Unix_error (_, _, _) -> ())
+        t.live;
       while Hashtbl.length t.live > 0 do
         Condition.wait t.conn_cond t.conn_mutex
       done);

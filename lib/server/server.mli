@@ -69,15 +69,17 @@ val initiate_shutdown : t -> unit
 (** Signal-safe and idempotent: sets the shutdown flag and, the first
     time, writes one byte to the wake pipe. Nothing reads the byte back,
     so the pipe stays readable and wakes the accept thread and {!wait},
-    now or later. The accept thread then shuts down the receiving side
-    of every open connection ([Unix.SHUTDOWN_RECEIVE]): a connection
-    blocked in [read] sees end of input, one serving a request writes
-    its reply first, and no further line is served. *)
+    now or later. Open connections keep their reads until {!wait}
+    ends them. *)
 
 val wait : t -> unit
 (** Block until the server has fully drained: accept loop exited, every
     connection thread finished, every session closed, listener and wake
-    pipe closed. Call {!initiate_shutdown} (or send SIGTERM) to make it
+    pipe closed. Once the accept thread is joined (it may also have died
+    of an error), [wait] shuts down the receiving side of every open
+    connection ([Unix.SHUTDOWN_RECEIVE]): a connection blocked in [read]
+    sees end of input, one serving a request writes its reply first, and
+    no further line is served. Call {!initiate_shutdown} (or send SIGTERM) to make it
     return; a second call returns at once. Until shutdown begins it
     waits in [select] on the wake pipe, so a SIGTERM delivered to the
     waiting thread runs its handler at once. *)

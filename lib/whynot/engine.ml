@@ -141,6 +141,7 @@ let question ?answers e ~query ~missing () =
       in
       Result.bind wn (fun wn -> Result.map (fun () -> wn) (legality e)))
 
+let instance_handle e = e.inst_handle
 let constant_pool e wn = W.constant_pool ~handle:e.inst_handle wn
 
 let pool_of ?values e wn =

@@ -85,6 +85,11 @@ val question :
     that kept [Ans], and encode the answers per call otherwise. A
     caller-supplied [answers] is used as is and not kept. *)
 
+val instance_handle : t -> Whynot_concept.Subsume_memo.inst
+(** The engine's instance handle: its cached active domain, extensions
+    and masks, for a caller that builds an ontology over the same
+    instance ([Schema_mge.ontology ~handle]). *)
+
 val constant_pool : t -> Whynot_core.Whynot.t -> Value_set.t
 (** [Whynot.constant_pool] of a question built by {!question}: the
     engine's active domain, computed on first use and kept, plus the

@@ -293,30 +293,30 @@ let test_cardinality () =
   in
   Alcotest.(check int) "E4 degree" 6 e4_degree
 
-(* With an instance handle the constant pool is the handle's cached
-   active domain plus the missing values: every answer stays the same. *)
-let test_pool_through_handle () =
-  let wn = whynot_cities and o = hand_ontology in
+(* With an instance handle, [Schema_mge.ontology] reads the constant
+   pool and every extension through the handle: the same concepts, each
+   with the same members among the pool, and the same MGEs. *)
+let test_schema_ontology_through_handle () =
+  let wn = whynot_cities in
   let handle = Whynot_concept.Subsume_memo.inst wn.Whynot.instance in
-  Alcotest.(check (option int)) "degree"
-    (Cardinality.degree o wn [ "European-City"; "US-City" ])
-    (Cardinality.degree ~handle o wn [ "European-City"; "US-City" ]);
-  Alcotest.(check bool) "maximal" true
-    (ok @@ Cardinality.maximal o wn = ok @@ Cardinality.maximal ~handle o wn);
-  Alcotest.(check bool) "greedy" true
-    (ok @@ Cardinality.greedy o wn = ok @@ Cardinality.greedy ~handle o wn);
-  Alcotest.(check bool) "ranked" true
-    (ok @@ Cardinality.ranked o wn = ok @@ Cardinality.ranked ~handle o wn);
-  let explanations l = List.map (List.map Whynot_concept.Ls.to_string) l in
-  Alcotest.(check (list (list string))) "schema all_mges"
-    (explanations (ok @@ Schema_mge.all_mges `Minimal Cities.schema wn))
-    (explanations
-       (ok @@ Schema_mge.all_mges ~handle `Minimal Cities.schema wn));
-  Alcotest.(check (list (list string))) "shortest"
-    (explanations
-       (Option.to_list (ok @@ Shortest.shortest_mge_selection_free wn)))
-    (explanations
-       (Option.to_list (ok @@ Shortest.shortest_mge_selection_free ~handle wn)))
+  let pool = Value_set.elements (Whynot.constant_pool wn) in
+  let members (o : _ Ontology.t) =
+    List.map
+      (fun c ->
+         Whynot_concept.Ls.to_string c
+         :: List.map Value.to_string (List.filter (o.mem c) pool))
+      (Option.get o.concepts)
+  in
+  let plain = Schema_mge.ontology `Minimal Cities.schema wn
+  and through = Schema_mge.ontology ~handle `Minimal Cities.schema wn in
+  Alcotest.(check (list (list string))) "concepts and members"
+    (members plain) (members through);
+  let explanations o =
+    List.map (List.map Whynot_concept.Ls.to_string)
+      (ok @@ Exhaustive.all_mges o wn)
+  in
+  Alcotest.(check (list (list string))) "all_mges"
+    (explanations plain) (explanations through)
 
 let test_shortest () =
   let wn = whynot_cities in
@@ -987,8 +987,8 @@ let () =
       ( "variations",
         [
           Alcotest.test_case "cardinality" `Quick test_cardinality;
-          Alcotest.test_case "constant pool through a handle" `Quick
-            test_pool_through_handle;
+          Alcotest.test_case "schema ontology through a handle" `Quick
+            test_schema_ontology_through_handle;
           Alcotest.test_case "shortest/irredundant" `Quick test_shortest;
           Alcotest.test_case "shortest/exact" `Quick test_shortest_exact;
           Alcotest.test_case "exact concept minimisation" `Quick test_minimise_concept_exact;

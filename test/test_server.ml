@@ -758,8 +758,9 @@ let idle_server_with_two_clients () =
 
 (* A thread that blocks SIGTERM, so it never runs the handler in
    another thread's stead. If [done_] is still unset after 2 s it sets
-   [timed_out] and shuts [server] down itself, so the test ends. *)
-let watchdog server ~done_ ~timed_out =
+   [timed_out], shuts [server] down itself and runs [release], so the
+   test ends. *)
+let watchdog ?(release = ignore) server ~done_ ~timed_out =
   Thread.create
     (fun () ->
        ignore (Thread.sigmask Unix.SIG_BLOCK [ Sys.sigterm ]);
@@ -769,7 +770,8 @@ let watchdog server ~done_ ~timed_out =
        done;
        if not (Atomic.get done_) then begin
          Atomic.set timed_out true;
-         Server.initiate_shutdown server
+         Server.initiate_shutdown server;
+         release ()
        end)
     ()
 
@@ -848,6 +850,62 @@ let test_drain_ends_blocked_reads () =
          (recv_line c = None))
     idle;
   List.iter disconnect (busy :: idle)
+
+(* The accept thread dies: its [accept] fails with EMFILE while this
+   process has no descriptor free. The listener closes with it, and
+   [wait] still ends the idle connections' reads and returns within
+   2 s. *)
+let test_drain_after_accept_thread_dies () =
+  let server, clients = idle_server_with_two_clients () in
+  let late = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  let spares = ref [] and exhausted = ref false in
+  (try
+     (* Bounded, for hosts whose descriptor limit is huge. *)
+     for _ = 1 to 1 lsl 20 do spares := Unix.dup late :: !spares done
+   with Unix.Unix_error ((EMFILE | ENFILE), _, _) -> exhausted := true);
+  (* The handshake completes in the listener's backlog; the accept
+     thread's [accept] then finds no descriptor free, and once the
+     listener closes [late] reads end of input or a reset. *)
+  let listener_closed =
+    Fun.protect
+      ~finally:(fun () -> List.iter Unix.close !spares)
+      (fun () ->
+         if !exhausted then begin
+           Unix.connect late
+             (Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server));
+           match Unix.select [ late ] [] [] 2.0 with
+           | [], _, _ -> false
+           | _ -> true
+         end
+         else false)
+  in
+  Unix.close late;
+  let drained = Atomic.make false and timed_out = Atomic.make false in
+  let release () =
+    List.iter
+      (fun c ->
+         try Unix.shutdown c.fd Unix.SHUTDOWN_ALL
+         with Unix.Unix_error (_, _, _) -> ())
+      clients
+  in
+  let dog = watchdog ~release server ~done_:drained ~timed_out in
+  Server.initiate_shutdown server;
+  Server.wait server;
+  Atomic.set drained true;
+  Thread.join dog;
+  if not !exhausted then begin
+    List.iter disconnect clients;
+    Alcotest.skip ()
+  end;
+  Alcotest.(check bool) "the accept thread died and closed the listener"
+    true listener_closed;
+  Alcotest.(check bool) "drained within 2s" false (Atomic.get timed_out);
+  List.iter
+    (fun c ->
+       Alcotest.(check bool) "idle client sees end of input" true
+         (recv_line c = None);
+       disconnect c)
+    clients
 
 (* A client that sends a request and then half-closes: the server
    answers the request, reads end of input while blocked in [read], and
@@ -1033,6 +1091,8 @@ let () =
             test_shutdown_wakes_idle_threads;
           Alcotest.test_case "drain ends blocked reads" `Quick
             test_drain_ends_blocked_reads;
+          Alcotest.test_case "drain after the accept thread dies" `Quick
+            test_drain_after_accept_thread_dies;
           Alcotest.test_case "peer half-close while blocked in read" `Quick
             test_peer_half_close;
           Alcotest.test_case "lines pipelined at shutdown: replies or EOF"
