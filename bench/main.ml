@@ -1366,7 +1366,7 @@ let cold_bench () =
     Whynot_proptest.Surface.document schema inst
     ^ "query q(x, y) := Train-Connections(x, z), Train-Connections(z, y)\n"
   in
-  let n_pairs = min (Array.length pairs / 2) (if quick then 40 else 200) in
+  let n_pairs = min (Array.length pairs / 5) (if quick then 40 else 200) in
   let deps =
     {
       Handlers.registry =
@@ -1387,21 +1387,31 @@ let cold_bench () =
     | Error m -> failwith ("COLD: " ^ m)
     | Ok req ->
       (match Handlers.handle deps req with
-       | Ok json -> (json, Wire_json.to_line (Protocol.ok req json))
+       | Ok json -> (json, Protocol.ok_reply req json)
        | Error (code, m) -> failwith ("COLD: " ^ code ^ ": " ^ m))
   in
-  let run ~label ~session ~offset ~idle_s =
-    ignore
-      (serve
-         (line
-            [
-              ("op", Wire_json.String "create");
-              ("session", Wire_json.String session);
-              ("document", Wire_json.String text);
-            ]));
+  (* With [twin], a second session of the same document takes the same
+     request, untimed, right before each timed one: the code is warm and
+     only the timed session's data is cold. *)
+  let run ?(twin = false) ~label ~session ~offset ~idle_s () =
+    let create session =
+      ignore
+        (serve
+           (line
+              [
+                ("op", Wire_json.String "create");
+                ("session", Wire_json.String session);
+                ("document", Wire_json.String text);
+              ]))
+    in
+    let twin_session = session ^ "-twin" in
+    create session;
+    if twin then create twin_session;
     let times = Array.make (2 * n_pairs) 0. in
-    let timed k l =
+    let timed k request =
       if idle_s > 0. then Unix.sleepf idle_s;
+      if twin then ignore (serve (request twin_session));
+      let l = request session in
       let t0 = Obs.now_s () in
       let json, reply = serve l in
       ignore (Sys.opaque_identity reply);
@@ -1411,24 +1421,24 @@ let cold_bench () =
     let pair ~k missing =
       let missing = Wire_json.List (List.map Protocol.json_of_value missing) in
       let reply =
-        timed (2 * k)
-          (line
-             [
-               ("op", Wire_json.String "one_mge");
-               ("session", Wire_json.String session);
-               ("missing", missing);
-             ])
+        timed (2 * k) (fun session ->
+            line
+              [
+                ("op", Wire_json.String "one_mge");
+                ("session", Wire_json.String session);
+                ("missing", missing);
+              ])
       in
       let mge = Option.get (Wire_json.member "mge" reply) in
       ignore
-        (timed ((2 * k) + 1)
-           (line
-              [
-                ("op", Wire_json.String "check_mge");
-                ("session", Wire_json.String session);
-                ("missing", missing);
-                ("explanation", mge);
-              ]))
+        (timed ((2 * k) + 1) (fun session ->
+             line
+               [
+                 ("op", Wire_json.String "check_mge");
+                 ("session", Wire_json.String session);
+                 ("missing", missing);
+                 ("explanation", mge);
+               ]))
     in
     (* Three untimed pairs from the far end of the stream first, so the
        back-to-back run times warm requests only. *)
@@ -1436,15 +1446,18 @@ let cold_bench () =
       pair ~k:(-1) pairs.(Array.length pairs - i)
     done;
     for i = 0 to n_pairs - 1 do
-      pair ~k:i pairs.(offset + i)
+      pair ~k:i pairs.((offset + i) mod Array.length pairs)
     done;
-    ignore
-      (serve
-         (line
-            [
-              ("op", Wire_json.String "close");
-              ("session", Wire_json.String session);
-            ]));
+    List.iter
+      (fun session ->
+         ignore
+           (serve
+              (line
+                 [
+                   ("op", Wire_json.String "close");
+                   ("session", Wire_json.String session);
+                 ])))
+      (if twin then [ session; twin_session ] else [ session ]);
     let mean_ns = Array.fold_left ( +. ) 0. times /. float_of_int (2 * n_pairs) in
     Array.sort compare times;
     raw_row "COLD" label
@@ -1479,7 +1492,9 @@ let cold_bench () =
               ("document", Wire_json.String text);
             ]));
     let s, read_concept =
-      Option.get (Whynot_server.Registry.find_reading deps.registry session)
+      Option.get
+        (Whynot_server.Registry.find_reading deps.registry session
+           ~now:(Obs.now_s ()))
     in
     let engine = s.Whynot_server.Registry.engine in
     let query = Option.get s.Whynot_server.Registry.query in
@@ -1504,7 +1519,8 @@ let cold_bench () =
       let wn =
         stage "question" (fun () ->
             ignore
-              (Whynot_server.Registry.find_reading deps.registry session);
+              (Whynot_server.Registry.find_reading deps.registry session
+                 ~now:(Obs.now_s ()));
             let missing =
               Result.get_ok
                 (Protocol.values_of_json
@@ -1515,7 +1531,7 @@ let cold_bench () =
       let result = k req wn in
       stage "render+reply" (fun () ->
           ignore
-            (Sys.opaque_identity (Wire_json.to_line (Protocol.ok req result))));
+            (Sys.opaque_identity (Protocol.ok_reply req result)));
       result
     in
     let pair missing =
@@ -1588,12 +1604,15 @@ let cold_bench () =
   in
   (* Distinct pairs in each run, so none reuses another's questions. *)
   run ~label:"one_mge + check_mge, back to back" ~session:"warm" ~offset:0
-    ~idle_s:0.;
+    ~idle_s:0. ();
   run ~label:"one_mge + check_mge, 10 ms idle before each" ~session:"cold"
-    ~offset:n_pairs ~idle_s:0.01;
-  stages ~mode:"back to back" ~session:"warm-stages" ~offset:(2 * n_pairs)
+    ~offset:n_pairs ~idle_s:0.01 ();
+  run ~twin:true
+    ~label:"one_mge + check_mge, 10 ms idle, code warm (twin session first)"
+    ~session:"data-cold" ~offset:(2 * n_pairs) ~idle_s:0.01 ();
+  stages ~mode:"back to back" ~session:"warm-stages" ~offset:(3 * n_pairs)
     ~idle_s:0.;
-  stages ~mode:"10 ms idle" ~session:"cold-stages" ~offset:(3 * n_pairs)
+  stages ~mode:"10 ms idle" ~session:"cold-stages" ~offset:(4 * n_pairs)
     ~idle_s:0.01
 
 let () =

@@ -57,8 +57,10 @@ let normalise_conjunct = function
    [Stdlib.compare], it does not tell [-0.0] from [0.0]. *)
 let make conjs = { hash = Hashtbl.hash_param 256 256 conjs; conjs }
 
-let of_conjuncts cs =
-  make (List.sort_uniq Stdlib.compare (List.map normalise_conjunct cs))
+let of_conjuncts = function
+  | [] -> make []
+  | [ c ] -> make [ normalise_conjunct c ]
+  | cs -> make (List.sort_uniq Stdlib.compare (List.map normalise_conjunct cs))
 
 let top = make []
 let nominal c = make [ Nominal c ]

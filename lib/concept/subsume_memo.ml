@@ -67,6 +67,11 @@ module Lub_tbl = Hashtbl.Make (struct
 
 exception Deadline_exceeded
 
+(* A record of floats only is stored flat, so setting the deadline is an
+   unboxed store with no write barrier. A schema handle made with an
+   instance handle shares that handle's record. *)
+type deadline = { mutable at : float }
+
 let c_deadline_trips =
   Obs.counter "memo.deadline.trips"
     ~doc:"operations unwound by a cooperative deadline check"
@@ -97,7 +102,7 @@ type inst = {
   mutable adom : Value_set.t option;
   mutable masks : masks option;
   lubs : Ls.t Lub_tbl.t;  (* lub_sigma results only *)
-  mutable deadline : float;  (* absolute seconds; 0. = none *)
+  deadline : deadline;  (* absolute seconds; 0. = none *)
 }
 
 type schema = {
@@ -105,26 +110,20 @@ type schema = {
   cls : Subsume_schema.constraint_class;
   sverdicts : Subsume_schema.verdict Pair_tbl.t;
   ucqs : Ucq.t Ls_tbl.t;
-  mutable sdeadline : float;
+  sdeadline : deadline;
 }
 
-let check_inst_deadline h =
-  if h.deadline > 0. && Obs.now_s () > h.deadline then begin
+let check d =
+  if d.at > 0. && Obs.now_s () > d.at then begin
     Obs.incr c_deadline_trips;
     raise Deadline_exceeded
   end
 
-let check_schema_deadline h =
-  if h.sdeadline > 0. && Obs.now_s () > h.sdeadline then begin
-    Obs.incr c_deadline_trips;
-    raise Deadline_exceeded
-  end
-
-let set_inst_deadline h d =
-  h.deadline <- (match d with Some t -> t | None -> 0.)
-
-let set_schema_deadline h d =
-  h.sdeadline <- (match d with Some t -> t | None -> 0.)
+let check_inst_deadline h = check h.deadline
+let check_schema_deadline h = check h.sdeadline
+let set_inst_deadline h = function
+  | Some t -> h.deadline.at <- t
+  | None -> h.deadline.at <- 0.
 
 let inst instance =
   Obs.incr c_handles_inst;
@@ -138,7 +137,7 @@ let inst instance =
     adom = None;
     masks = None;
     lubs = Lub_tbl.create 64;
-    deadline = 0.;
+    deadline = { at = 0. };
   }
 
 let instance h = h.instance
@@ -248,14 +247,15 @@ let memo_lub h x compute =
 
 (* --- per-schema handles --- *)
 
-let schema sschema =
+let schema ?inst sschema =
   Obs.incr c_handles_schema;
   {
     sschema;
     cls = Subsume_schema.classify sschema;
     sverdicts = Pair_tbl.create 64;
     ucqs = Ls_tbl.create 64;
-    sdeadline = 0.;
+    sdeadline =
+      (match inst with Some h -> h.deadline | None -> { at = 0. });
   }
 
 let schema_of h = h.sschema

@@ -112,9 +112,11 @@ val memo_lub : inst -> Value_set.t -> (unit -> Ls.t) -> Ls.t
 type schema
 (** A memo handle for one schema. *)
 
-val schema : Schema.t -> schema
+val schema : ?inst:inst -> Schema.t -> schema
 (** A fresh, empty handle for this schema (counted by
-    [memo.handles.schema]); classifies the schema once. *)
+    [memo.handles.schema]); classifies the schema once. With [inst] the
+    handle shares [inst]'s deadline ({!set_inst_deadline}); without,
+    it has none. *)
 
 val schema_of : schema -> Schema.t
 (** The schema the handle was built from. *)
@@ -156,6 +158,5 @@ val check_deadline : inst -> unit
 
 val set_inst_deadline : inst -> float option -> unit
 (** [Some t]: raise from this handle's entry points once
-    [Whynot_obs.Obs.now_s () > t]; [None] clears. *)
-
-val set_schema_deadline : schema -> float option -> unit
+    [Whynot_obs.Obs.now_s () > t]; [None] clears. A schema handle made
+    with [~inst] reads the same deadline. *)

@@ -134,35 +134,6 @@ module Frontier = struct
   (* The index of [id] among a column's ids, or -1. *)
   let slot c id = Sorted.index Int.compare c.ids id
 
-  (* The tuple's slots, then the answers of its shortest posting list,
-     each compared in full. *)
-  let is_answer a t =
-    let arity = Array.length a.columns in
-    let slots =
-      Array.init (min arity (Tuple.arity t)) (fun j ->
-          slot a.columns.(j) (known a (Tuple.get t (j + 1))))
-    in
-    let postings j =
-      a.columns.(j).starts.(slots.(j) + 1) - a.columns.(j).starts.(slots.(j))
-    in
-    let rec same i j =
-      j = arity || (a.slots.((i * arity) + j) = slots.(j) && same i (j + 1))
-    in
-    Tuple.arity t = arity
-    && (not (Array.mem (-1) slots))
-    &&
-    if arity = 0 then a.count > 0
-    else
-      let shortest = ref 0 in
-      for j = 1 to arity - 1 do
-        if postings j < postings !shortest then shortest := j
-      done;
-      let c = a.columns.(!shortest) and k = slots.(!shortest) in
-      let rec scan p =
-        p < c.starts.(k + 1) && (same c.postings.(p) 0 || scan (p + 1))
-      in
-      scan c.starts.(k)
-
   (* The missing values without an id in [ans] take the next ones. *)
   type ids = {
     ans : answers;
@@ -184,6 +155,56 @@ module Frontier = struct
       find 0
     | i -> Some i
 
+  let of_missing ans missing =
+    let arity = Tuple.arity missing in
+    let ids = Array.make arity 0 and extra = ref [] in
+    let base = Array.length ans.adom + Array.length ans.outside in
+    (* [v]'s index in [extra], appending it when it is new. *)
+    let rec extra_index v k = function
+      | [] ->
+        extra := !extra @ [ v ];
+        k
+      | x :: xs -> if Value.equal v x then k else extra_index v (k + 1) xs
+    in
+    for j = 0 to arity - 1 do
+      let v = Tuple.get missing (j + 1) in
+      match known ans v with
+      | -1 -> ids.(j) <- base + extra_index v 0 !extra
+      | i -> ids.(j) <- i
+    done;
+    let extra = match !extra with [] -> [||] | xs -> Array.of_list xs in
+    { ans; extra; missing = ids }
+
+  (* The missing tuple's slot at each position, then the answers of its
+     shortest posting list, each compared in full. An id without a slot
+     in some column belongs to no answer. *)
+  let is_answer q =
+    let a = q.ans in
+    let arity = Array.length a.columns in
+    let rec same i j =
+      j = arity
+      || a.columns.(j).ids.(a.slots.((i * arity) + j)) = q.missing.(j)
+         && same i (j + 1)
+    in
+    let rec scan c p stop =
+      p < stop && (same c.postings.(p) 0 || scan c (p + 1) stop)
+    in
+    let rec shortest j best k len =
+      if j = arity then
+        let c = a.columns.(best) in
+        scan c c.starts.(k) c.starts.(k + 1)
+      else
+        let c = a.columns.(j) in
+        match slot c q.missing.(j) with
+        | -1 -> false
+        | s ->
+          let l = c.starts.(s + 1) - c.starts.(s) in
+          if l < len then shortest (j + 1) j s l
+          else shortest (j + 1) best k len
+    in
+    Array.length q.missing = arity
+    && if arity = 0 then a.count > 0 else shortest 0 0 0 max_int
+
   let ids ?answers ?handle wn =
     let ans =
       match answers with
@@ -203,17 +224,7 @@ module Frontier = struct
         then invalid_arg "Explanation.Frontier.ids: answers of another question";
         a
     in
-    let missing = Whynot.missing_values wn in
-    let extra =
-      List.fold_left
-        (fun extra v ->
-           if known ans v >= 0 || List.exists (Value.equal v) extra then extra
-           else extra @ [ v ])
-        [] missing
-    in
-    let q = { ans; extra = Array.of_list extra; missing = [||] } in
-    let id v = Option.get (id q v) in
-    { q with missing = Array.of_list (List.map id missing) }
+    of_missing ans wn.Whynot.missing
 
   let value q i =
     let n = Array.length q.ans.adom in
@@ -290,15 +301,6 @@ module Frontier = struct
     w = words
     || (others f (-1) w = 0 && none_covered_everywhere f (w + 1) words)
 
-  (* Calls [k] on the index of every set bit of word [w], from [base]. *)
-  let rec iter_bits k base w =
-    if w <> 0 then
-      if w land 0xff = 0 then iter_bits k (base + 8) (w lsr 8)
-      else begin
-        if w land 1 <> 0 then k base;
-        iter_bits k (base + 1) (w lsr 1)
-      end
-
   (* D_j: the answers [¬covered_j ∧ ⋀_{k≠j} covered_k], a word at a
      time, marked by their slots in column [j], then read off as its
      ids. *)
@@ -308,7 +310,8 @@ module Frontier = struct
     let seen = Bits.empty (Array.length c.ids) in
     let see i = Bits.add seen a.slots.((i * arity) + j) in
     for w = 0 to words - 1 do
-      iter_bits see (w * width) (lnot (word f.covered.(j) w) land others f j w)
+      Bits.iter_word see (w * width)
+        (lnot (word f.covered.(j) w) land others f j w)
     done;
     if Bits.is_empty seen then []
     else begin
@@ -331,14 +334,25 @@ module Frontier = struct
       true
     end
 
-  let make (q : ids) member e =
+  let no_member (_ : int) = false
+  let no_cover = Bits.empty 0
+
+  let of_array (q : ids) member concepts =
     let arity = Array.length q.missing in
-    if List.length e <> arity then None
-    else
-      let concepts = Array.of_list e in
-      let members = Array.map member concepts in
-      if not (Array.for_all2 (fun m a -> m a) members q.missing) then None
-      else
+    if Array.length concepts <> arity then None
+    else begin
+      let members = Array.make arity no_member and holds = ref true in
+      for j = 0 to arity - 1 do
+        let m = member concepts.(j) in
+        members.(j) <- m;
+        if not (m q.missing.(j)) then holds := false
+      done;
+      if not !holds then None
+      else begin
+        let covered = Array.make arity no_cover in
+        for j = 0 to arity - 1 do
+          covered.(j) <- cover q.ans j members.(j)
+        done;
         let f =
           {
             member;
@@ -346,11 +360,15 @@ module Frontier = struct
             concepts;
             members;
             ans = q.ans;
-            covered = Array.mapi (cover q.ans) members;
+            covered;
             only = Array.make arity [];
           }
         in
         if refill f then Some f else None
+      end
+    end
+
+  let make q member e = of_array q member (Array.of_list e)
 
   let concepts f = Array.to_list f.concepts
   let concept f j = f.concepts.(j)

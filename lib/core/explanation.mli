@@ -88,14 +88,19 @@ module Frontier : sig
       domain (computed on first use), then [ans]'s values outside it.
       The encoding records [handle] and [ans], which {!ids} checks. *)
 
-  val is_answer : answers -> Tuple.t -> bool
-  (** [is_answer a t] iff [t] is one of the encoded answers:
-      [Relation.mem t ans] from [t]'s ids ([arity] lookups) and the
-      answers of its shortest posting list, compared as ids, with no
-      value comparison. *)
-
   type ids
   (** One question's ids: its answers' and its missing tuple's. *)
+
+  val of_missing : answers -> Tuple.t -> ids
+  (** The ids of a missing tuple over an encoding: each value's id in
+      [answers] (a binary search in the active domain), the values
+      outside it numbered after them, first seen first. *)
+
+  val is_answer : ids -> bool
+  (** Whether the missing tuple is one of the encoded answers:
+      [Relation.mem missing ans] from its ids and the answers of its
+      shortest posting list, compared as ids, with no value comparison.
+      [false] when the tuple's arity is not the answers'. *)
 
   val ids :
     ?answers:answers -> ?handle:Whynot_concept.Subsume_memo.inst ->
@@ -136,6 +141,10 @@ module Frontier : sig
       it is not an explanation ({!is_explanation}) for an ontology whose
       membership, over [q]'s ids, is [member] — the only part of an
       ontology a frontier reads. *)
+
+  val of_array : ids -> ('c -> int -> bool) -> 'c array -> 'c t option
+  (** {!make} on the tuple as an array, which the frontier takes over:
+      {!replace} writes into it. *)
 
   val concepts : 'c t -> 'c list
   (** The current explanation. *)

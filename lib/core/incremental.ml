@@ -44,6 +44,7 @@ type ('s, 'c) lubs = {
       (* a given concept's extension as a support set; [None] when it is
          infinite *)
   top : 'c;
+  top_support : 's;  (* fills a support array before its first set *)
   render : shorten:bool -> 'c -> Ls.t;
 }
 
@@ -69,6 +70,7 @@ let sigma_lubs h q =
          | Semantics.All -> None
          | Semantics.Fin ext -> Some ext);
     top = Ls.top;
+    top_support = Value_set.empty;
     render =
       (fun ~shorten c -> if shorten then Irredundant.minimise h c else c);
   }
@@ -180,6 +182,7 @@ let mask_lubs h q =
             | None -> given_ext (Subsume_memo.canonical h c)));
     support = (function Given (_, _, s) -> s | c -> Some c);
     top = Mask top;
+    top_support = Mask top;
     render = to_ls;
   }
 
@@ -208,61 +211,85 @@ let handle_for ?handle wn =
   | None -> Subsume_memo.inst wn.Whynot.instance
 
 let search l h q wn order ~trace =
-  let start =
-    Array.of_list
-      (List.mapi
-         (fun j a -> l.nominal a (Frontier.missing_id q j))
-         (Whynot.missing_values wn))
-  in
-  let support = Array.map fst start in
+  let missing = wn.Whynot.missing in
+  let arity = Tuple.arity missing in
   (* The nominal tuple: an explanation, since [a] is not an answer. *)
-  let f =
-    Option.get (Frontier.make q l.mem (Array.to_list (Array.map snd start)))
-  in
+  let support = Array.make arity l.top_support in
+  let concepts = Array.make arity l.top in
+  for j = 0 to arity - 1 do
+    let x, c =
+      l.nominal (Tuple.get missing (j + 1)) (Frontier.missing_id q j)
+    in
+    support.(j) <- x;
+    concepts.(j) <- c
+  done;
+  let f = Option.get (Frontier.of_array q l.mem concepts) in
   let adom = Subsume_memo.adom_array h in
   let n = Array.length adom in
   let tick = deadline_ticker h in
   let steps = ref [] in
-  for j = 0 to Array.length support - 1 do
-    (* The absorption schedule: the [i]-th active-domain constant, for
-       every [i] in the requested order. *)
-    for k = 0 to n - 1 do
-      let i = match order with `Ascending -> k | `Descending -> n - 1 - k in
-      (* Skip constants already in the position's extension: absorbing
-         them cannot change anything. *)
-      if not (Frontier.mem f j i) then begin
-        tick ();
-        Obs.incr c_absorb_attempts;
-        let b = adom.(i) in
-        let accepted =
-          match l.absorb f j support.(j) i b with
-          | None -> false
-          | Some (x', c') ->
-            Obs.incr c_absorbed;
-            Log.debug (fun m ->
-                m "position %d absorbed %s" (j + 1) (Value.to_string b));
-            support.(j) <- x';
-            Frontier.replace f j c';
-            true
-        in
-        if trace then steps := (j, b, accepted) :: !steps
-      end
-    done
-  done;
+  (* Counted here and added to the counters once per search. *)
+  let attempts = ref 0 and absorbed = ref 0 in
+  let count () =
+    Obs.add c_absorb_attempts !attempts;
+    Obs.add c_absorbed !absorbed
+  in
+  (try
+     for j = 0 to arity - 1 do
+       (* The absorption schedule: the [i]-th active-domain constant, for
+          every [i] in the requested order. *)
+       for k = 0 to n - 1 do
+         let i = match order with `Ascending -> k | `Descending -> n - 1 - k in
+         (* Skip constants already in the position's extension: absorbing
+            them cannot change anything. *)
+         if not (Frontier.mem f j i) then begin
+           tick ();
+           incr attempts;
+           let b = adom.(i) in
+           let accepted =
+             match l.absorb f j support.(j) i b with
+             | None -> false
+             | Some (x', c') ->
+               incr absorbed;
+               Log.debug (fun m ->
+                   m "position %d absorbed %s" (j + 1) (Value.to_string b));
+               support.(j) <- x';
+               Frontier.replace f j c';
+               true
+           in
+           if trace then steps := (j, b, accepted) :: !steps
+         end
+       done
+     done
+   with e ->
+     count ();
+     raise e);
+  count ();
   (* The [top] refinement: lift single positions to [top], the most
      general concept of all, in order. *)
-  for j = 0 to Array.length support - 1 do
+  for j = 0 to arity - 1 do
     if Frontier.accepts f j l.top then Frontier.replace f j l.top
   done;
-  (Frontier.concepts f, List.rev !steps)
+  (f, List.rev !steps)
 
-let run ?handle ?answers ?(variant = Selection_free) ~shorten ~trace order wn
-  =
+(* The explanation of a finished search, rendered position by position
+   (no list of concepts built to be mapped over). *)
+let rendered l ~shorten f arity =
+  let rec from j acc =
+    if j < 0 then acc
+    else from (j - 1) (l.render ~shorten (Frontier.concept f j) :: acc)
+  in
+  from (arity - 1) []
+
+let run ?handle ?answers ?ids ?(variant = Selection_free) ~shorten ~trace
+    order wn =
   let h = handle_for ?handle wn in
-  let q = Frontier.ids ?answers ~handle:h wn in
+  let q =
+    match ids with Some q -> q | None -> Frontier.ids ?answers ~handle:h wn
+  in
   let go l =
-    let e, steps = search l h q wn order ~trace in
-    (List.map (l.render ~shorten) e, steps)
+    let f, steps = search l h q wn order ~trace in
+    (rendered l ~shorten f (Whynot.arity wn), steps)
   in
   match variant with
   | Selection_free -> go (mask_lubs h q)
@@ -271,15 +298,18 @@ let run ?handle ?answers ?(variant = Selection_free) ~shorten ~trace order wn
 let one_mge_with_trace ?variant ?(order = `Ascending) wn =
   run ?variant ~shorten:false ~trace:true order wn
 
-let one_mge ?handle ?answers ?variant ?(shorten = true) ?(order = `Ascending)
-    wn =
-  fst (run ?handle ?answers ?variant ~shorten ~trace:false order wn)
+let one_mge ?handle ?answers ?ids ?variant ?(shorten = true)
+    ?(order = `Ascending) wn =
+  fst (run ?handle ?answers ?ids ?variant ~shorten ~trace:false order wn)
 
 (* A position is improvable when the lub of its concept's extension
    grown by a constant outside it, or [top], keeps the tuple an
    explanation. *)
 let is_mge l h q e =
-  match Frontier.make q l.mem (List.map l.given e) with
+  let arity = List.length e in
+  let concepts = Array.make arity l.top in
+  List.iteri (fun j c -> concepts.(j) <- l.given c) e;
+  match Frontier.of_array q l.mem concepts with
   | None -> false
   | Some f ->
     let tick = deadline_ticker h and adom = Subsume_memo.adom_array h in
@@ -298,11 +328,14 @@ let is_mge l h q e =
         in
         absorbs 0 || Frontier.accepts f j l.top
     in
-    not (List.exists improvable (List.init (List.length e) Fun.id))
+    let rec any j = j < arity && (improvable j || any (j + 1)) in
+    not (any 0)
 
-let check_mge ?handle ?answers ?(variant = Selection_free) wn e =
+let check_mge ?handle ?answers ?ids ?(variant = Selection_free) wn e =
   let h = handle_for ?handle wn in
-  let q = Frontier.ids ?answers ~handle:h wn in
+  let q =
+    match ids with Some q -> q | None -> Frontier.ids ?answers ~handle:h wn
+  in
   match variant with
   | Selection_free -> is_mge (mask_lubs h q) h q e
   | With_selections -> is_mge (sigma_lubs h q) h q e

@@ -59,6 +59,7 @@ type variant =
 val one_mge :
   ?handle:Whynot_concept.Subsume_memo.inst ->
   ?answers:Explanation.Frontier.answers ->
+  ?ids:Explanation.Frontier.ids ->
   ?variant:variant ->
   ?shorten:bool ->
   ?order:[ `Ascending | `Descending ] ->
@@ -73,7 +74,10 @@ val one_mge :
     must wrap the question's instance; without one the run creates its
     own, so a handle-less call starts cold and creates exactly one.
     [answers] must be [Explanation.Frontier.encode ~handle] of the
-    question's answers; without it the run encodes them.
+    question's answers; without it the run encodes them. [ids], the
+    question's ids over such an encoding (as an engine finds them while
+    building the question), is used as given, and [answers] is then not
+    read.
     @raise Invalid_argument when [answers] was encoded over another
     handle than the run's (or without one), or from other answers. *)
 
@@ -91,14 +95,15 @@ val one_mge_with_trace :
 val check_mge :
   ?handle:Whynot_concept.Subsume_memo.inst ->
   ?answers:Explanation.Frontier.answers ->
+  ?ids:Explanation.Frontier.ids ->
   ?variant:variant ->
   Whynot.t ->
   Whynot_concept.Ls.t Explanation.t ->
   bool
 (** CHECK-MGE W.R.T. [O_I] (Definition 5.7, Proposition 5.2): the tuple is
     an explanation and no single position can absorb a further constant
-    (or be replaced by [top]) while remaining one. [handle] and
-    [answers] as in {!one_mge}. *)
+    (or be replaced by [top]) while remaining one. [handle], [answers]
+    and [ids] as in {!one_mge}. *)
 
 val trivial_explanation : Whynot.t -> Whynot_concept.Ls.t Explanation.t
 (** The tuple of nominals [({a_1}, ..., {a_m})] — always an explanation

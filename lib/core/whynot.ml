@@ -40,9 +40,8 @@ let make ?schema ?answers ~instance ~query ~missing () =
       Result.map (fun () -> { instance; query; answers; missing }) legal
 
 let of_answers ~instance ~query ~arity ~answers ~is_answer ~missing =
-  let missing = Tuple.of_list missing in
   if Tuple.arity missing <> arity then arity_mismatch missing arity
-  else if is_answer missing then not_missing
+  else if is_answer then not_missing
   else Ok { instance; query; answers; missing }
 
 let make_exn ?schema ?answers ~instance ~query ~missing () =

@@ -34,15 +34,16 @@ val of_answers :
   query:Cq.t ->
   arity:int ->
   answers:Relation.t ->
-  is_answer:(Tuple.t -> bool) ->
-  missing:Value.t list ->
+  is_answer:bool ->
+  missing:Tuple.t ->
   (t, Whynot_error.t) result
 (** {!make} without a schema for a query already known to be safe and
-    of arity [arity], whose answers [answers] are tested through
-    [is_answer] (which must agree with [Relation.mem] on them): the
-    arity and membership checks of {!make}, in its order and with its
-    errors. For a caller that keeps [Ans] with a faster membership, as
-    an engine keeps its encoding. *)
+    of arity [arity], whose answers [answers] hold [missing] exactly when
+    [is_answer] (which must agree with [Relation.mem missing answers]
+    whenever [missing] has arity [arity]): the arity and membership
+    checks of {!make}, in its order and with its errors. For a caller
+    that keeps [Ans] with a faster membership, as an engine keeps its
+    encoding. *)
 
 val make_exn :
   ?schema:Schema.t ->

@@ -54,22 +54,11 @@ let timer ?(doc = "") name =
 
 let now_s () = Unix.gettimeofday ()
 
-let record_ns t ns =
-  ignore (Atomic.fetch_and_add t.ns ns);
+let record t ~since =
+  ignore
+    (Atomic.fetch_and_add t.ns
+       (int_of_float ((Unix.gettimeofday () -. since) *. 1e9)));
   Atomic.incr t.calls
-
-let time t f =
-  let t0 = Unix.gettimeofday () in
-  let finish () =
-    record_ns t (int_of_float ((Unix.gettimeofday () -. t0) *. 1e9))
-  in
-  match f () with
-  | v ->
-    finish ();
-    v
-  | exception exn ->
-    finish ();
-    raise exn
 
 let timer_ns t = Atomic.get t.ns
 

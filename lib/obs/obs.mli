@@ -43,16 +43,17 @@ val now_s : unit -> float
     checks of {!Whynot_concept.Subsume_memo}) share one time source. *)
 
 type timer
-(** A named accumulating wall-clock timer. Each {!time} adds the elapsed
-    nanoseconds of one call; a timer surfaces in snapshots as two entries,
+(** A named accumulating wall-clock timer. Each {!record} adds the
+    elapsed nanoseconds of one call; a timer surfaces in snapshots as two entries,
     [<name>.ns] (accumulated nanoseconds) and [<name>.calls]. *)
 
 val timer : ?doc:string -> string -> timer
 (** Register (or retrieve) the timer called [name]. *)
 
-val time : timer -> (unit -> 'a) -> 'a
-(** Run the thunk, accumulating its wall-clock duration into the timer.
-    Exceptions propagate; the time spent is still recorded. *)
+val record : timer -> since:float -> unit
+(** Add one call lasting from [since], a {!now_s} reading, to now. The
+    caller reads the clock when the timed step starts; a step that
+    raises is recorded by the caller's handler. *)
 
 val timer_ns : timer -> int
 (** Accumulated nanoseconds. *)

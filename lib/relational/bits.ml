@@ -13,9 +13,12 @@ let full n =
 let mem s i = s.(i / width) land (1 lsl (i mod width)) <> 0
 
 let remove s i =
-  let s = Array.copy s in
-  s.(i / width) <- s.(i / width) land lnot (1 lsl (i mod width));
-  s
+  if Array.length s = 1 then [| s.(0) land lnot (1 lsl i) |]
+  else begin
+    let s = Array.copy s in
+    s.(i / width) <- s.(i / width) land lnot (1 lsl (i mod width));
+    s
+  end
 
 (* The multi-word loops run from word [k] on, as top-level functions so
    that a test allocates no closure. *)
@@ -59,11 +62,16 @@ let rec covers_from all a b k =
 
 let covers all a b = covers_from all a b 0
 
+(* A byte of zeros is skipped at once. *)
+let rec iter_word f base w =
+  if w <> 0 then
+    if w land 0xff = 0 then iter_word f (base + 8) (w lsr 8)
+    else begin
+      if w land 1 <> 0 then f base;
+      iter_word f (base + 1) (w lsr 1)
+    end
+
 let iter f s =
-  Array.iteri
-    (fun k w ->
-       if w <> 0 then
-         for i = 0 to width - 1 do
-           if w land (1 lsl i) <> 0 then f ((k * width) + i)
-         done)
-    s
+  for k = 0 to Array.length s - 1 do
+    iter_word f (k * width) s.(k)
+  done

@@ -43,4 +43,9 @@ val covers : t -> t -> t -> bool
 (** [covers all a b]: every member of [all] is in [a] or in [b]. *)
 
 val iter : (int -> unit) -> t -> unit
-(** The members in increasing order. *)
+(** The members in increasing order, visiting set bits only. *)
+
+val iter_word : (int -> unit) -> int -> int -> unit
+(** [iter_word f base w] calls [f (base + i)] for every set bit [i] of
+    the word [w], in increasing order: {!iter} on one word, for a word
+    computed rather than stored. *)

@@ -39,50 +39,22 @@ let known_ops =
 
 let err code fmt = Printf.ksprintf (fun m -> Error (code, m)) fmt
 
-let of_result = function
-  | Ok v -> Ok v
-  | Error e -> Error (Whynot_error.code e, Whynot_error.message e)
+let error_of e = Error (Whynot_error.code e, Whynot_error.message e)
+let of_result = function Ok v -> Ok v | Error e -> error_of e
 
 let ( let* ) r k = match r with Ok v -> k v | Error _ as e -> e
 
 (* Concepts travel the wire in the text format's grammar
    ([Cities.name[population >= 5000000] & {"Rome"}]) so a client can feed
-   a response concept straight back into [check_mge]. The renderer is the
-   inverse of [Parser.concept_reader] over the session's schema. *)
+   a response concept straight back into [check_mge]. *)
 
-let attr_label schema ~rel attr =
-  match Schema.attr_name schema ~rel attr with
-  | Some name -> name
-  | None -> string_of_int attr
+let rec json_of_concepts schema = function
+  | [] -> []
+  | c :: rest ->
+    Wjson.String (Parser.render_concept schema c)
+    :: json_of_concepts schema rest
 
-let render_concept schema c =
-  match Ls.conjuncts c with
-  | [] -> "top"
-  | conjuncts ->
-    conjuncts
-    |> List.map (function
-         | Ls.Nominal v -> "{" ^ Value.to_string v ^ "}"
-         | Ls.Proj { rel; attr; sels } ->
-           let proj = rel ^ "." ^ attr_label schema ~rel attr in
-           (match sels with
-            | [] -> proj
-            | _ ->
-              proj ^ "["
-              ^ String.concat ", "
-                  (List.map
-                     (fun (s : Ls.selection) ->
-                        String.concat " "
-                          [
-                            attr_label schema ~rel s.Ls.attr;
-                            Cmp_op.to_string s.Ls.op;
-                            Value.to_string s.Ls.value;
-                          ])
-                     sels)
-              ^ "]"))
-    |> String.concat " & "
-
-let json_of_explanation schema e =
-  Wjson.List (List.map (fun c -> Wjson.String (render_concept schema c)) e)
+let json_of_explanation schema e = Wjson.List (json_of_concepts schema e)
 
 let variant_of req =
   match Protocol.str_param req "variant" with
@@ -214,41 +186,26 @@ let close_session ~swept (s : Registry.session) =
   Obs.incr c_sessions_closed;
   if swept then Obs.incr c_sessions_swept
 
-(* --- session-scoped dispatch --- *)
+(* --- session-scoped dispatch ---
 
-let deadline_of deps req =
-  let requested = Protocol.int_param req "deadline_ms" in
-  let ms =
-    match requested with
-    | Some ms -> Some ms
-    | None ->
-      if deps.default_deadline_ms > 0 then Some deps.default_deadline_ms
-      else None
-  in
-  match ms with
-  | None -> None
-  | Some ms ->
+   One direct path per op: the request's session, its question, the op,
+   its result. The request's one clock reading [now] gives both the
+   deadline and the session's [last_used_s]. *)
+
+let deadline_of deps req ~now =
+  match Protocol.int_param req "deadline_ms" with
+  | None when deps.default_deadline_ms <= 0 -> None
+  | requested ->
     let ms =
-      if deps.max_deadline_ms > 0 then min ms deps.max_deadline_ms else ms
+      match requested with Some ms -> ms | None -> deps.default_deadline_ms
     in
-    Some (Obs.now_s () +. (float_of_int (max ms 0) /. 1000.))
-
-(* [k s read_concept]: the session and its concept reader. *)
-let with_session deps req k =
-  match req.Protocol.session with
-  | None -> err "missing-input" "\"%s\" requires a \"session\"" req.Protocol.op
-  | Some name -> (
-    match Registry.find_reading deps.registry name with
-    | None -> err "unknown-session" "no session named %S" name
-    | Some (s, read_concept) ->
-      Mutex.protect s.Registry.lock (fun () ->
-        Engine.set_deadline s.Registry.engine (deadline_of deps req);
-        Fun.protect
-          ~finally:(fun () -> Engine.set_deadline s.Registry.engine None)
-          (fun () -> k s read_concept)))
+    let ms =
+      if deps.max_deadline_ms > 0 then Int.min ms deps.max_deadline_ms else ms
+    in
+    Some (now +. (float_of_int (Int.max ms 0) /. 1000.))
 
 let question_of (s : Registry.session) req =
-  let* missing =
+  let missing =
     match Protocol.list_param req "missing" with
     | Some js -> (
       match Protocol.values_of_json js with
@@ -261,50 +218,50 @@ let question_of (s : Registry.session) req =
         err "missing-input"
           "no \"missing\" tuple given and the session has no default")
   in
-  let* query =
+  match missing with
+  | Error _ as e -> e
+  | Ok missing -> (
     match s.Registry.query with
-    | Some q -> Ok q
     | None ->
       err "missing-input"
         "the session's document declares no query; \"question\" needs one"
-  in
-  let* wn =
-    of_result (Engine.question s.Registry.engine ~query ~missing ())
-  in
-  Ok (wn, missing)
+    | Some query -> (
+      match Engine.question s.Registry.engine ~query ~missing () with
+      | Ok wn -> Ok (wn, missing)
+      | Error e -> error_of e))
 
-let handle_question deps req =
-  with_session deps req (fun s _ ->
-    let* wn, missing = question_of s req in
-    Ok
-      (Wjson.Obj
-         [
-           ("missing", Wjson.List (List.map Protocol.json_of_value missing));
-           ("answers", Wjson.Int (Relation.cardinal wn.Whynot_core.Whynot.answers));
-           ( "constants",
-             Wjson.Int
-               (Value_set.cardinal
-                  (Engine.constant_pool s.Registry.engine wn)) );
-         ]))
+let missing_json missing =
+  Wjson.List (List.map Protocol.json_of_value missing)
 
-let handle_one_mge deps req =
-  with_session deps req (fun s _ ->
-    let* wn, missing = question_of s req in
-    let* variant = variant_of req in
-    let* mge =
-      of_result (Engine.one_mge ~variant s.Registry.engine wn)
-    in
-    Ok
-      (Wjson.Obj
-         [
-           ("missing", Wjson.List (List.map Protocol.json_of_value missing));
-           ("mge", json_of_explanation s.Registry.schema mge);
-         ]))
+let question s _ _ wn missing =
+  Ok
+    (Wjson.Obj
+       [
+         ("missing", missing_json missing);
+         ( "answers",
+           Wjson.Int (Relation.cardinal wn.Whynot_core.Whynot.answers) );
+         ( "constants",
+           Wjson.Int
+             (Value_set.cardinal (Engine.constant_pool s.Registry.engine wn)) );
+       ])
 
-let handle_all_mges deps req =
-  with_session deps req (fun s _ ->
-    let* wn, _missing = question_of s req in
-    let* mges = of_result (Engine.all_mges s.Registry.engine wn) in
+let one_mge s _ req wn missing =
+  match variant_of req with
+  | Error _ as e -> e
+  | Ok variant -> (
+    match Engine.one_mge ~variant s.Registry.engine wn with
+    | Ok mge ->
+      Ok
+        (Wjson.Obj
+           [
+             ("missing", missing_json missing);
+             ("mge", json_of_explanation s.Registry.schema mge);
+           ])
+    | Error e -> error_of e)
+
+let all_mges s _ _ wn _ =
+  match Engine.all_mges s.Registry.engine wn with
+  | Ok mges ->
     Ok
       (Wjson.Obj
          [
@@ -312,41 +269,70 @@ let handle_all_mges deps req =
            ( "mges",
              Wjson.List
                (List.map (json_of_explanation s.Registry.schema) mges) );
-         ]))
+         ])
+  | Error e -> error_of e
 
-let handle_check_mge deps req =
-  with_session deps req (fun s read_concept ->
-    let* wn, _missing = question_of s req in
-    let* variant = variant_of req in
-    let* concept_srcs =
-      match Protocol.list_param req "explanation" with
-      | None ->
-        err "missing-input"
-          "\"check_mge\" requires an \"explanation\" (a list of concepts)"
-      | Some js ->
-        let rec strings acc = function
-          | [] -> Ok (List.rev acc)
-          | Wjson.String s :: rest -> strings (s :: acc) rest
-          | j :: _ ->
-            err "missing-input" "concepts must be strings, found %s"
-              (Wjson.to_string j)
-        in
-        strings [] js
-    in
-    let* explanation =
-      List.fold_left
-        (fun acc src ->
-           let* acc = acc in
-           let* c = of_result (read_concept src) in
-           Ok (c :: acc))
-        (Ok []) concept_srcs
-      |> Result.map List.rev
-    in
-    let* is_mge =
-      of_result
-        (Engine.check_mge ~variant s.Registry.engine wn explanation)
-    in
-    Ok (Wjson.Obj [ ("is_mge", Wjson.Bool is_mge) ]))
+(* The concepts of [check_mge]'s "explanation": every item must be a
+   string, and then each is read by the session's reader. *)
+let rec strings acc = function
+  | [] -> Ok (List.rev acc)
+  | Wjson.String s :: rest -> strings (s :: acc) rest
+  | j :: _ ->
+    err "missing-input" "concepts must be strings, found %s" (Wjson.to_string j)
+
+let rec read_concepts read acc = function
+  | [] -> Ok (List.rev acc)
+  | src :: rest -> (
+    match read src with
+    | Ok c -> read_concepts read (c :: acc) rest
+    | Error e -> error_of e)
+
+let check_mge s read_concept req wn _ =
+  match variant_of req with
+  | Error _ as e -> e
+  | Ok variant -> (
+    match Protocol.list_param req "explanation" with
+    | None ->
+      err "missing-input"
+        "\"check_mge\" requires an \"explanation\" (a list of concepts)"
+    | Some js -> (
+      match strings [] js with
+      | Error _ as e -> e
+      | Ok srcs -> (
+        match read_concepts read_concept [] srcs with
+        | Error _ as e -> e
+        | Ok explanation -> (
+          match Engine.check_mge ~variant s.Registry.engine wn explanation with
+          | Ok is_mge -> Ok (Wjson.Obj [ ("is_mge", Wjson.Bool is_mge) ])
+          | Error e -> error_of e))))
+
+let release (s : Registry.session) =
+  Engine.set_deadline s.Registry.engine None;
+  Mutex.unlock s.Registry.lock
+
+(* [op s read_concept req wn missing] runs under the session's lock with
+   the request's deadline on its engine; both are released however it
+   ends. *)
+let in_session deps req ~now op =
+  match req.Protocol.session with
+  | None -> err "missing-input" "\"%s\" requires a \"session\"" req.Protocol.op
+  | Some name -> (
+    match Registry.find_reading deps.registry name ~now with
+    | None -> err "unknown-session" "no session named %S" name
+    | Some (s, read_concept) ->
+      Mutex.lock s.Registry.lock;
+      Engine.set_deadline s.Registry.engine (deadline_of deps req ~now);
+      (match
+         match question_of s req with
+         | Ok (wn, missing) -> op s read_concept req wn missing
+         | Error _ as e -> e
+       with
+       | r ->
+         release s;
+         r
+       | exception e ->
+         release s;
+         raise e))
 
 let handle_close deps req =
   match req.Protocol.session with
@@ -385,15 +371,17 @@ let handle_debug_sleep deps req =
     | None -> Ok (Wjson.Obj [ ("slept_ms", Wjson.Int ms) ])
   end
 
-let handle deps req =
+let handle_at deps req ~now =
   match req.Protocol.op with
+  | "one_mge" -> in_session deps req ~now one_mge
+  | "check_mge" -> in_session deps req ~now check_mge
+  | "question" -> in_session deps req ~now question
+  | "all_mges" -> in_session deps req ~now all_mges
   | "ping" -> Ok (Wjson.Obj [ ("pong", Wjson.Bool true) ])
   | "create" -> handle_create deps req
-  | "question" -> handle_question deps req
-  | "one_mge" -> handle_one_mge deps req
-  | "all_mges" -> handle_all_mges deps req
-  | "check_mge" -> handle_check_mge deps req
   | "stats" -> handle_stats deps req
   | "close" -> handle_close deps req
   | "debug_sleep" -> handle_debug_sleep deps req
   | other -> err "unknown-op" "unknown operation %S" other
+
+let handle deps req = handle_at deps req ~now:(Obs.now_s ())

@@ -30,11 +30,18 @@ val known_ops : string list
 (** Every op {!handle} dispatches (including the debug ones) — the server
     pre-registers one latency timer per entry. *)
 
+val handle_at :
+  deps -> Protocol.request -> now:float ->
+  (Protocol.Wjson.t, string * string) result
+(** Dispatch one request that arrived at [now] (a
+    {!Whynot_obs.Obs.now_s} reading). Session-scoped operations mark the
+    session used at [now], lock it, install the request deadline (counted
+    from [now]) on its engine, and clear it and unlock however the op
+    ends; an engine that trips the deadline yields the ["timeout"] error
+    code with the session left warm and usable. *)
+
 val handle : deps -> Protocol.request -> (Protocol.Wjson.t, string * string) result
-(** Dispatch one request. Session-scoped operations lock the session,
-    install the request deadline on its engine, and clear it afterwards;
-    an engine that trips the deadline yields the ["timeout"] error code
-    with the session left warm and usable. *)
+(** {!handle_at} at the current time. *)
 
 val close_session : swept:bool -> Registry.session -> unit
 (** Close a session's engine under its lock, counting it as closed (and

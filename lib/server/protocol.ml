@@ -58,39 +58,52 @@ let json_of_value = function
   | Whynot_relational.Value.Str s -> Wjson.String s
 
 (* Response headers appear in a fixed order so envelopes are byte-stable:
-   schema_version, op, session, id, then result or error. *)
+   schema_version, op, session, id, then result or error. The envelope
+   is written straight into its line's buffer. *)
 
-let header ?op ?session ?id () =
-  List.concat
-    [
-      [ ("schema_version", Wjson.Int schema_version) ];
-      (match op with Some o -> [ ("op", Wjson.String o) ] | None -> []);
-      (match session with
-       | Some s -> [ ("session", Wjson.String s) ]
-       | None -> []);
-      (match id with Some j -> [ ("id", j) ] | None -> []);
-    ]
+let version_prefix = "{\"schema_version\":" ^ string_of_int schema_version
 
-let ok req result =
-  Wjson.Obj
-    (header ~op:req.op ?session:req.session ?id:req.id ()
-     @ [ ("result", result) ])
+let add_header b op session id =
+  Buffer.add_string b version_prefix;
+  (match op with
+   | Some o ->
+     Buffer.add_string b ",\"op\":";
+     Wjson.add_string b o
+   | None -> ());
+  (match session with
+   | Some s ->
+     Buffer.add_string b ",\"session\":";
+     Wjson.add_string b s
+   | None -> ());
+  match id with
+  | Some j ->
+    Buffer.add_string b ",\"id\":";
+    Wjson.write b j
+  | None -> ()
 
-let error ?request ?op ?session ~code ~message () =
-  let op = match request with Some r -> Some r.op | None -> op in
-  let session =
-    match request with Some r -> r.session | None -> session
-  in
-  let id = Option.bind request (fun r -> r.id) in
-  Wjson.Obj
-    (header ?op ?session ?id ()
-     @ [
-         ( "error",
-           Wjson.Obj
-             [
-               ("code", Wjson.String code);
-               ("message", Wjson.String message);
-             ] );
-       ])
+let finish b ~newline =
+  Buffer.add_char b '}';
+  if newline then Buffer.add_char b '\n';
+  Buffer.contents b
 
-let ok_line req result = Wjson.to_string (ok req result)
+let ok_envelope ~newline req result =
+  let b = Buffer.create 256 in
+  add_header b (Some req.op) req.session req.id;
+  Buffer.add_string b ",\"result\":";
+  Wjson.write b result;
+  finish b ~newline
+
+let ok_line req result = ok_envelope ~newline:false req result
+let ok_reply req result = ok_envelope ~newline:true req result
+
+let error_reply ?request ~code ~message () =
+  let b = Buffer.create 256 in
+  (match request with
+   | Some r -> add_header b (Some r.op) r.session r.id
+   | None -> add_header b None None None);
+  Buffer.add_string b ",\"error\":{\"code\":";
+  Wjson.add_string b code;
+  Buffer.add_string b ",\"message\":";
+  Wjson.add_string b message;
+  Buffer.add_char b '}';
+  finish b ~newline:true

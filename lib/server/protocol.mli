@@ -57,15 +57,17 @@ val values_of_json :
 
 val json_of_value : Whynot_relational.Value.t -> Wjson.t
 
-val ok : request -> Wjson.t -> Wjson.t
-(** Success envelope. *)
-
-val error :
-  ?request:request -> ?op:string -> ?session:string ->
-  code:string -> message:string -> unit -> Wjson.t
-(** Error envelope; header fields come from [request] when available (the
-    pre-parse failures — malformed line, connection shed — have none). *)
-
 val ok_line : request -> Wjson.t -> string
-(** [Wjson.to_string (ok req result)]: the line without its newline. The
-    server writes [Wjson.to_line] of the envelope. *)
+(** The success envelope of a request, as one line without its newline:
+    [{"schema_version":3,"op":..,"session":..,"id":..,"result":..}],
+    the headers in that order and each only when the request has it. *)
+
+val ok_reply : request -> Wjson.t -> string
+(** [ok_line req result ^ "\n"], written in one buffer: what the server
+    sends. *)
+
+val error_reply :
+  ?request:request -> code:string -> message:string -> unit -> string
+(** The error envelope and its newline. Header fields come from
+    [request] when available (the pre-parse failures — malformed line,
+    connection shed — have none). *)

@@ -18,58 +18,61 @@ type session = {
 type concept_reader =
   string -> (Whynot_concept.Ls.t, Whynot_error.t) result
 
+module Names = Map.Make (String)
+
+(* The table is an immutable map: a lookup reads it without a lock,
+   and every change replaces it under [mutex]. *)
 type t = {
   max_sessions : int;
-  table : (string, session * concept_reader) Hashtbl.t;
+  table : (session * concept_reader) Names.t Atomic.t;
   mutex : Mutex.t;
 }
 
 let create ~max_sessions =
-  { max_sessions; table = Hashtbl.create 16; mutex = Mutex.create () }
+  { max_sessions; table = Atomic.make Names.empty; mutex = Mutex.create () }
 
-let count t = Mutex.protect t.mutex (fun () -> Hashtbl.length t.table)
+let count t = Names.cardinal (Atomic.get t.table)
+
+(* [f] runs on the current table under the lock; it raises nothing. *)
+let update t f =
+  Mutex.lock t.mutex;
+  let table, r = f (Atomic.get t.table) in
+  Atomic.set t.table table;
+  Mutex.unlock t.mutex;
+  r
 
 let add t s =
   let read = Whynot_text.Parser.concept_reader s.doc in
-  Mutex.protect t.mutex (fun () ->
-    if Hashtbl.mem t.table s.name then Error `Exists
-    else if Hashtbl.length t.table >= t.max_sessions then Error `Full
-    else begin
-      Hashtbl.replace t.table s.name (s, read);
-      Ok ()
-    end)
+  update t (fun table ->
+    if Names.mem s.name table then (table, Error `Exists)
+    else if Names.cardinal table >= t.max_sessions then (table, Error `Full)
+    else (Names.add s.name (s, read) table, Ok ()))
 
-let find_reading t name =
-  Mutex.protect t.mutex (fun () ->
-    match Hashtbl.find_opt t.table name with
-    | None -> None
-    | Some ((s, _) as entry) ->
-      s.last_used_s <- Whynot_obs.Obs.now_s ();
-      Some entry)
+let find_reading t name ~now =
+  match Names.find_opt name (Atomic.get t.table) with
+  | Some (s, _) as entry ->
+    s.last_used_s <- now;
+    entry
+  | None -> None
 
-let find t name = Option.map fst (find_reading t name)
+let find t name =
+  match find_reading t name ~now:(Whynot_obs.Obs.now_s ()) with
+  | Some (s, _) -> Some s
+  | None -> None
 
 let remove t name =
-  Mutex.protect t.mutex (fun () ->
-    match Hashtbl.find_opt t.table name with
-    | None -> None
-    | Some (s, _) ->
-      Hashtbl.remove t.table name;
-      Some s)
+  update t (fun table ->
+    match Names.find_opt name table with
+    | None -> (table, None)
+    | Some (s, _) -> (Names.remove name table, Some s))
 
 let sweep t ~ttl_s ~now_s =
-  Mutex.protect t.mutex (fun () ->
-    let stale =
-      Hashtbl.fold
-        (fun _ (s, _) acc ->
-           if now_s -. s.last_used_s > ttl_s then s :: acc else acc)
-        t.table []
+  update t (fun table ->
+    let stale, live =
+      Names.partition (fun _ (s, _) -> now_s -. s.last_used_s > ttl_s) table
     in
-    List.iter (fun s -> Hashtbl.remove t.table s.name) stale;
-    stale)
+    (live, List.map (fun (_, (s, _)) -> s) (Names.bindings stale)))
 
 let drain t =
-  Mutex.protect t.mutex (fun () ->
-    let all = Hashtbl.fold (fun _ (s, _) acc -> s :: acc) t.table [] in
-    Hashtbl.reset t.table;
-    all)
+  update t (fun table ->
+    (Names.empty, List.map (fun (_, (s, _)) -> s) (Names.bindings table)))

@@ -1,6 +1,7 @@
-(** The session registry: a bounded, mutex-guarded table mapping
-    client-chosen names to live {!Whynot.Engine} values plus the parsing
-    context needed to serve wire requests against them.
+(** The session registry: a bounded table mapping client-chosen names
+    to live {!Whynot.Engine} values plus the parsing context needed to
+    serve wire requests against them. Lookups take no lock; changes are
+    serialised by a mutex.
 
     The registry owns only the {e table}; engines are closed by the
     caller (the request handlers and the server's TTL sweep/drain paths),
@@ -45,8 +46,11 @@ val find : t -> string -> session option
 (** Bumps the session's [last_used_s] (keeping it alive w.r.t. the TTL
     sweep) before returning it. *)
 
-val find_reading : t -> string -> (session * concept_reader) option
-(** {!find}, with the concept reader {!add} made for the session. *)
+val find_reading :
+  t -> string -> now:float -> (session * concept_reader) option
+(** {!find} with the concept reader {!add} made for the session, setting
+    [last_used_s] to [now] (a {!Whynot_obs.Obs.now_s} reading the caller
+    already has) rather than reading the clock. *)
 
 val remove : t -> string -> session option
 (** Unlinks the session from the table; the caller closes its engine. *)

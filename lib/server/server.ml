@@ -4,10 +4,10 @@
    costs one read and an idle server takes no timer wakeups; a wake pipe
    for the accept thread and [wait], which at shutdown, once the accept
    thread is joined, ends every connection's read with [shutdown
-   SHUTDOWN_RECEIVE]; and a counting
-   semaphore as the bounded "queue": try_acquire either admits a request
-   or sheds it with an "overloaded" response — requests are never
-   buffered without bound. *)
+   SHUTDOWN_RECEIVE]; and an atomic count of running requests as the
+   bounded "queue": a request either takes one of [max_inflight] slots
+   or is shed with an "overloaded" response — requests are never
+   buffered without bound, and no thread ever blocks on the count. *)
 
 module Obs = Whynot_obs.Obs
 
@@ -53,7 +53,8 @@ type t = {
   shutting_down : bool Atomic.t;
   wake_r : Unix.file_descr;         (* readable once shutdown begins *)
   wake_w : Unix.file_descr;
-  inflight : Semaphore.Counting.t;
+  inflight : int Atomic.t;  (* requests running, at most [inflight_limit] *)
+  inflight_limit : int;
   live : (Unix.file_descr, unit) Hashtbl.t;
       (* open connections, guarded by [conn_mutex]: a connection thread
          removes and closes its socket under it, so the shutdown pass
@@ -88,13 +89,29 @@ let c_timeouts =
 let c_malformed =
   Obs.counter "server.malformed" ~doc:"request lines that failed to parse"
 
+(* Only the fixed op vocabulary gets a timer: registering timers for
+   arbitrary client-supplied op strings would let a client grow the
+   process-global registry without bound. [op_slot] is an op's index in
+   [Handlers.known_ops], and so in [op_timers]; -1 for any other. *)
 let op_timers =
-  (* Only the fixed op vocabulary gets a timer: registering timers for
-     arbitrary client-supplied op strings would let a client grow the
-     process-global registry without bound. *)
-  List.map
-    (fun op -> (op, Obs.timer ("server.op." ^ op) ~doc:"wire op latency"))
-    Handlers.known_ops
+  Array.of_list
+    (List.map
+       (fun op -> Obs.timer ("server.op." ^ op) ~doc:"wire op latency")
+       Handlers.known_ops)
+
+let op_slot = function
+  | "ping" -> 0
+  | "create" -> 1
+  | "question" -> 2
+  | "one_mge" -> 3
+  | "all_mges" -> 4
+  | "check_mge" -> 5
+  | "stats" -> 6
+  | "close" -> 7
+  | "debug_sleep" -> 8
+  | _ -> -1
+
+let () = List.iteri (fun i op -> assert (op_slot op = i)) Handlers.known_ops
 
 (* --- logging --- *)
 
@@ -128,7 +145,7 @@ let write_line fd data =
 (* An error that answers no request: a line over the cap, a spent
    request budget, a refused connection. *)
 let write_error fd ~code ~message =
-  write_line fd (Protocol.Wjson.to_line (Protocol.error ~code ~message ()))
+  write_line fd (Protocol.error_reply ~code ~message ())
 
 (* The bytes read and not yet served are [buf.[start .. stop - 1]], of
    which [start .. scanned - 1] hold no newline: each byte is searched
@@ -209,65 +226,61 @@ let read_line r ~max_bytes =
 
 (* --- per-request processing --- *)
 
-let classify_code = function
-  | "timeout" -> `Timeout
-  | "overloaded" -> `Shed
-  | _ -> `Error
+(* One of [inflight_limit] slots, or [false] when all are taken. *)
+let rec try_acquire t =
+  let n = Atomic.get t.inflight in
+  n < t.inflight_limit
+  && (Atomic.compare_and_set t.inflight n (n + 1) || try_acquire t)
+
+(* The handler's result, an exception from it answered [internal] (a
+   handler bug or an exhausted resource costs this request only). The
+   slot is released and the op timed however the handler ends. *)
+let run_handler t req ~now =
+  let result =
+    match Handlers.handle_at t.deps req ~now with
+    | r -> r
+    | exception e -> Error ("internal", Printexc.to_string e)
+  in
+  Atomic.decr t.inflight;
+  (match op_slot req.Protocol.op with
+   | -1 -> ()
+   | slot -> Obs.record op_timers.(slot) ~since:now);
+  result
 
 let serve_request t peer line =
   Obs.incr c_requests;
-  (* Only the access log reads the clock here; the op timers keep their
-     own. *)
-  let t0 = if t.cfg.access_log then Obs.now_s () else 0. in
-  let envelope, status =
+  (* The request's one clock reading: its deadline, its session's
+     [last_used_s], its op timer's start and the access log's. *)
+  let now = Obs.now_s () in
+  let reply, status =
     match Protocol.parse_request line with
-    | Error msg ->
+    | Error message ->
       Obs.incr c_malformed;
       Obs.incr c_errors;
-      (Protocol.error ~code:"parse" ~message:msg (), "parse")
+      (Protocol.error_reply ~code:"parse" ~message (), "parse")
     | Ok req ->
-      if not (Semaphore.Counting.try_acquire t.inflight) then begin
+      if not (try_acquire t) then begin
         Obs.incr c_shed;
-        ( Protocol.error ~request:req ~code:"overloaded"
+        ( Protocol.error_reply ~request:req ~code:"overloaded"
             ~message:"the server is at its concurrent-request limit" (),
           "overloaded" )
       end
-      else
-        Fun.protect
-          ~finally:(fun () -> Semaphore.Counting.release t.inflight)
-          (fun () ->
-             let run () = Handlers.handle t.deps req in
-             let timed () =
-               match
-                 List.find_opt
-                   (fun (op, _) -> String.equal op req.Protocol.op)
-                   op_timers
-               with
-               | Some (_, timer) -> Obs.time timer run
-               | None -> run ()
-             in
-             match timed () with
-             | exception e ->
-               (* A handler bug or an exhausted resource costs this
-                  request only. *)
-               Obs.incr c_errors;
-               ( Protocol.error ~request:req ~code:"internal"
-                   ~message:(Printexc.to_string e) (),
-                 "internal" )
-             | Ok json ->
-               Obs.incr c_served;
-               (Protocol.ok req json, "ok")
-             | Error (code, message) ->
-               (match classify_code code with
-                | `Timeout -> Obs.incr c_timeouts
-                | `Shed -> Obs.incr c_shed
-                | `Error -> Obs.incr c_errors);
-               (Protocol.error ~request:req ~code ~message (), code))
+      else begin
+        match run_handler t req ~now with
+        | Ok json ->
+          Obs.incr c_served;
+          (Protocol.ok_reply req json, "ok")
+        | Error (code, message) ->
+          (match code with
+           | "timeout" -> Obs.incr c_timeouts
+           | "overloaded" -> Obs.incr c_shed
+           | _ -> Obs.incr c_errors);
+          (Protocol.error_reply ~request:req ~code ~message (), code)
+      end
   in
-  let reply = Protocol.Wjson.to_line envelope in
   if t.cfg.access_log then
     log t "peer=%s status=%s dur_ms=%.2f bytes=%d" peer status
-      ((Obs.now_s () -. t0) *. 1000.)
+      ((Obs.now_s () -. now) *. 1000.)
       (String.length reply - 1);
   reply
 
@@ -429,7 +442,8 @@ let start cfg =
         shutting_down = Atomic.make false;
         wake_r;
         wake_w;
-        inflight = Semaphore.Counting.make (max cfg.max_inflight 1);
+        inflight = Atomic.make 0;
+        inflight_limit = max cfg.max_inflight 1;
         live = Hashtbl.create 16;
         conn_mutex = Mutex.create ();
         conn_cond = Condition.create ();

@@ -624,3 +624,54 @@ let concept_reader doc =
         Whynot_concept.Ls.meet_all (List.rev (more [ conjunct st ])))
 
 let concept_of_string doc src = concept_reader doc src
+
+(* --- the writer: [concept_reader]'s inverse --- *)
+
+module Ls = Whynot_concept.Ls
+
+let add_attr b schema ~rel attr =
+  match Schema.attr_name schema ~rel attr with
+  | Some name -> Buffer.add_string b name
+  | None -> Value.add_decimal b attr
+
+let add_value b v = Buffer.add_string b (Value.to_string v)
+
+let rec add_sels b schema ~rel = function
+  | [] -> ()
+  | (s : Ls.selection) :: rest ->
+    add_attr b schema ~rel s.Ls.attr;
+    Buffer.add_char b ' ';
+    Buffer.add_string b (Cmp_op.to_string s.Ls.op);
+    Buffer.add_char b ' ';
+    add_value b s.Ls.value;
+    (match rest with [] -> () | _ -> Buffer.add_string b ", ");
+    add_sels b schema ~rel rest
+
+let rec add_conjuncts b schema = function
+  | [] -> ()
+  | c :: rest ->
+    (match c with
+     | Ls.Nominal v ->
+       Buffer.add_char b '{';
+       add_value b v;
+       Buffer.add_char b '}'
+     | Ls.Proj { rel; attr; sels } ->
+       Buffer.add_string b rel;
+       Buffer.add_char b '.';
+       add_attr b schema ~rel attr;
+       (match sels with
+        | [] -> ()
+        | _ ->
+          Buffer.add_char b '[';
+          add_sels b schema ~rel sels;
+          Buffer.add_char b ']'));
+    (match rest with [] -> () | _ -> Buffer.add_string b " & ");
+    add_conjuncts b schema rest
+
+let render_concept schema c =
+  match Ls.conjuncts c with
+  | [] -> "top"
+  | conjuncts ->
+    let b = Buffer.create 64 in
+    add_conjuncts b schema conjuncts;
+    Buffer.contents b

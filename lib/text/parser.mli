@@ -100,6 +100,12 @@ val concept_reader :
     the declared ones, and each undeclared view with attributes
     [a1..aN]; positional numbers are accepted too. *)
 
+val render_concept : Schema.t -> Whynot_concept.Ls.t -> string
+(** A concept in the grammar {!concept_reader} reads, attributes named
+    as [schema] declares them (positional numbers when it names none):
+    a reader over the schema's document reads it back. The wire server
+    renders every concept it sends with it. *)
+
 val concept_of_string :
   document -> string -> (Whynot_concept.Ls.t, Whynot_error.t) result
 (** [concept_reader doc src], for one concept: the lookup is built per

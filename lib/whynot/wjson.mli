@@ -19,6 +19,12 @@ val to_string : t -> string
 val to_line : t -> string
 (** [to_string j ^ "\n"], written in one buffer. *)
 
+val write : Buffer.t -> t -> unit
+(** Append {!to_string}'s bytes to a buffer. *)
+
+val add_string : Buffer.t -> string -> unit
+(** Append a string as a JSON string literal, quoted and escaped. *)
+
 val of_string : string -> (t, Whynot_error.t) result
 (** Parse one JSON value (the whole string must be consumed). [`Parse]
     carries the byte offset of the failure. Numbers without ['.'], ['e']

@@ -235,7 +235,10 @@ let test_framing () =
    an engine create) is answered with [internal] and counted in
    server.errors, and the connection keeps serving. *)
 let test_handler_exception_replies_internal () =
-  with_server ~cfg:{ Server.default_config with debug_ops = true }
+  (* One inflight slot: a raising handler that kept its slot would get
+     every later request shed as "overloaded". *)
+  with_server
+    ~cfg:{ Server.default_config with debug_ops = true; max_inflight = 1 }
   @@ fun server ->
   let c = connect (Server.port server) in
   Fun.protect ~finally:(fun () -> disconnect c) @@ fun () ->
@@ -253,7 +256,14 @@ let test_handler_exception_replies_internal () =
     (rpc c
        "{\"op\":\"debug_sleep\",\"ms\":0,\"fail\":\"failed to allocate domain\"}");
   Alcotest.(check int) "counted in server.errors" (before + 1) (errors ());
-  ignore (check_ok "same connection still serves" (rpc c "{\"op\":\"ping\"}"))
+  ignore (check_ok "same connection still serves" (rpc c "{\"op\":\"ping\"}"));
+  ignore
+    (rpc c "{\"op\":\"debug_sleep\",\"ms\":0,\"fail\":\"again\"}");
+  let c2 = connect (Server.port server) in
+  Fun.protect ~finally:(fun () -> disconnect c2) @@ fun () ->
+  ignore
+    (check_ok "a second connection is served, not shed"
+       (rpc c2 "{\"op\":\"ping\"}"))
 
 let test_request_cap_closes_connection () =
   with_server
@@ -503,6 +513,58 @@ let test_figure2_reply_bytes () =
         {|{"schema_version":3,"op":"one_mge","session":"f2","id":"a\u0001b","result":{"missing":[59946,"Amsterdam"],"mge":["Cities.population","top"]}}|}
       );
     ]
+
+(* The golden request stream, test/corpus/golden-replies.jsonl: odd
+   lines are requests, each followed by the reply line the server gave
+   it when the file was recorded. It covers Figure 2 and a seeded
+   40-city document (create, question, one_mge, check_mge on MGEs and
+   non-MGEs, all_mges, close, ids of every JSON kind) and the error
+   replies unknown-session, missing-input, parse and unknown-op. Each
+   reply line is built as the server builds it, newline included: a
+   parse error without request headers, a handler result through
+   [Protocol.ok_line], a handler error through [Protocol.error_reply]. *)
+let golden_path = "corpus/golden-replies.jsonl"
+
+let test_golden_replies () =
+  let deps =
+    {
+      (in_process_deps ()) with
+      Handlers.registry = Registry.create ~max_sessions:8;
+      domains_max = 16;
+      default_deadline_ms = 10_000;
+      max_deadline_ms = 60_000;
+    }
+  in
+  let reply line =
+    match Protocol.parse_request line with
+    | Error message -> Protocol.error_reply ~code:"parse" ~message ()
+    | Ok req -> (
+      match Handlers.handle deps req with
+      | Ok result -> Protocol.ok_line req result ^ "\n"
+      | Error (code, message) ->
+        Protocol.error_reply ~request:req ~code ~message ())
+  in
+  let ic = open_in_bin golden_path in
+  let lines =
+    Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
+    let rec read acc =
+      match input_line ic with
+      | l -> read (l :: acc)
+      | exception End_of_file -> List.rev acc
+    in
+    read []
+  in
+  let rec replay n = function
+    | request :: expected :: rest ->
+      Alcotest.(check string) request (expected ^ "\n") (reply request);
+      replay (n + 1) rest
+    | [ request ] ->
+      Alcotest.failf "%s: request %S has no reply" golden_path request
+    | [] -> n
+  in
+  let n = replay 0 lines in
+  Alcotest.(check bool) "the stream is not empty" true (n > 80);
+  List.iter (Handlers.close_session ~swept:false) (Registry.drain deps.registry)
 
 (* O_I[K] lists each extension class by its shortest member, so the wire
    all_mges returns short representatives: Figure 2's one MGE is
@@ -1029,7 +1091,7 @@ let test_protocol_envelopes () =
       | _ -> Alcotest.fail "ok envelope must echo the id")
    | Error _ -> Alcotest.fail "ok envelope must be valid JSON");
   (* The server writes each envelope as one line, newline included. *)
-  let err = Json.to_line (Protocol.error ~code:"overloaded" ~message:"m" ()) in
+  let err = Protocol.error_reply ~code:"overloaded" ~message:"m" () in
   Alcotest.(check bool) "one line, newline last" true
     (String.index err '\n' = String.length err - 1);
   match Json.of_string (String.sub err 0 (String.length err - 1)) with
@@ -1062,6 +1124,8 @@ let () =
             test_implicit_view_mge_round_trips;
           Alcotest.test_case "escaped nominal passes check_mge" `Quick
             test_escaped_nominal_round_trips;
+          Alcotest.test_case "golden replies byte for byte" `Quick
+            test_golden_replies;
           Alcotest.test_case "Figure 2 replies byte for byte" `Quick
             test_figure2_reply_bytes;
           Alcotest.test_case "sixteen-domain sessions exhaust no domains"
