@@ -1124,10 +1124,10 @@ let () =
             test_implicit_view_mge_round_trips;
           Alcotest.test_case "escaped nominal passes check_mge" `Quick
             test_escaped_nominal_round_trips;
-          Alcotest.test_case "golden replies byte for byte" `Quick
-            test_golden_replies;
           Alcotest.test_case "Figure 2 replies byte for byte" `Quick
             test_figure2_reply_bytes;
+          Alcotest.test_case "golden replies byte for byte" `Quick
+            test_golden_replies;
           Alcotest.test_case "sixteen-domain sessions exhaust no domains"
             `Quick test_many_sixteen_domain_sessions;
         ] );
