@@ -137,6 +137,7 @@ module Frontier = struct
   (* The missing values without an id in [ans] take the next ones. *)
   type ids = {
     ans : answers;
+    tuple : Tuple.t;  (* the missing tuple *)
     extra : Value.t array;
     missing : int array;
   }
@@ -173,7 +174,7 @@ module Frontier = struct
       | i -> ids.(j) <- i
     done;
     let extra = match !extra with [] -> [||] | xs -> Array.of_list xs in
-    { ans; extra; missing = ids }
+    { ans; tuple = missing; extra; missing = ids }
 
   (* The missing tuple's slot at each position, then the answers of its
      shortest posting list, each compared in full. An id without a slot
@@ -205,26 +206,35 @@ module Frontier = struct
     Array.length q.missing = arity
     && if arity = 0 then a.count > 0 else shortest 0 0 0 max_int
 
+  (* [a] must encode [wn]'s answers over [handle]. *)
+  let check_answers fn a handle wn =
+    let same_handle =
+      match (a.handle, handle) with
+      | None, None -> true
+      | Some h, Some h' -> h == h'
+      | _ -> false
+    in
+    if not same_handle then
+      invalid_arg (fn ^ ": answers encoded over another handle");
+    if not (a.source == wn.Whynot.answers
+            || Relation.equal a.source wn.Whynot.answers)
+    then invalid_arg (fn ^ ": answers of another question")
+
   let ids ?answers ?handle wn =
     let ans =
       match answers with
       | None -> encode ?handle wn.Whynot.answers
       | Some a ->
-        let same_handle =
-          match (a.handle, handle) with
-          | None, None -> true
-          | Some h, Some h' -> h == h'
-          | _ -> false
-        in
-        if not same_handle then
-          invalid_arg "Explanation.Frontier.ids: answers encoded over another \
-                       handle";
-        if not (a.source == wn.Whynot.answers
-                || Relation.equal a.source wn.Whynot.answers)
-        then invalid_arg "Explanation.Frontier.ids: answers of another question";
+        check_answers "Explanation.Frontier.ids" a handle wn;
         a
     in
     of_missing ans wn.Whynot.missing
+
+  let check q ~handle wn =
+    check_answers "Explanation.Frontier.check" q.ans (Some handle) wn;
+    if not (q.tuple == wn.Whynot.missing
+            || Tuple.equal q.tuple wn.Whynot.missing)
+    then invalid_arg "Explanation.Frontier.check: ids of another missing tuple"
 
   let value q i =
     let n = Array.length q.ans.adom in

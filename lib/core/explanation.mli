@@ -111,6 +111,12 @@ module Frontier : sig
       @raise Invalid_argument when [answers] was encoded over another
       handle, or from answers other than the question's. *)
 
+  val check : ids -> handle:Whynot_concept.Subsume_memo.inst -> Whynot.t -> unit
+  (** [check q ~handle wn] returns when [q] are [wn]'s ids over an
+      encoding made through [handle]: the same handle, the same answers
+      and the same missing tuple (each tested with [==] first).
+      @raise Invalid_argument otherwise. *)
+
   val size : ids -> int
   (** The number of ids: every id is below it. *)
 

@@ -202,8 +202,9 @@ let deadline_ticker h =
    A run owns one memo handle: the lubs, the [O_I] membership and
    subsumption verdicts, the [top] pass and the final shortening all go
    through it. Callers that keep a handle across runs (an engine) pass it
-   in, with the encoding of the question's answers when they keep one;
-   otherwise the run creates the handle and encodes the answers. *)
+   in, with the question's ids over the encoding of its answers when
+   they keep one; otherwise the run creates the handle and encodes the
+   answers. *)
 
 let handle_for ?handle wn =
   match handle with
@@ -281,12 +282,18 @@ let rendered l ~shorten f arity =
   in
   from (arity - 1) []
 
-let run ?handle ?answers ?ids ?(variant = Selection_free) ~shorten ~trace
-    order wn =
+(* The question's ids: [ids] when given, once checked against the run's
+   handle and question; otherwise encoded here. *)
+let ids_for h ?ids wn =
+  match ids with
+  | Some q ->
+    Frontier.check q ~handle:h wn;
+    q
+  | None -> Frontier.ids ~handle:h wn
+
+let run ?handle ?ids ?(variant = Selection_free) ~shorten ~trace order wn =
   let h = handle_for ?handle wn in
-  let q =
-    match ids with Some q -> q | None -> Frontier.ids ?answers ~handle:h wn
-  in
+  let q = ids_for h ?ids wn in
   let go l =
     let f, steps = search l h q wn order ~trace in
     (rendered l ~shorten f (Whynot.arity wn), steps)
@@ -298,9 +305,8 @@ let run ?handle ?answers ?ids ?(variant = Selection_free) ~shorten ~trace
 let one_mge_with_trace ?variant ?(order = `Ascending) wn =
   run ?variant ~shorten:false ~trace:true order wn
 
-let one_mge ?handle ?answers ?ids ?variant ?(shorten = true)
-    ?(order = `Ascending) wn =
-  fst (run ?handle ?answers ?ids ?variant ~shorten ~trace:false order wn)
+let one_mge ?handle ?ids ?variant ?(shorten = true) ?(order = `Ascending) wn =
+  fst (run ?handle ?ids ?variant ~shorten ~trace:false order wn)
 
 (* A position is improvable when the lub of its concept's extension
    grown by a constant outside it, or [top], keeps the tuple an
@@ -331,11 +337,9 @@ let is_mge l h q e =
     let rec any j = j < arity && (improvable j || any (j + 1)) in
     not (any 0)
 
-let check_mge ?handle ?answers ?ids ?(variant = Selection_free) wn e =
+let check_mge ?handle ?ids ?(variant = Selection_free) wn e =
   let h = handle_for ?handle wn in
-  let q =
-    match ids with Some q -> q | None -> Frontier.ids ?answers ~handle:h wn
-  in
+  let q = ids_for h ?ids wn in
   match variant with
   | Selection_free -> is_mge (mask_lubs h q) h q e
   | With_selections -> is_mge (sigma_lubs h q) h q e

@@ -30,9 +30,9 @@
     the new concept holds [a_j] and none of [D_j], the ids of the
     answers' components only [j] excludes ([1 + |D_j|] tests, not
     [|Ans| × arity]). The answers are encoded as ids once per call, or
-    not at all when the caller passes the encoding it keeps ([answers],
-    as an engine does per query). A deadline on the handle is read on
-    the first attempt and then every 64th.
+    not at all when the caller passes the question's ids over the
+    encoding it keeps ([ids], as an engine does per query). A deadline
+    on the handle is read on the first attempt and then every 64th.
 
     Selection-free runs never build a concept while they search. By
     Lemma 5.1 a lub is a set of positions
@@ -58,7 +58,6 @@ type variant =
 
 val one_mge :
   ?handle:Whynot_concept.Subsume_memo.inst ->
-  ?answers:Explanation.Frontier.answers ->
   ?ids:Explanation.Frontier.ids ->
   ?variant:variant ->
   ?shorten:bool ->
@@ -73,13 +72,13 @@ val one_mge :
     The whole run, shortening included, memoises through [handle], which
     must wrap the question's instance; without one the run creates its
     own, so a handle-less call starts cold and creates exactly one.
-    [answers] must be [Explanation.Frontier.encode ~handle] of the
-    question's answers; without it the run encodes them. [ids], the
-    question's ids over such an encoding (as an engine finds them while
-    building the question), is used as given, and [answers] is then not
-    read.
-    @raise Invalid_argument when [answers] was encoded over another
-    handle than the run's (or without one), or from other answers. *)
+    [ids], when given, must be the question's ids over an encoding of
+    its answers made through [handle]
+    ([Explanation.Frontier.ids ~answers ~handle], as an engine keeps
+    them); without it the run encodes the answers.
+    @raise Invalid_argument when [ids] fail {!Explanation.Frontier.check}
+    against the run's handle (the one created without [handle]) and the
+    question. *)
 
 val one_mge_with_trace :
   ?variant:variant ->
@@ -94,7 +93,6 @@ val one_mge_with_trace :
 
 val check_mge :
   ?handle:Whynot_concept.Subsume_memo.inst ->
-  ?answers:Explanation.Frontier.answers ->
   ?ids:Explanation.Frontier.ids ->
   ?variant:variant ->
   Whynot.t ->
@@ -102,8 +100,8 @@ val check_mge :
   bool
 (** CHECK-MGE W.R.T. [O_I] (Definition 5.7, Proposition 5.2): the tuple is
     an explanation and no single position can absorb a further constant
-    (or be replaced by [top]) while remaining one. [handle], [answers]
-    and [ids] as in {!one_mge}. *)
+    (or be replaced by [top]) while remaining one. [handle] and
+    [ids] as in {!one_mge}. *)
 
 val trivial_explanation : Whynot.t -> Whynot_concept.Ls.t Explanation.t
 (** The tuple of nominals [({a_1}, ..., {a_m})] — always an explanation

@@ -35,6 +35,15 @@ let known_ops =
     "stats"; "close"; "debug_sleep";
   ]
 
+let op_names = Array.of_list known_ops
+
+let rec scan_ops op i =
+  if i = Array.length op_names then -1
+  else if String.equal op_names.(i) op then i
+  else scan_ops op (i + 1)
+
+let op_index op = scan_ops op 0
+
 (* --- small helpers --- *)
 
 let err code fmt = Printf.ksprintf (fun m -> Error (code, m)) fmt

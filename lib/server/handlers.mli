@@ -30,6 +30,9 @@ val known_ops : string list
 (** Every op {!handle} dispatches (including the debug ones) — the server
     pre-registers one latency timer per entry. *)
 
+val op_index : string -> int
+(** An op's index in {!known_ops}, or [-1] for any other string. *)
+
 val handle_at :
   deps -> Protocol.request -> now:float ->
   (Protocol.Wjson.t, string * string) result

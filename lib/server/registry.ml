@@ -20,26 +20,26 @@ type concept_reader =
 
 module Names = Map.Make (String)
 
-(* The table is an immutable map: a lookup reads it without a lock,
-   and every change replaces it under [mutex]. *)
+(* Every read and change of [table] holds [mutex]; a change replaces the
+   map. *)
 type t = {
   max_sessions : int;
-  table : (session * concept_reader) Names.t Atomic.t;
+  mutable table : (session * concept_reader) Names.t;
   mutex : Mutex.t;
 }
 
 let create ~max_sessions =
-  { max_sessions; table = Atomic.make Names.empty; mutex = Mutex.create () }
-
-let count t = Names.cardinal (Atomic.get t.table)
+  { max_sessions; table = Names.empty; mutex = Mutex.create () }
 
 (* [f] runs on the current table under the lock; it raises nothing. *)
 let update t f =
   Mutex.lock t.mutex;
-  let table, r = f (Atomic.get t.table) in
-  Atomic.set t.table table;
+  let table, r = f t.table in
+  t.table <- table;
   Mutex.unlock t.mutex;
   r
+
+let count t = update t (fun table -> (table, Names.cardinal table))
 
 let add t s =
   let read = Whynot_text.Parser.concept_reader s.doc in
@@ -48,12 +48,15 @@ let add t s =
     else if Names.cardinal table >= t.max_sessions then (table, Error `Full)
     else (Names.add s.name (s, read) table, Ok ()))
 
+(* The lookup and the bump are one step under the lock, so the TTL sweep
+   either unlinked the session before this request found it or sees it
+   used at [now]. *)
 let find_reading t name ~now =
-  match Names.find_opt name (Atomic.get t.table) with
-  | Some (s, _) as entry ->
-    s.last_used_s <- now;
-    entry
-  | None -> None
+  Mutex.lock t.mutex;
+  let entry = Names.find_opt name t.table in
+  (match entry with Some (s, _) -> s.last_used_s <- now | None -> ());
+  Mutex.unlock t.mutex;
+  entry
 
 let find t name =
   match find_reading t name ~now:(Whynot_obs.Obs.now_s ()) with

@@ -1,7 +1,7 @@
 (** The session registry: a bounded table mapping client-chosen names
     to live {!Whynot.Engine} values plus the parsing context needed to
-    serve wire requests against them. Lookups take no lock; changes are
-    serialised by a mutex.
+    serve wire requests against them. Lookups and changes are serialised
+    by a mutex.
 
     The registry owns only the {e table}; engines are closed by the
     caller (the request handlers and the server's TTL sweep/drain paths),
@@ -50,7 +50,10 @@ val find_reading :
   t -> string -> now:float -> (session * concept_reader) option
 (** {!find} with the concept reader {!add} made for the session, setting
     [last_used_s] to [now] (a {!Whynot_obs.Obs.now_s} reading the caller
-    already has) rather than reading the clock. *)
+    already has) rather than reading the clock. The lookup and the bump
+    are one step under the registry's mutex, so a concurrent {!sweep}
+    either unlinks the session first (and this returns [None]) or sees
+    it used at [now]. *)
 
 val remove : t -> string -> session option
 (** Unlinks the session from the table; the caller closes its engine. *)

@@ -91,27 +91,13 @@ let c_malformed =
 
 (* Only the fixed op vocabulary gets a timer: registering timers for
    arbitrary client-supplied op strings would let a client grow the
-   process-global registry without bound. [op_slot] is an op's index in
-   [Handlers.known_ops], and so in [op_timers]; -1 for any other. *)
+   process-global registry without bound. [op_timers.(i)] times the op
+   [Handlers.op_index] numbers [i]. *)
 let op_timers =
   Array.of_list
     (List.map
        (fun op -> Obs.timer ("server.op." ^ op) ~doc:"wire op latency")
        Handlers.known_ops)
-
-let op_slot = function
-  | "ping" -> 0
-  | "create" -> 1
-  | "question" -> 2
-  | "one_mge" -> 3
-  | "all_mges" -> 4
-  | "check_mge" -> 5
-  | "stats" -> 6
-  | "close" -> 7
-  | "debug_sleep" -> 8
-  | _ -> -1
-
-let () = List.iteri (fun i op -> assert (op_slot op = i)) Handlers.known_ops
 
 (* --- logging --- *)
 
@@ -131,7 +117,8 @@ let peer_string = function
 
 exception Conn_closed
 
-(* [data] is one envelope and its newline ([Wjson.to_line]). *)
+(* [data] is one envelope and its newline ([Protocol.ok_reply] or
+   [Protocol.error_reply]). *)
 let write_line fd data =
   let len = String.length data in
   let off = ref 0 in
@@ -242,7 +229,7 @@ let run_handler t req ~now =
     | exception e -> Error ("internal", Printexc.to_string e)
   in
   Atomic.decr t.inflight;
-  (match op_slot req.Protocol.op with
+  (match Handlers.op_index req.Protocol.op with
    | -1 -> ()
    | slot -> Obs.record op_timers.(slot) ~since:now);
   result

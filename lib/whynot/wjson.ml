@@ -87,12 +87,6 @@ let to_string j =
   write buf j;
   Buffer.contents buf
 
-let to_line j =
-  let buf = Buffer.create 256 in
-  write buf j;
-  Buffer.add_char buf '\n';
-  Buffer.contents buf
-
 (* --- the decoder ---
 
    A hand-rolled recursive-descent parser, the inverse of [to_string]: the

@@ -16,9 +16,6 @@ type t =
 val to_string : t -> string
 (** Compact (single-line) serialisation with escaped strings. *)
 
-val to_line : t -> string
-(** [to_string j ^ "\n"], written in one buffer. *)
-
 val write : Buffer.t -> t -> unit
 (** Append {!to_string}'s bytes to a buffer. *)
 

@@ -383,9 +383,10 @@ let test_encoding_follows_the_answers () =
   ignore (ask same_continent);
   List.iter agree questions
 
-(* An Ans encoding names the handle and the answers it was made from;
-   Algorithm 2 rejects one that does not match its run instead of
-   reading its ids against another active domain or other answers. *)
+(* An Ans encoding names the handle and the answers it was made from,
+   and a question's ids name its missing tuple; Algorithm 2 rejects ids
+   that do not match its run instead of reading them against another
+   active domain, other answers or another tuple. *)
 let test_foreign_encoding_is_rejected () =
   let wn =
     Whynot.make_exn ~instance:Cities.instance ~query:Cities.two_hop_query
@@ -400,24 +401,41 @@ let test_foreign_encoding_is_rejected () =
   in
   let module F = Explanation.Frontier in
   let e = Incremental.one_mge wn in
+  let ids ?handle wn =
+    F.ids ~answers:(F.encode ?handle wn.Whynot.answers) ?handle wn
+  in
   rejected "one_mge: encoded without the run's handle" (fun () ->
-      Incremental.one_mge ~handle:h ~answers:(F.encode wn.Whynot.answers) wn);
+      Incremental.one_mge ~handle:h ~ids:(ids wn) wn);
   rejected "one_mge: no handle given" (fun () ->
-      Incremental.one_mge ~answers:(F.encode ~handle:h wn.Whynot.answers) wn);
+      Incremental.one_mge ~ids:(ids ~handle:h wn) wn);
+  let other = Whynot_concept.Subsume_memo.inst Cities.instance in
+  rejected "ids: encoded over another handle" (fun () ->
+      F.ids ~answers:(F.encode ~handle:other wn.Whynot.answers) ~handle:h wn);
   rejected "check_mge: encoded over another handle" (fun () ->
-      let other = Whynot_concept.Subsume_memo.inst Cities.instance in
-      Incremental.check_mge ~handle:h
-        ~answers:(F.encode ~handle:other wn.Whynot.answers) wn e);
+      Incremental.check_mge ~handle:h ~ids:(ids ~handle:other wn) wn e);
   let other_answers =
     Relation.filter (fun t -> Value.equal (Tuple.get t 2) Cities.rome)
       wn.Whynot.answers
   in
+  rejected "ids: another question's answers" (fun () ->
+      F.ids ~answers:(F.encode ~handle:h other_answers) ~handle:h wn);
+  (* Both questions are built outside [rejected], which would count
+     their own [Invalid_argument] as a rejection. *)
+  let other_question =
+    Whynot.make_exn ~answers:other_answers ~instance:Cities.instance
+      ~query:Cities.two_hop_query ~missing:Cities.missing_tuple ()
+  in
   rejected "check_mge: another question's answers" (fun () ->
-      Incremental.check_mge ~handle:h
-        ~answers:(F.encode ~handle:h other_answers) wn e);
+      Incremental.check_mge ~handle:h ~ids:(ids ~handle:h other_question) wn
+        e);
+  let other_tuple =
+    Whynot.make_exn ~answers:wn.Whynot.answers ~instance:Cities.instance
+      ~query:Cities.two_hop_query ~missing:(List.rev Cities.missing_tuple) ()
+  in
+  rejected "one_mge: another missing tuple" (fun () ->
+      Incremental.one_mge ~handle:h ~ids:(ids ~handle:h other_tuple) wn);
   Alcotest.(check bool) "a matching encoding is used" true
-    (Incremental.check_mge ~handle:h
-       ~answers:(F.encode ~handle:h wn.Whynot.answers) wn e)
+    (Incremental.check_mge ~handle:h ~ids:(ids ~handle:h wn) wn e)
 
 (* A handle-less Algorithm 2 run owns exactly one instance handle, shared
    by its lubs, its O_I and its shortening pass. *)

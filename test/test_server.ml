@@ -566,6 +566,61 @@ let test_golden_replies () =
   Alcotest.(check bool) "the stream is not empty" true (n > 80);
   List.iter (Handlers.close_session ~swept:false) (Registry.drain deps.registry)
 
+(* A request that arrives as its session's idle TTL runs out, against
+   the TTL sweep, on two domains: the request either finds the session,
+   which then counts as used and is not swept, or finds it swept and
+   replies unknown-session. It never reaches a swept session's closed
+   engine, and a served request never leaves its session swept. *)
+let test_sweep_against_request_at_ttl () =
+  let deps = in_process_deps () in
+  let reg = deps.Handlers.registry in
+  let req =
+    match Protocol.parse_request "{\"op\":\"question\",\"session\":\"t\"}" with
+    | Ok r -> r
+    | Error m -> Alcotest.fail m
+  in
+  (* The session "t", last used at time 0: with a 50 s TTL, a sweep at
+     time 100 finds it stale unless a request at time 100 used it. *)
+  let idle () =
+    let s =
+      match Registry.find reg "t" with
+      | Some s -> s
+      | None ->
+        ignore
+          (handle_ok deps
+             "{\"op\":\"create\",\"session\":\"t\",\"workload\":\"cities\"}");
+        Option.get (Registry.find reg "t")
+    in
+    s.Registry.last_used_s <- 0.
+  in
+  for round = 1 to 200 do
+    idle ();
+    let ready = Atomic.make false and go = Atomic.make false in
+    let request =
+      Domain.spawn (fun () ->
+          Atomic.set ready true;
+          while not (Atomic.get go) do Domain.cpu_relax () done;
+          Handlers.handle_at deps req ~now:100.)
+    in
+    while not (Atomic.get ready) do Domain.cpu_relax () done;
+    Atomic.set go true;
+    List.iter (Handlers.close_session ~swept:true)
+      (Registry.sweep reg ~ttl_s:50. ~now_s:100.);
+    let reply = Domain.join request in
+    let live = Registry.find reg "t" <> None in
+    match reply with
+    | Ok _ ->
+      Alcotest.(check bool)
+        (Printf.sprintf "round %d: a served request keeps its session" round)
+        true live
+    | Error ("unknown-session", _) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "round %d: unknown-session after a sweep" round)
+        false live
+    | Error (code, m) -> Alcotest.failf "round %d: %s: %s" round code m
+  done;
+  List.iter (Handlers.close_session ~swept:false) (Registry.drain reg)
+
 (* O_I[K] lists each extension class by its shortest member, so the wire
    all_mges returns short representatives: Figure 2's one MGE is
    <top, BigCity.name>, a single conjunct where an equivalent meet of
@@ -1130,6 +1185,8 @@ let () =
             test_golden_replies;
           Alcotest.test_case "sixteen-domain sessions exhaust no domains"
             `Quick test_many_sixteen_domain_sessions;
+          Alcotest.test_case "sweep against a request at the TTL" `Quick
+            test_sweep_against_request_at_ttl;
         ] );
       ( "robustness",
         [
