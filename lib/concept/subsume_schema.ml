@@ -160,20 +160,25 @@ let chase_round schema inst =
       else begin
         Obs.incr c_chase_steps;
         let arity = Option.get (Schema.arity schema ind.Ind.rhs_rel) in
+        let rows =
+          List.map
+            (fun p ->
+               Tuple.of_list
+                 (List.init arity (fun j ->
+                      let j = j + 1 in
+                      match
+                        List.find_index (Int.equal j) ind.Ind.rhs_attrs
+                      with
+                      | Some k -> Tuple.get p (k + 1)
+                      | None -> fresh_value ())))
+            missing
+        in
         let inst =
-          List.fold_left
-            (fun inst p ->
-               let row =
-                 List.init arity (fun j ->
-                     let j = j + 1 in
-                     match
-                       List.find_index (Int.equal j) ind.Ind.rhs_attrs
-                     with
-                     | Some k -> Tuple.get p (k + 1)
-                     | None -> fresh_value ())
-               in
-               Instance.add_fact ind.Ind.rhs_rel row inst)
-            inst missing
+          Instance.add_relation ind.Ind.rhs_rel
+            (Relation.union
+               (Instance.relation_or_empty inst ~arity ind.Ind.rhs_rel)
+               (Relation.of_list ~arity rows))
+            inst
         in
         Some (inst, true)
       end

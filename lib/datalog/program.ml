@@ -250,14 +250,25 @@ let eval t inst =
                 acc derived)
            [] stratum_rules
        in
+       (* The derived facts not in [inst] yet, one relation per
+          predicate: [inst] with them added, and the delta. *)
        let add_new inst facts =
-         List.fold_left
-           (fun (inst, delta) (p, tuple) ->
-              if Instance.mem_fact inst p tuple then (inst, delta)
+         let by_pred = Hashtbl.create 8 in
+         List.iter
+           (fun (p, tuple) ->
+              Hashtbl.replace by_pred p
+                (tuple :: Option.value ~default:[] (Hashtbl.find_opt by_pred p)))
+           facts;
+         Hashtbl.fold
+           (fun p tuples (inst, delta) ->
+              let arity = Tuple.arity (List.hd tuples) in
+              let old = Instance.relation_or_empty inst ~arity p in
+              let fresh = Relation.diff (Relation.of_list ~arity tuples) old in
+              if Relation.is_empty fresh then (inst, delta)
               else
-                ( Instance.add_fact p (Tuple.to_list tuple) inst,
-                  (p, tuple) :: delta ))
-           (inst, []) facts
+                ( Instance.add_relation p (Relation.union old fresh) inst,
+                  (p, fresh) :: delta ))
+           by_pred (inst, [])
        in
        let inst, delta0 = add_new inst (derive_all inst ~use_delta:false) in
        let rec iterate inst delta =
@@ -266,8 +277,8 @@ let eval t inst =
            (* Build the instance extended with delta relations. *)
            let delta_map =
              List.fold_left
-               (fun acc (p, tuple) ->
-                  Instance.add_fact (delta_prefix ^ p) (Tuple.to_list tuple) acc)
+               (fun acc (p, fresh) ->
+                  Instance.add_relation (delta_prefix ^ p) fresh acc)
                inst delta
            in
            let inst', delta' =

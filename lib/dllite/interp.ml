@@ -61,17 +61,13 @@ let concept_names t = List.map fst (Str_map.bindings t.concepts)
 let role_names t = List.map fst (Str_map.bindings t.roles)
 
 let to_instance t =
-  let inst =
-    Str_map.fold
-      (fun name members inst ->
-         Value_set.fold
-           (fun v inst -> Instance.add_fact name [ v ] inst)
-           members inst)
-      t.concepts Instance.empty
-  in
-  Str_map.fold
-    (fun name edges inst ->
-       Edge_set.fold
-         (fun (a, b) inst -> Instance.add_fact name [ a; b ] inst)
-         edges inst)
-    t.roles inst
+  Instance.of_facts
+    (Str_map.fold
+       (fun name members acc ->
+          (name, List.map (fun v -> [ v ]) (Value_set.elements members)) :: acc)
+       t.concepts
+       (Str_map.fold
+          (fun name edges acc ->
+             (name, List.map (fun (a, b) -> [ a; b ]) (Edge_set.elements edges))
+             :: acc)
+          t.roles []))

@@ -159,14 +159,21 @@ module Plan = struct
     | K_const of Value.t
     | K_slot of int
 
+  type check = {
+    k_slot : int;
+    k_op : Cmp_op.t;
+    k_value : Value.t;
+  }
+
   type step = {
     s_atom : atom;                (* the source atom, for pretty-printing *)
+    s_width : int;                (* the atom's argument count *)
     s_key_cols : int list;        (* probed 1-based columns; [] = full scan *)
-    s_key : key_part list;        (* aligned with [s_key_cols] *)
-    s_binds : (int * int) list;   (* (column, slot): new variables bound here *)
-    s_eqs : (int * int) list;     (* within-atom repeats: col must equal col' *)
-    s_cmps : (int * (Cmp_op.t * Value.t) list) list;
-        (* comparisons pushed to this step, keyed by newly bound slot *)
+    s_key : key_part array;       (* aligned with [s_key_cols] *)
+    s_bind_cols : int array;      (* 0-based columns of the new variables, *)
+    s_bind_slots : int array;     (* and the slots they bind *)
+    s_eqs : (int * int) array;    (* within-atom repeats: 0-based col = col' *)
+    s_checks : check array;       (* comparisons on the slots bound here *)
   }
 
   (* How the whole query evaluates, decided statically:
@@ -178,12 +185,12 @@ module Plan = struct
   type shape =
     | Trivial
     | Never
-    | Steps of step list
+    | Steps of step array
 
   type plan = {
     p_arity : int;
     p_nslots : int;
-    p_head : key_part list;
+    p_head : key_part array;
     p_qvars : (string * int) list;  (* {!vars} order, with slots *)
     p_shape : shape;
   }
@@ -253,28 +260,32 @@ module Plan = struct
                      Hashtbl.add new_here v col;
                      binds := (col, Hashtbl.find slots v) :: !binds))
             a.args;
-          let cmps =
-            Hashtbl.fold
-              (fun v _ acc ->
-                 let checks =
-                   List.filter_map
-                     (fun c ->
-                        if String.equal c.subject v then Some (c.op, c.value)
-                        else None)
-                     q.comparisons
-                 in
-                 if checks = [] then acc
-                 else (Hashtbl.find slots v, checks) :: acc)
-              new_here []
+          let checks =
+            List.filter_map
+              (fun c ->
+                 if Hashtbl.mem new_here c.subject then
+                   Some
+                     {
+                       k_slot = Hashtbl.find slots c.subject;
+                       k_op = c.op;
+                       k_value = c.value;
+                     }
+                 else None)
+              q.comparisons
           in
           Hashtbl.iter (fun v _ -> Hashtbl.replace bound v ()) new_here;
+          let binds = List.rev !binds in
           {
             s_atom = a;
+            s_width = List.length a.args;
             s_key_cols = List.rev !key_cols;
-            s_key = List.rev !key;
-            s_binds = List.rev !binds;
-            s_eqs = List.rev !eqs;
-            s_cmps = cmps;
+            s_key = Array.of_list (List.rev !key);
+            s_bind_cols = Array.of_list (List.map (fun (c, _) -> c - 1) binds);
+            s_bind_slots = Array.of_list (List.map snd binds);
+            s_eqs =
+              Array.of_list
+                (List.rev_map (fun (c, c') -> (c - 1, c' - 1)) !eqs);
+            s_checks = Array.of_list checks;
           }
         in
         let rec order acc remaining =
@@ -295,11 +306,12 @@ module Plan = struct
             in
             order (compile (snd best) :: acc) remaining
         in
-        Steps (order [] (List.mapi (fun i a -> (i, a)) q.atoms))
+        Steps
+          (Array.of_list (order [] (List.mapi (fun i a -> (i, a)) q.atoms)))
       end
     in
     let head =
-      List.map
+      Array.of_list @@ List.map
         (function
           | Const c -> K_const c
           | Var v ->
@@ -323,82 +335,130 @@ module Plan = struct
 
   (* --- execution --- *)
 
-  (* Run [f] on the slot array of every satisfying binding. Slots newly
-     bound by a step are written before descending and cleared on the way
-     back up, so the array is the only allocation of the whole walk. *)
+  (* Slots and keys start out holding this value; a slot is read only at
+     steps after the one that binds it. *)
+  let unbound = Value.Int 0
+
+  (* Where a step's candidate tuples come from, fixed at its first visit
+     in one evaluation: a relation's whole array, or a pattern index and
+     the key array each visit refills. *)
+  type source =
+    | Unresolved
+    | Scan of Tuple.t array
+    | Probe of Eval_index.pattern * Value.t array
+    | Absent
+
+  let resolve idx st =
+    match st.s_key_cols with
+    | [] -> Scan (Eval_index.tuples idx st.s_atom.rel)
+    | cols ->
+      (match Eval_index.pattern idx ~rel:st.s_atom.rel ~cols with
+       | Some p -> Probe (p, Array.make (Array.length st.s_key) unbound)
+       | None -> Absent)
+
+  (* The message [Tuple.get] raises for an atom wider than its
+     relation's tuples. *)
+  let too_wide (t : Tuple.t) =
+    let n = Tuple.arity t in
+    invalid_arg
+      (Printf.sprintf "Tuple.get: attribute %d out of range 1..%d" (n + 1) n)
+
+  (* Toplevel loops, not local closures: a visit allocates nothing. *)
+  let rec eqs_hold st (t : Value.t array) i =
+    i = Array.length st.s_eqs
+    ||
+    let c, c' = st.s_eqs.(i) in
+    Value.equal t.(c) t.(c') && eqs_hold st t (i + 1)
+
+  let rec checks_hold st (slots : Value.t array) i =
+    i = Array.length st.s_checks
+    ||
+    let k = st.s_checks.(i) in
+    Cmp_op.eval k.k_op slots.(k.k_slot) k.k_value && checks_hold st slots (i + 1)
+
+  (* Run [f] on the slot array of every satisfying binding. Each step
+     resolves its source once; a visit then reads its candidates in
+     place, writes the slots it binds, and descends. The slot array,
+     the key arrays and the sources are the walk's only allocations. *)
   let iter_bindings idx plan f =
     match plan.p_shape with
     | Trivial | Never -> ()
     | Steps steps ->
-      let slots = Array.make (max plan.p_nslots 1) None in
-      let part_value = function
-        | K_const c -> c
-        | K_slot s -> Option.get slots.(s)
+      let n = Array.length steps in
+      let slots = Array.make (max plan.p_nslots 1) unbound in
+      let sources = Array.make n Unresolved in
+      let probes = ref 0 and scanned = ref 0 in
+      let rec candidates i st =
+        match sources.(i) with
+        | Scan ts ->
+          scanned := !scanned + Array.length ts;
+          ts
+        | Probe (p, key) ->
+          for j = 0 to Array.length key - 1 do
+            key.(j) <-
+              (match st.s_key.(j) with K_const c -> c | K_slot s -> slots.(s))
+          done;
+          incr probes;
+          Eval_index.lookup p key
+        | Absent -> [||]
+        | Unresolved ->
+          sources.(i) <- resolve idx st;
+          candidates i st
       in
-      let rec go = function
-        | [] -> f slots
-        | st :: rest ->
-          let consider t =
-            if
-              List.for_all
-                (fun (c, c') -> Value.equal (Tuple.get t c) (Tuple.get t c'))
-                st.s_eqs
-            then begin
-              List.iter
-                (fun (c, s) -> slots.(s) <- Some (Tuple.get t c))
-                st.s_binds;
-              if
-                List.for_all
-                  (fun (s, checks) ->
-                     let v = Option.get slots.(s) in
-                     List.for_all
-                       (fun (op, c) -> Cmp_op.eval op v c)
-                       checks)
-                  st.s_cmps
-              then go rest;
-              List.iter (fun (_, s) -> slots.(s) <- None) st.s_binds
+      let rec go i =
+        if i = n then f slots
+        else begin
+          let st = steps.(i) in
+          let ts = candidates i st in
+          if Array.length ts > 0 && Tuple.arity ts.(0) < st.s_width then
+            too_wide ts.(0);
+          for j = 0 to Array.length ts - 1 do
+            let t = (ts.(j) :> Value.t array) in
+            if eqs_hold st t 0 then begin
+              for b = 0 to Array.length st.s_bind_cols - 1 do
+                slots.(st.s_bind_slots.(b)) <- t.(st.s_bind_cols.(b))
+              done;
+              if checks_hold st slots 0 then go (i + 1)
             end
-          in
-          (match st.s_key_cols with
-           | [] ->
-             Array.iter consider (Eval_index.tuples idx st.s_atom.rel)
-           | cols ->
-             List.iter consider
-               (Eval_index.probe idx ~rel:st.s_atom.rel ~cols
-                  (List.map part_value st.s_key)))
+          done
+        end
       in
-      go steps
+      let report () = Eval_index.count ~probes:!probes ~scanned:!scanned in
+      (match go 0 with
+       | () -> report ()
+       | exception e ->
+         report ();
+         raise e)
 
-  let project plan slots =
-    Tuple.of_list
-      (List.map
-         (function
-           | K_const c -> c
-           | K_slot s -> Option.get slots.(s))
-         plan.p_head)
+  let project plan (slots : Value.t array) =
+    let head = plan.p_head in
+    let t = Array.make (Array.length head) unbound in
+    for i = 0 to Array.length head - 1 do
+      t.(i) <- (match head.(i) with K_const c -> c | K_slot s -> slots.(s))
+    done;
+    Tuple.unsafe_of_array t
 
   (* [Trivial] queries have one empty binding; the head projects iff it is
      all constants (a head variable projects to nothing, exactly as the
      naive evaluator's [project] drops bindings missing a head variable). *)
   let trivial_head plan =
-    if List.for_all (function K_const _ -> true | K_slot _ -> false) plan.p_head
-    then Some (List.map (function K_const c -> c | K_slot _ -> assert false)
-                 plan.p_head)
+    if Array.for_all (function K_const _ -> true | K_slot _ -> false) plan.p_head
+    then Some (project plan [||])
     else None
 
-  let eval idx q =
+  let emit idx q b =
     let plan = of_query idx q in
-    let acc = ref (Relation.empty ~arity:plan.p_arity) in
-    (match plan.p_shape with
-     | Never -> ()
-     | Trivial ->
-       (match trivial_head plan with
-        | Some vs -> acc := Relation.add (Tuple.of_list vs) !acc
-        | None -> ())
-     | Steps _ ->
-       iter_bindings idx plan (fun slots ->
-           acc := Relation.add (project plan slots) !acc));
-    !acc
+    match plan.p_shape with
+    | Never -> ()
+    | Trivial ->
+      Option.iter (Relation.push b) (trivial_head plan)
+    | Steps _ ->
+      iter_bindings idx plan (fun slots -> Relation.push b (project plan slots))
+
+  let eval idx q =
+    let b = Relation.builder ~arity:(arity q) in
+    emit idx q b;
+    Relation.build b
 
   exception Witness
 
@@ -424,11 +484,7 @@ module Plan = struct
     | Steps _ ->
       let acc = ref [] in
       iter_bindings idx plan (fun slots ->
-          acc :=
-            List.map
-              (fun (v, s) -> (v, Option.get slots.(s)))
-              plan.p_qvars
-            :: !acc);
+          acc := List.map (fun (v, s) -> (v, slots.(s))) plan.p_qvars :: !acc);
       List.sort_uniq Stdlib.compare !acc
 
   let pp_part ppf = function
@@ -454,16 +510,13 @@ module Plan = struct
                (Format.pp_print_list
                   ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
                   pp_part)
-               st.s_key;
-           List.iter
-             (fun (s, checks) ->
-                List.iter
-                  (fun (op, c) ->
-                     Format.fprintf ppf " [$%d %s %s]" s (Cmp_op.to_string op)
-                       (Value.to_string c))
-                  checks)
-             st.s_cmps)
-        ppf steps
+               (Array.to_list st.s_key);
+           Array.iter
+             (fun k ->
+                Format.fprintf ppf " [$%d %s %s]" k.k_slot
+                  (Cmp_op.to_string k.k_op) (Value.to_string k.k_value))
+             st.s_checks)
+        ppf (Array.to_list steps)
 end
 
 (* One handle per call, owned (and dropped) by the call. *)

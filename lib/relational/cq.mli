@@ -73,10 +73,12 @@ val is_unsatisfiable_syntactic : t -> bool
     A plan fixes a greedy join order over the query's atoms — at each step
     the atom with the most already-bound positions (constants included),
     ties broken towards the smaller relation, then towards textual order —
-    compiles variables to integer slots so a binding is a mutable
-    [Value.t option array], probes {!Eval_index} pattern indexes with the
-    bound positions of each atom, and checks each comparison at the first
-    step that binds its subject. Plans are not cached: every call
+    compiles variables to integer slots so a binding is one mutable
+    [Value.t array], probes {!Eval_index} pattern indexes with the bound
+    positions of each atom, and checks each comparison at the first step
+    that binds its subject. Each step resolves its pattern index once per
+    evaluation; a probe then fills a key array in place and looks it up
+    without a lock or an allocation. Plans are not cached: every call
     compiles one, and a caller that wants to reuse indexes across queries
     passes one {!Eval_index.t} to every call. *)
 module Plan : sig
@@ -86,7 +88,13 @@ module Plan : sig
   (** Compile the plan for [t] over this indexed instance (counted by
       [eval.plans.built]). *)
 
+  val emit : Eval_index.t -> t -> Relation.builder -> unit
+  (** Push every answer into the builder, duplicates and all: a UCQ
+      collects its disjuncts' answers in one builder. *)
+
   val eval : Eval_index.t -> t -> Relation.t
+  (** The answers, collected by {!emit} and built once. *)
+
   val holds : Eval_index.t -> t -> bool
   (** Short-circuits on the first witness binding. *)
 

@@ -18,20 +18,6 @@ let c_scanned =
 
 (* --- per-relation data --- *)
 
-(* A pattern index groups the tuples of one relation by their projection
-   onto a fixed list of (1-based) columns; probing it with a key returns
-   exactly the tuples whose projection equals the key.  Pattern indexes
-   are what the compiled join steps of {!Cq.Plan} probe with the values of
-   the already-bound variables and constants of an atom. *)
-module Key_tbl = Hashtbl.Make (struct
-    type t = Value.t list
-
-    let equal a b = List.equal Value.equal a b
-
-    let hash k =
-      List.fold_left (fun acc v -> (acc * 65599) + Value.hash v) 17 k
-  end)
-
 module Val_tbl = Hashtbl.Make (struct
     type t = Value.t
 
@@ -45,12 +31,23 @@ type col_index = {
   distinct : Value_set.t;                     (* the column's value set *)
 }
 
+(* A pattern index groups the tuples of one relation by their projection
+   onto a fixed list of columns; a lookup with a key returns exactly the
+   tuples whose projection equals the key. Pattern indexes are what the
+   compiled join steps of {!Cq.Plan} probe with the values of the
+   already-bound variables and constants of an atom. The groups sit in an
+   open-addressing table, so a lookup hashes the key's values where they
+   are and allocates nothing. *)
+type pattern = {
+  cols : int array;              (* 0-based probed columns *)
+  groups : Tuple.t array array;  (* one per distinct projection, ascending *)
+  table : int array;             (* group numbers, -1 for a free slot *)
+}
+
 type rel_data = {
   tuples : Tuple.t array;
   rel_arity : int;
-  patterns : Tuple.t list Key_tbl.t Key_tbl.t;
-  (* pattern indexes keyed by the probed column list (encoded as a
-     [Value.Int] list so {!Key_tbl} can double as the outer table) *)
+  patterns : (int list, pattern) Hashtbl.t;  (* keyed by 1-based columns *)
   mutable columns : col_index option array;   (* slot per 1-based column *)
 }
 
@@ -80,9 +77,9 @@ let load h name =
     (fun r ->
        let arity = Relation.arity r in
        {
-         tuples = Array.of_list (Relation.to_list r);
+         tuples = Relation.tuples r;
          rel_arity = arity;
-         patterns = Key_tbl.create 4;
+         patterns = Hashtbl.create 4;
          columns = Array.make (max arity 1) None;
        })
     (Instance.relation h.instance name)
@@ -113,48 +110,127 @@ let no_tuples : Tuple.t array = [||]
 let tuples h name =
   match rel_data h name with
   | None -> no_tuples
-  | Some rd ->
-    Obs.add c_scanned (Array.length rd.tuples);
-    rd.tuples
+  | Some rd -> rd.tuples
 
 (* --- pattern indexes --- *)
 
-let cols_key cols = List.map (fun c -> Value.Int c) cols
+(* The message [Tuple.get] raises for the first probed column beyond
+   the relation's arity. *)
+let check_cols rd cols =
+  match List.find_opt (fun c -> c > rd.rel_arity) cols with
+  | Some c when Array.length rd.tuples > 0 ->
+    invalid_arg
+      (Printf.sprintf "Tuple.get: attribute %d out of range 1..%d" c
+         rd.rel_arity)
+  | _ -> ()
+
+(* One hash for a tuple's projection and for a key, so equal values
+   meet: [Hashtbl.hash] agrees with [Value.equal] and allocates
+   nothing. *)
+let mix h v = (h * 31) + Hashtbl.hash (v : Value.t)
+
+let hash_proj cols (t : Tuple.t) =
+  let t = (t :> Value.t array) in
+  let h = ref 17 in
+  for i = 0 to Array.length cols - 1 do
+    h := mix !h t.(cols.(i))
+  done;
+  !h land max_int
+
+let hash_key (key : Value.t array) =
+  let h = ref 17 in
+  for i = 0 to Array.length key - 1 do
+    h := mix !h key.(i)
+  done;
+  !h land max_int
+
+(* Toplevel loops, not local closures: a lookup allocates nothing. *)
+let rec proj_equal cols (t : Value.t array) (u : Value.t array) i =
+  i = Array.length cols
+  || (Value.equal t.(cols.(i)) u.(cols.(i)) && proj_equal cols t u (i + 1))
+
+let rec key_matches cols (key : Value.t array) (t : Value.t array) i =
+  i = Array.length cols
+  || (Value.equal key.(i) t.(cols.(i)) && key_matches cols key t (i + 1))
 
 let build_pattern rd cols =
   Obs.incr c_builds;
-  let tbl = Key_tbl.create (max 16 (Array.length rd.tuples)) in
-  Obs.add c_scanned (Array.length rd.tuples);
-  Array.iter
-    (fun t ->
-       let key = List.map (fun c -> Tuple.get t c) cols in
-       let prev = Option.value ~default:[] (Key_tbl.find_opt tbl key) in
-       Key_tbl.replace tbl key (t :: prev))
-    rd.tuples;
-  tbl
+  let tuples = rd.tuples in
+  let n = Array.length tuples in
+  Obs.add c_scanned n;
+  let cols = Array.of_list (List.map (fun c -> c - 1) cols) in
+  let size =
+    let rec grow s = if s >= 2 * n then s else grow (2 * s) in
+    grow 8
+  in
+  let table = Array.make size (-1) in
+  (* Each tuple's group, numbered in order of first member; a group's
+     first member stands for it in the table. *)
+  let group_of = Array.make n 0 and first = Array.make n 0 in
+  let count = Array.make n 0 and n_groups = ref 0 in
+  for i = 0 to n - 1 do
+    let t = tuples.(i) in
+    let rec place j =
+      let g = table.(j) in
+      if g < 0 then begin
+        let g = !n_groups in
+        incr n_groups;
+        table.(j) <- g;
+        first.(g) <- i;
+        g
+      end
+      else if
+        proj_equal cols (tuples.(first.(g)) :> Value.t array)
+          (t :> Value.t array) 0
+      then g
+      else place ((j + 1) land (size - 1))
+    in
+    let g = place (hash_proj cols t land (size - 1)) in
+    group_of.(i) <- g;
+    count.(g) <- count.(g) + 1
+  done;
+  let groups =
+    Array.init !n_groups (fun g -> Array.make count.(g) tuples.(first.(g)))
+  in
+  Array.fill count 0 !n_groups 0;
+  for i = 0 to n - 1 do
+    let g = group_of.(i) in
+    groups.(g).(count.(g)) <- tuples.(i);
+    count.(g) <- count.(g) + 1
+  done;
+  { cols; groups; table }
 
-let pattern_index h ~rel ~cols =
+let pattern h ~rel ~cols =
   Mutex.protect h.lock (fun () ->
       Option.map
         (fun rd ->
-           let ck = cols_key cols in
-           match Key_tbl.find_opt rd.patterns ck with
-           | Some tbl ->
+           match Hashtbl.find_opt rd.patterns cols with
+           | Some p ->
              Obs.incr c_hits;
-             tbl
+             p
            | None ->
-             let tbl = build_pattern rd cols in
-             Key_tbl.add rd.patterns ck tbl;
-             tbl)
+             check_cols rd cols;
+             let p = build_pattern rd cols in
+             Hashtbl.add rd.patterns cols p;
+             p)
         (find_rel h rel))
 
-let no_matches : Tuple.t list = []
+let no_tuples_found : Tuple.t array = [||]
 
-let probe h ~rel ~cols key =
-  Obs.incr c_probes;
-  match pattern_index h ~rel ~cols with
-  | None -> no_matches
-  | Some tbl -> Option.value ~default:no_matches (Key_tbl.find_opt tbl key)
+let count ~probes ~scanned =
+  Obs.add c_probes probes;
+  Obs.add c_scanned scanned
+
+let rec find_group p key mask j =
+  let g = p.table.(j) in
+  if g < 0 then no_tuples_found
+  else if key_matches p.cols key (p.groups.(g).(0) :> Value.t array) 0 then
+    p.groups.(g)
+  else find_group p key mask ((j + 1) land mask)
+
+let lookup p key =
+  let mask = Array.length p.table - 1 in
+  find_group p key mask (hash_key key land mask)
 
 (* --- per-column value indexes --- *)
 

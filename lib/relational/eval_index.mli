@@ -1,8 +1,8 @@
 (** Indexed read-only view of an {!Instance} — the storage half of the
     query-evaluation kernel (the planning half is {!Cq.Plan}).
 
-    A handle materialises each relation as a tuple array the first time
-    the relation is touched and then builds, lazily and cached for the
+    A handle reads each relation's own tuple array ({!Relation.tuples})
+    the first time the relation is touched and then builds, lazily and cached for the
     lifetime of the handle, two kinds of index:
 
     - {e pattern indexes}: the relation's tuples grouped by their
@@ -42,16 +42,32 @@ val cardinal : t -> string -> int
 (** Tuple count of the named relation, [0] when absent. *)
 
 val tuples : t -> string -> Tuple.t array
-(** The named relation's tuples (empty when absent). The returned array is
-    owned by the handle — callers must not mutate it. Counted as a scan by
-    the [eval.tuples.scanned] observability counter. *)
+(** The named relation's tuples (empty when absent): the relation's own
+    array, which callers must not mutate. A caller that walks it counts
+    the walk through {!count}. *)
 
-val probe : t -> rel:string -> cols:int list -> Value.t list -> Tuple.t list
-(** [probe h ~rel ~cols key]: the tuples of [rel] whose projection onto the
-    1-based columns [cols] equals [key] (element-aligned with [cols]).
-    Builds and caches the pattern index for [cols] on first use.
+type pattern
+(** A pattern index: the tuples of one relation grouped by their
+    projection onto a fixed list of columns. Once built it is never
+    changed, so lookups take no lock. *)
+
+val pattern : t -> rel:string -> cols:int list -> pattern option
+(** The pattern index of [rel] on the 1-based columns [cols] (ascending,
+    non-empty), built and cached on first use; [None] when [rel] is
+    absent. A join step resolves its pattern once per evaluation and
+    then looks keys up in it.
     @raise Invalid_argument when a column exceeds the relation's arity and
     the relation is non-empty (mirrors the full-scan behaviour). *)
+
+val lookup : pattern -> Value.t array -> Tuple.t array
+(** [lookup p key]: the tuples whose projection equals [key]
+    (element-aligned with the pattern's columns), in ascending order.
+    Allocates nothing; the array is shared and must not be mutated. *)
+
+val count : probes:int -> scanned:int -> unit
+(** Add to the [eval.index.probes] and [eval.tuples.scanned] counters: a
+    join counts its {!lookup}s and the {!tuples} it walks and reports
+    them once. *)
 
 val column_values : t -> rel:string -> attr:int -> Value_set.t
 (** Distinct values of the column — an indexed [Relation.column]. *)

@@ -1,62 +1,214 @@
-module Tuple_set = Set.Make (Tuple)
-
+(* A relation is its tuples in one array, ascending by [Tuple.compare]
+   and without duplicates: built once, in bulk, and never mutated after.
+   Membership is a binary search; set operations are merges. *)
 type t = {
   arity : int;
-  tuples : Tuple_set.t;
+  tuples : Tuple.t array;
 }
 
-let empty ~arity = { arity; tuples = Tuple_set.empty }
+let empty ~arity = { arity; tuples = [||] }
 let arity r = r.arity
-let is_empty r = Tuple_set.is_empty r.tuples
-let cardinal r = Tuple_set.cardinal r.tuples
+let is_empty r = Array.length r.tuples = 0
+let cardinal r = Array.length r.tuples
+let tuples r = r.tuples
 
-let check_arity r t =
-  if Tuple.arity t <> r.arity then
-    invalid_arg
-      (Printf.sprintf "Relation: tuple of arity %d in relation of arity %d"
-         (Tuple.arity t) r.arity)
+let arity_error ~arity t =
+  invalid_arg
+    (Printf.sprintf "Relation: tuple of arity %d in relation of arity %d"
+       (Tuple.arity t) arity)
 
-let add t r =
-  check_arity r t;
-  { r with tuples = Tuple_set.add t r.tuples }
+(* Sort [a] in place and drop its duplicates: the relation's array,
+   [a] itself when it is already strictly ascending. *)
+let canonical ~arity a =
+  Array.iter (fun t -> if Tuple.arity t <> arity then arity_error ~arity t) a;
+  let n = Array.length a in
+  let rec ascending i =
+    i >= n || (Tuple.compare a.(i - 1) a.(i) < 0 && ascending (i + 1))
+  in
+  if ascending 1 then { arity; tuples = a }
+  else begin
+    Array.stable_sort Tuple.compare a;
+    let k = ref 1 in
+    for i = 1 to n - 1 do
+      if Tuple.compare a.(!k - 1) a.(i) <> 0 then begin
+        a.(!k) <- a.(i);
+        incr k
+      end
+    done;
+    { arity; tuples = (if !k = n then a else Array.sub a 0 !k) }
+  end
 
-let mem t r = Tuple_set.mem t r.tuples
-let remove t r = { r with tuples = Tuple_set.remove t r.tuples }
-
-let of_list ~arity ts = List.fold_left (fun r t -> add t r) (empty ~arity) ts
+let of_array ~arity a = canonical ~arity (Array.copy a)
+let of_list ~arity ts = canonical ~arity (Array.of_list ts)
 
 let of_value_lists ~arity rows =
-  of_list ~arity (List.map Tuple.of_list rows)
+  canonical ~arity (Array.of_list (List.map Tuple.of_list rows))
 
-let to_list r = Tuple_set.elements r.tuples
+(* The index of [t] in [r]'s array, or [-(i + 1)] where [i] is the
+   index at which it would go. *)
+let rec search_in a t lo hi =
+  if lo >= hi then -(lo + 1)
+  else
+    let mid = (lo + hi) lsr 1 in
+    let c = Tuple.compare a.(mid) t in
+    if c = 0 then mid
+    else if c < 0 then search_in a t (mid + 1) hi
+    else search_in a t lo mid
 
-let binop name f r1 r2 =
+let search r t = search_in r.tuples t 0 (Array.length r.tuples)
+
+let mem t r = search r t >= 0
+
+(* One tuple in or out costs a copy of the array: callers adding many
+   tuples build them in bulk ([of_list], {!builder}). *)
+let add t r =
+  if Tuple.arity t <> r.arity then arity_error ~arity:r.arity t;
+  let i = search r t in
+  if i >= 0 then r
+  else
+    let i = -(i + 1) and n = Array.length r.tuples in
+    let a = Array.make (n + 1) t in
+    Array.blit r.tuples 0 a 0 i;
+    Array.blit r.tuples i a (i + 1) (n - i);
+    { r with tuples = a }
+
+let remove t r =
+  let i = search r t in
+  if i < 0 then r
+  else
+    let n = Array.length r.tuples in
+    let a = Array.sub r.tuples 0 (n - 1) in
+    Array.blit r.tuples (i + 1) a i (n - 1 - i);
+    { r with tuples = a }
+
+let to_list r = Array.to_list r.tuples
+
+(* --- bulk building --- *)
+
+type builder = {
+  b_arity : int;
+  mutable items : Tuple.t array;
+  mutable len : int;
+}
+
+let builder ~arity = { b_arity = arity; items = [||]; len = 0 }
+
+(* A builder that fills up with [compact_from] tuples or more first
+   drops its duplicates, and grows only when that frees less than half
+   of it: it never holds more than twice the distinct tuples pushed, or
+   [2 * compact_from]. Below that it just grows, and {!build} sorts
+   once. *)
+let compact_from = 1 lsl 16
+
+let push b t =
+  if Tuple.arity t <> b.b_arity then arity_error ~arity:b.b_arity t;
+  if b.len = Array.length b.items && b.len < compact_from then begin
+    let items = Array.make (max 8 (2 * b.len)) t in
+    Array.blit b.items 0 items 0 b.len;
+    b.items <- items
+  end
+  else if b.len = Array.length b.items then begin
+    let dedup = canonical ~arity:b.b_arity (Array.sub b.items 0 b.len) in
+    let n = Array.length dedup.tuples in
+    let items =
+      if 2 * n <= b.len && n > 0 then b.items
+      else Array.make (max 8 (2 * b.len)) t
+    in
+    Array.blit dedup.tuples 0 items 0 n;
+    b.items <- items;
+    b.len <- n
+  end;
+  b.items.(b.len) <- t;
+  b.len <- b.len + 1
+
+let build b = canonical ~arity:b.b_arity (Array.sub b.items 0 b.len)
+
+(* --- set operations: merges of ascending arrays --- *)
+
+let check_arities name r1 r2 =
   if r1.arity <> r2.arity then
     invalid_arg (Printf.sprintf "Relation.%s: arity mismatch" name)
-  else { arity = r1.arity; tuples = f r1.tuples r2.tuples }
 
-let union = binop "union" Tuple_set.union
-let inter = binop "inter" Tuple_set.inter
-let diff = binop "diff" Tuple_set.diff
+(* The tuples only in [r1], in both or only in [r2], as the flags keep
+   them, in one pass over both arrays. *)
+let merge ~keep_left ~keep_both ~keep_right r1 r2 =
+  let a1 = r1.tuples and a2 = r2.tuples in
+  let n1 = Array.length a1 and n2 = Array.length a2 in
+  let out = ref [] in
+  let rec go i j =
+    if i < n1 && j < n2 then begin
+      let c = Tuple.compare a1.(i) a2.(j) in
+      if c < 0 then begin
+        if keep_left then out := a1.(i) :: !out;
+        go (i + 1) j
+      end
+      else if c > 0 then begin
+        if keep_right then out := a2.(j) :: !out;
+        go i (j + 1)
+      end
+      else begin
+        if keep_both then out := a1.(i) :: !out;
+        go (i + 1) (j + 1)
+      end
+    end
+    else begin
+      if keep_left then
+        for k = i to n1 - 1 do out := a1.(k) :: !out done;
+      if keep_right then
+        for k = j to n2 - 1 do out := a2.(k) :: !out done
+    end
+  in
+  go 0 0;
+  { arity = r1.arity; tuples = Array.of_list (List.rev !out) }
+
+let union r1 r2 =
+  check_arities "union" r1 r2;
+  if is_empty r1 then r2
+  else if is_empty r2 then r1
+  else merge ~keep_left:true ~keep_both:true ~keep_right:true r1 r2
+
+let inter r1 r2 =
+  check_arities "inter" r1 r2;
+  merge ~keep_left:false ~keep_both:true ~keep_right:false r1 r2
+
+let diff r1 r2 =
+  check_arities "diff" r1 r2;
+  if is_empty r2 then r1
+  else merge ~keep_left:true ~keep_both:false ~keep_right:false r1 r2
 
 let subset r1 r2 =
-  r1.arity = r2.arity && Tuple_set.subset r1.tuples r2.tuples
-
-let equal r1 r2 = r1.arity = r2.arity && Tuple_set.equal r1.tuples r2.tuples
+  r1.arity = r2.arity
+  && Array.length r1.tuples <= Array.length r2.tuples
+  && Array.for_all (fun t -> mem t r2) r1.tuples
 
 let compare r1 r2 =
-  let c = Stdlib.compare r1.arity r2.arity in
-  if c <> 0 then c else Tuple_set.compare r1.tuples r2.tuples
+  let c = Int.compare r1.arity r2.arity in
+  if c <> 0 then c
+  else
+    let a1 = r1.tuples and a2 = r2.tuples in
+    let n1 = Array.length a1 and n2 = Array.length a2 in
+    let rec go i =
+      if i = n1 || i = n2 then Int.compare n1 n2
+      else
+        let c = Tuple.compare a1.(i) a2.(i) in
+        if c <> 0 then c else go (i + 1)
+    in
+    go 0
 
-let filter p r = { r with tuples = Tuple_set.filter p r.tuples }
-let fold f r acc = Tuple_set.fold f r.tuples acc
-let iter f r = Tuple_set.iter f r.tuples
-let exists p r = Tuple_set.exists p r.tuples
-let for_all p r = Tuple_set.for_all p r.tuples
+let equal r1 r2 = compare r1 r2 = 0
+
+let filter p r =
+  if Array.for_all p r.tuples then r
+  else { r with tuples = Array.of_list (List.filter p (to_list r)) }
+
+let fold f r acc = Array.fold_left (fun acc t -> f t acc) acc r.tuples
+let iter f r = Array.iter f r.tuples
+let exists p r = Array.exists p r.tuples
+let for_all p r = Array.for_all p r.tuples
 
 let project attrs r =
-  let k = List.length attrs in
-  fold (fun t acc -> add (Tuple.proj attrs t) acc) r (empty ~arity:k)
+  canonical ~arity:(List.length attrs)
+    (Array.map (fun t -> Tuple.proj attrs t) r.tuples)
 
 let column a r =
   fold (fun t acc -> Value_set.add (Tuple.get t a) acc) r Value_set.empty
@@ -70,15 +222,21 @@ let select conds r =
 let values r =
   fold
     (fun t acc ->
-       List.fold_left (fun acc v -> Value_set.add v acc) acc (Tuple.to_list t))
+       Array.fold_left
+         (fun acc v -> Value_set.add v acc)
+         acc (t :> Value.t array))
     r Value_set.empty
 
+(* Tuples of one arity sorted by their prefix and then by the rest:
+   the pairs in nested order are already ascending. *)
 let product r1 r2 =
-  let arity = r1.arity + r2.arity in
-  fold
-    (fun t1 acc ->
-       fold (fun t2 acc -> add (Tuple.append t1 t2) acc) r2 acc)
-    r1 (empty ~arity)
+  let n2 = Array.length r2.tuples in
+  {
+    arity = r1.arity + r2.arity;
+    tuples =
+      Array.init (Array.length r1.tuples * n2) (fun k ->
+          Tuple.append r1.tuples.(k / n2) r2.tuples.(k mod n2));
+  }
 
 let pp ppf r =
   Format.fprintf ppf "@[<v>%a@]"

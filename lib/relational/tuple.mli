@@ -2,10 +2,18 @@
     ("an attribute [A] of a k-ary relation name [R] is a number [i] such that
     [1 <= i <= k]"). *)
 
-type t
+type t = private Value.t array
+(** Read a tuple's values in place with [(t :> Value.t array)]; a tuple
+    is never mutated. *)
 
 val of_list : Value.t list -> t
 val of_array : Value.t array -> t
+(** A copy of the array. *)
+
+val unsafe_of_array : Value.t array -> t
+(** The array itself, no copy: the caller hands it over and never
+    mutates it again. *)
+
 val to_list : t -> Value.t list
 val arity : t -> int
 

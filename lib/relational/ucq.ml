@@ -15,13 +15,15 @@ let of_cq q = { arity = Cq.arity q; disjuncts = [ q ] }
 
 let arity u = u.arity
 
+(* The answers of every disjunct go into one builder, and the relation
+   is built once. *)
+let eval_in idx u =
+  let b = Relation.builder ~arity:u.arity in
+  List.iter (fun q -> Cq.Plan.emit idx q b) u.disjuncts;
+  Relation.build b
+
 (* The disjuncts share one index handle, owned by the call. *)
-let eval u inst =
-  let idx = Eval_index.of_instance inst in
-  List.fold_left
-    (fun acc q -> Relation.union acc (Cq.Plan.eval idx q))
-    (Relation.empty ~arity:u.arity)
-    u.disjuncts
+let eval u inst = eval_in (Eval_index.of_instance inst) u
 
 let holds u inst =
   let idx = Eval_index.of_instance inst in

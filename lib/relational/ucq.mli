@@ -13,6 +13,12 @@ val of_cq : Cq.t -> t
 val arity : t -> int
 
 val eval : t -> Instance.t -> Relation.t
+(** The union of the disjuncts' answers, over one index handle owned by
+    the call. *)
+
+val eval_in : Eval_index.t -> t -> Relation.t
+(** {!eval} over the caller's handle: every disjunct's answers go into
+    one {!Relation.builder}, and the relation is built once. *)
 
 val holds : t -> Instance.t -> bool
 

@@ -19,7 +19,9 @@ let compare v1 v2 =
   | (Int _ | Real _), Str _ -> -1
   | Str _, (Int _ | Real _) -> 1
 
-let equal v1 v2 = compare v1 v2 = 0
+(* Tuples built from one source share their values: a shared value is
+   equal to itself without a look inside. *)
+let equal v1 v2 = v1 == v2 || compare v1 v2 = 0
 
 let hash = function
   | Int n -> Hashtbl.hash (0, n)

@@ -5,7 +5,9 @@ type def = {
 
 type t = {
   defs : def list;
-  order : string list; (* dependency-respecting order of view names *)
+  levels : def list list;
+      (* dependency levels: the first reads data relations only, and each
+         later one reads views of the levels before it *)
 }
 
 module Str_set = Set.Make (String)
@@ -23,9 +25,10 @@ let make defs_list =
   match dup with
   | Some n -> Error (Printf.sprintf "duplicate view definition for %s" n)
   | None ->
-    (* Kahn's algorithm for a topological order; failure means a cycle. *)
-    let rec topo pending done_rev =
-      if pending = [] then Ok (List.rev done_rev)
+    (* Kahn's algorithm for a topological order, one level per round;
+       failure means a cycle. *)
+    let rec topo pending done_rev levels_rev =
+      if pending = [] then Ok (List.rev levels_rev)
       else
         let ready, blocked =
           List.partition
@@ -44,10 +47,11 @@ let make defs_list =
         else
           topo blocked
             (List.rev_append (List.map (fun d -> d.name) ready) done_rev)
+            (ready :: levels_rev)
     in
-    (match topo defs_list [] with
+    (match topo defs_list [] [] with
      | Error _ as e -> e
-     | Ok order -> Ok { defs = defs_list; order })
+     | Ok levels -> Ok { defs = defs_list; levels })
 
 let make_exn defs_list =
   match make defs_list with
@@ -65,7 +69,8 @@ let depends_on t name =
   | None -> []
   | Some d -> def_view_mentions (view_names t) d
 
-let topological_order t = t.order
+let topological_order t =
+  List.concat_map (List.map (fun d -> d.name)) t.levels
 
 let is_flat t = List.for_all (fun d -> depends_on t d.name = []) t.defs
 
@@ -90,13 +95,16 @@ let has_comparisons t =
          d.body.Ucq.disjuncts)
     t.defs
 
+(* The views of one level read one index over the instance the levels
+   before them made. *)
 let materialise t inst =
   List.fold_left
-    (fun inst name ->
-       match find_def t name with
-       | None -> inst
-       | Some d -> Instance.add_relation name (Ucq.eval d.body inst) inst)
-    inst t.order
+    (fun inst level ->
+       let idx = Eval_index.of_instance inst in
+       List.fold_left
+         (fun acc d -> Instance.add_relation d.name (Ucq.eval_in idx d.body) acc)
+         inst level)
+    inst t.levels
 
 (* Unification of a view atom's argument list against a definition
    disjunct's head. Returns substitutions for the host query and for the

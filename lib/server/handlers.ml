@@ -146,7 +146,7 @@ let handle_create deps req =
       let* schema = of_result (Parser.schema_of doc) in
       Ok
         ( schema,
-          Parser.instance_of doc,
+          Parser.instance_of ~schema doc,
           Option.map snd doc.Parser.query,
           doc.Parser.whynot_tuple,
           doc,

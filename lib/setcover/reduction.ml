@@ -26,10 +26,13 @@ let build sc ~slots =
   if sc.Setcover.universe = [] then
     invalid_arg "Reduction.build: empty universe";
   let instance =
-    List.fold_left
-      (fun inst u ->
-         Instance.add_fact "E" [ element_constant u; element_constant u ] inst)
-      Instance.empty sc.Setcover.universe
+    Instance.of_facts
+      [
+        ( "E",
+          List.map
+            (fun u -> [ element_constant u; element_constant u ])
+            sc.Setcover.universe );
+      ]
   in
   let query = chain_query slots in
   let whynot =

@@ -24,13 +24,36 @@ type token =
   | Bang         (** [!] — Datalog negation *)
   | Eof
 
+(** {2 Streaming} *)
+
+type t
+(** A lexer over one source string: {!next} reads one token at a time,
+    so a parser holds one token and never a list of them. *)
+
+exception Error of string
+(** A lexical error: a line number and a short description
+    (["line 3: unexpected character '@'"]). *)
+
+val of_string : string -> t
+
+val next : t -> token
+(** The next token; [Eof] at the end of the input, and again on every
+    call after it. Keywords, and an identifier equal to the last one read,
+    come back as the same token without a copy of the source.
+    @raise Error on a lexical error. *)
+
+val line : t -> int
+(** The line of the token {!next} returned last. *)
+
+(** {2 Whole sources} *)
+
 type located = {
   token : token;
   line : int;
 }
 
 val tokenize : string -> (located list, Whynot_error.t) result
-(** Errors are [`Parse] and carry a line number and a short
-    description. *)
+(** Every token of the source, [Eof] last. Errors are [`Parse] and carry
+    a line number and a short description. *)
 
 val pp_token : Format.formatter -> token -> unit

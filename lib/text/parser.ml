@@ -5,7 +5,7 @@ type document = {
   fds : Fd.t list;
   inds : Ind.t list;
   views : View.def list;
-  facts : (string * Value.t list) list;
+  facts : (string * Tuple.t array) list;
   query : (string * Cq.t) option;
   whynot_tuple : Value.t list option;
   concepts : (string * string) list;
@@ -15,44 +15,27 @@ type document = {
   rules : Whynot_datalog.Program.rule list;
 }
 
-let empty_document =
-  {
-    relations = [];
-    fds = [];
-    inds = [];
-    views = [];
-    facts = [];
-    query = None;
-    whynot_tuple = None;
-    concepts = [];
-    extensions = [];
-    tbox_axioms = [];
-    mappings = [];
-    rules = [];
-  }
-
-(* --- a tiny state-passing parser over the token list --- *)
+(* --- a tiny parser over a token stream, one token of lookahead --- *)
 
 exception Parse_error of string
 
 type state = {
-  mutable tokens : Lexer.located list;
+  lexer : Lexer.t;
+  mutable token : Lexer.token;
+  mutable token_line : int;
 }
 
-let peek st =
-  match st.tokens with
-  | [] -> Lexer.Eof
-  | t :: _ -> t.Lexer.token
-
-let line st =
-  match st.tokens with
-  | [] -> 0
-  | t :: _ -> t.Lexer.line
-
 let advance st =
-  match st.tokens with
-  | [] -> ()
-  | _ :: rest -> st.tokens <- rest
+  st.token <- Lexer.next st.lexer;
+  st.token_line <- Lexer.line st.lexer
+
+let start src =
+  let st = { lexer = Lexer.of_string src; token = Lexer.Eof; token_line = 0 } in
+  advance st;
+  st
+
+let peek st = st.token
+let line st = st.token_line
 
 let fail st msg =
   raise
@@ -226,9 +209,125 @@ let attr_position ~rel attrs name =
        raise
          (Parse_error (Printf.sprintf "unknown attribute %s of %s" name rel)))
 
-(* While [items] runs, the document's lists hold its items last first;
-   the first declaration of [rel] is the last one met there. *)
-let resolve_attr doc ~rel attr =
+(* --- what [items] has read so far --- *)
+
+(* One relation's facts, in source order. *)
+type batch = {
+  mutable rows : Tuple.t array;
+  mutable count : int;
+}
+
+(* Each list holds its items last first; one reversal per list restores
+   source order when the document is made. *)
+type acc = {
+  mutable a_relations : Schema.rel_decl list;
+  mutable a_fds : Fd.t list;
+  mutable a_inds : Ind.t list;
+  mutable a_views : View.def list;
+  mutable a_query : (string * Cq.t) option;
+  mutable a_whynot : Value.t list option;
+  mutable a_concepts : (string * string) list;
+  mutable a_extensions : (string * Value_set.t) list;
+  mutable a_tbox : Whynot_dllite.Tbox.axiom list;
+  mutable a_mappings : Whynot_obda.Mapping.t list;
+  mutable a_rules : Whynot_datalog.Program.rule list;
+  batches : (string, batch) Hashtbl.t;
+  mutable fact_rels : string list;  (* in order of first fact, last first *)
+  mutable values : Value.t array;   (* the fact being read *)
+}
+
+let new_acc () =
+  {
+    a_relations = [];
+    a_fds = [];
+    a_inds = [];
+    a_views = [];
+    a_query = None;
+    a_whynot = None;
+    a_concepts = [];
+    a_extensions = [];
+    a_tbox = [];
+    a_mappings = [];
+    a_rules = [];
+    batches = Hashtbl.create 8;
+    fact_rels = [];
+    values = Array.make 8 (Value.Int 0);
+  }
+
+let add_fact acc name t =
+  let b =
+    match Hashtbl.find_opt acc.batches name with
+    | Some b -> b
+    | None ->
+      let b = { rows = Array.make 16 t; count = 0 } in
+      Hashtbl.add acc.batches name b;
+      acc.fact_rels <- name :: acc.fact_rels;
+      b
+  in
+  if b.count = Array.length b.rows then begin
+    let rows = Array.make (2 * b.count) t in
+    Array.blit b.rows 0 rows 0 b.count;
+    b.rows <- rows
+  end;
+  b.rows.(b.count) <- t;
+  b.count <- b.count + 1
+
+let document_of acc =
+  {
+    relations = List.rev acc.a_relations;
+    fds = List.rev acc.a_fds;
+    inds = List.rev acc.a_inds;
+    views = List.rev acc.a_views;
+    facts =
+      List.rev_map
+        (fun name ->
+           let b = Hashtbl.find acc.batches name in
+           (name, Array.sub b.rows 0 b.count))
+        acc.fact_rels;
+    query = acc.a_query;
+    whynot_tuple = acc.a_whynot;
+    concepts = List.rev acc.a_concepts;
+    extensions = List.rev acc.a_extensions;
+    tbox_axioms = List.rev acc.a_tbox;
+    mappings = List.rev acc.a_mappings;
+    rules = List.rev acc.a_rules;
+  }
+
+let put acc k v =
+  if k = Array.length acc.values then begin
+    let values = Array.make (2 * k) v in
+    Array.blit acc.values 0 values 0 k;
+    acc.values <- values
+  end;
+  acc.values.(k) <- v
+
+(* The constants of a fact from the [k]th on: their count. *)
+let rec fact_values st acc k =
+  put acc k (value st);
+  match peek st with
+  | Lexer.Comma ->
+    advance st;
+    fact_values st acc (k + 1)
+  | _ -> k + 1
+
+(* A fact's constants, read into [acc.values] and copied out once. *)
+let fact_tuple st acc =
+  expect st Lexer.Lparen "expected '('";
+  let n =
+    match peek st with
+    | Lexer.Rparen ->
+      advance st;
+      0
+    | _ ->
+      let n = fact_values st acc 0 in
+      expect st Lexer.Rparen "expected ')'";
+      n
+  in
+  Tuple.unsafe_of_array (Array.sub acc.values 0 n)
+
+(* The first declaration of [rel] is the last one met in
+   [acc.a_relations]. *)
+let resolve_attr acc ~rel attr =
   match attr with
   | By_position k -> k
   | By_name name ->
@@ -236,7 +335,7 @@ let resolve_attr doc ~rel attr =
       List.fold_left
         (fun found (r : Schema.rel_decl) ->
            if String.equal r.name rel then Some r.Schema.attrs else found)
-        None doc.relations
+        None acc.a_relations
     in
     attr_position ~rel first name
 
@@ -272,14 +371,13 @@ let subsumption_token st =
     ()
   | _ -> fail st "expected '[=' or '<='"
 
-let rec items st doc =
+let item st acc =
   match peek st with
-  | Lexer.Eof -> doc
   | Lexer.Ident "relation" ->
     advance st;
     let name = ident st in
     let attrs = parenthesised st ident in
-    items st { doc with relations = { Schema.name; attrs } :: doc.relations }
+    acc.a_relations <- { Schema.name; attrs } :: acc.a_relations
   | Lexer.Ident "fd" ->
     advance st;
     let rel = ident st in
@@ -289,10 +387,10 @@ let rec items st doc =
     let rhs = comma_separated st raw_attr in
     let fd =
       Fd.make ~rel
-        ~lhs:(List.map (resolve_attr doc ~rel) lhs)
-        ~rhs:(List.map (resolve_attr doc ~rel) rhs)
+        ~lhs:(List.map (resolve_attr acc ~rel) lhs)
+        ~rhs:(List.map (resolve_attr acc ~rel) rhs)
     in
-    items st { doc with fds = fd :: doc.fds }
+    acc.a_fds <- fd :: acc.a_fds
   | Lexer.Ident "ind" ->
     advance st;
     let lhs_rel = ident st in
@@ -306,31 +404,29 @@ let rec items st doc =
     expect st Lexer.Rbracket "expected ']'";
     let ind =
       Ind.make ~lhs_rel
-        ~lhs_attrs:(List.map (resolve_attr doc ~rel:lhs_rel) lhs_attrs)
+        ~lhs_attrs:(List.map (resolve_attr acc ~rel:lhs_rel) lhs_attrs)
         ~rhs_rel
-        ~rhs_attrs:(List.map (resolve_attr doc ~rel:rhs_rel) rhs_attrs)
+        ~rhs_attrs:(List.map (resolve_attr acc ~rel:rhs_rel) rhs_attrs)
     in
-    items st { doc with inds = ind :: doc.inds }
+    acc.a_inds <- ind :: acc.a_inds
   | Lexer.Ident "view" ->
     advance st;
     let name = ident st in
     let head = parenthesised st term in
     expect st Lexer.Define "expected ':='";
     let bodies = rule_bodies st head in
-    items st
-      { doc with views = { View.name; body = Ucq.make bodies } :: doc.views }
+    acc.a_views <- { View.name; body = Ucq.make bodies } :: acc.a_views
   | Lexer.Ident "fact" ->
     advance st;
     let name = ident st in
-    let vs = parenthesised st value in
-    items st { doc with facts = (name, vs) :: doc.facts }
+    add_fact acc name (fact_tuple st acc)
   | Lexer.Ident "query" ->
     advance st;
     let name = ident st in
     let head = parenthesised st term in
     expect st Lexer.Define "expected ':='";
     (match rule_bodies st head with
-     | [ q ] -> items st { doc with query = Some (name, q) }
+     | [ q ] -> acc.a_query <- Some (name, q)
      | _ -> fail st "queries must have a single body (use a view for unions)")
   | Lexer.Ident "rule" ->
     advance st;
@@ -356,17 +452,17 @@ let rec items st doc =
         ~head:{ Cq.rel = name; args = head_args }
         body
     in
-    items st { doc with rules = r :: doc.rules }
+    acc.a_rules <- r :: acc.a_rules
   | Lexer.Ident "whynot" ->
     advance st;
     let vs = parenthesised st value in
-    items st { doc with whynot_tuple = Some vs }
+    acc.a_whynot <- Some vs
   | Lexer.Ident "concept" ->
     advance st;
     let child = ident st in
     subsumption_token st;
     let parent = ident st in
-    items st { doc with concepts = (child, parent) :: doc.concepts }
+    acc.a_concepts <- (child, parent) :: acc.a_concepts
   | Lexer.Ident "ext" ->
     advance st;
     let name = ident st in
@@ -378,16 +474,13 @@ let rec items st doc =
       | _ -> comma_separated st value
     in
     expect st Lexer.Rbrace "expected '}'";
-    items st
-      { doc with extensions = (name, Value_set.of_list vs) :: doc.extensions }
+    acc.a_extensions <- (name, Value_set.of_list vs) :: acc.a_extensions
   | Lexer.Ident "axiom" ->
     advance st;
     let lhs = dl_basic st in
     subsumption_token st;
     let rhs = dl_concept st in
-    items st
-      { doc with
-        tbox_axioms = Whynot_dllite.Tbox.Concept_incl (lhs, rhs) :: doc.tbox_axioms }
+    acc.a_tbox <- Whynot_dllite.Tbox.Concept_incl (lhs, rhs) :: acc.a_tbox
   | Lexer.Ident "role-axiom" ->
     advance st;
     let lhs = dl_role_of_name (ident st) in
@@ -399,9 +492,7 @@ let rec items st doc =
         Whynot_dllite.Dl.NotR (dl_role_of_name (ident st))
       | _ -> Whynot_dllite.Dl.R (dl_role_of_name (ident st))
     in
-    items st
-      { doc with
-        tbox_axioms = Whynot_dllite.Tbox.Role_incl (lhs, rhs) :: doc.tbox_axioms }
+    acc.a_tbox <- Whynot_dllite.Tbox.Role_incl (lhs, rhs) :: acc.a_tbox
   | Lexer.Ident "mapping" ->
     advance st;
     let atoms, comparisons = body st in
@@ -414,38 +505,45 @@ let rec items st doc =
       | [ x; y ] -> Whynot_obda.Mapping.Role_of (head_name, x, y)
       | _ -> fail st "mapping heads are unary or binary"
     in
-    items st
-      { doc with
-        mappings = Whynot_obda.Mapping.make ~comparisons ~head atoms :: doc.mappings }
-  | Lexer.Semicolon ->
-    advance st;
-    items st doc
+    acc.a_mappings <-
+      Whynot_obda.Mapping.make ~comparisons ~head atoms :: acc.a_mappings
+  | Lexer.Semicolon -> advance st
   | _ -> fail st "expected an item (relation, fd, ind, view, rule, fact, query, whynot, concept, ext, axiom, role-axiom, mapping)"
 
-(* [items] adds each item in front of its list; one reversal per list
-   restores source order. *)
-let in_source_order doc =
-  {
-    doc with
-    relations = List.rev doc.relations;
-    fds = List.rev doc.fds;
-    inds = List.rev doc.inds;
-    views = List.rev doc.views;
-    facts = List.rev doc.facts;
-    concepts = List.rev doc.concepts;
-    extensions = List.rev doc.extensions;
-    tbox_axioms = List.rev doc.tbox_axioms;
-    mappings = List.rev doc.mappings;
-    rules = List.rev doc.rules;
-  }
+let items st =
+  let acc = new_acc () in
+  while peek st != Lexer.Eof do
+    item st acc
+  done;
+  document_of acc
 
-let parse src =
-  match Lexer.tokenize src with
-  | Error _ as e -> e
-  | Ok tokens ->
-    let st = { tokens } in
-    (try Ok (in_source_order (items st empty_document)) with
-     | Parse_error msg -> Error (`Parse msg))
+(* Every lexical error of the source is reported before any other
+   error, wherever each one is: after a failure, the rest of the source
+   is lexed for one. *)
+let rec lexical_error lexer =
+  match Lexer.next lexer with
+  | Lexer.Eof -> None
+  | _ -> lexical_error lexer
+  | exception Lexer.Error msg -> Some msg
+
+let run src f =
+  let st = ref None in
+  match
+    let s = start src in
+    st := Some s;
+    f s
+  with
+  | v -> Ok v
+  | exception Lexer.Error msg -> Error (`Parse msg)
+  | exception e ->
+    (match Option.bind !st (fun s -> lexical_error s.lexer) with
+     | Some msg -> Error (`Parse msg)
+     | None ->
+       (match e with
+        | Parse_error msg -> Error (`Parse msg)
+        | e -> raise e))
+
+let parse src = run src items
 
 let parse_file path =
   match
@@ -484,18 +582,22 @@ let schema_of doc =
     (Schema.make ~fds:doc.fds ~inds:doc.inds ~views:doc.views
        (relation_decls doc))
 
-let instance_of doc =
+(* Each relation built once from its batch of facts; the views then
+   materialised on top of ALL facts — including facts of relations the
+   document never declared (handy for rule-only documents), which
+   Schema.complete would drop. *)
+let instance_of ?schema doc =
   let base =
     List.fold_left
-      (fun inst (name, vs) -> Instance.add_fact name vs inst)
+      (fun inst (name, rows) ->
+         Instance.add_relation name
+           (Relation.of_array ~arity:(Tuple.arity rows.(0)) rows)
+           inst)
       Instance.empty doc.facts
   in
-  match schema_of doc with
-  | Ok schema ->
-    (* Materialise the views on top of ALL facts — including facts of
-       relations the document never declared (handy for rule-only
-       documents), which Schema.complete would drop. *)
-    View.materialise (Schema.views schema) base
+  let schema = match schema with Some s -> Ok s | None -> schema_of doc in
+  match schema with
+  | Ok schema -> View.materialise (Schema.views schema) base
   | Error _ -> base
 
 let whynot_of doc =
@@ -503,8 +605,8 @@ let whynot_of doc =
   | None, _ -> Error (`Missing_input "the document declares no query")
   | _, None -> Error (`Missing_input "the document declares no whynot tuple")
   | Some (_, q), Some missing ->
-    let instance = instance_of doc in
     let schema = Result.to_option (schema_of doc) in
+    let instance = instance_of ?schema doc in
     Whynot_core.Whynot.make ?schema ~instance ~query:q ~missing ()
 
 let hand_ontology_of doc =
@@ -531,15 +633,10 @@ let obda_spec_of doc =
 (* --- standalone value lists and concept expressions --- *)
 
 let with_tokens src f =
-  match Lexer.tokenize src with
-  | Error _ as e -> e
-  | Ok tokens ->
-    let st = { tokens } in
-    (try
-       let v = f st in
-       expect st Lexer.Eof "trailing input";
-       Ok v
-     with Parse_error msg -> Error (`Parse msg))
+  run src (fun st ->
+      let v = f st in
+      expect st Lexer.Eof "trailing input";
+      v)
 
 let values_of_string src = with_tokens src (fun st -> comma_separated st value)
 

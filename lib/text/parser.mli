@@ -40,7 +40,9 @@ type document = {
   fds : Fd.t list;
   inds : Ind.t list;
   views : View.def list;
-  facts : (string * Value.t list) list;
+  facts : (string * Tuple.t array) list;
+    (** one batch per relation, in the order of its first fact: the
+        relation's facts in source order, duplicates kept *)
   query : (string * Cq.t) option;
   whynot_tuple : Value.t list option;
   concepts : (string * string) list;    (** hand-ontology subsumption edges *)
@@ -52,7 +54,10 @@ type document = {
 }
 
 val parse : string -> (document, Whynot_error.t) result
-(** Lexer and grammar failures are [`Parse] with a [line N] prefix. *)
+(** Lexer and grammar failures are [`Parse] with a [line N] prefix; a
+    lexical error anywhere in the source is reported before any other.
+    The parser reads the source as a token stream, and each fact goes
+    straight into its relation's batch. *)
 
 val parse_file : string -> (document, Whynot_error.t) result
 (** Additionally [`Missing_input] when the file cannot be read. *)
@@ -61,9 +66,14 @@ val schema_of : document -> (Schema.t, Whynot_error.t) result
 (** A view the document never declares as a relation is declared
     implicitly, with attributes named [a1..aN]. *)
 
-val instance_of : document -> Instance.t
+val instance_of : ?schema:Schema.t -> document -> Instance.t
 (** The facts, with the document's views materialised when the schema is
-    well-formed. *)
+    well-formed. Each relation is built once from its batch
+    ({!Relation.of_array}: duplicates collapse, arities are checked), and
+    the views of one dependency level are evaluated over one index
+    ({!View.materialise}). [schema] is the document's {!schema_of}, for a
+    caller that has it already.
+    @raise Invalid_argument when a relation's facts differ in arity. *)
 
 val whynot_of : document -> (Whynot_core.Whynot.t, Whynot_error.t) result
 (** Requires a query and a whynot tuple. *)

@@ -183,10 +183,7 @@ let arity_whynot ?(seed = 13) ~arity ~n_answers ~n_constants () =
   ignore n_constants;
   let x u = s (Printf.sprintf "x%d" u) in
   let inst =
-    List.fold_left
-      (fun inst u -> Instance.add_fact "E" [ x u; x u ] inst)
-      Instance.empty
-      (List.init n_answers (fun u -> u))
+    Instance.of_facts [ ("E", List.init n_answers (fun u -> [ x u; x u ])) ]
   in
   let head = List.init arity (fun k -> var (Printf.sprintf "v%d" k)) in
   let atoms =

@@ -114,10 +114,11 @@ let test_parse_view_union_and_query () =
 let test_parse_facts_bare_idents () =
   let doc = parse_ok "fact R(Amsterdam, 7, \"two words\")" in
   match doc.Parser.facts with
-  | [ (rel, vs) ] ->
+  | [ (rel, [| t |]) ] ->
     Alcotest.(check string) "rel" "R" rel;
     Alcotest.(check bool) "values" true
-      (vs = [ Value.Str "Amsterdam"; Value.Int 7; Value.Str "two words" ])
+      (Tuple.to_list t
+       = [ Value.Str "Amsterdam"; Value.Int 7; Value.Str "two words" ])
   | _ -> Alcotest.fail "one fact expected"
 
 let test_parse_ontology_items () =
@@ -259,13 +260,17 @@ let test_facts_in_source_order_linear () =
   Alcotest.(check (list string)) "relations in source order" [ "R"; "S" ]
     (List.map (fun (r : Schema.rel_decl) -> r.Schema.name) doc.Parser.relations);
   Alcotest.(check (list int)) "facts in source order" (List.init 50 Fun.id)
-    (List.map
-       (function
-         | "R", [ Value.Int i; Value.Str s ] ->
-           if s <> Printf.sprintf "s\n%d" (50 - i) then
-             Alcotest.failf "fact %d reads %S" i s;
-           i
-         | _ -> Alcotest.fail "unexpected fact")
+    (List.concat_map
+       (fun (rel, rows) ->
+          List.map
+            (fun t ->
+               match rel, Tuple.to_list t with
+               | "R", [ Value.Int i; Value.Str s ] ->
+                 if s <> Printf.sprintf "s\n%d" (50 - i) then
+                   Alcotest.failf "fact %d reads %S" i s;
+                 i
+               | _ -> Alcotest.fail "unexpected fact")
+            (Array.to_list rows))
        doc.Parser.facts);
   Alcotest.(check (list string)) "views in source order" [ "V0"; "V17"; "V34" ]
     (List.map (fun (v : View.def) -> v.View.name) doc.Parser.views);
