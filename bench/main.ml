@@ -1615,6 +1615,82 @@ let cold_bench () =
   stages ~mode:"10 ms idle" ~session:"cold-stages" ~offset:(4 * n_pairs)
     ~idle_s:0.01
 
+(* ================================================================== *)
+(* INTAKE: one session's create, document to instance and views        *)
+(* ================================================================== *)
+
+(* [create] of a [Generate.cities_like] document as the server takes
+   it: [Protocol.parse_request], then [Handlers.handle_at], each create
+   followed by an untimed close. A row holds the median over its
+   creates, and the minor words one create allocates. *)
+let intake_bench () =
+  header "INTAKE" "create: parse, relations built once, views materialised";
+  List.iter
+    (fun (n_cities, reps) ->
+       let schema, inst =
+         Generate.cities_like ~seed:1 ~n_cities
+           ~n_countries:(max 2 (n_cities / 5)) ~n_connections:(2 * n_cities) ()
+       in
+       let text =
+         Whynot_proptest.Surface.document schema inst
+         ^ "query q(x, y) := Train-Connections(x, z), Train-Connections(z, y)\n"
+       in
+       let deps =
+         {
+           Handlers.registry = Whynot_server.Registry.create ~max_sessions:2;
+           domains_default = 1;
+           domains_max = 1;
+           default_deadline_ms = 0;
+           max_deadline_ms = 0;
+           debug_ops = false;
+           started_at_s = Obs.now_s ();
+         }
+       in
+       let line op extra =
+         Wire_json.to_string
+           (Wire_json.Obj
+              ([ ("op", Wire_json.String op);
+                 ("session", Wire_json.String "intake") ]
+               @ extra))
+       in
+       let create = line "create" [ ("document", Wire_json.String text) ]
+       and close = line "close" [] in
+       let serve l =
+         match Protocol.parse_request l with
+         | Error m -> failwith ("INTAKE: " ^ m)
+         | Ok req ->
+           (match Handlers.handle_at deps req ~now:(Obs.now_s ()) with
+            | Ok _ -> ()
+            | Error (code, m) -> failwith ("INTAKE: " ^ code ^ ": " ^ m))
+       in
+       serve create;
+       serve close;
+       let times = Array.make reps 0. and words = ref 0. in
+       for k = 0 to reps - 1 do
+         let w0 = Gc.minor_words () in
+         let t0 = Unix.gettimeofday () in
+         serve create;
+         times.(k) <- (Unix.gettimeofday () -. t0) *. 1e9;
+         words := Gc.minor_words () -. w0;
+         serve close
+       done;
+       Array.sort compare times;
+       raw_row "INTAKE"
+         (Printf.sprintf "create, %d cities (median)" n_cities)
+         ~params:
+           [
+             ("n_cities", float_of_int n_cities);
+             ("bytes", float_of_int (String.length text));
+             ("creates", float_of_int reps);
+             ("minor_words", !words);
+             ("best_us", times.(0) /. 1e3);
+           ]
+         ~ns:(percentile_us times 50. *. 1e3) ~counters:[];
+       row "    %.0f minor words per create, best %.1f us@." !words
+         (times.(0) /. 1e3))
+    (if quick then [ (40, 20); (160, 10); (640, 5); (2560, 3) ]
+     else [ (40, 200); (160, 100); (640, 30); (2560, 10) ])
+
 let () =
   Format.printf "why-not explanations: benchmark harness@.";
   Format.printf "(experiment ids refer to DESIGN.md / EXPERIMENTS.md)@.";
@@ -1639,6 +1715,7 @@ let () =
   datalog_bench ();
   serve_bench ();
   cold_bench ();
+  intake_bench ();
   match profile_row with
   | Some name ->
     Printf.eprintf "bench: no row %S to profile\n" name;

@@ -23,6 +23,11 @@ val int_value : Value.t QCheck2.Gen.t
 
 val tuple : arity:int -> Tuple.t QCheck2.Gen.t
 
+val cmp_op : Cmp_op.t QCheck2.Gen.t
+
+val sublist : 'a list -> 'a list QCheck2.Gen.t
+(** Each element kept or dropped independently, in order. *)
+
 val relation : arity:int -> Relation.t QCheck2.Gen.t
 
 val instance : Instance.t QCheck2.Gen.t

@@ -995,6 +995,110 @@ let text_document_roundtrip =
            && sorted (Schema.inds s') = sorted (Schema.inds s)
            && Instance.equal (Parser.instance_of doc) inst))
 
+(* A document whose facts go into [Parser.instance_of] in bulk: 1-3
+   unary views, each after the first reading the view before it
+   (nested), facts in shuffled order with some repeated, and facts of a
+   relation [U0] the document never declares. The oracle is the
+   one-fact-at-a-time instance, with each view materialised in
+   topological order by the naive evaluator. *)
+let gen_intake_case =
+  let* decls = QG.map Schema.relations (Gen.schema Gen.No_constraints) in
+  let* n_views = QG.int_range 1 3 in
+  let view_decl k = { Schema.name = Printf.sprintf "V%d" k; attrs = [ "a1" ] } in
+  let disjunct k ~nested =
+    let pool = decls @ List.init k view_decl in
+    let* n = QG.int_range 1 2 in
+    let* rels = QG.list_size (QG.return n) (QG.oneofl pool) in
+    let rels = if nested then view_decl (k - 1) :: rels else rels in
+    let atoms =
+      List.mapi
+        (fun i (d : Schema.rel_decl) ->
+           {
+             Cq.rel = d.Schema.name;
+             args =
+               List.mapi
+                 (fun j _ ->
+                    if j = 0 then Cq.Var "x"
+                    else Cq.Var (Printf.sprintf "y%d_%d" i j))
+                 d.Schema.attrs;
+           })
+        rels
+    in
+    let* cmp = QG.opt (QG.pair Gen.cmp_op Gen.int_value) in
+    let comparisons =
+      Option.to_list
+        (Option.map (fun (op, value) -> { Cq.subject = "x"; op; value }) cmp)
+    in
+    QG.return (Cq.make ~head:[ Cq.Var "x" ] ~atoms ~comparisons ())
+  in
+  let view k =
+    let* first = disjunct k ~nested:(k > 0) in
+    let* rest = QG.list_size (QG.int_range 0 1) (disjunct k ~nested:false) in
+    QG.return
+      { View.name = (view_decl k).Schema.name; body = Ucq.make (first :: rest) }
+  in
+  let* views =
+    QG.flatten_l (List.init n_views view)
+  in
+  let schema =
+    Schema.make_exn ~views (decls @ List.init n_views view_decl)
+  in
+  let* facts =
+    QG.map List.concat
+      (QG.flatten_l
+         (List.map
+            (fun (d : Schema.rel_decl) ->
+               QG.list_size (QG.int_range 0 6)
+                 (QG.map
+                    (fun t -> (d.Schema.name, t))
+                    (Gen.tuple ~arity:(List.length d.Schema.attrs))))
+            decls))
+  in
+  let* repeated = Gen.sublist facts in
+  let* undeclared =
+    QG.list_size (QG.int_range 0 3)
+      (QG.map (fun t -> ("U0", t)) (Gen.tuple ~arity:2))
+  in
+  let* facts = QG.shuffle_l (facts @ repeated @ undeclared) in
+  QG.return (schema, facts)
+
+let intake_document (schema, facts) =
+  Surface.document schema Instance.empty
+  ^ String.concat ""
+      (List.map
+         (fun (rel, t) ->
+            Printf.sprintf "fact %s(%s)\n" rel
+              (String.concat ", " (List.map Value.to_string (Tuple.to_list t))))
+         facts)
+
+let text_instance_of_equals_naive =
+  prop "text/instance-of-equals-naive" 300 intake_document gen_intake_case
+    (fun ((schema, facts) as case) ->
+      match Parser.parse (intake_document case) with
+      | Error _ -> false
+      | Ok doc ->
+        let base =
+          List.fold_left
+            (fun inst (rel, t) -> Instance.add_fact rel (Tuple.to_list t) inst)
+            Instance.empty facts
+        in
+        let views = Schema.views schema in
+        let expected =
+          List.fold_left
+            (fun inst name ->
+               let d =
+                 List.find (fun (d : View.def) -> d.View.name = name)
+                   (View.defs views)
+               in
+               Instance.add_relation name
+                 (List.fold_left
+                    (fun acc q -> Relation.union acc (Oracle.naive_eval q inst))
+                    (Relation.empty ~arity:1) d.View.body.Ucq.disjuncts)
+                 inst)
+            base (View.topological_order views)
+        in
+        Instance.equal (Parser.instance_of doc) expected)
+
 (* A rendered document whose view [V0] is implicit half the time, and
    concept strings over it: rendered concepts, the same with a fragment
    added, and fragment soups, which name unknown relations and
@@ -1645,6 +1749,7 @@ let all =
     engine_question_equals_fresh;
     wire_mge_roundtrips;
     why_one_mge_equals_literal;
+    text_instance_of_equals_naive;
   ]
 
 let names = List.map (fun p -> p.name) all

@@ -89,6 +89,10 @@ let c_timeouts =
 let c_malformed =
   Obs.counter "server.malformed" ~doc:"request lines that failed to parse"
 
+let c_accept_backoffs =
+  Obs.counter "server.accept.backoffs"
+    ~doc:"accepts that found no descriptor or buffer free and backed off"
+
 (* Only the fixed op vocabulary gets a timer: registering timers for
    arbitrary client-supplied op strings would let a client grow the
    process-global registry without bound. [op_timers.(i)] times the op
@@ -330,6 +334,8 @@ let sweep t =
       stale
   end
 
+let accept_backoff_s = 0.05
+
 let accept_conn t =
   match Unix.accept ~cloexec:true t.lsock with
   | fd, peer_addr ->
@@ -358,6 +364,13 @@ let accept_conn t =
       log t "peer=%s status=conn-shed" peer
     end
   | exception Unix.Unix_error ((EINTR | ECONNABORTED), _, _) -> ()
+  | exception Unix.Unix_error ((EMFILE | ENFILE | ENOBUFS | ENOMEM), _, _) ->
+    (* No descriptor or buffer free: the connection waits in the backlog
+       while the accept thread backs off, and the next accept retries.
+       Shutdown cuts the wait short. *)
+    Obs.incr c_accept_backoffs;
+    (try ignore (Unix.select [ t.wake_r ] [] [] accept_backoff_s)
+     with Unix.Unix_error (EINTR, _, _) -> ())
 
 (* The accept thread also runs the TTL sweep: its select times out when
    the next sweep is due. The timeout stays finite even with the TTL off,
@@ -379,8 +392,9 @@ let accept_loop t =
       end
     end
   in
-  (* However the loop ends, the listener closes: a dead accept thread
-     refuses new connections rather than leaving them in the backlog. *)
+  (* However the loop ends, the listener closes: an accept thread that
+     died of an unexpected error refuses new connections rather than
+     leaving them in the backlog. *)
   Fun.protect
     ~finally:(fun () ->
       try Unix.close t.lsock with Unix.Unix_error (_, _, _) -> ())

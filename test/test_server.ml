@@ -127,6 +127,68 @@ let test_concurrent_sessions () =
   Alcotest.(check string) "all concurrent clients succeeded" "" (Atomic.get failure);
   Alcotest.(check int) "all sessions closed" 0 (Server.session_count server)
 
+(* Two connections cycle close, create and question over one pool of
+   names, with no pipelining: each sends its next request once the last
+   reply arrived. When no close of a name is in flight as a create of it
+   is sent, and none starts until the question that follows is
+   answered, that question must find the session, whichever connection
+   created it. *)
+let test_session_churn_no_unknown () =
+  with_server @@ fun server ->
+  let port = Server.port server in
+  let names = [| "n0"; "n1"; "n2" |] in
+  (* Per name: closes sent, closes answered. *)
+  let started = Array.make (Array.length names) 0
+  and answered = Array.make (Array.length names) 0
+  and checked = Atomic.make 0
+  and lock = Mutex.create () in
+  let failure = Atomic.make "" in
+  let worker seed () =
+    try
+      let c = connect port in
+      Fun.protect ~finally:(fun () -> disconnect c) @@ fun () ->
+      let st = Random.State.make [| seed |] in
+      for _ = 1 to 150 do
+        let i = Random.State.int st (Array.length names) in
+        let name = names.(i) in
+        let req op =
+          rpc c (Printf.sprintf "{\"op\":\"%s\",\"session\":\"%s\"}" op name)
+        in
+        if Random.State.bool st then begin
+          Mutex.protect lock (fun () -> started.(i) <- started.(i) + 1);
+          ignore (req "close");
+          Mutex.protect lock (fun () -> answered.(i) <- answered.(i) + 1)
+        end;
+        let quiet, closes =
+          Mutex.protect lock (fun () -> (started.(i) = answered.(i), started.(i)))
+        in
+        let created =
+          rpc c
+            (Printf.sprintf
+               "{\"op\":\"create\",\"session\":\"%s\",\"workload\":\"cities\"}"
+               name)
+        in
+        (match error_code created with
+         | None | Some "session-exists" -> ()
+         | Some code -> failwith ("create replied " ^ code));
+        let asked = req "question" in
+        if quiet && Mutex.protect lock (fun () -> started.(i) = closes) then begin
+          Atomic.incr checked;
+          if error_code asked = Some "unknown-session" then
+            failwith (name ^ ": unknown-session after its create reply")
+        end
+      done
+    with e -> Atomic.set failure (Printexc.to_string e)
+  in
+  let threads = [ Thread.create (worker 1) (); Thread.create (worker 2) () ] in
+  List.iter Thread.join threads;
+  Alcotest.(check string) "no unknown-session after a create reply" ""
+    (Atomic.get failure);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d questions had no close around them" (Atomic.get checked))
+    true
+    (Atomic.get checked >= 20)
+
 let test_deadline_timeout_connection_survives () =
   with_server @@ fun server ->
   let c = connect (Server.port server) in
@@ -523,6 +585,61 @@ let test_figure2_reply_bytes () =
    reply line is built as the server builds it, newline included: a
    parse error without request headers, a handler result through
    [Protocol.ok_line], a handler error through [Protocol.error_reply]. *)
+(* The minor words of one [create] of a [Generate.cities_like] document
+   through [Handlers.handle_at], after one create and close of the same
+   document. [Gc.minor_words] is deterministic for a fixed input, so the
+   bounds below are hard. *)
+let create_words ~n_cities =
+  let schema, inst =
+    Whynot_workload.Generate.cities_like ~seed:1 ~n_cities
+      ~n_countries:(max 2 (n_cities / 5)) ~n_connections:(2 * n_cities) ()
+  in
+  let text =
+    Whynot_proptest.Surface.document schema inst
+    ^ "query q(x, y) := Train-Connections(x, z), Train-Connections(z, y)\n"
+  in
+  let deps = in_process_deps () in
+  let request op =
+    match
+      Protocol.parse_request
+        (Json.to_string
+           (Json.Obj
+              ([ ("op", Json.String op); ("session", Json.String "intake") ]
+               @ if op = "create" then [ ("document", Json.String text) ]
+                 else [])))
+    with
+    | Ok req -> req
+    | Error m -> Alcotest.failf "unparsable %s: %s" op m
+  in
+  let create = request "create" and close = request "close" in
+  let run req =
+    match Handlers.handle_at deps req ~now:0. with
+    | Ok _ -> ()
+    | Error (code, m) -> Alcotest.failf "%s: %s" code m
+  in
+  run create;
+  run close;
+  let w0 = Gc.minor_words () in
+  run create;
+  let words = Gc.minor_words () -. w0 in
+  run close;
+  words
+
+(* A 40-city create allocated 83,394 minor words when relations were
+   sets filled one [Set.add] at a time, the parser kept a token list and
+   the join boxed its slots. *)
+let test_intake_allocation_budget () =
+  let w40 = create_words ~n_cities:40 and w160 = create_words ~n_cities:160 in
+  Alcotest.(check bool)
+    (Printf.sprintf "40-city create: %.0f minor words, at most 83394 / 3" w40)
+    true
+    (w40 <= 83394. /. 3.);
+  Alcotest.(check bool)
+    (Printf.sprintf "160-city create: %.0f minor words, at most 4.5 x %.0f"
+       w160 w40)
+    true
+    (w160 <= 4.5 *. w40)
+
 let golden_path = "corpus/golden-replies.jsonl"
 
 let test_golden_replies () =
@@ -968,8 +1085,10 @@ let test_drain_ends_blocked_reads () =
     idle;
   List.iter disconnect (busy :: idle)
 
-(* The accept thread dies: its [accept] fails with EMFILE while this
-   process has no descriptor free. The listener closes with it, and
+(* The accept thread outlives descriptor exhaustion: while this process
+   has no descriptor free its [accept] fails with EMFILE, and it backs
+   off and retries instead of dying. Once the spare descriptors are
+   closed the waiting connection is accepted and answers [ping], and
    [wait] still ends the idle connections' reads and returns within
    2 s. *)
 let test_drain_after_accept_thread_dies () =
@@ -980,23 +1099,43 @@ let test_drain_after_accept_thread_dies () =
      (* Bounded, for hosts whose descriptor limit is huge. *)
      for _ = 1 to 1 lsl 20 do spares := Unix.dup late :: !spares done
    with Unix.Unix_error ((EMFILE | ENFILE), _, _) -> exhausted := true);
+  let backoffs () =
+    Option.value ~default:0
+      (List.assoc_opt "server.accept.backoffs" (Whynot_obs.Obs.snapshot ()))
+  in
   (* The handshake completes in the listener's backlog; the accept
-     thread's [accept] then finds no descriptor free, and once the
-     listener closes [late] reads end of input or a reset. *)
-  let listener_closed =
+     thread's [accept] then finds no descriptor free and backs off. *)
+  let backed_off =
     Fun.protect
       ~finally:(fun () -> List.iter Unix.close !spares)
       (fun () ->
-         if !exhausted then begin
-           Unix.connect late
-             (Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server));
-           match Unix.select [ late ] [] [] 2.0 with
-           | [], _, _ -> false
-           | _ -> true
-         end
-         else false)
+         !exhausted
+         &&
+         let before = backoffs () in
+         Unix.connect late
+           (Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server));
+         let t0 = Whynot_obs.Obs.now_s () in
+         while backoffs () = before && Whynot_obs.Obs.now_s () -. t0 < 2. do
+           Thread.delay 0.005
+         done;
+         backoffs () > before)
   in
-  Unix.close late;
+  let late = { fd = late; rdbuf = Buffer.create 64 } in
+  let answered =
+    !exhausted
+    &&
+    (send_raw late "{\"op\":\"ping\"}\n";
+     match Unix.select [ late.fd ] [] [] 2.0 with
+     | [], _, _ -> false
+     | _ -> (
+       match recv_line late with
+       | Some reply -> (
+         match Json.of_string reply with
+         | Ok j -> Json.member "result" j <> None
+         | Error _ -> false)
+       | None -> false))
+  in
+  disconnect late;
   let drained = Atomic.make false and timed_out = Atomic.make false in
   let release () =
     List.iter
@@ -1014,8 +1153,10 @@ let test_drain_after_accept_thread_dies () =
     List.iter disconnect clients;
     Alcotest.skip ()
   end;
-  Alcotest.(check bool) "the accept thread died and closed the listener"
-    true listener_closed;
+  Alcotest.(check bool) "the accept thread backed off on EMFILE" true
+    backed_off;
+  Alcotest.(check bool) "the waiting connection is accepted and answers ping"
+    true answered;
   Alcotest.(check bool) "drained within 2s" false (Atomic.get timed_out);
   List.iter
     (fun c ->
@@ -1187,6 +1328,10 @@ let () =
             `Quick test_many_sixteen_domain_sessions;
           Alcotest.test_case "sweep against a request at the TTL" `Quick
             test_sweep_against_request_at_ttl;
+          Alcotest.test_case "session churn: no unknown-session after create"
+            `Quick test_session_churn_no_unknown;
+          Alcotest.test_case "intake allocation budget" `Quick
+            test_intake_allocation_budget;
         ] );
       ( "robustness",
         [
