@@ -17,32 +17,59 @@ let arity_error ~arity t =
     (Printf.sprintf "Relation: tuple of arity %d in relation of arity %d"
        (Tuple.arity t) arity)
 
-(* Sort [a] in place and drop its duplicates: the relation's array,
-   [a] itself when it is already strictly ascending. *)
-let canonical ~arity a =
-  Array.iter (fun t -> if Tuple.arity t <> arity then arity_error ~arity t) a;
-  let n = Array.length a in
-  let rec ascending i =
-    i >= n || (Tuple.compare a.(i - 1) a.(i) < 0 && ascending (i + 1))
-  in
-  if ascending 1 then { arity; tuples = a }
+(* The length of the strictly ascending prefix of [a]'s first [n]
+   tuples. *)
+let rec ascending_prefix a n i =
+  if i < n && Tuple.compare a.(i - 1) a.(i) < 0 then ascending_prefix a n (i + 1)
+  else i
+
+(* The first [n] tuples of [a], sorted and without duplicates, in a new
+   array — or [a] itself when [owned], all of [a] is taken and it is
+   already strictly ascending. Otherwise only the part after the
+   ascending prefix is sorted, and the two are merged: a builder's first
+   producer often emits in order (a scan of a relation). [a] is never
+   changed. *)
+let canonical ~arity ~owned a n =
+  for i = 0 to n - 1 do
+    if Tuple.arity a.(i) <> arity then arity_error ~arity a.(i)
+  done;
+  let k = if n = 0 then 0 else ascending_prefix a n 1 in
+  if k = n then
+    {
+      arity;
+      tuples = (if owned && n = Array.length a then a else Array.sub a 0 n);
+    }
   else begin
-    Array.stable_sort Tuple.compare a;
-    let k = ref 1 in
-    for i = 1 to n - 1 do
-      if Tuple.compare a.(!k - 1) a.(i) <> 0 then begin
-        a.(!k) <- a.(i);
-        incr k
+    let rest = Array.sub a k (n - k) in
+    Array.stable_sort Tuple.compare rest;
+    let out = Array.make n a.(0) and len = ref 0 in
+    let emit t =
+      if !len = 0 || Tuple.compare out.(!len - 1) t <> 0 then begin
+        out.(!len) <- t;
+        incr len
+      end
+    in
+    let i = ref 0 and j = ref 0 in
+    while !i < k || !j < n - k do
+      if !j = n - k || (!i < k && Tuple.compare a.(!i) rest.(!j) <= 0) then begin
+        emit a.(!i);
+        incr i
+      end
+      else begin
+        emit rest.(!j);
+        incr j
       end
     done;
-    { arity; tuples = (if !k = n then a else Array.sub a 0 !k) }
+    { arity; tuples = (if !len = n then out else Array.sub out 0 !len) }
   end
 
-let of_array ~arity a = canonical ~arity (Array.copy a)
-let of_list ~arity ts = canonical ~arity (Array.of_list ts)
+let of_array ~arity a = canonical ~arity ~owned:false a (Array.length a)
+
+let of_owned ~arity a = canonical ~arity ~owned:true a (Array.length a)
+let of_list ~arity ts = of_owned ~arity (Array.of_list ts)
 
 let of_value_lists ~arity rows =
-  canonical ~arity (Array.of_list (List.map Tuple.of_list rows))
+  of_owned ~arity (Array.of_list (List.map Tuple.of_list rows))
 
 (* The index of [t] in [r]'s array, or [-(i + 1)] where [i] is the
    index at which it would go. *)
@@ -108,7 +135,7 @@ let push b t =
     b.items <- items
   end
   else if b.len = Array.length b.items then begin
-    let dedup = canonical ~arity:b.b_arity (Array.sub b.items 0 b.len) in
+    let dedup = canonical ~arity:b.b_arity ~owned:false b.items b.len in
     let n = Array.length dedup.tuples in
     let items =
       if 2 * n <= b.len && n > 0 then b.items
@@ -121,7 +148,7 @@ let push b t =
   b.items.(b.len) <- t;
   b.len <- b.len + 1
 
-let build b = canonical ~arity:b.b_arity (Array.sub b.items 0 b.len)
+let build b = canonical ~arity:b.b_arity ~owned:false b.items b.len
 
 (* --- set operations: merges of ascending arrays --- *)
 
@@ -207,7 +234,7 @@ let exists p r = Array.exists p r.tuples
 let for_all p r = Array.for_all p r.tuples
 
 let project attrs r =
-  canonical ~arity:(List.length attrs)
+  of_owned ~arity:(List.length attrs)
     (Array.map (fun t -> Tuple.proj attrs t) r.tuples)
 
 let column a r =

@@ -58,21 +58,26 @@ let same_text src i n = function
   | Ident s -> String.length s = n && same_from src i s 0
   | _ -> false
 
+(* The keyword token the source spells at [i], or [Eof]. Keywords are
+   lower case and at most ten characters long. *)
 let rec keyword src i n = function
-  | [] -> None
-  | k :: rest -> if same_text src i n k then Some k else keyword src i n rest
+  | [] -> Eof
+  | k :: rest -> if same_text src i n k then k else keyword src i n rest
 
 let ident_token lx i j =
   let n = j - i in
-  match keyword lx.src i n keywords with
-  | Some tok -> tok
-  | None ->
-    if same_text lx.src i n lx.last_ident then lx.last_ident
-    else begin
-      let tok = Ident (String.sub lx.src i n) in
-      lx.last_ident <- tok;
-      tok
-    end
+  let kw =
+    if n <= 10 && lx.src.[i] >= 'a' && lx.src.[i] <= 'z' then
+      keyword lx.src i n keywords
+    else Eof
+  in
+  if kw != Eof then kw
+  else if same_text lx.src i n lx.last_ident then lx.last_ident
+  else begin
+    let tok = Ident (String.sub lx.src i n) in
+    lx.last_ident <- tok;
+    tok
+  end
 
 (* Toplevel scans, not local closures: a token allocates what it
    holds and nothing else. *)

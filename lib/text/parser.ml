@@ -232,6 +232,7 @@ type acc = {
   mutable a_mappings : Whynot_obda.Mapping.t list;
   mutable a_rules : Whynot_datalog.Program.rule list;
   batches : (string, batch) Hashtbl.t;
+  mutable last : string * batch;    (* the batch of the last fact read *)
   mutable fact_rels : string list;  (* in order of first fact, last first *)
   mutable values : Value.t array;   (* the fact being read *)
 }
@@ -250,18 +251,29 @@ let new_acc () =
     a_mappings = [];
     a_rules = [];
     batches = Hashtbl.create 8;
+    last = ("", { rows = [||]; count = 0 });
     fact_rels = [];
     values = Array.make 8 (Value.Int 0);
   }
 
+(* A run of one relation's facts names it with one string (the lexer
+   hands the same token back), so the run finds its batch without a
+   lookup. *)
 let add_fact acc name t =
   let b =
-    match Hashtbl.find_opt acc.batches name with
-    | Some b -> b
-    | None ->
-      let b = { rows = Array.make 16 t; count = 0 } in
-      Hashtbl.add acc.batches name b;
-      acc.fact_rels <- name :: acc.fact_rels;
+    match acc.last with
+    | last, b when last == name -> b
+    | _ ->
+      let b =
+        match Hashtbl.find_opt acc.batches name with
+        | Some b -> b
+        | None ->
+          let b = { rows = Array.make 16 t; count = 0 } in
+          Hashtbl.add acc.batches name b;
+          acc.fact_rels <- name :: acc.fact_rels;
+          b
+      in
+      acc.last <- (name, b);
       b
   in
   if b.count = Array.length b.rows then begin

@@ -180,6 +180,33 @@ let test_relation_arity_guard () =
     (Invalid_argument "Relation: tuple of arity 3 in relation of arity 2")
     (fun () -> ignore (Relation.add t123 r))
 
+(* The bulk constructors: unsorted input with duplicates gives the
+   ascending, duplicate-free array; an odd arity is rejected; a builder
+   fed far more duplicates than its compaction threshold stays correct. *)
+let test_relation_bulk () =
+  let t a b = Tuple.of_list [ v_int a; v_str b ] in
+  let r = Relation.of_list ~arity:2 [ t 3 "c"; t 1 "a"; t 3 "c"; t 2 "b"; t 1 "a" ] in
+  Alcotest.(check (list string)) "ascending, duplicates collapsed"
+    [ "(1, \"a\")"; "(2, \"b\")"; "(3, \"c\")" ]
+    (List.map Tuple.to_string (Relation.to_list r));
+  let sorted_then_not =
+    Relation.of_list ~arity:2 [ t 1 "a"; t 4 "d"; t 5 "e"; t 2 "b"; t 4 "d" ]
+  in
+  Alcotest.(check int) "a sorted prefix merged with the rest" 4
+    (Relation.cardinal sorted_then_not);
+  Alcotest.check_raises "arity checked"
+    (Invalid_argument "Relation: tuple of arity 3 in relation of arity 2")
+    (fun () -> ignore (Relation.of_list ~arity:2 [ t 1 "a"; t123 ]));
+  let b = Relation.builder ~arity:2 in
+  for k = 0 to 199_999 do
+    Relation.push b (t (k mod 7) "x")
+  done;
+  let built = Relation.build b in
+  Alcotest.(check int) "builder: 7 distinct of 200000 pushed" 7
+    (Relation.cardinal built);
+  Alcotest.(check bool) "builder: membership" true
+    (Relation.mem (t 6 "x") built && not (Relation.mem (t 7 "x") built))
+
 (* ------------------------------------------------------------------ *)
 (* FDs                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -944,6 +971,7 @@ let () =
           Alcotest.test_case "proj/get" `Quick test_tuple_proj;
           Alcotest.test_case "relation ops" `Quick test_relation_ops;
           Alcotest.test_case "arity guard" `Quick test_relation_arity_guard;
+          Alcotest.test_case "bulk constructors" `Quick test_relation_bulk;
         ] );
       ( "fd",
         [
