@@ -15,25 +15,20 @@ let add_fact name vs inst =
   in
   Str_map.add name (Relation.add tuple r) inst
 
-(* Each relation built once from all of its rows; its arity is its
-   first row's. *)
+(* Each group built at once; a relation's arity is its first row's. *)
 let of_facts groups =
-  let rows = Hashtbl.create 8 and names = ref [] in
-  List.iter
-    (fun (name, rs) ->
-       match Hashtbl.find_opt rows name with
-       | Some prev -> Hashtbl.replace rows name (List.rev_append rs prev)
-       | None ->
-         names := name :: !names;
-         Hashtbl.add rows name (List.rev rs))
-    groups;
   List.fold_left
-    (fun inst name ->
-       match List.rev_map Tuple.of_list (Hashtbl.find rows name) with
-       | [] -> inst
-       | t :: _ as ts ->
-         Str_map.add name (Relation.of_list ~arity:(Tuple.arity t) ts) inst)
-    empty (List.rev !names)
+    (fun inst (name, rows) ->
+       match rows, Str_map.find_opt name inst with
+       | [], _ -> inst
+       | _, Some r ->
+         let more = Relation.of_value_lists ~arity:(Relation.arity r) rows in
+         Str_map.add name (Relation.union r more) inst
+       | row :: _, None ->
+         Str_map.add name
+           (Relation.of_value_lists ~arity:(List.length row) rows)
+           inst)
+    empty groups
 
 let relation inst name = Str_map.find_opt name inst
 

@@ -224,9 +224,7 @@ let compare r1 r2 =
 
 let equal r1 r2 = compare r1 r2 = 0
 
-let filter p r =
-  if Array.for_all p r.tuples then r
-  else { r with tuples = Array.of_list (List.filter p (to_list r)) }
+let filter p r = { r with tuples = Array.of_list (List.filter p (to_list r)) }
 
 let fold f r acc = Array.fold_left (fun acc t -> f t acc) acc r.tuples
 let iter f r = Array.iter f r.tuples
