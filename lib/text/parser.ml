@@ -29,11 +29,6 @@ let advance st =
   st.token <- Lexer.next st.lexer;
   st.token_line <- Lexer.line st.lexer
 
-let start src =
-  let st = { lexer = Lexer.of_string src; token = Lexer.Eof; token_line = 0 } in
-  advance st;
-  st
-
 let peek st = st.token
 let line st = st.token_line
 
@@ -539,16 +534,15 @@ let rec lexical_error lexer =
   | exception Lexer.Error msg -> Some msg
 
 let run src f =
-  let st = ref None in
+  let st = { lexer = Lexer.of_string src; token = Lexer.Eof; token_line = 0 } in
   match
-    let s = start src in
-    st := Some s;
-    f s
+    advance st;
+    f st
   with
   | v -> Ok v
   | exception Lexer.Error msg -> Error (`Parse msg)
   | exception e ->
-    (match Option.bind !st (fun s -> lexical_error s.lexer) with
+    (match lexical_error st.lexer with
      | Some msg -> Error (`Parse msg)
      | None ->
        (match e with
