@@ -995,21 +995,22 @@ let text_document_roundtrip =
            && sorted (Schema.inds s') = sorted (Schema.inds s)
            && Instance.equal (Parser.instance_of doc) inst))
 
-(* A document whose facts go into [Parser.instance_of] in bulk: 1-3
-   unary views, each after the first reading the view before it
-   (nested), facts in shuffled order with some repeated, and facts of a
-   relation [U0] the document never declares. The oracle is the
-   one-fact-at-a-time instance, with each view materialised in
-   topological order by the naive evaluator. *)
+(* A document whose facts go into [Parser.instance_of] in bulk: 1-4
+   unary views, each after the first reading an earlier view or not, so
+   one dependency level can hold several views and a view can read
+   views of different levels; facts in shuffled order with some
+   repeated, and facts of a relation [U0] the document never declares.
+   The oracle is the one-fact-at-a-time instance, with each view
+   materialised in topological order by the naive evaluator. *)
 let gen_intake_case =
   let* decls = QG.map Schema.relations (Gen.schema Gen.No_constraints) in
-  let* n_views = QG.int_range 1 3 in
+  let* n_views = QG.int_range 1 4 in
   let view_decl k = { Schema.name = Printf.sprintf "V%d" k; attrs = [ "a1" ] } in
-  let disjunct k ~nested =
+  let disjunct k ~reads =
     let pool = decls @ List.init k view_decl in
     let* n = QG.int_range 1 2 in
     let* rels = QG.list_size (QG.return n) (QG.oneofl pool) in
-    let rels = if nested then view_decl (k - 1) :: rels else rels in
+    let rels = match reads with Some j -> view_decl j :: rels | None -> rels in
     let atoms =
       List.mapi
         (fun i (d : Schema.rel_decl) ->
@@ -1032,8 +1033,13 @@ let gen_intake_case =
     QG.return (Cq.make ~head:[ Cq.Var "x" ] ~atoms ~comparisons ())
   in
   let view k =
-    let* first = disjunct k ~nested:(k > 0) in
-    let* rest = QG.list_size (QG.int_range 0 1) (disjunct k ~nested:false) in
+    let* nested = QG.bool in
+    let* reads =
+      if k > 0 && nested then QG.map Option.some (QG.int_range 0 (k - 1))
+      else QG.return None
+    in
+    let* first = disjunct k ~reads in
+    let* rest = QG.list_size (QG.int_range 0 1) (disjunct k ~reads:None) in
     QG.return
       { View.name = (view_decl k).Schema.name; body = Ucq.make (first :: rest) }
   in

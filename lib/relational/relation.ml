@@ -17,47 +17,30 @@ let arity_error ~arity t =
     (Printf.sprintf "Relation: tuple of arity %d in relation of arity %d"
        (Tuple.arity t) arity)
 
-(* The length of the strictly ascending prefix of [a]'s first [n]
-   tuples. *)
-let rec ascending_prefix a n i =
-  if i < n && Tuple.compare a.(i - 1) a.(i) < 0 then ascending_prefix a n (i + 1)
-  else i
+let rec ascending a n i =
+  i >= n || (Tuple.compare a.(i - 1) a.(i) < 0 && ascending a n (i + 1))
 
-(* The first [n] tuples of [a], sorted and without duplicates, in a new
-   array — or [a] itself when [owned], all of [a] is taken and it is
-   already strictly ascending. Otherwise only the part after the
-   ascending prefix is sorted, and the two are merged: a builder's first
-   producer often emits in order (a scan of a relation). [a] is never
-   changed. *)
+(* The first [n] tuples of [a], sorted and without duplicates: [a]
+   itself when [owned], all of [a] is taken and it is already strictly
+   ascending (a parsed batch usually is), a sorted copy otherwise. [a]
+   is never changed. *)
 let canonical ~arity ~owned a n =
   for i = 0 to n - 1 do
     if Tuple.arity a.(i) <> arity then arity_error ~arity a.(i)
   done;
-  let k = if n = 0 then 0 else ascending_prefix a n 1 in
-  if k = n then
+  if ascending a n 1 then
     {
       arity;
       tuples = (if owned && n = Array.length a then a else Array.sub a 0 n);
     }
   else begin
-    let rest = Array.sub a k (n - k) in
-    Array.stable_sort Tuple.compare rest;
-    let out = Array.make n a.(0) and len = ref 0 in
-    let emit t =
-      if !len = 0 || Tuple.compare out.(!len - 1) t <> 0 then begin
-        out.(!len) <- t;
+    let out = Array.sub a 0 n in
+    Array.stable_sort Tuple.compare out;
+    let len = ref 1 in
+    for i = 1 to n - 1 do
+      if Tuple.compare out.(!len - 1) out.(i) <> 0 then begin
+        out.(!len) <- out.(i);
         incr len
-      end
-    in
-    let i = ref 0 and j = ref 0 in
-    while !i < k || !j < n - k do
-      if !j = n - k || (!i < k && Tuple.compare a.(!i) rest.(!j) <= 0) then begin
-        emit a.(!i);
-        incr i
-      end
-      else begin
-        emit rest.(!j);
-        incr j
       end
     done;
     { arity; tuples = (if !len = n then out else Array.sub out 0 !len) }

@@ -34,16 +34,14 @@ type t = {
   src : string;
   mutable pos : int;
   mutable line : int;
-  mutable last_ident : token;  (* the last non-keyword [Ident] read *)
 }
 
-let of_string src = { src; pos = 0; line = 1; last_ident = Eof }
+let of_string src = { src; pos = 0; line = 1 }
 let line lx = lx.line
 
 let error lx msg = raise (Error (Printf.sprintf "line %d: %s" lx.line msg))
 
-(* Keywords, and runs of one identifier (a relation's facts), come back
-   as the same token, with no copy of the source. *)
+(* Keywords come back as the same token, with no copy of the source. *)
 let keywords =
   List.map
     (fun k -> Ident k)
@@ -71,13 +69,7 @@ let ident_token lx i j =
       keyword lx.src i n keywords
     else Eof
   in
-  if kw != Eof then kw
-  else if same_text lx.src i n lx.last_ident then lx.last_ident
-  else begin
-    let tok = Ident (String.sub lx.src i n) in
-    lx.last_ident <- tok;
-    tok
-  end
+  if kw != Eof then kw else Ident (String.sub lx.src i n)
 
 (* Toplevel scans, not local closures: a token allocates what it
    holds and nothing else. *)

@@ -38,8 +38,8 @@ val of_string : string -> t
 
 val next : t -> token
 (** The next token; [Eof] at the end of the input, and again on every
-    call after it. Keywords, and an identifier equal to the last one read,
-    come back as the same token without a copy of the source.
+    call after it. A keyword comes back as one preallocated token; that
+    saves an allocation, and callers must not rely on it.
     @raise Error on a lexical error. *)
 
 val line : t -> int

@@ -251,13 +251,12 @@ let new_acc () =
     values = Array.make 8 (Value.Int 0);
   }
 
-(* A run of one relation's facts names it with one string (the lexer
-   hands the same token back), so the run finds its batch without a
-   lookup. *)
+(* A run of one relation's facts finds its batch by comparing the name
+   with the last fact's, without a table lookup. *)
 let add_fact acc name t =
   let b =
     match acc.last with
-    | last, b when last == name -> b
+    | last, b when String.equal last name -> b
     | _ ->
       let b =
         match Hashtbl.find_opt acc.batches name with
