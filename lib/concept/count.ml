@@ -26,10 +26,6 @@ let count_selection_free schema ~k =
      collapsed unsatisfiable class. *)
   (2. ** float_of_int (positions schema)) *. float_of_int (k + 1) +. 1.
 
-let count_intersection_free schema ~k =
-  1. (* top *) +. float_of_int k (* nominals *)
-  +. atomic_selection_concepts schema ~k
-
 let count_full schema ~k =
   (2. ** atomic_selection_concepts schema ~k) *. float_of_int (k + 1) +. 1.
 

@@ -25,10 +25,6 @@ val count_selection_free : Schema.t -> k:int -> float
     nominal, plus the unsatisfiable class. Returned as float (the count is
     exponential). *)
 
-val count_intersection_free : Schema.t -> k:int -> float
-(** Intersection-free [L_S[K]]: top, nominals, or a single projection with a
-    canonical selection (an interval per attribute with endpoints in [K]). *)
-
 val count_full : Schema.t -> k:int -> float
 (** Full [L_S[K]]: a set of atomic selection conjuncts, optionally meeting a
     nominal, plus the unsatisfiable class. Double-exponential. *)
@@ -36,11 +32,6 @@ val count_full : Schema.t -> k:int -> float
 val count_full_log10 : Schema.t -> k:int -> float
 (** [log10] of {!count_full} — printable even when the count itself
     overflows floating point. *)
-
-val intervals_per_attribute : k:int -> int
-(** Canonical intervals with endpoints among [k] ordered constants
-    (including unbounded/half-bounded, open/closed, points, and the empty
-    interval): the per-attribute selection vocabulary. *)
 
 val enumerate_selection_free :
   Instance.t -> Value_set.t -> Ls.t list

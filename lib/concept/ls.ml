@@ -81,9 +81,6 @@ let is_intersection_free t = List.length t.conjs <= 1
 
 let is_minimal t = is_intersection_free t && is_selection_free t
 
-let has_nominal t =
-  List.exists (function Nominal _ -> true | Proj _ -> false) t.conjs
-
 let constants t =
   List.fold_left
     (fun acc c ->
@@ -92,12 +89,6 @@ let constants t =
        | Proj { sels; _ } ->
          List.fold_left (fun acc s -> Value_set.add s.value acc) acc sels)
     Value_set.empty t.conjs
-
-let relations t =
-  List.sort_uniq String.compare
-    (List.filter_map
-       (function Nominal _ -> None | Proj { rel; _ } -> Some rel)
-       t.conjs)
 
 let size t =
   match t.conjs with

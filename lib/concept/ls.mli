@@ -57,12 +57,8 @@ val is_intersection_free : t -> bool
 val is_minimal : t -> bool
 (** In [L_S^min]: both selection-free and intersection-free. *)
 
-val has_nominal : t -> bool
-
 val constants : t -> Value_set.t
 (** Constants occurring in the concept (nominals and selection constants). *)
-
-val relations : t -> string list
 
 val size : t -> int
 (** The length measure of §6: the number of symbols needed to write the

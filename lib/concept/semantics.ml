@@ -19,14 +19,6 @@ let ext_subset e1 e2 =
   | All, Fin _ -> false
   | Fin s1, Fin s2 -> Value_set.subset s1 s2
 
-let ext_is_empty = function
-  | All -> false
-  | Fin s -> Value_set.is_empty s
-
-let ext_cardinality = function
-  | All -> None
-  | Fin s -> Some (Value_set.cardinal s)
-
 let ext_equal e1 e2 = ext_subset e1 e2 && ext_subset e2 e1
 
 (* [pi_attr(sigma_sels(rel))] answered from the handle's per-column value

@@ -14,10 +14,6 @@ val ext_inter : ext -> ext -> ext
 val ext_subset : ext -> ext -> bool
 (** [All ⊆ Fin _] is [false]: the domain is infinite. *)
 
-val ext_is_empty : ext -> bool
-val ext_cardinality : ext -> int option
-(** [None] for [All] (infinite). *)
-
 val ext_equal : ext -> ext -> bool
 
 val conjunct_ext : Ls.conjunct -> Eval_index.t -> ext

@@ -258,7 +258,6 @@ let schema ?inst sschema =
       (match inst with Some h -> h.deadline | None -> { at = 0. });
   }
 
-let schema_of h = h.sschema
 let constraint_class h = h.cls
 
 let translate h c =

@@ -118,16 +118,9 @@ val schema : ?inst:inst -> Schema.t -> schema
     handle shares [inst]'s deadline ({!set_inst_deadline}); without,
     it has none. *)
 
-val schema_of : schema -> Schema.t
-(** The schema the handle was built from. *)
-
 val constraint_class : schema -> Subsume_schema.constraint_class
 (** The Table-1 class, classified once per handle; every cached verdict
     of the handle was decided under this class. *)
-
-val translate : schema -> Ls.t -> Ucq.t
-(** Memoised {!To_query.ucq} (per concept); also passed into
-    {!Subsume_schema.decide} as its [translate] hook on cache misses. *)
 
 val decide :
   ?chase_depth:int -> schema -> Ls.t -> Ls.t -> Subsume_schema.verdict

@@ -26,6 +26,3 @@ let one_mge fragment schema wn =
 
 let all_mges fragment schema wn =
   Exhaustive.all_mges (ontology fragment schema wn) wn
-
-let check_mge fragment schema wn e =
-  Exhaustive.check_mge (ontology fragment schema wn) wn e

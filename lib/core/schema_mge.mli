@@ -43,13 +43,3 @@ val all_mges :
 (** All MGEs w.r.t. [O_S] restricted to the fragment, by Algorithm 1
     over the materialised finite ontology. [`Infinite_ontology] if the
     fragment is infinite over this schema and constant pool. *)
-
-val check_mge :
-  fragment ->
-  Whynot_relational.Schema.t ->
-  Whynot.t ->
-  Whynot_concept.Ls.t Explanation.t ->
-  (bool, Whynot_error.t) result
-(** CHECK-MGE w.r.t. [O_S]: subsumption is [⊑_S] under the schema's
-    constraints, extensions are still evaluated over the instance.
-    [`Infinite_ontology] as for {!all_mges}. *)

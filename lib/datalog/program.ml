@@ -307,36 +307,3 @@ let of_views views =
       (View.defs views)
   in
   make_exn rules
-
-let pp_literal ppf = function
-  | Pos a -> Format.fprintf ppf "%s(%a)" a.Cq.rel
-               (Format.pp_print_list
-                  ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-                  Cq.pp_term)
-               a.Cq.args
-  | Neg a -> Format.fprintf ppf "!%s(%a)" a.Cq.rel
-               (Format.pp_print_list
-                  ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-                  Cq.pp_term)
-               a.Cq.args
-
-let pp ppf t =
-  List.iter
-    (fun r ->
-       Format.fprintf ppf "@[<hov2>%s(%a) :-@ %a%a.@]@." r.head.Cq.rel
-         (Format.pp_print_list
-            ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-            Cq.pp_term)
-         r.head.Cq.args
-         (Format.pp_print_list
-            ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-            pp_literal)
-         r.body
-         (fun ppf cs ->
-            List.iter
-              (fun (c : Cq.comparison) ->
-                 Format.fprintf ppf ", %s %a %a" c.Cq.subject Cmp_op.pp c.Cq.op
-                   Value.pp c.Cq.value)
-              cs)
-         r.comparisons)
-    t.rules

@@ -41,9 +41,6 @@ val rules : t -> rule list
 val idb_predicates : t -> string list
 (** Predicates defined by some rule head. *)
 
-val edb_predicates : t -> string list
-(** Predicates used only in bodies. *)
-
 val strata : t -> string list list
 (** The stratification: IDB predicates grouped bottom-up; negation only
     refers to strictly earlier strata. *)
@@ -61,5 +58,3 @@ val of_views : View.t -> t
     UCQ-view definitions (§2's correspondence). Head constants are
     compiled away through fresh variables and equality comparisons, so the
     result is always safe. *)
-
-val pp : Format.formatter -> t -> unit

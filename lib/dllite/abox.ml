@@ -13,8 +13,6 @@ let add a t =
 
 let of_list assertions = List.fold_left (fun t a -> add a t) empty assertions
 
-let assertions t = List.rev t.assertions
-
 let individuals t =
   List.fold_left
     (fun acc a ->
@@ -115,12 +113,3 @@ let entails r t b x =
 
 let certain_extension r t b =
   Value_set.filter (fun x -> entails r t b x) (individuals t)
-
-let pp ppf t =
-  List.iter
-    (fun a ->
-       match a with
-       | Concept_assertion (c, x) -> Format.fprintf ppf "%s(%a)@." c Value.pp x
-       | Role_assertion (p, x, y) ->
-         Format.fprintf ppf "%s(%a, %a)@." p Value.pp x Value.pp y)
-    (assertions t)

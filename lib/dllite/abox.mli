@@ -17,11 +17,7 @@ type assertion =
 type t
 (** An ABox. *)
 
-val empty : t
-val add : assertion -> t -> t
 val of_list : assertion list -> t
-val assertions : t -> assertion list
-val individuals : t -> Value_set.t
 
 val to_interp : t -> Interp.t
 (** The minimal interpretation of the asserted facts. *)
@@ -41,5 +37,3 @@ val entails : Reasoner.t -> t -> Dl.basic -> Value.t -> bool
 
 val certain_extension : Reasoner.t -> t -> Dl.basic -> Value_set.t
 (** All individuals [a] with [KB ⊨ B(a)] (for a consistent KB). *)
-
-val pp : Format.formatter -> t -> unit

@@ -26,8 +26,6 @@ val concept_ext : t -> Dl.basic -> Value_set.t
 
 val role_ext : t -> Dl.role -> (Value.t * Value.t) list
 
-val satisfies_axiom : t -> Tbox.axiom -> bool
-
 val satisfies : t -> Tbox.t -> bool
 
 val satisfies_inclusion : t -> Dl.basic -> Dl.basic -> bool

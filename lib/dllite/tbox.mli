@@ -30,4 +30,3 @@ val occurring_basic_concepts : t -> Dl.basic list
 val size : t -> int
 
 val pp : Format.formatter -> t -> unit
-val pp_axiom : Format.formatter -> axiom -> unit

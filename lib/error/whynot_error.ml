@@ -39,4 +39,3 @@ let message : t -> string = function
   | `Internal m -> m
 
 let to_string e = code e ^ ": " ^ message e
-let pp ppf e = Format.pp_print_string ppf (to_string e)

@@ -46,6 +46,3 @@ val message : t -> string
 
 val to_string : t -> string
 (** ["<code>: <message>"]. *)
-
-val pp : Format.formatter -> t -> unit
-(** Prints {!to_string}. *)

@@ -52,7 +52,6 @@ let prepare spec inst =
 
 let instance t = t.instance
 
-let reasoner t = t.reasoner
 let spec t = t.spec
 let retrieved t = t.retrieved
 

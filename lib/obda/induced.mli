@@ -21,8 +21,6 @@ type t
 
 val prepare : Spec.t -> Instance.t -> t
 
-val reasoner : t -> Reasoner.t
-
 val spec : t -> Spec.t
 
 val retrieved : t -> Interp.t

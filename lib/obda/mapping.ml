@@ -13,11 +13,6 @@ type t = {
 let make ?(comparisons = []) ~head body_atoms =
   { body_atoms; body_comparisons = comparisons; head }
 
-let head_vars m =
-  match m.head with
-  | Concept_of (_, x) -> [ x ]
-  | Role_of (_, x, y) -> if String.equal x y then [ x ] else [ x; y ]
-
 let body_cq m =
   let head_terms =
     match m.head with

@@ -24,14 +24,8 @@ type t = {
 val make :
   ?comparisons:Cq.comparison list -> head:head -> Cq.atom list -> t
 
-val head_vars : t -> string list
-
 val is_safe : t -> bool
 (** Every head variable occurs in a body atom. *)
-
-val body_cq : t -> Cq.t
-(** The CQ whose answers are the assertions retrieved by this mapping: its
-    head lists the mapping's head variables. *)
 
 val retrieve : t -> Instance.t -> Whynot_dllite.Interp.t -> Whynot_dllite.Interp.t
 (** Add to the interpretation all assertions this mapping retrieves from the

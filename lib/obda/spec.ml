@@ -42,7 +42,6 @@ let make_exn ~tbox ~schema ~mappings =
   | Error msg -> invalid_arg ("Spec.make_exn: " ^ msg)
 
 let tbox t = t.tbox
-let schema t = t.schema
 let mappings t = t.mappings
 
 let retrieve t inst =

@@ -18,7 +18,6 @@ val make_exn :
   tbox:Tbox.t -> schema:Schema.t -> mappings:Mapping.t list -> t
 
 val tbox : t -> Tbox.t
-val schema : t -> Schema.t
 val mappings : t -> Mapping.t list
 
 val retrieve : t -> Instance.t -> Interp.t

@@ -39,8 +39,6 @@ let incr c = Atomic.incr c.cell
 let add c n = ignore (Atomic.fetch_and_add c.cell n)
 let value c = Atomic.get c.cell
 
-let name c = c.name
-
 let timer ?(doc = "") name =
   Mutex.protect registry_lock (fun () ->
       match Hashtbl.find_opt timers name with
@@ -59,8 +57,6 @@ let record t ~since =
     (Atomic.fetch_and_add t.ns
        (int_of_float ((Unix.gettimeofday () -. since) *. 1e9)));
   Atomic.incr t.calls
-
-let timer_ns t = Atomic.get t.ns
 
 let snapshot () =
   let counter_entries =
@@ -90,14 +86,6 @@ let delta f =
       after
   in
   (v, diff)
-
-let reset () =
-  Hashtbl.iter (fun _ c -> Atomic.set c.cell 0) counters;
-  Hashtbl.iter
-    (fun _ t ->
-       Atomic.set t.ns 0;
-       Atomic.set t.calls 0)
-    timers
 
 let pp ppf () =
   let docs =

@@ -33,9 +33,7 @@ val add : counter -> int -> unit
 (** Add [n] (useful for batch counts, e.g. "candidates generated"). *)
 
 val value : counter -> int
-(** Current value since process start or the last {!reset}. *)
-
-val name : counter -> string
+(** Current value since process start. *)
 
 val now_s : unit -> float
 (** The wall clock the timers use ([Unix.gettimeofday]), re-exported so
@@ -55,9 +53,6 @@ val record : timer -> since:float -> unit
     caller reads the clock when the timed step starts; a step that
     raises is recorded by the caller's handler. *)
 
-val timer_ns : timer -> int
-(** Accumulated nanoseconds. *)
-
 val snapshot : unit -> (string * int) list
 (** All registered counters and timers with their current values, sorted
     by name. Timers contribute [<name>.ns] and [<name>.calls] entries. *)
@@ -65,9 +60,6 @@ val snapshot : unit -> (string * int) list
 val delta : (unit -> 'a) -> 'a * (string * int) list
 (** Run the thunk and return the per-name increase of every counter/timer
     during the call (zero-increase entries are dropped). *)
-
-val reset : unit -> unit
-(** Zero every registered counter and timer (registrations persist). *)
 
 val pp : Format.formatter -> unit -> unit
 (** A human-readable table of every counter/timer with a non-zero value,

@@ -597,7 +597,7 @@ let lub_one_mge_with_trace ?(order = `Ascending) ?(shorten = true) wn =
   in
   (List.map finish (Array.to_list concepts), List.rev !trace)
 
-let lub_check_mge wn e =
+let lub_check_mge ?(lub = scan_lub) wn e =
   let inst = wn.Whynot.instance in
   scan_explains inst wn e
   &&
@@ -612,7 +612,7 @@ let lub_check_mge wn e =
             List.exists
               (fun b ->
                  (not (Value_set.mem b ext))
-                 && explains j (scan_lub inst (Value_set.add b ext)))
+                 && explains j (lub inst (Value_set.add b ext)))
               adom
             || explains j Ls.top)
        (List.init (List.length e) Fun.id))

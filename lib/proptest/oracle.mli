@@ -162,10 +162,12 @@ val lub_one_mge_with_trace :
     [one_mge_with_trace] ([mge/mask-search-equals-lub-search]). *)
 
 val lub_check_mge :
+  ?lub:(Instance.t -> Value_set.t -> Whynot_concept.Ls.t) ->
   Whynot_core.Whynot.t -> Whynot_concept.Ls.t Whynot_core.Explanation.t -> bool
-(** Selection-free CHECK-MGE over {!scan_lub} and whole-tuple re-tests:
-    the tuple is an explanation and no position can absorb a further
-    active-domain constant, or become [top], while remaining one. *)
+(** CHECK-MGE over [lub] (default {!scan_lub}, selection-free; pass
+    {!dfs_lub_sigma} for full [L_S]) and whole-tuple re-tests: the tuple
+    is an explanation and no position can absorb a further active-domain
+    constant, or become [top], while remaining one. *)
 
 (** [Explanation.Frontier] over values, as it ran before ids: answers
     as value arrays with one bool flag per position, [D_j] as value sets.

@@ -93,15 +93,39 @@ let mge_incremental_vs_exhaustive =
     (fun (narrow, wide) ->
       incremental_vs_exhaustive narrow && incremental_vs_exhaustive wide)
 
+(* Algorithm 2 with selections returns an MGE above the nominal tuple,
+   and its CHECK-MGE gives the verdicts of the oracle over the interval
+   DFS lub on that MGE, the nominal and all-[top] tuples, and the MGE
+   with one position narrowed to its nominal or replaced by one
+   projection (a finite extension of several constants, not a lub). *)
 let mge_incremental_selections =
   prop "mge/incremental-selections-check" 100 str_whynot Gen.whynot (function
     | None -> true
     | Some wn ->
       let o = Ontology.of_instance wn.Whynot.instance in
-      let e = Incremental.one_mge ~variant:Incremental.With_selections wn in
+      let variant = Incremental.With_selections in
+      let e = Incremental.one_mge ~variant wn in
+      let nominals = Incremental.trivial_explanation wn in
+      let at j c = List.mapi (fun i c' -> if i = j then c else c') e in
+      let projections =
+        Array.to_list
+          (Array.map
+             (fun (rel, attr) -> Ls.proj ~rel ~attr ())
+             (Subsume_memo.positions (Subsume_memo.inst wn.Whynot.instance)))
+      in
+      let checks_agree t =
+        Incremental.check_mge ~variant wn t
+        = Oracle.lub_check_mge ~lub:Oracle.dfs_lub_sigma wn t
+      in
       Explanation.is_explanation o wn e
-      && Incremental.check_mge ~variant:Incremental.With_selections wn e
-      && Explanation.less_general o (Incremental.trivial_explanation wn) e)
+      && Incremental.check_mge ~variant wn e
+      && Explanation.less_general o nominals e
+      && List.for_all checks_agree
+           ((e :: nominals :: List.map (fun _ -> Ls.top) e
+             :: List.mapi at nominals)
+           @ List.concat
+               (List.init (List.length e) (fun j ->
+                    List.map (at j) projections))))
 
 (* Selection-free Algorithm 2 and CHECK-MGE run on position masks
    (Lemma 5.1); the oracle runs them as they ran on support sets, with

@@ -23,12 +23,4 @@ let to_string = function
 
 let pp ppf op = Format.pp_print_string ppf (to_string op)
 
-let of_string = function
-  | "=" -> Some Eq
-  | "<" -> Some Lt
-  | ">" -> Some Gt
-  | "<=" -> Some Le
-  | ">=" -> Some Ge
-  | _ -> None
-
 let all = [ Eq; Lt; Gt; Le; Ge ]

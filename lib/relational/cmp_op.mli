@@ -15,6 +15,4 @@ val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
 
-val of_string : string -> t option
-
 val all : t list

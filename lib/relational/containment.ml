@@ -152,5 +152,3 @@ let cq_in_cq q1 q2 = cq_in_ucq q1 (Ucq.of_cq q2)
 
 let ucq_in_ucq u1 u2 =
   List.for_all (fun q -> cq_in_ucq q u2) u1.Ucq.disjuncts
-
-let equivalent u1 u2 = ucq_in_ucq u1 u2 && ucq_in_ucq u2 u1

@@ -21,8 +21,6 @@ val cq_in_cq : Cq.t -> Cq.t -> bool
 
 val ucq_in_ucq : Ucq.t -> Ucq.t -> bool
 
-val equivalent : Ucq.t -> Ucq.t -> bool
-
 val canonical_instantiations : ?merges:bool -> Cq.t
   -> extra_constants:Value_set.t -> (Instance.t * Tuple.t) list
 (** The canonical instances used by the containment test (exposed for the

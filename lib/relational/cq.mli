@@ -40,8 +40,6 @@ val vars : t -> string list
 val body_vars : t -> string list
 (** Variables occurring in relational atoms. *)
 
-val head_vars : t -> string list
-
 val is_safe : t -> bool
 (** Head variables and compared variables all occur in relational atoms. *)
 

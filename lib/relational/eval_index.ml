@@ -97,9 +97,6 @@ let find_rel h name =
 
 let rel_data h name = Mutex.protect h.lock (fun () -> find_rel h name)
 
-let arity h name =
-  Option.map (fun rd -> rd.rel_arity) (rel_data h name)
-
 let cardinal h name =
   match rel_data h name with
   | None -> 0

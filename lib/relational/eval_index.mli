@@ -35,9 +35,6 @@ val of_instance : Instance.t -> t
 
 val instance : t -> Instance.t
 
-val arity : t -> string -> int option
-(** Arity of the named relation, [None] when absent. *)
-
 val cardinal : t -> string -> int
 (** Tuple count of the named relation, [0] when absent. *)
 

@@ -17,13 +17,11 @@ val satisfied_in : t -> lhs:Relation.t -> rhs:Relation.t -> bool
 val violations : t -> lhs:Relation.t -> rhs:Relation.t -> Tuple.t list
 (** Projected LHS tuples missing from the projected RHS. *)
 
-val unary_edges : t list -> ((string * int) * (string * int)) list
-(** The positional graph underlying the selection-free ⊑_S decider: each IND
-    [R[A1..An] ⊆ S[B1..Bn]] contributes edges [(R,Ai) -> (S,Bi)], meaning
-    [pi_{Ai}(R) ⊆ pi_{Bi}(S)] holds in every instance satisfying the INDs. *)
-
 val unary_reachable : t list -> string * int -> (string * int) list
-(** Positions reachable (reflexively-transitively) in the {!unary_edges}
-    graph. *)
+(** Positions reachable (reflexively-transitively) in the positional graph
+    underlying the selection-free ⊑_S decider: each IND
+    [R[A1..An] ⊆ S[B1..Bn]] contributes edges [(R,Ai) -> (S,Bi)], meaning
+    [pi_{Ai}(R) ⊆ pi_{Bi}(S)] holds in every instance satisfying the
+    INDs. *)
 
 val pp : Format.formatter -> t -> unit

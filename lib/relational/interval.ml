@@ -86,8 +86,6 @@ let hi_implies b1 b2 =
 
 let subset i j = is_empty i || (lo_implies i.lo j.lo && hi_implies i.hi j.hi)
 
-let equal i j = subset i j && subset j i
-
 let sample i =
   if is_empty i then None
   else
@@ -116,15 +114,3 @@ let to_conditions i =
       | Closed b -> [ (Cmp_op.Le, b) ]
     in
     lo @ hi
-
-let pp ppf i =
-  let pp_lo ppf = function
-    | Unbounded -> Format.pp_print_string ppf "(-inf"
-    | Open a -> Format.fprintf ppf "(%a" Value.pp a
-    | Closed a -> Format.fprintf ppf "[%a" Value.pp a
-  and pp_hi ppf = function
-    | Unbounded -> Format.pp_print_string ppf "+inf)"
-    | Open b -> Format.fprintf ppf "%a)" Value.pp b
-    | Closed b -> Format.fprintf ppf "%a]" Value.pp b
-  in
-  Format.fprintf ppf "%a, %a" pp_lo i.lo pp_hi i.hi

@@ -41,14 +41,9 @@ val subset : t -> t -> bool
     intervals are subsets of everything; bound comparison otherwise, with
     density gaps accounted for via {!Value.between}. *)
 
-val equal : t -> t -> bool
-(** Extensional equality (mutual {!subset}). *)
-
 val sample : t -> Value.t option
 (** Some value inside the interval, if the interval is non-empty. *)
 
 val to_conditions : t -> (Cmp_op.t * Value.t) list
 (** A minimal list of conditions denoting the interval ([[]] for {!top}).
     A point interval becomes a single [=] condition. *)
-
-val pp : Format.formatter -> t -> unit

@@ -177,10 +177,6 @@ let union r1 r2 =
   else if is_empty r2 then r1
   else merge ~keep_left:true ~keep_both:true ~keep_right:true r1 r2
 
-let inter r1 r2 =
-  check_arities "inter" r1 r2;
-  merge ~keep_left:false ~keep_both:true ~keep_right:false r1 r2
-
 let diff r1 r2 =
   check_arities "diff" r1 r2;
   if is_empty r2 then r1

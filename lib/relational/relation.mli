@@ -59,11 +59,9 @@ val build : builder -> t
     once. The builder stays usable. *)
 
 val union : t -> t -> t
-val inter : t -> t -> t
 val diff : t -> t -> t
 val subset : t -> t -> bool
 val equal : t -> t -> bool
-val compare : t -> t -> int
 
 val filter : (Tuple.t -> bool) -> t -> t
 val fold : (Tuple.t -> 'a -> 'a) -> t -> 'a -> 'a

@@ -47,9 +47,6 @@ val positions : t -> (string * int) list
 
 val max_arity : t -> int
 
-val conforms : t -> Instance.t -> (unit, string) result
-(** Relation names declared and arities match. *)
-
 val complete : t -> Instance.t -> Instance.t
 (** Materialise all views on top of the instance's data relations,
     overwriting any pre-existing view relations. *)

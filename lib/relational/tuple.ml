@@ -1,7 +1,6 @@
 type t = Value.t array
 
 let of_list vs = Array.of_list vs
-let of_array a = Array.copy a
 let unsafe_of_array a = a
 let to_list t = Array.to_list t
 let arity t = Array.length t

@@ -7,8 +7,6 @@ type t = private Value.t array
     is never mutated. *)
 
 val of_list : Value.t list -> t
-val of_array : Value.t array -> t
-(** A copy of the array. *)
 
 val unsafe_of_array : Value.t array -> t
 (** The array itself, no copy: the caller hands it over and never

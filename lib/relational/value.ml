@@ -58,10 +58,6 @@ let to_string = function
 
 let pp ppf v = Format.pp_print_string ppf (to_string v)
 
-let pp_bare ppf = function
-  | Str s -> Format.pp_print_string ppf s
-  | v -> pp ppf v
-
 let of_string s =
   let s =
     let n = String.length s in

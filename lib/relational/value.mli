@@ -36,9 +36,6 @@ val add_decimal : Buffer.t -> int -> unit
 val pp : Format.formatter -> t -> unit
 (** Prints {!to_string}. *)
 
-val pp_bare : Format.formatter -> t -> unit
-(** Like {!pp} but prints strings without quotes (for tables). *)
-
 val of_string : string -> t
 (** Parses an integer, then a float, then falls back to a string. Quoted
     strings have their quotes stripped. *)

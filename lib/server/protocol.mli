@@ -27,11 +27,6 @@
 
 module Wjson = Whynot.Json
 
-val schema_version : int
-(** [3]. Version 2 is the one-shot CLI envelope ({!Whynot.Json}); the
-    server envelope adds [op]/[session]/[id] headers and the server error
-    codes. *)
-
 type request = {
   id : Wjson.t option;      (** echoed verbatim in the response *)
   op : string;
@@ -44,13 +39,9 @@ val parse_request : string -> (request, string) result
     the caller wraps it in a ["parse"] error envelope and {e keeps the
     connection open}. *)
 
-val param : request -> string -> Wjson.t option
 val str_param : request -> string -> string option
 val int_param : request -> string -> int option
 val list_param : request -> string -> Wjson.t list option
-
-val value_of_json : Wjson.t -> (Whynot_relational.Value.t, string) result
-(** JSON scalar to constant: [Int] / [Float] / [String] only. *)
 
 val values_of_json :
   Wjson.t list -> (Whynot_relational.Value.t list, string) result

@@ -461,7 +461,6 @@ let start cfg =
   | exception Failure msg -> Error msg
 
 let port t = t.bound_port
-let config t = t.cfg
 let session_count t = Registry.count t.registry
 
 (* The byte is never read back, so the pipe stays readable for the

@@ -62,7 +62,6 @@ val start : config -> (t, string) result
 val port : t -> int
 (** The actually bound port (useful with [config.port = 0]). *)
 
-val config : t -> config
 val session_count : t -> int
 
 val initiate_shutdown : t -> unit

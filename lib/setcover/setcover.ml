@@ -57,30 +57,6 @@ let exact_min_cover t =
     search [] Int_set.empty;
     !best
 
-let greedy_cover t =
-  let universe = Int_set.of_list t.universe in
-  let rec go chosen covered =
-    if Int_set.subset universe covered then Some (List.rev chosen)
-    else
-      let gain (name, elems) =
-        (Int_set.cardinal (Int_set.diff (Int_set.of_list elems) covered), name)
-      in
-      let best =
-        List.fold_left
-          (fun acc s ->
-             let g = gain s in
-             match acc with
-             | None -> Some g
-             | Some g' -> if fst g > fst g' then Some g else acc)
-          None t.sets
-      in
-      match best with
-      | None | Some (0, _) -> None
-      | Some (_, name) ->
-        go (name :: chosen) (Int_set.union covered (set_elems t name))
-  in
-  go [] Int_set.empty
-
 let exists_cover_of_size t k =
   match exact_min_cover t with
   | None -> false
@@ -105,12 +81,3 @@ let random ?(seed = 42) ~n_elements ~n_sets ~density () =
       sets
   in
   make ~universe ~sets
-
-let pp ppf t =
-  Format.fprintf ppf "universe: {%s}@."
-    (String.concat ", " (List.map string_of_int t.universe));
-  List.iter
-    (fun (name, elems) ->
-       Format.fprintf ppf "%s = {%s}@." name
-         (String.concat ", " (List.map string_of_int elems)))
-    t.sets

@@ -17,9 +17,6 @@ val exact_min_cover : t -> string list option
 (** A minimum-cardinality cover, by branch-and-bound ([None] if even all
     sets together do not cover). Exponential in general. *)
 
-val greedy_cover : t -> string list option
-(** The classical [ln n]-approximation. *)
-
 val exists_cover_of_size : t -> int -> bool
 (** Is there a cover using at most [k] sets? (The NP-complete decision
     version.) *)
@@ -28,5 +25,3 @@ val random :
   ?seed:int -> n_elements:int -> n_sets:int -> density:float -> unit -> t
 (** Random instance: each set contains each element independently with the
     given probability; every element is ensured to be in at least one set. *)
-
-val pp : Format.formatter -> t -> unit

@@ -60,8 +60,6 @@ let create ?schema ?(domains = 1) ~instance () =
         asked = None;
       }
 
-let schema e = e.schema
-let instance e = e.instance
 let is_closed e = e.closed
 
 (* Every operation checks these first and catches the deadline, so a
@@ -125,9 +123,9 @@ let encoding e a =
     enc
 
 (* The kept encoding when the question's answers are the kept Ans
-   (the kept value itself on every question built without [?answers],
-   compared structurally otherwise); [None], and Algorithm 2 encodes per
-   call, otherwise. *)
+   (the kept value itself on every question {!question} built, compared
+   structurally on one built elsewhere); [None], and Algorithm 2 encodes
+   per call, otherwise. *)
 let encoded e wn =
   match e.answers with
   | Some a
@@ -148,27 +146,24 @@ let ids e wn =
    Ans, the query's safety and arity were found when it was kept, and
    "missing ∈ Ans" is read off the encoding's postings with the missing
    values' ids, which the engine keeps for the operation that follows. *)
-let question ?answers e ~query ~missing () =
+let question e ~query ~missing () =
   if e.closed then closed
   else
     let instance = e.instance in
     match
-      match answers with
-      | Some _ -> W.make ?answers ~instance ~query ~missing ()
-      | None -> (
-        match kept e query with
-        | None -> W.make ~instance ~query ~missing ()
-        | Some a -> (
-          let missing = Tuple.of_list missing in
-          let ids = Frontier.of_missing (encoding e a) missing in
-          match
-            W.of_answers ~instance ~query ~arity:a.arity ~answers:a.relation
-              ~is_answer:(Frontier.is_answer ids) ~missing
-          with
-          | Ok wn as r ->
-            e.asked <- Some (wn, ids);
-            r
-          | Error _ as r -> r))
+      match kept e query with
+      | None -> W.make ~instance ~query ~missing ()
+      | Some a -> (
+        let missing = Tuple.of_list missing in
+        let ids = Frontier.of_missing (encoding e a) missing in
+        match
+          W.of_answers ~instance ~query ~arity:a.arity ~answers:a.relation
+            ~is_answer:(Frontier.is_answer ids) ~missing
+        with
+        | Ok wn as r ->
+          e.asked <- Some (wn, ids);
+          r
+        | Error _ as r -> r)
     with
     | Ok _ as wn -> ( match legality e with Ok () -> wn | Error _ as r -> r)
     | Error _ as r -> r
@@ -186,13 +181,12 @@ let instance_ontology ?values e wn =
 
 (* --- Algorithm 2 (incremental, w.r.t. O_I) --- *)
 
-let one_mge ?variant ?order ?shorten e wn =
+let one_mge ?variant e wn =
   if e.closed then closed
   else if wn.W.instance != e.instance then foreign
   else
     match
-      Incremental.one_mge ~handle:e.inst_handle ~ids:(ids e wn) ?variant
-        ?shorten ?order wn
+      Incremental.one_mge ~handle:e.inst_handle ~ids:(ids e wn) ?variant wn
     with
     | mge -> Ok mge
     | exception Subsume_memo.Deadline_exceeded -> timeout
@@ -214,16 +208,6 @@ let all_mges ?values e wn =
   guard e (fun () ->
       own_question e wn (fun () ->
           Exhaustive.all_mges (instance_ontology ?values e wn) wn))
-
-let exists_explanation ?values e wn =
-  guard e (fun () ->
-      own_question e wn (fun () ->
-          Exhaustive.exists_explanation (instance_ontology ?values e wn) wn))
-
-let one_mge_exhaustive ?values e wn =
-  guard e (fun () ->
-      own_question e wn (fun () ->
-          Exhaustive.one_mge (instance_ontology ?values e wn) wn))
 
 let all_mges_schema ?(fragment = `Minimal) ?values e wn =
   guard e (fun () ->

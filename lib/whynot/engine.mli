@@ -40,8 +40,6 @@ val create :
     check the instance against it (once per engine). An illegal instance
     is accepted here; {!question} reports it. *)
 
-val schema : t -> Schema.t option
-val instance : t -> Instance.t
 val is_closed : t -> bool
 
 val set_deadline : t -> float option -> unit
@@ -57,7 +55,6 @@ val set_deadline : t -> float option -> unit
     the same instance value, never observe it. *)
 
 val question :
-  ?answers:Relation.t ->
   t ->
   query:Cq.t ->
   missing:Value.t list ->
@@ -67,7 +64,7 @@ val question :
     [`Invalid_whynot] on an unsafe query, an arity mismatch, or a missing
     tuple that is in fact an answer; [`Schema_violation] when the engine
     has a schema the instance violates. The result equals
-    [Whynot.make ?schema ?answers ~instance ~query ~missing ()].
+    [Whynot.make ?schema ~instance ~query ~missing ()].
 
     Following Definition 5.1, the engine computes the two inputs of a
     why-not instance once instead of per question: legality of the
@@ -82,8 +79,9 @@ val question :
     arity again, and tests "missing ∈ Ans" on the encoding
     ({!Whynot_core.Explanation.Frontier.is_answer}). {!one_mge} and
     {!check_mge} use the encoding for every question whose answers are
-    that kept [Ans], and encode the answers per call otherwise. A
-    caller-supplied [answers] is used as is and not kept. *)
+    that kept [Ans] (a question built elsewhere, with
+    [Whynot.make ~answers], included), and encode the answers per call
+    otherwise. *)
 
 val instance_handle : t -> Whynot_concept.Subsume_memo.inst
 (** The engine's instance handle: its cached active domain, extensions
@@ -99,8 +97,6 @@ val constant_pool : t -> Whynot_core.Whynot.t -> Value_set.t
 
 val one_mge :
   ?variant:Whynot_core.Incremental.variant ->
-  ?order:[ `Ascending | `Descending ] ->
-  ?shorten:bool ->
   t ->
   Whynot_core.Whynot.t ->
   (Whynot_concept.Ls.t Whynot_core.Explanation.t, Whynot_error.t) result
@@ -129,20 +125,6 @@ val all_mges :
 (** All MGEs w.r.t. [O_I[K]], the finite selection-free restriction of the
     instance-derived ontology: [Exhaustive.all_mges] over the engine's
     instance handle. *)
-
-val exists_explanation :
-  ?values:Value_set.t ->
-  t ->
-  Whynot_core.Whynot.t ->
-  (bool, Whynot_error.t) result
-
-val one_mge_exhaustive :
-  ?values:Value_set.t ->
-  t ->
-  Whynot_core.Whynot.t ->
-  ( Whynot_concept.Ls.t Whynot_core.Explanation.t option,
-    Whynot_error.t )
-  result
 
 val all_mges_schema :
   ?fragment:Whynot_core.Schema_mge.fragment ->

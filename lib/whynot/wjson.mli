@@ -37,9 +37,6 @@ val to_string_opt : t -> string option
 val to_int_opt : t -> int option
 val to_list_opt : t -> t list option
 
-val schema_version : int
-(** The current envelope version: [2]. *)
-
 val envelope : command:string -> t -> t
 (** Success envelope wrapping a [result]. *)
 

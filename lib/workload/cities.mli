@@ -48,10 +48,5 @@ val obda_spec : Whynot_obda.Spec.t
 (** {1 Constants} *)
 
 val amsterdam : Value.t
-val berlin : Value.t
 val rome : Value.t
 val new_york : Value.t
-val san_francisco : Value.t
-val santa_cruz : Value.t
-val tokyo : Value.t
-val kyoto : Value.t

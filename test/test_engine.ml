@@ -183,9 +183,9 @@ let test_all_mges_matches_sequential () =
        Alcotest.(check bool) "equivalent" true (Explanation.equivalent o e e'))
     seq got;
   Alcotest.(check bool) "an explanation exists" true
-    (get (Engine.exists_explanation engine wn));
-  match get (Engine.one_mge_exhaustive engine wn) with
-  | None -> Alcotest.fail "one_mge_exhaustive found nothing"
+    (get (Exhaustive.exists_explanation o wn));
+  match get (Exhaustive.one_mge o wn) with
+  | None -> Alcotest.fail "Exhaustive.one_mge found nothing"
   | Some e ->
     Alcotest.(check bool) "witness is an MGE" true
       (List.exists (Explanation.equivalent o e) seq)
@@ -317,9 +317,9 @@ let test_frontier_counter_budget () =
 
 (* The engine keeps Ans, encoded as ids, for the last query asked, and
    uses the encoding only for questions over that same Ans. A question
-   built with caller-supplied answers (the one answer ending in Rome)
-   and questions
-   over a second query asked in between must each get what a
+   built outside the engine, by [Whynot.make] over caller-supplied
+   answers (the one answer ending in Rome), and questions over a second
+   query asked in between must each get what a
    handle-less run, which encodes its own Ans, gives: the same one_mge
    and the same check_mge verdicts on every question's MGE and nominal
    tuple. The handle-less results differ between the questions, so
@@ -338,13 +338,14 @@ let test_encoding_follows_the_answers () =
     Relation.filter (fun t -> Value.equal (Tuple.get t 2) Cities.rome)
       Cities.answers
   in
-  let ask ?answers query =
-    get
-      (Engine.question ?answers engine ~query ~missing:Cities.missing_tuple
-         ())
+  let ask query =
+    get (Engine.question engine ~query ~missing:Cities.missing_tuple ())
   in
   let full = ask Cities.two_hop_query in
-  let sub = ask ~answers:subset Cities.two_hop_query in
+  let sub =
+    Whynot.make_exn ~answers:subset ~instance:Cities.instance
+      ~query:Cities.two_hop_query ~missing:Cities.missing_tuple ()
+  in
   let hop = ask same_continent in
   let questions =
     [ ("q(I)", full); ("caller answers", sub); ("same continent", hop) ]
@@ -492,10 +493,6 @@ let test_close_flushes_and_bricks () =
     (code (Engine.all_mges engine wn));
   Alcotest.(check string) "check_mge after close" "closed"
     (code (Engine.check_mge engine wn [ Whynot_concept.Ls.top ]));
-  Alcotest.(check string) "exists_explanation after close" "closed"
-    (code (Engine.exists_explanation engine wn));
-  Alcotest.(check string) "one_mge_exhaustive after close" "closed"
-    (code (Engine.one_mge_exhaustive engine wn));
   Alcotest.(check string) "all_mges_schema after close" "closed"
     (code (Engine.all_mges_schema engine wn));
   Alcotest.(check string) "question after close" "closed"
