@@ -360,12 +360,23 @@ let handle_stats deps _req =
   let counters =
     List.map (fun (name, v) -> (name, Wjson.Int v)) (Obs.snapshot ())
   in
+  let q = Gc.quick_stat () in
+  let gc =
+    [
+      ("minor_heap_words", Wjson.Int (Gc.get ()).Gc.minor_heap_size);
+      ("minor_collections", Wjson.Int q.Gc.minor_collections);
+      ("major_collections", Wjson.Int q.Gc.major_collections);
+      ("heap_words", Wjson.Int q.Gc.heap_words);
+      ("top_heap_words", Wjson.Int q.Gc.top_heap_words);
+    ]
+  in
   Ok
     (Wjson.Obj
        [
          ("uptime_ms", Wjson.Int uptime_ms);
          ("sessions", Wjson.Int (Registry.count deps.registry));
          ("counters", Wjson.Obj counters);
+         ("gc", Wjson.Obj gc);
        ])
 
 let handle_debug_sleep deps req =

@@ -181,7 +181,9 @@ let of_string s =
   in
   (* A string with no escape is one [String.sub]; otherwise its bytes
      go through a buffer from the first escape on, each run between
-     escapes copied whole. *)
+     escapes copied whole. No escape decodes to more bytes than it
+     takes, so the encoded span up to the closing quote sizes the
+     buffer once. *)
   let parse_string () =
     expect '"';
     let start = !pos in
@@ -191,7 +193,11 @@ let of_string s =
       String.sub s start (!pos - 1 - start)
     end
     else
-    let buf = Buffer.create (!pos - start + 16) in
+    let stop = ref !pos in
+    while !stop < n && String.unsafe_get s !stop <> '"' do
+      stop := !stop + if String.unsafe_get s !stop = '\\' then 2 else 1
+    done;
+    let buf = Buffer.create (!stop - start) in
     Buffer.add_substring buf s start (!pos - start);
     let rec loop () =
       if !pos >= n then fail "unterminated string";

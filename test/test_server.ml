@@ -585,19 +585,21 @@ let test_figure2_reply_bytes () =
    reply line is built as the server builds it, newline included: a
    parse error without request headers, a handler result through
    [Protocol.ok_line], a handler error through [Protocol.error_reply]. *)
-(* The minor words of one [create] of a [Generate.cities_like] document
-   through [Handlers.handle_at], after one create and close of the same
-   document. [Gc.minor_words] is deterministic for a fixed input, so the
-   bounds below are hard. *)
-let create_words ~n_cities =
+(* A seeded [Generate.cities_like] document with the two-hop query. *)
+let cities_document ~n_cities =
   let schema, inst =
     Whynot_workload.Generate.cities_like ~seed:1 ~n_cities
       ~n_countries:(max 2 (n_cities / 5)) ~n_connections:(2 * n_cities) ()
   in
-  let text =
-    Whynot_proptest.Surface.document schema inst
-    ^ "query q(x, y) := Train-Connections(x, z), Train-Connections(z, y)\n"
-  in
+  Whynot_proptest.Surface.document schema inst
+  ^ "query q(x, y) := Train-Connections(x, z), Train-Connections(z, y)\n"
+
+(* The minor words of one [create] of a [cities_document] through
+   [Handlers.handle_at], after one create and close of the same
+   document. [Gc.minor_words] is deterministic for a fixed input, so the
+   bounds below are hard. *)
+let create_words ~n_cities =
+  let text = cities_document ~n_cities in
   let deps = in_process_deps () in
   let request op =
     match
@@ -639,6 +641,109 @@ let test_intake_allocation_budget () =
        w160 w40)
     true
     (w160 <= 4.5 *. w40)
+
+(* The minor words of one request line, as the server serves it: parsed,
+   handled and written as its reply. The mean of 20 runs after one run
+   that warms the session's caches. *)
+let request_words deps line =
+  let run () =
+    match Protocol.parse_request line with
+    | Error m -> Alcotest.failf "unparsable request %s: %s" line m
+    | Ok req -> (
+      match Handlers.handle deps req with
+      | Ok result -> ignore (Protocol.ok_reply req result)
+      | Error (code, m) -> Alcotest.failf "%s: %s: %s" line code m)
+  in
+  run ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 20 do
+    run ()
+  done;
+  (Gc.minor_words () -. w0) /. 20.
+
+(* whynot_serverd starts with a 32k-word minor heap
+   (bin/whynot_serverd_main.c), sized for requests that allocate far less
+   than that: Figure 2's one_mge allocated 697 minor words when this
+   budget was set, the 40-city one_mge 887 and its check_mge 831 (the
+   40-city create about 14k). The budget, 1,280 words, is 1/25 of that
+   minor heap. *)
+let test_request_allocation_budget () =
+  let deps = in_process_deps () in
+  let ok line = ignore (handle_ok deps line) in
+  ok {|{"op":"create","session":"f2","workload":"cities"}|};
+  ok
+    (Json.to_string
+       (Json.Obj
+          [
+            ("op", Json.String "create");
+            ("session", Json.String "c40");
+            ("document", Json.String (cities_document ~n_cities:40));
+          ]));
+  Fun.protect
+    ~finally:(fun () ->
+      ok {|{"op":"close","session":"f2"}|};
+      ok {|{"op":"close","session":"c40"}|})
+  @@ fun () ->
+  let one_mge_40 =
+    {|{"op":"one_mge","session":"c40","missing":["city000","city001"]}|}
+  in
+  let mge =
+    match Json.member "mge" (handle_ok deps one_mge_40) with
+    | Some m -> m
+    | None -> Alcotest.fail "40-city one_mge replied no mge"
+  in
+  let check_mge_40 =
+    Json.to_string
+      (Json.Obj
+         [
+           ("op", Json.String "check_mge");
+           ("session", Json.String "c40");
+           ("missing", Json.List [ Json.String "city000"; Json.String "city001" ]);
+           ("explanation", mge);
+         ])
+  in
+  List.iter
+    (fun (what, line) ->
+      let words = request_words deps line in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.0f minor words per request, at most 1280" what
+           words)
+        true (words <= 1280.))
+    [
+      ("Figure 2 one_mge", {|{"op":"one_mge","session":"f2"}|});
+      ("40-city one_mge", one_mge_40);
+      ("40-city check_mge", check_mge_40);
+    ]
+
+(* [stats] reports the process's GC beside its counters: the minor heap
+   size it runs with and Gc.quick_stat's collection and heap figures. *)
+let test_stats_reports_gc () =
+  let deps = in_process_deps () in
+  let before = Gc.quick_stat () in
+  let gc =
+    match Json.member "gc" (handle_ok deps {|{"op":"stats"}|}) with
+    | Some g -> g
+    | None -> Alcotest.fail "stats lacks gc"
+  in
+  let field name =
+    match Json.member name gc with
+    | Some (Json.Int n) -> n
+    | _ -> Alcotest.failf "stats gc lacks the integer %s" name
+  in
+  Alcotest.(check int) "minor_heap_words is Gc.get's"
+    (Gc.get ()).Gc.minor_heap_size (field "minor_heap_words");
+  List.iter
+    (fun (name, at_least) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s = %d, at least %d" name (field name) at_least)
+        true
+        (field name >= at_least))
+    [
+      ("minor_collections", before.Gc.minor_collections);
+      ("major_collections", before.Gc.major_collections);
+      ("heap_words", 0);
+      ("top_heap_words", before.Gc.top_heap_words);
+    ]
 
 let golden_path = "corpus/golden-replies.jsonl"
 
@@ -1267,6 +1372,29 @@ let test_encoder_corners () =
     (Whynot_proptest.Oracle.json_to_string corners)
     (Json.to_string corners)
 
+(* A create's document is one long JSON string whose first escape, the
+   newline that ends its first line, comes early. Its decoding copies
+   into one buffer sized from the encoded span up to the closing quote,
+   so it allocates that span and the result, and under 1 KB besides: 13,902
+   bytes for this 40-city document, where a buffer grown by doubling from
+   the first line's length made it 22,471. *)
+let test_escaped_string_one_buffer () =
+  let text = cities_document ~n_cities:40 in
+  let line = Json.to_string (Json.String text) in
+  Alcotest.(check bool) "first escape in the first line" true
+    (String.index line '\\' <= String.index text '\n' + 1);
+  let b0 = Gc.allocated_bytes () in
+  let decoded = Json.of_string line in
+  let bytes = Gc.allocated_bytes () -. b0 in
+  (match decoded with
+   | Ok (Json.String t) -> Alcotest.(check string) "decoded" text t
+   | _ -> Alcotest.fail "the document string did not decode");
+  let bound = float_of_int (String.length line + String.length text + 1024) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f bytes allocated for a %d-byte line, at most %.0f"
+       bytes (String.length line) bound)
+    true (bytes <= bound)
+
 let test_protocol_envelopes () =
   let req =
     match Protocol.parse_request "{\"op\":\"ping\",\"id\":7,\"session\":\"s\"}" with
@@ -1294,6 +1422,78 @@ let test_protocol_envelopes () =
   | Ok j -> Alcotest.(check (option string)) "error code" (Some "overloaded") (error_code j)
   | Error _ -> Alcotest.fail "error envelope must be valid JSON"
 
+(* --- the built binary --- *)
+
+(* The built whynot_serverd, a dependency of this suite: dune runtest
+   runs it from the test build directory, dune exec from the project
+   root. *)
+let serverd () =
+  match
+    List.find_opt Sys.file_exists
+      [ "../bin/whynot_serverd.exe"; "_build/default/bin/whynot_serverd.exe" ]
+  with
+  | Some exe -> exe
+  | None -> Alcotest.fail "whynot_serverd.exe is not built"
+
+(* Spawns the binary with the environment's OCAMLRUNPARAM and
+   CAMLRUNPARAM replaced by [env], reads its boot line for the port and
+   returns its [stats] reply's gc.minor_heap_words. *)
+let binary_minor_heap_words env =
+  let exe = serverd () in
+  let inherited =
+    List.filter
+      (fun kv ->
+        not
+          (String.starts_with ~prefix:"OCAMLRUNPARAM=" kv
+          || String.starts_with ~prefix:"CAMLRUNPARAM=" kv))
+      (Array.to_list (Unix.environment ()))
+  in
+  let out_r, out_w = Unix.pipe ~cloexec:true () in
+  let pid =
+    Unix.create_process_env exe
+      [| exe; "--quiet"; "--port"; "0" |]
+      (Array.of_list (inherited @ env))
+      Unix.stdin out_w Unix.stderr
+  in
+  Unix.close out_w;
+  let ic = Unix.in_channel_of_descr out_r in
+  (* SIGKILL: this suite's threads block SIGTERM, and a child inherits
+     the signal mask. *)
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.kill pid Sys.sigkill;
+      ignore (Unix.waitpid [] pid);
+      close_in ic)
+  @@ fun () ->
+  let boot = input_line ic in
+  let colon = String.rindex boot ':' in
+  let port =
+    int_of_string
+      (String.sub boot (colon + 1) (String.length boot - colon - 1))
+  in
+  let c = connect port in
+  Fun.protect ~finally:(fun () -> disconnect c) @@ fun () ->
+  match
+    Option.bind
+      (Json.member "gc" (check_ok "stats" (rpc c {|{"op":"stats"}|})))
+      (Json.member "minor_heap_words")
+  with
+  | Some (Json.Int w) -> w
+  | _ -> Alcotest.fail "stats lacks gc.minor_heap_words"
+
+(* The binary's C main puts s=32k ahead of the user's OCAMLRUNPARAM, and
+   the runtime takes a key's last value: the 32k-word minor heap unless
+   the user sets its size. *)
+let test_binary_minor_heap () =
+  List.iter
+    (fun (what, env, expected) ->
+      Alcotest.(check int) what expected (binary_minor_heap_words env))
+    [
+      ("no OCAMLRUNPARAM", [], 32768);
+      ("OCAMLRUNPARAM=b", [ "OCAMLRUNPARAM=b" ], 32768);
+      ("OCAMLRUNPARAM=s=64k", [ "OCAMLRUNPARAM=s=64k" ], 65536);
+    ]
+
 let () =
   Alcotest.run "server"
     [
@@ -1302,6 +1502,8 @@ let () =
           Alcotest.test_case "envelopes" `Quick test_protocol_envelopes;
           Alcotest.test_case "encoder corners equal the reference" `Quick
             test_encoder_corners;
+          Alcotest.test_case "escaped string decodes into one buffer" `Quick
+            test_escaped_string_one_buffer;
         ] );
       ( "sessions",
         [
@@ -1332,6 +1534,10 @@ let () =
             `Quick test_session_churn_no_unknown;
           Alcotest.test_case "intake allocation budget" `Quick
             test_intake_allocation_budget;
+          Alcotest.test_case "per-request allocation budget" `Quick
+            test_request_allocation_budget;
+          Alcotest.test_case "stats reports the GC" `Quick
+            test_stats_reports_gc;
         ] );
       ( "robustness",
         [
@@ -1365,5 +1571,10 @@ let () =
             `Quick test_pipelined_lines_at_shutdown;
           Alcotest.test_case "external SIGTERM wakes wait" `Quick
             test_external_sigterm_wakes_wait;
+        ] );
+      ( "binary",
+        [
+          Alcotest.test_case "minor heap set at runtime start" `Quick
+            test_binary_minor_heap;
         ] );
     ]
