@@ -250,7 +250,7 @@ let explain_cmd =
         let* schema = Parser.schema_of doc in
         with_engine ~schema ~instance:wn.Whynot.instance
         @@ fun engine ->
-        let* mges = Engine.all_mges_schema ~fragment:`Minimal engine wn in
+        let* mges = Engine.all_mges_schema engine wn in
         let o =
           Schema_mge.ontology ~handle:(Engine.instance_handle engine)
             `Minimal schema wn

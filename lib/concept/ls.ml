@@ -14,10 +14,7 @@ type conjunct =
       sels : selection list;
     }
 
-type t = {
-  hash : int;
-  conjs : conjunct list;
-}
+type t = conjunct list
 
 module Int_map = Map.Make (Int)
 
@@ -52,32 +49,31 @@ let normalise_conjunct = function
   | (Nominal _ | Proj { sels = []; _ }) as c -> c
   | Proj p -> Proj { p with sels = normalise_sels p.sels }
 
+let of_conjuncts = function
+  | [] -> []
+  | [ c ] -> [ normalise_conjunct c ]
+  | cs -> List.sort_uniq Stdlib.compare (List.map normalise_conjunct cs)
+
+let top = []
+let nominal c = [ Nominal c ]
+let proj ?(sels = []) ~rel ~attr () = of_conjuncts [ Proj { rel; attr; sels } ]
+let meet c1 c2 = of_conjuncts (c1 @ c2)
+let meet_all cs = of_conjuncts (List.concat cs)
+let conjuncts t = t
+
 (* Deeper than [Hashtbl.hash], whose ten leaves cover about three
    conjuncts, on which a finite ontology's concepts often agree. Like
    [Stdlib.compare], it does not tell [-0.0] from [0.0]. *)
-let make conjs = { hash = Hashtbl.hash_param 256 256 conjs; conjs }
+let hash t = Hashtbl.hash_param 256 256 t
 
-let of_conjuncts = function
-  | [] -> make []
-  | [ c ] -> make [ normalise_conjunct c ]
-  | cs -> make (List.sort_uniq Stdlib.compare (List.map normalise_conjunct cs))
-
-let top = make []
-let nominal c = make [ Nominal c ]
-let proj ?(sels = []) ~rel ~attr () = of_conjuncts [ Proj { rel; attr; sels } ]
-let meet c1 c2 = of_conjuncts (c1.conjs @ c2.conjs)
-let meet_all cs = of_conjuncts (List.concat_map (fun c -> c.conjs) cs)
-let conjuncts t = t.conjs
-let hash t = t.hash
-
-let is_top t = t.conjs = []
+let is_top t = t = []
 
 let is_selection_free t =
   List.for_all
     (function Nominal _ -> true | Proj { sels; _ } -> sels = [])
-    t.conjs
+    t
 
-let is_intersection_free t = List.length t.conjs <= 1
+let is_intersection_free t = List.length t <= 1
 
 let is_minimal t = is_intersection_free t && is_selection_free t
 
@@ -88,10 +84,10 @@ let constants t =
        | Nominal v -> Value_set.add v acc
        | Proj { sels; _ } ->
          List.fold_left (fun acc s -> Value_set.add s.value acc) acc sels)
-    Value_set.empty t.conjs
+    Value_set.empty t
 
 let size t =
-  match t.conjs with
+  match t with
   | [] -> 1 (* top *)
   | cs ->
     List.fold_left
@@ -105,10 +101,8 @@ let size t =
       (List.length cs - 1) (* ⊓ symbols *)
       cs
 
-(* Memo handles keep one representative per concept, so warm lookups
-   usually compare a value with itself. *)
-let compare t1 t2 = if t1 == t2 then 0 else Stdlib.compare t1.conjs t2.conjs
-let equal t1 t2 = t1.hash = t2.hash && compare t1 t2 = 0
+let compare t1 t2 = if t1 == t2 then 0 else Stdlib.compare t1 t2
+let equal t1 t2 = compare t1 t2 = 0
 
 let attr_label schema rel attr =
   match schema with
@@ -136,7 +130,7 @@ let pp_conjunct schema ppf = function
       sels rel
 
 let pp ?schema () ppf t =
-  match t.conjs with
+  match t with
   | [] -> Format.pp_print_string ppf "top"
   | cs ->
     Format.pp_print_list
@@ -157,7 +151,7 @@ let pp_sql_conjunct schema ppf = function
       sels
 
 let pp_sql ?schema () ppf t =
-  match t.conjs with
+  match t with
   | [] -> Format.pp_print_string ppf "anything"
   | cs ->
     Format.pp_print_list

@@ -28,17 +28,15 @@ type conjunct =
     }
 
 type t
-(** A concept in normal form, with the form's {!hash}. Concepts are plain
-    values: structurally equal concepts need not be physically equal, and
-    no table outside their owner keeps them alive. A memo handle that
-    wants one physical value per concept keeps its own representatives
-    (see {!Subsume_memo.canonical}). *)
+(** A concept: its normal form and nothing more. Concepts are plain
+    values: structurally equal concepts need not be physically equal,
+    and no table keeps them alive. *)
 
 (** {2 Smart constructors}
 
     The only way to build concepts; each normalises (sorts and
     deduplicates conjuncts and selections, flattens meets, absorbs
-    [top]) and hashes the normal form once. *)
+    [top]). *)
 
 val top : t
 val nominal : Value.t -> t
@@ -65,18 +63,16 @@ val size : t -> int
     concept out (a token count). *)
 
 val hash : t -> int
-(** A hash of the whole normal form (up to 256 nodes of it), stored at
-    construction: constant time, and [equal c1 c2] implies
-    [hash c1 = hash c2]. With {!equal} it makes [Hashtbl.Make (Ls)] a
-    concept-keyed table. *)
+(** A hash of the whole normal form (up to 256 nodes of it), computed on
+    each call: [equal c1 c2] implies [hash c1 = hash c2]. With {!equal}
+    it makes [Hashtbl.Make (Ls)] a concept-keyed table. *)
 
 val compare : t -> t -> int
 (** Structural order on normal forms (with a physical-equality fast
     path). *)
 
 val equal : t -> t -> bool
-(** [compare c1 c2 = 0]: physical equality, else equal {!hash}es and
-    equal normal forms. *)
+(** [compare c1 c2 = 0]: physical equality, else equal normal forms. *)
 
 val pp : ?schema:Schema.t -> unit -> Format.formatter -> t -> unit
 (** Mathematical rendering, e.g.

@@ -99,7 +99,7 @@ let lub h x =
   let nominal =
     if Value_set.cardinal x = 1 then Some (Value_set.choose x) else None
   in
-  Subsume_memo.canonical h (render h ?nominal (mask h x))
+  render h ?nominal (mask h x)
 
 (* --- with selections (Lemma 5.2) ---
 

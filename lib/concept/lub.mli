@@ -21,9 +21,8 @@
 open Whynot_relational
 
 val lub : Subsume_memo.inst -> Value_set.t -> Ls.t
-(** Selection-free least upper bound over the handle's instance: the
-    handle's {!Subsume_memo.canonical} value of [render ?nominal (mask X)]
-    ([nominal] when [X] is a singleton). Costs [|X|] mask intersections
+(** Selection-free least upper bound over the handle's instance:
+    [render ?nominal (mask X)] ([nominal] when [X] is a singleton). Costs [|X|] mask intersections
     and one rendering; it is not memoised and does not count as
     [memo.lub.*]. @raise Invalid_argument on empty [X]. *)
 

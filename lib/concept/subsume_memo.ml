@@ -79,8 +79,8 @@ let c_deadline_trips =
 (* --- handles ---
 
    A handle is a plain value owned by whoever creates it: an engine keeps
-   one per worker slot for its whole life, a handle-less entry point
-   creates one per call. Nothing is shared behind the owner's back, so a
+   one instance handle (and at most one schema handle) for its whole
+   life, a handle-less entry point creates one per call. Nothing is shared behind the owner's back, so a
    deadline set on one handle never reaches another. Handles are not
    thread-safe; each belongs to one domain at a time. *)
 
@@ -96,7 +96,6 @@ type inst = {
   instance : Instance.t;
   index : Eval_index.t;  (* the handle's own indexes over [instance] *)
   conj_exts : Semantics.ext Conj_tbl.t;
-  concepts : Ls.t Ls_tbl.t;  (* one representative each: [canonical] *)
   exts : Semantics.ext Ls_tbl.t;
   mutable positions : (string * int) array option;
   mutable adom : Value_set.t option;
@@ -131,7 +130,6 @@ let inst instance =
     instance;
     index = Eval_index.of_instance instance;
     conj_exts = Conj_tbl.create 64;
-    concepts = Ls_tbl.create 64;
     exts = Ls_tbl.create 64;
     positions = None;
     adom = None;
@@ -142,13 +140,6 @@ let inst instance =
 
 let instance h = h.instance
 let index h = h.index
-
-let canonical h c =
-  match Ls_tbl.find_opt h.concepts c with
-  | Some c -> c
-  | None ->
-    Ls_tbl.add h.concepts c c;
-    c
 
 let conjunct_ext h conj =
   check_inst_deadline h;
@@ -241,7 +232,7 @@ let memo_lub h x compute =
     Obs.incr c_lub_hits;
     c
   | None ->
-    let c = canonical h (compute ()) in
+    let c = compute () in
     Lub_tbl.add h.lubs key c;
     c
 
@@ -271,7 +262,7 @@ let translate h c =
     Ls_tbl.add h.ucqs c u;
     u
 
-let decide ?chase_depth h c1 c2 =
+let decide h c1 c2 =
   check_schema_deadline h;
   Obs.incr c_schema_calls;
   let key = (c1, c2) in
@@ -281,11 +272,9 @@ let decide ?chase_depth h c1 c2 =
     v
   | None ->
     let v =
-      Subsume_schema.decide ?chase_depth ~translate:(translate h) h.sschema c1
-        c2
+      Subsume_schema.decide ~translate:(translate h) h.sschema c1 c2
     in
     Pair_tbl.add h.sverdicts key v;
     v
 
-let schema_subsumes ?chase_depth h c1 c2 =
-  decide ?chase_depth h c1 c2 = Subsume_schema.Subsumed
+let schema_subsumes h c1 c2 = decide h c1 c2 = Subsume_schema.Subsumed

@@ -11,14 +11,12 @@
     (by {!Ls.hash} and {!Ls.equal}).
 
     Caches live in {e handles}. A handle is a plain value owned by whoever
-    creates it, with no registry behind it: an engine keeps one handle per
-    worker slot for its whole life, and an entry point called without a
-    handle creates one per call and threads it through the run. Handles
-    therefore have exactly the lifetime of their owner, and two owners
-    never share cache state or a deadline. Concept identity belongs to
-    the handle too: it keeps one representative value per concept it has
-    produced (see {!canonical}), and that table dies with it. Handles are
-    not thread-safe: each belongs to one domain at a time.
+    creates it, with no registry behind it: an engine keeps one instance
+    handle (and at most one schema handle) for its whole life, and an
+    entry point called without a handle creates one per call and threads
+    it through the run. Handles therefore have exactly the lifetime of
+    their owner, and two owners never share cache state or a deadline.
+    Handles are not thread-safe: each belongs to one domain at a time.
 
     All cache traffic is counted through {!Whynot_obs.Obs}
     ([subsume.schema.calls]/[subsume.schema.hits], [memo.ext.*],
@@ -46,12 +44,6 @@ val index : inst -> Eval_index.t
 (** The handle's own index over its instance; callers that evaluate
     queries against the same instance reuse it instead of building
     another. *)
-
-val canonical : inst -> Ls.t -> Ls.t
-(** The handle's stored value {!Ls.equal} to [c]; [c] itself, now
-    stored, when there is none. {!memo_lub} and {!Lub.lub} return values
-    through it, so warm lookups on them end at physical equality; map
-    concepts built elsewhere (parsed from text, say) through it too. *)
 
 val extension : inst -> Ls.t -> Semantics.ext
 (** [[C]]^I, memoised per concept with a shared per-conjunct cache (the
@@ -102,9 +94,8 @@ val posmask : inst -> Value.t -> Bits.t
 
 val memo_lub : inst -> Value_set.t -> (unit -> Ls.t) -> Ls.t
 (** Compute-through cache for {!Lub.lub_sigma} results keyed on
-    [elements X]. A computed lub is stored as its {!canonical}
-    representative, so a warm repeat costs one hash lookup on the
-    element list. Only these calls count as [memo.lub.*]: selection-free
+    [elements X]. A computed lub is stored as it is, and a warm repeat
+    returns that stored value for one hash lookup on the element list. Only these calls count as [memo.lub.*]: selection-free
     lubs come from the masks above and are not memoised. *)
 
 (** {1 Schema-level caching ([⊑_S])} *)
@@ -122,13 +113,10 @@ val constraint_class : schema -> Subsume_schema.constraint_class
 (** The Table-1 class, classified once per handle; every cached verdict
     of the handle was decided under this class. *)
 
-val decide :
-  ?chase_depth:int -> schema -> Ls.t -> Ls.t -> Subsume_schema.verdict
-(** Memoised {!Subsume_schema.decide}. [chase_depth] only influences the
-    first decision of a pair; callers that need a different depth for an
-    already-cached pair must use the uncached decider directly. *)
+val decide : schema -> Ls.t -> Ls.t -> Subsume_schema.verdict
+(** Memoised {!Subsume_schema.decide}. *)
 
-val schema_subsumes : ?chase_depth:int -> schema -> Ls.t -> Ls.t -> bool
+val schema_subsumes : schema -> Ls.t -> Ls.t -> bool
 (** [decide = Subsumed]. *)
 
 (** {1 Cooperative deadlines}
@@ -138,7 +126,7 @@ val schema_subsumes : ?chase_depth:int -> schema -> Ls.t -> Ls.t -> bool
     cache and raises {!Deadline_exceeded} once the clock passes it, so
     the MGE algorithms — whose expensive work all funnels through these
     entry points — unwind within one candidate evaluation.
-    [Whynot.Engine] sets deadlines on its per-worker handles around an
+    [Whynot.Engine] sets a deadline on its instance handle around an
     operation and converts the exception into a [`Timeout] result; direct
     callers of this module normally never see the
     exception because handles start with no deadline. *)

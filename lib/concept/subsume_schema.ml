@@ -193,10 +193,13 @@ let rec chase schema inst depth =
     | Some (inst, false) -> Some inst
     | Some (inst, true) -> chase schema inst (depth - 1)
 
-let chase_to_legal_instance ?(depth = 4) schema inst =
+(* The rounds of IND repair a counter-model gets. *)
+let chase_depth = 4
+
+let chase_to_legal_instance schema inst =
   (* Keep only the data relations; views get recomputed. *)
   let data = Instance.restrict (Schema.data_relation_names schema) inst in
-  match chase schema data depth with
+  match chase schema data chase_depth with
   | None -> None
   | Some data ->
     let full = Schema.complete schema data in
@@ -204,7 +207,7 @@ let chase_to_legal_instance ?(depth = 4) schema inst =
      | Error _ -> None
      | Ok () -> Some full)
 
-let refute_with_counter_model ~chase_depth ~translate schema c1 c2 =
+let refute_with_counter_model ~translate schema c1 c2 =
   Obs.incr c_countermodels;
   let extra_constants = Ls.constants c2 in
   let candidates =
@@ -215,7 +218,7 @@ let refute_with_counter_model ~chase_depth ~translate schema c1 c2 =
         (List.length candidates) (Ls.to_string c1) (Ls.to_string c2));
   List.exists
     (fun (inst0, head) ->
-       match chase_to_legal_instance ~depth:chase_depth schema inst0 with
+       match chase_to_legal_instance schema inst0 with
        | None -> false
        | Some full ->
          let idx = Eval_index.of_instance full in
@@ -264,7 +267,7 @@ let decide_conjunct ~cls ~translate schema c1 conj =
 let selection_free_pair c1 c2 =
   Ls.is_selection_free c1 && Ls.is_selection_free c2
 
-let decide ?(chase_depth = 4) ?translate schema c1 c2 =
+let decide ?translate schema c1 c2 =
   Obs.incr c_decides;
   let translate =
     match translate with Some f -> f | None -> To_query.ucq schema
@@ -285,12 +288,9 @@ let decide ?(chase_depth = 4) ?translate schema c1 c2 =
         (* Reachability + trivial containment is complete here. *)
         Not_subsumed
       | Inds_only | Mixed ->
-        if refute_with_counter_model ~chase_depth ~translate schema c1 c2 then
+        if refute_with_counter_model ~translate schema c1 c2 then
           Not_subsumed
         else Unknown
 
-let subsumes ?chase_depth ?translate schema c1 c2 =
-  decide ?chase_depth ?translate schema c1 c2 = Subsumed
-
-let refutes ?chase_depth ?translate schema c1 c2 =
-  decide ?chase_depth ?translate schema c1 c2 = Not_subsumed
+let subsumes schema c1 c2 = decide schema c1 c2 = Subsumed
+let refutes schema c1 c2 = decide schema c1 c2 = Not_subsumed

@@ -45,10 +45,9 @@ val classify : Schema.t -> constraint_class
 (** Which Table-1 row applies: determined purely by which kinds of
     constraints (FDs, INDs, views) the schema carries. *)
 
-val decide :
-  ?chase_depth:int -> ?translate:(Ls.t -> Ucq.t) -> Schema.t -> Ls.t -> Ls.t ->
-  verdict
-(** [chase_depth] bounds the counter-model chase (default 4).
+val decide : ?translate:(Ls.t -> Ucq.t) -> Schema.t -> Ls.t -> Ls.t -> verdict
+(** The counter-model chase runs at most 4 rounds of IND repair (a
+    fixed bound, shared with {!chase_to_legal_instance}).
 
     [translate] supplies the concept-to-UCQ translation (default
     {!To_query.ucq} on the given schema); {!Subsume_memo} passes a
@@ -60,21 +59,16 @@ val decide :
     scratch) so it can serve as the oracle for the differential tests;
     use {!Subsume_memo.decide} on hot paths. *)
 
-val subsumes :
-  ?chase_depth:int -> ?translate:(Ls.t -> Ucq.t) -> Schema.t -> Ls.t -> Ls.t ->
-  bool
+val subsumes : Schema.t -> Ls.t -> Ls.t -> bool
 (** [decide = Subsumed]. For the complete classes this decides ⊑_S; in
     general it under-approximates it. *)
 
-val refutes :
-  ?chase_depth:int -> ?translate:(Ls.t -> Ucq.t) -> Schema.t -> Ls.t -> Ls.t ->
-  bool
+val refutes : Schema.t -> Ls.t -> Ls.t -> bool
 (** [decide = Not_subsumed]. *)
 
-val chase_to_legal_instance :
-  ?depth:int -> Schema.t -> Instance.t -> Instance.t option
+val chase_to_legal_instance : Schema.t -> Instance.t -> Instance.t option
 (** The counter-model construction kernel, exposed for reuse (e.g. strong
     explanations): keep the data relations of the given instance, repair
-    IND violations by inserting tuples with fresh values (bounded by
-    [depth] rounds), materialise the views, and return the completed
+    IND violations by inserting tuples with fresh values (at most 4
+    rounds), materialise the views, and return the completed
     instance iff it satisfies every constraint of the schema. *)

@@ -210,7 +210,7 @@ let mask_check h q e =
         let ids = Lub.covers h m in
         (ids, Some (meet ids))
       | None -> (
-        let ext = Subsume_memo.extension h (Subsume_memo.canonical h c) in
+        let ext = Subsume_memo.extension h c in
         let ids = Frontier.ext_mem q ext in
         match ext with
         | Semantics.All -> (ids, None)
@@ -264,7 +264,7 @@ let sigma_search h q wn ~shorten ~order ~trace =
   (List.init arity to_ls, steps)
 
 let sigma_check h q e =
-  let concepts = Array.of_list (List.map (Subsume_memo.canonical h) e) in
+  let concepts = Array.of_list e in
   match Frontier.of_array q (sigma_mem h q) concepts with
   | None -> false
   | Some f ->

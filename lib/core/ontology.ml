@@ -85,10 +85,9 @@ let of_obda induced =
 
 (* --- ontologies derived from an instance or a schema (Definition 4.8) --- *)
 
-(* [handle] lets a caller that owns a memo handle (an engine, one per
-   worker slot) keep its caches across ontology values; without it each
-   ontology value creates and owns a fresh handle. A finite ontology lists
-   the handle's representatives of its concepts. *)
+(* [handle] lets a caller that owns a memo handle (an engine) keep its
+   caches across ontology values; without it each ontology value creates
+   and owns a fresh handle. *)
 
 let inst_handle ?handle inst =
   match handle with
@@ -183,9 +182,8 @@ let instance_classes h pool =
       (Value_set.elements pool)
     @ columns
   in
-  (Subsume_memo.canonical h Ls.top, Semantics.All)
-  :: List.map
-       (fun (c, e) -> (Subsume_memo.canonical h c, Semantics.Fin e))
+  (Ls.top, Semantics.All)
+  :: List.map (fun (c, e) -> (c, Semantics.Fin e))
        (close Ext_map.empty
           (List.fold_left (add Ext_map.empty) Ext_map.empty singles))
 
@@ -214,6 +212,5 @@ let of_schema_finite ?(minimal_only = false) ?schema_handle ?handle schema inst
   {
     (of_schema ?schema_handle ~handle:h schema inst) with
     name = (if minimal_only then "O_S[K]-min" else "O_S[K]");
-    concepts =
-      Some (List.map (Whynot_concept.Subsume_memo.canonical h) concepts);
+    concepts = Some concepts;
   }

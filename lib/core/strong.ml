@@ -70,7 +70,7 @@ let witnesses schema inst wn e =
          (List.init (List.length e) (fun i -> i + 1)))
     answers
 
-let decide_wrt_schema ?(chase_depth = 4) schema wn e =
+let decide_wrt_schema schema wn e =
   let q' = combined_query schema wn e in
   let disjuncts = View.unfold_cq (Schema.views schema) q' in
   let found_witness =
@@ -80,10 +80,7 @@ let decide_wrt_schema ?(chase_depth = 4) schema wn e =
          else
            List.exists
              (fun (inst0, _head) ->
-                match
-                  Subsume_schema.chase_to_legal_instance ~depth:chase_depth
-                    schema inst0
-                with
+                match Subsume_schema.chase_to_legal_instance schema inst0 with
                 | None -> false
                 | Some full -> witnesses schema full wn e)
              (Containment.canonical_instantiations d
@@ -98,7 +95,7 @@ let decide_wrt_schema ?(chase_depth = 4) schema wn e =
       Strong
     | Subsume_schema.Inds_only | Subsume_schema.Mixed -> Unknown
 
-let is_explanation_but_not_strong ?chase_depth schema wn e =
+let is_explanation_but_not_strong schema wn e =
   let o = Ontology.of_instance wn.Whynot.instance in
   Explanation.is_explanation o wn e
-  && decide_wrt_schema ?chase_depth schema wn e = Not_strong
+  && decide_wrt_schema schema wn e = Not_strong

@@ -22,18 +22,16 @@ type verdict =
 val pp_verdict : Format.formatter -> verdict -> unit
 
 val decide_wrt_schema :
-  ?chase_depth:int ->
   Whynot_relational.Schema.t ->
   Whynot.t ->
   Whynot_concept.Ls.t Explanation.t ->
   verdict
 (** Is the explanation strong: does it exclude the missing tuple on
     {e every} instance satisfying the schema, not just this one?
-    Inherits the three-valued behaviour (and [chase_depth] bound) of
+    Inherits the three-valued behaviour (and the fixed chase bound) of
     the underlying [⊑_S] machinery, hence [Unknown]. *)
 
 val is_explanation_but_not_strong :
-  ?chase_depth:int ->
   Whynot_relational.Schema.t ->
   Whynot.t ->
   Whynot_concept.Ls.t Explanation.t ->

@@ -18,8 +18,8 @@ type t = {
      only depend on the retrieved interpretation, and [extension] /
      [consistent] / [base_concepts_of] all fold over them *)
   ext_cache : Value_set.t Basic_tbl.t;
-  (* [extension] is called concurrently when the parallel engine explores
-     an OBDA-induced ontology; the cache update must not lose entries. *)
+  (* A prepared value may be shared by several threads or domains, and
+     [extension] updates this cache; the update must not lose entries. *)
   ext_lock : Mutex.t;
 }
 

@@ -172,12 +172,9 @@ let question e ~query ~missing () =
 let instance_handle e = e.inst_handle
 let constant_pool e wn = W.constant_pool ~handle:e.inst_handle wn
 
-let pool_of ?values e wn =
-  match values with Some v -> v | None -> constant_pool e wn
-
-let instance_ontology ?values e wn =
+let instance_ontology e wn =
   Ontology.of_instance_finite ~handle:e.inst_handle e.instance
-    (pool_of ?values e wn)
+    (constant_pool e wn)
 
 (* --- Algorithm 2 (incremental, w.r.t. O_I) --- *)
 
@@ -204,22 +201,19 @@ let check_mge ?variant e wn ex =
 
 (* --- Algorithm 1 (exhaustive, w.r.t. finite ontologies) --- *)
 
-let all_mges ?values e wn =
+let all_mges e wn =
   guard e (fun () ->
       own_question e wn (fun () ->
-          Exhaustive.all_mges (instance_ontology ?values e wn) wn))
+          Exhaustive.all_mges (instance_ontology e wn) wn))
 
-let all_mges_schema ?(fragment = `Minimal) ?values e wn =
+let all_mges_schema e wn =
   guard e (fun () ->
       own_question e wn (fun () ->
           match (e.schema, e.schema_handle) with
           | Some sch, Some schema_handle ->
-            let minimal_only =
-              match fragment with `Minimal -> true | _ -> false
-            in
             Exhaustive.all_mges
-              (Ontology.of_schema_finite ~minimal_only ~schema_handle
-                 ~handle:e.inst_handle sch e.instance (pool_of ?values e wn))
+              (Ontology.of_schema_finite ~minimal_only:true ~schema_handle
+                 ~handle:e.inst_handle sch e.instance (constant_pool e wn))
               wn
           | _ ->
             Error

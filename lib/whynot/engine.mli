@@ -114,11 +114,10 @@ val check_mge :
 
 (** {1 Algorithm 1 — exhaustive search w.r.t. finite ontologies}
 
-    [values] is the constant pool [K] of the finite restriction and
-    defaults to [Whynot.constant_pool] of the question. *)
+    The constant pool [K] of each finite restriction is the question's
+    [Whynot.constant_pool]. *)
 
 val all_mges :
-  ?values:Value_set.t ->
   t ->
   Whynot_core.Whynot.t ->
   (Whynot_concept.Ls.t Whynot_core.Explanation.t list, Whynot_error.t) result
@@ -127,14 +126,13 @@ val all_mges :
     instance handle. *)
 
 val all_mges_schema :
-  ?fragment:Whynot_core.Schema_mge.fragment ->
-  ?values:Value_set.t ->
   t ->
   Whynot_core.Whynot.t ->
   (Whynot_concept.Ls.t Whynot_core.Explanation.t list, Whynot_error.t) result
-(** All MGEs w.r.t. [O_S[K]] restricted to [fragment] (default
-    [`Minimal]); [`Missing_input] when the engine was created without a
-    schema. *)
+(** All MGEs w.r.t. [O_S[K]] restricted to its minimal fragment ([top],
+    the nominals of [K] and the schema's projections; the full
+    selection-free fragment is {!Whynot_core.Schema_mge.all_mges}'s);
+    [`Missing_input] when the engine was created without a schema. *)
 
 val all_mges_finite :
   t ->

@@ -199,7 +199,7 @@ let test_schema_mges_match_sequential () =
   let o = Schema_mge.ontology `Minimal Cities.schema wn_seq in
   with_engine ~schema:Cities.schema @@ fun engine ->
   let wn = cities_question engine in
-  let got = get (Engine.all_mges_schema ~fragment:`Minimal engine wn) in
+  let got = get (Engine.all_mges_schema engine wn) in
   Alcotest.(check int) "schema MGE count" (List.length seq) (List.length got);
   List.iter2
     (fun e e' ->

@@ -127,15 +127,23 @@ let test_concept_identity () =
   Alcotest.(check int) "a rebuilt equal concept hits the extension cache"
     (hits0 + 1) (counter "memo.ext.hits");
   (* Column 1 of R holds 1, 1, 2, 3 and column 2 none of them: {1, 2} and
-     {1, 3} both have the lub pi_1(R), computed twice (selection-free
-     lubs are not memoised) and stored once. *)
+     {1, 3} both have the lub pi_1(R). *)
   let set vs = Value_set.of_list (List.map Value.int vs) in
   let l12 = Whynot_concept.Lub.lub h (set [ 1; 2 ]) in
   let l13 = Whynot_concept.Lub.lub h (set [ 1; 3 ]) in
   Alcotest.(check bool) "both lubs are pi_1(R)" true
     (Ls.equal l12 (pi1 []) && Ls.equal l13 (pi1 []));
-  Alcotest.(check bool) "equal lubs share the handle's representative" true
-    (l12 == l13)
+  (* A repeated lub_sigma is answered from the handle's lub table: one
+     hit, and the stored value itself. *)
+  let lub_hits0 = counter "memo.lub.hits" in
+  let s1 = Whynot_concept.Lub.lub_sigma h (set [ 1; 2 ]) in
+  Alcotest.(check int) "a first lub_sigma misses" lub_hits0
+    (counter "memo.lub.hits");
+  let s2 = Whynot_concept.Lub.lub_sigma h (set [ 1; 2 ]) in
+  Alcotest.(check int) "a repeated lub_sigma hits once" (lub_hits0 + 1)
+    (counter "memo.lub.hits");
+  Alcotest.(check bool) "a repeated lub_sigma returns the stored value" true
+    (s1 == s2)
 
 (* The pinned FD-selection seeds once exposed an unsound Fds_only verdict;
    replay them through the cached decider as well, via the differential
