@@ -839,11 +839,11 @@ let p6_4 () =
     (sweep [ 6; 10; 14 ])
 
 (* ================================================================== *)
-(* D1: DL-LiteR reasoning                                              *)
+(* DL-LiteR reasoning                                                  *)
 (* ================================================================== *)
 
 let dllite () =
-  header "THM4.1" "DL-LiteR: PTIME saturation and subsumption (D1)";
+  header "THM4.1" "DL-LiteR: PTIME saturation and subsumption";
   List.iter
     (fun n_atoms ->
        let tb =
@@ -858,10 +858,7 @@ let dllite () =
        match u with
        | b1 :: b2 :: _ ->
          timed "THM4.1" (Printf.sprintf "subsumes query / atoms=%d" n_atoms)
-           (fun () -> Whynot_dllite.Reasoner.subsumes r b1 b2);
-         (* D1 ablation: the same query without the precomputed closure. *)
-         timed "THM4.1" (Printf.sprintf "on-demand query / atoms=%d" n_atoms)
-           (fun () -> Whynot_dllite.Ondemand.subsumes tb b1 b2)
+           (fun () -> Whynot_dllite.Reasoner.subsumes r b1 b2)
        | _ -> ())
     (sweep [ 8; 32; 128 ])
 

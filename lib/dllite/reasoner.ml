@@ -1,241 +1,177 @@
-module B_pair = struct
-  type t = Dl.basic * Dl.basic
-  let compare (a1, b1) (a2, b2) =
-    let c = Dl.compare_basic a1 a2 in
-    if c <> 0 then c else Dl.compare_basic b1 b2
-end
+(* The reflexive-transitive closure of a finite graph: node [i] of [nodes]
+   reaches node [j] iff byte [j] of [up.(i)] is set. Every edge joins two
+   nodes of [nodes]. *)
+type 'a closure = {
+  index : ('a, int) Hashtbl.t;
+  up : Bytes.t array;
+}
 
-module BP_set = Set.Make (B_pair)
+let closure nodes edges =
+  let n = Array.length nodes in
+  let index = Hashtbl.create n in
+  Array.iteri (fun i x -> Hashtbl.replace index x i) nodes;
+  let succ = Array.make n [] in
+  List.iter
+    (fun (x, y) ->
+       let i = Hashtbl.find index x in
+       succ.(i) <- Hashtbl.find index y :: succ.(i))
+    edges;
+  let reach i =
+    let seen = Bytes.make n '\000' in
+    let rec visit j =
+      if Bytes.get seen j = '\000' then begin
+        Bytes.set seen j '\001';
+        List.iter visit succ.(j)
+      end
+    in
+    visit i;
+    seen
+  in
+  { index; up = Array.init n reach }
 
-module R_pair = struct
-  type t = Dl.role * Dl.role
-  let compare (a1, b1) (a2, b2) =
-    let c = Dl.compare_role a1 a2 in
-    if c <> 0 then c else Dl.compare_role b1 b2
-end
+let reaches c i j = Bytes.get c.up.(i) j <> '\000'
 
-module RP_set = Set.Make (R_pair)
+(* Some node that [i] reaches is marked in [marks]. *)
+let reaches_marked c marks i =
+  let rec from j =
+    j < Array.length marks && ((marks.(j) && reaches c i j) || from (j + 1))
+  in
+  from 0
 
-module B_set = Set.Make (struct
-    type t = Dl.basic
-    let compare = Dl.compare_basic
-  end)
+(* The mark of [x], or [false] when [x] is not a node. *)
+let marked c marks x =
+  match Hashtbl.find_opt c.index x with Some i -> marks.(i) | None -> false
 
-module R_set = Set.Make (struct
-    type t = Dl.role
-    let compare = Dl.compare_role
-  end)
+(* [i] is below one side of a disjoint pair and [j] below the other; the
+   pair list is symmetric. *)
+let clash c pairs i j =
+  List.exists (fun (d1, d2) -> reaches c i d1 && reaches c j d2) pairs
+
+(* [f] on the indices of [x] and [y], or [false] when either is not a node. *)
+let on_nodes c f x y =
+  match Hashtbl.find_opt c.index x, Hashtbl.find_opt c.index y with
+  | Some i, Some j -> f i j
+  | _ -> false
 
 type t = {
   tbox : Tbox.t;
   universe : Dl.basic list;
-  roles : Dl.role list;
-  pos : BP_set.t;        (* positive concept closure, reflexive *)
-  neg : BP_set.t;        (* derived disjointness, symmetric *)
-  role_pos : RP_set.t;   (* positive role closure, reflexive *)
-  role_neg : RP_set.t;   (* role disjointness, symmetric *)
-  unsat : B_set.t;
-  role_unsat : R_set.t;
+  concepts : Dl.basic closure;
+  roles : Dl.role closure;
+  neg : (int * int) list;       (* declared disjoint concepts, symmetric *)
+  role_neg : (int * int) list;  (* declared disjoint roles, symmetric *)
+  unsat : bool array;
+  role_unsat : bool array;
 }
 
 let tbox s = s.tbox
 let universe s = s.universe
 
-(* Least fixpoint of a monotone step function on sets. *)
-let fix equal step init =
-  let rec loop x =
-    let x' = step x in
-    if equal x x' then x else loop x'
-  in
-  loop init
-
 let saturate tb =
   let universe = Tbox.basic_concepts tb in
-  let roles =
-    List.concat_map
-      (fun p -> [ Dl.Named p; Dl.Inv p ])
-      (Tbox.atomic_roles tb)
+  let concept_nodes = Array.of_list universe in
+  let role_nodes =
+    Array.of_list
+      (List.concat_map
+         (fun p -> [ Dl.Named p; Dl.Inv p ])
+         (Tbox.atomic_roles tb))
   in
   let axioms = Tbox.axioms tb in
-  (* --- role closures --- *)
-  let role_pos_base =
-    List.fold_left
-      (fun acc ax ->
-         match ax with
-         | Tbox.Role_incl (r1, Dl.R r2) ->
-           RP_set.add (r1, r2) (RP_set.add (Dl.inv r1, Dl.inv r2) acc)
-         | _ -> acc)
-      RP_set.empty axioms
+  let role_edges =
+    List.concat_map
+      (function
+        | Tbox.Role_incl (r1, Dl.R r2) -> [ (r1, r2); (Dl.inv r1, Dl.inv r2) ]
+        | _ -> [])
+      axioms
   in
-  let role_pos_base =
-    List.fold_left (fun acc r -> RP_set.add (r, r) acc) role_pos_base roles
+  let roles = closure role_nodes role_edges in
+  let concept_edges =
+    List.filter_map
+      (function Tbox.Concept_incl (b1, Dl.B b2) -> Some (b1, b2) | _ -> None)
+      axioms
+    @ List.map (fun (r1, r2) -> (Dl.Exists r1, Dl.Exists r2)) role_edges
   in
-  let role_pos =
-    fix RP_set.equal
-      (fun s ->
-         RP_set.fold
-           (fun (r1, r2) acc ->
-              RP_set.fold
-                (fun (r2', r3) acc ->
-                   if Dl.compare_role r2 r2' = 0 then RP_set.add (r1, r3) acc
-                   else acc)
-                s acc)
-           s s)
-      role_pos_base
+  let concepts = closure concept_nodes concept_edges in
+  let symmetric index pairs =
+    List.concat_map
+      (fun (x, y) ->
+         let i = Hashtbl.find index x and j = Hashtbl.find index y in
+         [ (i, j); (j, i) ])
+      pairs
   in
-  let role_neg_base =
-    List.fold_left
-      (fun acc ax ->
-         match ax with
-         | Tbox.Role_incl (r1, Dl.NotR r2) ->
-           acc
-           |> RP_set.add (r1, r2) |> RP_set.add (r2, r1)
-           |> RP_set.add (Dl.inv r1, Dl.inv r2)
-           |> RP_set.add (Dl.inv r2, Dl.inv r1)
-         | _ -> acc)
-      RP_set.empty axioms
-  in
-  (* close downward: R ⊑ R1, R' ⊑ R2, R1 disj R2 => R disj R'. *)
-  let role_neg =
-    RP_set.fold
-      (fun (r1, r2) acc ->
-         RP_set.fold
-           (fun (r, r1') acc ->
-              if Dl.compare_role r1 r1' <> 0 then acc
-              else
-                RP_set.fold
-                  (fun (r', r2') acc ->
-                     if Dl.compare_role r2 r2' <> 0 then acc
-                     else RP_set.add (r, r') (RP_set.add (r', r) acc))
-                  role_pos acc)
-           role_pos acc)
-      role_neg_base role_neg_base
-  in
-  (* --- positive concept closure --- *)
-  let pos_base =
-    List.fold_left
-      (fun acc ax ->
-         match ax with
-         | Tbox.Concept_incl (b1, Dl.B b2) -> BP_set.add (b1, b2) acc
-         | _ -> acc)
-      BP_set.empty axioms
-  in
-  let pos_base =
-    RP_set.fold
-      (fun (r1, r2) acc ->
-         acc
-         |> BP_set.add (Dl.Exists r1, Dl.Exists r2)
-         |> BP_set.add (Dl.Exists (Dl.inv r1), Dl.Exists (Dl.inv r2)))
-      role_pos pos_base
-  in
-  let pos_base =
-    List.fold_left (fun acc b -> BP_set.add (b, b) acc) pos_base universe
-  in
-  let pos =
-    fix BP_set.equal
-      (fun s ->
-         BP_set.fold
-           (fun (b1, b2) acc ->
-              BP_set.fold
-                (fun (b2', b3) acc ->
-                   if Dl.equal_basic b2 b2' then BP_set.add (b1, b3) acc
-                   else acc)
-                s acc)
-           s s)
-      pos_base
-  in
-  (* --- disjointness --- *)
-  let neg_base =
-    List.fold_left
-      (fun acc ax ->
-         match ax with
-         | Tbox.Concept_incl (b1, Dl.Not b2) ->
-           BP_set.add (b1, b2) (BP_set.add (b2, b1) acc)
-         | _ -> acc)
-      BP_set.empty axioms
-  in
-  (* close downward under pos: B ⊑ B1, B' ⊑ B2, B1 disj B2 => B disj B'. *)
   let neg =
-    BP_set.fold
-      (fun (b1, b2) acc ->
-         BP_set.fold
-           (fun (b, b1') acc ->
-              if not (Dl.equal_basic b1 b1') then acc
-              else
-                BP_set.fold
-                  (fun (b', b2') acc ->
-                     if not (Dl.equal_basic b2 b2') then acc
-                     else BP_set.add (b, b') (BP_set.add (b', b) acc))
-                  pos acc)
-           pos acc)
-      neg_base neg_base
+    symmetric concepts.index
+      (List.filter_map
+         (function
+           | Tbox.Concept_incl (b1, Dl.Not b2) -> Some (b1, b2) | _ -> None)
+         axioms)
   in
-  (* --- unsatisfiable concepts and roles --- *)
-  let unsat0 =
-    List.fold_left
-      (fun acc b -> if BP_set.mem (b, b) neg then B_set.add b acc else acc)
-      B_set.empty universe
+  let role_neg =
+    symmetric roles.index
+      (List.concat_map
+         (function
+           | Tbox.Role_incl (r1, Dl.NotR r2) ->
+             [ (r1, r2); (Dl.inv r1, Dl.inv r2) ]
+           | _ -> [])
+         axioms)
   in
-  let role_unsat0 =
-    List.fold_left
-      (fun acc r -> if RP_set.mem (r, r) role_neg then R_set.add r acc else acc)
-      R_set.empty roles
+  (* A self-clash makes a concept or a role unsatisfiable. Then, to a
+     fixpoint: a role is unsatisfiable when a role above it is, or when its
+     domain or range is; [exists R] is when [R] is; a concept is when a
+     concept above it is. *)
+  let unsat =
+    Array.init (Array.length concept_nodes) (fun i -> clash concepts neg i i)
   in
-  let step (unsat, role_unsat) =
-    (* A role is unsatisfiable iff its domain or range is; then both are. *)
-    let role_unsat =
-      List.fold_left
-        (fun acc r ->
-           if B_set.mem (Dl.Exists r) unsat || B_set.mem (Dl.Exists (Dl.inv r)) unsat
-           then R_set.add r (R_set.add (Dl.inv r) acc)
-           else acc)
-        role_unsat roles
-    in
-    (* Backward along role_pos: R1 ⊑ R2 and R2 unsat => R1 unsat. *)
-    let role_unsat =
-      RP_set.fold
-        (fun (r1, r2) acc ->
-           if R_set.mem r2 acc then R_set.add r1 acc else acc)
-        role_pos role_unsat
-    in
-    let unsat =
-      R_set.fold
-        (fun r acc -> B_set.add (Dl.Exists r) acc)
-        role_unsat unsat
-    in
-    (* Backward along pos: B ⊑ B' and B' unsat => B unsat. *)
-    let unsat =
-      BP_set.fold
-        (fun (b1, b2) acc ->
-           if B_set.mem b2 acc then B_set.add b1 acc else acc)
-        pos unsat
-    in
-    (unsat, role_unsat)
+  let role_unsat =
+    Array.init (Array.length role_nodes) (fun i -> clash roles role_neg i i)
   in
-  let unsat, role_unsat =
-    fix
-      (fun (u1, r1) (u2, r2) -> B_set.equal u1 u2 && R_set.equal r1 r2)
-      step (unsat0, role_unsat0)
+  let changed = ref true in
+  let update a i derived =
+    if (not a.(i)) && derived () then begin
+      a.(i) <- true;
+      changed := true
+    end
   in
-  { tbox = tb; universe; roles; pos; neg; role_pos; role_neg; unsat; role_unsat }
+  while !changed do
+    changed := false;
+    Array.iteri
+      (fun i r ->
+         update role_unsat i (fun () ->
+             reaches_marked roles role_unsat i
+             || marked concepts unsat (Dl.Exists r)
+             || marked concepts unsat (Dl.Exists (Dl.inv r))))
+      role_nodes;
+    Array.iteri
+      (fun i b ->
+         update unsat i (fun () ->
+             reaches_marked concepts unsat i
+             ||
+             match b with
+             | Dl.Exists r -> marked roles role_unsat r
+             | Dl.Atom _ -> false))
+      concept_nodes
+  done;
+  { tbox = tb; universe; concepts; roles; neg; role_neg; unsat; role_unsat }
 
-let unsatisfiable s b = B_set.mem b s.unsat
+let unsatisfiable s b = marked s.concepts s.unsat b
 
 let subsumes s b1 b2 =
-  Dl.equal_basic b1 b2 || unsatisfiable s b1 || BP_set.mem (b1, b2) s.pos
+  Dl.equal_basic b1 b2 || unsatisfiable s b1
+  || on_nodes s.concepts (reaches s.concepts) b1 b2
 
 let disjoint s b1 b2 =
-  unsatisfiable s b1 || unsatisfiable s b2 || BP_set.mem (b1, b2) s.neg
+  unsatisfiable s b1 || unsatisfiable s b2
+  || on_nodes s.concepts (clash s.concepts s.neg) b1 b2
 
-let role_unsatisfiable s r = R_set.mem r s.role_unsat
+let role_unsatisfiable s r = marked s.roles s.role_unsat r
 
 let role_subsumes s r1 r2 =
   Dl.compare_role r1 r2 = 0 || role_unsatisfiable s r1
-  || RP_set.mem (r1, r2) s.role_pos
+  || on_nodes s.roles (reaches s.roles) r1 r2
 
 let role_disjoint s r1 r2 =
   role_unsatisfiable s r1 || role_unsatisfiable s r2
-  || RP_set.mem (r1, r2) s.role_neg
+  || on_nodes s.roles (clash s.roles s.role_neg) r1 r2
 
 let subsumers s b = List.filter (fun b' -> subsumes s b b') s.universe
 let subsumees s b = List.filter (fun b' -> subsumes s b' b) s.universe

@@ -1,5 +1,8 @@
 (** PTIME subsumption for DL-LiteR TBoxes (Theorem 4.1(1)), by saturation of
-    the inclusion assertions, following Calvanese et al. (2007).
+    the inclusion assertions, following Calvanese et al. (2007). The
+    saturation is computed per basic concept and per role by graph search:
+    the subsumers of each are everything it reaches over the one-step
+    inclusion edges, built once.
 
     The saturation derives:
     - a reflexive-transitive positive closure over basic concepts, fed by

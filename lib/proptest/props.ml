@@ -17,6 +17,7 @@ module Exhaustive = Whynot_core.Exhaustive
 module Incremental = Whynot_core.Incremental
 module Ontology = Whynot_core.Ontology
 module Why = Whynot_core.Why
+module Dl = Whynot_dllite.Dl
 module Reasoner = Whynot_dllite.Reasoner
 module Canonical = Whynot_dllite.Canonical
 module Interp = Whynot_dllite.Interp
@@ -725,19 +726,48 @@ let dllite_saturation_sound =
   prop "dllite/saturation-sound-on-models" 250 str_tbox_with_model
     gen_tbox_with_model (fun (tb, m) ->
       (* The chase only closes the positive axioms; discard the draws
-         that violate a negative one. *)
+         that violate a negative one. Every verdict the saturation derives
+         must hold in the model: subsumption and role subsumption are
+         extension inclusions, disjointness leaves no shared element or
+         pair, and unsatisfiability an empty extension. *)
       (not (Interp.satisfies m tb))
       ||
       let r = Reasoner.saturate tb in
       let universe = Reasoner.universe r in
+      let roles =
+        List.concat_map
+          (fun p -> [ Dl.Named p; Dl.Inv p ])
+          (Tbox.atomic_roles tb)
+      in
+      let ext = Interp.concept_ext m in
+      let role_ext = Interp.role_ext m in
+      let in_ext r2 (a, b) =
+        List.exists
+          (fun (a', b') -> Value.equal a a' && Value.equal b b')
+          (role_ext r2)
+      in
       List.for_all
         (fun b1 ->
-          List.for_all
-            (fun b2 ->
-              (not (Reasoner.subsumes r b1 b2))
-              || Interp.satisfies_inclusion m b1 b2)
-            universe)
-        universe)
+          ((not (Reasoner.unsatisfiable r b1)) || Value_set.is_empty (ext b1))
+          && List.for_all
+               (fun b2 ->
+                 ((not (Reasoner.subsumes r b1 b2))
+                 || Interp.satisfies_inclusion m b1 b2)
+                 && ((not (Reasoner.disjoint r b1 b2))
+                    || Value_set.is_empty (Value_set.inter (ext b1) (ext b2))))
+               universe)
+        universe
+      && List.for_all
+           (fun r1 ->
+             ((not (Reasoner.role_unsatisfiable r r1)) || role_ext r1 = [])
+             && List.for_all
+                  (fun r2 ->
+                    ((not (Reasoner.role_subsumes r r1 r2))
+                    || List.for_all (in_ext r2) (role_ext r1))
+                    && ((not (Reasoner.role_disjoint r r1 r2))
+                       || not (List.exists (in_ext r2) (role_ext r1))))
+                  roles)
+           roles)
 
 let dllite_saturation_complete =
   prop "dllite/saturation-complete-vs-canonical" 300

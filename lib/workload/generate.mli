@@ -81,7 +81,7 @@ val random_selection_concept :
   ?seed:int -> Schema.t -> ?conjuncts:int -> ?constants:int -> unit ->
   Whynot_concept.Ls.t
 
-(** {1 Random DL-LiteR TBoxes (D1 ablation)} *)
+(** {1 Random DL-LiteR TBoxes} *)
 
 val random_tbox :
   ?seed:int -> n_atoms:int -> n_roles:int -> n_axioms:int -> unit ->
