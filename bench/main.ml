@@ -521,27 +521,48 @@ let alg1 () =
     "Figure 2 O_I[K]: build + cold all_mges" (fun () ->
       ok @@ Exhaustive.all_mges (build ()) whynot_cities)
 
+(* Theorem 5.1(2)'s reduction is faithful when an explanation of the
+   3-slot gadget exists exactly when the instance has a cover of at most
+   3 sets. A failed check is printed and makes the run exit 1. The
+   seed-3 instances ([no_cover]) have no such cover (their smallest has
+   4 sets, while their three largest sets hold 14-15 elements
+   together), so there both answers must also be no. *)
+let existence_failures = ref []
+
 let existence () =
   header "THM5.1" "NP-hardness gadget: EXISTENCE-OF-EXPLANATION vs SET COVER";
+  let instance ~seed ~n_sets ~label ~no_cover =
+    let sc =
+      Whynot_setcover.Setcover.random ~seed ~n_elements:12 ~n_sets
+        ~density:0.25 ()
+    in
+    let g = Whynot_setcover.Reduction.build sc ~slots:3 in
+    let exists =
+      ok @@ Exhaustive.exists_explanation g.Whynot_setcover.Reduction.ontology
+        g.Whynot_setcover.Reduction.whynot
+    in
+    let cover = Whynot_setcover.Setcover.exists_cover_of_size sc 3 in
+    let agree = exists = cover && not (no_cover && cover) in
+    row "  seed=%d n_sets=%-3d explanation? %-5b cover<=3? %-5b %s@." seed
+      n_sets exists cover
+      (if agree then "ok" else "FAIL");
+    if not agree then
+      existence_failures := label :: !existence_failures;
+    timed ~params:[ ("n_sets", float_of_int n_sets) ] "THM5.1" label
+      (fun () ->
+        ok @@ Exhaustive.exists_explanation g.Whynot_setcover.Reduction.ontology
+          g.Whynot_setcover.Reduction.whynot)
+  in
   List.iter
     (fun n_sets ->
-       let sc =
-         Whynot_setcover.Setcover.random ~seed:8 ~n_elements:12 ~n_sets
-           ~density:0.25 ()
-       in
-       let g = Whynot_setcover.Reduction.build sc ~slots:3 in
-       let exists =
-         ok @@ Exhaustive.exists_explanation g.Whynot_setcover.Reduction.ontology
-           g.Whynot_setcover.Reduction.whynot
-       in
-       let cover = Whynot_setcover.Setcover.exists_cover_of_size sc 3 in
-       row "  n_sets=%-3d explanation? %-5b cover<=3? %-5b (must agree)@."
-         n_sets exists cover;
-       timed ~params:[ ("n_sets", float_of_int n_sets) ] "THM5.1"
-         (Printf.sprintf "existence / sets=%d" n_sets) (fun () ->
-           ok @@ Exhaustive.exists_explanation g.Whynot_setcover.Reduction.ontology
-             g.Whynot_setcover.Reduction.whynot))
-    (sweep [ 8; 16; 32 ])
+      instance ~seed:8 ~n_sets ~no_cover:false
+        ~label:(Printf.sprintf "existence / sets=%d" n_sets))
+    (sweep [ 8; 16; 32 ]);
+  List.iter
+    (fun n_sets ->
+      instance ~seed:3 ~n_sets ~no_cover:true
+        ~label:(Printf.sprintf "existence / sets=%d, no cover" n_sets))
+    (sweep [ 8; 16 ])
 
 (* ================================================================== *)
 (* ALG2: incremental search                                            *)
@@ -1719,4 +1740,9 @@ let () =
     exit 2
   | None ->
     write_report "BENCH_whynot.json";
-    Format.printf "@.done.@."
+    (match List.rev !existence_failures with
+     | [] -> Format.printf "@.done.@."
+     | labels ->
+       Printf.eprintf "bench: THM5.1 explanation/cover check failed on: %s\n"
+         (String.concat "; " labels);
+       exit 1)

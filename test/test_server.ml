@@ -1435,10 +1435,12 @@ let serverd () =
   | Some exe -> exe
   | None -> Alcotest.fail "whynot_serverd.exe is not built"
 
-(* Spawns the binary with the environment's OCAMLRUNPARAM and
-   CAMLRUNPARAM replaced by [env], reads its boot line for the port and
-   returns its [stats] reply's gc.minor_heap_words. *)
-let binary_minor_heap_words env =
+(* Spawns the binary with [args] and with the environment's OCAMLRUNPARAM
+   and CAMLRUNPARAM replaced by [env], and applies [f] to its pid, its
+   stdout and stderr, and a [wait] for its exit status. The process is
+   killed afterwards unless [f] waited for it: SIGKILL, because this
+   suite's threads block SIGTERM and a child inherits the signal mask. *)
+let with_serverd ?(env = []) args f =
   let exe = serverd () in
   let inherited =
     List.filter
@@ -1449,29 +1451,45 @@ let binary_minor_heap_words env =
       (Array.to_list (Unix.environment ()))
   in
   let out_r, out_w = Unix.pipe ~cloexec:true () in
+  let err_r, err_w = Unix.pipe ~cloexec:true () in
   let pid =
     Unix.create_process_env exe
-      [| exe; "--quiet"; "--port"; "0" |]
+      (Array.of_list (exe :: args))
       (Array.of_list (inherited @ env))
-      Unix.stdin out_w Unix.stderr
+      Unix.stdin out_w err_w
   in
   Unix.close out_w;
-  let ic = Unix.in_channel_of_descr out_r in
-  (* SIGKILL: this suite's threads block SIGTERM, and a child inherits
-     the signal mask. *)
+  Unix.close err_w;
+  let out = Unix.in_channel_of_descr out_r
+  and err = Unix.in_channel_of_descr err_r in
+  let status = ref None in
+  let wait () =
+    match !status with
+    | Some st -> st
+    | None ->
+      let _, st = Unix.waitpid [] pid in
+      status := Some st;
+      st
+  in
   Fun.protect
     ~finally:(fun () ->
-      Unix.kill pid Sys.sigkill;
-      ignore (Unix.waitpid [] pid);
-      close_in ic)
-  @@ fun () ->
-  let boot = input_line ic in
+      if Option.is_none !status then (
+        Unix.kill pid Sys.sigkill;
+        ignore (wait ()));
+      close_in out;
+      close_in err)
+    (fun () -> f ~pid ~out ~err ~wait)
+
+(* The port of the boot line "whynot-server listening on HOST:PORT". *)
+let boot_port boot =
   let colon = String.rindex boot ':' in
-  let port =
-    int_of_string
-      (String.sub boot (colon + 1) (String.length boot - colon - 1))
-  in
-  let c = connect port in
+  int_of_string (String.sub boot (colon + 1) (String.length boot - colon - 1))
+
+(* The [stats] reply's gc.minor_heap_words of the binary run with [env]. *)
+let binary_minor_heap_words env =
+  with_serverd ~env [ "--quiet"; "--port"; "0" ]
+  @@ fun ~pid:_ ~out ~err:_ ~wait:_ ->
+  let c = connect (boot_port (input_line out)) in
   Fun.protect ~finally:(fun () -> disconnect c) @@ fun () ->
   match
     Option.bind
@@ -1493,6 +1511,54 @@ let test_binary_minor_heap () =
       ("OCAMLRUNPARAM=b", [ "OCAMLRUNPARAM=b" ], 32768);
       ("OCAMLRUNPARAM=s=64k", [ "OCAMLRUNPARAM=s=64k" ], 65536);
     ]
+
+(* Does a /proc/PID/maps line map a shared object, a file whose name
+   has a ".so" part (libc.so.6, ld-linux-x86-64.so.2)? *)
+let maps_shared_object line =
+  match String.index_opt line '/' with
+  | None -> false
+  | Some i ->
+    let path = String.sub line i (String.length line - i) in
+    List.mem "so" (List.tl (String.split_on_char '.' (Filename.basename path)))
+
+(* bin/dune links the server statically and without PIE: once booted,
+   the process maps no dynamic loader and no shared library. *)
+let test_binary_maps_no_shared_object () =
+  with_serverd [ "--quiet"; "--port"; "0" ] @@ fun ~pid ~out ~err:_ ~wait:_ ->
+  ignore (boot_port (input_line out));
+  let maps =
+    In_channel.with_open_text (Printf.sprintf "/proc/%d/maps" pid)
+      In_channel.input_all
+  in
+  Alcotest.(check (list string))
+    "shared objects mapped" []
+    (List.filter maps_shared_object (String.split_on_char '\n' maps))
+
+(* glibc's name-service functions cannot run in the static binary, so
+   --host takes numeric addresses only: Server.start parses it with
+   Unix.inet_addr_of_string (inet_pton), which resolves nothing. A
+   lookup of "localhost" would find it in /etc/hosts (a static glibc
+   still loads libnss_files at run time for that) and boot; the
+   parser's refusal shows that none took place. *)
+let test_binary_numeric_host () =
+  (with_serverd [ "--quiet"; "--port"; "0"; "--host"; "localhost" ]
+   @@ fun ~pid:_ ~out ~err ~wait ->
+   let stderr = In_channel.input_all err in
+   (match wait () with
+    | Unix.WEXITED 1 -> ()
+    | _ -> Alcotest.fail "--host localhost must exit 1");
+   Alcotest.(check string)
+     "stderr" "whynot-server: cannot start: inet_addr_of_string\n" stderr;
+   Alcotest.(check string) "no boot line" "" (In_channel.input_all out));
+  with_serverd [ "--quiet"; "--port"; "0"; "--host"; "127.0.0.1" ]
+  @@ fun ~pid:_ ~out ~err:_ ~wait:_ ->
+  let boot = input_line out in
+  Alcotest.(check bool)
+    "boot line" true
+    (String.starts_with ~prefix:"whynot-server listening on 127.0.0.1:" boot);
+  let c = connect (boot_port boot) in
+  Fun.protect ~finally:(fun () -> disconnect c) @@ fun () ->
+  ignore (check_ok "stats" (rpc c {|{"op":"stats"}|}))
 
 let () =
   Alcotest.run "server"
@@ -1576,5 +1642,9 @@ let () =
         [
           Alcotest.test_case "minor heap set at runtime start" `Quick
             test_binary_minor_heap;
+          Alcotest.test_case "static: maps no shared object" `Quick
+            test_binary_maps_no_shared_object;
+          Alcotest.test_case "--host is numeric only" `Quick
+            test_binary_numeric_host;
         ] );
     ]
